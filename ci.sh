@@ -7,8 +7,9 @@
 #   SANITIZE={tsan,asan}  sanitizer leg: Debug build with TSan or
 #       ASan+UBSan, running the concurrency-facing suites (thread pool,
 #       cache, engine, sharded router, batch/async streaming, metrics,
-#       pipeline, HTTP server) and the executor suites (unit tests and
-#       the differential oracle) under the sanitizer runtime.
+#       pipeline, HTTP server), the executor suites (unit tests and
+#       the differential oracles) and the storage suite (tables and their
+#       lazily built equality indexes) under the sanitizer runtime.
 #   FORMAT=1              lint leg: clang-format --dry-run --Werror over
 #       every tracked C++ file in src/ tests/ bench/ examples/ (the
 #       committed .clang-format is the single source of truth). No build.
@@ -149,14 +150,14 @@ case "${SANITIZE}" in
     # The concurrency surface is what TSan is here for; the serial suites
     # (and the slow property-based sweep) run in the plain legs.
     # CTEST_FILTER narrows further (the FAULTS leg passes 'fault').
-    CTEST_ARGS+=(-R "${CTEST_FILTER:-concurrency|engine|batch_async|metrics|pipeline|freshness|session|http|server|net|fault|trace|executor}")
+    CTEST_ARGS+=(-R "${CTEST_FILTER:-concurrency|engine|batch_async|metrics|pipeline|freshness|session|http|server|net|fault|trace|executor|storage}")
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
     ;;
   asan)
     BUILD_TYPE=Debug
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     CMAKE_ARGS+=(-DSODA_SANITIZE=address,undefined)
-    CTEST_ARGS+=(-R "${CTEST_FILTER:-concurrency|engine|batch_async|metrics|pipeline|freshness|session|http|server|net|fault|trace|executor}")
+    CTEST_ARGS+=(-R "${CTEST_FILTER:-concurrency|engine|batch_async|metrics|pipeline|freshness|session|http|server|net|fault|trace|executor|storage}")
     export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
     export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}"
     ;;

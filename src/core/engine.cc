@@ -31,6 +31,7 @@ constexpr const char* kEngineCounterSeries[] = {
     "session.refines", "session.stages_skipped", "session.constraint_hits",
     "snippet.executed", "snippet.failed", "snippet.exception",
     "snippet.streamed", "snippet.callback_exception",
+    "executor.index_builds",
     "index.probe_memo_hits", "index.probe_memo_misses",
     "closure.traverse_hits", "closure.traverse_misses",
     "closure.path_lookups",

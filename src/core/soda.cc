@@ -65,6 +65,9 @@ void Soda::ExecuteSnippet(SodaResult* result, MetricsSink* metrics) const {
     metrics->Observe("executor.tables", static_cast<double>(stats.tables));
     metrics->Observe("executor.tuples",
                      static_cast<double>(stats.tuples_enumerated));
+    if (stats.index_builds > 0) {
+      metrics->IncrementCounter("executor.index_builds", stats.index_builds);
+    }
   }
 }
 

@@ -118,7 +118,8 @@ class Soda {
   /// outcome on `result`. Used by both drivers after the merge. When
   /// `metrics` is set, executor-level distributions ("executor.rows",
   /// "executor.tables", "executor.tuples") are observed per executed
-  /// statement.
+  /// statement, and the "executor.index_builds" counter counts the column
+  /// indexes it built for the first time.
   void ExecuteSnippet(SodaResult* result,
                       MetricsSink* metrics = nullptr) const;
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -31,33 +29,28 @@ struct ResolvedColumn {
   size_t column_index = 0;
 };
 
-// Hash-join key: pointers to the key cells of one row, which are read in
-// place. Equality is Value::Compare() == 0, the rule WHERE filters use, so
-// INT 3 joins DOUBLE 3.0 and two doubles never merge through their printed
-// form.
-using JoinKey = std::span<const Value* const>;
-
-struct JoinKeyHash {
-  size_t operator()(const JoinKey& key) const {
+// Row hash and equality for DISTINCT: cells compare with Value::Compare,
+// as WHERE does, not through their %.6g literal rendering.
+struct RowHash {
+  size_t operator()(const std::vector<Value>* row) const {
     size_t h = 0;
-    for (const Value* v : key) {
-      h ^= v->Hash() + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+    for (const Value& v : *row) {
+      h ^= v.Hash() + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
     }
     return h;
   }
 };
 
-struct JoinKeyEq {
-  bool operator()(const JoinKey& a, const JoinKey& b) const {
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i]->Compare(*b[i]) != 0) return false;
+struct RowEq {
+  bool operator()(const std::vector<Value>* a,
+                  const std::vector<Value>* b) const {
+    if (a->size() != b->size()) return false;
+    for (size_t i = 0; i < a->size(); ++i) {
+      if ((*a)[i].Compare((*b)[i]) != 0) return false;
     }
     return true;
   }
 };
-
-// Key -> its group of rows in the build table.
-using JoinIndex = std::unordered_map<JoinKey, size_t, JoinKeyHash, JoinKeyEq>;
 
 class Evaluation {
  public:
@@ -75,6 +68,7 @@ class Evaluation {
   }
 
   size_t tuples_enumerated() const { return tuples_enumerated_; }
+  size_t index_builds() const { return index_builds_; }
 
  private:
   // ---- resolution -------------------------------------------------------
@@ -198,15 +192,16 @@ class Evaluation {
     std::vector<ResolvedColumn> probe_cols;
     std::vector<const Filter*> pushed;  // predicates on `table` alone
     std::vector<const Filter*> late;    // multi-table, all bound here
-    // Built on the first probe, so an empty prefix never pays for it.
+    // Seed step only: the literal of a pushed `lookup_col = literal`,
+    // whose index group replaces the scan (nullptr = scan every row).
+    const Value* lookup = nullptr;
+    size_t lookup_col = 0;
+    // The table's index over key_cols[0] (hash step) or lookup_col (seed),
+    // fetched on first use so an empty prefix never asks for it.
+    const EqualityIndex* index = nullptr;
+    // Cross product: rows passing `pushed`, filtered on first use.
     bool built = false;
-    // Rows passing `pushed`. On a hash step they are grouped by key (each
-    // group ascending): group g is rows[group_start[g], group_start[g+1]).
     std::vector<size_t> rows;
-    std::vector<size_t> group_start;
-    JoinIndex index;
-    // The cells the index keys point at.
-    std::vector<const Value*> key_cells;
   };
 
   // Join order: the first FROM table, then repeatedly the next table in
@@ -256,7 +251,8 @@ class Evaluation {
     }
 
     // Pushdown: a predicate runs at the step that binds the last of its
-    // tables; one over a single table filters that table's scan or build.
+    // tables; one over a single table filters that table's seed rows or
+    // join candidates.
     for (const Filter& f : filters_) {
       if (!f.lhs_col.has_value() && !f.rhs_col.has_value()) {
         constant_filters_.push_back(&f);
@@ -268,6 +264,17 @@ class Evaluation {
                     f.lhs_col->from_index == f.rhs_col->from_index;
       Step& step = steps_[std::max(a, b)];
       (single ? step.pushed : step.late).push_back(&f);
+    }
+    // The seed reads the index group of its first pushed
+    // `column = literal` instead of scanning.
+    Step& seed = steps_[0];
+    for (const Filter* f : seed.pushed) {
+      if (f->pred->op != CompareOp::kEq || (f->lhs_col && f->rhs_col)) {
+        continue;
+      }
+      seed.lookup = f->lhs_col ? &f->pred->rhs.literal : &f->pred->lhs.literal;
+      seed.lookup_col = (f->lhs_col ? *f->lhs_col : *f->rhs_col).column_index;
+      break;
     }
   }
 
@@ -329,18 +336,48 @@ class Evaluation {
   bool Extend(size_t s, const Emit& emit) {
     if (s == steps_.size()) return emit(tuple_);
     Step& step = steps_[s];
-    if (s == 0) {
+    const Table* t = from_[step.table].table;
+    if (s == 0 && step.lookup == nullptr) {
       // The seed scan streams, so an early stop leaves the rest unread.
-      const Table* t = from_[step.table].table;
       for (size_t r = 0; r < t->num_rows(); ++r) {
         tuple_[step.table] = r;
         if (Passes(step.pushed) && !Bind(s, emit)) return false;
       }
       return true;
     }
-    for (size_t r : Candidates(&step)) {
+    if (s == 0) {
+      // Seed lookup: only the rows equal to the literal, in row order.
+      if (step.index == nullptr) step.index = &Index(t, step.lookup_col);
+      for (size_t r : step.index->Find(*step.lookup)) {
+        tuple_[step.table] = r;
+        if (Passes(step.pushed) && !Bind(s, emit)) return false;
+      }
+      return true;
+    }
+    if (step.key_cols.empty()) {
+      if (!step.built) {
+        step.built = true;
+        for (size_t r = 0; r < t->num_rows(); ++r) {
+          tuple_[step.table] = r;
+          if (Passes(step.pushed)) step.rows.push_back(r);
+        }
+      }
+      for (size_t r : step.rows) {
+        tuple_[step.table] = r;
+        if (!Bind(s, emit)) return false;
+      }
+      return true;
+    }
+    // Hash step: the group matching the first key, then the other keys
+    // and the pushed predicates per candidate. NULL never joins: the index
+    // holds no NULL cells, and the further keys are compared as WHERE is.
+    if (step.index == nullptr) step.index = &Index(t, step.key_cols[0]);
+    for (size_t r : step.index->Find(Cell(tuple_, step.probe_cols[0]))) {
       tuple_[step.table] = r;
-      if (!Bind(s, emit)) return false;
+      if (KeysMatch(step, t->row(r)) && Passes(step.pushed) &&
+          !Bind(s, emit)) {
+        return false;
+      }
     }
     return true;
   }
@@ -352,66 +389,22 @@ class Evaluation {
     return Extend(s + 1, emit);
   }
 
-  // Rows of the step's table that extend the current prefix.
-  std::span<const size_t> Candidates(Step* step) {
-    if (!step->built) Build(step);
-    if (step->key_cols.empty()) return step->rows;
-    probe_.clear();
-    for (const auto& rc : step->probe_cols) {
-      const Value& v = Cell(tuple_, rc);
-      if (v.is_null()) return {};  // NULL never joins
-      probe_.push_back(&v);
+  // True when `row` matches the bound cells on every key after the first.
+  bool KeysMatch(const Step& step, const Row& row) const {
+    for (size_t k = 1; k < step.key_cols.size(); ++k) {
+      if (!EvalCompare(row[step.key_cols[k]], CompareOp::kEq,
+                       Cell(tuple_, step.probe_cols[k]))) {
+        return false;
+      }
     }
-    auto it = step->index.find(JoinKey(probe_));
-    if (it == step->index.end()) return {};
-    const size_t* begin = step->rows.data() + step->group_start[it->second];
-    return {begin, step->rows.data() + step->group_start[it->second + 1]};
+    return true;
   }
 
-  void Build(Step* step) {
-    step->built = true;
-    const Table* t = from_[step->table].table;
-    const size_t width = step->key_cols.size();
-    // Reserved up front: the keys view this storage, so it never moves.
-    step->key_cells.reserve(t->num_rows() * width);
-    if (width > 0) step->index.reserve(t->num_rows());
-    std::vector<size_t> group_of;  // per kept row
-    for (size_t r = 0; r < t->num_rows(); ++r) {
-      tuple_[step->table] = r;
-      if (!Passes(step->pushed)) continue;
-      if (width == 0) {
-        step->rows.push_back(r);
-        continue;
-      }
-      const size_t start = step->key_cells.size();
-      for (size_t c : step->key_cols) {
-        const Value& v = t->row(r)[c];
-        if (v.is_null()) break;  // NULL never joins
-        step->key_cells.push_back(&v);
-      }
-      if (step->key_cells.size() - start < width) {
-        step->key_cells.resize(start);
-        continue;
-      }
-      JoinKey key(step->key_cells.data() + start, width);
-      group_of.push_back(
-          step->index.try_emplace(key, step->index.size()).first->second);
-      step->rows.push_back(r);
-    }
-    if (width == 0) return;
-    // Counting sort by group; stable, so each group stays ascending.
-    step->group_start.assign(step->index.size() + 1, 0);
-    for (size_t g : group_of) ++step->group_start[g + 1];
-    for (size_t g = 1; g < step->group_start.size(); ++g) {
-      step->group_start[g] += step->group_start[g - 1];
-    }
-    std::vector<size_t> next(step->group_start.begin(),
-                             step->group_start.end() - 1);
-    std::vector<size_t> sorted(step->rows.size());
-    for (size_t i = 0; i < group_of.size(); ++i) {
-      sorted[next[group_of[i]]++] = step->rows[i];
-    }
-    step->rows = std::move(sorted);
+  const EqualityIndex& Index(const Table* table, size_t column) {
+    bool built = false;
+    const EqualityIndex& index = table->IndexOn(column, &built);
+    if (built) ++index_builds_;
+    return index;
   }
 
   // ---- output: flat projection ---------------------------------------------
@@ -748,15 +741,20 @@ class Evaluation {
 
   void ApplyDistinctAndLimit(ResultSet* rs) const {
     if (stmt_.distinct) {
-      std::vector<std::vector<Value>> unique;
-      std::unordered_map<std::string, bool> seen;
-      unique.reserve(rs->rows.size());
-      for (auto& row : rs->rows) {
-        std::string key = ResultSet::RowKey(row);
-        if (!seen.emplace(std::move(key), true).second) continue;
-        unique.push_back(std::move(row));
+      // Mark first occurrences before moving any row: the set points into
+      // rs->rows.
+      std::unordered_set<const std::vector<Value>*, RowHash, RowEq> seen;
+      std::vector<bool> first(rs->rows.size());
+      for (size_t i = 0; i < rs->rows.size(); ++i) {
+        first[i] = seen.insert(&rs->rows[i]).second;
       }
-      rs->rows = std::move(unique);
+      size_t kept = 0;
+      for (size_t i = 0; i < rs->rows.size(); ++i) {
+        if (!first[i]) continue;
+        if (kept != i) rs->rows[kept] = std::move(rs->rows[i]);
+        ++kept;
+      }
+      rs->rows.resize(kept);
     }
     if (stmt_.limit.has_value() &&
         rs->rows.size() > static_cast<size_t>(*stmt_.limit)) {
@@ -771,10 +769,9 @@ class Evaluation {
   std::vector<Filter> filters_;
   std::vector<const Filter*> constant_filters_;  // literal-only predicates
   std::vector<Step> steps_;
-  // The tuple being extended, and the probe key cells (reused).
-  TupleIds tuple_;
-  std::vector<const Value*> probe_;
+  TupleIds tuple_;  // the tuple being extended
   size_t tuples_enumerated_ = 0;
+  size_t index_builds_ = 0;
 };
 
 }  // namespace
@@ -810,6 +807,7 @@ Result<ResultSet> Executor::Execute(const SelectStatement& stmt,
     stats->rows_output = rs->rows.size();
     stats->tables = stmt.from.size();
     stats->tuples_enumerated = eval.tuples_enumerated();
+    stats->index_builds = eval.index_builds();
   }
   return rs;
 }

@@ -5,17 +5,21 @@
 //   2. a static left-deep join plan over the WHERE conjuncts: the first
 //      FROM table seeds it, then each step adds the next table in FROM
 //      order that an equi-join edge connects to the tables already placed
-//      (hash join on all such edges, keys compared with Value::Compare as
-//      WHERE compares them), else the first unplaced table as a cross
+//      (an index join on all such edges, keys compared with Value::Compare
+//      as WHERE compares them), else the first unplaced table as a cross
 //      product;
 //   3. predicate pushdown: literal-only predicates are decided once,
-//      single-table predicates filter the seed scan and each step's hash
-//      table (or cross-product row list), and multi-table predicates run
-//      at the first step that binds all their tables (NULL-rejecting
+//      single-table predicates filter the seed rows and each step's
+//      candidates (or cross-product row list), and multi-table predicates
+//      run at the first step that binds all their tables (NULL-rejecting
 //      comparison semantics throughout);
 //   4. depth-first enumeration: one tuple of row ids is extended step by
-//      step, and each step's hash table is built on its first probe, so a
-//      prefix that dies early never builds the tables after it;
+//      step. A join step probes the table's persistent equality index on
+//      its first key column (Table::IndexOn) and checks the other keys and
+//      the pushed predicates per candidate; the seed step reads the index
+//      group of its first pushed `column = literal` predicate instead of
+//      scanning, when it has one. Index groups are ascending row ids, so
+//      the order is the nested-loop order of a plain scan;
 //   5. grouping and aggregation (COUNT/SUM/AVG/MIN/MAX), ORDER BY,
 //      DISTINCT, LIMIT and projection.
 //
@@ -50,12 +54,18 @@ struct ExecStats {
   // Join-pipeline work: rows bound at any step (seed scan included) after
   // single-table pushdown, counting partial tuples a later step rejects.
   size_t tuples_enumerated = 0;
+  // Column equality indexes this statement built for the first time (the
+  // tables keep them, so a warm workload builds none).
+  size_t index_builds = 0;
 };
 
-/// Stateless query executor bound to a catalog. Execute/ExecuteSql are
-/// const and keep all evaluation state on the stack, so one Executor is
-/// safe to share across threads — the SodaEngine runs concurrent snippet
-/// execution through a single instance.
+/// Query executor bound to a catalog. Execute/ExecuteSql are const and keep
+/// per-statement state on the stack; the only shared state is the tables'
+/// equality indexes, which a table builds once under its own mutex and
+/// extends under the change log's exclusive data lock. One Executor is
+/// therefore safe to share across threads as long as every caller holds
+/// the database's ReaderLock() while executing (the SodaEngine's serve
+/// path does), or no thread appends meanwhile.
 class Executor {
  public:
   explicit Executor(const Database* db) : db_(db) {}

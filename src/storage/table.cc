@@ -43,15 +43,32 @@ void Table::AppendUnchecked(Row row) {
 }
 
 void Table::PushRow(Row row) {
-  if (change_log_ == nullptr) {
-    rows_.push_back(std::move(row));
-    return;
-  }
-  // Exclusive data lock across the row push AND the publication, so no
-  // reader ever sees the new row with stale derived state.
-  auto lock = change_log_->WriterLock();
+  // Exclusive data lock across the row push, the index extension AND the
+  // publication, so no reader ever sees the new row with stale derived
+  // state.
+  std::unique_lock<std::shared_mutex> lock;
+  if (change_log_ != nullptr) lock = change_log_->WriterLock();
   rows_.push_back(std::move(row));
-  change_log_->RecordAppendLocked(*this, rows_.size() - 1, rows_.size());
+  const size_t id = rows_.size() - 1;
+  for (size_t c = 0; c < indexes_.size(); ++c) {
+    if (indexes_[c] != nullptr) indexes_[c]->Add(rows_[id][c], id);
+  }
+  if (change_log_ != nullptr) {
+    change_log_->RecordAppendLocked(*this, id, rows_.size());
+  }
+}
+
+const EqualityIndex& Table::IndexOn(size_t column, bool* built) const {
+  assert(column < indexes_.size());
+  std::lock_guard<std::mutex> guard(index_mu_);
+  std::unique_ptr<EqualityIndex>& slot = indexes_[column];
+  if (built != nullptr) *built = slot == nullptr;
+  if (slot == nullptr) {
+    auto index = std::make_unique<EqualityIndex>();
+    for (size_t r = 0; r < rows_.size(); ++r) index->Add(rows_[r][column], r);
+    slot = std::move(index);
+  }
+  return *slot;
 }
 
 Value Table::ValueAt(size_t row_index, const std::string& column_name) const {

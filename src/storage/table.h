@@ -10,7 +10,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -29,12 +32,60 @@ struct ColumnDef {
 
 using Row = std::vector<Value>;
 
+/// Equality index over one column of a Table: each distinct non-NULL value
+/// maps to the ascending ids of the rows holding it. Equality is
+/// Value::Compare() == 0 with Value::Hash, the rule WHERE filters use, so
+/// INT 3 and DOUBLE 3.0 share a group and nearby doubles never merge.
+class EqualityIndex {
+ public:
+  /// Rows whose cell equals `key`, ascending; empty for NULL or no match.
+  std::span<const size_t> Find(const Value& key) const {
+    auto it = groups_.find(&key);
+    if (it == groups_.end()) return {};
+    return it->second;
+  }
+
+ private:
+  friend class Table;
+
+  struct CellHash {
+    size_t operator()(const Value* v) const { return v->Hash(); }
+  };
+  struct CellEq {
+    bool operator()(const Value* a, const Value* b) const {
+      return a->Compare(*b) == 0;
+    }
+  };
+
+  // NULL cells are skipped, so a NULL probe never finds a group.
+  void Add(const Value& cell, size_t row) {
+    if (!cell.is_null()) groups_[&cell].push_back(row);
+  }
+
+  // Keys point at the group's first cell in the table's row store: rows
+  // are never modified, and a Row's buffer stays put when the row vector
+  // grows, so the pointer outlives every later append.
+  std::unordered_map<const Value*, std::vector<size_t>, CellHash, CellEq>
+      groups_;
+};
+
 /// An in-memory table: schema plus a row store. Row ids are stable (no
 /// deletes in this workload; warehouses are append-only with historization).
+///
+/// Each column can carry an EqualityIndex, built on first request and from
+/// then on extended by every append, so the executor's joins and
+/// `column = literal` scans probe instead of hashing the table per
+/// statement. Concurrency follows the change log's data lock: readers
+/// request and probe indexes under ReaderLock() (the first request builds
+/// under a per-table mutex, so concurrent readers build once), and appends
+/// extend the built indexes under the exclusive WriterLock(). A standalone
+/// table has no lock, so it must not be appended to while read.
 class Table {
  public:
   Table(std::string name, std::vector<ColumnDef> columns)
-      : name_(std::move(name)), columns_(std::move(columns)) {}
+      : name_(std::move(name)),
+        columns_(std::move(columns)),
+        indexes_(columns_.size()) {}
 
   const std::string& name() const { return name_; }
   const std::vector<ColumnDef>& columns() const { return columns_; }
@@ -70,6 +121,13 @@ class Table {
   /// Value at (row, column-name); NULL when the column does not exist.
   Value ValueAt(size_t row_index, const std::string& column_name) const;
 
+  /// The equality index over column `column` (< num_columns()), built on
+  /// the first request. Call under the change log's ReaderLock() when the
+  /// table belongs to a Database; the reference stays valid and current
+  /// for the table's lifetime. `built` (optional) is set to whether this
+  /// call did the build.
+  const EqualityIndex& IndexOn(size_t column, bool* built = nullptr) const;
+
   /// The change log this table publishes appends to; nullptr for
   /// standalone tables (constructed outside a Database). Set by
   /// Database::CreateTable.
@@ -78,13 +136,18 @@ class Table {
 
  private:
   /// Shared append core: takes the change log's exclusive data lock (when
-  /// attached), pushes the row, and records the append for publication.
+  /// attached), pushes the row, extends the built indexes, and records the
+  /// append for publication.
   void PushRow(Row row);
 
   std::string name_;
   std::vector<ColumnDef> columns_;
   std::vector<Row> rows_;
   ChangeLog* change_log_ = nullptr;
+  // One slot per column, null until first requested. Slots are filled
+  // under index_mu_ and extended under the exclusive data lock.
+  mutable std::mutex index_mu_;
+  mutable std::vector<std::unique_ptr<EqualityIndex>> indexes_;
 };
 
 /// The catalog: owns tables, resolves case-insensitive table names.

@@ -4,6 +4,8 @@
 // DISTINCT / LIMIT tail) on seeded random small schemas. The prefix
 // property its early stop relies on is also checked on the enterprise
 // warehouse, in enterprise_eval_test, which already builds its index.
+// A second oracle checks the tables' append-maintained equality indexes
+// against indexes built from scratch over the same rows.
 
 #include <gtest/gtest.h>
 
@@ -452,6 +454,18 @@ void ExpectMatches(const ResultSet& got, const ResultSet& want,
       << sql;
 }
 
+// Checks `got` (the executor's result for `stmt`) against the reference
+// evaluator over `db`. Unordered shapes are checked against the reference
+// without LIMIT, so the sub-multiset check sees every row the executor may
+// return.
+void ExpectMatchesReference(const Database& db, const SelectStatement& stmt,
+                            const RandomStatement& rs, const ResultSet& got) {
+  SelectStatement unlimited = stmt;
+  unlimited.limit.reset();
+  ResultSet want = Reference(db, rs.ordered ? stmt : unlimited).Run();
+  ExpectMatches(got, want, stmt, rs.ordered, rs.sql);
+}
+
 TEST(ExecutorOracleTest, MatchesNaiveReferenceOnRandomSchemas) {
   Rng rng(20120827);
   size_t statements = 0, nonempty = 0;
@@ -466,15 +480,11 @@ TEST(ExecutorOracleTest, MatchesNaiveReferenceOnRandomSchemas) {
       auto got = executor.Execute(*stmt, &stats);
       ASSERT_TRUE(got.ok()) << rs.sql << " -> " << got.status();
       EXPECT_EQ(stats.rows_output, got->rows.size()) << rs.sql;
-
-      // Unordered shapes are checked against the reference without LIMIT,
-      // so the sub-multiset check sees every row the executor may return.
-      SelectStatement unlimited = *stmt;
-      unlimited.limit.reset();
-      ResultSet want = Reference(rc->db, rs.ordered ? *stmt : unlimited).Run();
-      ExpectMatches(*got, want, *stmt, rs.ordered, rs.sql);
+      ExpectMatchesReference(rc->db, *stmt, rs, *got);
 
       // Prefix property: the limited result is the head of the unlimited.
+      SelectStatement unlimited = *stmt;
+      unlimited.limit.reset();
       auto all = executor.Execute(unlimited);
       ASSERT_TRUE(all.ok()) << rs.sql;
       std::vector<std::string> head = RowKeys(*all);
@@ -490,6 +500,87 @@ TEST(ExecutorOracleTest, MatchesNaiveReferenceOnRandomSchemas) {
   // Guard against a generator that only produces empty results.
   EXPECT_EQ(statements, 3600u);
   EXPECT_GT(nonempty, statements / 4);
+}
+
+// A row for a table whose indexes are live: NULL keys, cells repeating one
+// already in the column, and INT/DOUBLE cells that compare equal (1 and 3
+// lie in both domains) are all likely.
+Row AppendedRow(Rng* rng, const Table& table,
+                const std::vector<ValueType>& types) {
+  Row row;
+  for (size_t c = 0; c < types.size(); ++c) {
+    size_t kind = rng->Below(4);
+    if (kind == 0) {
+      row.push_back(Value::Null());
+    } else if (kind == 1 && table.num_rows() > 0) {
+      row.push_back(table.row(rng->Below(table.num_rows()))[c]);
+    } else if (kind == 2 && types[c] != ValueType::kString) {
+      int64_t k = rng->Chance(0.5) ? 1 : 3;
+      row.push_back(types[c] == ValueType::kInt64
+                        ? Value::Int(k)
+                        : Value::Real(static_cast<double>(k)));
+    } else {
+      row.push_back(RandomCell(rng, types[c]));
+    }
+  }
+  return row;
+}
+
+// Incremental vs. rebuild: statements run (building the tables' indexes),
+// rows are appended through the checked path, and the statements re-run
+// over the maintained indexes must equal the same statements over a fresh
+// database loaded with the final rows — rows, order and join work alike —
+// and the naive reference.
+TEST(ExecutorOracleTest, AppendMaintainedIndexesMatchRebuild) {
+  constexpr size_t kSchemas = 120;
+  Rng rng(20120828);
+  size_t builds = 0, nonempty = 0;
+  for (size_t schema = 0; schema < kSchemas; ++schema) {
+    std::unique_ptr<RandomCase> rc = RandomSchema(&rng);
+    Executor executor(&rc->db);
+    std::vector<RandomStatement> sqls;
+    std::vector<SelectStatement> stmts;
+    for (int q = 0; q < 12; ++q) {
+      sqls.push_back(RandomSql(&rng, *rc));
+      auto stmt = ParseSql(sqls.back().sql);
+      ASSERT_TRUE(stmt.ok()) << sqls.back().sql << " -> " << stmt.status();
+      stmts.push_back(*stmt);
+      ExecStats stats;
+      ASSERT_TRUE(executor.Execute(stmts.back(), &stats).ok());
+      builds += stats.index_builds;
+    }
+
+    for (size_t t = 0; t < rc->types.size(); ++t) {
+      Table* table = rc->db.FindTable("t" + std::to_string(t));
+      for (int64_t n = rng.Range(1, 3); n > 0; --n) {
+        ASSERT_TRUE(
+            table->Append(AppendedRow(&rng, *table, rc->types[t])).ok());
+      }
+    }
+    Database fresh;
+    for (const Table* table : rc->db.tables()) {
+      Table* copy = *fresh.CreateTable(table->name(), table->columns());
+      for (const Row& row : table->rows()) copy->AppendUnchecked(row);
+    }
+    Executor rebuilt(&fresh);
+
+    for (size_t q = 0; q < stmts.size(); ++q) {
+      ExecStats got_stats, want_stats;
+      auto got = executor.Execute(stmts[q], &got_stats);
+      auto want = rebuilt.Execute(stmts[q], &want_stats);
+      ASSERT_TRUE(got.ok() && want.ok()) << sqls[q].sql;
+      EXPECT_EQ(got->column_names, want->column_names) << sqls[q].sql;
+      EXPECT_EQ(got->rows, want->rows) << sqls[q].sql;
+      EXPECT_EQ(got_stats.tuples_enumerated, want_stats.tuples_enumerated)
+          << sqls[q].sql;
+      ExpectMatchesReference(rc->db, stmts[q], sqls[q], *got);
+      if (!got->rows.empty()) ++nonempty;
+    }
+  }
+  // Guards against a run where no index existed before the appends, or
+  // every statement came back empty.
+  EXPECT_GT(builds, kSchemas);
+  EXPECT_GT(nonempty, kSchemas * 12 / 4);
 }
 
 }  // namespace

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "sql/executor.h"
 #include "sql/parser.h"
+#include "storage/change_log.h"
 #include "storage/table.h"
 
 namespace soda {
@@ -287,6 +293,95 @@ TEST_F(ExecutorValueEqualityTest, CountDistinctSeparatesNearbyDoubles) {
   ResultSet rs = Run("SELECT count(DISTINCT reals.x) FROM reals");
   ASSERT_EQ(rs.num_rows(), 1u);
   EXPECT_EQ(rs.rows[0][0], Value::Int(3));
+}
+
+TEST_F(ExecutorValueEqualityTest, DistinctSeparatesNearbyDoubles) {
+  Table* reals = db_.FindTable("reals");
+  ASSERT_TRUE(reals->Append({Value::Real(1.0000002)}).ok());
+  ASSERT_TRUE(reals->Append({Value::Real(1.0000001)}).ok());
+  ResultSet rs = Run("SELECT DISTINCT reals.x FROM reals");
+  // First occurrences, in order: 1.0000001 and 1.0000002 print alike under
+  // %.6g but are different values.
+  ASSERT_EQ(rs.num_rows(), 3u);
+  EXPECT_EQ(rs.rows[0][0], Value::Real(1.0000001));
+  EXPECT_EQ(rs.rows[1][0], Value::Real(1234567.0));
+  EXPECT_EQ(rs.rows[2][0], Value::Real(1.0000002));
+}
+
+// Readers that race to build the same column index, under the change
+// log's reader lock, see the same results as a serial run; appends
+// between rounds extend the indexes already built.
+TEST(ExecutorConcurrencyTest, ConcurrentFirstIndexBuildsMatchSerialRun) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 4;
+  constexpr int64_t kRowsPerRound = 40;
+  // `shared` is read concurrently; `serial` receives the same appends and
+  // is only read from this thread.
+  Database shared, serial;
+  std::vector<ColumnDef> columns;
+  for (int c = 0; c < kRounds; ++c) {
+    columns.push_back({"k" + std::to_string(c), ValueType::kInt64});
+  }
+  for (Database* db : {&shared, &serial}) {
+    ASSERT_TRUE(db->CreateTable("facts", columns).ok());
+    ASSERT_TRUE(db->CreateTable("dims", columns).ok());
+  }
+  auto append_round = [&](int round) {
+    for (Database* db : {&shared, &serial}) {
+      for (int64_t i = 0; i < kRowsPerRound; ++i) {
+        int64_t id = round * kRowsPerRound + i;
+        Row fact, dim;
+        for (int c = 0; c < kRounds; ++c) {
+          fact.push_back(i % 7 == 0 ? Value::Null() : Value::Int(id % (5 + c)));
+          dim.push_back(Value::Int(id % (3 + c)));
+        }
+        db->FindTable("facts")->AppendUnchecked(std::move(fact));
+        db->FindTable("dims")->AppendUnchecked(std::move(dim));
+      }
+    }
+  };
+
+  Executor shared_executor(&shared), serial_executor(&serial);
+  for (int round = 0; round < kRounds; ++round) {
+    append_round(round);
+    // Round r joins on k<r>, which no earlier round indexed, and repeats
+    // the earlier rounds' joins over the indexes the appends extended.
+    std::vector<std::string> sqls;
+    for (int c = round; c >= 0; --c) {
+      std::string k = "k" + std::to_string(c);
+      sqls.push_back("SELECT * FROM facts, dims WHERE facts." + k +
+                     " = dims." + k + " LIMIT 50");
+      sqls.push_back("SELECT count(*) FROM facts, dims WHERE facts." + k +
+                     " = dims." + k + " AND dims.k0 = 1");
+      sqls.push_back("SELECT * FROM facts WHERE facts." + k + " = 2");
+    }
+    std::vector<std::string> want;
+    for (const std::string& sql : sqls) {
+      auto rs = serial_executor.ExecuteSql(sql);
+      ASSERT_TRUE(rs.ok()) << sql << " -> " << rs.status();
+      want.push_back(rs->ToAsciiTable(1000));
+    }
+
+    std::atomic<int> ready{0};
+    std::vector<std::vector<std::string>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        auto lock = shared.change_log().ReaderLock();
+        for (const std::string& sql : sqls) {
+          auto rs = shared_executor.ExecuteSql(sql);
+          got[t].push_back(rs.ok() ? rs->ToAsciiTable(1000)
+                                   : rs.status().ToString());
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(got[t], want) << "round " << round << " thread " << t;
+    }
+  }
 }
 
 // SQL LIKE semantics.

@@ -163,6 +163,23 @@ TEST_F(MetricsIntegrationTest, SerialSearchExportsPerStageLatencies) {
   EXPECT_EQ(tuples->count, snapshot.histogram("executor.rows")->count);
 }
 
+TEST_F(MetricsIntegrationTest, SnippetIndexBuildsLevelOff) {
+  // A bank of its own: the suite's shared one may already carry indexes.
+  auto bank = BuildMiniBank();
+  ASSERT_TRUE(bank.ok()) << bank.status();
+  auto soda = Soda::Create(&(*bank)->db, &(*bank)->graph,
+                           CreditSuissePatternLibrary(), SodaConfig{});
+  ASSERT_TRUE(soda.ok()) << soda.status();
+  const std::string query = "addresses Sara Guttinger";
+  InMemoryMetricsSink first, second;
+  ASSERT_TRUE((*soda)->Search(query, &first).ok());
+  ASSERT_TRUE((*soda)->Search(query, &second).ok());
+  // The tables keep the indexes the first run built, so the same query
+  // builds none the second time.
+  EXPECT_GT(first.Snapshot().counter("executor.index_builds"), 0u);
+  EXPECT_EQ(second.Snapshot().counter("executor.index_builds"), 0u);
+}
+
 TEST_F(MetricsIntegrationTest, EngineRecordsCacheAndBatchCounters) {
   SodaConfig config;
   config.num_threads = 2;
