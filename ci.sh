@@ -44,7 +44,9 @@
 # The Release leg also drives the closed-loop HTTP load harness
 # (bench_http_load) against a live server, recording latency percentiles
 # to ${BUILD_DIR}/BENCH_http_load.json (a CI artifact) and failing on any
-# dropped request, shed-accounting mismatch or missing counter.
+# dropped request, shed-accounting mismatch or missing counter. Finally
+# it smoke-runs perfbench (analyst_cold and session_steer, 2 s each) and
+# fails unless both exit 0 with "correct":true on their last line.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -422,6 +424,28 @@ if [[ "${BUILD_TYPE}" == "Release" && -x "${BUILD_DIR}/bench_http_load" ]]; then
     fi
   done
   echo "http load harness OK: JSON at ${BUILD_DIR}/BENCH_http_load.json"
+fi
+
+if [[ "${BUILD_TYPE}" == "Release" ]]; then
+  # perfbench smoke: perfbench/ builds src/ through its own CMakeLists
+  # (into .bench_build/) and drives the pipeline APIs directly, so a short
+  # run of each gated workload proves it still builds, runs, and answers
+  # byte-for-byte like its cache-off reference engine.
+  for workload in analyst_cold session_steer; do
+    PERF_OUT="${BUILD_DIR}/perfbench_${workload}.txt"
+    if ! python3 perfbench/run.py --workload "${workload}" --seed 1 \
+           --seconds 2 --trace 0 >"${PERF_OUT}"; then
+      echo "perfbench ${workload} smoke run failed" >&2
+      exit 1
+    fi
+    if ! tail -n 1 "${PERF_OUT}" | grep -q '"correct":true'; then
+      echo "perfbench ${workload}: last line does not report" \
+           '"correct":true' >&2
+      tail -n 1 "${PERF_OUT}" >&2
+      exit 1
+    fi
+  done
+  echo "perfbench smoke OK: analyst_cold + session_steer correct"
 fi
 
 # The Release leg always proves the serving front end end-to-end;

@@ -139,13 +139,19 @@ ScopedTraceContext::~ScopedTraceContext() {
 // Span
 // ---------------------------------------------------------------------------
 
-Span::Span(const TraceContext& parent, std::string_view name) {
+Span::Span(const TraceContext& parent, std::string_view name)
+    : Span(parent, name,
+           parent.active() ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point{}) {}
+
+Span::Span(const TraceContext& parent, std::string_view name,
+           std::chrono::steady_clock::time_point start) {
   if (!parent.active()) return;
   data_ = parent.data;
   record_.span_id = data_->NextSpanId();
   record_.parent_id = parent.span_id;
   record_.name.assign(name);
-  record_.start_ms = data_->ElapsedMs();
+  record_.start_ms = data_->OffsetMs(start);
 }
 
 void Span::SetAttr(std::string_view key, std::string_view value) {
@@ -206,7 +212,12 @@ void Span::SetError(std::string_view message) {
 
 void Span::End() {
   if (!active()) return;
-  record_.duration_ms = data_->ElapsedMs() - record_.start_ms;
+  End(data_->ElapsedMs() - record_.start_ms);
+}
+
+void Span::End(double duration_ms) {
+  if (!active()) return;
+  record_.duration_ms = duration_ms;
   data_->AppendSpan(std::move(record_));
   data_.reset();
 }

@@ -102,9 +102,12 @@ class TraceData {
 
   /// Milliseconds since the trace started (monotonic clock).
   double ElapsedMs() const {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
+    return OffsetMs(std::chrono::steady_clock::now());
+  }
+
+  /// Offset of the clock reading `at` from the trace's start, in ms.
+  double OffsetMs(std::chrono::steady_clock::time_point at) const {
+    return std::chrono::duration<double, std::milli>(at - start_).count();
   }
 
   uint64_t NextSpanId() {
@@ -190,6 +193,10 @@ class Span {
  public:
   Span() = default;
   Span(const TraceContext& parent, std::string_view name);
+  /// Starts at `start`, a clock reading the caller already took — the
+  /// seam StageScope uses to share one reading per stage boundary.
+  Span(const TraceContext& parent, std::string_view name,
+       std::chrono::steady_clock::time_point start);
   ~Span() { End(); }
 
   Span(const Span&) = delete;
@@ -235,6 +242,10 @@ class Span {
   /// Stamps the duration and appends the record to the trace. Idempotent;
   /// also called by the destructor.
   void End();
+
+  /// As End(), with a duration the caller measured instead of a fresh
+  /// clock reading.
+  void End(double duration_ms);
 
  private:
   SpanRecord record_;

@@ -44,34 +44,56 @@ void PreRegisterEngineCounters(MetricsSink* sink) {
   }
 }
 
-// Finishes an engine-owned trace on every exit path — including error
-// returns, where the destructor falls back to the trace's own elapsed
-// clock — and books the trace.* counters into the engine's sink from
-// the recorder's verdict. Constructed with an inactive context when the
-// engine joined a caller's trace instead of opening its own.
-class OwnedTrace {
+// The prologue every serving entry point shares. It holds the
+// whole-serve shared data lock — concurrent appends (exclusive holders)
+// order entirely before or after the serve, so the cache probe, the plan
+// freshness check, the pipeline, the snippet scan and the cache insert
+// all see one database state — books the entry counter, and opens the
+// root span named after the entry point: joined to the caller's trace
+// (HTTP request, router dispatch) when one is installed on this thread,
+// otherwise in a trace of its own when the recorder is on. The untraced
+// common case is one relaxed load and a branch. The destructor ends the
+// root span and finishes an owned trace on every exit path, booking the
+// trace.* counters from the recorder's verdict.
+class ServeScope {
  public:
-  OwnedTrace(TraceContext ctx, MetricsSink* sink)
-      : ctx_(std::move(ctx)), sink_(sink) {}
-  ~OwnedTrace() {
-    if (!ctx_.active()) return;
-    double wall = wall_ms_ >= 0.0 ? wall_ms_ : ctx_.data->ElapsedMs();
-    TraceVerdict verdict = TraceRecorder::Instance().FinishTrace(ctx_, wall);
+  ServeScope(std::shared_lock<std::shared_mutex> data_guard,
+             MetricsSink* sink, const char* root)
+      : data_guard_(std::move(data_guard)),
+        start_(std::chrono::steady_clock::now()),
+        sink_(sink) {
+    sink_->IncrementCounter(root, 1);
+    TraceContext parent = CurrentTraceContext();
+    if (!parent.active() && TraceRecorder::Instance().enabled()) {
+      owned_ = TraceRecorder::Instance().StartTrace(root);
+      parent = owned_;
+    }
+    span_ = Span(parent, root);
+  }
+  ~ServeScope() {
+    span_.End();
+    if (!owned_.active()) return;
+    TraceVerdict verdict =
+        TraceRecorder::Instance().FinishTrace(owned_, MsSince(start_));
     sink_->IncrementCounter("trace.spans", verdict.spans);
     sink_->IncrementCounter(verdict.kept ? "trace.sampled" : "trace.dropped",
                             1);
     if (verdict.slow) sink_->IncrementCounter("trace.slow_queries", 1);
   }
 
-  OwnedTrace(const OwnedTrace&) = delete;
-  OwnedTrace& operator=(const OwnedTrace&) = delete;
+  ServeScope(const ServeScope&) = delete;
+  ServeScope& operator=(const ServeScope&) = delete;
 
-  void set_wall_ms(double ms) { wall_ms_ = ms; }
+  std::chrono::steady_clock::time_point start() const { return start_; }
+  Span& span() { return span_; }
+  void ReleaseDataGuard() { data_guard_ = {}; }
 
  private:
-  TraceContext ctx_;
+  std::shared_lock<std::shared_mutex> data_guard_;
+  std::chrono::steady_clock::time_point start_;
   MetricsSink* sink_;
-  double wall_ms_ = -1.0;
+  TraceContext owned_;  // inactive when the serve joined a caller's trace
+  Span span_;
 };
 
 size_t ResolveThreads(size_t configured) {
@@ -80,21 +102,22 @@ size_t ResolveThreads(size_t configured) {
   return hw == 0 ? 1 : hw;
 }
 
-// Runs a pool fan-out and converts any escaped exception — an armed
-// failpoint or a defective stage — into a Status, so one poisoned task
-// degrades to a per-query error instead of unwinding through the serving
-// layer (ThreadPool::ParallelFor rethrows the first task exception at
-// the submitting caller).
+// Runs one pool task and converts an escaped exception — an armed
+// failpoint, a defective stage or snippet — into an Unavailable Status,
+// booking `counter`, so one poisoned task degrades one query (or one
+// snippet) instead of unwinding through the serving layer
+// (ThreadPool::ParallelFor rethrows the first task exception at the
+// submitting caller).
 template <typename Fn>
-Status RunContained(MetricsSink* sink, const char* what, Fn&& fn) {
+Status RunContained(MetricsSink* sink, const char* counter, const char* what,
+                    Fn&& fn) {
   try {
-    std::forward<Fn>(fn)();
-    return Status::OK();
+    return std::forward<Fn>(fn)();
   } catch (const std::exception& e) {
-    sink->IncrementCounter("engine.task_exceptions", 1);
+    sink->IncrementCounter(counter, 1);
     return Status::Unavailable(std::string(what) + " threw: " + e.what());
   } catch (...) {
-    sink->IncrementCounter("engine.task_exceptions", 1);
+    sink->IncrementCounter(counter, 1);
     return Status::Unavailable(std::string(what) +
                                " threw a non-standard exception");
   }
@@ -105,20 +128,15 @@ Status RunContained(MetricsSink* sink, const char* what, Fn&& fn) {
 // continues — snippets are an enrichment, not the answer.
 void ExecuteSnippetContained(const Soda& soda, SodaResult* result,
                              MetricsSink* sink) {
-  try {
-    SODA_FAILPOINT("snippet.execute");
-    soda.ExecuteSnippet(result, sink);
-  } catch (const std::exception& e) {
+  Status status =
+      RunContained(sink, "snippet.exception", "snippet execution", [&] {
+        SODA_FAILPOINT("snippet.execute");
+        soda.ExecuteSnippet(result, sink);
+        return Status::OK();
+      });
+  if (!status.ok()) {
     result->executed = false;
-    result->execution_status =
-        Status::Unavailable(std::string("snippet execution threw: ") +
-                            e.what());
-    sink->IncrementCounter("snippet.exception", 1);
-  } catch (...) {
-    result->executed = false;
-    result->execution_status =
-        Status::Unavailable("snippet execution threw a non-standard exception");
-    sink->IncrementCounter("snippet.exception", 1);
+    result->execution_status = std::move(status);
   }
   sink->IncrementCounter(result->executed ? "snippet.executed"
                                           : "snippet.failed",
@@ -163,16 +181,6 @@ SodaEngine::SodaEngine(std::unique_ptr<Soda> soda)
       default_sink_(std::make_shared<InMemoryMetricsSink>()),
       sink_(default_sink_),
       pool_(ResolveThreads(soda_->config().num_threads)) {
-  // Session-resume sub-lists over the Soda-owned stage objects. The
-  // drivers skip stages of the wrong kind, so membership alone encodes
-  // what a resume re-runs.
-  bool seen_sql = false;
-  for (const PipelineStage* stage : soda_->stages()) {
-    if (stage->name() != "lookup") stages_rank_on_.push_back(stage);
-    if (!stage->per_interpretation()) continue;
-    if (stage->name() == "sql") seen_sql = true;
-    (seen_sql ? stages_sql_ : stages_pre_sql_).push_back(stage);
-  }
   // Pre-register every counter and histogram series so exporters see the
   // full set from the first scrape, not only after the first event of
   // each kind (histograms are an InMemoryMetricsSink feature; custom
@@ -184,9 +192,16 @@ SodaEngine::SodaEngine(std::unique_ptr<Soda> soda)
         "executor.tuples"}) {
     default_sink_->RegisterHistogram(name);
   }
+  // Each stage's histogram, and the session-resume sub-lists over the
+  // Soda-owned stage objects. The drivers skip stages of the wrong kind,
+  // so membership alone encodes what a resume re-runs.
+  bool seen_sql = false;
   for (const PipelineStage* stage : soda_->stages()) {
-    default_sink_->RegisterHistogram(std::string("stage.") +
-                                     std::string(stage->name()) + ".ms");
+    default_sink_->RegisterHistogram(stage->timing().histogram);
+    if (stage->name() != "lookup") stages_rank_on_.push_back(stage);
+    if (!stage->per_interpretation()) continue;
+    if (stage->name() == "sql") seen_sql = true;
+    (seen_sql ? stages_sql_ : stages_pre_sql_).push_back(stage);
   }
 }
 
@@ -249,21 +264,6 @@ void SodaEngine::CacheInsert(const std::string& key,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Single-query path (plain, constrained, and session)
-// ---------------------------------------------------------------------------
-
-Result<SearchOutput> SodaEngine::Search(
-    const std::string& query, const SessionConstraints& constraints) const {
-  return SearchInternal(query, constraints, /*plan=*/nullptr);
-}
-
-Result<SearchOutput> SodaEngine::SearchSession(
-    const std::string& query, const SessionConstraints& constraints,
-    std::shared_ptr<TranslationPlan>* plan) const {
-  return SearchInternal(query, constraints, plan);
-}
-
 bool SodaEngine::PlanStillFresh(const TranslationPlan& plan) const {
   if (!plan.valid.load(std::memory_order_acquire)) return false;
   // A watched plan's validity is maintained precisely (the freshness
@@ -295,376 +295,270 @@ void SodaEngine::RegisterPlan(
   plan->deregister = [manager, reg_key] { manager->ForgetPlan(reg_key); };
 }
 
-Result<SearchOutput> SodaEngine::SearchInternal(
-    const std::string& query, const SessionConstraints& constraints,
-    std::shared_ptr<TranslationPlan>* plan) const {
-  // Whole-serve shared data lock: concurrent appends (exclusive holders)
-  // order entirely before or after this serve, so the cache probe, the
-  // plan freshness check, the pipeline, the snippet scan and the cache
-  // insert all see one consistent database state.
-  auto data_guard = ReadGuard();
-  auto t_start = std::chrono::steady_clock::now();
-  sink_->IncrementCounter("engine.search", 1);
-
-  // Join the caller's trace (HTTP request, router dispatch) when one is
-  // installed on this thread; otherwise open our own when the recorder
-  // is on. The untraced common case is one relaxed load and a branch.
-  TraceContext trace_parent = CurrentTraceContext();
-  const bool owns_trace =
-      !trace_parent.active() && TraceRecorder::Instance().enabled();
-  if (owns_trace) {
-    trace_parent = TraceRecorder::Instance().StartTrace("engine.search");
-  }
-  OwnedTrace owned_trace(owns_trace ? trace_parent : TraceContext{},
-                         sink_.get());
-  Span search_span(trace_parent, "engine.search");
-  if (search_span.active()) search_span.SetAttr("query", query);
-
-  const bool constrained = !constraints.empty();
-  const std::string normalized = NormalizedQueryKey(query);
-  const std::string key = ConstrainedCacheKey(normalized, constraints);
-  const bool is_refine = plan != nullptr && *plan != nullptr;
-  if (is_refine) sink_->IncrementCounter("session.refines", 1);
-
-  if (std::shared_ptr<const SearchOutput> cached = cache_.Get(key)) {
-    // Deliberate copy: the payload is bounded (top_n statements x
-    // snippet_rows rows) and the response needs its own counter fields;
-    // measured hit path stays ~100x faster than the pipeline.
-    sink_->IncrementCounter("cache.hit", 1);
-    if (constrained) sink_->IncrementCounter("session.constraint_hits", 1);
-    if (plan != nullptr) sink_->IncrementCounter("session.stages_skipped", 5);
-    SearchOutput output = *cached;
-    output.from_cache = true;
-    output.stages_skipped = 5;
-    CacheStats stats = cache_.stats();
-    output.cache_hits = stats.hits;
-    output.cache_misses = stats.misses;
-    output.threads_used = num_threads();
-    output.timings = StepTimings{};  // this response did no pipeline work
-    output.timings.wall_ms = MsSince(t_start);
-    sink_->Observe("search.wall.ms", output.timings.wall_ms);
-    if (search_span.active()) search_span.SetAttr("cache", "hit");
-    owned_trace.set_wall_ms(output.timings.wall_ms);
-    return output;
-  }
-  sink_->IncrementCounter("cache.miss", 1);
-  if (search_span.active()) search_span.SetAttr("cache", "miss");
-
-  const SodaConfig& config = soda_->config();
-  QueryContext ctx(query);
-  ctx.config = &config;
-  ctx.metrics = sink_.get();
-  ctx.trace = search_span.context();
-  if (constrained) ctx.constraints = &constraints;
-  ctx.collect_freshness_terms = freshness_ != nullptr;
-  const std::vector<const PipelineStage*>& stages = soda_->stages();
-
-  // Resume decision: the held plan must answer this very question and
-  // still reflect the current base data. Bindings select which stages
-  // the resume can skip — pins/bans only gate Step 5, so matching
-  // bindings let the post-Filters states be reused wholesale, while a
-  // binding change re-ranks from the (always constraint-independent)
-  // Step-1 lookup.
-  TranslationPlan* resume = nullptr;
-  if (is_refine && (*plan)->key == normalized && PlanStillFresh(**plan)) {
-    resume = plan->get();
-  }
-  const std::string bindings_fp = constraints.BindingsFingerprint();
-  const bool reuse_states =
-      resume != nullptr && resume->bindings_fp == bindings_fp;
-  const bool capture = plan != nullptr && !reuse_states;
-  size_t stages_skipped = 0;
-
-  if (resume != nullptr) {
-    // Copies, never moves: the plan stays resumable for the next Refine.
-    ctx.parsed = resume->parsed;
-    ctx.lookup = resume->lookup;
-    ctx.freshness_terms = resume->freshness_terms;
-    if (reuse_states) {
-      ctx.states = resume->states;  // SqlStage mutates states in place
-      stages_skipped = 4;           // lookup, rank, tables, filters
-    } else {
-      stages_skipped = 1;  // lookup
-      SODA_RETURN_NOT_OK(RunQueryStages(stages_rank_on_, &ctx));
-    }
-  } else {
-    // Query-level prefix (lookup, rank) runs serially — it is cheap and
-    // produces the independent per-interpretation states.
-    SODA_RETURN_NOT_OK(RunQueryStages(stages, &ctx));
-  }
-
-  // Fan the remaining per-interpretation stages out across the pool, one
-  // task per interpretation. Each task touches only its own state; the
-  // shared context is read-only. A capturing run splits the fan-out at
-  // the Step-4/5 boundary to snapshot the reusable states.
-  sink_->Observe("pool.queue_depth",
-                 static_cast<double>(pool_.queue_depth()));
-  std::vector<InterpretationState> snapshot;
-  SODA_RETURN_NOT_OK(
-      RunContained(sink_.get(), "interpretation fan-out", [&] {
-        if (reuse_states) {
-          pool_.ParallelFor(ctx.states.size(), [&](size_t i) {
-            SODA_FAILPOINT("engine.pool_task");
-            RunInterpretationStages(stages_sql_, ctx, &ctx.states[i]);
-          });
-        } else if (capture) {
-          pool_.ParallelFor(ctx.states.size(), [&](size_t i) {
-            SODA_FAILPOINT("engine.pool_task");
-            RunInterpretationStages(stages_pre_sql_, ctx, &ctx.states[i]);
-          });
-          snapshot = ctx.states;  // post-Filters, pre-Sql
-          pool_.ParallelFor(ctx.states.size(), [&](size_t i) {
-            RunInterpretationStages(stages_sql_, ctx, &ctx.states[i]);
-          });
-        } else {
-          pool_.ParallelFor(ctx.states.size(), [&](size_t i) {
-            SODA_FAILPOINT("engine.pool_task");
-            RunInterpretationStages(stages, ctx, &ctx.states[i]);
-          });
-        }
-      }));
-  if (plan != nullptr && stages_skipped > 0) {
-    sink_->IncrementCounter("session.stages_skipped", stages_skipped);
-  }
-
-  // Capture before FinalizeOutput, which consumes the context fields.
-  std::shared_ptr<TranslationPlan> captured;
-  if (capture) {
-    captured = std::make_shared<TranslationPlan>();
-    captured->key = normalized;
-    captured->parsed = ctx.parsed;
-    captured->lookup = ctx.lookup;
-    captured->bindings_fp = bindings_fp;
-    captured->freshness_terms = ctx.freshness_terms;
-    captured->states = std::move(snapshot);
-    for (InterpretationState& state : captured->states) {
-      // A resumed run books only the stage work it actually did.
-      state.tables_ms = 0.0;
-      state.filters_ms = 0.0;
-      state.sql_ms = 0.0;
-    }
-    const Database* db = soda_->database();
-    captured->captured_at_sequence =
-        db != nullptr ? db->change_log().sequence() : 0;
-    RegisterPlan(captured);
-  }
-
-  SearchOutput output = FinalizeOutput(std::move(ctx));
-  output.stages_skipped = stages_skipped;
-
-  if (config.execute_snippets && soda_->database() != nullptr) {
-    auto t_exec = std::chrono::steady_clock::now();
-    Span exec_span(search_span.context(), "stage.execute");
-    pool_.ParallelFor(output.results.size(), [&](size_t i) {
-      ExecuteSnippetContained(*soda_, &output.results[i], sink_.get());
-    });
-    if (exec_span.active()) {
-      exec_span.SetAttr("snippets",
-                        static_cast<int64_t>(output.results.size()));
-    }
-    exec_span.End();
-    output.timings.execute_ms = MsSince(t_exec);
-    sink_->Observe("stage.execute.ms", output.timings.execute_ms);
-  }
-  output.threads_used = num_threads();
-  output.timings.wall_ms = MsSince(t_start);
-  sink_->Observe("search.wall.ms", output.timings.wall_ms);
-  owned_trace.set_wall_ms(output.timings.wall_ms);
-
-  // Cache the fully materialized answer (statements + snippets). The
-  // stored copy keeps from_cache=false; hits patch their own counters.
-  CacheInsert(key, output);
-
-  CacheStats stats = cache_.stats();
-  output.cache_hits = stats.hits;
-  output.cache_misses = stats.misses;
-  // Hand the new plan over last: an error on any earlier path leaves the
-  // caller's previous plan untouched.
-  if (capture) *plan = std::move(captured);
-  return output;
-}
-
 // ---------------------------------------------------------------------------
-// Batch translation core
+// Translation core
 // ---------------------------------------------------------------------------
 
 struct SodaEngine::BatchItem {
-  std::string key;                  // normalized query (the cache key)
+  const std::string* query = nullptr;  // raw text of the first occurrence
+  std::string normalized;              // NormalizedQueryKey(*query)
+  std::string key;  // cache key: ConstrainedCacheKey(normalized, constraints)
+  const SessionConstraints* constraints = nullptr;   // nullptr: none
+  std::shared_ptr<TranslationPlan>* plan = nullptr;  // session plan slot
   std::vector<size_t> occurrences;  // input indices, ascending
   bool from_cache = false;
   Result<SearchOutput> output{Status::Internal("batch item not computed")};
 };
 
-std::vector<SodaEngine::BatchItem> SodaEngine::TranslateBatch(
+std::vector<SodaEngine::BatchItem> SodaEngine::TranslateQueries(
     std::span<const std::string> queries, bool execute,
-    const TraceContext& trace) const {
-  auto t_start = std::chrono::steady_clock::now();
-
+    const TraceContext& trace,
+    std::chrono::steady_clock::time_point start) const {
   // Dedup identical normalized queries *before* the cache is probed, so
   // repeats inside one batch cost one pipeline run and one miss.
   std::vector<BatchItem> items;
   std::unordered_map<std::string, size_t> item_of_key;
   for (size_t i = 0; i < queries.size(); ++i) {
-    std::string key = NormalizedQueryKey(queries[i]);
-    auto [it, inserted] = item_of_key.emplace(std::move(key), items.size());
+    auto [it, inserted] =
+        item_of_key.emplace(NormalizedQueryKey(queries[i]), items.size());
     if (inserted) {
-      BatchItem item;
+      BatchItem& item = items.emplace_back();
+      item.query = &queries[i];
+      item.normalized = it->first;
       item.key = it->first;
-      items.push_back(std::move(item));
     }
     items[it->second].occurrences.push_back(i);
   }
   sink_->IncrementCounter("batch.queries", queries.size());
   sink_->IncrementCounter("batch.unique", items.size());
+  sink_->IncrementCounter(
+      "batch.interpretations",
+      TranslateBatch(&items, execute, trace, start, "batch.query"));
+  sink_->Observe("batch.wall.ms", MsSince(start));
+  return items;
+}
 
-  // Probe the cache once per unique key.
-  std::vector<size_t> misses;  // item indices that must run the pipeline
-  for (size_t it_idx = 0; it_idx < items.size(); ++it_idx) {
-    BatchItem& item = items[it_idx];
+size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
+                                  const TraceContext& trace,
+                                  std::chrono::steady_clock::time_point start,
+                                  const char* query_span) const {
+  const SodaConfig& config = soda_->config();
+
+  // One job per unique cache miss: its context, its span, the stage list
+  // it starts from and, when it captures a session plan, the snapshot of
+  // its states at the Step-4/5 boundary.
+  struct Job {
+    explicit Job(BatchItem* batch_item)
+        : item(batch_item), ctx(*batch_item->query) {}
+    BatchItem* item;
+    QueryContext ctx;
+    Span span;  // one per batch query; inert for a single query
+    const std::vector<const PipelineStage*>* stages = nullptr;
+    size_t stages_skipped = 0;
+    bool capture = false;
+    std::vector<InterpretationState> snapshot;
+    std::shared_ptr<TranslationPlan> plan;  // handed over on success only
+    Status status;
+  };
+  std::vector<Job> jobs;
+  jobs.reserve(items->size());
+
+  for (BatchItem& item : *items) {
+    const bool constrained =
+        item.constraints != nullptr && !item.constraints->empty();
+    if (item.plan != nullptr && *item.plan != nullptr) {
+      sink_->IncrementCounter("session.refines", 1);
+    }
     if (std::shared_ptr<const SearchOutput> cached = cache_.Get(item.key)) {
+      // Deliberate copy: the payload is bounded (top_n statements x
+      // snippet_rows rows) and the response needs its own counter
+      // fields; measured hit path stays ~100x faster than the pipeline.
       sink_->IncrementCounter("cache.hit", 1);
+      if (constrained) sink_->IncrementCounter("session.constraint_hits", 1);
+      if (item.plan != nullptr) {
+        sink_->IncrementCounter("session.stages_skipped", 5);
+      }
       item.from_cache = true;
       item.output = *cached;
-    } else {
-      sink_->IncrementCounter("cache.miss", 1);
-      misses.push_back(it_idx);
+      continue;
     }
+    sink_->IncrementCounter("cache.miss", 1);
+
+    Job& job = jobs.emplace_back(&item);
+    QueryContext& ctx = job.ctx;
+    ctx.config = &config;
+    ctx.metrics = sink_.get();
+    ctx.collect_freshness_terms = freshness_ != nullptr;
+    if (constrained) ctx.constraints = item.constraints;
+    // A batch query's span stays open across both fan-outs below, so its
+    // duration covers that query's pipeline; stage spans parent under it
+    // through ctx.trace.
+    ctx.trace = trace;
+    if (query_span != nullptr) {
+      job.span = Span(trace, query_span);
+      job.span.SetAttr("query", ctx.raw_query);
+      ctx.trace = job.span.context();
+    }
+    job.stages = &soda_->stages();
+    if (item.plan == nullptr) continue;
+
+    // Session serve. Resume only from a plan that answers this very
+    // question and still reflects the current base data. Bindings select
+    // which stages the resume can skip — pins/bans only gate Step 5, so
+    // matching bindings reuse the post-Filters states wholesale, while a
+    // binding change re-ranks from the (always constraint-independent)
+    // Step-1 lookup. Whenever the states are not reused, the serve
+    // captures a fresh plan.
+    const TranslationPlan* held = item.plan->get();
+    if (held != nullptr && held->key == item.normalized &&
+        PlanStillFresh(*held)) {
+      // Copies, never moves: the plan stays resumable for the next Refine.
+      ctx.parsed = held->parsed;
+      ctx.lookup = held->lookup;
+      ctx.freshness_terms = held->freshness_terms;
+      if (held->bindings_fp == item.constraints->BindingsFingerprint()) {
+        ctx.states = held->states;  // SqlStage mutates states in place
+        job.stages = &stages_sql_;
+        job.stages_skipped = 4;  // lookup, rank, tables, filters
+      } else {
+        job.stages = &stages_rank_on_;
+        job.stages_skipped = 1;  // lookup
+      }
+    }
+    job.capture = job.stages_skipped != 4;
   }
 
-  const SodaConfig& config = soda_->config();
-  const std::vector<const PipelineStage*>& stages = soda_->stages();
-
-  // Steps 1-2 once per unique miss, fanned across the pool: query
-  // contexts are independent and the step objects are stateless.
-  std::vector<std::unique_ptr<QueryContext>> contexts;
-  std::vector<Status> prefix_status(misses.size(), Status::OK());
-  contexts.reserve(misses.size());
-  // One span per unique miss, open across both fan-outs below so its
-  // duration covers that query's full pipeline; stage spans created by
-  // the drivers parent under it through ctx->trace. Inert (and unmoved
-  // past a reserve) when the batch is untraced.
-  std::vector<Span> query_spans;
-  query_spans.reserve(misses.size());
-  for (size_t miss_idx : misses) {
-    auto ctx =
-        std::make_unique<QueryContext>(queries[items[miss_idx].occurrences[0]]);
-    ctx->config = &config;
-    ctx->metrics = sink_.get();
-    ctx->collect_freshness_terms = freshness_ != nullptr;
-    Span query_span(trace, "batch.query");
-    if (query_span.active()) query_span.SetAttr("query", ctx->raw_query);
-    ctx->trace = query_span.context();
-    query_spans.push_back(std::move(query_span));
-    contexts.push_back(std::move(ctx));
+  // Query-level stages once per job, fanned across the pool: query
+  // contexts are independent and the step objects are stateless. Each
+  // task writes only its own job, so a poisoned task fails one query.
+  if (!jobs.empty()) {
+    sink_->Observe("pool.queue_depth",
+                   static_cast<double>(pool_.queue_depth()));
   }
-  sink_->Observe("pool.queue_depth",
-                 static_cast<double>(pool_.queue_depth()));
-  pool_.ParallelFor(contexts.size(), [&](size_t i) {
-    // Each task writes only its own slot, so an exception (or armed
-    // failpoint) poisons one query's prefix, never the batch.
-    try {
-      SODA_FAILPOINT("engine.pool_task");
-      prefix_status[i] = RunQueryStages(stages, contexts[i].get());
-    } catch (const std::exception& e) {
-      prefix_status[i] = Status::Unavailable(
-          std::string("pipeline prefix threw: ") + e.what());
-      sink_->IncrementCounter("engine.task_exceptions", 1);
-    } catch (...) {
-      prefix_status[i] =
-          Status::Unavailable("pipeline prefix threw a non-standard exception");
-      sink_->IncrementCounter("engine.task_exceptions", 1);
-    }
+  pool_.ParallelFor(jobs.size(), [&](size_t j) {
+    Job& job = jobs[j];
+    job.status = RunContained(
+        sink_.get(), "engine.task_exceptions", "pipeline prefix", [&] {
+          SODA_FAILPOINT("engine.pool_task");
+          return RunQueryStages(*job.stages, &job.ctx);
+        });
   });
 
-  // Steps 3-5 over one flat (query, interpretation) task list: a batch
-  // of narrow queries load-balances exactly like one wide query.
-  std::vector<std::pair<size_t, size_t>> units;  // (context idx, state idx)
-  for (size_t c = 0; c < contexts.size(); ++c) {
-    if (!prefix_status[c].ok()) continue;
-    for (size_t s = 0; s < contexts[c]->states.size(); ++s) {
-      units.emplace_back(c, s);
-    }
+  // Per-interpretation stages over one flat (job, interpretation) task
+  // list: a batch of narrow queries load-balances exactly like one wide
+  // query. One status slot per unit (several units of one job run
+  // concurrently, so a shared per-job status would race); folded
+  // serially below. Ranking keeps at most top_n states per query.
+  std::vector<std::pair<size_t, size_t>> units;  // (job idx, state idx)
+  units.reserve(jobs.size() * config.top_n);
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    Job& job = jobs[j];
+    if (!job.status.ok()) continue;
+    if (job.capture) job.snapshot.resize(job.ctx.states.size());
+    for (size_t s = 0; s < job.ctx.states.size(); ++s) units.emplace_back(j, s);
   }
-  sink_->IncrementCounter("batch.interpretations", units.size());
-  // One slot per unit (several units of one context run concurrently, so
-  // a shared per-context status would race); folded serially below.
-  std::vector<Status> unit_status(units.size(), Status::OK());
+  std::vector<Status> unit_status(units.size());
   pool_.ParallelFor(units.size(), [&](size_t u) {
-    auto [c, s] = units[u];
-    try {
-      SODA_FAILPOINT("engine.pool_task");
-      RunInterpretationStages(stages, *contexts[c], &contexts[c]->states[s]);
-    } catch (const std::exception& e) {
-      unit_status[u] = Status::Unavailable(
-          std::string("interpretation task threw: ") + e.what());
-      sink_->IncrementCounter("engine.task_exceptions", 1);
-    } catch (...) {
-      unit_status[u] = Status::Unavailable(
-          "interpretation task threw a non-standard exception");
-      sink_->IncrementCounter("engine.task_exceptions", 1);
-    }
+    Job& job = jobs[units[u].first];
+    const size_t s = units[u].second;
+    InterpretationState* state = &job.ctx.states[s];
+    unit_status[u] = RunContained(
+        sink_.get(), "engine.task_exceptions", "interpretation task", [&] {
+          SODA_FAILPOINT("engine.pool_task");
+          if (!job.capture) {
+            RunInterpretationStages(*job.stages, job.ctx, state);
+            return Status::OK();
+          }
+          // Snapshot at the Step-4/5 boundary, with no stage time booked:
+          // a resumed run books only the stage work it actually does.
+          RunInterpretationStages(stages_pre_sql_, job.ctx, state);
+          job.snapshot[s] = *state;
+          job.snapshot[s].timings = StepTimings{};
+          RunInterpretationStages(stages_sql_, job.ctx, state);
+          return Status::OK();
+        });
   });
   for (size_t u = 0; u < units.size(); ++u) {
-    size_t c = units[u].first;
-    if (!unit_status[u].ok() && prefix_status[c].ok()) {
-      prefix_status[c] = unit_status[u];
-    }
+    Status& status = jobs[units[u].first].status;
+    if (!unit_status[u].ok() && status.ok()) status = unit_status[u];
   }
 
   // Deterministic per-query merge, in miss order.
-  for (size_t c = 0; c < contexts.size(); ++c) {
-    BatchItem& item = items[misses[c]];
-    if (!prefix_status[c].ok()) {
-      item.output = prefix_status[c];
-      query_spans[c].SetStatus(prefix_status[c].message());
-      query_spans[c].End();
+  bool any_computed = false;
+  for (Job& job : jobs) {
+    BatchItem& item = *job.item;
+    if (!job.status.ok()) {
+      item.output = job.status;
+      job.span.SetStatus(job.status.message());
+      job.span.End();
       continue;
     }
-    item.output = FinalizeOutput(std::move(*contexts[c]));
-    query_spans[c].End();
+    any_computed = true;
+    if (item.plan != nullptr && job.stages_skipped > 0) {
+      sink_->IncrementCounter("session.stages_skipped", job.stages_skipped);
+    }
+    if (job.capture) {
+      // Before FinalizeOutput, which consumes the context fields.
+      job.plan = std::make_shared<TranslationPlan>();
+      job.plan->key = item.normalized;
+      job.plan->parsed = job.ctx.parsed;
+      job.plan->lookup = job.ctx.lookup;
+      job.plan->bindings_fp = item.constraints->BindingsFingerprint();
+      job.plan->freshness_terms = job.ctx.freshness_terms;
+      job.plan->states = std::move(job.snapshot);
+      const Database* db = soda_->database();
+      job.plan->captured_at_sequence =
+          db != nullptr ? db->change_log().sequence() : 0;
+    }
+    item.output = FinalizeOutput(std::move(job.ctx));
+    item.output->stages_skipped = job.stages_skipped;
+    job.span.End();
   }
 
-  // Snippet execution for the sync path: again one flat task list across
-  // every (miss item, result) pair.
-  if (execute && config.execute_snippets && soda_->database() != nullptr) {
-    auto t_exec = std::chrono::steady_clock::now();
-    std::vector<std::pair<size_t, size_t>> snips;  // (item idx, result idx)
-    for (size_t miss_idx : misses) {
-      BatchItem& item = items[miss_idx];
-      if (!item.output.ok()) continue;
-      for (size_t r = 0; r < item.output->results.size(); ++r) {
-        snips.emplace_back(miss_idx, r);
+  // Snippet execution for the sync paths: again one flat task list across
+  // every (computed query, result) pair. Per-item attribution of a shared
+  // fan-out is ill-defined; every computed output carries the one
+  // duration of the execution stage.
+  double exec_ms = 0.0;
+  if (execute && any_computed && config.execute_snippets &&
+      soda_->database() != nullptr) {
+    std::vector<SodaResult*> snippets;
+    for (Job& job : jobs) {
+      if (!job.item->output.ok()) continue;
+      for (SodaResult& result : job.item->output->results) {
+        snippets.push_back(&result);
       }
     }
-    Span exec_span(trace, "stage.execute");
-    if (exec_span.active()) {
-      exec_span.SetAttr("snippets", static_cast<int64_t>(snips.size()));
-    }
-    pool_.ParallelFor(snips.size(), [&](size_t i) {
-      auto [it_idx, r] = snips[i];
-      ExecuteSnippetContained(*soda_, &items[it_idx].output->results[r],
-                              sink_.get());
+    StageScope exec(kExecuteTiming, trace, sink_.get(), /*timings=*/nullptr);
+    exec.span().SetAttr("snippets", static_cast<int64_t>(snippets.size()));
+    pool_.ParallelFor(snippets.size(), [&](size_t i) {
+      ExecuteSnippetContained(*soda_, snippets[i], sink_.get());
     });
-    exec_span.End();
-    double exec_ms = MsSince(t_exec);
-    sink_->Observe("stage.execute.ms", exec_ms);
-    // Per-item attribution of a shared fan-out is ill-defined; every
-    // computed output carries the batch-level execution wall time.
-    for (size_t miss_idx : misses) {
-      BatchItem& item = items[miss_idx];
-      if (item.output.ok()) item.output->timings.execute_ms = exec_ms;
-    }
+    exec_ms = exec.End();
   }
 
-  double wall_ms = MsSince(t_start);
-  for (size_t miss_idx : misses) {
-    BatchItem& item = items[miss_idx];
+  const double wall_ms = MsSince(start);
+  for (Job& job : jobs) {
+    BatchItem& item = *job.item;
     if (!item.output.ok()) continue;
-    item.output->threads_used = num_threads();
+    item.output->timings.execute_ms = exec_ms;
     item.output->timings.wall_ms = wall_ms;
+    // Cache every answer that is fully materialized (statements +
+    // snippets): all of them on the sync paths, only those without a
+    // snippet to stream on the async path — its last snippet task caches
+    // the rest. The stored copy keeps from_cache=false; responses patch
+    // their own counters.
+    if (execute || item.output->results.empty()) {
+      CacheInsert(item.key, *item.output);
+    }
+    // Hand a new plan over last: a serve that failed anywhere leaves the
+    // caller's previous plan untouched.
+    if (job.plan != nullptr) {
+      RegisterPlan(job.plan);
+      *item.plan = std::move(job.plan);
+    }
   }
-  sink_->Observe("batch.wall.ms", wall_ms);
-  return items;
+  return units.size();
 }
 
 std::vector<Result<SearchOutput>> SodaEngine::ExpandBatch(
@@ -686,14 +580,17 @@ std::vector<Result<SearchOutput>> SodaEngine::ExpandBatch(
   CacheStats stats = cache_.stats();
   std::vector<Result<SearchOutput>> outputs(
       query_count, Result<SearchOutput>(Status::Internal("unmapped query")));
-  for (const BatchItem& item : items) {
+  for (BatchItem& item : items) {
     for (size_t occ = 0; occ < item.occurrences.size(); ++occ) {
       size_t input_idx = item.occurrences[occ];
       if (!item.output.ok()) {
         outputs[input_idx] = item.output.status();
         continue;
       }
-      SearchOutput output = *item.output;
+      // The last occurrence takes the item's output; earlier ones copy.
+      SearchOutput output = occ + 1 == item.occurrences.size()
+                                ? std::move(*item.output)
+                                : *item.output;
       // from_cache promises the payload was served materialized (snippets
       // included). That holds for probe hits always, and for in-batch
       // repeats only on the sync path — async repeats are copies of the
@@ -705,11 +602,12 @@ std::vector<Result<SearchOutput>> SodaEngine::ExpandBatch(
                       (cache_enabled && mark_dedup_as_cached));
       output.from_cache = served_from_cache;
       if (served_from_cache) {
-        // Like the single-query hit path: this response did no pipeline
-        // work of its own, and the stored entry's cold-run wall time is
-        // not this response's latency — stamp this call's elapsed time.
+        // This response did no pipeline work of its own, and the stored
+        // entry's cold-run wall time is not this response's latency —
+        // stamp this call's elapsed time.
         output.timings = StepTimings{};
         output.timings.wall_ms = MsSince(batch_start);
+        output.stages_skipped = 5;
       }
       output.cache_hits = stats.hits;
       output.cache_misses = stats.misses;
@@ -721,46 +619,54 @@ std::vector<Result<SearchOutput>> SodaEngine::ExpandBatch(
 }
 
 // ---------------------------------------------------------------------------
+// Single-query entry points: a batch of one
+// ---------------------------------------------------------------------------
+
+Result<SearchOutput> SodaEngine::Search(
+    const std::string& query, const SessionConstraints& constraints) const {
+  return SearchSession(query, constraints, /*plan=*/nullptr);
+}
+
+Result<SearchOutput> SodaEngine::SearchSession(
+    const std::string& query, const SessionConstraints& constraints,
+    std::shared_ptr<TranslationPlan>* plan) const {
+  ServeScope serve(ReadGuard(), sink_.get(), "engine.search");
+  serve.span().SetAttr("query", query);
+
+  std::vector<BatchItem> items(1);
+  BatchItem& item = items[0];
+  item.query = &query;
+  item.normalized = NormalizedQueryKey(query);
+  item.key = ConstrainedCacheKey(item.normalized, constraints);
+  item.constraints = &constraints;
+  item.plan = plan;
+  item.occurrences.push_back(0);
+  // No per-query span: the root span is this query's span, so the stage
+  // spans parent directly under it.
+  TranslateBatch(&items, /*execute=*/true, serve.span().context(),
+                 serve.start(), /*query_span=*/nullptr);
+  serve.span().SetAttr("cache", item.from_cache ? "hit" : "miss");
+  Result<SearchOutput> output = std::move(
+      ExpandBatch(std::move(items), 1, /*mark_dedup_as_cached=*/true,
+                  serve.start())[0]);
+  if (output.ok()) sink_->Observe("search.wall.ms", output->timings.wall_ms);
+  return output;
+}
+
+// ---------------------------------------------------------------------------
 // SearchAll (sync batch)
 // ---------------------------------------------------------------------------
 
 std::vector<Result<SearchOutput>> SodaEngine::SearchAll(
     std::span<const std::string> queries) const {
   if (queries.empty()) return {};
-  auto data_guard = ReadGuard();
-  auto t_start = std::chrono::steady_clock::now();
-  sink_->IncrementCounter("engine.search_all", 1);
+  ServeScope serve(ReadGuard(), sink_.get(), "engine.search_all");
+  serve.span().SetAttr("queries", static_cast<int64_t>(queries.size()));
 
-  TraceContext trace_parent = CurrentTraceContext();
-  const bool owns_trace =
-      !trace_parent.active() && TraceRecorder::Instance().enabled();
-  if (owns_trace) {
-    trace_parent = TraceRecorder::Instance().StartTrace("engine.search_all");
-  }
-  OwnedTrace owned_trace(owns_trace ? trace_parent : TraceContext{},
-                         sink_.get());
-  Span batch_span(trace_parent, "engine.search_all");
-  if (batch_span.active()) {
-    batch_span.SetAttr("queries", static_cast<int64_t>(queries.size()));
-  }
-
-  std::vector<BatchItem> items =
-      TranslateBatch(queries, /*execute=*/true, batch_span.context());
-
-  // Insert the fully materialized computed entries, keyed on the
-  // normalized query after dedup — one Put per unique miss. The stored
-  // copy keeps from_cache=false and unset counters, exactly like the
-  // single-query path.
-  for (const BatchItem& item : items) {
-    if (item.from_cache || !item.output.ok()) continue;
-    CacheInsert(item.key, *item.output);
-  }
-  std::vector<Result<SearchOutput>> outputs =
-      ExpandBatch(std::move(items), queries.size(),
-                  /*mark_dedup_as_cached=*/true, t_start);
-  batch_span.End();
-  owned_trace.set_wall_ms(MsSince(t_start));
-  return outputs;
+  std::vector<BatchItem> items = TranslateQueries(
+      queries, /*execute=*/true, serve.span().context(), serve.start());
+  return ExpandBatch(std::move(items), queries.size(),
+                     /*mark_dedup_as_cached=*/true, serve.start());
 }
 
 // ---------------------------------------------------------------------------
@@ -795,27 +701,12 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAllAsync(
     std::span<const std::string> queries, SnippetCallback on_snippet,
     SnippetBarrier* barrier) const {
   if (queries.empty()) return {};
-  auto data_guard = ReadGuard();
-  auto t_start = std::chrono::steady_clock::now();
-  sink_->IncrementCounter("engine.search_all_async", 1);
-
   // The async trace outlives this call: snippet tasks carry the batch
   // span's context into the pool and append their spans after the trace
   // was finished — TraceData is shared and append-safe, so stragglers
   // still land in the archived record.
-  TraceContext trace_parent = CurrentTraceContext();
-  const bool owns_trace =
-      !trace_parent.active() && TraceRecorder::Instance().enabled();
-  if (owns_trace) {
-    trace_parent =
-        TraceRecorder::Instance().StartTrace("engine.search_all_async");
-  }
-  OwnedTrace owned_trace(owns_trace ? trace_parent : TraceContext{},
-                         sink_.get());
-  Span batch_span(trace_parent, "engine.search_all_async");
-  if (batch_span.active()) {
-    batch_span.SetAttr("queries", static_cast<int64_t>(queries.size()));
-  }
+  ServeScope serve(ReadGuard(), sink_.get(), "engine.search_all_async");
+  serve.span().SetAttr("queries", static_cast<int64_t>(queries.size()));
 
   const SodaConfig& config = soda_->config();
   const Database* db = soda_->database();
@@ -823,8 +714,8 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAllAsync(
   const uint64_t translated_at_sequence =
       db != nullptr ? db->change_log().sequence() : 0;
 
-  std::vector<BatchItem> items =
-      TranslateBatch(queries, /*execute=*/false, batch_span.context());
+  std::vector<BatchItem> items = TranslateQueries(
+      queries, /*execute=*/false, serve.span().context(), serve.start());
 
   // Snapshot the per-unique stream states before the items are consumed
   // by ExpandBatch, and register every expected callback up front so the
@@ -833,15 +724,8 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAllAsync(
   std::vector<std::shared_ptr<StreamState>> streams;
   size_t expected_callbacks = 0;
   for (const BatchItem& item : items) {
-    if (!item.output.ok()) continue;
-    if (item.output->results.empty()) {
-      // Nothing to stream, so no task will ever do the deferred cache
-      // insert — cache the (empty) answer now, like the sync paths do.
-      if (!item.from_cache) {
-        CacheInsert(item.key, *item.output);
-      }
-      continue;
-    }
+    // Nothing to stream: TranslateBatch already cached the empty answer.
+    if (!item.output.ok() || item.output->results.empty()) continue;
     auto stream = std::make_shared<StreamState>();
     stream->output = *item.output;
     stream->occurrences = item.occurrences;
@@ -860,7 +744,7 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAllAsync(
 
   std::vector<Result<SearchOutput>> outputs =
       ExpandBatch(std::move(items), queries.size(),
-                  /*mark_dedup_as_cached=*/false, t_start);
+                  /*mark_dedup_as_cached=*/false, serve.start());
 
   // Release the serve's shared lock before scheduling the snippet
   // tasks: on a workerless pool Submit runs the task inline on this
@@ -868,12 +752,12 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAllAsync(
   // (UB, and a deadlock with a queued writer). The tasks re-acquire for
   // themselves; the sequence check above keeps a mutation that sneaks
   // into the gap from ever caching a stale answer.
-  if (data_guard.owns_lock()) data_guard.unlock();
+  serve.ReleaseDataGuard();
 
   // One task per (unique query, result): execute the snippet, then fan
   // the callback out to every occurrence of that query in the batch —
   // exactly one delivery per (query_index, result_index) pair.
-  const TraceContext stream_trace = batch_span.context();
+  const TraceContext stream_trace = serve.span().context();
   for (const std::shared_ptr<StreamState>& stream : streams) {
     for (size_t r = 0; r < stream->output.results.size(); ++r) {
       pool_.Submit([this, stream, barrier, r, stream_trace] {
@@ -940,8 +824,6 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAllAsync(
   }
   sink_->Observe("pool.queue_depth",
                  static_cast<double>(pool_.queue_depth()));
-  batch_span.End();
-  owned_trace.set_wall_ms(MsSince(t_start));
   return outputs;
 }
 

@@ -30,11 +30,20 @@
 //   6. pluggable observability — every stage latency, cache hit/miss,
 //      batch dedup, snippet outcome and queue-depth sample flows into a
 //      MetricsSink (default: in-memory counters + histograms, snapshot
-//      via metrics_snapshot());
+//      via metrics_snapshot()); each stage run is timed once by a
+//      StageScope (core/pipeline.h), whose single duration feeds the
+//      stage span, the "stage.<name>.ms" histogram and StepTimings;
 //   7. interactive sessions — Search takes SessionConstraints (cached
 //      under ConstrainedCacheKey), and SearchSession captures/resumes a
 //      TranslationPlan so a session's Refine re-runs only the stages a
 //      constraint change can affect (core/service.h, core/session.h).
+//
+// One driver serves all of it: every entry point runs the same
+// translation core (TranslateBatch) — Search and SearchSession as a batch
+// of one item that carries its constraints and plan slot, SearchAll and
+// SearchAllAsync as the deduplicated batch — so cache probing, session
+// resume, fan-out, exception containment and snippet execution exist
+// once.
 //
 // The engine is safe to share across caller threads: all entry points are
 // const, the cache and sink are internally locked, and the underlying
@@ -94,17 +103,23 @@ class SodaEngine : public SodaService {
   using SodaService::SearchAll;
 
   /// Cached, concurrent search under `constraints` (empty = classic
-  /// behavior). On a cache hit the stored output is copied with
-  /// `from_cache` set; on a miss the pipeline runs with Steps 3-5 fanned
-  /// out across the pool. Every response carries the engine-lifetime
-  /// cache counters and the pool width.
+  /// behavior): SearchSession without a plan slot. On a cache hit the
+  /// stored output is copied with `from_cache` set; on a miss the
+  /// pipeline runs with Steps 3-5 fanned out across the pool. Every
+  /// response carries the engine-lifetime cache counters and the pool
+  /// width.
   Result<SearchOutput> Search(
       const std::string& query,
       const SessionConstraints& constraints) const override;
 
   /// Session search: Search + TranslationPlan capture/resume — see
   /// SodaService::SearchSession for the contract and the stage-skip
-  /// matrix.
+  /// matrix. A batch of one through TranslateBatch, under
+  /// ConstrainedCacheKey. With a plan slot the core resumes from a
+  /// still-fresh matching plan — skipping Step 1 (bindings changed) or
+  /// Steps 1-4 (pins/bans only) — and captures a fresh plan into the slot
+  /// whenever it could not reuse the held one, handing it over only when
+  /// the serve succeeded. Outputs are byte-identical across all paths.
   Result<SearchOutput> SearchSession(
       const std::string& query, const SessionConstraints& constraints,
       std::shared_ptr<TranslationPlan>* plan) const override;
@@ -206,18 +221,6 @@ class SodaEngine : public SodaService {
  private:
   struct BatchItem;
 
-  /// Shared core of Search and SearchSession. `plan` == nullptr means a
-  /// plain (possibly constrained) search: probe the cache under
-  /// ConstrainedCacheKey, run the full pipeline on a miss. With a plan
-  /// slot the engine additionally resumes from a still-fresh matching
-  /// plan — skipping Step 1 (bindings changed) or Steps 1-4 (pins/bans
-  /// only) — and captures a fresh plan into the slot whenever it could
-  /// not reuse the held one. Outputs are byte-identical across all
-  /// paths.
-  Result<SearchOutput> SearchInternal(
-      const std::string& query, const SessionConstraints& constraints,
-      std::shared_ptr<TranslationPlan>* plan) const;
-
   /// Whether a captured plan may still be resumed: its valid flag has
   /// not been flipped by a freshness hook, and — when nobody watches it
   /// — the change log has not advanced past its capture point.
@@ -228,17 +231,34 @@ class SodaEngine : public SodaService {
   /// flag. No-op without a manager.
   void RegisterPlan(const std::shared_ptr<TranslationPlan>& plan) const;
 
-  /// Shared translation core of the batch entry points: normalize +
-  /// dedup, probe the cache per unique key, then run Steps 1-2 per miss
-  /// and Steps 3-5 over the flattened (miss, interpretation) task list.
-  /// Outputs are translated but not executed (`execute` extends the flat
-  /// fan-out to snippet execution for the sync path); nothing is written
-  /// to the cache — callers insert when their snippets are materialized.
-  /// `trace` (the caller's batch-root span context, possibly inactive)
-  /// parents one span per unique miss plus the execute fan-out span.
-  std::vector<BatchItem> TranslateBatch(std::span<const std::string> queries,
-                                        bool execute,
-                                        const TraceContext& trace) const;
+  /// The batch entry points' front half: deduplicates `queries` into one
+  /// item per unique normalized query, runs TranslateBatch over them
+  /// (one "batch.query" span per miss) and books the batch.* counters
+  /// and the batch.wall.ms sample.
+  std::vector<BatchItem> TranslateQueries(
+      std::span<const std::string> queries, bool execute,
+      const TraceContext& trace,
+      std::chrono::steady_clock::time_point start) const;
+
+  /// The translation core of every entry point: probes the cache once
+  /// per item under its key, then per miss runs the query-level stages
+  /// (or resumes a session plan) across the pool and the
+  /// per-interpretation stages over one flattened (miss, interpretation)
+  /// task list — every task contained, so a throwing one fails only its
+  /// query. A capturing session item snapshots its states at the
+  /// Step-4/5 boundary and gets its new plan only on success. `execute`
+  /// extends the flat fan-out to snippet execution (the sync paths);
+  /// computed answers are cached once materialized (all of them when
+  /// `execute`, else only those with no snippet to stream). `trace` (the
+  /// root span's context, possibly inactive) parents the execute span
+  /// and, when `query_span` is set, one such span per miss; otherwise the
+  /// stage spans parent under `trace` directly. Computed outputs are
+  /// stamped with the wall time since `start`. Returns the (miss,
+  /// interpretation) task count.
+  size_t TranslateBatch(std::vector<BatchItem>* items, bool execute,
+                        const TraceContext& trace,
+                        std::chrono::steady_clock::time_point start,
+                        const char* query_span) const;
 
   /// Expands per-unique BatchItems into per-input-index outputs, booking
   /// dedup repeats as cache hits and stamping the lifetime counters.
@@ -246,7 +266,8 @@ class SodaEngine : public SodaService {
   /// for the sync path (repeats are materialized), false for async
   /// (repeats are still-unexecuted translations).
   /// `batch_start` stamps cache-served responses with this call's own
-  /// elapsed wall time (computed outputs already carry the batch wall).
+  /// elapsed wall time (computed outputs already carry the batch wall)
+  /// and stages_skipped = 5.
   std::vector<Result<SearchOutput>> ExpandBatch(
       std::vector<BatchItem> items, size_t query_count,
       bool mark_dedup_as_cached,

@@ -11,22 +11,6 @@
 
 namespace soda {
 
-namespace {
-
-// One "stage.<name>.ms" latency sample. The small concatenation is the
-// only allocation on the metrics path; stage names are short enough for
-// SSO-adjacent cheapness and the sample itself is mutex-bounded anyway.
-void ObserveStage(MetricsSink* metrics, std::string_view stage_name,
-                  double ms) {
-  if (metrics == nullptr) return;
-  std::string name = "stage.";
-  name += stage_name;
-  name += ".ms";
-  metrics->Observe(name, ms);
-}
-
-}  // namespace
-
 std::string EntryPointKey(const EntryPoint& ep) {
   if (ep.kind == EntryPoint::Kind::kBaseData) {
     return FoldForMatch(ep.table) + "." + FoldForMatch(ep.column) + "=" +
@@ -123,20 +107,21 @@ std::string SessionConstraints::Fingerprint() const {
          "|t:" + BindingsFingerprint();
 }
 
-void StepTimings::Add(std::string_view stage_name, double ms) {
-  if (stage_name == "lookup") {
-    lookup_ms += ms;
-  } else if (stage_name == "rank") {
-    rank_ms += ms;
-  } else if (stage_name == "tables") {
-    tables_ms += ms;
-  } else if (stage_name == "filters") {
-    filters_ms += ms;
-  } else if (stage_name == "sql") {
-    sql_ms += ms;
-  } else if (stage_name == "execute") {
-    execute_ms += ms;
-  }
+StageScope::StageScope(const StageTiming& timing, const TraceContext& trace,
+                       MetricsSink* metrics, StepTimings* timings)
+    : timing_(timing),
+      metrics_(metrics),
+      timings_(timings),
+      start_(std::chrono::steady_clock::now()),
+      span_(trace, timing.span, start_) {}
+
+double StageScope::End() {
+  if (ms_ >= 0.0) return ms_;
+  ms_ = MsSince(start_);
+  span_.End(ms_);
+  if (metrics_ != nullptr) metrics_->Observe(timing_.histogram, ms_);
+  if (timings_ != nullptr) timings_->*timing_.slot += ms_;
+  return ms_;
 }
 
 std::string CanonicalKey(const SelectStatement& stmt) {
@@ -447,28 +432,18 @@ void RunInterpretationStages(const std::vector<const PipelineStage*>& stages,
   for (const PipelineStage* stage : stages) {
     if (!stage->per_interpretation()) continue;
     if (state->dropped) return;
-    auto t0 = std::chrono::steady_clock::now();
     // Stage spans record into the shared trace under its own lock; the
     // context rode into this worker by value, which is the explicit
     // cross-thread capture the trace layer is built around.
-    Span span(ctx.trace, std::string("stage.") + std::string(stage->name()));
+    StageScope scope(stage->timing(), ctx.trace, ctx.metrics,
+                     &state->timings);
     Status st = stage->RunOne(ctx, state);
-    // Span-local status only: a retired interpretation is a normal
-    // outcome, not a trace-level error.
-    if (!st.ok()) span.SetStatus(st.message());
-    span.End();
-    double ms = MsSince(t0);
-    ObserveStage(ctx.metrics, stage->name(), ms);
-    if (stage->name() == "tables") {
-      state->tables_ms += ms;
-    } else if (stage->name() == "filters") {
-      state->filters_ms += ms;
-    } else if (stage->name() == "sql") {
-      state->sql_ms += ms;
-    }
     if (!st.ok()) {
-      // Per-interpretation failures retire the interpretation instead of
-      // failing the query — other interpretations are still good answers.
+      // Span-local status only: a retired interpretation is a normal
+      // outcome, not a trace-level error. Per-interpretation failures
+      // retire the interpretation instead of failing the query — other
+      // interpretations are still good answers.
+      scope.span().SetStatus(st.message());
       state->dropped = true;
       return;
     }
@@ -479,19 +454,15 @@ Status RunQueryStages(const std::vector<const PipelineStage*>& stages,
                       QueryContext* ctx) {
   for (const PipelineStage* stage : stages) {
     if (stage->per_interpretation()) continue;
-    auto t0 = std::chrono::steady_clock::now();
-    Span span(ctx->trace, std::string("stage.") + std::string(stage->name()));
+    StageScope scope(stage->timing(), ctx->trace, ctx->metrics,
+                     &ctx->timings);
     Status st = stage->Run(ctx);
     if (!st.ok()) {
       // A failed query-level stage fails the whole query — that is a
       // trace-level error, so the trace survives sampling.
-      span.SetError(st.message());
+      scope.span().SetError(st.message());
       return st;
     }
-    span.End();
-    double ms = MsSince(t0);
-    ctx->timings.Add(stage->name(), ms);
-    ObserveStage(ctx->metrics, stage->name(), ms);
   }
   return Status::OK();
 }
@@ -515,9 +486,9 @@ SearchOutput FinalizeOutput(QueryContext&& ctx) {
 
   std::set<std::string> seen_sql;
   for (InterpretationState& state : ctx.states) {
-    output.timings.tables_ms += state.tables_ms;
-    output.timings.filters_ms += state.filters_ms;
-    output.timings.sql_ms += state.sql_ms;
+    output.timings.tables_ms += state.timings.tables_ms;
+    output.timings.filters_ms += state.timings.filters_ms;
+    output.timings.sql_ms += state.timings.sql_ms;
     if (state.dropped || !state.statement.has_value()) continue;
     if (!seen_sql.insert(CanonicalKey(*state.statement)).second) continue;
 

@@ -15,6 +15,7 @@
 // single InterpretationState they are handed — that contract is what lets
 // the SodaEngine fan interpretations out across a thread pool while the
 // serial driver (Soda::Search) stays a thin loop over the same stage list.
+// Both time every stage run through one StageScope.
 // Results are merged deterministically in ranked order and deduplicated
 // with CanonicalKey, so the outcome is byte-identical at any thread count.
 
@@ -146,7 +147,9 @@ struct SessionConstraints {
 /// Per-step wall-clock timings in milliseconds (paper Section 5.2.2
 /// splits end-to-end time into lookup, rank, tables, SQL and grouping).
 /// Under the concurrent engine the per-interpretation entries are summed
-/// CPU time across workers; `wall_ms` carries the elapsed time.
+/// CPU time across workers; `wall_ms` carries the elapsed time. Every
+/// stage slot is written by StageScope, from the same clock readings as
+/// the stage's span and histogram sample.
 struct StepTimings {
   double lookup_ms = 0.0;
   double rank_ms = 0.0;
@@ -159,10 +162,60 @@ struct StepTimings {
   double soda_total_ms() const {
     return lookup_ms + rank_ms + tables_ms + filters_ms + sql_ms;
   }
+};
 
-  /// Adds `ms` to the slot named by a stage ("lookup", "rank", "tables",
-  /// "filters", "sql", "execute"). Unknown names are ignored.
-  void Add(std::string_view stage_name, double ms);
+/// Where one stage's latency is recorded: the span name, the histogram
+/// name and the StepTimings slot. The names are literals, so timing an
+/// untraced stage run builds no strings.
+struct StageTiming {
+  std::string_view name;       // "lookup"
+  std::string_view span;       // "stage.lookup"
+  std::string_view histogram;  // "stage.lookup.ms"
+  double StepTimings::*slot;
+};
+
+inline constexpr StageTiming kLookupTiming{
+    "lookup", "stage.lookup", "stage.lookup.ms", &StepTimings::lookup_ms};
+inline constexpr StageTiming kRankTiming{
+    "rank", "stage.rank", "stage.rank.ms", &StepTimings::rank_ms};
+inline constexpr StageTiming kTablesTiming{
+    "tables", "stage.tables", "stage.tables.ms", &StepTimings::tables_ms};
+inline constexpr StageTiming kFiltersTiming{
+    "filters", "stage.filters", "stage.filters.ms", &StepTimings::filters_ms};
+inline constexpr StageTiming kSqlTiming{
+    "sql", "stage.sql", "stage.sql.ms", &StepTimings::sql_ms};
+/// Snippet execution: not a PipelineStage, timed like one by the drivers.
+inline constexpr StageTiming kExecuteTiming{
+    "execute", "stage.execute", "stage.execute.ms", &StepTimings::execute_ms};
+
+/// The one timing seam of a stage run. Construction reads the clock and
+/// opens the stage span at that reading; End() (or the destructor) reads
+/// it once more and writes that single duration to the span, the
+/// histogram (when `metrics` is set) and the StepTimings slot (when
+/// `timings` is set), so the three latency views agree exactly.
+class StageScope {
+ public:
+  StageScope(const StageTiming& timing, const TraceContext& trace,
+             MetricsSink* metrics, StepTimings* timings);
+  ~StageScope() { End(); }
+
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+
+  /// The stage span, for attributes and status (inert when untraced).
+  Span& span() { return span_; }
+
+  /// Records the duration once (later calls are no-ops) and returns it
+  /// in milliseconds.
+  double End();
+
+ private:
+  const StageTiming& timing_;
+  MetricsSink* metrics_;
+  StepTimings* timings_;
+  std::chrono::steady_clock::time_point start_;
+  Span span_;
+  double ms_ = -1.0;
 };
 
 /// Everything a search produced.
@@ -225,11 +278,9 @@ struct InterpretationState {
   /// join cover, generation failure, ...). Later stages skip it.
   bool dropped = false;
 
-  /// Per-stage time spent on this interpretation, summed into
-  /// StepTimings by the drivers.
-  double tables_ms = 0.0;
-  double filters_ms = 0.0;
-  double sql_ms = 0.0;
+  /// Per-stage time spent on this interpretation (the tables, filters
+  /// and sql slots), summed into the output by FinalizeOutput.
+  StepTimings timings;
 };
 
 /// All state of one query's trip through the pipeline.
@@ -241,7 +292,8 @@ struct QueryContext {
 
   /// Optional observability sink. When set, the drivers observe one
   /// "stage.<name>.ms" latency sample per stage execution (query-level
-  /// stages once, per-interpretation stages once per state). Must be
+  /// stages once, per-interpretation stages once per state) — the same
+  /// duration the stage's span and StepTimings slot carry. Must be
   /// thread-safe: the engine observes from worker threads.
   MetricsSink* metrics = nullptr;
 
@@ -289,10 +341,14 @@ struct QueryContext {
 /// different contexts/states by the SodaEngine worker pool.
 class PipelineStage {
  public:
+  explicit PipelineStage(const StageTiming& timing) : timing_(timing) {}
   virtual ~PipelineStage() = default;
 
-  /// Stable stage name; also selects the StepTimings slot.
-  virtual std::string_view name() const = 0;
+  /// Stable stage name.
+  std::string_view name() const { return timing_.name; }
+
+  /// The span, histogram and StepTimings slot the drivers time it under.
+  const StageTiming& timing() const { return timing_; }
 
   /// True for stages that process one InterpretationState at a time.
   virtual bool per_interpretation() const { return false; }
@@ -306,13 +362,16 @@ class PipelineStage {
   /// return kUnsupported.
   virtual Status RunOne(const QueryContext& ctx,
                         InterpretationState* state) const;
+
+ private:
+  StageTiming timing_;
 };
 
 /// Parse + Step 1 - Lookup. Fails the pipeline on malformed input.
 class LookupStage : public PipelineStage {
  public:
-  explicit LookupStage(const LookupStep* step) : step_(step) {}
-  std::string_view name() const override { return "lookup"; }
+  explicit LookupStage(const LookupStep* step)
+      : PipelineStage(kLookupTiming), step_(step) {}
   Status Run(QueryContext* ctx) const override;
 
  private:
@@ -325,15 +384,15 @@ class LookupStage : public PipelineStage {
 /// carry them) are created already dropped.
 class RankStage : public PipelineStage {
  public:
-  std::string_view name() const override { return "rank"; }
+  RankStage() : PipelineStage(kRankTiming) {}
   Status Run(QueryContext* ctx) const override;
 };
 
 /// Step 3 - Tables.
 class TablesStage : public PipelineStage {
  public:
-  explicit TablesStage(const TablesStep* step) : step_(step) {}
-  std::string_view name() const override { return "tables"; }
+  explicit TablesStage(const TablesStep* step)
+      : PipelineStage(kTablesTiming), step_(step) {}
   bool per_interpretation() const override { return true; }
   Status RunOne(const QueryContext& ctx,
                 InterpretationState* state) const override;
@@ -345,8 +404,8 @@ class TablesStage : public PipelineStage {
 /// Step 4 - Filters.
 class FiltersStage : public PipelineStage {
  public:
-  explicit FiltersStage(const FiltersStep* step) : step_(step) {}
-  std::string_view name() const override { return "filters"; }
+  explicit FiltersStage(const FiltersStep* step)
+      : PipelineStage(kFiltersTiming), step_(step) {}
   bool per_interpretation() const override { return true; }
   Status RunOne(const QueryContext& ctx,
                 InterpretationState* state) const override;
@@ -360,8 +419,9 @@ class FiltersStage : public PipelineStage {
 class SqlStage : public PipelineStage {
  public:
   SqlStage(const TablesStep* tables_step, const SqlGenerator* generator)
-      : tables_step_(tables_step), generator_(generator) {}
-  std::string_view name() const override { return "sql"; }
+      : PipelineStage(kSqlTiming),
+        tables_step_(tables_step),
+        generator_(generator) {}
   bool per_interpretation() const override { return true; }
   Status RunOne(const QueryContext& ctx,
                 InterpretationState* state) const override;
@@ -372,14 +432,15 @@ class SqlStage : public PipelineStage {
 };
 
 /// Runs the query-level prefix of `stages` (lookup, rank) once, in
-/// order, recording per-stage timings. Per-interpretation stages in the
-/// list are skipped. Both drivers start with this.
+/// order, each under a StageScope writing ctx->timings. Per-interpretation
+/// stages in the list are skipped. Soda::Search (through RunPipeline) and
+/// the engine's translation core start with this.
 Status RunQueryStages(const std::vector<const PipelineStage*>& stages,
                       QueryContext* ctx);
 
 /// Runs the per-interpretation suffix of `stages` on one state, in order,
-/// accumulating stage times into the state. Query-level stages in the
-/// list are skipped. This is the unit of work the SodaEngine fans out.
+/// each under a StageScope writing state->timings. Query-level stages in
+/// the list are skipped. This is the unit of work the SodaEngine fans out.
 void RunInterpretationStages(const std::vector<const PipelineStage*>& stages,
                              const QueryContext& ctx,
                              InterpretationState* state);

@@ -87,17 +87,13 @@ Result<SearchOutput> Soda::Search(const std::string& query,
   SearchOutput output = FinalizeOutput(std::move(ctx));
 
   if (config_.execute_snippets && db_ != nullptr) {
-    auto t_exec = std::chrono::steady_clock::now();
+    StageScope exec(kExecuteTiming, TraceContext{}, metrics, &output.timings);
     for (SodaResult& result : output.results) {
       ExecuteSnippet(&result, metrics);
       if (metrics != nullptr) {
         metrics->IncrementCounter(
             result.executed ? "snippet.executed" : "snippet.failed", 1);
       }
-    }
-    output.timings.execute_ms = MsSince(t_exec);
-    if (metrics != nullptr) {
-      metrics->Observe("stage.execute.ms", output.timings.execute_ms);
     }
   }
   output.timings.wall_ms = MsSince(t_start);

@@ -11,10 +11,12 @@
 //   ┌────────────────────────────────────────────────────────────────┐
 //   │ SodaEngine (core/engine.h)                                     │
 //   │   LRU result cache · fixed-size worker pool · parallel fan-out │
+//   │   one translation core: Search/SearchSession are a batch of    │
+//   │   one, SearchAll/SearchAllAsync the deduplicated batch         │
 //   └──────────────────────────┬─────────────────────────────────────┘
 //                              │ shares the stage list of
 //   ┌──────────────────────────▼─────────────────────────────────────┐
-//   │ Soda (this header)        serial driver over the stage list    │
+//   │ Soda (this header)        serial reference driver (Search)     │
 //   │   owns the indexes (inverted, classification, join graph), the │
 //   │   step objects, and the ordered PipelineStage adapters         │
 //   └──────────────────────────┬─────────────────────────────────────┘
@@ -27,6 +29,8 @@
 //   │   engine exploits for parallelism. FinalizeOutput merges in    │
 //   │   ranked order and dedups via CanonicalKey, so serial and      │
 //   │   concurrent execution produce byte-identical result lists.    │
+//   │   Each stage run is timed by one StageScope (span, histogram   │
+//   │   and StepTimings slot from the same clock readings).          │
 //   └────────────────────────────────────────────────────────────────┘
 //
 // Typical use (serial, library-style):
@@ -105,8 +109,8 @@ class Soda {
   /// ("stage.<name>.ms", including "stage.execute.ms") and snippet
   /// outcome counters into `metrics`. nullptr disables observation. This
   /// is the library-style hook for deployments that want fleet metrics
-  /// without the engine; the SodaEngine wires the same sink through its
-  /// own concurrent drivers.
+  /// without the engine, and the serial reference the engine's
+  /// concurrent translation core is checked against.
   Result<SearchOutput> Search(const std::string& query,
                               MetricsSink* metrics) const;
 
@@ -115,7 +119,7 @@ class Soda {
   const std::vector<const PipelineStage*>& stages() const { return stages_; }
 
   /// Executes `statement` with the snippet row limit and stores the
-  /// outcome on `result`. Used by both drivers after the merge. When
+  /// outcome on `result`. Used by Search and the engine after the merge. When
   /// `metrics` is set, executor-level distributions ("executor.rows",
   /// "executor.tables", "executor.tuples") are observed per executed
   /// statement, and the "executor.index_builds" counter counts the column

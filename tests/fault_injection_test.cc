@@ -30,6 +30,7 @@
 #include "common/failpoint.h"
 #include "core/engine.h"
 #include "core/freshness.h"
+#include "core/session.h"
 #include "core/sharded_engine.h"
 #include "core/soda.h"
 #include "datasets/minibank.h"
@@ -351,6 +352,66 @@ TEST_F(FaultInjectionTest, EngineFaultDoesNotTripShardBreaker) {
   ServiceHealth health = router->health();
   EXPECT_FALSE(health.degraded);
   EXPECT_EQ(router->metrics_snapshot().counter("router.shard_failures"), 0u);
+}
+
+// The session path under a poisoned pool task. A failed Refine is a
+// per-query kUnavailable that leaves the session's plan in place — a
+// serve hands its new plan over only when it succeeded, so even a failed
+// binding change (which would have recaptured) keeps the old plan. Once
+// disarmed, the next Refine resumes that plan (Steps 1-4 skipped) and
+// matches a cold constrained Search. Through a 2-shard router the
+// engine fault is a query outcome, never a shard failure.
+TEST_F(FaultInjectionTest, FailedRefineKeepsTheSessionPlan) {
+  const std::string query = "customers Zürich financial instruments";
+  const std::string term = "financial instruments";
+  auto reference = MakeEngine(/*threads=*/1, /*cache_capacity=*/0);
+  auto engine = MakeEngine(/*threads=*/4, /*cache_capacity=*/0);
+  SodaConfig router_config = FaultConfig(2, /*threads=*/2);
+  router_config.cache_capacity = 0;
+  auto router = MakeRouter(router_config);
+
+  for (SodaService* service :
+       {static_cast<SodaService*>(engine.get()),
+        static_cast<SodaService*>(router.get())}) {
+    SCOPED_TRACE(service == engine.get() ? "engine" : "router");
+    SodaSession session(service);
+    auto asked = session.Ask(query);
+    ASSERT_TRUE(asked.ok()) << asked.status();
+    ASSERT_FALSE(asked->results.empty());
+    const std::string pinned = asked->results[0].statement.from[0].table;
+    ASSERT_TRUE(session.PinTable(pinned).Refine().ok());
+    EXPECT_EQ(session.last_stages_skipped(), 4u);
+    const auto candidates = session.TermCandidates(term);
+    ASSERT_EQ(candidates.size(), 2u);
+    const uint64_t exceptions_before =
+        service->metrics_snapshot().counter("engine.task_exceptions");
+
+    FailpointSpec spec;
+    spec.action = FailpointSpec::Action::kThrow;
+    Failpoints::Instance().Arm("engine.pool_task", spec);
+    auto failed = session.Refine();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+    // A binding change would capture a fresh plan on success.
+    auto failed_bind = session.BindTerm(term, candidates[1].first).Refine();
+    ASSERT_FALSE(failed_bind.ok());
+    EXPECT_EQ(failed_bind.status().code(), StatusCode::kUnavailable);
+    session.UnbindTerm(term);
+    EXPECT_GE(service->metrics_snapshot().counter("engine.task_exceptions"),
+              exceptions_before + 1);
+    EXPECT_EQ(session.TermCandidates(term), candidates);
+
+    Failpoints::Instance().DisarmAll();
+    auto refined = session.Refine();
+    ASSERT_TRUE(refined.ok()) << refined.status();
+    // Only the plan captured by Ask (no bindings) resumes this far.
+    EXPECT_EQ(session.last_stages_skipped(), 4u);
+    auto cold = reference->Search(query, session.constraints());
+    ASSERT_TRUE(cold.ok()) << cold.status();
+    EXPECT_EQ(Fingerprint(*refined), Fingerprint(*cold));
+  }
+  EXPECT_EQ(router->metrics_snapshot().counter("router.shard_failures"), 0u);
+  EXPECT_FALSE(router->health().degraded);
 }
 
 // snippet.execute containment: the translation still answers; every

@@ -15,12 +15,18 @@
 //   - ranked output is byte-identical with tracing off vs sample-all,
 //     at shards {1,4} x threads {1,4};
 //   - a deliberately stalled query (snippet.execute failpoint) surfaces
-//     through the slow filter with its stage, shard and cache outcome.
+//     through the slow filter with its stage, shard and cache outcome;
+//   - the three latency views of every stage — span durations, the
+//     stage.<name>.ms histogram and the response's StepTimings — agree
+//     on the single-query, batch and session-resume paths.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -408,6 +414,121 @@ TEST_F(TraceEngineTest, StalledQuerySurfacesThroughTheSlowFilter) {
   std::vector<std::string> log = TraceRecorder::Instance().SlowLog();
   ASSERT_FALSE(log.empty());
   EXPECT_NE(log.back().find("SLOW"), std::string::npos) << log.back();
+}
+
+// One clock reading per stage boundary feeds the stage span, the
+// stage.<name>.ms histogram and the StepTimings slot, so for every stage
+// the three views of one serve agree to rounding: the summed span
+// durations, the histogram's sum delta, and the responses' slot. A batch
+// shares one execution fan-out, so every output of it carries that one
+// execute duration rather than a share of it.
+TEST_F(TraceEngineTest, StageLatencyViewsAgree) {
+  ScopedRecorder recorder(/*sample_every=*/1, /*slow_threshold_ms=*/0.0);
+  const std::vector<std::pair<std::string, double StepTimings::*>> stages = {
+      {"lookup", &StepTimings::lookup_ms},
+      {"rank", &StepTimings::rank_ms},
+      {"tables", &StepTimings::tables_ms},
+      {"filters", &StepTimings::filters_ms},
+      {"sql", &StepTimings::sql_ms},
+      {"execute", &StepTimings::execute_ms}};
+  auto agree = [](double a, double b) {
+    return std::abs(a - b) <= 1e-9 * std::max(std::abs(a), std::abs(b));
+  };
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SodaConfig config;
+    config.num_threads = threads;
+    config.cache_capacity = 0;
+    auto created = SodaEngine::Create(&bank_->db, &bank_->graph,
+                                      CreditSuissePatternLibrary(), config);
+    ASSERT_TRUE(created.ok()) << created.status();
+    const SodaEngine& engine = **created;
+
+    // Runs one serve (which owns its trace) and compares the views.
+    auto check = [&](const std::string& label,
+                     const std::function<std::vector<SearchOutput>()>& serve) {
+      SCOPED_TRACE(label + " threads=" + std::to_string(threads));
+      MetricsSnapshot before = engine.metrics_snapshot();
+      const size_t kept_before = TraceRecorder::Instance().Snapshot().size();
+      std::vector<SearchOutput> outputs = serve();
+      MetricsSnapshot after = engine.metrics_snapshot();
+      auto traces = TraceRecorder::Instance().Snapshot();
+      ASSERT_EQ(traces.size(), kept_before + 1);
+      std::vector<SpanRecord> spans = traces.back()->spans();
+      ASSERT_FALSE(outputs.empty());
+      for (const auto& [stage, slot] : stages) {
+        double span_ms = 0.0;
+        size_t span_count = 0;
+        for (const SpanRecord& span : spans) {
+          if (span.name != "stage." + stage) continue;
+          span_ms += span.duration_ms;
+          ++span_count;
+        }
+        const std::string histogram = "stage." + stage + ".ms";
+        ASSERT_NE(after.histogram(histogram), nullptr) << histogram;
+        const HistogramSnapshot* earlier = before.histogram(histogram);
+        double histogram_ms = after.histogram(histogram)->sum -
+                              (earlier != nullptr ? earlier->sum : 0.0);
+        uint64_t samples = after.histogram(histogram)->count -
+                           (earlier != nullptr ? earlier->count : 0);
+        EXPECT_EQ(samples, span_count) << stage;
+        EXPECT_TRUE(agree(span_ms, histogram_ms))
+            << stage << ": spans " << span_ms << " ms, histogram "
+            << histogram_ms << " ms";
+        if (stage == "execute") {
+          EXPECT_EQ(span_count, 1u);
+          for (const SearchOutput& output : outputs) {
+            EXPECT_TRUE(agree(span_ms, output.timings.*slot))
+                << "execute: span " << span_ms << " ms, StepTimings "
+                << output.timings.*slot << " ms";
+          }
+          continue;
+        }
+        double slot_ms = 0.0;
+        for (const SearchOutput& output : outputs) {
+          slot_ms += output.timings.*slot;
+        }
+        EXPECT_TRUE(agree(span_ms, slot_ms))
+            << stage << ": spans " << span_ms << " ms, StepTimings "
+            << slot_ms << " ms";
+      }
+    };
+
+    const std::string query = "customers Zürich financial instruments";
+    check("Search", [&] {
+      auto output = engine.Search(query);
+      EXPECT_TRUE(output.ok()) << output.status();
+      return output.ok() ? std::vector<SearchOutput>{*output}
+                         : std::vector<SearchOutput>{};
+    });
+    check("SearchAll", [&] {
+      std::vector<std::string> queries = {query, "addresses Sara Guttinger",
+                                          "private customers family name"};
+      std::vector<SearchOutput> outputs;
+      for (auto& output : engine.SearchAll(queries)) {
+        EXPECT_TRUE(output.ok()) << output.status();
+        if (output.ok()) outputs.push_back(std::move(*output));
+      }
+      return outputs;
+    });
+    std::shared_ptr<TranslationPlan> plan;
+    check("SearchSession capture", [&] {
+      auto output = engine.SearchSession(query, SessionConstraints{}, &plan);
+      EXPECT_TRUE(output.ok()) << output.status();
+      EXPECT_NE(plan, nullptr);
+      return output.ok() ? std::vector<SearchOutput>{*output}
+                         : std::vector<SearchOutput>{};
+    });
+    check("SearchSession resume", [&] {
+      SessionConstraints constraints;
+      constraints.BanTable("fi_contains_sec");
+      auto output = engine.SearchSession(query, constraints, &plan);
+      EXPECT_TRUE(output.ok()) << output.status();
+      if (!output.ok()) return std::vector<SearchOutput>{};
+      EXPECT_EQ(output->stages_skipped, 4u);
+      return std::vector<SearchOutput>{*output};
+    });
+  }
 }
 
 }  // namespace
