@@ -626,25 +626,28 @@ BENCHMARK(BM_EngineCachedWorkload);
 
 // The live-base-data cycle: serve a cached query, append a row that its
 // answer depends on (new Zürich address), let the FreshnessManager apply
-// the index delta and invalidate the key, and serve again cold. Runs on
-// its own mini-bank — the shared enterprise Env must stay immutable for
-// the other benches.
+// the index delta and invalidate the key, and serve again cold. Runs a
+// router with Arg(0) shards on its own mini-bank — the shared enterprise
+// Env must stay immutable for the other benches. Every shard shares one
+// core, so the delta is applied once whatever the shard count:
+// "freshness_delta_postings" (new postings per append) stays flat from
+// shards=1 to shards=4.
 struct FreshnessEnv {
   std::unique_ptr<soda::MiniBank> bank;
-  std::unique_ptr<soda::SodaEngine> engine;
+  std::unique_ptr<soda::ShardedSodaEngine> engine;
   std::unique_ptr<soda::FreshnessManager> freshness;
   int64_t next_id = 100000;
 
-  FreshnessEnv() {
+  explicit FreshnessEnv(size_t shards) {
     bank = std::move(soda::BuildMiniBank()).value();
     soda::SodaConfig config;
+    config.num_shards = shards;
     config.num_threads = 2;
     config.cache_capacity = 64;
-    auto created =
-        soda::SodaEngine::Create(&bank->db, &bank->graph,
-                                 soda::CreditSuissePatternLibrary(), config);
+    auto created = soda::ShardedSodaEngine::Create(
+        &bank->db, &bank->graph, soda::CreditSuissePatternLibrary(), config);
     if (!created.ok()) {
-      std::fprintf(stderr, "failed to build freshness engine: %s\n",
+      std::fprintf(stderr, "failed to build freshness router: %s\n",
                    created.status().ToString().c_str());
       std::exit(1);
     }
@@ -655,32 +658,44 @@ struct FreshnessEnv {
   }
 };
 
-FreshnessEnv* freshness_env() {
-  static FreshnessEnv* instance = new FreshnessEnv();
+FreshnessEnv* freshness_env(size_t shards) {
+  static std::map<size_t, FreshnessEnv*> instances;
+  FreshnessEnv*& instance = instances[shards];
+  if (instance == nullptr) instance = new FreshnessEnv(shards);
   return instance;
 }
 
 void BM_FreshnessAppendInvalidate(benchmark::State& state) {
-  FreshnessEnv* env = freshness_env();
+  FreshnessEnv* env = freshness_env(static_cast<size_t>(state.range(0)));
   soda::Table* addresses = env->bank->db.FindTable("addresses");
   const std::string query = "customers Zürich financial instruments";
+  const uint64_t postings_before =
+      env->freshness->metrics_snapshot().counter("freshness.delta_postings");
   for (auto _ : state) {
     // The previous iteration's append invalidated this key, so every
-    // serve is a cold pipeline run over the grown table.
+    // serve is a cold pipeline run over the grown table. The street is
+    // new on every append, so each delta books fresh postings.
     benchmark::DoNotOptimize(env->engine->Search(query));
     int64_t id = env->next_id++;
     addresses->AppendUnchecked({soda::Value::Int(id), soda::Value::Int(id),
-                                soda::Value::Str("Benchstrasse"),
+                                soda::Value::Str("Benchstrasse " +
+                                                 std::to_string(id)),
                                 soda::Value::Str("Zürich"),
                                 soda::Value::Str("CH")});
   }
   auto snapshot = env->freshness->metrics_snapshot();
+  state.counters["shards"] = static_cast<double>(env->engine->num_shards());
   state.counters["freshness_events"] =
       static_cast<double>(snapshot.counter("freshness.events"));
   state.counters["freshness_keys_invalidated"] =
       static_cast<double>(snapshot.counter("freshness.keys_invalidated"));
+  state.counters["freshness_delta_postings"] =
+      static_cast<double>(snapshot.counter("freshness.delta_postings") -
+                          postings_before) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          1, state.iterations()));
 }
-BENCHMARK(BM_FreshnessAppendInvalidate);
+BENCHMARK(BM_FreshnessAppendInvalidate)->Arg(1)->Arg(4);
 
 // The interactive-session loop: one Ask captures a TranslationPlan, then
 // every iteration flips a pin/ban constraint and Refines — a pure Step-5

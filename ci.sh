@@ -381,6 +381,7 @@ if [[ "${BUILD_TYPE}" == "Release" &&
                  router_shard_failures router_rerouted_queries \
                  closure_traverse_hits closure_path_lookups \
                  freshness_events freshness_keys_invalidated \
+                 freshness_delta_postings \
                  probe_memo_hits session_refines session_stages_skipped \
                  trace_spans trace_sampled trace_dropped; do
     if ! grep -q "${counter}" "${BENCH_OUT}"; then

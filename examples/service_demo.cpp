@@ -1,5 +1,6 @@
 // Service demo: the sharded SODA service — a folded-hash query router
-// over replicated SodaEngines, many user threads firing the paper's
+// over SodaEngine shards sharing one Soda core, many user threads firing
+// the paper's
 // queries at it, the way a BI front end would (interactive query
 // building over a warehouse à la Sigma Worksheet).
 //
@@ -7,7 +8,7 @@
 // with its own worker pool and LRU cache, byte-identical merge back into
 // input order), async snippet streaming behind a SnippetBarrier, live
 // base data — a row appended mid-serve flows through the change log into
-// every shard's inverted index and invalidates exactly the dependent
+// the shared core's inverted index and invalidates exactly the dependent
 // cache keys automatically (FreshnessManager) — and the fleet-level
 // metrics snapshot, in both the human-readable dump and Prometheus text
 // exposition format. Everything serves through the abstract SodaService
@@ -187,32 +188,25 @@ int main(int argc, char** argv) {
               engine.num_shards(), engine.num_threads(),
               service.cache_stats().capacity);
 
-  // Index memory accounting: every replica packs its postings + token
-  // arena privately, but all of them share ONE token dictionary (the
-  // database's), so the vocabulary is paid once fleet-wide instead of
-  // once per shard.
+  // Index memory accounting: every shard serves the one Soda core, so
+  // the fleet holds one packed postings structure and one token
+  // dictionary (the database's), whatever the shard count.
   std::printf("---- index memory accounting ----------------------------\n");
-  size_t index_bytes_total = 0;
-  for (size_t s = 0; s < engine.num_shards(); ++s) {
-    const soda::InvertedIndex& index = engine.shard(s).soda().inverted_index();
-    std::printf("  shard %zu index:          %8.1f KiB "
-                "(%zu values, %zu tokens)\n",
-                s, index.ApproxMemoryBytes() / 1024.0, index.num_values(),
-                index.num_tokens());
-    index_bytes_total += index.ApproxMemoryBytes();
-  }
+  const soda::InvertedIndex& index = engine.shard(0).soda().inverted_index();
+  size_t index_bytes = index.ApproxMemoryBytes();
+  std::printf("  shared core index:       %8.1f KiB (%zu values, %zu tokens, "
+              "1 copy for %zu shards)\n",
+              index_bytes / 1024.0, index.num_values(), index.num_tokens(),
+              engine.num_shards());
   const auto& dict = (*bank)->db.token_dict();
   size_t dict_bytes = dict->ApproxMemoryBytes();
-  std::printf("  shared token dict:       %8.1f KiB (%zu spellings, "
-              "1 copy for %zu replicas)\n",
-              dict_bytes / 1024.0, dict->size(), engine.num_shards());
-  std::printf("  fleet total:             %8.1f KiB — private "
-              "vocabularies would add %8.1f KiB\n\n",
-              (index_bytes_total + dict_bytes) / 1024.0,
-              (engine.num_shards() - 1) * dict_bytes / 1024.0);
+  std::printf("  shared token dict:       %8.1f KiB (%zu spellings)\n",
+              dict_bytes / 1024.0, dict->size());
+  std::printf("  fleet total:             %8.1f KiB\n\n",
+              (index_bytes + dict_bytes) / 1024.0);
 
   // Live-base-data wiring: storage appends now publish ChangeEvents, the
-  // manager applies incremental index deltas on every shard replica and
+  // manager applies incremental index deltas to the shared core and
   // fires keyed invalidation for exactly the affected cache entries.
   // Installed before serving so every cached answer's dependencies are
   // recorded.

@@ -13,14 +13,10 @@
 // Readers do a single acquire load — lock-free after fill. Writers
 // publish with a compare-exchange; losing a race just means the
 // duplicate (identical, the graph is immutable) computation is thrown
-// away. One instance is shared by every SodaEngine replica behind a
-// ShardedSodaEngine, so shard N's queries warm shard M's entry points.
-//
-// Sharing contract: slots are keyed by NodeId only, so every sharer
-// must traverse the same metadata graph with the same pattern library
-// and the same SodaConfig::max_traversal_depth — otherwise the first
-// filler's results would silently serve a differently-configured
-// instance (see Soda::Create).
+// away. Each Soda core owns one instance (slots are keyed by NodeId
+// only, so it is only valid for that core's graph, pattern library and
+// SodaConfig::max_traversal_depth). The shards of a ShardedSodaEngine
+// share the core, so shard N's queries warm shard M's entry points.
 
 #ifndef SODA_CORE_CLOSURE_H_
 #define SODA_CORE_CLOSURE_H_

@@ -67,8 +67,9 @@ struct SodaConfig {
   /// whitespace-normalized query string. 0 disables caching.
   size_t cache_capacity = 128;
 
-  /// ShardedSodaEngine: how many SodaEngine replicas the router fronts.
-  /// Each shard gets its own worker pool (num_threads wide; with
+  /// ShardedSodaEngine: how many SodaEngine shards the router fronts,
+  /// all over one shared Soda core (indexes, join graph, closure). Each
+  /// shard gets its own worker pool (num_threads wide; with
   /// num_threads=0 the router divides the hardware concurrency across
   /// shards so the fleet's worker count roughly matches the machine) and
   /// its own LRU cache (cache_capacity entries); a query's cache entry
@@ -78,14 +79,14 @@ struct SodaConfig {
   size_t num_shards = 1;
 
   // -------------------------------------------------------------------
-  // Router failure isolation (ShardedSodaEngine only). Shards are
-  // shared-nothing full replicas, so a sub-batch that fails on its home
-  // shard can be re-dispatched to any healthy replica — a cache miss,
+  // Router failure isolation (ShardedSodaEngine only). Every shard
+  // serves the same core, so a query or sub-batch that fails on its home
+  // shard can be re-dispatched to any healthy shard — a cache miss,
   // never a wrong answer. These knobs tune the circuit breaker and the
-  // retry loop; fault_injection_test shrinks them for fast sweeps.
+  // one failover loop; fault_injection_test shrinks them for fast sweeps.
   // -------------------------------------------------------------------
 
-  /// Consecutive sub-batch failures before a shard is quarantined
+  /// Consecutive dispatch failures before a shard is quarantined
   /// (closed -> quarantined in the per-shard circuit breaker).
   size_t shard_failure_threshold = 3;
 
@@ -94,9 +95,9 @@ struct SodaConfig {
   double shard_backoff_initial_ms = 100.0;
   double shard_backoff_max_ms = 5000.0;
 
-  /// Dispatch attempts per sub-batch beyond the first (each retry
-  /// re-routes to the next healthy replica). 0 fails a sub-batch on its
-  /// first error.
+  /// Dispatch attempts per query or sub-batch beyond the first (each
+  /// retry re-routes to the next healthy shard). 0 fails on the first
+  /// error.
   size_t shard_retry_limit = 2;
 
   /// Sleep between dispatch attempts (doubles per retry, capped at the
@@ -108,12 +109,15 @@ struct SodaConfig {
   /// (its worker keeps running to completion, but the batch stops
   /// waiting) and retried elsewhere. 0 disables stall detection. Only
   /// the sync SearchAll path enforces it — an async sub-batch registers
-  /// streaming callbacks, which cannot be safely abandoned mid-flight.
+  /// streaming callbacks, which cannot be safely abandoned mid-flight,
+  /// and single queries run inline on the caller thread. With one shard
+  /// the dispatch also runs inline and cannot be abandoned, so the
+  /// deadline has no effect there.
   double shard_dispatch_deadline_ms = 0.0;
 
   // -------------------------------------------------------------------
-  // Request tracing (common/trace.h). Both knobs apply to the
-  // process-global TraceRecorder at Create time when either is set;
+  // Request tracing (common/trace.h). When either is set, both knobs
+  // apply to the process-global TraceRecorder as an engine is built;
   // ranked output is byte-identical with tracing on or off.
   // -------------------------------------------------------------------
 

@@ -159,28 +159,27 @@ std::string NormalizedQueryKey(const std::string& query) {
 
 Result<std::unique_ptr<SodaEngine>> SodaEngine::Create(
     const Database* db, const MetadataGraph* graph, PatternLibrary patterns,
-    SodaConfig config, std::shared_ptr<EntryPointClosure> shared_closure) {
-  SODA_ASSIGN_OR_RETURN(
-      std::unique_ptr<Soda> soda,
-      Soda::Create(db, graph, std::move(patterns), config,
-                   std::move(shared_closure)));
-  // The recorder is process-global (traces cross engine/router/server
-  // layers); an engine only pushes its knobs there when they are set, so
-  // building an untraced engine never turns an already-configured
-  // recorder off.
-  if (config.trace_sample_n != 0 || config.slow_query_threshold_ms != 0.0) {
-    TraceRecorder::Instance().Configure(config.trace_sample_n,
-                                        config.slow_query_threshold_ms);
-  }
+    SodaConfig config) {
+  SODA_ASSIGN_OR_RETURN(std::unique_ptr<Soda> soda,
+                        Soda::Create(db, graph, std::move(patterns), config));
   return std::make_unique<SodaEngine>(std::move(soda));
 }
 
-SodaEngine::SodaEngine(std::unique_ptr<Soda> soda)
+SodaEngine::SodaEngine(std::shared_ptr<Soda> soda)
     : soda_(std::move(soda)),
       cache_(soda_->config().cache_capacity),
       default_sink_(std::make_shared<InMemoryMetricsSink>()),
       sink_(default_sink_),
       pool_(ResolveThreads(soda_->config().num_threads)) {
+  // The recorder is process-global (traces cross engine/router/server
+  // layers); an engine only pushes its knobs there when they are set, so
+  // building an untraced engine never turns an already-configured
+  // recorder off.
+  const SodaConfig& config = soda_->config();
+  if (config.trace_sample_n != 0 || config.slow_query_threshold_ms != 0.0) {
+    TraceRecorder::Instance().Configure(config.trace_sample_n,
+                                        config.slow_query_threshold_ms);
+  }
   // Pre-register every counter and histogram series so exporters see the
   // full set from the first scrape, not only after the first event of
   // each kind (histograms are an InMemoryMetricsSink feature; custom

@@ -89,15 +89,16 @@ class SodaEngine : public SodaService {
   /// Builds the underlying Soda (propagating index-construction errors),
   /// the worker pool (config.num_threads; 0 = hardware concurrency) and
   /// the result cache (config.cache_capacity; 0 disables).
-  /// `shared_closure` (optional) is forwarded to Soda::Create — the
-  /// sharded router hands every replica the same traversal memo.
   static Result<std::unique_ptr<SodaEngine>> Create(
       const Database* db, const MetadataGraph* graph, PatternLibrary patterns,
-      SodaConfig config,
-      std::shared_ptr<EntryPointClosure> shared_closure = nullptr);
+      SodaConfig config);
 
-  /// Wraps an already-constructed Soda.
-  explicit SodaEngine(std::unique_ptr<Soda> soda);
+  /// Wraps an already-constructed Soda core, sized by its config. The
+  /// core may be shared: the sharded router hands one core to every
+  /// shard, and each engine adds only its own cache, pool and sink. Sets
+  /// the process-wide trace recorder's knobs when the config sets them
+  /// (an untraced engine never turns a configured recorder off).
+  explicit SodaEngine(std::shared_ptr<Soda> soda);
 
   using SodaService::Search;
   using SodaService::SearchAll;
@@ -175,7 +176,8 @@ class SodaEngine : public SodaService {
       const std::function<bool(const std::string&)>& pred) const override;
 
   /// Incremental base-data maintenance: forwards one storage ChangeEvent
-  /// to the underlying Soda's inverted index. MUST run under the
+  /// to the underlying Soda's inverted index (which every engine sharing
+  /// the core sees). MUST run under the
   /// database change log's exclusive data lock (i.e. from a
   /// ChangeListener) — every serving path holds the shared side for its
   /// whole serve, so the delta can never interleave with a probe.
@@ -283,7 +285,7 @@ class SodaEngine : public SodaService {
   /// happen under the caller's ReadGuard.
   void CacheInsert(const std::string& key, const SearchOutput& output) const;
 
-  std::unique_ptr<Soda> soda_;
+  std::shared_ptr<Soda> soda_;
   // Stage sub-lists for session resume, built once in the constructor
   // from soda_->stages() (which owns the stage objects):
   //   rank_on_  — everything after lookup (bindings changed: re-rank)

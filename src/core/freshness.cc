@@ -144,9 +144,9 @@ void FreshnessManager::CollectAffectedLocked(
   // appended value's tokens can classify differently now (new base-data
   // entry point, previously ignored word that matches, shifted counts).
   // Events carry values pre-tokenized as interned ids (one Tokenize per
-  // value at publication, however many listeners and shard replicas
-  // consume it); the reverse map is keyed on spellings, so resolve each
-  // id through the event's dictionary.
+  // value at publication, however many listeners consume it); the
+  // reverse map is keyed on spellings, so resolve each id through the
+  // event's dictionary.
   auto probe_term = [&](const std::string& token) {
     auto term_bucket = keys_by_term_.find(token);
     if (term_bucket == keys_by_term_.end()) return;

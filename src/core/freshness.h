@@ -11,7 +11,8 @@
 //                                        │ (under the exclusive data lock)
 //                                        ├─ 1. ApplyBaseDataDelta on every
 //                                        │     tracked engine (incremental
-//                                        │     postings, all shard replicas)
+//                                        │     postings, once per core — a
+//                                        │     router's shards share one)
 //                                        └─ 2. InvalidateWhere for exactly
 //                                              the affected cache keys
 //

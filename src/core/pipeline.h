@@ -53,7 +53,7 @@ inline double MsSince(std::chrono::steady_clock::time_point start) {
 /// Canonical, stable identifier of one entry point, used by term bindings
 /// (SessionConstraints) and explanation keys: metadata hits render as
 /// "label@layer#node", base-data hits as "table.column=value".
-/// Deterministic across shard replicas — node ids derive from the shared
+/// Deterministic across shards — node ids derive from the shared
 /// immutable metadata graph.
 std::string EntryPointKey(const EntryPoint& ep);
 

@@ -3,7 +3,7 @@
 // Both engines implement this interface:
 //
 //   SodaEngine         (core/engine.h)          one worker pool + one cache
-//   ShardedSodaEngine  (core/sharded_engine.h)  N replicas behind a router
+//   ShardedSodaEngine  (core/sharded_engine.h)  N shards over one core
 //
 // Everything above the engines — the interactive session layer
 // (core/session.h), the FreshnessManager (core/freshness.h), the demos
@@ -131,10 +131,10 @@ struct TranslationPlan {
 
 /// One shard's position in the router's circuit breaker, as reported by
 /// SodaService::health(). States: "closed" (healthy, serving),
-/// "quarantined" (recent failures; traffic re-routes to replicas until
-/// the backoff elapses), "probing" (backoff elapsed; the next sub-batch
-/// is a trial — success re-admits, failure re-quarantines with doubled
-/// backoff).
+/// "quarantined" (recent failures; traffic re-routes to other shards
+/// until the backoff elapses), "probing" (backoff elapsed; the next
+/// dispatch is a trial — success re-admits, failure re-quarantines with
+/// doubled backoff).
 struct ShardHealthInfo {
   size_t shard = 0;
   std::string state;  // "closed" | "quarantined" | "probing"
@@ -233,9 +233,9 @@ class SodaService {
       const std::function<bool(const std::string&)>& pred) const = 0;
 
   /// Incremental base-data maintenance: forwards one storage ChangeEvent
-  /// to the inverted index (every replica's, on the router). MUST run
-  /// under the database change log's exclusive data lock (i.e. from a
-  /// ChangeListener). Returns the number of new posting entries.
+  /// to the inverted index (once, to the shared core, on the router).
+  /// MUST run under the database change log's exclusive data lock (i.e.
+  /// from a ChangeListener). Returns the number of new posting entries.
   virtual size_t ApplyBaseDataDelta(const ChangeEvent& event) = 0;
 
   /// Registers the freshness manager cache inserts (and session plans)

@@ -1,7 +1,6 @@
 #include "core/sharded_engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -27,7 +26,7 @@ uint64_t Fnv1a64(const std::string& key) {
   return hash;
 }
 
-// AcquireTarget's "every replica quarantined and none due" verdict.
+// AcquireTarget's "every shard quarantined and none due" verdict.
 constexpr size_t kNoShard = static_cast<size_t>(-1);
 
 void SleepMs(double ms) {
@@ -35,21 +34,24 @@ void SleepMs(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
-// One dispatch attempt of one sub-batch on one shard, shared between
-// the pool task that executes it and the batch thread that waits on it.
-// The batch thread may abandon a stalled attempt (the task keeps
-// running to completion against this struct, whose shared_ptr — and the
-// query vector's — outlive the batch), so `started`/`done`/`abandoned`
-// make the handoff explicit.
-struct SubBatchAttempt {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool started = false;
-  bool done = false;
-  bool abandoned = false;
-  Status failure;  // non-OK: the whole attempt failed (throw/failpoint)
-  std::vector<Result<SearchOutput>> outputs;
-};
+// Runs one shard dispatch behind the "shard.dispatch" failpoint (detail:
+// the target shard) and turns an escaped exception into the attempt's
+// failure. A per-query error Result inside `fn` is a query outcome, not
+// a failure.
+template <typename Fn>
+Status DispatchContained(size_t target, Fn&& fn) {
+  try {
+    SODA_RETURN_NOT_OK(
+        SODA_FAILPOINT_STATUS("shard.dispatch", std::to_string(target)));
+    std::forward<Fn>(fn)();
+    return Status::OK();
+  } catch (const std::exception& e) {
+    return Status::Unavailable(std::string("shard dispatch threw: ") +
+                               e.what());
+  } catch (...) {
+    return Status::Unavailable("shard dispatch threw");
+  }
+}
 
 enum class WaitOutcome {
   kDone,          // attempt finished (failure says how)
@@ -57,28 +59,43 @@ enum class WaitOutcome {
   kStallTimeout,  // started but did not finish: the shard stalled
 };
 
-// Blocks until the attempt completes; with a positive deadline (sync
-// dispatch only) gives up after `deadline_ms`, marking the attempt
-// abandoned so a not-yet-started task skips execution entirely.
-WaitOutcome WaitForAttempt(SubBatchAttempt& attempt, double deadline_ms) {
-  std::unique_lock<std::mutex> lock(attempt.mu);
-  if (deadline_ms <= 0.0) {
-    attempt.cv.wait(lock, [&] { return attempt.done; });
-    return WaitOutcome::kDone;
-  }
-  auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(deadline_ms));
-  if (attempt.cv.wait_until(lock, deadline, [&] { return attempt.done; })) {
-    return WaitOutcome::kDone;
-  }
-  attempt.abandoned = true;
-  return attempt.started ? WaitOutcome::kStallTimeout
-                         : WaitOutcome::kQueueTimeout;
-}
-
 }  // namespace
+
+// One dispatch attempt of one sub-batch on one shard, shared between
+// the pool task that executes it and the batch thread that waits on it.
+// The batch thread may abandon a stalled attempt (the task keeps
+// running to completion against this struct, whose shared_ptr — and the
+// query vector's — outlive the batch), so `started`/`done`/`abandoned`
+// make the handoff explicit.
+struct ShardedSodaEngine::SubBatchAttempt {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false;
+  bool done = false;
+  bool abandoned = false;
+  Status failure;  // non-OK: the whole attempt failed (throw/failpoint)
+  std::vector<Result<SearchOutput>> outputs;
+
+  // Blocks until the attempt completes; with a positive deadline (sync
+  // dispatch only) gives up after `deadline_ms`, marking the attempt
+  // abandoned so a not-yet-started task skips execution entirely.
+  WaitOutcome Wait(double deadline_ms) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (deadline_ms <= 0.0) {
+      cv.wait(lock, [&] { return done; });
+      return WaitOutcome::kDone;
+    }
+    auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double, std::milli>(deadline_ms));
+    if (cv.wait_until(lock, deadline, [&] { return done; })) {
+      return WaitOutcome::kDone;
+    }
+    abandoned = true;
+    return started ? WaitOutcome::kStallTimeout : WaitOutcome::kQueueTimeout;
+  }
+};
 
 size_t ShardOfKey(const std::string& normalized_key, size_t num_shards) {
   if (num_shards <= 1) return 0;
@@ -106,35 +123,22 @@ Result<std::unique_ptr<ShardedSodaEngine>> ShardedSodaEngine::Create(
     if (hw == 0) hw = 1;
     config.num_threads = std::max<size_t>(1, hw / num_shards);
   }
-  // One traversal memo for the whole fleet: the closure depends only on
-  // the (immutable, shared) metadata graph + config, so replicas can
-  // share it — any shard's traffic warms every shard's entry points.
-  std::shared_ptr<EntryPointClosure> shared_closure;
-  if (config.enable_closures && graph != nullptr) {
-    shared_closure = std::make_shared<EntryPointClosure>(graph->num_nodes());
-  }
-  std::vector<std::unique_ptr<SodaEngine>> shards;
-  shards.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    SODA_ASSIGN_OR_RETURN(
-        std::unique_ptr<SodaEngine> shard,
-        SodaEngine::Create(db, graph, patterns, config, shared_closure));
-    shards.push_back(std::move(shard));
-  }
-  return std::make_unique<ShardedSodaEngine>(std::move(shards));
+  SODA_ASSIGN_OR_RETURN(std::unique_ptr<Soda> core,
+                        Soda::Create(db, graph, std::move(patterns), config));
+  // Not make_unique: the constructor is private.
+  return std::unique_ptr<ShardedSodaEngine>(
+      new ShardedSodaEngine(std::move(core), num_shards));
 }
 
-ShardedSodaEngine::ShardedSodaEngine(
-    std::vector<std::unique_ptr<SodaEngine>> shards)
-    : shards_(std::move(shards)),
-      router_sink_(std::make_shared<InMemoryMetricsSink>()),
-      dispatch_pool_(shards_.size()) {
-  assert(!shards_.empty() && "router needs at least one shard");
-  for (const std::unique_ptr<SodaEngine>& shard : shards_) {
-    assert(shard != nullptr && "null shard");
-    (void)shard;
+ShardedSodaEngine::ShardedSodaEngine(std::shared_ptr<Soda> core,
+                                     size_t num_shards)
+    : router_sink_(std::make_shared<InMemoryMetricsSink>()),
+      dispatch_pool_(num_shards) {
+  shards_.reserve(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    shards_.push_back(std::make_unique<SodaEngine>(core));
   }
-  const SodaConfig& config = shards_.front()->soda().config();
+  const SodaConfig& config = core->config();
   policy_.failure_threshold =
       std::max<size_t>(1, config.shard_failure_threshold);
   policy_.backoff_initial_ms = config.shard_backoff_initial_ms;
@@ -260,9 +264,7 @@ Result<SearchOutput> ShardedSodaEngine::Search(
     const std::string& query, const SessionConstraints& constraints) const {
   // Route by the normalized query alone: constrained variants of one
   // question share its shard (and therefore its plans and cache locality).
-  router_sink_->IncrementCounter("router.shard_queries", 1);
-  size_t home = ShardOfKey(NormalizedQueryKey(query), shards_.size());
-  return RouteSingle(home, [&](const SodaEngine& engine) {
+  return RouteQuery(query, [&](const SodaEngine& engine) {
     return engine.Search(query, constraints);
   });
 }
@@ -270,10 +272,8 @@ Result<SearchOutput> ShardedSodaEngine::Search(
 Result<SearchOutput> ShardedSodaEngine::SearchSession(
     const std::string& query, const SessionConstraints& constraints,
     std::shared_ptr<TranslationPlan>* plan) const {
-  router_sink_->IncrementCounter("router.shard_queries", 1);
   router_sink_->IncrementCounter("router.session_queries", 1);
-  size_t home = ShardOfKey(NormalizedQueryKey(query), shards_.size());
-  return RouteSingle(home, [&](const SodaEngine& engine) {
+  return RouteQuery(query, [&](const SodaEngine& engine) {
     return engine.SearchSession(query, constraints, plan);
   });
 }
@@ -281,71 +281,83 @@ Result<SearchOutput> ShardedSodaEngine::SearchSession(
 Result<SearchOutput> ShardedSodaEngine::SearchAsync(
     const std::string& query, SnippetCallback on_snippet,
     SnippetBarrier* barrier) const {
-  router_sink_->IncrementCounter("router.shard_queries", 1);
-  size_t home = ShardOfKey(NormalizedQueryKey(query), shards_.size());
-  return RouteSingle(home, [&](const SodaEngine& engine) {
+  return RouteQuery(query, [&](const SodaEngine& engine) {
     return engine.SearchAsync(query, on_snippet, barrier);
   });
 }
 
-Result<SearchOutput> ShardedSodaEngine::RouteSingle(
-    size_t home,
+Result<SearchOutput> ShardedSodaEngine::RouteQuery(
+    const std::string& query,
     const std::function<Result<SearchOutput>(const SodaEngine&)>& call) const {
-  // The routing span joins whatever trace the caller (usually the HTTP
-  // server) installed on this thread; the engine call below runs under
-  // it, so engine.search parents here and inherits the shard attr.
-  Span route_span(CurrentTraceContext(), "router.route");
-  if (route_span.active()) route_span.SetAttr("home", static_cast<int64_t>(home));
+  router_sink_->IncrementCounter("router.shard_queries", 1);
+  size_t home = ShardOfKey(NormalizedQueryKey(query), shards_.size());
+  Result<SearchOutput> output = Status::Unavailable("no dispatch attempted");
+  // Inline on the caller thread: the attempt runs under the router.route
+  // span, so engine.search parents there.
+  Status status = RunWithFailover(
+      "router.route", home, /*weight=*/1, AcquireTarget(home),
+      [&](size_t target) -> AttemptOutcome {
+        return {DispatchContained(
+            target, [&] { output = call(*shards_[target]); })};
+      });
+  if (!status.ok()) {
+    return Status::Unavailable("query failed on every attempted replica: " +
+                               status.ToString());
+  }
+  return output;
+}
+
+Status ShardedSodaEngine::RunWithFailover(const char* span_name, size_t home,
+                                          size_t weight, size_t target,
+                                          const Dispatch& dispatch) const {
+  // Joins the caller's trace (usually the HTTP server's or the batch's);
+  // retry, re-route, no-replica, failure and quarantine decisions land
+  // here as span events, and every attempt runs under this span.
+  Span span(CurrentTraceContext(), span_name);
+  if (span.active()) {
+    span.SetAttr("home", static_cast<int64_t>(home));
+    span.SetAttr("queries", static_cast<int64_t>(weight));
+  }
+  ScopedTraceContext scoped(span.context());
   Status last = Status::Unavailable("no dispatch attempted");
-  size_t start = home;
-  for (size_t attempt = 0; attempt <= policy_.retry_limit; ++attempt) {
-    if (attempt > 0) {
-      router_sink_->IncrementCounter("router.retries", 1);
-      route_span.AddEvent("retry", "attempt " + std::to_string(attempt));
-      SleepMs(std::min(policy_.retry_backoff_ms *
-                           static_cast<double>(uint64_t{1} << (attempt - 1)),
-                       policy_.backoff_max_ms));
-    }
-    size_t target = AcquireTarget(start);
+  size_t start = home;  // where the next admission scan begins
+  for (size_t attempt = 0;; ++attempt) {
     if (target == kNoShard) {
       last = Status::Unavailable("every shard replica is quarantined");
-      route_span.AddEvent("no_replica", "every shard quarantined");
-      continue;
-    }
-    if (target != home) {
-      router_sink_->IncrementCounter("router.rerouted_queries", 1);
-      route_span.AddEvent("reroute", "shard " + std::to_string(target));
-    }
-    try {
-      Status armed =
-          SODA_FAILPOINT_STATUS("shard.dispatch", std::to_string(target));
-      if (armed.ok()) {
-        if (route_span.active()) {
-          route_span.SetAttr("shard", static_cast<int64_t>(target));
-        }
-        ScopedTraceContext scoped(route_span.context());
-        Result<SearchOutput> output = call(*shards_[target]);
-        ReportShardSuccess(target);
-        return output;
+      span.AddEvent("no_replica", "every shard quarantined");
+    } else {
+      if (target != home) {
+        router_sink_->IncrementCounter("router.rerouted_queries", weight);
+        span.AddEvent("reroute", "shard " + std::to_string(target));
       }
-      last = std::move(armed);
-    } catch (const std::exception& e) {
-      last = Status::Unavailable(std::string("shard dispatch threw: ") +
-                                 e.what());
-    } catch (...) {
-      last = Status::Unavailable("shard dispatch threw");
+      AttemptOutcome outcome = dispatch(target);
+      if (outcome.failure.ok()) {
+        ReportShardSuccess(target);
+        if (span.active()) span.SetAttr("shard", static_cast<int64_t>(target));
+        return Status::OK();
+      }
+      last = std::move(outcome.failure);
+      if (outcome.charged) {
+        span.AddEvent(outcome.event, "shard " + std::to_string(target) + ": " +
+                                         std::string(last.message()));
+        if (ReportShardFailure(target)) {
+          span.AddEvent("quarantine", "shard " + std::to_string(target));
+        }
+      }
+      // The next admission scan skips a charged shard; an attempt that
+      // never ran may go to the same shard again.
+      start = outcome.charged ? target + 1 : target;
     }
-    route_span.AddEvent("shard_failure",
-                        "shard " + std::to_string(target) + ": " +
-                            std::string(last.message()));
-    if (ReportShardFailure(target)) {
-      route_span.AddEvent("quarantine", "shard " + std::to_string(target));
-    }
-    start = target + 1;
+    if (attempt >= policy_.retry_limit) break;
+    router_sink_->IncrementCounter("router.retries", 1);
+    span.AddEvent("retry", "attempt " + std::to_string(attempt + 1));
+    SleepMs(std::min(
+        policy_.retry_backoff_ms * static_cast<double>(uint64_t{1} << attempt),
+        policy_.backoff_max_ms));
+    target = AcquireTarget(start);
   }
-  route_span.SetError("query failed on every attempted replica");
-  return Status::Unavailable("query failed on every attempted replica: " +
-                             last.ToString());
+  span.SetError("failed on every attempted replica");
+  return last;
 }
 
 std::vector<Result<SearchOutput>> ShardedSodaEngine::SearchAll(
@@ -360,7 +372,8 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::SearchAllAsync(
                        barrier);
 }
 
-std::shared_ptr<void> ShardedSodaEngine::LaunchAttempt(
+std::shared_ptr<ShardedSodaEngine::SubBatchAttempt>
+ShardedSodaEngine::LaunchAttempt(
     size_t target, std::shared_ptr<const std::vector<std::string>> queries,
     bool async, SnippetCallback on_snippet, SnippetBarrier* barrier) const {
   auto attempt = std::make_shared<SubBatchAttempt>();
@@ -389,25 +402,12 @@ std::shared_ptr<void> ShardedSodaEngine::LaunchAttempt(
       dispatch_span.SetAttr("queries", static_cast<int64_t>(queries->size()));
     }
     ScopedTraceContext scoped(dispatch_span.context());
-    Status failure;
     std::vector<Result<SearchOutput>> outputs;
-    try {
-      Status armed =
-          SODA_FAILPOINT_STATUS("shard.dispatch", std::to_string(target));
-      if (!armed.ok()) {
-        failure = std::move(armed);
-      } else {
-        std::span<const std::string> sub(*queries);
-        outputs = async
-                      ? shards_[target]->SearchAllAsync(sub, callback, barrier)
+    Status failure = DispatchContained(target, [&] {
+      std::span<const std::string> sub(*queries);
+      outputs = async ? shards_[target]->SearchAllAsync(sub, callback, barrier)
                       : shards_[target]->SearchAll(sub);
-      }
-    } catch (const std::exception& e) {
-      failure =
-          Status::Unavailable(std::string("shard dispatch threw: ") + e.what());
-    } catch (...) {
-      failure = Status::Unavailable("shard dispatch threw");
-    }
+    });
     if (!failure.ok()) dispatch_span.SetStatus(failure.message());
     // End (and append) the span before publishing completion: the
     // waiting batch thread may finish the whole trace the moment done
@@ -425,156 +425,10 @@ std::shared_ptr<void> ShardedSodaEngine::LaunchAttempt(
   return attempt;
 }
 
-std::vector<Result<SearchOutput>> ShardedSodaEngine::RunSubBatchWithFailover(
-    size_t home, std::shared_ptr<const std::vector<std::string>> queries,
-    bool async, SnippetCallback on_snippet, SnippetBarrier* barrier,
-    size_t first_target, std::shared_ptr<void> first_attempt) const {
-  // The stall deadline applies to sync dispatch only: an async sub-batch
-  // registers its snippet callbacks on the caller's barrier, and an
-  // abandoned half-registered attempt could deliver duplicates.
-  double deadline_ms = async ? 0.0 : policy_.dispatch_deadline_ms;
-  // Joins the batch's trace on the caller thread; retry, re-route,
-  // stall-abandon and quarantine decisions land here as span events.
-  Span sub_span(CurrentTraceContext(), "router.subbatch");
-  if (sub_span.active()) {
-    sub_span.SetAttr("home", static_cast<int64_t>(home));
-    sub_span.SetAttr("queries", static_cast<int64_t>(queries->size()));
-  }
-  Status last = Status::Unavailable("no dispatch attempted");
-  size_t target = first_target;
-  auto attempt = std::static_pointer_cast<SubBatchAttempt>(first_attempt);
-  for (size_t attempts_used = 0;; ++attempts_used) {
-    if (attempt != nullptr) {
-      WaitOutcome outcome = WaitForAttempt(*attempt, deadline_ms);
-      switch (outcome) {
-        case WaitOutcome::kDone: {
-          Status failure;
-          std::vector<Result<SearchOutput>> outputs;
-          {
-            std::lock_guard<std::mutex> lock(attempt->mu);
-            failure = std::move(attempt->failure);
-            outputs = std::move(attempt->outputs);
-          }
-          if (failure.ok()) {
-            ReportShardSuccess(target);
-            return outputs;
-          }
-          last = std::move(failure);
-          sub_span.AddEvent("shard_failure",
-                            "shard " + std::to_string(target) + ": " +
-                                std::string(last.message()));
-          if (ReportShardFailure(target)) {
-            sub_span.AddEvent("quarantine", "shard " + std::to_string(target));
-          }
-          target = target + 1;
-          break;
-        }
-        case WaitOutcome::kStallTimeout:
-          last = Status::Unavailable(
-              "shard " + std::to_string(target) +
-              " stalled past the sub-batch deadline; abandoned");
-          sub_span.AddEvent("stall_abandoned",
-                            "shard " + std::to_string(target));
-          if (ReportShardFailure(target)) {
-            sub_span.AddEvent("quarantine", "shard " + std::to_string(target));
-          }
-          target = target + 1;
-          break;
-        case WaitOutcome::kQueueTimeout:
-          // The attempt never ran — the dispatch queue is congested.
-          // Not the shard's fault: retry without charging its breaker.
-          last = Status::Unavailable(
-              "sub-batch not scheduled within the dispatch deadline");
-          break;
-      }
-    } else {
-      last = Status::Unavailable("every shard replica is quarantined");
-    }
-    if (attempts_used >= policy_.retry_limit) break;
-    router_sink_->IncrementCounter("router.retries", 1);
-    sub_span.AddEvent("retry", "attempt " + std::to_string(attempts_used + 1));
-    SleepMs(std::min(policy_.retry_backoff_ms *
-                         static_cast<double>(uint64_t{1} << attempts_used),
-                     policy_.backoff_max_ms));
-    size_t next = AcquireTarget(target);
-    if (next == kNoShard) {
-      sub_span.AddEvent("no_replica", "every shard quarantined");
-      attempt = nullptr;
-      continue;
-    }
-    target = next;
-    if (target != home) {
-      router_sink_->IncrementCounter("router.rerouted_queries",
-                                     queries->size());
-      sub_span.AddEvent("reroute", "shard " + std::to_string(target));
-    }
-    // Re-install the sub-batch span as the pool task's parent: the
-    // retried dispatch span hangs off this span, not the batch root.
-    ScopedTraceContext scoped(sub_span.context());
-    attempt = std::static_pointer_cast<SubBatchAttempt>(
-        LaunchAttempt(target, queries, async, on_snippet, barrier));
-  }
-  sub_span.SetError("sub-batch failed after every attempt");
-  return std::vector<Result<SearchOutput>>(
-      queries->size(),
-      Result<SearchOutput>(Status::Unavailable(
-          "sub-batch for shard " + std::to_string(home) +
-          " failed after " + std::to_string(policy_.retry_limit + 1) +
-          " attempts: " + last.ToString())));
-}
-
 std::vector<Result<SearchOutput>> ShardedSodaEngine::DispatchBatch(
     std::span<const std::string> queries, bool async,
     SnippetCallback on_snippet, SnippetBarrier* barrier) const {
   if (queries.empty()) return {};
-
-  // Single shard (the config default): no routing to do — delegate on
-  // the caller's span and skip the copy/merge machinery. Callback
-  // indices are already global. Failure containment still applies: a
-  // throwing or failpoint-armed dispatch becomes per-query errors and
-  // charges the (only) shard's breaker, and a quarantined sole shard
-  // fails fast until its backoff elapses.
-  if (shards_.size() == 1) {
-    router_sink_->IncrementCounter("router.batches", 1);
-    router_sink_->IncrementCounter("router.shard_queries", queries.size());
-    router_sink_->Observe("router.shard_batch_size",
-                          static_cast<double>(queries.size()));
-    Status last = Status::Unavailable("no dispatch attempted");
-    for (size_t attempt = 0; attempt <= policy_.retry_limit; ++attempt) {
-      if (attempt > 0) {
-        router_sink_->IncrementCounter("router.retries", 1);
-        SleepMs(std::min(policy_.retry_backoff_ms *
-                             static_cast<double>(uint64_t{1} << (attempt - 1)),
-                         policy_.backoff_max_ms));
-      }
-      if (AcquireTarget(0) == kNoShard) {
-        last = Status::Unavailable("the only shard replica is quarantined");
-        continue;
-      }
-      try {
-        Status armed = SODA_FAILPOINT_STATUS("shard.dispatch", "0");
-        if (armed.ok()) {
-          auto outputs = async ? shards_[0]->SearchAllAsync(
-                                     queries, std::move(on_snippet), barrier)
-                               : shards_[0]->SearchAll(queries);
-          ReportShardSuccess(0);
-          return outputs;
-        }
-        last = std::move(armed);
-      } catch (const std::exception& e) {
-        last = Status::Unavailable(std::string("shard dispatch threw: ") +
-                                   e.what());
-      } catch (...) {
-        last = Status::Unavailable("shard dispatch threw");
-      }
-      ReportShardFailure(0);
-    }
-    return std::vector<Result<SearchOutput>>(
-        queries.size(),
-        Result<SearchOutput>(Status::Unavailable(
-            "batch failed after " + std::to_string(policy_.retry_limit + 1) +
-            " attempts: " + last.ToString())));
-  }
 
   // Split the batch by routing key. Sub-batches keep input order, so a
   // shard sees its queries exactly as a single engine would have (dedup
@@ -589,32 +443,28 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::DispatchBatch(
 
   router_sink_->IncrementCounter("router.batches", 1);
   router_sink_->IncrementCounter("router.shard_queries", queries.size());
-  std::vector<size_t> occupied;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (sub_queries[s].empty()) continue;
-    occupied.push_back(s);
-    router_sink_->Observe("router.shard_batch_size",
-                          static_cast<double>(sub_queries[s].size()));
-  }
 
   // Launch every occupied home's first attempt before joining any of
   // them, so healthy sub-batches run concurrently on the dispatch pool
-  // while a failing one walks its retry chain. Shards are shared-nothing
-  // (own pool, own cache, own sink), so this is pure fan-out. For the
-  // async path this covers the translation phase only — each shard
+  // while a failing one walks its retry chain. Shards share only the
+  // immutable core (each has its own pool, cache and sink), so this is
+  // pure fan-out. With one shard the pool runs the attempt inline. For
+  // the async path this covers the translation phase only — each shard
   // registers its callbacks on `barrier` before its SearchAll returns,
   // so by the time we return the barrier's expectation is complete and
   // snippets keep streaming from every shard's pool.
   struct Flight {
     size_t home = 0;
-    size_t target = 0;
+    size_t target = kNoShard;
     std::shared_ptr<const std::vector<std::string>> queries;
     SnippetCallback callback;
-    std::shared_ptr<void> attempt;
+    std::shared_ptr<SubBatchAttempt> attempt;  // the pre-launched one
   };
   std::vector<Flight> flights;
-  flights.reserve(occupied.size());
-  for (size_t s : occupied) {
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (sub_queries[s].empty()) continue;
+    router_sink_->Observe("router.shard_batch_size",
+                          static_cast<double>(sub_queries[s].size()));
     Flight flight;
     flight.home = s;
     flight.queries = std::make_shared<const std::vector<std::string>>(
@@ -628,34 +478,61 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::DispatchBatch(
         callback(to_global[query_index], result_index, result);
       };
     }
-    size_t target = AcquireTarget(s);
-    if (target == kNoShard) {
-      flight.attempt = nullptr;
-    } else {
-      flight.target = target;
-      if (target != s) {
-        router_sink_->IncrementCounter("router.rerouted_queries",
-                                       flight.queries->size());
-      }
-      flight.attempt = LaunchAttempt(target, flight.queries, async,
+    flight.target = AcquireTarget(s);
+    if (flight.target != kNoShard) {
+      flight.attempt = LaunchAttempt(flight.target, flight.queries, async,
                                      flight.callback, barrier);
     }
     flights.push_back(std::move(flight));
   }
 
-  std::vector<std::vector<Result<SearchOutput>>> sub_outputs(shards_.size());
-  for (Flight& flight : flights) {
-    sub_outputs[flight.home] = RunSubBatchWithFailover(
-        flight.home, flight.queries, async, flight.callback, barrier,
-        flight.target, std::move(flight.attempt));
-  }
-
-  // Re-merge into input order.
+  // The stall deadline applies to sync dispatch only: an async sub-batch
+  // registers its snippet callbacks on the caller's barrier, and an
+  // abandoned half-registered attempt could deliver duplicates.
+  double deadline_ms = async ? 0.0 : policy_.dispatch_deadline_ms;
   std::vector<Result<SearchOutput>> outputs(
       queries.size(), Result<SearchOutput>(Status::Internal("unrouted query")));
-  for (size_t s : occupied) {
-    for (size_t k = 0; k < sub_indices[s].size(); ++k) {
-      outputs[sub_indices[s][k]] = std::move(sub_outputs[s][k]);
+  for (Flight& flight : flights) {
+    std::vector<Result<SearchOutput>> sub_outputs;
+    Status status = RunWithFailover(
+        "router.subbatch", flight.home, flight.queries->size(), flight.target,
+        [&](size_t target) -> AttemptOutcome {
+          // Retries launch under the sub-batch span (installed by the
+          // loop), so their dispatch spans hang off it.
+          std::shared_ptr<SubBatchAttempt> attempt =
+              flight.attempt != nullptr
+                  ? std::exchange(flight.attempt, nullptr)
+                  : LaunchAttempt(target, flight.queries, async,
+                                  flight.callback, barrier);
+          WaitOutcome waited = attempt->Wait(deadline_ms);
+          if (waited == WaitOutcome::kStallTimeout) {
+            return {Status::Unavailable(
+                        "stalled past the sub-batch deadline; abandoned"),
+                    /*charged=*/true, "stall_abandoned"};
+          }
+          if (waited == WaitOutcome::kQueueTimeout) {
+            // The attempt never ran — the dispatch queue is congested.
+            // Not the shard's fault: retry without charging its breaker.
+            return {Status::Unavailable(
+                        "sub-batch not scheduled within the dispatch deadline"),
+                    /*charged=*/false};
+          }
+          std::lock_guard<std::mutex> lock(attempt->mu);
+          sub_outputs = std::move(attempt->outputs);
+          return {std::move(attempt->failure)};
+        });
+    if (!status.ok()) {
+      sub_outputs.assign(
+          flight.queries->size(),
+          Result<SearchOutput>(Status::Unavailable(
+              "sub-batch for shard " + std::to_string(flight.home) +
+              " failed after " + std::to_string(policy_.retry_limit + 1) +
+              " attempts: " + status.ToString())));
+    }
+    // Re-merge into input order.
+    const std::vector<size_t>& indices = sub_indices[flight.home];
+    for (size_t k = 0; k < indices.size(); ++k) {
+      outputs[indices[k]] = std::move(sub_outputs[k]);
     }
   }
   return outputs;
@@ -690,11 +567,8 @@ size_t ShardedSodaEngine::InvalidateWhere(
 }
 
 size_t ShardedSodaEngine::ApplyBaseDataDelta(const ChangeEvent& event) {
-  size_t inserted = 0;
-  for (const std::unique_ptr<SodaEngine>& shard : shards_) {
-    inserted += shard->ApplyBaseDataDelta(event);
-  }
-  return inserted;
+  // One core: any shard forwards to it, and every shard sees the result.
+  return shards_.front()->ApplyBaseDataDelta(event);
 }
 
 void ShardedSodaEngine::set_freshness(FreshnessManager* freshness) {

@@ -1,11 +1,15 @@
-// ShardedSodaEngine — a query router over N replicated SodaEngines.
+// ShardedSodaEngine — a query router over N SodaEngine shards that share
+// one Soda core.
 //
-// The SODA pipeline is embarrassingly parallel across queries: every
-// engine is shared-nothing over the same `const Database*` + metadata
-// graph, so scaling past one worker pool is a routing problem, not an
-// algorithm problem. This tier fronts N SodaEngine replicas (each with
-// its own pool and its own LRU result cache) behind one engine-shaped
-// surface:
+// The SODA pipeline is embarrassingly parallel across queries, so
+// scaling past one worker pool is a routing problem, not an algorithm
+// problem. The router builds ONE immutable core (core/soda.h: inverted
+// and classification indexes, pattern matcher, join graph, closure —
+// built once, as the paper reports index construction apart from query
+// processing) and fronts N SodaEngine shards over it. A shard owns only
+// what serving needs per shard: its worker pool, LRU result cache,
+// metrics sink and circuit breaker. All of it sits behind one
+// engine-shaped surface:
 //
 //   1. routing — every query is assigned to exactly one shard by a
 //      folded 64-bit FNV-1a hash of its whitespace-normalized string
@@ -24,16 +28,16 @@
 //      so the ranked output is byte-identical to a single engine at any
 //      shard count × thread count;
 //   3. failure domains — every shard is wrapped in a small circuit
-//      breaker (closed → quarantined → probing). A sub-batch whose
-//      dispatch fails (throws, errors through the "shard.dispatch"
-//      failpoint, or outlives the per-sub-batch deadline) is retried
-//      with exponential backoff on the next healthy replica. Replicas
-//      are shared-nothing full copies of the same database, so the
-//      re-route is correct — a cache miss, never a wrong answer. A
-//      shard that fails shard_failure_threshold times in a row is
-//      quarantined: traffic avoids it until its backoff elapses, then
-//      one probe sub-batch decides between re-admission and a doubled
-//      backoff. health() reports the breaker per shard;
+//      breaker (closed → quarantined → probing). A query or sub-batch
+//      whose dispatch fails (throws, errors through the "shard.dispatch"
+//      failpoint, or — sub-batches only — outlives the dispatch
+//      deadline) is retried with exponential backoff on the next healthy
+//      shard by the router's one failover loop. Every shard serves the
+//      same core, so the re-route is correct — a cache miss, never a
+//      wrong answer. A shard that fails shard_failure_threshold times in
+//      a row is quarantined: traffic avoids it until its backoff
+//      elapses, then one probe dispatch decides between re-admission and
+//      a doubled backoff. health() reports the breaker per shard;
 //      router.{shard_failures,retries,quarantines,readmissions,
 //      rerouted_queries} count the machinery;
 //   4. aggregated observability — metrics_snapshot() merges every
@@ -42,7 +46,8 @@
 //      into one fleet view; cache_stats() sums the per-shard books;
 //   5. invalidation fan-out — ClearCache() and InvalidateWhere(pred)
 //      forward to every shard, so base-data update notifications keep
-//      working when the cache is spread over N replicas.
+//      working when the cache is spread over N shards. A base-data delta
+//      is applied once, to the shared core.
 //
 // Thread-safety matches SodaEngine: all entry points are const and safe
 // to call from many caller threads at once.
@@ -78,22 +83,16 @@ size_t ShardOfKey(const std::string& normalized_key, size_t num_shards);
 
 class ShardedSodaEngine : public SodaService {
  public:
-  /// Builds config.num_shards SodaEngine replicas over the same catalog
-  /// and graph (each replica copies the pattern library and builds its
-  /// own indexes). Construction failures of any replica propagate.
-  /// num_shards 0 and 1 both build a single shard. With num_threads=0
-  /// ("use the hardware"), each shard gets hardware_concurrency /
-  /// num_shards workers (min 1), so the fleet's pool roughly matches the
-  /// machine instead of oversubscribing it num_shards-fold.
+  /// Builds one Soda core over the catalog and graph (its indexes, join
+  /// graph and closure) and config.num_shards SodaEngine shards over it.
+  /// A core construction failure propagates. num_shards 0 and 1 both
+  /// build a single shard. With num_threads=0 ("use the hardware"), each
+  /// shard gets hardware_concurrency / num_shards workers (min 1), so the
+  /// fleet's pool roughly matches the machine instead of oversubscribing
+  /// it num_shards-fold.
   static Result<std::unique_ptr<ShardedSodaEngine>> Create(
       const Database* db, const MetadataGraph* graph, PatternLibrary patterns,
       SodaConfig config);
-
-  /// Wraps already-constructed replicas. `shards` must be non-empty and
-  /// hold no nulls (asserted): every routing path indexes into it. The
-  /// failure-isolation policy (thresholds, backoffs, deadline) is read
-  /// from the first replica's config — all shards share one config.
-  explicit ShardedSodaEngine(std::vector<std::unique_ptr<SodaEngine>> shards);
 
   using SodaService::Search;
   using SodaService::SearchAll;
@@ -102,7 +101,7 @@ class ShardedSodaEngine : public SodaService {
   /// SodaEngine::Search; repeats of one query always land on the same
   /// shard (constraints excluded from the routing key), so its cache
   /// behaves exactly like a single engine's. When the home shard is
-  /// quarantined the query fails over to a healthy replica.
+  /// quarantined the query fails over to a healthy shard.
   Result<SearchOutput> Search(
       const std::string& query,
       const SessionConstraints& constraints) const override;
@@ -120,7 +119,7 @@ class ShardedSodaEngine : public SodaService {
   /// single engine; in-batch dedup still applies (identical normalized
   /// queries route identically, so they meet in one sub-batch). A
   /// sub-batch whose shard fails or stalls past the configured deadline
-  /// is re-dispatched to a healthy replica; only when every attempt is
+  /// is re-dispatched to a healthy shard; only when every attempt is
   /// exhausted do its queries come back as per-query Unavailable errors
   /// — the rest of the batch is unaffected.
   std::vector<Result<SearchOutput>> SearchAll(
@@ -157,15 +156,14 @@ class ShardedSodaEngine : public SodaService {
   size_t InvalidateWhere(
       const std::function<bool(const std::string&)>& pred) const override;
 
-  /// Incremental base-data maintenance fan-out: every replica owns its
-  /// own inverted index over the shared database, so one storage
-  /// ChangeEvent must reach all of them. Same contract as
-  /// SodaEngine::ApplyBaseDataDelta (call under the change log's
-  /// exclusive data lock, i.e. from a ChangeListener). Returns the sum
-  /// of new posting entries across shards.
+  /// Incremental base-data maintenance: every shard shares one core, so
+  /// one storage ChangeEvent is applied once, to the core's inverted
+  /// index. Same contract as SodaEngine::ApplyBaseDataDelta (call under
+  /// the change log's exclusive data lock, i.e. from a ChangeListener).
+  /// Returns the number of new posting entries.
   size_t ApplyBaseDataDelta(const ChangeEvent& event) override;
 
-  /// Registers the freshness manager on every shard (each replica
+  /// Registers the freshness manager on every shard (each shard
   /// reports its own cache inserts; the manager dedups by key). nullptr
   /// detaches. Normally called by FreshnessManager::Track.
   void set_freshness(FreshnessManager* freshness) override;
@@ -204,7 +202,8 @@ class ShardedSodaEngine : public SodaService {
   /// before latency does.
   size_t queue_depth() const override;
 
-  /// Direct access to one replica, for tests and per-shard inspection.
+  /// Direct access to one shard, for tests and per-shard inspection.
+  /// Every shard's soda() is the one shared core.
   const SodaEngine& shard(size_t i) const { return *shards_[i]; }
 
  private:
@@ -228,44 +227,66 @@ class ShardedSodaEngine : public SodaService {
     double dispatch_deadline_ms = 0.0;
   };
 
-  /// Shared split/route/merge core of SearchAll and SearchAllAsync.
+  struct SubBatchAttempt;  // defined in the .cc
+
+  /// One dispatch attempt's verdict, as the failover loop sees it.
+  struct AttemptOutcome {
+    Status failure;  // OK: the attempt succeeded
+    // false: the attempt never ran (dispatch-queue congestion) — not the
+    // shard's fault, so its breaker is not charged.
+    bool charged = true;
+    const char* event = "shard_failure";  // span event for a charged failure
+  };
+
+  /// Runs one attempt on a shard and reports how it went.
+  using Dispatch = std::function<AttemptOutcome(size_t target)>;
+
+  /// The router's one failover loop, shared by single queries and
+  /// sub-batches. Opens a `span_name` span on the caller's trace (every
+  /// attempt runs under it) and runs `dispatch` on `target`, then, while
+  /// attempts fail and the retry budget lasts, backs off exponentially
+  /// and re-admits the next shard through AcquireTarget. It books
+  /// router.retries, router.rerouted_queries (`weight` per re-routed
+  /// attempt) and the breaker outcome of every attempt, and records the
+  /// retry, reroute, no_replica, failure and quarantine span events.
+  /// `target` is the first attempt's shard, already admitted by
+  /// AcquireTarget(home) (kNoShard: none was) — the batch path admits and
+  /// launches every home's first attempt before it joins any. Returns OK
+  /// once an attempt succeeds, else the last failure.
+  Status RunWithFailover(const char* span_name, size_t home, size_t weight,
+                         size_t target, const Dispatch& dispatch) const;
+
+  /// Search / SearchSession / SearchAsync: routes `query` to its home
+  /// shard and runs `call` inline on the caller thread under the failover
+  /// loop. A per-query error Result from `call` is a query outcome
+  /// (breaker success); an exception or armed failpoint is a shard
+  /// failure that retries on the next shard.
+  Result<SearchOutput> RouteQuery(
+      const std::string& query,
+      const std::function<Result<SearchOutput>(const SodaEngine&)>& call)
+      const;
+
+  /// Shared split/route/merge core of SearchAll and SearchAllAsync: every
+  /// home shard's sub-batch is launched, then joined under the failover
+  /// loop. Only the sync path applies the stall deadline. `queries` of a
+  /// sub-batch are owned by shared_ptr, so an abandoned stalled attempt
+  /// never reads a dead frame; after the retry budget every query of the
+  /// sub-batch carries an Unavailable status.
   std::vector<Result<SearchOutput>> DispatchBatch(
       std::span<const std::string> queries, bool async,
       SnippetCallback on_snippet, SnippetBarrier* barrier) const;
 
-  /// Single-query dispatch with failover, shared by Search /
-  /// SearchSession / SearchAsync. A per-query error Result from `call`
-  /// is a query outcome (breaker success); an exception or armed
-  /// failpoint is a shard failure that retries on the next replica.
-  Result<SearchOutput> RouteSingle(
-      size_t home,
-      const std::function<Result<SearchOutput>(const SodaEngine&)>& call)
-      const;
-
   /// Submits one sub-batch dispatch attempt on `target` to the dispatch
-  /// pool and returns its (type-erased — the attempt struct is an
-  /// implementation detail of the .cc) completion handle.
-  std::shared_ptr<void> LaunchAttempt(
+  /// pool and returns its completion handle.
+  std::shared_ptr<SubBatchAttempt> LaunchAttempt(
       size_t target, std::shared_ptr<const std::vector<std::string>> queries,
       bool async, SnippetCallback on_snippet, SnippetBarrier* barrier) const;
-
-  /// Joins one home shard's in-flight first attempt and walks the retry
-  /// chain on failure: re-dispatches with exponential backoff on the
-  /// next admitted replica, abandons (sync only) attempts that outlive
-  /// the dispatch deadline, and reports every outcome to the breaker.
-  /// `queries` is owned by shared_ptr so an abandoned stalled attempt
-  /// never reads a dead frame. Returns per-query outputs; after the
-  /// retry budget every query carries an Unavailable status.
-  std::vector<Result<SearchOutput>> RunSubBatchWithFailover(
-      size_t home, std::shared_ptr<const std::vector<std::string>> queries,
-      bool async, SnippetCallback on_snippet, SnippetBarrier* barrier,
-      size_t first_target, std::shared_ptr<void> first_attempt) const;
 
   /// Breaker admission: first shard at or after `start` (mod N) the
   /// breaker lets through (a quarantined shard whose backoff elapsed is
   /// admitted as the probe). When every shard is quarantined and none
   /// is due, returns the kNoShard sentinel — callers fail fast with
-  /// Unavailable rather than force traffic onto a known-bad replica.
+  /// Unavailable rather than force traffic onto a known-bad shard.
   size_t AcquireTarget(size_t start) const;
 
   void ReportShardSuccess(size_t shard) const;
@@ -274,6 +295,11 @@ class ShardedSodaEngine : public SodaService {
   /// failure tripped (or, for a failed probe, re-tripped) quarantine —
   /// callers record that decision as a trace span event.
   bool ReportShardFailure(size_t shard) const;
+
+  /// `num_shards` engines over the one shared `core`. The failure
+  /// isolation policy (thresholds, backoffs, deadline) is read from the
+  /// core's config.
+  ShardedSodaEngine(std::shared_ptr<Soda> core, size_t num_shards);
 
   std::vector<std::unique_ptr<SodaEngine>> shards_;
   std::shared_ptr<InMemoryMetricsSink> router_sink_;

@@ -8,18 +8,16 @@ namespace soda {
 
 Result<std::unique_ptr<Soda>> Soda::Create(
     const Database* db, const MetadataGraph* graph, PatternLibrary patterns,
-    SodaConfig config, std::shared_ptr<EntryPointClosure> shared_closure) {
+    SodaConfig config) {
   // Not make_unique: the constructor is private to force construction
   // through this factory (and its init_status_ check).
-  std::unique_ptr<Soda> soda(new Soda(db, graph, std::move(patterns), config,
-                                      std::move(shared_closure)));
+  std::unique_ptr<Soda> soda(new Soda(db, graph, std::move(patterns), config));
   SODA_RETURN_NOT_OK(soda->init_status_);
   return soda;
 }
 
 Soda::Soda(const Database* db, const MetadataGraph* graph,
-           PatternLibrary patterns, SodaConfig config,
-           std::shared_ptr<EntryPointClosure> shared_closure)
+           PatternLibrary patterns, SodaConfig config)
     : db_(db), graph_(graph), patterns_(std::move(patterns)),
       config_(config) {
   if (db_ != nullptr) inverted_index_.Build(*db_);
@@ -27,9 +25,7 @@ Soda::Soda(const Database* db, const MetadataGraph* graph,
   matcher_ = std::make_unique<PatternMatcher>(graph_, &patterns_);
   init_status_ = join_graph_.Build(*matcher_, config_.enable_closures);
   if (config_.enable_closures) {
-    closure_ = shared_closure != nullptr
-                   ? std::move(shared_closure)
-                   : std::make_shared<EntryPointClosure>(graph_->num_nodes());
+    closure_ = std::make_shared<EntryPointClosure>(graph_->num_nodes());
   }
   lookup_step_ = std::make_unique<LookupStep>(&classification_, &config_);
   tables_step_ = std::make_unique<TablesStep>(matcher_.get(), &join_graph_,

@@ -83,19 +83,12 @@ class Soda {
   /// returned instance is always fully initialized, so Search never has
   /// to report a construction-time failure after the fact.
   ///
-  /// `shared_closure` (optional) supplies an entry-point traversal memo
-  /// shared with other Soda instances — the sharded router passes one
-  /// instance to every replica so any shard's traffic warms the whole
-  /// fleet. Sharers MUST be built over the same metadata graph, the
-  /// same pattern library, and the same traversal config
-  /// (max_traversal_depth): cached closures are keyed by NodeId only,
-  /// so a mismatched sharer would silently serve another instance's
-  /// traversal results. When omitted and config.enable_closures is on,
-  /// a private closure is created here.
+  /// One instance is one immutable core: the sharded router builds one
+  /// and every shard's SodaEngine holds it by shared_ptr, so the indexes,
+  /// the join graph and the Step-3 closure exist once per process.
   static Result<std::unique_ptr<Soda>> Create(
       const Database* db, const MetadataGraph* graph, PatternLibrary patterns,
-      SodaConfig config,
-      std::shared_ptr<EntryPointClosure> shared_closure = nullptr);
+      SodaConfig config);
 
   /// Runs the five-step pipeline on a query string: the ordered stage
   /// list from stages(), executed serially, followed by snippet
@@ -156,7 +149,6 @@ class Soda {
   const MetadataGraph* graph() const { return graph_; }
 
   /// The Step-3 traversal memo (nullptr when closures are disabled).
-  /// Shareable across Soda instances built over the same graph.
   const std::shared_ptr<EntryPointClosure>& entry_point_closure() const {
     return closure_;
   }
@@ -166,7 +158,7 @@ class Soda {
   /// from query processing); any failure lands in init_status_, which
   /// Create checks before handing the instance out.
   Soda(const Database* db, const MetadataGraph* graph, PatternLibrary patterns,
-       SodaConfig config, std::shared_ptr<EntryPointClosure> shared_closure);
+       SodaConfig config);
 
   const Database* db_;
   const MetadataGraph* graph_;

@@ -35,11 +35,14 @@ TEST(ThreadPoolTest, ZeroAndOneThreadRunInline) {
 }
 
 TEST(ThreadPoolTest, SubmitRunsAllTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
   std::atomic<int> count{0};
   std::mutex mu;
   std::condition_variable done;
+  // Declared after everything its tasks touch: the pool joins its workers
+  // first, so no worker can still be inside notify_all when `done` and
+  // `mu` are destroyed.
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 4u);
   const int kTasks = 100;
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {

@@ -2,9 +2,10 @@
 //
 //   - shard.dispatch armed to throw / error / stall on one shard of a
 //     router: non-failed queries stay byte-identical to a fault-free
-//     run, failed sub-batches re-route to healthy replicas (identical
-//     answers — replicas are shared-nothing full copies), and the
-//     per-shard circuit breaker quarantines, probes, and re-admits;
+//     run, failed sub-batches and single queries re-route to healthy
+//     shards (identical answers — every shard serves the one shared
+//     core), and the per-shard circuit breaker quarantines, probes, and
+//     re-admits;
 //   - engine.pool_task / snippet.execute armed inside the engine: a
 //     poisoned pool task degrades to a per-query (or per-result) error
 //     instead of unwinding the serving layer, and an async snippet
@@ -23,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -302,6 +304,89 @@ TEST_F(FaultInjectionTest, QuarantineProbeAndReadmission) {
   snapshot = router->metrics_snapshot();
   EXPECT_GE(snapshot.counter("router.readmissions"), 1u);
   EXPECT_EQ(snapshot.counter("router.shards_quarantined"), 0u);
+}
+
+// Every single-query entry point (Search, a session's Ask and pin Refine,
+// SearchAsync) fails over through the same loop as the batch path: with
+// the home shard armed (error and throw), each call answers from one
+// re-routed replica, byte-identical to a fault-free run. The session
+// plan resumes on the replica, and the async stream delivers each
+// result exactly once.
+TEST_F(FaultInjectionTest, SingleQueryEntryPointsFailOver) {
+  const std::string query = MiniBankQueries()[0];
+  const size_t bad = ShardOfKey(NormalizedQueryKey(query), 4);
+  const std::string baseline = Baseline(4, /*threads=*/2)[0];
+  auto reference = MakeEngine(/*threads=*/1, /*cache_capacity=*/0);
+  for (FailpointSpec::Action action :
+       {FailpointSpec::Action::kError, FailpointSpec::Action::kThrow}) {
+    SCOPED_TRACE(action == FailpointSpec::Action::kError ? "error" : "throw");
+    // Cache off: every call must reach a shard (and the session must
+    // capture a plan on Ask).
+    SodaConfig config = FaultConfig(4, /*threads=*/2);
+    config.cache_capacity = 0;
+    auto router = MakeRouter(config);
+    FailpointSpec spec;
+    spec.action = action;
+    spec.match = std::to_string(bad);
+    Failpoints::Instance().Arm("shard.dispatch", spec);
+    auto rerouted = [&] {
+      return router->metrics_snapshot().counter("router.rerouted_queries");
+    };
+
+    uint64_t before = rerouted();
+    auto searched = router->Search(query);
+    ASSERT_TRUE(searched.ok()) << searched.status();
+    EXPECT_EQ(Fingerprint(*searched), baseline);
+    EXPECT_EQ(rerouted(), before + 1);
+
+    SodaSession session(router.get());
+    before = rerouted();
+    auto asked = session.Ask(query);
+    ASSERT_TRUE(asked.ok()) << asked.status();
+    EXPECT_EQ(Fingerprint(*asked), baseline);
+    EXPECT_EQ(rerouted(), before + 1);
+    ASSERT_FALSE(asked->results.empty());
+
+    before = rerouted();
+    auto refined =
+        session.PinTable(asked->results[0].statement.from[0].table).Refine();
+    ASSERT_TRUE(refined.ok()) << refined.status();
+    EXPECT_EQ(session.last_stages_skipped(), 4u);
+    auto cold = reference->Search(query, session.constraints());
+    ASSERT_TRUE(cold.ok()) << cold.status();
+    EXPECT_EQ(Fingerprint(*refined), Fingerprint(*cold));
+    EXPECT_EQ(rerouted(), before + 1);
+
+    before = rerouted();
+    std::mutex mu;
+    std::vector<size_t> deliveries;
+    std::vector<SodaResult> streamed;
+    SnippetBarrier barrier;
+    auto async = router->SearchAsync(
+        query,
+        [&](size_t, size_t result_index, const SodaResult& result) {
+          std::lock_guard<std::mutex> lock(mu);
+          if (result_index >= deliveries.size()) {
+            deliveries.resize(result_index + 1, 0);
+            streamed.resize(result_index + 1);
+          }
+          ++deliveries[result_index];
+          streamed[result_index] = result;
+        },
+        &barrier);
+    ASSERT_TRUE(async.ok()) << async.status();
+    barrier.Wait();
+    ASSERT_EQ(deliveries.size(), async->results.size());
+    for (size_t r = 0; r < deliveries.size(); ++r) {
+      EXPECT_EQ(deliveries[r], 1u) << "result " << r;
+      async->results[r] = streamed[r];
+    }
+    EXPECT_EQ(Fingerprint(*async), baseline);
+    EXPECT_EQ(rerouted(), before + 1);
+
+    EXPECT_GT(Failpoints::Instance().fires("shard.dispatch"), 0u);
+    Failpoints::Instance().DisarmAll();
+  }
 }
 
 // ---------------------------------------------------------------------------

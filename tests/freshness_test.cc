@@ -397,6 +397,9 @@ TEST_F(FreshnessEngineTest, IgnoredWordGainsBaseDataMatch) {
 }
 
 TEST_F(FreshnessEngineTest, ShardedSweepMatchesColdEngine) {
+  // Postings booked by the one-shard runs: a delta is applied once, to
+  // the one core every shard shares, so any shard count books the same.
+  uint64_t single_shard_postings = 0;
   for (size_t shards : {1, 4}) {
     for (size_t threads : {1, 4}) {
       // Closures off once on the smallest config; on everywhere else.
@@ -406,6 +409,11 @@ TEST_F(FreshnessEngineTest, ShardedSweepMatchesColdEngine) {
                         &bank->db, &bank->graph, CreditSuissePatternLibrary(),
                         Config(threads, shards, closures))
                         .value();
+      // One core: every shard serves from the same Soda.
+      for (size_t s = 1; s < router->num_shards(); ++s) {
+        EXPECT_EQ(&router->shard(s).soda(), &router->shard(0).soda())
+            << "shards=" << shards << " shard " << s;
+      }
       FreshnessManager freshness(&bank->db.change_log());
       freshness.Track(router.get());
 
@@ -416,6 +424,14 @@ TEST_F(FreshnessEngineTest, ShardedSweepMatchesColdEngine) {
 
       AppendZebraQuuxville(&bank->db);
       EXPECT_EQ(freshness.events_seen(), 2u);
+      const uint64_t postings =
+          freshness.metrics_snapshot().counter("freshness.delta_postings");
+      EXPECT_GT(postings, 0u);
+      if (shards == 1 && single_shard_postings == 0) {
+        single_shard_postings = postings;
+      }
+      EXPECT_EQ(postings, single_shard_postings)
+          << "shards=" << shards << " threads=" << threads;
 
       auto cold = SodaEngine::Create(&bank->db, &bank->graph,
                                      CreditSuissePatternLibrary(),
