@@ -398,8 +398,7 @@ int RunProbe(const Options& options) {
   soda::HttpClient client(options.host, options.port, 15000.0);
 
   auto health = client.Get("/healthz");
-  // First-line check: /healthz leads with the verdict and may append
-  // per-shard breaker detail lines below it.
+  // First-line check: probes key on /healthz's first line.
   bool healthy = health.ok() && health->status == 200 &&
                  health->body.compare(0, 3, "ok\n") == 0;
   if (!healthy) {

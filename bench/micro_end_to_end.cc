@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/failpoint.h"
 #include "common/trace.h"
 #include "core/engine.h"
 #include "core/freshness.h"
@@ -408,62 +407,6 @@ BENCHMARK(BM_ShardedSearchAll)
     ->Args({2, 4})
     ->Args({4, 1})
     ->Args({4, 4});
-
-// Failover cost: the same batched workload on a four-shard router with
-// one shard's dispatch permanently armed to fail (tight backoffs, so the
-// breaker cycles quarantine -> probe -> re-quarantine within the run).
-// Per-op time vs BM_ShardedSearchAll{4,t} is the price of re-routing a
-// quarter of the traffic; "router_shard_failures" and
-// "router_rerouted_queries" feed the CI counter guard for the failover
-// surface. Skips (reports 0 counters) when failpoints are compiled out.
-void BM_ShardFailover(benchmark::State& state) {
-  size_t threads = static_cast<size_t>(state.range(0));
-  soda::SodaConfig config;
-  config.execute_snippets = false;
-  config.num_shards = 4;
-  config.num_threads = threads;
-  config.cache_capacity = 0;  // cold: measure routed + rerouted work
-  config.shard_failure_threshold = 2;
-  config.shard_backoff_initial_ms = 1.0;
-  config.shard_backoff_max_ms = 10.0;
-  config.shard_retry_limit = 3;
-  config.shard_retry_backoff_ms = 0.1;
-  auto created = soda::ShardedSodaEngine::Create(
-      &env()->warehouse->db, &env()->warehouse->graph,
-      soda::CreditSuissePatternLibrary(), config);
-  if (!created.ok()) {
-    std::fprintf(stderr, "failed to build sharded engine: %s\n",
-                 created.status().ToString().c_str());
-    std::exit(1);
-  }
-  std::unique_ptr<soda::ShardedSodaEngine> router = std::move(created).value();
-  if (soda::Failpoints::compiled_in()) {
-    soda::FailpointSpec spec;
-    spec.action = soda::FailpointSpec::Action::kError;
-    spec.match = "1";  // shard 1 of 4 fails every dispatch
-    soda::Failpoints::Instance().Arm("shard.dispatch", spec);
-  }
-  std::vector<std::string> queries;
-  for (const soda::BenchmarkQuery& bench : soda::EnterpriseWorkload()) {
-    queries.push_back(bench.keywords);
-  }
-  for (auto _ : state) {
-    auto outputs = router->SearchAll(queries);
-    benchmark::DoNotOptimize(outputs);
-  }
-  soda::Failpoints::Instance().DisarmAll();
-  soda::MetricsSnapshot snapshot = router->metrics_snapshot();
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["router_shard_failures"] =
-      static_cast<double>(snapshot.counter("router.shard_failures"));
-  state.counters["router_rerouted_queries"] =
-      static_cast<double>(snapshot.counter("router.rerouted_queries"));
-  state.counters["router_quarantines"] =
-      static_cast<double>(snapshot.counter("router.quarantines"));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(queries.size()));
-}
-BENCHMARK(BM_ShardFailover)->Arg(1)->Arg(4);
 
 // ---------------------------------------------------------------------------
 // Compiled closures (PR 4): the full workload translated with the

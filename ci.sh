@@ -15,7 +15,8 @@
 #       committed .clang-format is the single source of truth). No build.
 #   FAULTS=1              fault leg: runs the failpoint sweep
 #       (fault_injection_test — armed throw/error/stall failpoints,
-#       shard quarantine + re-routing, degraded-mode serving) under BOTH
+#       shard-dispatch containment, engine/freshness/HTTP degradation to
+#       per-request errors) under BOTH
 #       TSan and ASan by re-entering this script once per sanitizer with
 #       the ctest filter narrowed to the fault suite. The full sanitizer
 #       legs also pick the suite up via their own filters; this leg is
@@ -113,8 +114,9 @@ fi
 
 # --------------------------------------------------------------------------
 # Fault leg: the failpoint sweep must be clean under both sanitizers —
-# TSan for the quarantine/re-route/abandon concurrency, ASan+LSan for
-# leaks on the abandoned-attempt and contained-exception paths. Reuses
+# TSan for the concurrent sub-batch fan-out around a failed shard and
+# the async snippet streams beside it, ASan+LSan for leaks on the
+# contained-exception paths. Reuses
 # the standard sanitizer build dirs so a box that already ran those legs
 # only pays the (filtered) test time.
 # --------------------------------------------------------------------------
@@ -378,7 +380,6 @@ if [[ "${BUILD_TYPE}" == "Release" &&
   for counter in threads interpretations hit_rate batch_queries \
                  dedup_hits snippets_streamed cache_hits stage_samples \
                  shards router_shard_queries router_shard_batches \
-                 router_shard_failures router_rerouted_queries \
                  closure_traverse_hits closure_path_lookups \
                  freshness_events freshness_keys_invalidated \
                  freshness_delta_postings \

@@ -4,9 +4,10 @@
 // stack (shard dispatch, pool task bodies, delta application, snippet
 // streaming, HTTP request handling). Tests and benches *arm* a
 // failpoint by name to make that seam throw, return an error Status,
-// or sleep past a deadline — which is how fault_injection_test proves
-// the router's quarantine/reroute machinery and the server's degraded
-// mode without ever depending on real hardware faults.
+// or stall — which is how fault_injection_test proves that a failed
+// shard dispatch stays contained to that shard's queries, and that
+// engine, freshness and HTTP faults degrade to per-request errors,
+// without ever depending on real hardware faults.
 //
 // Cost when unarmed: a single relaxed atomic load and a predictable
 // branch (the global armed count is zero, so the slow path — registry
@@ -23,16 +24,15 @@
 // Usage at a seam:
 //
 //   SODA_FAILPOINT("engine.pool_task");                  // void seam
-//   SODA_FAILPOINT_D("shard.dispatch", shard_label);     // with detail
-//   SODA_RETURN_NOT_OK(
-//       SODA_FAILPOINT_STATUS("freshness.apply_delta", {}));  // Status seam
+//   SODA_RETURN_NOT_OK(SODA_FAILPOINT_STATUS(            // Status seam,
+//       "shard.dispatch", std::to_string(shard)));       // with detail
 //
 // and in a test:
 //
 //   Failpoints::Instance().Arm("shard.dispatch",
 //                              {.action = FailpointSpec::Action::kThrow,
 //                               .match = "1"});
-//   ... drive traffic ...
+//   ... drive traffic: shard 1's queries answer Unavailable ...
 //   Failpoints::Instance().DisarmAll();
 //
 // The registry is process-global and thread-safe; DisarmAll() in test

@@ -113,12 +113,6 @@ class LruCache {
     hits_ += n;
   }
 
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    order_.clear();
-  }
-
   /// Keyed eviction: drops every entry whose key satisfies `pred` and
   /// returns how many were dropped. This is the cache-invalidation hook —
   /// when base data changes, the engine evicts exactly the answers the

@@ -69,7 +69,7 @@ class Status {
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
-  /// A transiently failed dependency (quarantined shard replica, armed
+  /// A transiently failed dependency (failed shard dispatch, armed
   /// failpoint): the request was valid, retrying later may succeed.
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));

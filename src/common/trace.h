@@ -3,9 +3,9 @@
 // Aggregate metrics (common/metrics.h) say *that* p99 moved; a trace
 // says *why one query* was slow: which shard it hashed to, whether it
 // missed the cache, how long each of the paper's five pipeline steps
-// took, whether a breaker retry re-routed it. The Figure 4 pipeline is
-// already reified as named stages, so every query has a natural span
-// tree — this header is the machinery that records it.
+// took. The Figure 4 pipeline is already reified as named stages, so
+// every query has a natural span tree — this header is the machinery
+// that records it.
 //
 // Model:
 //
@@ -67,7 +67,7 @@ struct TraceAttr {
   bool bool_value = false;
 };
 
-/// A point-in-time annotation inside a span ("reroute", "quarantine").
+/// A point-in-time annotation inside a span ("delta_failure").
 struct TraceEvent {
   std::string name;
   std::string detail;

@@ -32,10 +32,6 @@ struct SodaConfig {
   double weight_base_data = 0.70;
   double weight_dbpedia = 0.40;
 
-  /// Step 3: add bridge-table joins between entry-point tables
-  /// (Section 4.2.1, "Bridge Tables in Large Schemas").
-  bool use_bridge_tables = true;
-
   /// Step 3: keep only join conditions on a direct path between entry
   /// points (Figure 9). Disabling this is the ablation that includes every
   /// join edge attached to a collected table.
@@ -50,12 +46,6 @@ struct SodaConfig {
   /// is the escape hatch that trades the precompute time and memory for
   /// per-query BFS work. Default on.
   bool enable_closures = true;
-
-  /// Drop result candidates whose tables cannot be connected by any join
-  /// path (they would execute as cross products). The paper keeps them —
-  /// they surface as the 0-precision rows of Table 3 — so this defaults
-  /// to false.
-  bool drop_disconnected = false;
 
   /// SodaEngine: width of the worker pool that fans ranked
   /// interpretations out across Steps 3-5. 0 means "use the hardware
@@ -75,45 +65,12 @@ struct SodaConfig {
   /// its own LRU cache (cache_capacity entries); a query's cache entry
   /// lives on exactly one shard, picked by a folded hash of the
   /// normalized query string. 0 and 1 both mean a single shard. Plain
-  /// SodaEngine ignores this knob.
+  /// SodaEngine ignores this knob. The router only partitions: every
+  /// shard serves the same core in the same process, so a failed shard
+  /// dispatch fails its own queries with Unavailable and is never
+  /// retried on a sibling (which would re-run the same code over the
+  /// same data).
   size_t num_shards = 1;
-
-  // -------------------------------------------------------------------
-  // Router failure isolation (ShardedSodaEngine only). Every shard
-  // serves the same core, so a query or sub-batch that fails on its home
-  // shard can be re-dispatched to any healthy shard — a cache miss,
-  // never a wrong answer. These knobs tune the circuit breaker and the
-  // one failover loop; fault_injection_test shrinks them for fast sweeps.
-  // -------------------------------------------------------------------
-
-  /// Consecutive dispatch failures before a shard is quarantined
-  /// (closed -> quarantined in the per-shard circuit breaker).
-  size_t shard_failure_threshold = 3;
-
-  /// Quarantine backoff: first re-probe after this long, doubling per
-  /// failed probe up to the cap.
-  double shard_backoff_initial_ms = 100.0;
-  double shard_backoff_max_ms = 5000.0;
-
-  /// Dispatch attempts per query or sub-batch beyond the first (each
-  /// retry re-routes to the next healthy shard). 0 fails on the first
-  /// error.
-  size_t shard_retry_limit = 2;
-
-  /// Sleep between dispatch attempts (doubles per retry, capped at the
-  /// quarantine cap above). Keeps a flapping shard from being hammered.
-  double shard_retry_backoff_ms = 1.0;
-
-  /// Wall-clock budget for one synchronous sub-batch dispatch: an
-  /// attempt that has not completed within this deadline is abandoned
-  /// (its worker keeps running to completion, but the batch stops
-  /// waiting) and retried elsewhere. 0 disables stall detection. Only
-  /// the sync SearchAll path enforces it — an async sub-batch registers
-  /// streaming callbacks, which cannot be safely abandoned mid-flight,
-  /// and single queries run inline on the caller thread. With one shard
-  /// the dispatch also runs inline and cannot be abandoned, so the
-  /// deadline has no effect there.
-  double shard_dispatch_deadline_ms = 0.0;
 
   // -------------------------------------------------------------------
   // Request tracing (common/trace.h). When either is set, both knobs

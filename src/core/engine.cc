@@ -33,6 +33,7 @@ constexpr const char* kEngineCounterSeries[] = {
     "snippet.streamed", "snippet.callback_exception",
     "executor.index_builds",
     "index.probe_memo_hits", "index.probe_memo_misses",
+    "lookup.interpretations_capped",
     "closure.traverse_hits", "closure.traverse_misses",
     "closure.path_lookups",
     "trace.spans", "trace.sampled", "trace.dropped", "trace.slow_queries",

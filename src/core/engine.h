@@ -158,9 +158,8 @@ class SodaEngine : public SodaService {
       std::span<const std::string> queries, SnippetCallback on_snippet,
       SnippetBarrier* barrier) const override;
 
-  /// Cache observability and control.
+  /// Cache observability.
   CacheStats cache_stats() const override { return cache_.stats(); }
-  void ClearCache() const override { cache_.Clear(); }
 
   /// Keyed cache invalidation: evicts every cached answer whose
   /// normalized query key (see NormalizedQueryKey) satisfies `pred`, and

@@ -28,8 +28,8 @@ bool IsLiteral(const InputElement& element) {
 
 }  // namespace
 
-Result<LookupOutput> LookupStep::Run(const InputQuery& query,
-                                     ProbeMemo* memo) const {
+Result<LookupOutput> LookupStep::Run(const InputQuery& query, ProbeMemo* memo,
+                                     MetricsSink* metrics) const {
   LookupOutput out;
 
   // Pass 1: segment keyword runs into phrases and record terms.
@@ -175,7 +175,14 @@ Result<LookupOutput> LookupStep::Run(const InputQuery& query,
     sizes.push_back(term.candidates.size());
   }
   std::vector<size_t> cursor(out.terms.size(), 0);
-  while (out.interpretations.size() < config_->max_interpretations) {
+  for (;;) {
+    if (out.interpretations.size() == config_->max_interpretations) {
+      // The cap, not the product, ended the enumeration.
+      if (metrics != nullptr) {
+        metrics->IncrementCounter("lookup.interpretations_capped", 1);
+      }
+      break;
+    }
     Interpretation interpretation;
     interpretation.choice = cursor;
     out.interpretations.push_back(std::move(interpretation));

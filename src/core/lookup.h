@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/classification.h"
 #include "core/config.h"
 #include "core/entry_point.h"
@@ -67,8 +68,11 @@ class LookupStep {
   /// When `memo` is non-null every classification probe (segmentation,
   /// entry-point lookup, complexity counting) goes through it, so each
   /// distinct phrase is tokenized and scanned at most once per query.
-  Result<LookupOutput> Run(const InputQuery& query,
-                           ProbeMemo* memo = nullptr) const;
+  /// When the product of candidate choices exceeds max_interpretations,
+  /// only the first max_interpretations are enumerated and, when
+  /// `metrics` is set, lookup.interpretations_capped is booked once.
+  Result<LookupOutput> Run(const InputQuery& query, ProbeMemo* memo = nullptr,
+                           MetricsSink* metrics = nullptr) const;
 
   /// The classification index probes run against (memo construction).
   const ClassificationIndex* index() const { return index_; }

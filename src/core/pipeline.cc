@@ -216,7 +216,8 @@ Status LookupStage::Run(QueryContext* ctx) const {
   SODA_ASSIGN_OR_RETURN(ctx->parsed, ParseInputQuery(ctx->raw_query));
   ctx->probe_memo = std::make_unique<ProbeMemo>(step_->index());
   SODA_ASSIGN_OR_RETURN(ctx->lookup,
-                        step_->Run(ctx->parsed, ctx->probe_memo.get()));
+                        step_->Run(ctx->parsed, ctx->probe_memo.get(),
+                                   ctx->metrics));
   if (ctx->metrics != nullptr) {
     ctx->metrics->IncrementCounter("index.probe_memo_hits",
                                    ctx->probe_memo->hits());
@@ -406,10 +407,6 @@ Status SqlStage::RunOne(const QueryContext& ctx,
     }
   }
   state->fully_connected = state->tables->fully_connected;
-  if (ctx.config->drop_disconnected && !state->fully_connected) {
-    state->dropped = true;
-    return Status::OK();
-  }
   // Complete the provenance record with what was actually emitted (the
   // FROM list and joins reflect the pruning above).
   state->explanation.tables.clear();

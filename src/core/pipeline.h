@@ -414,8 +414,8 @@ class FiltersStage : public PipelineStage {
   const FiltersStep* step_;
 };
 
-/// Step 5 - SQL: prunes unconstrained inheritance siblings, generates the
-/// statement, and applies the drop_disconnected policy.
+/// Step 5 - SQL: prunes unconstrained inheritance siblings and generates
+/// the statement.
 class SqlStage : public PipelineStage {
  public:
   SqlStage(const TablesStep* tables_step, const SqlGenerator* generator)

@@ -129,34 +129,6 @@ struct TranslationPlan {
   }
 };
 
-/// One shard's position in the router's circuit breaker, as reported by
-/// SodaService::health(). States: "closed" (healthy, serving),
-/// "quarantined" (recent failures; traffic re-routes to other shards
-/// until the backoff elapses), "probing" (backoff elapsed; the next
-/// dispatch is a trial — success re-admits, failure re-quarantines with
-/// doubled backoff).
-struct ShardHealthInfo {
-  size_t shard = 0;
-  std::string state;  // "closed" | "quarantined" | "probing"
-  size_t consecutive_failures = 0;
-  uint64_t total_failures = 0;
-  /// Current quarantine backoff (0 when closed).
-  double backoff_ms = 0.0;
-  /// Time until the next probe is admitted (0 when closed/probing or
-  /// already due).
-  double retry_in_ms = 0.0;
-};
-
-/// Service-level health: what /healthz serves. `degraded` means the
-/// service still answers, but part of the fleet is quarantined (or
-/// probing), so some traffic is re-routed and latency/cache locality
-/// suffer. A single-engine service is always healthy here — it has no
-/// failure domains to isolate.
-struct ServiceHealth {
-  bool degraded = false;
-  std::vector<ShardHealthInfo> shards;
-};
-
 /// The result-cache key of a constrained search: the normalized query
 /// alone when the constraints are empty (bit-compatible with every
 /// pre-session cache key), else the normalized query + 0x1F (ASCII unit
@@ -222,9 +194,15 @@ class SodaService {
       const std::string& query, const SessionConstraints& constraints,
       std::shared_ptr<TranslationPlan>* plan) const = 0;
 
-  /// Cache observability and control (fleet-level sums on the router).
+  /// Cache observability (fleet-level sums on the router).
   virtual CacheStats cache_stats() const = 0;
-  virtual void ClearCache() const = 0;
+
+  /// Drops every cached answer. One InvalidateWhere that matches every
+  /// key, so a clear books cache.invalidated and the freshness manager
+  /// forgets the cleared keys' dependency records.
+  void ClearCache() const {
+    InvalidateWhere([](const std::string&) { return true; });
+  }
 
   /// Keyed cache invalidation: evicts every cached answer whose key
   /// satisfies `pred`, returns how many. Keys are normalized queries,
@@ -250,12 +228,6 @@ class SodaService {
 
   /// Snapshot of the built-in in-memory sink(s).
   virtual MetricsSnapshot metrics_snapshot() const = 0;
-
-  /// Failure-domain health. The router reports its per-shard circuit
-  /// breaker here; a plain engine has no failure domains and stays at
-  /// the healthy default. The HTTP front end renders this as /healthz's
-  /// ok|degraded verdict.
-  virtual ServiceHealth health() const { return ServiceHealth{}; }
 
   /// Effective per-pool parallelism.
   virtual size_t num_threads() const = 0;

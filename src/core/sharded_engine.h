@@ -7,9 +7,8 @@
 // and classification indexes, pattern matcher, join graph, closure —
 // built once, as the paper reports index construction apart from query
 // processing) and fronts N SodaEngine shards over it. A shard owns only
-// what serving needs per shard: its worker pool, LRU result cache,
-// metrics sink and circuit breaker. All of it sits behind one
-// engine-shaped surface:
+// what serving needs per shard: its worker pool, LRU result cache and
+// metrics sink. All of it sits behind one engine-shaped surface:
 //
 //   1. routing — every query is assigned to exactly one shard by a
 //      folded 64-bit FNV-1a hash of its whitespace-normalized string
@@ -27,25 +26,21 @@
 //      order. Each shard still applies its own in-batch dedup and cache,
 //      so the ranked output is byte-identical to a single engine at any
 //      shard count × thread count;
-//   3. failure domains — every shard is wrapped in a small circuit
-//      breaker (closed → quarantined → probing). A query or sub-batch
-//      whose dispatch fails (throws, errors through the "shard.dispatch"
-//      failpoint, or — sub-batches only — outlives the dispatch
-//      deadline) is retried with exponential backoff on the next healthy
-//      shard by the router's one failover loop. Every shard serves the
-//      same core, so the re-route is correct — a cache miss, never a
-//      wrong answer. A shard that fails shard_failure_threshold times in
-//      a row is quarantined: traffic avoids it until its backoff
-//      elapses, then one probe dispatch decides between re-admission and
-//      a doubled backoff. health() reports the breaker per shard;
-//      router.{shard_failures,retries,quarantines,readmissions,
-//      rerouted_queries} count the machinery;
+//   3. failure containment — every shard dispatch runs behind the
+//      "shard.dispatch" failpoint and an exception barrier. A sub-batch
+//      whose dispatch fails (throws, or errors through the failpoint)
+//      fails only its own queries, each with Unavailable; a routed
+//      single query returns Unavailable. Nothing is retried: every shard
+//      serves the same core in the same process, so a sibling would
+//      re-run the same code over the same data. Faults inside the
+//      engine (pool tasks, snippets) are already contained per query by
+//      the engine itself;
 //   4. aggregated observability — metrics_snapshot() merges every
 //      shard's sink plus the router's own samples
 //      (router.shard_batch_size, router.shard_queries, router.batches)
 //      into one fleet view; cache_stats() sums the per-shard books;
-//   5. invalidation fan-out — ClearCache() and InvalidateWhere(pred)
-//      forward to every shard, so base-data update notifications keep
+//   5. invalidation fan-out — InvalidateWhere(pred) (and so ClearCache())
+//      forwards to every shard, so base-data update notifications keep
 //      working when the cache is spread over N shards. A base-data delta
 //      is applied once, to the shared core.
 //
@@ -55,13 +50,9 @@
 #ifndef SODA_CORE_SHARDED_ENGINE_H_
 #define SODA_CORE_SHARDED_ENGINE_H_
 
-#include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -100,8 +91,8 @@ class ShardedSodaEngine : public SodaService {
   /// Routes the query to its shard and delegates. Same contract as
   /// SodaEngine::Search; repeats of one query always land on the same
   /// shard (constraints excluded from the routing key), so its cache
-  /// behaves exactly like a single engine's. When the home shard is
-  /// quarantined the query fails over to a healthy shard.
+  /// behaves exactly like a single engine's. A failed dispatch returns
+  /// Unavailable.
   Result<SearchOutput> Search(
       const std::string& query,
       const SessionConstraints& constraints) const override;
@@ -118,10 +109,8 @@ class ShardedSodaEngine : public SodaService {
   /// outputs back into input order. Byte-identical ranked results to a
   /// single engine; in-batch dedup still applies (identical normalized
   /// queries route identically, so they meet in one sub-batch). A
-  /// sub-batch whose shard fails or stalls past the configured deadline
-  /// is re-dispatched to a healthy shard; only when every attempt is
-  /// exhausted do its queries come back as per-query Unavailable errors
-  /// — the rest of the batch is unaffected.
+  /// sub-batch whose dispatch fails comes back as per-query Unavailable
+  /// errors; the rest of the batch is unaffected.
   std::vector<Result<SearchOutput>> SearchAll(
       std::span<const std::string> queries) const override;
 
@@ -129,15 +118,13 @@ class ShardedSodaEngine : public SodaService {
   /// query_index remapped to the caller's batch position. All shards'
   /// translations complete before this returns (so `barrier` has its
   /// full expectation registered); snippets stream afterwards from every
-  /// shard's pool concurrently. Failover applies to dispatch failures
-  /// that happen before a shard registered its snippet callbacks; the
-  /// stall deadline is sync-only (an async sub-batch cannot be abandoned
-  /// once its callbacks are expected on the barrier).
+  /// shard's pool concurrently. A failed sub-batch registers no
+  /// callbacks and its queries come back Unavailable.
   std::vector<Result<SearchOutput>> SearchAllAsync(
       std::span<const std::string> queries, SnippetCallback on_snippet,
       SnippetBarrier* barrier) const override;
 
-  /// Single-query async, routed to its shard (with failover).
+  /// Single-query async, routed to its shard.
   Result<SearchOutput> SearchAsync(const std::string& query,
                                    SnippetCallback on_snippet,
                                    SnippetBarrier* barrier) const override;
@@ -145,9 +132,6 @@ class ShardedSodaEngine : public SodaService {
   /// Sum of every shard's cache books (hits/misses/dedup/invalidations;
   /// capacity and size sum too — they describe the fleet).
   CacheStats cache_stats() const override;
-
-  /// Fans out to every shard.
-  void ClearCache() const override;
 
   /// Keyed invalidation fan-out: forwards `pred` (over normalized query
   /// keys) to every shard and returns the total number of evicted
@@ -179,16 +163,10 @@ class ShardedSodaEngine : public SodaService {
 
   /// Fleet view: every shard's snapshot merged (counters add, histograms
   /// merge on the shared bucket grid) plus the router's own router.*
-  /// series — including router.shards_quarantined, the point-in-time
-  /// count of shards currently outside the closed state (how quarantine
-  /// state reaches /metrics). Shards whose built-in sink was replaced
-  /// via set_metrics_sink stop contributing new samples here — snapshot
-  /// the custom sink instead.
+  /// series. Shards whose built-in sink was replaced via
+  /// set_metrics_sink stop contributing new samples here — snapshot the
+  /// custom sink instead.
   MetricsSnapshot metrics_snapshot() const override;
-
-  /// Per-shard circuit-breaker state; degraded when any shard is not
-  /// closed. The HTTP front end's /healthz renders this.
-  ServiceHealth health() const override;
 
   size_t num_shards() const { return shards_.size(); }
 
@@ -207,113 +185,32 @@ class ShardedSodaEngine : public SodaService {
   const SodaEngine& shard(size_t i) const { return *shards_[i]; }
 
  private:
-  enum class BreakerState { kClosed, kQuarantined, kProbing };
-
-  struct ShardBreaker {
-    BreakerState state = BreakerState::kClosed;
-    size_t consecutive_failures = 0;
-    uint64_t total_failures = 0;
-    double backoff_ms = 0.0;
-    std::chrono::steady_clock::time_point retry_at{};
-  };
-
-  /// Failure-isolation knobs, copied out of SodaConfig at construction.
-  struct FailoverPolicy {
-    size_t failure_threshold = 3;
-    double backoff_initial_ms = 100.0;
-    double backoff_max_ms = 5000.0;
-    size_t retry_limit = 2;
-    double retry_backoff_ms = 1.0;
-    double dispatch_deadline_ms = 0.0;
-  };
-
-  struct SubBatchAttempt;  // defined in the .cc
-
-  /// One dispatch attempt's verdict, as the failover loop sees it.
-  struct AttemptOutcome {
-    Status failure;  // OK: the attempt succeeded
-    // false: the attempt never ran (dispatch-queue congestion) — not the
-    // shard's fault, so its breaker is not charged.
-    bool charged = true;
-    const char* event = "shard_failure";  // span event for a charged failure
-  };
-
-  /// Runs one attempt on a shard and reports how it went.
-  using Dispatch = std::function<AttemptOutcome(size_t target)>;
-
-  /// The router's one failover loop, shared by single queries and
-  /// sub-batches. Opens a `span_name` span on the caller's trace (every
-  /// attempt runs under it) and runs `dispatch` on `target`, then, while
-  /// attempts fail and the retry budget lasts, backs off exponentially
-  /// and re-admits the next shard through AcquireTarget. It books
-  /// router.retries, router.rerouted_queries (`weight` per re-routed
-  /// attempt) and the breaker outcome of every attempt, and records the
-  /// retry, reroute, no_replica, failure and quarantine span events.
-  /// `target` is the first attempt's shard, already admitted by
-  /// AcquireTarget(home) (kNoShard: none was) — the batch path admits and
-  /// launches every home's first attempt before it joins any. Returns OK
-  /// once an attempt succeeds, else the last failure.
-  Status RunWithFailover(const char* span_name, size_t home, size_t weight,
-                         size_t target, const Dispatch& dispatch) const;
-
-  /// Search / SearchSession / SearchAsync: routes `query` to its home
-  /// shard and runs `call` inline on the caller thread under the failover
-  /// loop. A per-query error Result from `call` is a query outcome
-  /// (breaker success); an exception or armed failpoint is a shard
-  /// failure that retries on the next shard.
+  /// Search / SearchSession / SearchAsync: runs `call` on the query's
+  /// home shard inline on the caller thread, under a router.route span,
+  /// with the dispatch contained.
   Result<SearchOutput> RouteQuery(
       const std::string& query,
       const std::function<Result<SearchOutput>(const SodaEngine&)>& call)
       const;
 
-  /// Shared split/route/merge core of SearchAll and SearchAllAsync: every
-  /// home shard's sub-batch is launched, then joined under the failover
-  /// loop. Only the sync path applies the stall deadline. `queries` of a
-  /// sub-batch are owned by shared_ptr, so an abandoned stalled attempt
-  /// never reads a dead frame; after the retry budget every query of the
-  /// sub-batch carries an Unavailable status.
+  /// Shared split/route/merge core of SearchAll and SearchAllAsync: the
+  /// occupied shards' sub-batches run through dispatch_pool_.ParallelFor
+  /// (the caller runs one of them itself, so a one-shard batch runs
+  /// inline), each under its own router.dispatch span, and their outputs
+  /// merge back into input order.
   std::vector<Result<SearchOutput>> DispatchBatch(
       std::span<const std::string> queries, bool async,
-      SnippetCallback on_snippet, SnippetBarrier* barrier) const;
+      const SnippetCallback& on_snippet, SnippetBarrier* barrier) const;
 
-  /// Submits one sub-batch dispatch attempt on `target` to the dispatch
-  /// pool and returns its completion handle.
-  std::shared_ptr<SubBatchAttempt> LaunchAttempt(
-      size_t target, std::shared_ptr<const std::vector<std::string>> queries,
-      bool async, SnippetCallback on_snippet, SnippetBarrier* barrier) const;
-
-  /// Breaker admission: first shard at or after `start` (mod N) the
-  /// breaker lets through (a quarantined shard whose backoff elapsed is
-  /// admitted as the probe). When every shard is quarantined and none
-  /// is due, returns the kNoShard sentinel — callers fail fast with
-  /// Unavailable rather than force traffic onto a known-bad shard.
-  size_t AcquireTarget(size_t start) const;
-
-  void ReportShardSuccess(size_t shard) const;
-
-  /// Charges one failure to the shard's breaker. Returns true when this
-  /// failure tripped (or, for a failed probe, re-tripped) quarantine —
-  /// callers record that decision as a trace span event.
-  bool ReportShardFailure(size_t shard) const;
-
-  /// `num_shards` engines over the one shared `core`. The failure
-  /// isolation policy (thresholds, backoffs, deadline) is read from the
-  /// core's config.
+  /// `num_shards` engines over the one shared `core`.
   ShardedSodaEngine(std::shared_ptr<Soda> core, size_t num_shards);
 
   std::vector<std::unique_ptr<SodaEngine>> shards_;
   std::shared_ptr<InMemoryMetricsSink> router_sink_;
-  FailoverPolicy policy_;
 
-  mutable std::mutex breaker_mu_;
-  mutable std::vector<ShardBreaker> breakers_;
-
-  // Runs per-shard sub-batch dispatches (Submit per attempt; the waiting
-  // batch thread can abandon a stalled attempt instead of blocking
-  // forever). Persistent: no per-batch thread create/join on the serving
-  // hot path, and no std::terminate if thread creation fails mid-batch.
-  // Declared last so in-flight dispatches drain before the members they
-  // touch are destroyed.
+  // Helpers for DispatchBatch's ParallelFor. Persistent: no per-batch
+  // thread create/join on the serving hot path. Declared last so it
+  // drains before the members its tasks touch are destroyed.
   mutable ThreadPool dispatch_pool_;
 };
 

@@ -367,29 +367,27 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
   }
 
   // ---- Part 3: bridge tables between entry points ------------------------
-  if (config_->use_bridge_tables) {
-    std::vector<std::string> entry_tables;
-    for (const auto& group : out.tables_per_entry) {
-      for (const auto& table : group) PushUnique(&entry_tables, table);
+  std::vector<std::string> entry_tables;
+  for (const auto& group : out.tables_per_entry) {
+    for (const auto& table : group) PushUnique(&entry_tables, table);
+  }
+  auto in_entry = [&](const std::string& table) {
+    for (const auto& t : entry_tables) {
+      if (EqualsFolded(t, table)) return true;
     }
-    auto in_entry = [&](const std::string& table) {
-      for (const auto& t : entry_tables) {
-        if (EqualsFolded(t, table)) return true;
-      }
-      return false;
-    };
-    for (const BridgeInfo& bridge : join_graph_->bridges()) {
-      if (bridge.left.ignored || bridge.right.ignored) continue;
-      // "If we find a bridge table between two of our entry points, we
-      // use it to add additional join conditions." This also fires for
-      // bridges between inheritance siblings that are both entry tables —
-      // the war story behind the low precision of paper queries Q5.0/Q9.0.
-      if (in_entry(bridge.left.to.table) && in_entry(bridge.right.to.table) &&
-          !EqualsFolded(bridge.left.to.table, bridge.right.to.table)) {
-        PushUnique(&out.tables, bridge.bridge_table);
-        PushUniqueJoin(&out.joins, bridge.left);
-        PushUniqueJoin(&out.joins, bridge.right);
-      }
+    return false;
+  };
+  for (const BridgeInfo& bridge : join_graph_->bridges()) {
+    if (bridge.left.ignored || bridge.right.ignored) continue;
+    // "If we find a bridge table between two of our entry points, we
+    // use it to add additional join conditions." This also fires for
+    // bridges between inheritance siblings that are both entry tables —
+    // the war story behind the low precision of paper queries Q5.0/Q9.0.
+    if (in_entry(bridge.left.to.table) && in_entry(bridge.right.to.table) &&
+        !EqualsFolded(bridge.left.to.table, bridge.right.to.table)) {
+      PushUnique(&out.tables, bridge.bridge_table);
+      PushUniqueJoin(&out.joins, bridge.left);
+      PushUniqueJoin(&out.joins, bridge.right);
     }
   }
 

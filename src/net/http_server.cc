@@ -540,27 +540,12 @@ bool SodaHttpServer::HandleStreamingSearch(const HttpRequest& request, int fd,
 }
 
 HttpResponse SodaHttpServer::HandleHealthz() const {
-  // First line is the verdict — "ok" or "degraded" — followed by one
-  // detail line per failure domain (empty for a single-engine service,
-  // so the classic bare "ok\n" body is preserved). Probes key on the
-  // first line only. Degraded still answers 200: the service is serving,
-  // just re-routing around quarantined shards.
-  ServiceHealth health = service_->health();
+  // Liveness: a process that can answer this is serving. Probes key on
+  // the first line.
   HttpResponse response;
   response.status = 200;
   response.SetHeader("Content-Type", "text/plain; charset=utf-8");
-  response.body = health.degraded ? "degraded\n" : "ok\n";
-  for (const ShardHealthInfo& shard : health.shards) {
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "shard %zu: %s failures=%zu total_failures=%llu "
-                  "backoff_ms=%.0f retry_in_ms=%.0f\n",
-                  shard.shard, shard.state.c_str(),
-                  shard.consecutive_failures,
-                  static_cast<unsigned long long>(shard.total_failures),
-                  shard.backoff_ms, shard.retry_in_ms);
-    response.body += line;
-  }
+  response.body = "ok\n";
   return response;
 }
 
@@ -601,7 +586,7 @@ HttpResponse SodaHttpServer::HandleDebugTraces(
 HttpResponse SodaHttpServer::HandleDebugVars() const {
   // One JSON object with everything an operator at a misbehaving box
   // wants before reaching for a debugger: the knobs the server actually
-  // runs with, the live service/cache/shard state, the trace recorder's
+  // runs with, the live service/cache state, the trace recorder's
   // totals plus its slow-query log, and enough build info to tell which
   // binary answered.
   std::string body = "{\"server\":{\"bind_address\":";
@@ -629,25 +614,6 @@ HttpResponse SodaHttpServer::HandleDebugVars() const {
           ",\"invalidations\":" + std::to_string(cache.invalidations) +
           ",\"size\":" + std::to_string(cache.size) +
           ",\"capacity\":" + std::to_string(cache.capacity) + "}";
-  ServiceHealth health = service_->health();
-  body += ",\"health\":{\"degraded\":";
-  body += health.degraded ? "true" : "false";
-  body += ",\"shards\":[";
-  for (size_t i = 0; i < health.shards.size(); ++i) {
-    const ShardHealthInfo& shard = health.shards[i];
-    if (i > 0) body += ",";
-    body += "{\"shard\":" + std::to_string(shard.shard) + ",\"state\":";
-    AppendJsonQuoted(&body, shard.state);
-    body += ",\"consecutive_failures\":" +
-            std::to_string(shard.consecutive_failures);
-    body += ",\"total_failures\":" + std::to_string(shard.total_failures);
-    body += ",\"backoff_ms\":";
-    AppendJsonNumber(&body, shard.backoff_ms);
-    body += ",\"retry_in_ms\":";
-    AppendJsonNumber(&body, shard.retry_in_ms);
-    body += "}";
-  }
-  body += "]}";
 
   TraceRecorder& recorder = TraceRecorder::Instance();
   body += "},\"trace\":{\"enabled\":";

@@ -23,13 +23,8 @@
 //                           own counters merged with the service fleet
 //                           snapshot (and an optional extra snapshot,
 //                           e.g. a FreshnessManager's).
-//   GET  /healthz           200, first line "ok" (all failure domains
-//                           closed) or "degraded" (some shard replica
-//                           quarantined/probing — the service still
-//                           answers, re-routing around it), followed by
-//                           one detail line per shard breaker. A
-//                           single-engine service keeps the classic bare
-//                           "ok\n" body. Never shed, usable as a
+//   GET  /healthz           200 with the bare body "ok\n" (probes key on
+//                           the first line). Never shed, usable as a
 //                           liveness probe under overload.
 //
 // Robustness layer:
@@ -196,7 +191,7 @@ class SodaHttpServer {
   /// ones only, ?chrome=1 emits Chrome trace_event format instead).
   HttpResponse HandleDebugTraces(const HttpRequest& request) const;
 
-  /// GET /debug/vars — config knobs, service/cache/shard state, trace
+  /// GET /debug/vars — config knobs, service and cache state, trace
   /// recorder totals and the slow-query log as one JSON object.
   HttpResponse HandleDebugVars() const;
 

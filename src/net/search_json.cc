@@ -51,9 +51,8 @@ void AppendOutputJson(std::string* out, const std::string& query,
   if (!output.ok()) {
     // Partial-batch serving: the failed query carries a structured error
     // object; its siblings in the same response are untouched. "code" is
-    // the machine key — "unavailable" marks a transient fault (shard
-    // quarantined, every replica exhausted) worth retrying, unlike e.g.
-    // "invalid_argument".
+    // the machine key — "unavailable" marks a transient fault (a failed
+    // shard dispatch) worth retrying, unlike e.g. "invalid_argument".
     out->append(",\"ok\":false,\"error\":");
     AppendJsonQuoted(out, output.status().ToString());
     out->append(",\"code\":");

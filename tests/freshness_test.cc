@@ -549,6 +549,42 @@ TEST_F(FreshnessEngineTest, CapacityEvictionForgetsDependencies) {
   EXPECT_EQ(freshness.tracked_keys(), 2u);
 }
 
+// ClearCache is InvalidateWhere over every key, so the freshness
+// manager forgets each cleared key's dependency records instead of
+// keeping them for answers that are gone — on a plain engine and on a
+// router alike. The clear books cache.invalidated.
+TEST_F(FreshnessEngineTest, ClearCacheForgetsDependencies) {
+  auto bank = BuildMiniBank().value();
+  auto engine = SodaEngine::Create(&bank->db, &bank->graph,
+                                   CreditSuissePatternLibrary(),
+                                   Config(/*threads=*/2, /*shards=*/1))
+                    .value();
+  auto router = ShardedSodaEngine::Create(&bank->db, &bank->graph,
+                                          CreditSuissePatternLibrary(),
+                                          Config(/*threads=*/2, /*shards=*/4))
+                    .value();
+  for (SodaService* service : {static_cast<SodaService*>(engine.get()),
+                               static_cast<SodaService*>(router.get())}) {
+    SCOPED_TRACE(service == engine.get() ? "engine" : "router");
+    FreshnessManager freshness(&bank->db.change_log());
+    freshness.Track(service);
+    for (const auto& output : service->SearchAll(Dashboard())) {
+      ASSERT_TRUE(output.ok()) << output.status();
+    }
+    const size_t cached = service->cache_stats().size;
+    ASSERT_GT(cached, 0u);
+    EXPECT_EQ(freshness.tracked_keys(), cached);
+    const uint64_t invalidated_before =
+        service->metrics_snapshot().counter("cache.invalidated");
+
+    service->ClearCache();
+    EXPECT_EQ(service->cache_stats().size, 0u);
+    EXPECT_EQ(freshness.tracked_keys(), 0u);
+    EXPECT_EQ(service->metrics_snapshot().counter("cache.invalidated"),
+              invalidated_before + cached);
+  }
+}
+
 TEST_F(FreshnessEngineTest, DestroyedManagerDetachesFromEngines) {
   auto bank = BuildMiniBank().value();
   auto engine = SodaEngine::Create(&bank->db, &bank->graph,

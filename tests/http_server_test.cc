@@ -139,7 +139,6 @@ class ForwardingService : public SodaService {
     return wrapped_->SearchSession(query, constraints, plan);
   }
   CacheStats cache_stats() const override { return wrapped_->cache_stats(); }
-  void ClearCache() const override { wrapped_->ClearCache(); }
   size_t InvalidateWhere(
       const std::function<bool(const std::string&)>& pred) const override {
     return wrapped_->InvalidateWhere(pred);
@@ -354,11 +353,7 @@ TEST_F(HttpServerTest, HealthzAndMetricsAreNeverShed) {
   auto health = client.Get("/healthz");
   ASSERT_TRUE(health.ok()) << health.status();
   EXPECT_EQ(health->status, 200);
-  // Verdict first line, then per-shard breaker detail (this service is a
-  // one-shard router; a plain engine answers a bare "ok\n").
-  EXPECT_EQ(health->body.compare(0, 3, "ok\n"), 0) << health->body;
-  EXPECT_NE(health->body.find("shard 0: closed"), std::string::npos)
-      << health->body;
+  EXPECT_EQ(health->body, "ok\n");
 
   auto metrics = client.Get("/metrics");
   ASSERT_TRUE(metrics.ok()) << metrics.status();
@@ -696,9 +691,6 @@ TEST_F(HttpServerTest, DebugVarsReportsConfigAndTraceState) {
       << vars->body;
   EXPECT_NE(vars->body.find("\"enabled\":true"), std::string::npos);
   EXPECT_NE(vars->body.find("\"sample_every\":1"), std::string::npos);
-  // Two shard breakers, both closed.
-  EXPECT_NE(vars->body.find("\"shards\":[{"), std::string::npos);
-  EXPECT_NE(vars->body.find("\"state\":\"closed\""), std::string::npos);
 }
 
 }  // namespace

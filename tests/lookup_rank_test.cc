@@ -5,7 +5,9 @@
 
 #include <memory>
 
+#include "common/metrics.h"
 #include "core/classification.h"
+#include "core/engine.h"
 #include "core/lookup.h"
 #include "core/soda.h"
 #include "datasets/minibank.h"
@@ -179,6 +181,49 @@ TEST_F(LookupRankTest, TopNCapsInterpretations) {
   config.top_n = 1;
   auto ranked = RankAndTopN(out, config);
   EXPECT_EQ(ranked.size(), 1u);
+}
+
+// The max_interpretations bound: a product larger than the cap stops at
+// exactly the cap and books lookup.interpretations_capped once; a product
+// under the cap books nothing. Complexity still reports the full product.
+TEST_F(LookupRankTest, InterpretationCapStopsTheProductAndIsCounted) {
+  const std::string capped_query = "private customers family name";
+  SodaConfig config;
+  config.max_interpretations = 2;
+  LookupStep step(&soda_->classification(), &config);
+
+  InMemoryMetricsSink sink;
+  auto capped = step.Run(*ParseInputQuery(capped_query), nullptr, &sink);
+  ASSERT_TRUE(capped.ok()) << capped.status();
+  ASSERT_GT(capped->complexity, 2u);
+  EXPECT_EQ(capped->interpretations.size(), 2u);
+  EXPECT_EQ(sink.Snapshot().counter("lookup.interpretations_capped"), 1u);
+
+  InMemoryMetricsSink uncapped_sink;
+  auto uncapped =
+      step.Run(*ParseInputQuery("customers"), nullptr, &uncapped_sink);
+  ASSERT_TRUE(uncapped.ok()) << uncapped.status();
+  EXPECT_EQ(uncapped->interpretations.size(), 1u);
+  EXPECT_EQ(uncapped_sink.Snapshot().counter("lookup.interpretations_capped"),
+            0u);
+
+  // Through the engine: pre-registered at zero, booked by the lookup
+  // stage of a capped query.
+  config.num_threads = 1;
+  auto engine = SodaEngine::Create(&bank_->db, &bank_->graph,
+                                   CreditSuissePatternLibrary(), config);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  MetricsSnapshot before = (*engine)->metrics_snapshot();
+  ASSERT_EQ(before.counters.count("lookup.interpretations_capped"), 1u);
+  EXPECT_EQ(before.counter("lookup.interpretations_capped"), 0u);
+  ASSERT_TRUE((*engine)->Search("customers").ok());
+  EXPECT_EQ((*engine)->metrics_snapshot().counter(
+                "lookup.interpretations_capped"),
+            0u);
+  ASSERT_TRUE((*engine)->Search(capped_query).ok());
+  EXPECT_EQ((*engine)->metrics_snapshot().counter(
+                "lookup.interpretations_capped"),
+            1u);
 }
 
 // ---------------------------------------------------------------------------
