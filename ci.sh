@@ -47,7 +47,8 @@
 # to ${BUILD_DIR}/BENCH_http_load.json (a CI artifact) and failing on any
 # dropped request, shed-accounting mismatch or missing counter. Finally
 # it smoke-runs perfbench (analyst_cold and session_steer, 2 s each) and
-# fails unless both exit 0 with "correct":true on their last line.
+# fails unless both exit 0 with "correct":true on their last line and a
+# setup_s of at most 0.25 s.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -446,8 +447,19 @@ if [[ "${BUILD_TYPE}" == "Release" ]]; then
       tail -n 1 "${PERF_OUT}" >&2
       exit 1
     fi
+    # Setup ceiling: building the shared core takes ~25 ms, so 0.25 s
+    # leaves room for box noise but fails if pattern matching at setup
+    # blows up again (walking triples in library order costs ~0.6 s).
+    setup_s=$(tail -n 1 "${PERF_OUT}" | python3 -c \
+        'import json, sys; print(json.load(sys.stdin)["metrics"]["setup_s"]["value"])')
+    if ! awk -v s="${setup_s}" 'BEGIN { exit !(s + 0 <= 0.25) }'; then
+      echo "perfbench ${workload}: setup_s ${setup_s} s exceeds the" \
+           "0.25 s ceiling" >&2
+      exit 1
+    fi
   done
-  echo "perfbench smoke OK: analyst_cold + session_steer correct"
+  echo "perfbench smoke OK: analyst_cold + session_steer correct," \
+       "setup_s under 0.25 s"
 fi
 
 # The Release leg always proves the serving front end end-to-end;

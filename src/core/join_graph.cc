@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_set>
 #include <utility>
 
 #include "common/strings.h"
@@ -11,14 +12,26 @@ namespace soda {
 
 const std::vector<JoinEdge> JoinGraph::kEmpty;
 
-void JoinGraph::AddEdge(JoinEdge edge) {
+namespace {
+
+std::string RefKey(const PhysicalColumnRef& ref) {
+  return ref.table + '\0' + ref.column;
+}
+
+// Both orientations of a join condition get the same key.
+std::string UnorderedKey(const JoinEdge& edge) {
+  std::string a = RefKey(edge.from);
+  std::string b = RefKey(edge.to);
+  if (b < a) std::swap(a, b);
+  return a + '\1' + b;
+}
+
+}  // namespace
+
+void JoinGraph::AddEdge(JoinEdge edge,
+                        std::unordered_set<std::string>* seen) {
   // Deduplicate (both orientations describe the same condition).
-  for (const JoinEdge& existing : edges_) {
-    if ((existing.from == edge.from && existing.to == edge.to) ||
-        (existing.from == edge.to && existing.to == edge.from)) {
-      return;
-    }
-  }
+  if (!seen->insert(UnorderedKey(edge)).second) return;
   EdgeId id = static_cast<EdgeId>(edges_.size());
   TableId from_id = catalog_.Intern(edge.from.table);
   TableId to_id = catalog_.Intern(edge.to.table);
@@ -40,6 +53,8 @@ void JoinGraph::AddEdge(JoinEdge edge) {
 Status JoinGraph::Build(const PatternMatcher& matcher,
                         bool precompute_paths) {
   const MetadataGraph& graph = *matcher.graph();
+  std::unordered_set<std::string> seen_edges;
+  std::unordered_set<std::string> seen_bridges;
 
   // Direct foreign_key edges: pattern "foreign_key" binds x (fk column)
   // and y (pk column).
@@ -54,7 +69,7 @@ Status JoinGraph::Build(const PatternMatcher& matcher,
     auto annotation = graph.FirstText(m.node("x"), vocab::kAnnotation);
     edge.ignored = annotation.has_value() &&
                    *annotation == vocab::kIgnoreRelationship;
-    AddEdge(std::move(edge));
+    AddEdge(std::move(edge), &seen_edges);
   }
 
   // Explicit join-relationship nodes: x join node, f fk column, p pk col.
@@ -69,7 +84,7 @@ Status JoinGraph::Build(const PatternMatcher& matcher,
     auto annotation = graph.FirstText(m.node("x"), vocab::kAnnotation);
     edge.ignored = annotation.has_value() &&
                    *annotation == vocab::kIgnoreRelationship;
-    AddEdge(std::move(edge));
+    AddEdge(std::move(edge), &seen_edges);
   }
 
   // Bridge tables, in both foreign-key representations.
@@ -92,15 +107,13 @@ Status JoinGraph::Build(const PatternMatcher& matcher,
       info.bridge_table = *bridge_name;
       info.left = JoinEdge{*from1, *to1, false};
       info.right = JoinEdge{*from2, *to2, false};
-      bool duplicate = false;
-      for (const BridgeInfo& existing : bridges_) {
-        if (existing.bridge_table == info.bridge_table &&
-            existing.left == info.left && existing.right == info.right) {
-          duplicate = true;
-          break;
-        }
+      std::string key = info.bridge_table + '\1' + RefKey(info.left.from) +
+                        '\1' + RefKey(info.left.to) + '\1' +
+                        RefKey(info.right.from) + '\1' +
+                        RefKey(info.right.to);
+      if (seen_bridges.insert(std::move(key)).second) {
+        bridges_.push_back(std::move(info));
       }
-      if (!duplicate) bridges_.push_back(std::move(info));
     }
     return Status::OK();
   };

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -109,7 +110,8 @@ class JoinGraph {
                 std::vector<JoinEdge>* path_edges,
                 std::vector<std::string>* path_tables) const;
 
-  void AddEdge(JoinEdge edge);
+  /// Appends `edge` unless `seen` already holds its unordered key.
+  void AddEdge(JoinEdge edge, std::unordered_set<std::string>* seen);
   void BuildPathClosure();
 
   std::vector<JoinEdge> edges_;

@@ -27,7 +27,7 @@ const char* MetadataLayerName(MetadataLayer layer) {
 }
 
 UriId UriTable::Intern(std::string_view uri) {
-  auto it = index_.find(std::string(uri));
+  auto it = index_.find(uri);
   if (it != index_.end()) return it->second;
   UriId id = static_cast<UriId>(uris_.size());
   uris_.emplace_back(uri);
@@ -36,7 +36,7 @@ UriId UriTable::Intern(std::string_view uri) {
 }
 
 std::optional<UriId> UriTable::Find(std::string_view uri) const {
-  auto it = index_.find(std::string(uri));
+  auto it = index_.find(uri);
   if (it == index_.end()) return std::nullopt;
   return it->second;
 }
@@ -76,6 +76,12 @@ void MetadataGraph::AddEdge(NodeId from, std::string_view predicate,
   UriId pred = uri_table_.Intern(predicate);
   out_[from].push_back(Edge{pred, to});
   in_[to].push_back(Edge{pred, from});
+  // Keep subject-id order: insert after the subject's earlier edges.
+  auto& pairs = by_predicate_[pred];
+  auto pos = std::upper_bound(
+      pairs.begin(), pairs.end(), from,
+      [](NodeId n, const std::pair<NodeId, NodeId>& e) { return n < e.first; });
+  pairs.insert(pos, {from, to});
   ++num_edges_;
 }
 
@@ -144,17 +150,17 @@ bool MetadataGraph::HasType(NodeId n, std::string_view type_uri) const {
   return HasEdge(n, "type", type_node);
 }
 
-std::vector<std::pair<NodeId, NodeId>> MetadataGraph::EdgesWithPredicate(
-    std::string_view predicate) const {
-  std::vector<std::pair<NodeId, NodeId>> result;
-  auto pred = uri_table_.Find(predicate);
-  if (!pred.has_value()) return result;
-  for (NodeId n = 0; n < static_cast<NodeId>(out_.size()); ++n) {
-    for (const Edge& e : out_[n]) {
-      if (e.predicate == *pred) result.emplace_back(n, e.target);
-    }
-  }
-  return result;
+const std::vector<std::pair<NodeId, NodeId>>&
+MetadataGraph::EdgesWithPredicate(UriId predicate) const {
+  static const std::vector<std::pair<NodeId, NodeId>> kNone;
+  auto it = by_predicate_.find(predicate);
+  return it == by_predicate_.end() ? kNone : it->second;
+}
+
+const std::vector<std::pair<NodeId, NodeId>>&
+MetadataGraph::EdgesWithPredicate(std::string_view predicate) const {
+  // Ids are dense from 0, so -1 finds no list.
+  return EdgesWithPredicate(uri_table_.Find(predicate).value_or(-1));
 }
 
 std::vector<NodeId> MetadataGraph::NodesInLayer(MetadataLayer layer) const {

@@ -10,10 +10,12 @@
 #define SODA_GRAPH_METADATA_GRAPH_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -38,7 +40,8 @@ enum class MetadataLayer {
 
 const char* MetadataLayerName(MetadataLayer layer);
 
-/// Interner mapping URI strings <-> dense ids.
+/// Interner mapping URI strings <-> dense ids. Lookups hash the
+/// string_view directly (heterogeneous lookup), so they never allocate.
 class UriTable {
  public:
   /// Returns the id for `uri`, creating it on first use.
@@ -51,8 +54,15 @@ class UriTable {
   size_t size() const { return uris_.size(); }
 
  private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> uris_;
-  std::unordered_map<std::string, UriId> index_;
+  std::unordered_map<std::string, UriId, Hash, std::equal_to<>> index_;
 };
 
 /// One node -> node edge.
@@ -130,8 +140,12 @@ class MetadataGraph {
   bool HasType(NodeId n, std::string_view type_uri) const;
 
   /// All (subject, object) pairs connected by `predicate` — supports
-  /// pattern triples with two unbound variables.
-  std::vector<std::pair<NodeId, NodeId>> EdgesWithPredicate(
+  /// pattern triples with two unbound variables. Ordered by subject id,
+  /// then by insertion: the order of walking every node's out-edges.
+  /// AddEdge maintains the list; empty for an unknown predicate.
+  const std::vector<std::pair<NodeId, NodeId>>& EdgesWithPredicate(
+      UriId predicate) const;
+  const std::vector<std::pair<NodeId, NodeId>>& EdgesWithPredicate(
       std::string_view predicate) const;
 
   /// All node ids whose layer equals `layer`.
@@ -148,6 +162,8 @@ class MetadataGraph {
   std::vector<std::vector<Edge>> in_;
   std::vector<std::vector<TextEdge>> text_;
   std::unordered_map<UriId, NodeId> node_by_uri_;
+  std::unordered_map<UriId, std::vector<std::pair<NodeId, NodeId>>>
+      by_predicate_;
   size_t num_edges_ = 0;
   size_t num_text_edges_ = 0;
 };

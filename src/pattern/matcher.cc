@@ -1,216 +1,498 @@
 #include "pattern/matcher.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <utility>
 
 namespace soda {
 
-namespace {
-
-// Search state shared across the recursion.
-struct SearchContext {
-  const MetadataGraph* graph;
-  const GraphPattern* pattern;
-  size_t max_matches;
-  std::vector<MatchBinding>* out;
-};
-
-// Returns the node a subject term refers to under `binding`, or
-// kInvalidNode when it is an unbound variable; sets *is_unbound.
-NodeId ResolveNodeTerm(const PatternTerm& term, const MatchBinding& binding,
-                       const MetadataGraph& graph, bool* is_unbound) {
-  *is_unbound = false;
-  if (term.kind == PatternTerm::Kind::kUri) {
-    return graph.FindNode(term.name);  // kInvalidNode if the URI is absent
+NodeId MatchBinding::node(std::string_view var) const {
+  if (vars == nullptr) return kInvalidNode;
+  for (size_t i = 0; i < vars->nodes.size(); ++i) {
+    if (vars->nodes[i] == var) return nodes[i];
   }
-  auto it = binding.nodes.find(term.name);
-  if (it != binding.nodes.end()) return it->second;
-  *is_unbound = true;
   return kInvalidNode;
 }
 
-bool ViolatesDistinct(const GraphPattern& pattern,
-                      const MatchBinding& binding) {
-  for (const auto& [a, b] : pattern.distinct_constraints) {
-    auto ia = binding.nodes.find(a);
-    auto ib = binding.nodes.find(b);
-    if (ia != binding.nodes.end() && ib != binding.nodes.end() &&
-        ia->second == ib->second) {
-      return true;
+std::string MatchBinding::text(std::string_view var) const {
+  if (vars == nullptr) return std::string();
+  for (size_t i = 0; i < vars->texts.size(); ++i) {
+    if (vars->texts[i] == var) return texts[i];
+  }
+  return std::string();
+}
+
+namespace {
+
+// One pattern compiled for one binding shape.
+struct Plan {
+  enum class Mode : uint8_t {
+    kCheck,     // both ends bound: the edge exists (counted once)
+    kOut,       // subject bound: walk its out-edges, bind the object
+    kIn,        // object bound: walk its in-edges, bind the subject
+    kScan,      // neither bound: walk the predicate's edge list
+    kText,      // text object, subject bound: walk the subject's labels
+    kTextScan,  // text object, subject unbound: walk every node's labels
+  };
+
+  struct Step {
+    size_t triple = 0;  // index in the expanded pattern
+    Mode mode = Mode::kCheck;
+    UriId predicate = 0;
+    // Node ends: a slot, or (slot -1) a URI resolved to `*_node`.
+    int subject_slot = -1;
+    NodeId subject_node = kInvalidNode;
+    int object_slot = -1;
+    NodeId object_node = kInvalidNode;
+    // Text end: a slot (bound here when `binds_text`), or (slot -1) the
+    // literal `text`.
+    int text_slot = -1;
+    bool binds_text = false;
+    std::string text;
+    // Distinct slot pairs whose later slot this step binds.
+    std::vector<std::pair<int, int>> distinct;
+  };
+
+  std::shared_ptr<const MatchVars> vars;
+  std::vector<Step> steps;  // most-bound-first
+  // The library-order walk, kept only when `steps` enumerate other
+  // triples or in another order; solutions are then ranked by it.
+  std::vector<Step> library_steps;
+  bool never = false;  // a URI or predicate is absent from the graph
+};
+
+using Mode = Plan::Mode;
+
+int SlotOf(const std::vector<std::string>& names, const std::string& name) {
+  auto it = std::find(names.begin(), names.end(), name);
+  return it == names.end() ? -1 : static_cast<int>(it - names.begin());
+}
+
+int AddSlot(std::vector<std::string>* names, const std::string& name) {
+  int slot = SlotOf(*names, name);
+  if (slot >= 0) return slot;
+  names->push_back(name);
+  return static_cast<int>(names->size()) - 1;
+}
+
+// Compiles `pattern` with x pre-bound (slot 0) or with nothing bound, in
+// most-bound-first order or (`reorder` false) in library order.
+Plan CompileSteps(const GraphPattern& pattern, const MetadataGraph& graph,
+                  bool x_bound, bool reorder) {
+  Plan plan;
+  auto vars = std::make_shared<MatchVars>();
+  if (x_bound) vars->nodes.push_back("x");
+  for (const PatternTriple& t : pattern.triples) {
+    if (t.subject.kind == PatternTerm::Kind::kVariable) {
+      AddSlot(&vars->nodes, t.subject.name);
+    }
+    if (t.object.kind == PatternTerm::Kind::kVariable) {
+      AddSlot(&vars->nodes, t.object.name);
+    } else if (t.object.kind == PatternTerm::Kind::kTextVariable) {
+      AddSlot(&vars->texts, t.object.name);
     }
   }
-  return false;
-}
+  plan.vars = vars;
 
-void Solve(SearchContext* ctx, size_t triple_index, MatchBinding* binding);
+  std::vector<bool> node_bound(vars->nodes.size(), false);
+  std::vector<bool> text_bound(vars->texts.size(), false);
+  if (x_bound) node_bound[0] = true;
 
-// Tries to bind `term` (a node term) to `node` and continue. Undoes the
-// binding on return.
-void BindNodeAndContinue(SearchContext* ctx, size_t triple_index,
-                         MatchBinding* binding, const PatternTerm& term,
-                         NodeId node) {
-  if (term.kind == PatternTerm::Kind::kUri) {
-    if (ctx->graph->FindNode(term.name) != node) return;
-    Solve(ctx, triple_index + 1, binding);
-    return;
+  // 0 unbound, 1 a URI, 2 a bound variable.
+  auto end_score = [&](const PatternTerm& term) {
+    if (term.kind == PatternTerm::Kind::kUri) return 1;
+    return node_bound[SlotOf(vars->nodes, term.name)] ? 2 : 0;
+  };
+  // 3 both ends bound, 2 one end bound by a variable, 1 only by a URI,
+  // 0 nothing bound. A label walk needs its subject bound.
+  auto score = [&](const PatternTriple& t) {
+    int s = end_score(t.subject);
+    if (t.object.is_text()) {
+      if (s == 0) return 0;
+      bool text_fixed = t.object.kind == PatternTerm::Kind::kTextLiteral ||
+                        text_bound[SlotOf(vars->texts, t.object.name)];
+      return text_fixed ? 3 : s;
+    }
+    int o = end_score(t.object);
+    return s > 0 && o > 0 ? 3 : std::max(s, o);
+  };
+
+  std::vector<std::pair<int, int>> distinct;
+  for (const auto& [a, b] : pattern.distinct_constraints) {
+    int sa = SlotOf(vars->nodes, a);
+    int sb = SlotOf(vars->nodes, b);
+    if (sa >= 0 && sb >= 0) distinct.emplace_back(sa, sb);
   }
-  auto it = binding->nodes.find(term.name);
-  if (it != binding->nodes.end()) {
-    if (it->second != node) return;
-    Solve(ctx, triple_index + 1, binding);
-    return;
-  }
-  binding->nodes[term.name] = node;
-  if (!ViolatesDistinct(*ctx->pattern, *binding)) {
-    Solve(ctx, triple_index + 1, binding);
-  }
-  binding->nodes.erase(term.name);
-}
 
-// Tries to bind a text term to `text` and continue.
-void BindTextAndContinue(SearchContext* ctx, size_t triple_index,
-                         MatchBinding* binding, const PatternTerm& term,
-                         const std::string& text) {
-  if (term.kind == PatternTerm::Kind::kTextLiteral) {
-    if (term.name != text) return;
-    Solve(ctx, triple_index + 1, binding);
-    return;
-  }
-  auto it = binding->texts.find(term.name);
-  if (it != binding->texts.end()) {
-    if (it->second != text) return;
-    Solve(ctx, triple_index + 1, binding);
-    return;
-  }
-  binding->texts[term.name] = text;
-  Solve(ctx, triple_index + 1, binding);
-  binding->texts.erase(term.name);
-}
+  std::vector<const PatternTriple*> remaining;
+  for (const PatternTriple& t : pattern.triples) remaining.push_back(&t);
+  while (!remaining.empty()) {
+    auto best = remaining.begin();
+    int best_score = score(**best);
+    for (auto it = remaining.begin() + 1; reorder && it != remaining.end();
+         ++it) {
+      int s = score(**it);
+      if (s > best_score) best = it, best_score = s;
+    }
+    const PatternTriple& t = **best;
+    remaining.erase(best);
 
-void Solve(SearchContext* ctx, size_t triple_index, MatchBinding* binding) {
-  if (ctx->out->size() >= ctx->max_matches) return;
-  if (triple_index == ctx->pattern->triples.size()) {
-    ctx->out->push_back(*binding);
-    return;
-  }
-  const PatternTriple& triple = ctx->pattern->triples[triple_index];
-  const MetadataGraph& graph = *ctx->graph;
+    Plan::Step step;
+    step.triple = &t - pattern.triples.data();
+    std::optional<UriId> pred = graph.FindPredicate(t.predicate);
+    if (pred.has_value()) step.predicate = *pred;
+    plan.never |= !pred.has_value();
 
-  auto pred = graph.FindPredicate(triple.predicate);
-  if (!pred.has_value()) return;  // predicate never used in this graph
-
-  bool subject_unbound = false;
-  NodeId subject =
-      ResolveNodeTerm(triple.subject, *binding, graph, &subject_unbound);
-  if (!subject_unbound && subject == kInvalidNode) return;
-
-  if (triple.object.is_text()) {
-    if (!subject_unbound) {
-      for (const TextEdge& e : graph.TextEdges(subject)) {
-        if (e.predicate != *pred) continue;
-        BindTextAndContinue(ctx, triple_index, binding, triple.object, e.text);
+    // Resolves a node end; returns whether it was bound before this step.
+    auto node_end = [&](const PatternTerm& term, int* slot, NodeId* node) {
+      if (term.kind == PatternTerm::Kind::kUri) {
+        *node = graph.FindNode(term.name);
+        plan.never |= *node == kInvalidNode;
+        return true;
+      }
+      *slot = SlotOf(vars->nodes, term.name);
+      return static_cast<bool>(node_bound[*slot]);
+    };
+    bool s_bound = node_end(t.subject, &step.subject_slot, &step.subject_node);
+    if (t.object.is_text()) {
+      step.mode = s_bound ? Mode::kText : Mode::kTextScan;
+      if (t.object.kind == PatternTerm::Kind::kTextLiteral) {
+        step.text = t.object.name;
+      } else {
+        step.text_slot = SlotOf(vars->texts, t.object.name);
+        step.binds_text = !text_bound[step.text_slot];
+        text_bound[step.text_slot] = true;
       }
     } else {
-      // Unbound subject with a text object: scan all nodes. Rare (only
-      // when a pattern starts from a label), acceptable at metadata scale.
-      for (NodeId n = 0; n < static_cast<NodeId>(graph.num_nodes()); ++n) {
-        for (const TextEdge& e : graph.TextEdges(n)) {
-          if (e.predicate != *pred) continue;
-          // Bind subject first, then the text object.
-          binding->nodes[triple.subject.name] = n;
-          if (!ViolatesDistinct(*ctx->pattern, *binding)) {
-            BindTextAndContinue(ctx, triple_index, binding, triple.object,
-                                e.text);
-          }
-          binding->nodes.erase(triple.subject.name);
-        }
+      bool o_bound = node_end(t.object, &step.object_slot, &step.object_node);
+      step.mode = s_bound && o_bound ? Mode::kCheck
+                  : s_bound          ? Mode::kOut
+                  : o_bound          ? Mode::kIn
+                                     : Mode::kScan;
+      if (step.object_slot >= 0) node_bound[step.object_slot] = true;
+    }
+    if (step.subject_slot >= 0) node_bound[step.subject_slot] = true;
+
+    for (auto it = distinct.begin(); it != distinct.end();) {
+      if (node_bound[it->first] && node_bound[it->second]) {
+        step.distinct.push_back(*it);
+        it = distinct.erase(it);
+      } else {
+        ++it;
       }
     }
-    return;
+    plan.steps.push_back(std::move(step));
   }
+  return plan;
+}
 
-  bool object_unbound = false;
-  NodeId object =
-      ResolveNodeTerm(triple.object, *binding, graph, &object_unbound);
-  if (!object_unbound && object == kInvalidNode) return;
+// Triple indices of the steps that enumerate, i.e. all but the checks.
+std::vector<size_t> Enumerating(const std::vector<Plan::Step>& steps) {
+  std::vector<size_t> out;
+  for (const Plan::Step& step : steps) {
+    if (step.mode != Mode::kCheck) out.push_back(step.triple);
+  }
+  return out;
+}
 
-  if (!subject_unbound && !object_unbound) {
-    for (const Edge& e : graph.OutEdges(subject)) {
-      if (e.predicate == *pred && e.target == object) {
-        Solve(ctx, triple_index + 1, binding);
+Plan CompilePlan(const GraphPattern& pattern, const MetadataGraph& graph,
+                 bool x_bound) {
+  Plan plan = CompileSteps(pattern, graph, x_bound, /*reorder=*/true);
+  Plan walk = CompileSteps(pattern, graph, x_bound, /*reorder=*/false);
+  // Checks only filter: when both orders enumerate the same triples in the
+  // same order, they walk the same edge lists and emit the same sequence.
+  if (Enumerating(plan.steps) != Enumerating(walk.steps)) {
+    plan.library_steps = std::move(walk.steps);
+  }
+  return plan;
+}
+
+// Backtracking walk of one plan. Slots hold the partial binding; texts
+// point into the graph's labels until a solution is copied out.
+class Search {
+ public:
+  Search(const MetadataGraph& graph, const Plan& plan, size_t max_matches,
+         std::vector<MatchBinding>* out)
+      : graph_(graph),
+        plan_(plan),
+        max_matches_(max_matches),
+        out_(out),
+        nodes_(plan.vars->nodes.size(), kInvalidNode),
+        texts_(plan.vars->texts.size(), nullptr) {}
+
+  void BindX(NodeId x) { nodes_[0] = x; }
+
+  void Next(size_t i) {
+    if (out_->size() >= max_matches_) return;
+    if (i == plan_.steps.size()) {
+      Emit();
+      return;
+    }
+    const Plan::Step& step = plan_.steps[i];
+    switch (step.mode) {
+      case Mode::kCheck: {
+        NodeId from = Node(step.subject_slot, step.subject_node);
+        NodeId to = Node(step.object_slot, step.object_node);
+        for (const Edge& e : graph_.OutEdges(from)) {
+          if (e.predicate == step.predicate && e.target == to) {
+            Continue(i);
+            return;
+          }
+        }
         return;
       }
+      case Mode::kOut:
+        for (const Edge& e :
+             graph_.OutEdges(Node(step.subject_slot, step.subject_node))) {
+          if (e.predicate != step.predicate) continue;
+          nodes_[step.object_slot] = e.target;
+          Continue(i);
+        }
+        return;
+      case Mode::kIn:
+        for (const Edge& e :
+             graph_.InEdges(Node(step.object_slot, step.object_node))) {
+          if (e.predicate != step.predicate) continue;
+          nodes_[step.subject_slot] = e.target;
+          Continue(i);
+        }
+        return;
+      case Mode::kScan:
+        for (const auto& [s, o] : graph_.EdgesWithPredicate(step.predicate)) {
+          // `( y p y )`: the object is the subject just bound.
+          if (step.object_slot == step.subject_slot && o != s) continue;
+          nodes_[step.subject_slot] = s;
+          nodes_[step.object_slot] = o;
+          Continue(i);
+        }
+        return;
+      case Mode::kText:
+        for (const TextEdge& e :
+             graph_.TextEdges(Node(step.subject_slot, step.subject_node))) {
+          if (e.predicate == step.predicate) MatchText(i, e.text);
+        }
+        return;
+      case Mode::kTextScan:
+        for (NodeId n = 0; n < static_cast<NodeId>(graph_.num_nodes()); ++n) {
+          for (const TextEdge& e : graph_.TextEdges(n)) {
+            if (e.predicate != step.predicate) continue;
+            nodes_[step.subject_slot] = n;
+            MatchText(i, e.text);
+          }
+        }
+        return;
     }
-    return;
   }
-  if (!subject_unbound) {
-    for (const Edge& e : graph.OutEdges(subject)) {
-      if (e.predicate != *pred) continue;
-      BindNodeAndContinue(ctx, triple_index, binding, triple.object, e.target);
+
+ private:
+  NodeId Node(int slot, NodeId fixed) const {
+    return slot >= 0 ? nodes_[slot] : fixed;
+  }
+
+  void MatchText(size_t i, const std::string& text) {
+    const Plan::Step& step = plan_.steps[i];
+    if (step.binds_text) {
+      texts_[step.text_slot] = &text;
+    } else if (text != (step.text_slot >= 0 ? *texts_[step.text_slot]
+                                            : step.text)) {
+      return;
     }
-    return;
+    Continue(i);
   }
-  if (!object_unbound) {
-    for (const Edge& e : graph.InEdges(object)) {
-      if (e.predicate != *pred) continue;
-      BindNodeAndContinue(ctx, triple_index, binding, triple.subject,
-                          e.target);
+
+  // Checks the step's distinct pairs and moves on to the next step.
+  void Continue(size_t i) {
+    for (const auto& [a, b] : plan_.steps[i].distinct) {
+      if (nodes_[a] == nodes_[b]) return;
     }
-    return;
+    Next(i + 1);
   }
-  // Both unbound: enumerate every edge with this predicate.
-  for (const auto& [s, o] : graph.EdgesWithPredicate(triple.predicate)) {
-    binding->nodes[triple.subject.name] = s;
-    if (!ViolatesDistinct(*ctx->pattern, *binding)) {
-      BindNodeAndContinue(ctx, triple_index, binding, triple.object, o);
+
+  void Emit() {
+    MatchBinding binding;
+    binding.vars = plan_.vars;
+    binding.nodes = nodes_;
+    binding.texts.reserve(texts_.size());
+    for (const std::string* text : texts_) binding.texts.push_back(*text);
+    out_->push_back(std::move(binding));
+  }
+
+  const MetadataGraph& graph_;
+  const Plan& plan_;
+  size_t max_matches_;
+  std::vector<MatchBinding>* out_;
+  std::vector<NodeId> nodes_;
+  std::vector<const std::string*> texts_;
+};
+
+// Positions, in the list the library-order walk iterates at enumerating
+// `step`, of the edges that agree with `b`. A scan walks the predicate's
+// edge list in (subject, out-edge index) order, so its position is that
+// pair packed into 64 bits.
+std::vector<uint64_t> Positions(const MetadataGraph& graph,
+                                const Plan::Step& step, const MatchBinding& b) {
+  auto node = [&](int slot, NodeId fixed) {
+    return slot >= 0 ? b.nodes[slot] : fixed;
+  };
+  NodeId s = node(step.subject_slot, step.subject_node);
+  NodeId o = node(step.object_slot, step.object_node);
+  std::vector<uint64_t> out;
+  switch (step.mode) {
+    case Mode::kCheck:
+      break;
+    case Mode::kOut:
+    case Mode::kIn:
+    case Mode::kScan: {
+      bool in_edges = step.mode == Mode::kIn;
+      const std::vector<Edge>& edges =
+          in_edges ? graph.InEdges(o) : graph.OutEdges(s);
+      NodeId want = in_edges ? s : o;
+      uint64_t base =
+          step.mode == Mode::kScan ? static_cast<uint64_t>(s) << 32 : 0;
+      for (size_t j = 0; j < edges.size(); ++j) {
+        if (edges[j].predicate == step.predicate && edges[j].target == want) {
+          out.push_back(base | j);
+        }
+      }
+      break;
     }
-    binding->nodes.erase(triple.subject.name);
+    case Mode::kText:
+    case Mode::kTextScan: {
+      const std::string& want =
+          step.text_slot >= 0 ? b.texts[step.text_slot] : step.text;
+      uint64_t base =
+          step.mode == Mode::kTextScan ? static_cast<uint64_t>(s) << 32 : 0;
+      const std::vector<TextEdge>& edges = graph.TextEdges(s);
+      for (size_t j = 0; j < edges.size(); ++j) {
+        if (edges[j].predicate == step.predicate && edges[j].text == want) {
+          out.push_back(base | j);
+        }
+      }
+      break;
+    }
   }
+  return out;
+}
+
+// Puts `solutions` into the order and multiplicity of the library-order
+// walk. That walk emits a binding once per combination of agreeing edges
+// at its enumerating steps, ordered lexicographically by the edges'
+// positions, and stops after `max_matches`.
+std::vector<MatchBinding> LibraryOrder(
+    const MetadataGraph& graph, const std::vector<Plan::Step>& walk,
+    const std::vector<MatchBinding>& solutions, size_t max_matches) {
+  std::vector<std::pair<std::vector<uint64_t>, size_t>> ranked;
+  for (size_t k = 0; k < solutions.size(); ++k) {
+    std::vector<std::vector<uint64_t>> ranks(1);
+    for (const Plan::Step& step : walk) {
+      if (step.mode == Mode::kCheck) continue;
+      std::vector<std::vector<uint64_t>> longer;
+      for (uint64_t position : Positions(graph, step, solutions[k])) {
+        for (const std::vector<uint64_t>& prefix : ranks) {
+          longer.push_back(prefix);
+          longer.back().push_back(position);
+        }
+      }
+      ranks = std::move(longer);
+    }
+    for (std::vector<uint64_t>& rank : ranks) {
+      ranked.emplace_back(std::move(rank), k);
+    }
+  }
+  // Equal ranks name the same edges, i.e. one binding found twice.
+  std::sort(ranked.begin(), ranked.end());
+  ranked.erase(std::unique(ranked.begin(), ranked.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first;
+                           }),
+               ranked.end());
+  std::vector<MatchBinding> out;
+  for (size_t i = 0; i < ranked.size() && out.size() < max_matches; ++i) {
+    out.push_back(solutions[ranked[i].second]);
+  }
+  return out;
+}
+
+// Runs `plan`. Unless `ordered` is false (an existence check), solutions
+// come out in library order.
+std::vector<MatchBinding> Run(const MetadataGraph& graph, const Plan& plan,
+                              NodeId x, size_t max_matches, bool ordered) {
+  std::vector<MatchBinding> out;
+  if (plan.never) return out;
+  // Ranking needs every solution before the cap applies.
+  bool rank = ordered && !plan.library_steps.empty();
+  Search search(graph, plan, rank ? SIZE_MAX : max_matches, &out);
+  if (x != kInvalidNode) search.BindX(x);
+  search.Next(0);
+  if (rank) return LibraryOrder(graph, plan.library_steps, out, max_matches);
+  return out;
 }
 
 }  // namespace
 
-Result<const GraphPattern*> PatternMatcher::Expanded(
+struct CompiledPattern {
+  Plan at;   // x pre-bound to slot 0
+  Plan all;  // nothing bound
+};
+
+PatternMatcher::PatternMatcher(const MetadataGraph* graph,
+                               const PatternLibrary* library)
+    : graph_(graph), library_(library) {}
+
+PatternMatcher::~PatternMatcher() = default;
+
+Result<const CompiledPattern*> PatternMatcher::Compile(
     const std::string& name) const {
   {
-    std::lock_guard<std::mutex> lock(expansion_mu_);
-    auto it = expansion_cache_.find(name);
-    if (it != expansion_cache_.end()) return &it->second;
+    std::lock_guard<std::mutex> lock(plans_mu_);
+    auto it = plans_.find(name);
+    if (it != plans_.end()) return it->second.get();
   }
-  // Expand outside the lock — expansion walks the library and can be
-  // slow; a racing thread at worst expands the same pattern twice and
-  // the loser's copy is discarded by emplace.
+  // Compile outside the lock — expansion walks the library; a racing
+  // thread at worst compiles the same pattern twice and the loser's copy
+  // is discarded by emplace.
   SODA_ASSIGN_OR_RETURN(GraphPattern expanded, library_->Expand(name));
-  std::lock_guard<std::mutex> lock(expansion_mu_);
-  auto [inserted, ok] = expansion_cache_.emplace(name, std::move(expanded));
-  (void)ok;
-  return &inserted->second;
+  auto compiled = std::make_unique<CompiledPattern>();
+  compiled->at = CompilePlan(expanded, *graph_, /*x_bound=*/true);
+  compiled->all = CompilePlan(expanded, *graph_, /*x_bound=*/false);
+  std::lock_guard<std::mutex> lock(plans_mu_);
+  auto [it, inserted] = plans_.emplace(name, std::move(compiled));
+  (void)inserted;
+  return it->second.get();
 }
 
 Result<std::vector<MatchBinding>> PatternMatcher::MatchAt(
     const std::string& pattern_name, NodeId node, size_t max_matches) const {
-  SODA_ASSIGN_OR_RETURN(const GraphPattern* pattern, Expanded(pattern_name));
-  std::vector<MatchBinding> out;
-  MatchBinding binding;
-  binding.nodes["x"] = node;
-  SearchContext ctx{graph_, pattern, max_matches, &out};
-  Solve(&ctx, 0, &binding);
-  return out;
+  SODA_ASSIGN_OR_RETURN(const CompiledPattern* compiled,
+                        Compile(pattern_name));
+  if (node == kInvalidNode) return std::vector<MatchBinding>();
+  return Run(*graph_, compiled->at, node, max_matches, /*ordered=*/true);
 }
 
 bool PatternMatcher::Matches(const std::string& pattern_name,
                              NodeId node) const {
-  auto result = MatchAt(pattern_name, node, /*max_matches=*/1);
-  return result.ok() && !result.value().empty();
+  auto compiled = Compile(pattern_name);
+  if (!compiled.ok() || node == kInvalidNode) return false;
+  // Any solution will do, so none is ranked.
+  return !Run(*graph_, (*compiled)->at, node, /*max_matches=*/1,
+              /*ordered=*/false)
+              .empty();
+}
+
+Result<bool> PatternMatcher::RanksMatchAt(
+    const std::string& pattern_name) const {
+  SODA_ASSIGN_OR_RETURN(const CompiledPattern* compiled,
+                        Compile(pattern_name));
+  return !compiled->at.library_steps.empty();
 }
 
 Result<std::vector<MatchBinding>> PatternMatcher::MatchAll(
     const std::string& pattern_name, size_t max_matches) const {
-  SODA_ASSIGN_OR_RETURN(const GraphPattern* pattern, Expanded(pattern_name));
-  std::vector<MatchBinding> out;
-  MatchBinding binding;
-  SearchContext ctx{graph_, pattern, max_matches, &out};
-  Solve(&ctx, 0, &binding);
-  return out;
+  SODA_ASSIGN_OR_RETURN(const CompiledPattern* compiled,
+                        Compile(pattern_name));
+  return Run(*graph_, compiled->all, kInvalidNode, max_matches,
+             /*ordered=*/true);
 }
 
 }  // namespace soda

@@ -1,19 +1,51 @@
-// Backtracking graph-pattern matcher.
+// Compiled graph-pattern matcher.
 //
 // "To match a pattern on a given graph, we assign the variable x to the
 //  current node and try to match each triple in the pattern to the graph
 //  accordingly." (paper Section 4.2.1)
 //
-// The matcher works on library-expanded patterns (references inlined) and
-// enumerates all variable bindings, subject to the pattern's distinct
-// constraints. Expansion results are memoized per matcher instance.
+// Each library-expanded pattern (references inlined) is compiled once per
+// matcher into two plans: one with `x` pre-bound (MatchAt) and one with
+// nothing bound (MatchAll). A plan is a fixed sequence of steps:
+//
+//   - Dense slots. Node and text variables are numbered, so a partial
+//     binding is two small arrays rather than string-keyed maps.
+//   - Resolved ids. URI terms and predicates are resolved to NodeId /
+//     UriId at compile time. A URI or predicate absent from the graph
+//     makes the plan "never matches". Nodes and edges added after the
+//     first match are seen; a URI that first appears later is not.
+//   - Most-bound-first order. The next step is the remaining triple with
+//     the best-bound ends: both ends bound (an existence check, or a label
+//     compared), then one end bound by a variable (walk that node's
+//     edges), then one end bound only by a URI (walk a type node's
+//     in-edges: hubs, so late), then nothing bound (walk the predicate's
+//     edge list, which MetadataGraph::AddEdge keeps in subject order, or
+//     every node's labels). Ties keep library order.
+//   - Distinct constraints are slot pairs, checked by the step that binds
+//     the later of the two.
+//
+// Solution-order contract: solutions come out in the order, and with the
+// multiplicity, of walking the triples in library order (the paper's
+// procedure). Callers rely on it: a max_matches cap keeps a prefix, and
+// JoinGraph's edge insertion order is the order every path search
+// iterates. Checks only filter, so a plan that enumerates the same
+// triples in the same order as the library walk emits the same sequence;
+// that holds for every per-query MatchAt plan of the shipped library
+// (RanksMatchAt is false; the oracle test pins it). Any other plan
+// collects all its solutions, ranks each by the positions of the edges
+// the library walk would pick for it, and then applies the cap. Matches
+// only asks whether a solution exists, so it never ranks.
+// tests/matcher_oracle_test.cc keeps the naive library-order walk as a
+// reference and compares ordered solutions on both shipped graphs.
 
 #ifndef SODA_PATTERN_MATCHER_H_
 #define SODA_PATTERN_MATCHER_H_
 
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -23,28 +55,33 @@
 
 namespace soda {
 
-/// One solution: node bindings plus text bindings.
-struct MatchBinding {
-  std::map<std::string, NodeId> nodes;
-  std::map<std::string, std::string> texts;
-
-  NodeId node(const std::string& var) const {
-    auto it = nodes.find(var);
-    return it == nodes.end() ? kInvalidNode : it->second;
-  }
-  std::string text(const std::string& var) const {
-    auto it = texts.find(var);
-    return it == texts.end() ? std::string() : it->second;
-  }
+/// Variable names of a compiled plan, indexed by slot.
+struct MatchVars {
+  std::vector<std::string> nodes;
+  std::vector<std::string> texts;
 };
+
+/// One solution: node and text bindings by slot.
+struct MatchBinding {
+  std::shared_ptr<const MatchVars> vars;
+  std::vector<NodeId> nodes;       // parallel to vars->nodes
+  std::vector<std::string> texts;  // parallel to vars->texts
+
+  /// The node bound to `var`, or kInvalidNode.
+  NodeId node(std::string_view var) const;
+  /// The text bound to `var`, or empty.
+  std::string text(std::string_view var) const;
+};
+
+struct CompiledPattern;  // defined in matcher.cc
 
 class PatternMatcher {
  public:
-  PatternMatcher(const MetadataGraph* graph, const PatternLibrary* library)
-      : graph_(graph), library_(library) {}
+  PatternMatcher(const MetadataGraph* graph, const PatternLibrary* library);
+  ~PatternMatcher();
 
   /// Matches the named pattern with `x` pre-bound to `node`. Returns all
-  /// bindings, capped at `max_matches`.
+  /// bindings, capped at `max_matches`; none for kInvalidNode.
   Result<std::vector<MatchBinding>> MatchAt(const std::string& pattern_name,
                                             NodeId node,
                                             size_t max_matches = 64) const;
@@ -57,20 +94,25 @@ class PatternMatcher {
   Result<std::vector<MatchBinding>> MatchAll(const std::string& pattern_name,
                                              size_t max_matches = 4096) const;
 
+  /// True when MatchAt of the pattern collects and ranks every solution
+  /// before applying its cap (see the solution-order contract above).
+  /// Per-query callers need this false to stay cheap.
+  Result<bool> RanksMatchAt(const std::string& pattern_name) const;
+
   const MetadataGraph* graph() const { return graph_; }
   const PatternLibrary* library() const { return library_; }
 
  private:
-  Result<const GraphPattern*> Expanded(const std::string& name) const;
+  Result<const CompiledPattern*> Compile(const std::string& name) const;
 
   const MetadataGraph* graph_;
   const PatternLibrary* library_;
-  /// Guards the expansion cache: MatchAt/MatchAll are const and called
-  /// concurrently by the SodaEngine worker pool. std::map node pointers
-  /// are stable across inserts, so returned GraphPattern* stay valid
-  /// after the lock is released.
-  mutable std::mutex expansion_mu_;
-  mutable std::map<std::string, GraphPattern> expansion_cache_;
+  /// Guards the plan cache: MatchAt/MatchAll are const and called
+  /// concurrently by the SodaEngine worker pool. Plans are never erased,
+  /// so returned pointers stay valid after the lock is released.
+  mutable std::mutex plans_mu_;
+  mutable std::map<std::string, std::unique_ptr<const CompiledPattern>>
+      plans_;
 };
 
 }  // namespace soda
