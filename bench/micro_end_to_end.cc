@@ -1,5 +1,6 @@
 // End-to-end micro benchmarks: full SODA translation (Steps 1-5, no
-// execution) per benchmark-query class, executor throughput, and the
+// execution) per benchmark-query class, executor throughput (two fixed
+// statements and the Table 2 workload's snippets), and the
 // SodaEngine scaling story — a num_threads sweep over the fan-out of
 // Steps 3-5 plus the LRU cache hit path.
 
@@ -143,6 +144,45 @@ void BM_ExecuteGroupByAggregation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecuteGroupByAggregation);
+
+// Snippet execution as the engine runs it: every statement the 13 Table 2
+// queries translate to, with the snippet LIMIT, executed back to back.
+// One untimed pass builds the equality indexes and records the
+// per-statement work the counters report.
+void BM_ExecuteAnalystSnippets(benchmark::State& state) {
+  const soda::Soda* soda = env()->soda.get();
+  std::vector<soda::SelectStatement> statements;
+  for (const soda::BenchmarkQuery& bench : soda::EnterpriseWorkload()) {
+    auto output = soda->Search(bench.keywords);
+    if (!output.ok()) continue;
+    for (const soda::SodaResult& result : output->results) {
+      soda::SelectStatement limited = result.statement;
+      const auto cap = static_cast<int64_t>(soda->config().snippet_rows);
+      if (!limited.limit.has_value() || *limited.limit > cap) {
+        limited.limit = cap;
+      }
+      statements.push_back(std::move(limited));
+    }
+  }
+  size_t tuples = 0, reductions = 0;
+  for (const soda::SelectStatement& stmt : statements) {
+    soda::ExecStats stats;
+    benchmark::DoNotOptimize(soda->executor().Execute(stmt, &stats));
+    tuples += stats.tuples_enumerated;
+    if (stats.seed_reduced) ++reductions;
+  }
+  for (auto _ : state) {
+    for (const soda::SelectStatement& stmt : statements) {
+      benchmark::DoNotOptimize(soda->executor().Execute(stmt));
+    }
+  }
+  const double n = static_cast<double>(statements.size());
+  state.counters["snippet_statements"] = n;
+  state.counters["tuples_per_statement"] =
+      n > 0 ? static_cast<double>(tuples) / n : 0.0;
+  state.counters["seed_reductions"] = static_cast<double>(reductions);
+}
+BENCHMARK(BM_ExecuteAnalystSnippets);
 
 // ---------------------------------------------------------------------------
 // SodaEngine: num_threads sweep over the Steps 3-5 fan-out. Compare the

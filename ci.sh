@@ -385,7 +385,8 @@ if [[ "${BUILD_TYPE}" == "Release" &&
                  freshness_events freshness_keys_invalidated \
                  freshness_delta_postings \
                  probe_memo_hits session_refines session_stages_skipped \
-                 trace_spans trace_sampled trace_dropped; do
+                 trace_spans trace_sampled trace_dropped \
+                 snippet_statements tuples_per_statement seed_reductions; do
     if ! grep -q "${counter}" "${BENCH_OUT}"; then
       echo "bench smoke-run output is missing counter '${counter}'" >&2
       exit 1

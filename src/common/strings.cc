@@ -1,5 +1,6 @@
 #include "common/strings.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
@@ -148,7 +149,18 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 }
 
 bool EqualsFolded(std::string_view s, std::string_view t) {
-  return FoldForMatch(s) == FoldForMatch(t);
+  // FoldForMatch maps an ASCII byte to its tolower at the same output
+  // position, so over a common ASCII prefix the first differing byte
+  // decides, and a longer string folds to a longer result. Only a
+  // non-ASCII byte needs the full fold.
+  const size_t n = std::min(s.size(), t.size());
+  for (size_t i = 0; i < n; ++i) {
+    unsigned char a = static_cast<unsigned char>(s[i]);
+    unsigned char b = static_cast<unsigned char>(t[i]);
+    if (a >= 0x80 || b >= 0x80) return FoldForMatch(s) == FoldForMatch(t);
+    if (std::tolower(a) != std::tolower(b)) return false;
+  }
+  return s.size() == t.size();
 }
 
 bool ContainsFolded(std::string_view haystack, std::string_view needle) {

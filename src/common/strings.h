@@ -43,6 +43,7 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// True when `s` and `t` are equal after FoldForMatch normalization.
+/// Allocates nothing unless a non-ASCII byte is met before they differ.
 bool EqualsFolded(std::string_view s, std::string_view t);
 
 /// True when FoldForMatch(haystack) contains FoldForMatch(needle).

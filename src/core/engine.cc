@@ -31,7 +31,7 @@ constexpr const char* kEngineCounterSeries[] = {
     "session.refines", "session.stages_skipped", "session.constraint_hits",
     "snippet.executed", "snippet.failed", "snippet.exception",
     "snippet.streamed", "snippet.callback_exception",
-    "executor.index_builds",
+    "executor.index_builds", "executor.seed_reductions",
     "index.probe_memo_hits", "index.probe_memo_misses",
     "lookup.interpretations_capped",
     "closure.traverse_hits", "closure.traverse_misses",

@@ -64,6 +64,9 @@ void Soda::ExecuteSnippet(SodaResult* result, MetricsSink* metrics) const {
     if (stats.index_builds > 0) {
       metrics->IncrementCounter("executor.index_builds", stats.index_builds);
     }
+    if (stats.seed_reduced) {
+      metrics->IncrementCounter("executor.seed_reductions", 1);
+    }
   }
 }
 

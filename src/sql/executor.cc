@@ -1,7 +1,9 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <map>
+#include <optional>
+#include <span>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -21,6 +23,10 @@ constexpr size_t kUnset = static_cast<size_t>(-1);
 struct FromEntry {
   std::string qualifier;  // alias or table name (original case)
   const Table* table = nullptr;
+  // FoldForMatch of the qualifier and of the table name, folded once so
+  // resolving a column reference compares without folding again.
+  std::string folded_qualifier;
+  std::string folded_table;
 };
 
 // Resolved column: which FROM entry, which column index.
@@ -29,14 +35,16 @@ struct ResolvedColumn {
   size_t column_index = 0;
 };
 
+size_t HashCombine(size_t h, size_t v) {
+  return h ^ (v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2));
+}
+
 // Row hash and equality for DISTINCT: cells compare with Value::Compare,
 // as WHERE does, not through their %.6g literal rendering.
 struct RowHash {
   size_t operator()(const std::vector<Value>* row) const {
     size_t h = 0;
-    for (const Value& v : *row) {
-      h ^= v.Hash() + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    }
+    for (const Value& v : *row) h = HashCombine(h, v.Hash());
     return h;
   }
 };
@@ -69,6 +77,7 @@ class Evaluation {
 
   size_t tuples_enumerated() const { return tuples_enumerated_; }
   size_t index_builds() const { return index_builds_; }
+  bool seed_reduced() const { return seed_reduced_; }
 
  private:
   // ---- resolution -------------------------------------------------------
@@ -83,22 +92,25 @@ class Evaluation {
         return Status::NotFound("unknown table '" + ref.table + "'");
       }
       std::string qualifier = ref.qualifier();
+      std::string folded = FoldForMatch(qualifier);
       for (const auto& existing : from_) {
-        if (EqualsFolded(existing.qualifier, qualifier)) {
+        if (existing.folded_qualifier == folded) {
           return Status::InvalidArgument("duplicate table qualifier '" +
                                          qualifier + "'");
         }
       }
-      from_.push_back(FromEntry{qualifier, t});
+      from_.push_back(FromEntry{std::move(qualifier), t, std::move(folded),
+                                FoldForMatch(t->name())});
     }
     return Status::OK();
   }
 
   Result<ResolvedColumn> ResolveColumn(const ColumnRef& ref) const {
     if (!ref.table.empty()) {
+      const std::string folded = FoldForMatch(ref.table);
       for (size_t i = 0; i < from_.size(); ++i) {
-        if (EqualsFolded(from_[i].qualifier, ref.table) ||
-            EqualsFolded(from_[i].table->name(), ref.table)) {
+        if (from_[i].folded_qualifier == folded ||
+            from_[i].folded_table == folded) {
           int col = from_[i].table->ColumnIndex(ref.column);
           if (col < 0) {
             return Status::NotFound("table '" + ref.table +
@@ -148,6 +160,21 @@ class Evaluation {
     std::optional<ResolvedColumn> lhs_col;
     std::optional<ResolvedColumn> rhs_col;
   };
+
+  // A pushed `column = literal` filter: its column and its literal.
+  struct LiteralEq {
+    size_t column;
+    const Value* literal;
+  };
+  static std::optional<LiteralEq> AsLiteralEq(const Filter& f) {
+    if (f.pred->op != CompareOp::kEq || (f.lhs_col && f.rhs_col)) {
+      return std::nullopt;
+    }
+    if (f.lhs_col) {
+      return LiteralEq{f.lhs_col->column_index, &f.pred->rhs.literal};
+    }
+    return LiteralEq{f.rhs_col->column_index, &f.pred->lhs.literal};
+  }
 
   Status PartitionPredicates() {
     for (const auto& pred : stmt_.where) {
@@ -211,7 +238,7 @@ class Evaluation {
   // second table is placed, so none is left for a residual pass.
   void PlanJoins() {
     std::vector<bool> placed(from_.size(), false);
-    std::vector<size_t> position(from_.size(), 0);
+    position_.assign(from_.size(), 0);
     steps_.resize(from_.size());
     placed[0] = true;
     std::vector<size_t> applicable;  // indexes into joins_
@@ -247,7 +274,7 @@ class Evaluation {
       }
       step.table = next;
       placed[next] = true;
-      position[next] = s;
+      position_[next] = s;
     }
 
     // Pushdown: a predicate runs at the step that binds the last of its
@@ -258,8 +285,8 @@ class Evaluation {
         constant_filters_.push_back(&f);
         continue;
       }
-      size_t a = f.lhs_col ? position[f.lhs_col->from_index] : 0;
-      size_t b = f.rhs_col ? position[f.rhs_col->from_index] : 0;
+      size_t a = f.lhs_col ? position_[f.lhs_col->from_index] : 0;
+      size_t b = f.rhs_col ? position_[f.rhs_col->from_index] : 0;
       bool single = !f.lhs_col || !f.rhs_col ||
                     f.lhs_col->from_index == f.rhs_col->from_index;
       Step& step = steps_[std::max(a, b)];
@@ -269,12 +296,11 @@ class Evaluation {
     // `column = literal` instead of scanning.
     Step& seed = steps_[0];
     for (const Filter* f : seed.pushed) {
-      if (f->pred->op != CompareOp::kEq || (f->lhs_col && f->rhs_col)) {
-        continue;
+      if (std::optional<LiteralEq> eq = AsLiteralEq(*f)) {
+        seed.lookup = eq->literal;
+        seed.lookup_col = eq->column;
+        break;
       }
-      seed.lookup = f->lhs_col ? &f->pred->rhs.literal : &f->pred->lhs.literal;
-      seed.lookup_col = (f->lhs_col ? *f->lhs_col : *f->rhs_col).column_index;
-      break;
     }
   }
 
@@ -328,7 +354,102 @@ class Evaluation {
   void Enumerate(const Emit& emit) {
     if (!Passes(constant_filters_)) return;
     tuple_.assign(from_.size(), kUnset);
+    ReduceSeed();
     Extend(0, emit);
+  }
+
+  // The seed's candidates without the reduction: its lookup group, or
+  // every row (nullopt).
+  std::optional<std::span<const size_t>> SeedGroup() {
+    Step& seed = steps_[0];
+    if (seed.lookup == nullptr) return std::nullopt;
+    if (seed.index == nullptr) {
+      seed.index = &Index(from_[seed.table].table, seed.lookup_col);
+    }
+    return seed.index->Find(*seed.lookup);
+  }
+
+  // Semi-join reduction of the seed. The reached FROM entry whose pushed
+  // `column = literal` has the smallest index group, when that group is
+  // smaller than the seed's candidates, is carried back to the seed along
+  // a join-edge path: each hop maps the rows through the next entry's
+  // index on the edge's column and keeps those passing that entry's
+  // pushed predicates. A seed row outside the result has no extension
+  // (every qualifying tuple's rows satisfy those edges and predicates), so
+  // visiting only the result, still ascending, drops no output row and
+  // keeps the enumeration order. A hop that outgrows the seed's candidates
+  // abandons the reduction.
+  void ReduceSeed() {
+    if (joins_.empty()) return;
+    std::optional<std::span<const size_t>> group = SeedGroup();
+    const size_t seed_count =
+        group ? group->size() : from_[steps_[0].table].table->num_rows();
+    // Breadth-first over the join edges; via[e] = the edge that reached e.
+    std::vector<size_t> via(from_.size(), kUnset);
+    std::vector<size_t> queue = {steps_[0].table};
+    for (size_t q = 0; q < queue.size(); ++q) {
+      for (size_t j = 0; j < joins_.size(); ++j) {
+        const JoinCondition& jc = joins_[j];
+        size_t other = kUnset;
+        if (jc.left.from_index == queue[q]) other = jc.right.from_index;
+        if (jc.right.from_index == queue[q]) other = jc.left.from_index;
+        if (other == kUnset || other == queue[0] || via[other] != kUnset) {
+          continue;
+        }
+        via[other] = j;
+        queue.push_back(other);
+      }
+    }
+    size_t start = kUnset;
+    std::span<const size_t> best;
+    for (size_t q = 1; q < queue.size(); ++q) {
+      const size_t e = queue[q];
+      for (const Filter* f : steps_[position_[e]].pushed) {
+        std::optional<LiteralEq> eq = AsLiteralEq(*f);
+        if (!eq) continue;
+        std::span<const size_t> rows =
+            Index(from_[e].table, eq->column).Find(*eq->literal);
+        if (start == kUnset || rows.size() < best.size()) {
+          start = e;
+          best = rows;
+        }
+      }
+    }
+    if (start == kUnset || best.size() >= seed_count) return;
+    std::vector<size_t> rows(best.begin(), best.end());
+    KeepPassing(start, &rows);
+    for (size_t e = start; e != queue[0];) {
+      const JoinCondition& jc = joins_[via[e]];
+      const bool left_here = jc.left.from_index == e;
+      const ResolvedColumn& here = left_here ? jc.left : jc.right;
+      const ResolvedColumn& next = left_here ? jc.right : jc.left;
+      const EqualityIndex& index =
+          Index(from_[next.from_index].table, next.column_index);
+      std::vector<size_t> reached;
+      for (size_t r : rows) {
+        const Value& key = from_[e].table->row(r)[here.column_index];
+        for (size_t n : index.Find(key)) reached.push_back(n);
+      }
+      e = next.from_index;
+      KeepPassing(e, &reached);
+      if (reached.size() > seed_count) return;
+      rows = std::move(reached);
+    }
+    seed_rows_ = std::move(rows);
+    seed_reduced_ = true;
+  }
+
+  // Keeps the rows of FROM entry `entry` that pass its pushed predicates,
+  // sorted and without duplicates.
+  void KeepPassing(size_t entry, std::vector<size_t>* rows) {
+    const auto& pushed = steps_[position_[entry]].pushed;
+    std::sort(rows->begin(), rows->end());
+    rows->erase(std::unique(rows->begin(), rows->end()), rows->end());
+    std::erase_if(*rows, [&](size_t r) {
+      tuple_[entry] = r;
+      return !Passes(pushed);
+    });
+    tuple_[entry] = kUnset;
   }
 
   // Binds step `s` and everything after it depth-first; false = stop.
@@ -337,20 +458,26 @@ class Evaluation {
     if (s == steps_.size()) return emit(tuple_);
     Step& step = steps_[s];
     const Table* t = from_[step.table].table;
-    if (s == 0 && step.lookup == nullptr) {
-      // The seed scan streams, so an early stop leaves the rest unread.
-      for (size_t r = 0; r < t->num_rows(); ++r) {
-        tuple_[step.table] = r;
-        if (Passes(step.pushed) && !Bind(s, emit)) return false;
-      }
-      return true;
-    }
     if (s == 0) {
-      // Seed lookup: only the rows equal to the literal, in row order.
-      if (step.index == nullptr) step.index = &Index(t, step.lookup_col);
-      for (size_t r : step.index->Find(*step.lookup)) {
+      // The seed streams its candidates in row order, so an early stop
+      // leaves the rest unread: the reduced rows, else the rows equal to
+      // the lookup literal, else every row.
+      auto visit = [&](size_t r) {
         tuple_[step.table] = r;
-        if (Passes(step.pushed) && !Bind(s, emit)) return false;
+        return !Passes(step.pushed) || Bind(s, emit);
+      };
+      if (seed_reduced_) {
+        for (size_t r : seed_rows_) {
+          if (!visit(r)) return false;
+        }
+      } else if (std::optional<std::span<const size_t>> group = SeedGroup()) {
+        for (size_t r : *group) {
+          if (!visit(r)) return false;
+        }
+      } else {
+        for (size_t r = 0; r < t->num_rows(); ++r) {
+          if (!visit(r)) return false;
+        }
       }
       return true;
     }
@@ -411,8 +538,8 @@ class Evaluation {
 
   struct OutputSpec {
     std::vector<std::string> names;
-    // One evaluator per output column; nullopt means literal.
-    std::vector<Expr> exprs;
+    // Per output column: the column it reads; nullopt means the select
+    // item at that position is a literal.
     std::vector<std::optional<ResolvedColumn>> resolved;
   };
 
@@ -424,8 +551,6 @@ class Evaluation {
         for (size_t c = 0; c < t->num_columns(); ++c) {
           spec.names.push_back(from_[i].qualifier + "." +
                                t->columns()[c].name);
-          spec.exprs.push_back(Expr::MakeColumn(from_[i].qualifier,
-                                                t->columns()[c].name));
           spec.resolved.push_back(ResolvedColumn{i, c});
         }
       }
@@ -437,7 +562,6 @@ class Evaluation {
       }
       spec.names.push_back(item.alias.empty() ? item.expr.ToString()
                                               : item.alias);
-      spec.exprs.push_back(item.expr);
       if (item.expr.kind == Expr::Kind::kColumn) {
         SODA_ASSIGN_OR_RETURN(ResolvedColumn rc,
                               ResolveColumn(item.expr.column));
@@ -467,13 +591,13 @@ class Evaluation {
     }
 
     ResultSet rs;
-    rs.column_names = spec.names;
+    rs.column_names = std::move(spec.names);
     auto project = [&](const TupleIds& tuple) {
       std::vector<Value> row;
-      row.reserve(spec.exprs.size());
-      for (size_t c = 0; c < spec.exprs.size(); ++c) {
+      row.reserve(spec.resolved.size());
+      for (size_t c = 0; c < spec.resolved.size(); ++c) {
         row.push_back(spec.resolved[c] ? Cell(tuple, *spec.resolved[c])
-                                       : spec.exprs[c].literal);
+                                       : stmt_.items[c].expr.literal);
       }
       return row;
     };
@@ -622,27 +746,39 @@ class Evaluation {
       }
     }
 
-    // Group, folding each tuple in as the pipeline produces it. The
-    // string-keyed map fixes the output order of GROUP BY without ORDER BY.
+    // Group, folding each tuple in as the pipeline produces it. Groups
+    // are kept in first-appearance order and found through the hash of
+    // their key cells; two keys are equal when every cell compares equal
+    // (Value::Compare), as WHERE compares them.
     struct Group {
       TupleIds representative;
       std::vector<AggState> states;
     };
-    std::map<std::string, Group> groups;
+    std::vector<Group> groups;
+    std::unordered_multimap<size_t, size_t> by_hash;  // key hash -> group
     Enumerate([&](const TupleIds& tuple) {
-      std::string key;
+      size_t hash = 0;
       for (const auto& gc : group_cols) {
-        key += Cell(tuple, gc).ToSqlLiteral();
-        key += '\x1f';
+        hash = HashCombine(hash, Cell(tuple, gc).Hash());
       }
-      auto [it, inserted] = groups.try_emplace(std::move(key));
-      Group& g = it->second;
-      if (inserted) {
-        g.representative = tuple;
-        g.states.resize(aggs.size());
+      Group* g = nullptr;
+      auto [lo, hi] = by_hash.equal_range(hash);
+      for (auto it = lo; it != hi && g == nullptr; ++it) {
+        const TupleIds& rep = groups[it->second].representative;
+        bool same = true;
+        for (const auto& gc : group_cols) {
+          same = same && Cell(rep, gc).Compare(Cell(tuple, gc)) == 0;
+        }
+        if (same) g = &groups[it->second];
+      }
+      if (g == nullptr) {
+        by_hash.emplace(hash, groups.size());
+        g = &groups.emplace_back();
+        g->representative = tuple;
+        g->states.resize(aggs.size());
       }
       for (size_t i = 0; i < aggs.size(); ++i) {
-        AggState& st = g.states[i];
+        AggState& st = g->states[i];
         if (aggs[i].agg_star) {
           ++st.count;
           continue;
@@ -665,11 +801,26 @@ class Evaluation {
     // Aggregate query with no GROUP BY over an empty input still yields one
     // row (COUNT(*) = 0), per SQL semantics.
     if (groups.empty() && group_cols.empty()) {
-      Group g;
+      Group& g = groups.emplace_back();
       g.states.resize(aggs.size());
       g.representative.assign(from_.size(), kUnset);
-      groups.emplace("", std::move(g));
     }
+
+    // Groups come out sorted by their rendered key cells, the order of the
+    // string-keyed map this replaces; first appearance breaks the ties
+    // between distinct values that render alike (nearby doubles under
+    // %.6g), which that map merged into one group.
+    std::vector<std::pair<std::string, size_t>> order;
+    order.reserve(groups.size());
+    for (size_t i = 0; i < groups.size(); ++i) {
+      std::string key;
+      for (const auto& gc : group_cols) {
+        key += Cell(groups[i].representative, gc).ToSqlLiteral();
+        key += '\x1f';
+      }
+      order.emplace_back(std::move(key), i);
+    }
+    std::sort(order.begin(), order.end());
 
     auto finalize = [](const Expr& agg, const AggState& st) -> Value {
       switch (agg.agg) {
@@ -696,8 +847,8 @@ class Evaluation {
     };
     std::vector<OutRow> out_rows;
     out_rows.reserve(groups.size());
-    for (auto& [key, g] : groups) {
-      (void)key;
+    for (const auto& [key, index] : order) {
+      const Group& g = groups[index];
       OutRow row;
       for (const auto& oc : out_cols) {
         if (oc.is_agg) {
@@ -769,7 +920,11 @@ class Evaluation {
   std::vector<Filter> filters_;
   std::vector<const Filter*> constant_filters_;  // literal-only predicates
   std::vector<Step> steps_;
+  std::vector<size_t> position_;  // FROM entry -> the step that binds it
   TupleIds tuple_;  // the tuple being extended
+  // The seed rows left by ReduceSeed, when it applied.
+  std::vector<size_t> seed_rows_;
+  bool seed_reduced_ = false;
   size_t tuples_enumerated_ = 0;
   size_t index_builds_ = 0;
 };
@@ -808,6 +963,7 @@ Result<ResultSet> Executor::Execute(const SelectStatement& stmt,
     stats->tables = stmt.from.size();
     stats->tuples_enumerated = eval.tuples_enumerated();
     stats->index_builds = eval.index_builds();
+    stats->seed_reduced = eval.seed_reduced();
   }
   return rs;
 }

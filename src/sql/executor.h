@@ -18,15 +18,27 @@
 //      its first key column (Table::IndexOn) and checks the other keys and
 //      the pushed predicates per candidate; the seed step reads the index
 //      group of its first pushed `column = literal` predicate instead of
-//      scanning, when it has one. Index groups are ascending row ids, so
-//      the order is the nested-loop order of a plain scan;
+//      scanning, when it has one. Before that, a semi-join reduction may
+//      narrow the seed: the other FROM entry whose pushed `column =
+//      literal` has the smallest index group, when that group is smaller
+//      than the seed's candidates, is carried to the seed along a path of
+//      join edges (each hop through the next table's index, filtered by
+//      its pushed predicates), and the seed skips every row the reduction
+//      proves has no extension. A hop that grows past the seed's
+//      candidates abandons it. Index groups and reduced rows are ascending
+//      row ids, so the order is the nested-loop order of a plain scan;
 //   5. grouping and aggregation (COUNT/SUM/AVG/MIN/MAX), ORDER BY,
-//      DISTINCT, LIMIT and projection.
+//      DISTINCT, LIMIT and projection. Groups are keyed by value
+//      (Value::Compare, as WHERE compares) and, without ORDER BY, come out
+//      sorted by the SQL-literal rendering of their keys, ties in order of
+//      first appearance.
 //
 // Enumeration order is the nested-loop order of the plan, so a flat
 // SELECT with a LIMIT and no ORDER BY, DISTINCT or aggregate stops as soon
 // as LIMIT rows exist: the rows it returns are exactly the first LIMIT
-// rows of the same statement without the LIMIT. The other shapes still
+// rows of the same statement without the LIMIT. ORDER BY sorts stably and
+// DISTINCT keeps first occurrences, so both keep that order among equals,
+// and every shape's output is fully determined. The other shapes still
 // enumerate every qualifying tuple (with pushdown): aggregates fold each
 // tuple into its group as it is produced, ORDER BY materializes the tuple
 // ids to sort them, and DISTINCT materializes the projected rows.
@@ -51,12 +63,16 @@ namespace soda {
 struct ExecStats {
   size_t rows_output = 0;  // result rows returned, after LIMIT
   size_t tables = 0;       // FROM entries the statement touched
-  // Join-pipeline work: rows bound at any step (seed scan included) after
+  // Join-pipeline work: rows bound at any step (seed included) after
   // single-table pushdown, counting partial tuples a later step rejects.
+  // Seed rows the semi-join reduction proves empty are never bound.
   size_t tuples_enumerated = 0;
   // Column equality indexes this statement built for the first time (the
   // tables keep them, so a warm workload builds none).
   size_t index_builds = 0;
+  // Whether the semi-join reduction narrowed the seed's candidates (step 4
+  // above).
+  bool seed_reduced = false;
 };
 
 /// Query executor bound to a catalog. Execute/ExecuteSql are const and keep

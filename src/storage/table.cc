@@ -8,11 +8,19 @@
 
 namespace soda {
 
+Table::Table(std::string name, std::vector<ColumnDef> columns)
+    : name_(std::move(name)),
+      columns_(std::move(columns)),
+      indexes_(columns_.size()) {
+  for (const ColumnDef& c : columns_) {
+    folded_columns_.push_back(FoldForMatch(c.name));
+  }
+}
+
 int Table::ColumnIndex(const std::string& column_name) const {
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (EqualsFolded(columns_[i].name, column_name)) {
-      return static_cast<int>(i);
-    }
+  const std::string probe = FoldForMatch(column_name);
+  for (size_t i = 0; i < folded_columns_.size(); ++i) {
+    if (folded_columns_[i] == probe) return static_cast<int>(i);
   }
   return -1;
 }

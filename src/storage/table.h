@@ -82,10 +82,7 @@ class EqualityIndex {
 /// table has no lock, so it must not be appended to while read.
 class Table {
  public:
-  Table(std::string name, std::vector<ColumnDef> columns)
-      : name_(std::move(name)),
-        columns_(std::move(columns)),
-        indexes_(columns_.size()) {}
+  Table(std::string name, std::vector<ColumnDef> columns);
 
   const std::string& name() const { return name_; }
   const std::vector<ColumnDef>& columns() const { return columns_; }
@@ -142,6 +139,7 @@ class Table {
 
   std::string name_;
   std::vector<ColumnDef> columns_;
+  std::vector<std::string> folded_columns_;  // FoldForMatch of each name
   std::vector<Row> rows_;
   ChangeLog* change_log_ = nullptr;
   // One slot per column, null until first requested. Slots are filled

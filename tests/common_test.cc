@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/date.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -83,6 +86,51 @@ TEST(StringsTest, EqualsFoldedMatchesAccentVariants) {
   EXPECT_TRUE(EqualsFolded("Zurich", "Zürich"));
   EXPECT_TRUE(EqualsFolded("ZÜRICH", "zurich"));
   EXPECT_FALSE(EqualsFolded("Zurich", "Geneva"));
+}
+
+// The allocation-free EqualsFolded agrees with comparing FoldForMatch
+// results, on ASCII and on UTF-8 and raw Latin-1 diacritics alike.
+TEST(StringsTest, EqualsFoldedMatchesFoldForMatchOnRandomPairs) {
+  // Pieces in one class fold alike; "\xFC" and "\xE9" are raw Latin-1.
+  const std::vector<std::vector<std::string>> classes = {
+      {"a", "A"},
+      {"z", "Z"},
+      {"u", "U", "\xC3\xBC", "\xC3\x9C", "\xFC"},
+      {"e", "E", "\xC3\xA9", "\xE9"},
+      {"0"},
+      {"9"},
+      {"_"},
+  };
+  Rng rng(4242);
+  size_t equal = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::vector<size_t> shape(rng.Below(7));
+    for (size_t& c : shape) c = rng.Below(classes.size());
+    auto spell = [&](const std::vector<size_t>& cs) {
+      std::string out;
+      for (size_t c : cs) out += rng.Pick(classes[c]);
+      return out;
+    };
+    std::string a = spell(shape);
+    if (rng.Chance(0.3) && !shape.empty()) {
+      shape[rng.Below(shape.size())] = rng.Below(classes.size());
+    }
+    if (rng.Chance(0.2)) {
+      if (!shape.empty() && rng.Chance(0.5)) {
+        shape.pop_back();
+      } else {
+        shape.push_back(rng.Below(classes.size()));
+      }
+    }
+    std::string b = spell(shape);
+    bool want = FoldForMatch(a) == FoldForMatch(b);
+    EXPECT_EQ(EqualsFolded(a, b), want) << "'" << a << "' vs '" << b << "'";
+    EXPECT_EQ(EqualsFolded(b, a), want) << "'" << b << "' vs '" << a << "'";
+    if (want) ++equal;
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(equal, 5000u);
+  EXPECT_LT(equal, 15000u);
 }
 
 TEST(StringsTest, ContainsFolded) {

@@ -252,8 +252,73 @@ TEST_F(ExecutorTest, PushdownEmptiesPrefixBeforeJoining) {
   EXPECT_EQ(stats.tuples_enumerated, 0u);
 }
 
-// Join keys and COUNT(DISTINCT) compare values the way WHERE filters do
-// (Value::Compare), not through their %.6g literal rendering.
+// individuals seeds the plan; orders' `currency = 'CHF'` group (orders 10
+// and 12) is smaller than its three rows, so only Sara and Bruno are
+// visited.
+TEST_F(ExecutorTest, SeedReductionSkipsRowsWithoutExtension) {
+  auto stmt = ParseSql(
+      "SELECT individuals.name, orders.id FROM individuals, orders "
+      "WHERE orders.party = individuals.id AND orders.currency = 'CHF'");
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  ExecStats stats;
+  auto rs = executor_->Execute(*stmt, &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  ASSERT_EQ(rs->num_rows(), 2u);
+  EXPECT_EQ(rs->rows[0][0], Value::Str("Sara"));
+  EXPECT_EQ(rs->rows[0][1], Value::Int(10));
+  EXPECT_EQ(rs->rows[1][0], Value::Str("Bruno"));
+  EXPECT_EQ(rs->rows[1][1], Value::Int(12));
+  EXPECT_TRUE(stats.seed_reduced);
+  // Two seed rows and one order each; Carla is never bound.
+  EXPECT_EQ(stats.tuples_enumerated, 4u);
+}
+
+// The reduction follows a join path of two hops: orders -> individuals ->
+// parties. A group as large as the seed's candidates is not used.
+TEST_F(ExecutorTest, SeedReductionFollowsAJoinPath) {
+  auto stmt = ParseSql(
+      "SELECT parties.id FROM parties, individuals, orders "
+      "WHERE individuals.id = parties.id AND orders.party = individuals.id "
+      "AND orders.amount = 300.0");
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  ExecStats stats;
+  auto rs = executor_->Execute(*stmt, &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  ASSERT_EQ(rs->num_rows(), 1u);
+  EXPECT_EQ(rs->rows[0][0], Value::Int(3));
+  EXPECT_TRUE(stats.seed_reduced);
+  EXPECT_EQ(stats.tuples_enumerated, 3u);
+
+  stmt = ParseSql(
+      "SELECT * FROM individuals, orders "
+      "WHERE orders.party = individuals.id AND orders.currency = 'YEN'");
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  rs = executor_->Execute(*stmt, &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->num_rows(), 3u);
+  EXPECT_FALSE(stats.seed_reduced);
+}
+
+// A hop whose row set outgrows the seed's candidates abandons the
+// reduction, and the seed is scanned as without it.
+TEST_F(ExecutorTest, SeedReductionGivesUpWhenAHopOutgrowsTheSeed) {
+  Table* fan = *db_.CreateTable("fan", {{"party", ValueType::kInt64}});
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(fan->Append({Value::Int(1)}).ok());
+  auto stmt = ParseSql(
+      "SELECT individuals.name FROM individuals, fan, orders "
+      "WHERE fan.party = individuals.id AND orders.party = fan.party "
+      "AND orders.id = 10");
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  ExecStats stats;
+  auto rs = executor_->Execute(*stmt, &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->num_rows(), 4u);
+  EXPECT_FALSE(stats.seed_reduced);
+}
+
+// Join keys, GROUP BY keys, DISTINCT and COUNT(DISTINCT) compare values
+// the way WHERE filters do (Value::Compare), not through their %.6g
+// literal rendering.
 class ExecutorValueEqualityTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -306,6 +371,22 @@ TEST_F(ExecutorValueEqualityTest, DistinctSeparatesNearbyDoubles) {
   EXPECT_EQ(rs.rows[0][0], Value::Real(1.0000001));
   EXPECT_EQ(rs.rows[1][0], Value::Real(1234567.0));
   EXPECT_EQ(rs.rows[2][0], Value::Real(1.0000002));
+}
+
+TEST_F(ExecutorValueEqualityTest, GroupByKeepsNearbyDoublesApart) {
+  Table* reals = db_.FindTable("reals");
+  ASSERT_TRUE(reals->Append({Value::Real(1.0000002)}).ok());
+  ASSERT_TRUE(reals->Append({Value::Real(1.0000001)}).ok());
+  ResultSet rs = Run("SELECT reals.x, count(*) FROM reals GROUP BY reals.x");
+  // Groups sort by their rendered key; 1.0000001 and 1.0000002 both render
+  // as 1 and keep their order of first appearance.
+  ASSERT_EQ(rs.num_rows(), 3u);
+  EXPECT_EQ(rs.rows[0][0], Value::Real(1.0000001));
+  EXPECT_EQ(rs.rows[0][1], Value::Int(2));
+  EXPECT_EQ(rs.rows[1][0], Value::Real(1.0000002));
+  EXPECT_EQ(rs.rows[1][1], Value::Int(1));
+  EXPECT_EQ(rs.rows[2][0], Value::Real(1234567.0));
+  EXPECT_EQ(rs.rows[2][1], Value::Int(1));
 }
 
 // Readers that race to build the same column index, under the change

@@ -15,6 +15,7 @@
 #include "core/soda.h"
 #include "datasets/minibank.h"
 #include "pattern/library.h"
+#include "sql/executor.h"
 
 namespace soda {
 namespace {
@@ -178,6 +179,26 @@ TEST_F(MetricsIntegrationTest, SnippetIndexBuildsLevelOff) {
   // builds none the second time.
   EXPECT_GT(first.Snapshot().counter("executor.index_builds"), 0u);
   EXPECT_EQ(second.Snapshot().counter("executor.index_builds"), 0u);
+}
+
+TEST_F(MetricsIntegrationTest, SnippetSeedReductionsAreCounted) {
+  auto soda = Soda::Create(&bank_->db, &bank_->graph,
+                           CreditSuissePatternLibrary(), SodaConfig{});
+  ASSERT_TRUE(soda.ok()) << soda.status();
+  InMemoryMetricsSink sink;
+  auto output = (*soda)->Search("addresses Sara Guttinger", &sink);
+  ASSERT_TRUE(output.ok()) << output.status();
+  // One increment per snippet statement whose seed the reduction narrowed.
+  size_t reduced = 0;
+  for (const SodaResult& result : output->results) {
+    SelectStatement limited = result.statement;
+    limited.limit = static_cast<int64_t>((*soda)->config().snippet_rows);
+    ExecStats stats;
+    ASSERT_TRUE((*soda)->executor().Execute(limited, &stats).ok());
+    if (stats.seed_reduced) ++reduced;
+  }
+  EXPECT_GT(reduced, 0u);
+  EXPECT_EQ(sink.Snapshot().counter("executor.seed_reductions"), reduced);
 }
 
 TEST_F(MetricsIntegrationTest, EngineRecordsCacheAndBatchCounters) {
