@@ -365,8 +365,8 @@ int main(int argc, char** argv) {
   }
 
   // Async snippet streaming: translated, ranked SQL comes back at once;
-  // snippets arrive through the callback as the pool executes them, and
-  // the barrier is the deterministic completion point.
+  // barrier.Wait() then executes the snippets on this thread, handing
+  // each to the callback in result order.
   std::printf("---- async streaming (fresh query) ----------------------\n");
   service.ClearCache();
   std::atomic<size_t> streamed{0};

@@ -2,7 +2,8 @@
 //
 // The pool is deliberately minimal: a bounded set of workers draining one
 // shared FIFO queue, plus a blocking ParallelFor used by the engine to fan
-// per-interpretation pipeline work out and join before the merge step.
+// the queries of a batch out and join before the merge step (one query's
+// work is too fine-grained to pay for a hand-off, so it never splits).
 // A pool of size 0 or 1 degenerates to inline execution on the calling
 // thread, which keeps the single-threaded path allocation- and lock-free
 // and makes "1 thread" an exact replica of the serial pipeline.

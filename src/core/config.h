@@ -47,9 +47,9 @@ struct SodaConfig {
   /// per-query BFS work. Default on.
   bool enable_closures = true;
 
-  /// SodaEngine: width of the worker pool that fans ranked
-  /// interpretations out across Steps 3-5. 0 means "use the hardware
-  /// concurrency"; 1 pins the engine to the serial pipeline. The ranked
+  /// SodaEngine: width of the worker pool that fans the queries of a
+  /// batch out (one query never splits across it). 0 means "use the
+  /// hardware concurrency"; 1 runs every batch serially. The ranked
   /// result list is byte-identical at any width.
   size_t num_threads = 0;
 

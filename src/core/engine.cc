@@ -1,6 +1,5 @@
 #include "core/engine.h"
 
-#include <atomic>
 #include <chrono>
 #include <thread>
 #include <unordered_map>
@@ -358,6 +357,7 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     bool capture = false;
     std::vector<InterpretationState> snapshot;
     std::shared_ptr<TranslationPlan> plan;  // handed over on success only
+    size_t interpretations = 0;
     Status status;
   };
   std::vector<Job> jobs;
@@ -390,9 +390,9 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     ctx.metrics = sink_.get();
     ctx.collect_freshness_terms = freshness_ != nullptr;
     if (constrained) ctx.constraints = item.constraints;
-    // A batch query's span stays open across both fan-outs below, so its
-    // duration covers that query's pipeline; stage spans parent under it
-    // through ctx.trace.
+    // A batch query's span stays open until its task is done, so its
+    // duration covers that query's pipeline and snippets; stage spans
+    // parent under it through ctx.trace.
     ctx.trace = trace;
     if (query_span != nullptr) {
       job.span = Span(trace, query_span);
@@ -428,120 +428,86 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     job.capture = job.stages_skipped != 4;
   }
 
-  // Query-level stages once per job, fanned across the pool: query
-  // contexts are independent and the step objects are stateless. Each
-  // task writes only its own job, so a poisoned task fails one query.
-  if (!jobs.empty()) {
+  // One task per job: a query's stages, its plan snapshot, its output
+  // and (on the sync paths) its snippets run in order on one thread. The
+  // pool fans out across the queries of a batch only, so a batch of one
+  // never leaves the caller's thread. Each task writes only its own job,
+  // so a poisoned task fails one query.
+  const bool run_snippets =
+      execute && config.execute_snippets && soda_->database() != nullptr;
+  if (jobs.size() > 1) {
     sink_->Observe("pool.queue_depth",
                    static_cast<double>(pool_.queue_depth()));
   }
-  pool_.ParallelFor(jobs.size(), [&](size_t j) {
-    Job& job = jobs[j];
+  auto run_job = [&](Job& job) {
+    QueryContext& ctx = job.ctx;
     job.status = RunContained(
-        sink_.get(), "engine.task_exceptions", "pipeline prefix", [&] {
+        sink_.get(), "engine.task_exceptions", "pipeline task", [&] {
           SODA_FAILPOINT("engine.pool_task");
-          return RunQueryStages(*job.stages, &job.ctx);
-        });
-  });
-
-  // Per-interpretation stages over one flat (job, interpretation) task
-  // list: a batch of narrow queries load-balances exactly like one wide
-  // query. One status slot per unit (several units of one job run
-  // concurrently, so a shared per-job status would race); folded
-  // serially below. Ranking keeps at most top_n states per query.
-  std::vector<std::pair<size_t, size_t>> units;  // (job idx, state idx)
-  units.reserve(jobs.size() * config.top_n);
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    Job& job = jobs[j];
-    if (!job.status.ok()) continue;
-    if (job.capture) job.snapshot.resize(job.ctx.states.size());
-    for (size_t s = 0; s < job.ctx.states.size(); ++s) units.emplace_back(j, s);
-  }
-  std::vector<Status> unit_status(units.size());
-  pool_.ParallelFor(units.size(), [&](size_t u) {
-    Job& job = jobs[units[u].first];
-    const size_t s = units[u].second;
-    InterpretationState* state = &job.ctx.states[s];
-    unit_status[u] = RunContained(
-        sink_.get(), "engine.task_exceptions", "interpretation task", [&] {
-          SODA_FAILPOINT("engine.pool_task");
-          if (!job.capture) {
-            RunInterpretationStages(*job.stages, job.ctx, state);
-            return Status::OK();
+          SODA_RETURN_NOT_OK(RunQueryStages(*job.stages, &ctx));
+          job.interpretations = ctx.states.size();
+          if (job.capture) job.snapshot.resize(ctx.states.size());
+          for (size_t s = 0; s < ctx.states.size(); ++s) {
+            InterpretationState* state = &ctx.states[s];
+            if (!job.capture) {
+              RunInterpretationStages(*job.stages, ctx, state);
+              continue;
+            }
+            // Snapshot at the Step-4/5 boundary, with no stage time
+            // booked: a resumed run books only the stage work it does.
+            RunInterpretationStages(stages_pre_sql_, ctx, state);
+            job.snapshot[s] = *state;
+            job.snapshot[s].timings = StepTimings{};
+            RunInterpretationStages(stages_sql_, ctx, state);
           }
-          // Snapshot at the Step-4/5 boundary, with no stage time booked:
-          // a resumed run books only the stage work it actually does.
-          RunInterpretationStages(stages_pre_sql_, job.ctx, state);
-          job.snapshot[s] = *state;
-          job.snapshot[s].timings = StepTimings{};
-          RunInterpretationStages(stages_sql_, job.ctx, state);
           return Status::OK();
         });
-  });
-  for (size_t u = 0; u < units.size(); ++u) {
-    Status& status = jobs[units[u].first].status;
-    if (!unit_status[u].ok() && status.ok()) status = unit_status[u];
-  }
-
-  // Deterministic per-query merge, in miss order.
-  bool any_computed = false;
-  for (Job& job : jobs) {
     BatchItem& item = *job.item;
     if (!job.status.ok()) {
       item.output = job.status;
       job.span.SetStatus(job.status.message());
-      job.span.End();
-      continue;
-    }
-    any_computed = true;
-    if (item.plan != nullptr && job.stages_skipped > 0) {
-      sink_->IncrementCounter("session.stages_skipped", job.stages_skipped);
+      return;
     }
     if (job.capture) {
       // Before FinalizeOutput, which consumes the context fields.
       job.plan = std::make_shared<TranslationPlan>();
       job.plan->key = item.normalized;
-      job.plan->parsed = job.ctx.parsed;
-      job.plan->lookup = job.ctx.lookup;
+      job.plan->parsed = ctx.parsed;
+      job.plan->lookup = ctx.lookup;
       job.plan->bindings_fp = item.constraints->BindingsFingerprint();
-      job.plan->freshness_terms = job.ctx.freshness_terms;
+      job.plan->freshness_terms = ctx.freshness_terms;
       job.plan->states = std::move(job.snapshot);
       const Database* db = soda_->database();
       job.plan->captured_at_sequence =
           db != nullptr ? db->change_log().sequence() : 0;
     }
-    item.output = FinalizeOutput(std::move(job.ctx));
+    const TraceContext query_trace = ctx.trace;
+    item.output = FinalizeOutput(std::move(ctx));
     item.output->stages_skipped = job.stages_skipped;
-    job.span.End();
-  }
-
-  // Snippet execution for the sync paths: again one flat task list across
-  // every (computed query, result) pair. Per-item attribution of a shared
-  // fan-out is ill-defined; every computed output carries the one
-  // duration of the execution stage.
-  double exec_ms = 0.0;
-  if (execute && any_computed && config.execute_snippets &&
-      soda_->database() != nullptr) {
-    std::vector<SodaResult*> snippets;
-    for (Job& job : jobs) {
-      if (!job.item->output.ok()) continue;
-      for (SodaResult& result : job.item->output->results) {
-        snippets.push_back(&result);
-      }
+    if (!run_snippets) return;
+    // This query's snippets, in result order, timed into its own output.
+    StageScope exec(kExecuteTiming, query_trace, sink_.get(),
+                    &item.output->timings);
+    exec.span().SetAttr("snippets",
+                        static_cast<int64_t>(item.output->results.size()));
+    for (SodaResult& result : item.output->results) {
+      ExecuteSnippetContained(*soda_, &result, sink_.get());
     }
-    StageScope exec(kExecuteTiming, trace, sink_.get(), /*timings=*/nullptr);
-    exec.span().SetAttr("snippets", static_cast<int64_t>(snippets.size()));
-    pool_.ParallelFor(snippets.size(), [&](size_t i) {
-      ExecuteSnippetContained(*soda_, snippets[i], sink_.get());
-    });
-    exec_ms = exec.End();
-  }
+  };
+  pool_.ParallelFor(jobs.size(), [&](size_t j) {
+    run_job(jobs[j]);
+    jobs[j].span.End();
+  });
 
   const double wall_ms = MsSince(start);
+  size_t interpretations = 0;
   for (Job& job : jobs) {
     BatchItem& item = *job.item;
+    interpretations += job.interpretations;
     if (!item.output.ok()) continue;
-    item.output->timings.execute_ms = exec_ms;
+    if (item.plan != nullptr && job.stages_skipped > 0) {
+      sink_->IncrementCounter("session.stages_skipped", job.stages_skipped);
+    }
     item.output->timings.wall_ms = wall_ms;
     // Cache every answer that is fully materialized (statements +
     // snippets): all of them on the sync paths, only those without a
@@ -558,7 +524,7 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       *item.plan = std::move(job.plan);
     }
   }
-  return units.size();
+  return interpretations;
 }
 
 std::vector<Result<SearchOutput>> SodaEngine::ExpandBatch(
@@ -673,17 +639,12 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAll(
 // Async snippet streaming
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Shared state of one unique query's snippet stream. Result slots are
-/// written by exactly one task each; the task that drops `remaining` to
-/// zero observes all earlier writes through the acq_rel decrement and
-/// owns the cache insertion.
-struct StreamState {
+/// One unique query's snippet stream, run in result order by one thread.
+struct SodaEngine::StreamState {
   SearchOutput output;
   std::vector<size_t> occurrences;
   std::string key;
-  SnippetCallback on_snippet;  // one copy per unique query, not per task
+  SnippetCallback on_snippet;  // one copy per unique query
   bool run_execution = false;  // false when served from cache (or disabled)
   bool cache_insert = false;   // insert the materialized output when done
   /// Change-log sequence at translation time. The deferred cache insert
@@ -692,18 +653,78 @@ struct StreamState {
   /// key's dependents, and inserting the stale answer afterwards would
   /// undo that forever.
   uint64_t translated_at_sequence = 0;
-  std::atomic<size_t> remaining{0};
 };
 
-}  // namespace
+void SodaEngine::RunStream(StreamState& stream, SnippetBarrier* barrier,
+                           const TraceContext& trace) const {
+  // The stream runs outside the submitting call's data guard (on the
+  // waiting thread), so it takes its own shared lock around the snippet
+  // scans and the (possible) cache insert.
+  auto data_guard = ReadGuard();
+  for (size_t r = 0; r < stream.output.results.size(); ++r) {
+    // The span parents under the batch span through the captured
+    // context, although it starts after SearchAllAsync returned.
+    Span snippet_span(trace, "snippet.stream");
+    if (snippet_span.active()) {
+      snippet_span.SetAttr("result", static_cast<int64_t>(r));
+    }
+    SodaResult& result = stream.output.results[r];
+    if (stream.run_execution) {
+      // Contained: a throwing snippet (or armed failpoint) marks this one
+      // result failed; the callbacks below still fan out and the barrier
+      // still hears of each, so Wait() never hangs on a fault.
+      ExecuteSnippetContained(*soda_, &result, sink_.get());
+    }
+    // One delivery per (query_index, result_index) pair: the snippet ran
+    // once, every occurrence of the query in the batch hears of it.
+    std::vector<std::exception_ptr> exceptions;
+    exceptions.reserve(stream.occurrences.size());
+    for (size_t query_index : stream.occurrences) {
+      std::exception_ptr exception;
+      if (stream.on_snippet) {
+        try {
+          stream.on_snippet(query_index, r, result);
+        } catch (...) {
+          exception = std::current_exception();
+          sink_->IncrementCounter("snippet.callback_exception", 1);
+        }
+      }
+      sink_->IncrementCounter("snippet.streamed", 1);
+      exceptions.push_back(std::move(exception));
+    }
+    if (r + 1 == stream.output.results.size() && stream.cache_insert) {
+      // Last snippet of this query: cache the materialized answer —
+      // unless base data moved since translation (the stored answer
+      // would be stale and its invalidation already happened).
+      const Database* db = soda_->database();
+      if (db == nullptr ||
+          db->change_log().sequence() == stream.translated_at_sequence) {
+        CacheInsert(stream.key, stream.output);
+      } else {
+        sink_->IncrementCounter("cache.stale_insert_skipped", 1);
+      }
+    }
+    // End (and append) the span before delivering: a caller may finish
+    // the trace as soon as Wait() returns, and a span recorded after that
+    // would be dropped as an orphan.
+    snippet_span.End();
+    // Deliver last: once the barrier reports drained, the cache insert
+    // has already happened — Wait() is a true completion point.
+    if (barrier != nullptr) {
+      for (std::exception_ptr& exception : exceptions) {
+        barrier->Deliver(std::move(exception));
+      }
+    }
+  }
+}
 
 std::vector<Result<SearchOutput>> SodaEngine::SearchAllAsync(
     std::span<const std::string> queries, SnippetCallback on_snippet,
     SnippetBarrier* barrier) const {
   if (queries.empty()) return {};
-  // The async trace outlives this call: snippet tasks carry the batch
-  // span's context into the pool and append their spans after the trace
-  // was finished — TraceData is shared and append-safe, so stragglers
+  // The async trace outlives this call: the streams carry the batch
+  // span's context to the waiting thread and append their spans after the
+  // trace was finished — TraceData is shared and append-safe, so they
   // still land in the archived record.
   ServeScope serve(ReadGuard(), sink_.get(), "engine.search_all_async");
   serve.span().SetAttr("queries", static_cast<int64_t>(queries.size()));
@@ -718,11 +739,8 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAllAsync(
       queries, /*execute=*/false, serve.span().context(), serve.start());
 
   // Snapshot the per-unique stream states before the items are consumed
-  // by ExpandBatch, and register every expected callback up front so the
-  // barrier can never observe a transient zero while later items are
-  // still being scheduled.
+  // by ExpandBatch.
   std::vector<std::shared_ptr<StreamState>> streams;
-  size_t expected_callbacks = 0;
   for (const BatchItem& item : items) {
     // Nothing to stream: TranslateBatch already cached the empty answer.
     if (!item.output.ok() || item.output->results.empty()) continue;
@@ -734,96 +752,32 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAllAsync(
     stream->run_execution = can_execute && !item.from_cache;
     stream->cache_insert = !item.from_cache;
     stream->translated_at_sequence = translated_at_sequence;
-    stream->remaining.store(stream->output.results.size(),
-                            std::memory_order_relaxed);
-    expected_callbacks +=
-        stream->output.results.size() * stream->occurrences.size();
     streams.push_back(std::move(stream));
   }
-  if (barrier != nullptr) barrier->Expect(expected_callbacks);
 
   std::vector<Result<SearchOutput>> outputs =
       ExpandBatch(std::move(items), queries.size(),
                   /*mark_dedup_as_cached=*/false, serve.start());
 
-  // Release the serve's shared lock before scheduling the snippet
-  // tasks: on a workerless pool Submit runs the task inline on this
-  // thread, and its own ReadGuard must not re-enter the shared_mutex
-  // (UB, and a deadlock with a queued writer). The tasks re-acquire for
-  // themselves; the sequence check above keeps a mutation that sneaks
-  // into the gap from ever caching a stale answer.
+  // Release the serve's shared lock before any stream runs: each stream
+  // takes its own ReadGuard, which must not re-enter the shared_mutex (UB,
+  // and a deadlock with a queued writer). The sequence check keeps a
+  // mutation that sneaks into the gap from ever caching a stale answer.
   serve.ReleaseDataGuard();
 
-  // One task per (unique query, result): execute the snippet, then fan
-  // the callback out to every occurrence of that query in the batch —
-  // exactly one delivery per (query_index, result_index) pair.
   const TraceContext stream_trace = serve.span().context();
-  for (const std::shared_ptr<StreamState>& stream : streams) {
-    for (size_t r = 0; r < stream->output.results.size(); ++r) {
-      pool_.Submit([this, stream, barrier, r, stream_trace] {
-        // Pool tasks run outside the submitting call's data guard, so
-        // each takes its own shared lock around the snippet scan and the
-        // (possible) cache insert.
-        auto data_guard = ReadGuard();
-        // Explicit context capture is how the trace crosses the pool
-        // boundary: this span parents under the batch span even though
-        // it starts on a worker after SearchAllAsync returned.
-        Span snippet_span(stream_trace, "snippet.stream");
-        if (snippet_span.active()) {
-          snippet_span.SetAttr("result", static_cast<int64_t>(r));
-        }
-        SodaResult& result = stream->output.results[r];
-        if (stream->run_execution) {
-          // Contained: a throwing snippet (or armed failpoint) marks this
-          // one result failed; the callbacks below still fan out and the
-          // barrier Deliver still runs, so Wait() never hangs on a fault.
-          ExecuteSnippetContained(*soda_, &result, sink_.get());
-        }
-        std::vector<std::exception_ptr> exceptions;
-        exceptions.reserve(stream->occurrences.size());
-        for (size_t query_index : stream->occurrences) {
-          std::exception_ptr exception;
-          if (stream->on_snippet) {
-            try {
-              stream->on_snippet(query_index, r, result);
-            } catch (...) {
-              exception = std::current_exception();
-              sink_->IncrementCounter("snippet.callback_exception", 1);
-            }
-          }
-          sink_->IncrementCounter("snippet.streamed", 1);
-          exceptions.push_back(std::move(exception));
-        }
-        if (stream->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-            stream->cache_insert) {
-          // Last snippet of this query: cache the materialized answer —
-          // unless base data moved since translation (the stored answer
-          // would be stale and its invalidation already happened).
-          const Database* db = soda_->database();
-          if (db == nullptr ||
-              db->change_log().sequence() == stream->translated_at_sequence) {
-            CacheInsert(stream->key, stream->output);
-          } else {
-            sink_->IncrementCounter("cache.stale_insert_skipped", 1);
-          }
-        }
-        // End (and append) the span before delivering: a caller may
-        // finish the trace as soon as Wait() returns, and a span
-        // recorded after that would be dropped as an orphan.
-        snippet_span.End();
-        // Deliver last: once the barrier reports drained, the cache
-        // insertion (done by whichever task decremented to zero) has
-        // already happened — Wait() is a true completion point.
-        if (barrier != nullptr) {
-          for (std::exception_ptr& exception : exceptions) {
-            barrier->Deliver(std::move(exception));
-          }
-        }
-      });
+  for (std::shared_ptr<StreamState>& stream : streams) {
+    if (barrier == nullptr) {
+      RunStream(*stream, nullptr, stream_trace);
+      continue;
     }
+    const size_t callbacks =
+        stream->output.results.size() * stream->occurrences.size();
+    barrier->Register(callbacks, [this, stream = std::move(stream), barrier,
+                                  stream_trace] {
+      RunStream(*stream, barrier, stream_trace);
+    });
   }
-  sink_->Observe("pool.queue_depth",
-                 static_cast<double>(pool_.queue_depth()));
   return outputs;
 }
 

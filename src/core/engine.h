@@ -11,22 +11,23 @@
 //      repeated business queries (dashboards, saved searches)
 //      short-circuit the whole pipeline; hit/miss counters are surfaced
 //      on every response;
-//   2. a fixed-size worker pool that fans the ranked interpretations out
-//      across Steps 3-5 (tables/filters/SQL are independent per
-//      interpretation) and parallelizes snippet execution across result
-//      candidates;
+//   2. a fixed-size worker pool that fans out across the queries of a
+//      batch, never within one query: each query's stages, its
+//      interpretations (in ranked order) and its snippets run on one
+//      thread, so a single query never pays a thread hand-off (its units
+//      of work cost about as much as one hand-off each);
 //   3. a deterministic merge: states are recombined in ranked order and
 //      deduplicated with CanonicalKey, so the ranked SQL list is
 //      byte-identical whether num_threads is 1 or N;
 //   4. a batched front door — SearchAll admits a whole dashboard refresh
 //      at once, dedups identical normalized queries inside the batch
 //      (Steps 1-5 run once per unique query; repeats cost one cache hit),
-//      and flattens every (query, interpretation) pair into one shared
-//      task list so the pool load-balances across the batch;
+//      and runs one pool task per unique miss;
 //   5. async snippet streaming — SearchAsync/SearchAllAsync return the
-//      translated, ranked SQL immediately and deliver each executed
-//      snippet through a SnippetCallback as the pool finishes it, with a
-//      SnippetBarrier as the deterministic completion point;
+//      translated, ranked SQL immediately and register each query's
+//      snippet work on a SnippetBarrier; the barrier's Wait() runs it on
+//      the waiting thread, delivering each executed snippet through a
+//      SnippetCallback in result order;
 //   6. pluggable observability — every stage latency, cache hit/miss,
 //      batch dedup, snippet outcome and queue-depth sample flows into a
 //      MetricsSink (default: in-memory counters + histograms, snapshot
@@ -106,7 +107,7 @@ class SodaEngine : public SodaService {
   /// Cached, concurrent search under `constraints` (empty = classic
   /// behavior): SearchSession without a plan slot. On a cache hit the
   /// stored output is copied with `from_cache` set; on a miss the
-  /// pipeline runs with Steps 3-5 fanned out across the pool. Every
+  /// pipeline and the snippets run on the caller's thread. Every
   /// response carries the engine-lifetime cache counters and the pool
   /// width.
   Result<SearchOutput> Search(
@@ -129,28 +130,30 @@ class SodaEngine : public SodaService {
   /// input order. Identical normalized queries inside the batch are
   /// deduplicated before the cache is touched — the pipeline runs once
   /// per unique query and repeats are booked as one miss + N-1 hits.
-  /// Step-1/2 lookup runs once per unique query across the pool, then
-  /// every (query, interpretation) pair joins one flat task list, so a
-  /// batch of narrow queries parallelizes as well as one wide query.
-  /// Per-query failures (e.g. a malformed query) error only their own
-  /// slot. Results are byte-identical to N independent Search calls at
-  /// any thread count.
+  /// The unique misses fan out across the pool, one task per query that
+  /// runs its stages, interpretations and snippets in order. Per-query
+  /// failures (e.g. a malformed query) error only their own slot.
+  /// Results are byte-identical to N independent Search calls at any
+  /// thread count.
   std::vector<Result<SearchOutput>> SearchAll(
       std::span<const std::string> queries) const override;
 
   /// Async search: returns the translated, ranked SQL immediately —
   /// results carry executed=false and empty snippets (unless served from
-  /// cache, which already holds them) — then executes snippets on the
-  /// pool, delivering each through `on_snippet` exactly once per result.
-  /// `barrier` (required) is the completion point; once the last snippet
-  /// of a query lands, the fully materialized output is inserted into
-  /// the result cache. query_index is always 0 for this entry point.
+  /// cache, which already holds them) — and registers the snippet work on
+  /// `barrier`. barrier->Wait() executes the snippets on the waiting
+  /// thread, in result order, delivering each through `on_snippet`
+  /// exactly once per result; after the last one the fully materialized
+  /// output is inserted into the result cache. This engine must outlive
+  /// that Wait(). With `barrier` == nullptr the snippets run before this
+  /// returns. query_index is always 0 for this entry point.
   Result<SearchOutput> SearchAsync(const std::string& query,
                                    SnippetCallback on_snippet,
                                    SnippetBarrier* barrier) const override;
 
-  /// Batched async search: SearchAll's dedup/amortization for the
-  /// translation phase, snippet streaming for the execution phase. Each
+  /// Batched async search: SearchAll's dedup and cross-query fan-out for
+  /// the translation phase, snippet streaming for the execution phase
+  /// (one registered stream per unique query, run in input order). Each
   /// input index receives exactly one callback per result in its output;
   /// deduplicated repeats share one snippet execution but still get
   /// their own callbacks (with their own query_index).
@@ -169,7 +172,7 @@ class SodaEngine : public SodaService {
   /// concurrently with Search traffic: the predicate runs under the
   /// cache lock (keep it cheap; it must not call back into the engine),
   /// and in-flight readers keep their payloads alive. Note async
-  /// streaming inserts into the cache after its barrier drains, so
+  /// streaming inserts into the cache inside its barrier's Wait(), so
   /// invalidate after Wait() to cover in-flight async answers.
   size_t InvalidateWhere(
       const std::function<bool(const std::string&)>& pred) const override;
@@ -221,6 +224,7 @@ class SodaEngine : public SodaService {
 
  private:
   struct BatchItem;
+  struct StreamState;
 
   /// Whether a captured plan may still be resumed: its valid flag has
   /// not been flipped by a freshness hook, and — when nobody watches it
@@ -242,20 +246,20 @@ class SodaEngine : public SodaService {
       std::chrono::steady_clock::time_point start) const;
 
   /// The translation core of every entry point: probes the cache once
-  /// per item under its key, then per miss runs the query-level stages
-  /// (or resumes a session plan) across the pool and the
-  /// per-interpretation stages over one flattened (miss, interpretation)
-  /// task list — every task contained, so a throwing one fails only its
-  /// query. A capturing session item snapshots its states at the
-  /// Step-4/5 boundary and gets its new plan only on success. `execute`
-  /// extends the flat fan-out to snippet execution (the sync paths);
+  /// per item under its key, then runs one contained pool task per miss
+  /// — its query-level stages (or a session plan resume), then its
+  /// interpretations in ranked order — so a throwing task fails only its
+  /// query and a batch of one stays on the caller's thread. A capturing
+  /// session item snapshots its states at the Step-4/5 boundary and gets
+  /// its new plan only on success. `execute` (the sync paths) appends the
+  /// query's snippet execution to its task, timed into its own output;
   /// computed answers are cached once materialized (all of them when
   /// `execute`, else only those with no snippet to stream). `trace` (the
-  /// root span's context, possibly inactive) parents the execute span
-  /// and, when `query_span` is set, one such span per miss; otherwise the
-  /// stage spans parent under `trace` directly. Computed outputs are
-  /// stamped with the wall time since `start`. Returns the (miss,
-  /// interpretation) task count.
+  /// root span's context, possibly inactive) parents, when `query_span`
+  /// is set, one such span per miss; otherwise the stage and execute
+  /// spans parent under `trace` directly. Computed outputs are stamped
+  /// with the wall time since `start`. Returns the number of
+  /// interpretations translated.
   size_t TranslateBatch(std::vector<BatchItem>* items, bool execute,
                         const TraceContext& trace,
                         std::chrono::steady_clock::time_point start,
@@ -273,6 +277,13 @@ class SodaEngine : public SodaService {
       std::vector<BatchItem> items, size_t query_count,
       bool mark_dedup_as_cached,
       std::chrono::steady_clock::time_point batch_start) const;
+
+  /// Runs one unique query's snippet stream in result order on the
+  /// calling thread: executes each snippet, fans its callback out to every
+  /// occurrence, delivers to `barrier` (when set), and caches the
+  /// materialized answer after the last result.
+  void RunStream(StreamState& stream, SnippetBarrier* barrier,
+                 const TraceContext& trace) const;
 
   /// Shared data lock for the serve (empty when the engine has no
   /// database): every entry point takes one before probing the cache and
@@ -297,9 +308,8 @@ class SodaEngine : public SodaService {
   mutable LruCache<std::string, SearchOutput> cache_;
   std::shared_ptr<InMemoryMetricsSink> default_sink_;
   std::shared_ptr<MetricsSink> sink_;
-  // Declared last: the pool's destructor drains queued async snippet
-  // tasks, which still touch the cache and the sink above — they must
-  // outlive the workers.
+  // Fans out across the queries of a batch only; every ParallelFor joins
+  // before its call returns, so no task outlives a serve.
   mutable ThreadPool pool_;
 };
 

@@ -13,7 +13,7 @@
 // Query-level stages run exactly once and may touch the whole context.
 // Per-interpretation stages only read the shared context and mutate the
 // single InterpretationState they are handed — that contract is what lets
-// the SodaEngine fan interpretations out across a thread pool while the
+// the SodaEngine snapshot a session's states between stages while the
 // serial driver (Soda::Search) stays a thin loop over the same stage list.
 // Both time every stage run through one StageScope.
 // Results are merged deterministically in ranked order and deduplicated
@@ -440,7 +440,8 @@ Status RunQueryStages(const std::vector<const PipelineStage*>& stages,
 
 /// Runs the per-interpretation suffix of `stages` on one state, in order,
 /// each under a StageScope writing state->timings. Query-level stages in
-/// the list are skipped. This is the unit of work the SodaEngine fans out.
+/// the list are skipped. The engine runs it once per state, in ranked
+/// order, on the query's own thread.
 void RunInterpretationStages(const std::vector<const PipelineStage*>& stages,
                              const QueryContext& ctx,
                              InterpretationState* state);

@@ -8,9 +8,10 @@ namespace soda {
 // SnippetBarrier
 // ---------------------------------------------------------------------------
 
-void SnippetBarrier::Expect(size_t n) {
+void SnippetBarrier::Register(size_t callbacks, std::function<void()> work) {
   std::lock_guard<std::mutex> lock(mu_);
-  expected_ += n;
+  expected_ += callbacks;
+  work_.push_back(std::move(work));
 }
 
 void SnippetBarrier::Deliver(std::exception_ptr exception) {
@@ -25,6 +26,14 @@ void SnippetBarrier::Deliver(std::exception_ptr exception) {
 
 void SnippetBarrier::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
+  // The work delivers through Deliver(), which takes mu_: run it unlocked.
+  while (!work_.empty()) {
+    std::vector<std::function<void()>> work;
+    work.swap(work_);
+    lock.unlock();
+    for (std::function<void()>& run : work) run();
+    lock.lock();
+  }
   done_.wait(lock, [&] { return delivered_ >= expected_; });
 }
 

@@ -46,27 +46,35 @@ struct ChangeEvent;
 
 /// Delivered once per (query_index, result_index) pair by the async entry
 /// points, after that result's snippet finished executing (or was skipped
-/// because execution is disabled — check result.executed). Invoked from
-/// pool threads (or the caller's thread on inline pools); implementations
-/// must be thread-safe across results. Exceptions thrown by the callback
-/// are caught, counted on the barrier, and never abort the stream.
+/// because execution is disabled — check result.executed). Invoked on the
+/// thread that calls SnippetBarrier::Wait(), one query's results in result
+/// order; without a barrier, before the entry point returns (on the
+/// caller's thread for a SodaEngine, on the dispatch threads for a
+/// router batch). Exceptions thrown by the callback are caught, counted
+/// on the barrier, and never abort the stream.
 using SnippetCallback = std::function<void(
     size_t query_index, size_t result_index, const SodaResult& result)>;
 
-/// Completion barrier for async snippet streaming. One barrier can span
-/// several SearchAsync/SearchAllAsync submissions; Wait() returns once
-/// every expected callback has been delivered (including ones that
-/// threw). The barrier must outlive the engine calls it was passed to and
-/// must not be destroyed before Wait() has returned.
+/// Completion point of async snippet streaming. The async entry points
+/// translate, then register each query's snippet work here instead of
+/// running it; Wait() runs that work on the calling thread, so a streamed
+/// request executes its snippets on the thread that waits for them. One
+/// barrier can span several SearchAsync/SearchAllAsync submissions (the
+/// sharded router's shards register from their dispatch threads). Every
+/// engine passed the barrier must outlive Wait(); a barrier destroyed
+/// without Wait() drops its registered work and no callback fires.
 class SnippetBarrier {
  public:
   SnippetBarrier() = default;
   SnippetBarrier(const SnippetBarrier&) = delete;
   SnippetBarrier& operator=(const SnippetBarrier&) = delete;
 
-  /// Blocks until every expected snippet callback has been delivered.
-  /// Deterministic: after Wait() returns, no further callbacks fire for
-  /// the submissions registered so far.
+  /// Runs every registered piece of work on this thread, in registration
+  /// order, and returns once every expected callback has been delivered
+  /// (including ones that threw). A concurrent second waiter blocks until
+  /// the first has delivered everything. Deterministic: after Wait()
+  /// returns, no further callbacks fire for the submissions registered
+  /// so far.
   void Wait();
 
   /// Callbacks registered but not yet delivered.
@@ -81,11 +89,14 @@ class SnippetBarrier {
  private:
   friend class SodaEngine;
 
-  void Expect(size_t n);
+  /// Registers `callbacks` expected deliveries and the work that makes
+  /// them, atomically with respect to Wait().
+  void Register(size_t callbacks, std::function<void()> work);
   void Deliver(std::exception_ptr exception);
 
   mutable std::mutex mu_;
   std::condition_variable done_;
+  std::vector<std::function<void()>> work_;  // registered, not yet started
   size_t expected_ = 0;
   size_t delivered_ = 0;
   size_t exceptions_ = 0;
@@ -234,8 +245,11 @@ class SodaService {
 
   /// Instantaneous backlog: tasks queued but not yet claimed across the
   /// engine's worker pools (the router adds its dispatch pool and every
-  /// shard's pool). A load signal, not an exact count — sampled without
-  /// a global lock, so concurrent submits/claims may skew it by a few.
+  /// shard's pool). Only batches queue tasks — a single query and every
+  /// snippet run on the caller's or the waiter's thread — so
+  /// single-query traffic reads 0 here. A load signal, not an exact
+  /// count — sampled without a global lock, so concurrent submits/claims
+  /// may skew it by a few.
   /// The HTTP front end's admission control sheds against this plus its
   /// own in-flight count (net/http_server.h).
   virtual size_t queue_depth() const = 0;

@@ -185,10 +185,10 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::DispatchBatch(
 
   // Shards share only the immutable core (each has its own pool, cache
   // and sink), so this is pure fan-out. For the async path it covers the
-  // translation phase only — each shard registers its callbacks on
+  // translation phase only — each shard registers its snippet work on
   // `barrier` before its SearchAllAsync returns, so by the time we
-  // return the barrier's expectation is complete and snippets keep
-  // streaming from every shard's pool. The trace context crosses onto
+  // return the barrier holds every shard's work and the caller's Wait()
+  // runs it on the caller's thread. The trace context crosses onto
   // the helper threads by value, so every router.dispatch span parents
   // under the caller's trace.
   std::vector<Result<SearchOutput>> outputs(
@@ -212,7 +212,7 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::DispatchBatch(
       }
       SnippetCallback callback;
       if (on_snippet) {
-        // By value: snippets stream from the shard's pool long after
+        // By value: snippets stream inside the caller's Wait(), after
         // this call returns.
         callback = [to_global = indices, on_snippet](
                        size_t query_index, size_t result_index,

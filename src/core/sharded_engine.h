@@ -116,9 +116,9 @@ class ShardedSodaEngine : public SodaService {
 
   /// Async admission: per-shard SearchAllAsync with the callback's
   /// query_index remapped to the caller's batch position. All shards'
-  /// translations complete before this returns (so `barrier` has its
-  /// full expectation registered); snippets stream afterwards from every
-  /// shard's pool concurrently. A failed sub-batch registers no
+  /// translations complete before this returns (so `barrier` holds every
+  /// shard's snippet work); the snippets then run inside the caller's
+  /// Wait(), on the waiting thread. A failed sub-batch registers no
   /// callbacks and its queries come back Unavailable.
   std::vector<Result<SearchOutput>> SearchAllAsync(
       std::span<const std::string> queries, SnippetCallback on_snippet,

@@ -10,7 +10,7 @@
 //
 //   ┌────────────────────────────────────────────────────────────────┐
 //   │ SodaEngine (core/engine.h)                                     │
-//   │   LRU result cache · fixed-size worker pool · parallel fan-out │
+//   │   LRU result cache · worker pool fanning out batch queries     │
 //   │   one translation core: Search/SearchSession are a batch of    │
 //   │   one, SearchAll/SearchAllAsync the deduplicated batch         │
 //   └──────────────────────────┬─────────────────────────────────────┘

@@ -474,35 +474,19 @@ bool SodaHttpServer::HandleStreamingSearch(const HttpRequest& request, int fd,
     return false;
   }
 
-  // Snippet callbacks fire on engine pool threads while this thread is
-  // still emitting the chunked head + translation payload, so events are
-  // buffered under the stream mutex until the payload is out, then
-  // written through directly. All socket writes happen under `mu`.
-  struct StreamState {
-    std::mutex mu;
-    bool direct = false;
-    bool write_failed = false;
-    std::vector<std::string> pending;
+  // Snippet callbacks fire only inside barrier.Wait() below, on this
+  // thread, after the head and the translation payload are out — so each
+  // event is written straight to the socket. After a failed write the
+  // rest of the stream is dropped.
+  bool write_failed = false;
+  auto send = [this, fd, &write_failed](const std::string& bytes) {
+    if (!write_failed && !SendAll(fd, bytes)) write_failed = true;
   };
-  auto state = std::make_shared<StreamState>();
-  auto send_chunk = [this, fd, state](const std::string& payload) {
-    // Callers hold state->mu.
-    if (state->write_failed) return;
-    if (!SendAll(fd, SerializeChunk(payload))) state->write_failed = true;
-  };
-
   SnippetBarrier barrier;
-  auto on_snippet = [state, send_chunk](size_t query_index,
-                                        size_t result_index,
-                                        const SodaResult& result) {
-    std::string line =
-        RenderSnippetEventJson(query_index, result_index, result);
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (state->direct) {
-      send_chunk(line);
-    } else {
-      state->pending.push_back(std::move(line));
-    }
+  auto on_snippet = [&send](size_t query_index, size_t result_index,
+                            const SodaResult& result) {
+    send(SerializeChunk(
+        RenderSnippetEventJson(query_index, result_index, result)));
   };
 
   std::vector<Result<SearchOutput>> outputs = service_->SearchAllAsync(
@@ -515,27 +499,17 @@ bool SodaHttpServer::HandleStreamingSearch(const HttpRequest& request, int fd,
   // The streaming handler writes its own head, so the trace-id echo that
   // ServeConnection stamps on buffered responses rides here instead.
   if (!trace_header.empty()) head.SetHeader("X-Soda-Trace-Id", trace_header);
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (!SendAll(fd, SerializeChunkedHead(head, keep_alive))) {
-      state->write_failed = true;
-    }
-    send_chunk(RenderSearchResponseJson(*queries, outputs));
-    for (const std::string& line : state->pending) send_chunk(line);
-    state->pending.clear();
-    state->direct = true;
-  }
+  // The head and the translation payload go out in one write.
+  send(SerializeChunkedHead(head, keep_alive) +
+       SerializeChunk(RenderSearchResponseJson(*queries, outputs)));
 
-  // Completion point: after Wait() no callback can fire, so the done
-  // line and the terminating chunk cannot interleave with events.
+  // Runs the snippets and streams their events; once it returns no
+  // callback can fire, so the done line and the terminating chunk (one
+  // write) close the stream.
   barrier.Wait();
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    send_chunk(
-        RenderStreamDoneJson(barrier.delivered(),
-                             barrier.callback_exceptions()));
-    if (!state->write_failed) SendAll(fd, SerializeLastChunk());
-  }
+  send(SerializeChunk(RenderStreamDoneJson(barrier.delivered(),
+                                           barrier.callback_exceptions())) +
+       SerializeLastChunk());
   return true;
 }
 

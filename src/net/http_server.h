@@ -16,9 +16,10 @@
 //   POST /search?stream=1   chunked newline-delimited JSON: the
 //                           translated outputs first, then one
 //                           {"event":"snippet",...} line per snippet as
-//                           SearchAllAsync delivers it, closed by an
-//                           {"event":"done",...} summary once the
-//                           SnippetBarrier drains.
+//                           the SnippetBarrier's Wait() runs it on the
+//                           connection thread (one query's results in
+//                           order), closed by an {"event":"done",...}
+//                           summary.
 //   GET  /metrics           Prometheus text exposition of the server's
 //                           own counters merged with the service fleet
 //                           snapshot (and an optional extra snapshot,

@@ -6,8 +6,8 @@
 //     batch books one miss + N-1 hits (dedup before the cache);
 //   - per-query error isolation inside a batch;
 //   - async streaming: snippet callbacks arrive exactly once per
-//     (query, result) pair and the barrier drains even when callbacks
-//     throw.
+//     (query, result) pair, on the thread that waits on the barrier, and
+//     the barrier drains even when callbacks throw.
 
 #include <gtest/gtest.h>
 
@@ -18,10 +18,12 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/engine.h"
+#include "core/sharded_engine.h"
 #include "core/soda.h"
 #include "datasets/minibank.h"
 #include "pattern/library.h"
@@ -324,6 +326,68 @@ TEST_F(BatchAsyncTest, AsyncReturnsTranslationImmediatelyAndExecutesLater) {
   }
   barrier.Wait();
   EXPECT_EQ(executed_callbacks.load(), output->results.size());
+}
+
+// Snippets run inside Wait(): until then every returned result is
+// unexecuted, and every callback fires on the waiting thread — on a plain
+// engine at any pool width and through a router whose batch spans shards.
+TEST_F(BatchAsyncTest, CallbacksRunOnTheWaitingThread) {
+  const std::vector<std::string> queries = MiniBankQueries();
+  std::set<size_t> shards_hit;
+  for (const std::string& query : queries) {
+    shards_hit.insert(ShardOfKey(NormalizedQueryKey(query), 2));
+  }
+  ASSERT_EQ(shards_hit.size(), 2u) << "the batch must span both shards";
+
+  std::vector<std::pair<std::string, std::unique_ptr<SodaService>>> services;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    services.emplace_back("engine threads=" + std::to_string(threads),
+                          MakeEngine(threads, /*cache_capacity=*/0));
+  }
+  SodaConfig config;
+  config.num_shards = 2;
+  config.num_threads = 2;
+  config.cache_capacity = 0;
+  auto router = ShardedSodaEngine::Create(&bank_->db, &bank_->graph,
+                                          CreditSuissePatternLibrary(), config);
+  ASSERT_TRUE(router.ok()) << router.status();
+  services.emplace_back("router 2x2", std::move(router).value());
+
+  for (const auto& [label, service] : services) {
+    SCOPED_TRACE(label);
+    std::mutex mu;
+    std::vector<std::thread::id> callback_threads;
+    SnippetBarrier barrier;
+    auto outputs = service->SearchAllAsync(
+        queries,
+        [&](size_t, size_t, const SodaResult&) {
+          std::lock_guard<std::mutex> lock(mu);
+          callback_threads.push_back(std::this_thread::get_id());
+        },
+        &barrier);
+    size_t results = 0;
+    for (const auto& output : outputs) {
+      ASSERT_TRUE(output.ok()) << output.status();
+      for (const SodaResult& result : output->results) {
+        EXPECT_FALSE(result.executed);
+        ++results;
+      }
+    }
+    ASSERT_GT(results, 0u);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      EXPECT_TRUE(callback_threads.empty());
+    }
+
+    std::thread::id waiter;
+    std::thread waiting([&] {
+      waiter = std::this_thread::get_id();
+      barrier.Wait();
+    });
+    waiting.join();
+    EXPECT_EQ(callback_threads.size(), results);
+    for (std::thread::id id : callback_threads) EXPECT_EQ(id, waiter);
+  }
 }
 
 TEST_F(BatchAsyncTest, AsyncStreamedBytesMatchSyncSearch) {

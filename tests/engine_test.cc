@@ -1,11 +1,16 @@
 // Tests for the SodaEngine service layer: deterministic results under the
 // concurrent fan-out (same query -> byte-identical ranked SQL list at 1 vs
-// N threads), LRU cache behavior, and construction-error propagation.
+// N threads), one query staying on its caller's thread, LRU cache
+// behavior, and construction-error propagation.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -170,6 +175,58 @@ TEST_F(EngineMiniBankTest, CreateFailsOnBrokenPatternLibrary) {
                                    PatternLibrary{}, SodaConfig{});
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), broken.status().code());
+}
+
+// Records the thread of every stage latency observation.
+class StageThreadSink : public MetricsSink {
+ public:
+  void IncrementCounter(std::string_view, uint64_t) override {}
+  void Observe(std::string_view name, double) override {
+    if (name.substr(0, 6) != "stage.") return;
+    std::lock_guard<std::mutex> lock(mu_);
+    threads_.push_back(std::this_thread::get_id());
+  }
+  std::vector<std::thread::id> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(threads_, {});
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::thread::id> threads_;
+};
+
+using EngineTest = EngineMiniBankTest;
+
+// The pool fans out across the queries of a batch only: every stage of
+// one query — its interpretations and snippets included — runs on the
+// thread that asked (or, for async, the thread that waits).
+TEST_F(EngineTest, OneQueryStaysOnTheCallerThread) {
+  auto engine = MakeEngine(/*threads=*/4, /*cache_capacity=*/0);
+  auto sink = std::make_shared<StageThreadSink>();
+  engine->set_metrics_sink(sink);
+  const std::string query = MiniBankQueries()[1];  // 3 interpretations
+  const std::thread::id caller = std::this_thread::get_id();
+  auto expect_on_caller = [&](const std::string& label) {
+    std::vector<std::thread::id> threads = sink->Take();
+    EXPECT_FALSE(threads.empty()) << label;
+    for (std::thread::id id : threads) EXPECT_EQ(id, caller) << label;
+  };
+
+  auto searched = engine->Search(query);
+  ASSERT_TRUE(searched.ok()) << searched.status();
+  ASSERT_GT(searched->complexity, 1u);
+  ASSERT_GT(searched->results.size(), 1u);
+  expect_on_caller("Search");
+
+  std::shared_ptr<TranslationPlan> plan;
+  ASSERT_TRUE(engine->SearchSession(query, SessionConstraints{}, &plan).ok());
+  expect_on_caller("SearchSession");
+
+  SnippetBarrier barrier;
+  ASSERT_TRUE(engine->SearchAsync(query, nullptr, &barrier).ok());
+  barrier.Wait();
+  expect_on_caller("SearchAsync");
 }
 
 // SearchAll batch determinism (vs independent Search calls, dedup

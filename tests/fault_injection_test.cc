@@ -543,13 +543,12 @@ TEST_F(FaultInjectionTest, RegistryCountsMatchesAndMaxFires) {
     auto output = engine->Search("addresses Sara Guttinger");
     if (!output.ok()) ++failed;
   }
-  // max_fires auto-disarmed after exactly two fires; both fires may land
-  // in one search (several pool tasks per search), so 1 or 2 searches
-  // failed — but the last ones are healthy.
+  // max_fires auto-disarmed after exactly two fires; a search is one
+  // engine task, so the first two searches failed and the last ones are
+  // healthy.
   EXPECT_EQ(Failpoints::Instance().fires("engine.pool_task") - fires_before,
             2u);
-  EXPECT_GE(failed, 1u);
-  EXPECT_LE(failed, 2u);
+  EXPECT_EQ(failed, 2u);
   EXPECT_FALSE(FailpointsArmed());
 }
 
