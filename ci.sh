@@ -293,7 +293,11 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}" \
 # entry per (file, including TU) pair, so shared headers appear once per
 # includer: dedupe by keeping each file's best-covered entry — an
 # approximation of the cross-TU union (gcovr merges exactly), which is
-# what the floors' slack is for.
+# what the floors' slack is for. A file with no executable lines gets no
+# "Lines executed" line of its own, so `keep` resets there: otherwise the
+# TU's trailing total would be credited to that file. Self-check: a file
+# whose counted lines exceed its length fails the leg (a parse bug, not a
+# coverage number).
 subtree_pct() {
   local subtree="$1" label="$2"
   if command -v gcovr >/dev/null; then
@@ -309,6 +313,7 @@ subtree_pct() {
     xargs -0 -r gcov -n 2>/dev/null |
     awk -v subtree="${subtree}/" '
       /^File /            { file = $0; keep = index($0, subtree) > 0; next }
+      /^No executable lines/ { keep = 0; next }
       keep && /^Lines executed:/ {
         gsub(/Lines executed:|% of /, " ");
         c = $1 / 100.0 * $2
@@ -318,11 +323,23 @@ subtree_pct() {
         keep = 0
       }
       END {
-        for (f in best) { covered += best[f]; total += tot[f] }
+        for (f in best) {
+          path = f; sub(/^File \047/, "", path); sub(/\047$/, "", path)
+          n = 0
+          while ((getline line < path) > 0) n++
+          close(path)
+          if (tot[f] > n) {
+            printf "coverage parser self-check FAILED: %s counts %d lines" \
+                   " but has %d\n", path, tot[f], n > "/dev/stderr"
+            bad = 1
+          }
+          covered += best[f]; total += tot[f]
+        }
+        if (bad) exit 1
         if (total > 0) printf "%.2f", covered * 100.0 / total
       }
     '
-  )
+  ) || return 1
   echo "${subtree}/ aggregate line coverage: ${pct}%" \
       | tee "${COV_DIR}/coverage_${label}.txt" >&2
   echo "${pct}"

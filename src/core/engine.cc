@@ -27,7 +27,7 @@ constexpr const char* kEngineCounterSeries[] = {
     "cache.stale_insert_skipped",
     "batch.queries", "batch.unique", "batch.interpretations",
     "batch.dedup_hits",
-    "session.refines", "session.stages_skipped", "session.constraint_hits",
+    "session.refines", "session.stages_skipped",
     "snippet.executed", "snippet.failed", "snippet.exception",
     "snippet.streamed", "snippet.callback_exception",
     "executor.index_builds", "executor.seed_reductions",
@@ -240,9 +240,11 @@ std::shared_lock<std::shared_mutex> SodaEngine::ReadGuard() const {
   return db->change_log().ReaderLock();
 }
 
-void SodaEngine::CacheInsert(const std::string& key,
-                             const SearchOutput& output) const {
+void SodaEngine::CacheInsert(const std::string& key, const SearchOutput& output,
+                             const TraceContext& trace) const {
   if (cache_.capacity() == 0) return;
+  // Names a miss's copy and freshness book-keeping in a sampled trace.
+  Span span(trace, "cache.insert");
   // The manager keeps the dependency record; the stored copy does not
   // need to carry the term vector through every future cache hit.
   auto stored = std::make_shared<SearchOutput>(output);
@@ -300,13 +302,18 @@ void SodaEngine::RegisterPlan(
 
 struct SodaEngine::BatchItem {
   const std::string* query = nullptr;  // raw text of the first occurrence
-  std::string normalized;              // NormalizedQueryKey(*query)
-  std::string key;  // cache key: ConstrainedCacheKey(normalized, constraints)
+  std::string normalized;  // NormalizedQueryKey(*query); the cache key
   const SessionConstraints* constraints = nullptr;   // nullptr: none
   std::shared_ptr<TranslationPlan>* plan = nullptr;  // session plan slot
   std::vector<size_t> occurrences;  // input indices, ascending
   bool from_cache = false;
   Result<SearchOutput> output{Status::Internal("batch item not computed")};
+
+  // Non-empty constraints bypass the result cache: a pinned, banned or
+  // bound answer is a one-off, and reusing it is the session plan's job.
+  bool constrained() const {
+    return constraints != nullptr && !constraints->empty();
+  }
 };
 
 std::vector<SodaEngine::BatchItem> SodaEngine::TranslateQueries(
@@ -324,7 +331,6 @@ std::vector<SodaEngine::BatchItem> SodaEngine::TranslateQueries(
       BatchItem& item = items.emplace_back();
       item.query = &queries[i];
       item.normalized = it->first;
-      item.key = it->first;
     }
     items[it->second].occurrences.push_back(i);
   }
@@ -364,17 +370,16 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
   jobs.reserve(items->size());
 
   for (BatchItem& item : *items) {
-    const bool constrained =
-        item.constraints != nullptr && !item.constraints->empty();
     if (item.plan != nullptr && *item.plan != nullptr) {
       sink_->IncrementCounter("session.refines", 1);
     }
-    if (std::shared_ptr<const SearchOutput> cached = cache_.Get(item.key)) {
+    std::shared_ptr<const SearchOutput> cached =
+        item.constrained() ? nullptr : cache_.Get(item.normalized);
+    if (cached != nullptr) {
       // Deliberate copy: the payload is bounded (top_n statements x
       // snippet_rows rows) and the response needs its own counter
       // fields; measured hit path stays ~100x faster than the pipeline.
       sink_->IncrementCounter("cache.hit", 1);
-      if (constrained) sink_->IncrementCounter("session.constraint_hits", 1);
       if (item.plan != nullptr) {
         sink_->IncrementCounter("session.stages_skipped", 5);
       }
@@ -382,14 +387,14 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       item.output = *cached;
       continue;
     }
-    sink_->IncrementCounter("cache.miss", 1);
+    if (!item.constrained()) sink_->IncrementCounter("cache.miss", 1);
 
     Job& job = jobs.emplace_back(&item);
     QueryContext& ctx = job.ctx;
     ctx.config = &config;
     ctx.metrics = sink_.get();
     ctx.collect_freshness_terms = freshness_ != nullptr;
-    if (constrained) ctx.constraints = item.constraints;
+    if (item.constrained()) ctx.constraints = item.constraints;
     // A batch query's span stays open until its task is done, so its
     // duration covers that query's pipeline and snippets; stage spans
     // parent under it through ctx.trace.
@@ -509,13 +514,13 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       sink_->IncrementCounter("session.stages_skipped", job.stages_skipped);
     }
     item.output->timings.wall_ms = wall_ms;
-    // Cache every answer that is fully materialized (statements +
-    // snippets): all of them on the sync paths, only those without a
-    // snippet to stream on the async path — its last snippet task caches
-    // the rest. The stored copy keeps from_cache=false; responses patch
-    // their own counters.
-    if (execute || item.output->results.empty()) {
-      CacheInsert(item.key, *item.output);
+    // Cache every unconstrained answer that is fully materialized
+    // (statements + snippets): all of them on the sync paths, only those
+    // without a snippet to stream on the async path — its last snippet
+    // task caches the rest. The stored copy keeps from_cache=false;
+    // responses patch their own counters.
+    if (!item.constrained() && (execute || item.output->results.empty())) {
+      CacheInsert(item.normalized, *item.output, trace);
     }
     // Hand a new plan over last: a serve that failed anywhere leaves the
     // caller's previous plan untouched.
@@ -603,7 +608,6 @@ Result<SearchOutput> SodaEngine::SearchSession(
   BatchItem& item = items[0];
   item.query = &query;
   item.normalized = NormalizedQueryKey(query);
-  item.key = ConstrainedCacheKey(item.normalized, constraints);
   item.constraints = &constraints;
   item.plan = plan;
   item.occurrences.push_back(0);
@@ -699,7 +703,7 @@ void SodaEngine::RunStream(StreamState& stream, SnippetBarrier* barrier,
       const Database* db = soda_->database();
       if (db == nullptr ||
           db->change_log().sequence() == stream.translated_at_sequence) {
-        CacheInsert(stream.key, stream.output);
+        CacheInsert(stream.key, stream.output, trace);
       } else {
         sink_->IncrementCounter("cache.stale_insert_skipped", 1);
       }
@@ -747,7 +751,7 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAllAsync(
     auto stream = std::make_shared<StreamState>();
     stream->output = *item.output;
     stream->occurrences = item.occurrences;
-    stream->key = item.key;
+    stream->key = item.normalized;
     stream->on_snippet = on_snippet;
     stream->run_execution = can_execute && !item.from_cache;
     stream->cache_insert = !item.from_cache;

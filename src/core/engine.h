@@ -34,9 +34,9 @@
 //      via metrics_snapshot()); each stage run is timed once by a
 //      StageScope (core/pipeline.h), whose single duration feeds the
 //      stage span, the "stage.<name>.ms" histogram and StepTimings;
-//   7. interactive sessions — Search takes SessionConstraints (cached
-//      under ConstrainedCacheKey), and SearchSession captures/resumes a
-//      TranslationPlan so a session's Refine re-runs only the stages a
+//   7. interactive sessions — Search takes SessionConstraints (constrained
+//      answers bypass the result cache), and SearchSession captures/resumes
+//      a TranslationPlan so a session's Refine re-runs only the stages a
 //      constraint change can affect (core/service.h, core/session.h).
 //
 // One driver serves all of it: every entry point runs the same
@@ -80,9 +80,7 @@ class FreshnessManager;
 /// case-sensitively in the executor, so differently-cased queries can
 /// have genuinely different answers. Exposed so the router, the
 /// invalidation predicates handed to InvalidateWhere, and the tests all
-/// agree on exactly the bytes that get hashed and cached. Constrained
-/// answers extend this with the constraint fingerprint — see
-/// ConstrainedCacheKey (core/service.h).
+/// agree on exactly the bytes that get hashed and cached.
 std::string NormalizedQueryKey(const std::string& query);
 
 class SodaEngine : public SodaService {
@@ -104,20 +102,20 @@ class SodaEngine : public SodaService {
   using SodaService::Search;
   using SodaService::SearchAll;
 
-  /// Cached, concurrent search under `constraints` (empty = classic
-  /// behavior): SearchSession without a plan slot. On a cache hit the
-  /// stored output is copied with `from_cache` set; on a miss the
-  /// pipeline and the snippets run on the caller's thread. Every
-  /// response carries the engine-lifetime cache counters and the pool
-  /// width.
+  /// Concurrent search under `constraints` (empty = classic, cached
+  /// behavior): SearchSession without a plan slot. Non-empty constraints
+  /// bypass the cache. On a cache hit the stored output is copied with
+  /// `from_cache` set; on a miss the pipeline and the snippets run on the
+  /// caller's thread. Every response carries the engine-lifetime cache
+  /// counters and the pool width.
   Result<SearchOutput> Search(
       const std::string& query,
       const SessionConstraints& constraints) const override;
 
   /// Session search: Search + TranslationPlan capture/resume — see
   /// SodaService::SearchSession for the contract and the stage-skip
-  /// matrix. A batch of one through TranslateBatch, under
-  /// ConstrainedCacheKey. With a plan slot the core resumes from a
+  /// matrix. A batch of one through TranslateBatch; only unconstrained
+  /// answers touch the cache. With a plan slot the core resumes from a
   /// still-fresh matching plan — skipping Step 1 (bindings changed) or
   /// Steps 1-4 (pins/bans only) — and captures a fresh plan into the slot
   /// whenever it could not reuse the held one, handing it over only when
@@ -292,8 +290,10 @@ class SodaEngine : public SodaService {
   std::shared_lock<std::shared_mutex> ReadGuard() const;
 
   /// Cache insert + freshness dependency registration, one atom: both
-  /// happen under the caller's ReadGuard.
-  void CacheInsert(const std::string& key, const SearchOutput& output) const;
+  /// happen under the caller's ReadGuard, inside a "cache.insert" span
+  /// under `trace`.
+  void CacheInsert(const std::string& key, const SearchOutput& output,
+                   const TraceContext& trace) const;
 
   std::shared_ptr<Soda> soda_;
   // Stage sub-lists for session resume, built once in the constructor

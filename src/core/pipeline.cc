@@ -101,12 +101,6 @@ std::string SessionConstraints::BindingsFingerprint() const {
   return fp;
 }
 
-std::string SessionConstraints::Fingerprint() const {
-  if (empty()) return "";
-  return "p:" + Join(pinned_tables, ",") + "|b:" + Join(banned_tables, ",") +
-         "|t:" + BindingsFingerprint();
-}
-
 StageScope::StageScope(const StageTiming& timing, const TraceContext& trace,
                        MetricsSink* metrics, StepTimings* timings)
     : timing_(timing),

@@ -110,8 +110,8 @@ struct SodaResult {
 ///     binding whose term (or key) matches nothing is inert.
 ///
 /// Tables are stored folded; all three lists are kept sorted + unique by
-/// the mutators, which makes Fingerprint() canonical — build instances
-/// through the mutators, not aggregate initialization.
+/// the mutators, which makes BindingsFingerprint() canonical — build
+/// instances through the mutators, not aggregate initialization.
 struct SessionConstraints {
   struct TermBinding {
     std::string term;       // folded phrase, as in LookupTerm::phrase
@@ -132,11 +132,6 @@ struct SessionConstraints {
   bool empty() const {
     return pinned_tables.empty() && banned_tables.empty() && bindings.empty();
   }
-
-  /// Canonical fingerprint of the full constraint set ("" when empty).
-  /// Folded into the engines' cache keys, so constrained and
-  /// unconstrained answers to one query never share a cache entry.
-  std::string Fingerprint() const;
 
   /// Fingerprint of the bindings alone — the part that affects Steps 2-4.
   /// Pin/ban only gate Step 5, which is what lets a session reuse its

@@ -57,14 +57,4 @@ std::exception_ptr SnippetBarrier::first_exception() const {
   return first_exception_;
 }
 
-// ---------------------------------------------------------------------------
-// Cache-key composition
-// ---------------------------------------------------------------------------
-
-std::string ConstrainedCacheKey(const std::string& normalized_key,
-                                const SessionConstraints& constraints) {
-  if (constraints.empty()) return normalized_key;
-  return normalized_key + '\x1f' + constraints.Fingerprint();
-}
-
 }  // namespace soda

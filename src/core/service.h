@@ -16,8 +16,9 @@
 // unconstrained overload is a non-virtual convenience), SearchSession
 // additionally captures/reuses a TranslationPlan — the session-cached
 // Steps 1-2 (+3-4) output that lets a Refine re-run only the stages a
-// constraint change can affect — and ConstrainedCacheKey defines how the
-// constraint fingerprint is folded into the result-cache key.
+// constraint change can affect. The shared result cache holds
+// unconstrained answers only; reuse across a session's constrained
+// serves is the plan's job.
 
 #ifndef SODA_CORE_SERVICE_H_
 #define SODA_CORE_SERVICE_H_
@@ -140,16 +141,6 @@ struct TranslationPlan {
   }
 };
 
-/// The result-cache key of a constrained search: the normalized query
-/// alone when the constraints are empty (bit-compatible with every
-/// pre-session cache key), else the normalized query + 0x1F (ASCII unit
-/// separator — cannot appear in a whitespace-normalized query) + the
-/// canonical constraint fingerprint. Pinned and unpinned variants of one
-/// query therefore never share a cache entry, while InvalidateWhere
-/// predicates that substring-match table/term names keep covering both.
-std::string ConstrainedCacheKey(const std::string& normalized_key,
-                                const SessionConstraints& constraints);
-
 class SodaService {
  public:
   virtual ~SodaService() = default;
@@ -168,9 +159,9 @@ class SodaService {
         std::span<const std::string>(queries.begin(), queries.size()));
   }
 
-  /// Cached, concurrent search under `constraints` (empty = classic
-  /// unconstrained behavior, same cache entries). Constrained answers
-  /// are cached under ConstrainedCacheKey.
+  /// Concurrent search under `constraints`. Empty constraints are the
+  /// classic cached search; non-empty ones neither probe nor fill the
+  /// result cache.
   virtual Result<SearchOutput> Search(
       const std::string& query, const SessionConstraints& constraints) const = 0;
 
@@ -195,10 +186,10 @@ class SodaService {
   /// held plan matches `query` and is still fresh, the engine resumes
   /// from it — skipping lookup (bindings changed) or lookup + rank +
   /// tables + filters (pins/bans only) — and books
-  /// session.{refines,stages_skipped,constraint_hits}. Otherwise the
-  /// query translates cold and a fresh plan is captured into *plan.
+  /// session.{refines,stages_skipped}. Otherwise the query translates
+  /// cold and a fresh plan is captured into *plan.
   /// Output is byte-identical either way. On a sharded engine the plan's
-  /// query routes by its normalized text only (the fingerprint is NOT
+  /// query routes by its normalized text only (the constraints are NOT
   /// hashed), so every constrained variant of one question shares a
   /// shard: session affinity.
   virtual Result<SearchOutput> SearchSession(
@@ -216,8 +207,8 @@ class SodaService {
   }
 
   /// Keyed cache invalidation: evicts every cached answer whose key
-  /// satisfies `pred`, returns how many. Keys are normalized queries,
-  /// extended per ConstrainedCacheKey for constrained answers.
+  /// satisfies `pred`, returns how many. Keys are normalized queries
+  /// (NormalizedQueryKey); constrained answers are never cached.
   virtual size_t InvalidateWhere(
       const std::function<bool(const std::string&)>& pred) const = 0;
 

@@ -103,7 +103,7 @@ ShardedSodaEngine::ShardedSodaEngine(std::shared_ptr<Soda> core,
 Result<SearchOutput> ShardedSodaEngine::Search(
     const std::string& query, const SessionConstraints& constraints) const {
   // Route by the normalized query alone: constrained variants of one
-  // question share its shard (and therefore its plans and cache locality).
+  // question share its shard (and therefore its plans).
   return RouteQuery(query, [&](const SodaEngine& engine) {
     return engine.Search(query, constraints);
   });

@@ -16,10 +16,10 @@
 //      a query's cache entry lives on exactly one shard, repeats always
 //      hit the shard that computed them, and the shard map is stable
 //      across runs and machines. Session traffic routes by the same key
-//      — the constraint fingerprint is deliberately NOT hashed — so
-//      every constrained variant of one question lands on one shard
-//      (session affinity: a Refine always finds the shard whose cache
-//      and plans know the question);
+//      — the constraints are deliberately NOT hashed — so every
+//      constrained variant of one question lands on one shard (session
+//      affinity: a Refine always finds the shard whose plans know the
+//      question);
 //   2. batched admission — SearchAll splits a batch into per-shard
 //      sub-batches, runs them concurrently on a persistent router-side
 //      dispatch pool, and re-merges the per-query Results into input

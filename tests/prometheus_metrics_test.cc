@@ -104,7 +104,7 @@ TEST(PrometheusRenderTest, EngineExportsEverySeriesBeforeAnyTraffic) {
       "cache.stale_insert_skipped",
       "batch.queries", "batch.unique", "batch.interpretations",
       "batch.dedup_hits",
-      "session.refines", "session.stages_skipped", "session.constraint_hits",
+      "session.refines", "session.stages_skipped",
       "snippet.executed", "snippet.failed", "snippet.exception",
       "snippet.streamed", "snippet.callback_exception",
       "executor.index_builds", "executor.seed_reductions",

@@ -1,11 +1,11 @@
 // Tests for the interactive-session layer (core/session.h): structured
 // explanations that can never drift from the rendered line, pin/ban/bind
-// constraint enforcement, constraint-keyed cache isolation, and the
-// acceptance bar — Refine resumes the captured TranslationPlan (skipping
-// stages per the constraint-change matrix) yet answers byte-identically
-// to a cold constrained translation, at any shards x threads, closures
-// on and off; a base-data mutation invalidates the plan and the next
-// Refine silently runs the full pipeline again.
+// constraint enforcement, constrained answers bypassing the result cache,
+// and the acceptance bar — Refine resumes the captured TranslationPlan
+// (skipping stages per the constraint-change matrix) yet answers
+// byte-identically to a cold constrained translation, at any shards x
+// threads, closures on and off; a base-data mutation invalidates the
+// plan and the next Refine silently runs the full pipeline again.
 //
 // Minibank only, deliberately: this binary is inside the sanitizer ctest
 // filter (ci.sh adds 'session'); the enterprise explanation identity
@@ -321,17 +321,26 @@ TEST_F(SessionTest, RefineMatchesColdConstrainedTranslation) {
 }
 
 // ---------------------------------------------------------------------------
-// Constraint-keyed caching
+// Constrained answers bypass the result cache
 // ---------------------------------------------------------------------------
 
-TEST_F(SessionTest, ConstraintedAnswersCacheSeparately) {
+// The shared cache holds unconstrained answers only: a constrained serve
+// neither probes nor fills it (nor the freshness records behind it), so
+// a repeat of the same constrained search translates again, while the
+// unconstrained entry of the same question keeps hitting.
+TEST_F(SessionTest, ConstrainedAnswersBypassResultCache) {
   auto engine = Engine(Config(/*threads=*/2, /*cache=*/64));
+  FreshnessManager freshness(&bank_->db.change_log());
+  freshness.Track(engine.get());
   auto miss = engine->Search(kMultiResult);
   ASSERT_TRUE(miss.ok());
   EXPECT_FALSE(miss->from_cache);
   auto hit = engine->Search(kMultiResult);
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit->from_cache);
+  const size_t cached_entries = engine->cache_stats().size;
+  const size_t tracked = freshness.tracked_keys();
+  EXPECT_EQ(cached_entries, 1u);
 
   const std::string target = PartialTable(*miss);
   ASSERT_FALSE(target.empty());
@@ -339,23 +348,59 @@ TEST_F(SessionTest, ConstraintedAnswersCacheSeparately) {
   constraints.BanTable(target);
   auto constrained = engine->Search(kMultiResult, constraints);
   ASSERT_TRUE(constrained.ok());
-  // Same question, different constraints: a fresh translation, not the
-  // cached unconstrained answer.
   EXPECT_FALSE(constrained->from_cache);
   EXPECT_NE(Fingerprint(*constrained), Fingerprint(*miss));
 
   auto constrained_again = engine->Search(kMultiResult, constraints);
   ASSERT_TRUE(constrained_again.ok());
-  EXPECT_TRUE(constrained_again->from_cache);
+  EXPECT_FALSE(constrained_again->from_cache);
   EXPECT_EQ(Fingerprint(*constrained_again), Fingerprint(*constrained));
+  EXPECT_EQ(engine->cache_stats().size, cached_entries);
+  EXPECT_EQ(freshness.tracked_keys(), tracked);
 
   // And the unconstrained entry survived untouched.
   auto still_cached = engine->Search(kMultiResult);
   ASSERT_TRUE(still_cached.ok());
   EXPECT_TRUE(still_cached->from_cache);
+  EXPECT_EQ(Fingerprint(*still_cached), Fingerprint(*miss));
+}
 
-  MetricsSnapshot snapshot = engine->metrics_snapshot();
-  EXPECT_EQ(snapshot.counter("session.constraint_hits"), 1u);
+// Cache pollution: a session steering through twice the cache's capacity
+// in distinct constraint sets evicts nothing, so the hot unconstrained
+// question of the same shard is still served from cache afterwards.
+TEST_F(SessionTest, ConstrainedRefinesDoNotEvictHotQuestions) {
+  constexpr size_t kCapacity = 4;
+  std::vector<std::string> tables;
+  for (const Table* table : bank_->db.tables()) tables.push_back(table->name());
+  ASSERT_GE(tables.size(), 2 * kCapacity);
+  for (size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SodaConfig config = Config(/*threads=*/2, kCapacity);
+    config.num_shards = shards;
+    std::unique_ptr<SodaService> service;
+    if (shards == 1) {
+      service = Engine(config);
+    } else {
+      auto router = ShardedSodaEngine::Create(
+          &bank_->db, &bank_->graph, CreditSuissePatternLibrary(), config);
+      ASSERT_TRUE(router.ok()) << router.status();
+      service = std::move(router).value();
+    }
+    ASSERT_TRUE(service->Search(kMultiResult).ok());
+
+    SodaSession session(service.get());
+    ASSERT_TRUE(session.Ask(kMultiResult).ok());
+    for (size_t i = 0; i < 2 * kCapacity; ++i) {
+      auto refined = session.ClearConstraints().BanTable(tables[i]).Refine();
+      ASSERT_TRUE(refined.ok()) << tables[i] << ": " << refined.status();
+      EXPECT_FALSE(refined->from_cache) << tables[i];
+    }
+
+    auto hot = service->Search(kMultiResult);
+    ASSERT_TRUE(hot.ok());
+    EXPECT_TRUE(hot->from_cache);
+    EXPECT_EQ(service->cache_stats().evictions, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@
 //     through the slow filter with its stage, shard and cache outcome;
 //   - the three latency views of every stage — span durations, the
 //     stage.<name>.ms histogram and the response's StepTimings — agree
-//     on the single-query, batch and session-resume paths.
+//     on the single-query, batch and session-resume paths;
+//   - a sampled cache miss carries a cache.insert span (sync and
+//     streamed paths); a hit does not.
 
 #include <gtest/gtest.h>
 
@@ -521,6 +523,48 @@ TEST_F(TraceEngineTest, StageLatencyViewsAgree) {
       return std::vector<SearchOutput>{*output};
     });
   }
+}
+
+// A sampled miss names its cache copy and freshness book-keeping in a
+// "cache.insert" span under the serve's root span, on the sync path and
+// on the streamed last-snippet path alike; a hit inserts nothing.
+TEST_F(TraceEngineTest, CacheInsertSpanMarksMissesOnly) {
+  ScopedRecorder recorder(/*sample_every=*/1, /*slow_threshold_ms=*/0.0);
+  auto engine = MakeEngine(/*threads=*/2);
+  // The parent span names of the last kept trace's "cache.insert" spans.
+  auto insert_parents = [] {
+    std::vector<SpanRecord> spans =
+        TraceRecorder::Instance().Snapshot().back()->spans();
+    std::vector<std::string> parents;
+    for (const SpanRecord& insert : spans) {
+      if (insert.name != "cache.insert") continue;
+      for (const SpanRecord& span : spans) {
+        if (span.span_id == insert.parent_id) parents.push_back(span.name);
+      }
+    }
+    return parents;
+  };
+
+  const std::string query = "addresses Sara Guttinger";
+  auto miss = engine->Search(query);
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  ASSERT_FALSE(miss->from_cache);
+  EXPECT_EQ(insert_parents(), std::vector<std::string>{"engine.search"});
+
+  auto hit = engine->Search(query);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  ASSERT_TRUE(hit->from_cache);
+  EXPECT_TRUE(insert_parents().empty());
+
+  // The streamed path caches after its last snippet, inside Wait().
+  SnippetBarrier barrier;
+  auto streamed = engine->SearchAsync("private customers family name",
+                                      nullptr, &barrier);
+  ASSERT_TRUE(streamed.ok()) << streamed.status();
+  ASSERT_FALSE(streamed->results.empty());
+  barrier.Wait();
+  EXPECT_EQ(insert_parents(),
+            std::vector<std::string>{"engine.search_all_async"});
 }
 
 }  // namespace
