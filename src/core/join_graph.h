@@ -18,6 +18,15 @@
 // DirectPath then needs no per-query BFS at all: it min-scans the
 // distance matrix over the (source, target) pairs and walks the stored
 // parent chain. The string-keyed API is preserved as a thin shim.
+//
+// Edge insertion order is the order in which PatternMatcher::MatchAll
+// emits the Foreign-Key and Join-Relationship matches (its plan order;
+// see pattern/matcher.h), first occurrence kept, and bridges likewise.
+// It is not canonicalised: path search walks edges in insertion order,
+// so that order breaks ties between equal-length join paths and decides
+// the SQL of Table 2 queries. Sorting the edges by column reference
+// changes "Credit Suisse"; sorting the bridges as well also changes "YEN
+// trade order". tests/sql_golden_test.cc pins that SQL.
 
 #ifndef SODA_CORE_JOIN_GRAPH_H_
 #define SODA_CORE_JOIN_GRAPH_H_

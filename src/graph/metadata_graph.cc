@@ -76,12 +76,6 @@ void MetadataGraph::AddEdge(NodeId from, std::string_view predicate,
   UriId pred = uri_table_.Intern(predicate);
   out_[from].push_back(Edge{pred, to});
   in_[to].push_back(Edge{pred, from});
-  // Keep subject-id order: insert after the subject's earlier edges.
-  auto& pairs = by_predicate_[pred];
-  auto pos = std::upper_bound(
-      pairs.begin(), pairs.end(), from,
-      [](NodeId n, const std::pair<NodeId, NodeId>& e) { return n < e.first; });
-  pairs.insert(pos, {from, to});
   ++num_edges_;
 }
 
@@ -148,19 +142,6 @@ bool MetadataGraph::HasType(NodeId n, std::string_view type_uri) const {
   NodeId type_node = FindNode(type_uri);
   if (type_node == kInvalidNode) return false;
   return HasEdge(n, "type", type_node);
-}
-
-const std::vector<std::pair<NodeId, NodeId>>&
-MetadataGraph::EdgesWithPredicate(UriId predicate) const {
-  static const std::vector<std::pair<NodeId, NodeId>> kNone;
-  auto it = by_predicate_.find(predicate);
-  return it == by_predicate_.end() ? kNone : it->second;
-}
-
-const std::vector<std::pair<NodeId, NodeId>>&
-MetadataGraph::EdgesWithPredicate(std::string_view predicate) const {
-  // Ids are dense from 0, so -1 finds no list.
-  return EdgesWithPredicate(uri_table_.Find(predicate).value_or(-1));
 }
 
 std::vector<NodeId> MetadataGraph::NodesInLayer(MetadataLayer layer) const {

@@ -15,7 +15,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -139,15 +138,6 @@ class MetadataGraph {
   /// `type_uri` (convenience for the common `( x type T )` test).
   bool HasType(NodeId n, std::string_view type_uri) const;
 
-  /// All (subject, object) pairs connected by `predicate` — supports
-  /// pattern triples with two unbound variables. Ordered by subject id,
-  /// then by insertion: the order of walking every node's out-edges.
-  /// AddEdge maintains the list; empty for an unknown predicate.
-  const std::vector<std::pair<NodeId, NodeId>>& EdgesWithPredicate(
-      UriId predicate) const;
-  const std::vector<std::pair<NodeId, NodeId>>& EdgesWithPredicate(
-      std::string_view predicate) const;
-
   /// All node ids whose layer equals `layer`.
   std::vector<NodeId> NodesInLayer(MetadataLayer layer) const;
 
@@ -162,8 +152,6 @@ class MetadataGraph {
   std::vector<std::vector<Edge>> in_;
   std::vector<std::vector<TextEdge>> text_;
   std::unordered_map<UriId, NodeId> node_by_uri_;
-  std::unordered_map<UriId, std::vector<std::pair<NodeId, NodeId>>>
-      by_predicate_;
   size_t num_edges_ = 0;
   size_t num_text_edges_ = 0;
 };

@@ -31,7 +31,7 @@ struct Plan {
     kCheck,     // both ends bound: the edge exists (counted once)
     kOut,       // subject bound: walk its out-edges, bind the object
     kIn,        // object bound: walk its in-edges, bind the subject
-    kScan,      // neither bound: walk the predicate's edge list
+    kScan,      // neither bound: walk every node's out-edges
     kText,      // text object, subject bound: walk the subject's labels
     kTextScan,  // text object, subject unbound: walk every node's labels
   };
@@ -56,9 +56,6 @@ struct Plan {
 
   std::shared_ptr<const MatchVars> vars;
   std::vector<Step> steps;  // most-bound-first
-  // The library-order walk, kept only when `steps` enumerate other
-  // triples or in another order; solutions are then ranked by it.
-  std::vector<Step> library_steps;
   bool never = false;  // a URI or predicate is absent from the graph
 };
 
@@ -77,9 +74,9 @@ int AddSlot(std::vector<std::string>* names, const std::string& name) {
 }
 
 // Compiles `pattern` with x pre-bound (slot 0) or with nothing bound, in
-// most-bound-first order or (`reorder` false) in library order.
-Plan CompileSteps(const GraphPattern& pattern, const MetadataGraph& graph,
-                  bool x_bound, bool reorder) {
+// most-bound-first order.
+Plan CompilePlan(const GraphPattern& pattern, const MetadataGraph& graph,
+                 bool x_bound) {
   Plan plan;
   auto vars = std::make_shared<MatchVars>();
   if (x_bound) vars->nodes.push_back("x");
@@ -130,8 +127,7 @@ Plan CompileSteps(const GraphPattern& pattern, const MetadataGraph& graph,
   while (!remaining.empty()) {
     auto best = remaining.begin();
     int best_score = score(**best);
-    for (auto it = remaining.begin() + 1; reorder && it != remaining.end();
-         ++it) {
+    for (auto it = remaining.begin() + 1; it != remaining.end(); ++it) {
       int s = score(**it);
       if (s > best_score) best = it, best_score = s;
     }
@@ -187,27 +183,6 @@ Plan CompileSteps(const GraphPattern& pattern, const MetadataGraph& graph,
   return plan;
 }
 
-// Triple indices of the steps that enumerate, i.e. all but the checks.
-std::vector<size_t> Enumerating(const std::vector<Plan::Step>& steps) {
-  std::vector<size_t> out;
-  for (const Plan::Step& step : steps) {
-    if (step.mode != Mode::kCheck) out.push_back(step.triple);
-  }
-  return out;
-}
-
-Plan CompilePlan(const GraphPattern& pattern, const MetadataGraph& graph,
-                 bool x_bound) {
-  Plan plan = CompileSteps(pattern, graph, x_bound, /*reorder=*/true);
-  Plan walk = CompileSteps(pattern, graph, x_bound, /*reorder=*/false);
-  // Checks only filter: when both orders enumerate the same triples in the
-  // same order, they walk the same edge lists and emit the same sequence.
-  if (Enumerating(plan.steps) != Enumerating(walk.steps)) {
-    plan.library_steps = std::move(walk.steps);
-  }
-  return plan;
-}
-
 // Backtracking walk of one plan. Slots hold the partial binding; texts
 // point into the graph's labels until a solution is copied out.
 class Search {
@@ -259,12 +234,17 @@ class Search {
         }
         return;
       case Mode::kScan:
-        for (const auto& [s, o] : graph_.EdgesWithPredicate(step.predicate)) {
-          // `( y p y )`: the object is the subject just bound.
-          if (step.object_slot == step.subject_slot && o != s) continue;
-          nodes_[step.subject_slot] = s;
-          nodes_[step.object_slot] = o;
-          Continue(i);
+        for (NodeId n = 0; n < static_cast<NodeId>(graph_.num_nodes()); ++n) {
+          for (const Edge& e : graph_.OutEdges(n)) {
+            if (e.predicate != step.predicate) continue;
+            // `( y p y )`: the object is the subject just bound.
+            if (step.object_slot == step.subject_slot && e.target != n) {
+              continue;
+            }
+            nodes_[step.subject_slot] = n;
+            nodes_[step.object_slot] = e.target;
+            Continue(i);
+          }
         }
         return;
       case Mode::kText:
@@ -326,106 +306,15 @@ class Search {
   std::vector<const std::string*> texts_;
 };
 
-// Positions, in the list the library-order walk iterates at enumerating
-// `step`, of the edges that agree with `b`. A scan walks the predicate's
-// edge list in (subject, out-edge index) order, so its position is that
-// pair packed into 64 bits.
-std::vector<uint64_t> Positions(const MetadataGraph& graph,
-                                const Plan::Step& step, const MatchBinding& b) {
-  auto node = [&](int slot, NodeId fixed) {
-    return slot >= 0 ? b.nodes[slot] : fixed;
-  };
-  NodeId s = node(step.subject_slot, step.subject_node);
-  NodeId o = node(step.object_slot, step.object_node);
-  std::vector<uint64_t> out;
-  switch (step.mode) {
-    case Mode::kCheck:
-      break;
-    case Mode::kOut:
-    case Mode::kIn:
-    case Mode::kScan: {
-      bool in_edges = step.mode == Mode::kIn;
-      const std::vector<Edge>& edges =
-          in_edges ? graph.InEdges(o) : graph.OutEdges(s);
-      NodeId want = in_edges ? s : o;
-      uint64_t base =
-          step.mode == Mode::kScan ? static_cast<uint64_t>(s) << 32 : 0;
-      for (size_t j = 0; j < edges.size(); ++j) {
-        if (edges[j].predicate == step.predicate && edges[j].target == want) {
-          out.push_back(base | j);
-        }
-      }
-      break;
-    }
-    case Mode::kText:
-    case Mode::kTextScan: {
-      const std::string& want =
-          step.text_slot >= 0 ? b.texts[step.text_slot] : step.text;
-      uint64_t base =
-          step.mode == Mode::kTextScan ? static_cast<uint64_t>(s) << 32 : 0;
-      const std::vector<TextEdge>& edges = graph.TextEdges(s);
-      for (size_t j = 0; j < edges.size(); ++j) {
-        if (edges[j].predicate == step.predicate && edges[j].text == want) {
-          out.push_back(base | j);
-        }
-      }
-      break;
-    }
-  }
-  return out;
-}
-
-// Puts `solutions` into the order and multiplicity of the library-order
-// walk. That walk emits a binding once per combination of agreeing edges
-// at its enumerating steps, ordered lexicographically by the edges'
-// positions, and stops after `max_matches`.
-std::vector<MatchBinding> LibraryOrder(
-    const MetadataGraph& graph, const std::vector<Plan::Step>& walk,
-    const std::vector<MatchBinding>& solutions, size_t max_matches) {
-  std::vector<std::pair<std::vector<uint64_t>, size_t>> ranked;
-  for (size_t k = 0; k < solutions.size(); ++k) {
-    std::vector<std::vector<uint64_t>> ranks(1);
-    for (const Plan::Step& step : walk) {
-      if (step.mode == Mode::kCheck) continue;
-      std::vector<std::vector<uint64_t>> longer;
-      for (uint64_t position : Positions(graph, step, solutions[k])) {
-        for (const std::vector<uint64_t>& prefix : ranks) {
-          longer.push_back(prefix);
-          longer.back().push_back(position);
-        }
-      }
-      ranks = std::move(longer);
-    }
-    for (std::vector<uint64_t>& rank : ranks) {
-      ranked.emplace_back(std::move(rank), k);
-    }
-  }
-  // Equal ranks name the same edges, i.e. one binding found twice.
-  std::sort(ranked.begin(), ranked.end());
-  ranked.erase(std::unique(ranked.begin(), ranked.end(),
-                           [](const auto& a, const auto& b) {
-                             return a.first == b.first;
-                           }),
-               ranked.end());
-  std::vector<MatchBinding> out;
-  for (size_t i = 0; i < ranked.size() && out.size() < max_matches; ++i) {
-    out.push_back(solutions[ranked[i].second]);
-  }
-  return out;
-}
-
-// Runs `plan`. Unless `ordered` is false (an existence check), solutions
-// come out in library order.
+// Runs `plan` with x bound to `x` (kInvalidNode: nothing bound) and
+// returns its first `max_matches` solutions in plan order.
 std::vector<MatchBinding> Run(const MetadataGraph& graph, const Plan& plan,
-                              NodeId x, size_t max_matches, bool ordered) {
+                              NodeId x, size_t max_matches) {
   std::vector<MatchBinding> out;
   if (plan.never) return out;
-  // Ranking needs every solution before the cap applies.
-  bool rank = ordered && !plan.library_steps.empty();
-  Search search(graph, plan, rank ? SIZE_MAX : max_matches, &out);
+  Search search(graph, plan, max_matches, &out);
   if (x != kInvalidNode) search.BindX(x);
   search.Next(0);
-  if (rank) return LibraryOrder(graph, plan.library_steps, out, max_matches);
   return out;
 }
 
@@ -467,32 +356,21 @@ Result<std::vector<MatchBinding>> PatternMatcher::MatchAt(
   SODA_ASSIGN_OR_RETURN(const CompiledPattern* compiled,
                         Compile(pattern_name));
   if (node == kInvalidNode) return std::vector<MatchBinding>();
-  return Run(*graph_, compiled->at, node, max_matches, /*ordered=*/true);
+  return Run(*graph_, compiled->at, node, max_matches);
 }
 
 bool PatternMatcher::Matches(const std::string& pattern_name,
                              NodeId node) const {
   auto compiled = Compile(pattern_name);
   if (!compiled.ok() || node == kInvalidNode) return false;
-  // Any solution will do, so none is ranked.
-  return !Run(*graph_, (*compiled)->at, node, /*max_matches=*/1,
-              /*ordered=*/false)
-              .empty();
-}
-
-Result<bool> PatternMatcher::RanksMatchAt(
-    const std::string& pattern_name) const {
-  SODA_ASSIGN_OR_RETURN(const CompiledPattern* compiled,
-                        Compile(pattern_name));
-  return !compiled->at.library_steps.empty();
+  return !Run(*graph_, (*compiled)->at, node, /*max_matches=*/1).empty();
 }
 
 Result<std::vector<MatchBinding>> PatternMatcher::MatchAll(
     const std::string& pattern_name, size_t max_matches) const {
   SODA_ASSIGN_OR_RETURN(const CompiledPattern* compiled,
                         Compile(pattern_name));
-  return Run(*graph_, compiled->all, kInvalidNode, max_matches,
-             /*ordered=*/true);
+  return Run(*graph_, compiled->all, kInvalidNode, max_matches);
 }
 
 }  // namespace soda

@@ -18,25 +18,22 @@
 //     the best-bound ends: both ends bound (an existence check, or a label
 //     compared), then one end bound by a variable (walk that node's
 //     edges), then one end bound only by a URI (walk a type node's
-//     in-edges: hubs, so late), then nothing bound (walk the predicate's
-//     edge list, which MetadataGraph::AddEdge keeps in subject order, or
-//     every node's labels). Ties keep library order.
+//     in-edges: hubs, so late), then nothing bound (walk every node's
+//     out-edges or labels, in node-id order). Ties keep library order.
 //   - Distinct constraints are slot pairs, checked by the step that binds
 //     the later of the two.
 //
-// Solution-order contract: solutions come out in the order, and with the
-// multiplicity, of walking the triples in library order (the paper's
-// procedure). Callers rely on it: a max_matches cap keeps a prefix, and
-// JoinGraph's edge insertion order is the order every path search
-// iterates. Checks only filter, so a plan that enumerates the same
-// triples in the same order as the library walk emits the same sequence;
-// that holds for every per-query MatchAt plan of the shipped library
-// (RanksMatchAt is false; the oracle test pins it). Any other plan
-// collects all its solutions, ranks each by the positions of the edges
-// the library walk would pick for it, and then applies the cap. Matches
-// only asks whether a solution exists, so it never ranks.
-// tests/matcher_oracle_test.cc keeps the naive library-order walk as a
-// reference and compares ordered solutions on both shipped graphs.
+// Solution-order contract: plan order; a cap keeps a prefix of it. Each
+// enumerating step walks its edge list in insertion order, so solutions
+// come out in the lexicographic order of the edges the plan's steps
+// pick, and a binding repeats once per combination of duplicate edges
+// those steps enumerate (an edge check between two bound nodes counts
+// once). MatchAt, Matches and MatchAll run the same way. JoinGraph::Build
+// keeps MatchAll's order as its edge insertion order, which breaks ties
+// between equal-length join paths; tests/sql_golden_test.cc pins the SQL
+// that follows from it. tests/matcher_oracle_test.cc keeps the naive
+// library-order walk as a reference: uncapped, the distinct bindings
+// equal its set; capped, the result is a prefix of the uncapped run.
 
 #ifndef SODA_PATTERN_MATCHER_H_
 #define SODA_PATTERN_MATCHER_H_
@@ -93,11 +90,6 @@ class PatternMatcher {
   /// Matches without pre-binding x — enumerates over the whole graph.
   Result<std::vector<MatchBinding>> MatchAll(const std::string& pattern_name,
                                              size_t max_matches = 4096) const;
-
-  /// True when MatchAt of the pattern collects and ranks every solution
-  /// before applying its cap (see the solution-order contract above).
-  /// Per-query callers need this false to stay cheap.
-  Result<bool> RanksMatchAt(const std::string& pattern_name) const;
 
   const MetadataGraph* graph() const { return graph_; }
   const PatternLibrary* library() const { return library_; }

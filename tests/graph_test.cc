@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <utility>
-#include <vector>
-
 #include "graph/metadata_graph.h"
 #include "graph/vocab.h"
 
@@ -86,32 +83,6 @@ TEST_F(MetadataGraphTest, MissingPredicateIsEmpty) {
   EXPECT_TRUE(graph_.Targets(table_, "never_used").empty());
 }
 
-TEST_F(MetadataGraphTest, EdgesWithPredicate) {
-  auto pairs = graph_.EdgesWithPredicate(vocab::kClassifies);
-  ASSERT_EQ(pairs.size(), 1u);
-  EXPECT_EQ(pairs[0].first, concept_);
-  EXPECT_EQ(pairs[0].second, table_);
-  EXPECT_TRUE(graph_.EdgesWithPredicate("never_used").empty());
-}
-
-// The per-predicate list is in subject-id order whatever the insertion
-// order, and in insertion order per subject: the order of walking every
-// node's out-edges.
-TEST_F(MetadataGraphTest, EdgesWithPredicateSubjectOrder) {
-  graph_.AddEdge(concept_, "rel", table_);
-  graph_.AddEdge(table_, "rel", concept_);
-  graph_.AddEdge(column_, "rel", table_);
-  graph_.AddEdge(table_, "rel", column_);
-  using Pair = std::pair<NodeId, NodeId>;
-  std::vector<Pair> want = {
-      {table_, concept_}, {table_, column_}, {column_, table_},
-      {concept_, table_}};
-  EXPECT_EQ(graph_.EdgesWithPredicate("rel"), want);
-  auto pred = graph_.FindPredicate("rel");
-  ASSERT_TRUE(pred.has_value());
-  EXPECT_EQ(graph_.EdgesWithPredicate(*pred), want);
-}
-
 TEST_F(MetadataGraphTest, LayersAndNames) {
   EXPECT_EQ(graph_.layer(concept_), MetadataLayer::kDomainOntology);
   EXPECT_STREQ(MetadataLayerName(MetadataLayer::kDbpedia), "DBpedia");
@@ -149,11 +120,6 @@ TEST(MetadataGraphScaleTest, ManyNodesAndEdges) {
   EXPECT_EQ(graph.num_nodes(), static_cast<size_t>(kNodes));
   EXPECT_EQ(graph.num_edges(), static_cast<size_t>(kNodes - 1));
   EXPECT_EQ(graph.Targets(0, "next").size(), 1u);
-  const auto& pairs = graph.EdgesWithPredicate("next");
-  ASSERT_EQ(pairs.size(), static_cast<size_t>(kNodes - 1));
-  for (int i = 1; i < kNodes; ++i) {
-    EXPECT_EQ(pairs[i - 1], std::make_pair(i - 1, i));
-  }
 }
 
 }  // namespace
