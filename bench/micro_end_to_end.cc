@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -344,9 +343,9 @@ void BM_EngineBatchDedup(benchmark::State& state) {
 BENCHMARK(BM_EngineBatchDedup);
 
 // Async snippet streaming: translated SQL returns immediately, snippets
-// execute inside the barrier's Wait() and stream through the callback;
-// Wait() is the per-iteration completion point. "snippets_streamed" guards the
-// exactly-once delivery path end to end.
+// execute inside the returned stream's Run() and stream through the
+// callback; Run() is the per-iteration completion point.
+// "snippets_streamed" guards the exactly-once delivery path end to end.
 void BM_EngineAsyncStream(benchmark::State& state) {
   static soda::SodaEngine* engine = [] {
     soda::SodaConfig config;
@@ -369,17 +368,14 @@ void BM_EngineAsyncStream(benchmark::State& state) {
   }
   size_t streamed = 0;
   for (auto _ : state) {
-    std::atomic<size_t> delivered{0};
-    soda::SnippetBarrier barrier;
-    auto outputs = engine->SearchAllAsync(
-        queries,
-        [&delivered](size_t, size_t, const soda::SodaResult&) {
-          delivered.fetch_add(1, std::memory_order_relaxed);
-        },
-        &barrier);
-    benchmark::DoNotOptimize(outputs);
-    barrier.Wait();
-    streamed += delivered.load();
+    size_t delivered = 0;
+    soda::AsyncSearch search = engine->SearchAllAsync(
+        queries, [&delivered](size_t, size_t, const soda::SodaResult&) {
+          ++delivered;
+        });
+    benchmark::DoNotOptimize(search.outputs);
+    search.snippets.Run();
+    streamed += delivered;
   }
   state.counters["snippets_streamed"] = static_cast<double>(streamed);
   state.SetItemsProcessed(state.iterations() *

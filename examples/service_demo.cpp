@@ -6,7 +6,7 @@
 //
 // Shows: the router splitting one dashboard refresh across shards (each
 // with its own worker pool and LRU cache, byte-identical merge back into
-// input order), async snippet streaming behind a SnippetBarrier, live
+// input order), async snippet streaming through a returned stream, live
 // base data — a row appended mid-serve flows through the change log into
 // the shared core's inverted index and invalidates exactly the dependent
 // cache keys automatically (FreshnessManager) — and the fleet-level
@@ -365,30 +365,27 @@ int main(int argc, char** argv) {
   }
 
   // Async snippet streaming: translated, ranked SQL comes back at once;
-  // barrier.Wait() then executes the snippets on this thread, handing
-  // each to the callback in result order.
+  // running the returned stream then executes the snippets on this
+  // thread, handing each to the callback in result order.
   std::printf("---- async streaming (fresh query) ----------------------\n");
   service.ClearCache();
-  std::atomic<size_t> streamed{0};
-  soda::SnippetBarrier barrier;
-  auto async_out = service.SearchAsync(
+  const std::vector<std::string> async_queries = {
       "trading volume transaction date between date(2010-01-01) "
-      "date(2011-12-31)",
-      [&](size_t, size_t result_index, const soda::SodaResult& result) {
-        streamed.fetch_add(1);
+      "date(2011-12-31)"};
+  soda::AsyncSearch async = service.SearchAllAsync(
+      async_queries,
+      [](size_t, size_t result_index, const soda::SodaResult& result) {
         std::printf("  snippet #%zu streamed: %s (%zu rows)\n", result_index,
                     result.executed ? "ok" : "skipped",
                     result.snippet.rows.size());
-      },
-      &barrier);
-  if (async_out.ok()) {
+      });
+  if (async.outputs[0].ok()) {
     std::printf("  translation returned %zu ranked statement(s) "
-                "immediately\n", async_out->results.size());
+                "immediately\n", async.outputs[0]->results.size());
   }
-  barrier.Wait();
-  std::printf("  barrier drained: %zu snippet callback(s), "
-              "%zu exception(s)\n", streamed.load(),
-              barrier.callback_exceptions());
+  soda::SnippetStream::Summary streamed = async.snippets.Run();
+  std::printf("  stream done: %zu snippet callback(s), %zu exception(s)\n",
+              streamed.delivered, streamed.callback_exceptions);
 
   // The fleet-level view: per-stage latency histograms and service
   // counters, aggregated across everything this process just did —

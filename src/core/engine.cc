@@ -86,7 +86,6 @@ class ServeScope {
 
   std::chrono::steady_clock::time_point start() const { return start_; }
   Span& span() { return span_; }
-  void ReleaseDataGuard() { data_guard_ = {}; }
 
  private:
   std::shared_lock<std::shared_mutex> data_guard_;
@@ -659,12 +658,9 @@ struct SodaEngine::StreamState {
   uint64_t translated_at_sequence = 0;
 };
 
-void SodaEngine::RunStream(StreamState& stream, SnippetBarrier* barrier,
-                           const TraceContext& trace) const {
-  // The stream runs outside the submitting call's data guard (on the
-  // waiting thread), so it takes its own shared lock around the snippet
-  // scans and the (possible) cache insert.
-  auto data_guard = ReadGuard();
+SnippetStream::Summary SodaEngine::RunStream(StreamState& stream,
+                                             const TraceContext& trace) const {
+  SnippetStream::Summary summary;
   for (size_t r = 0; r < stream.output.results.size(); ++r) {
     // The span parents under the batch span through the captured
     // context, although it starts after SearchAllAsync returned.
@@ -674,62 +670,51 @@ void SodaEngine::RunStream(StreamState& stream, SnippetBarrier* barrier,
     }
     SodaResult& result = stream.output.results[r];
     if (stream.run_execution) {
-      // Contained: a throwing snippet (or armed failpoint) marks this one
-      // result failed; the callbacks below still fan out and the barrier
-      // still hears of each, so Wait() never hangs on a fault.
+      // The data lock covers the scan only: a callback may block on a
+      // slow client, and no append may wait behind it. Contained: a
+      // throwing snippet (or armed failpoint) marks this one result
+      // failed and its callbacks still fan out.
+      auto data_guard = ReadGuard();
       ExecuteSnippetContained(*soda_, &result, sink_.get());
     }
     // One delivery per (query_index, result_index) pair: the snippet ran
     // once, every occurrence of the query in the batch hears of it.
-    std::vector<std::exception_ptr> exceptions;
-    exceptions.reserve(stream.occurrences.size());
     for (size_t query_index : stream.occurrences) {
-      std::exception_ptr exception;
+      ++summary.delivered;
       if (stream.on_snippet) {
         try {
           stream.on_snippet(query_index, r, result);
         } catch (...) {
-          exception = std::current_exception();
+          ++summary.callback_exceptions;
           sink_->IncrementCounter("snippet.callback_exception", 1);
         }
       }
       sink_->IncrementCounter("snippet.streamed", 1);
-      exceptions.push_back(std::move(exception));
-    }
-    if (r + 1 == stream.output.results.size() && stream.cache_insert) {
-      // Last snippet of this query: cache the materialized answer —
-      // unless base data moved since translation (the stored answer
-      // would be stale and its invalidation already happened).
-      const Database* db = soda_->database();
-      if (db == nullptr ||
-          db->change_log().sequence() == stream.translated_at_sequence) {
-        CacheInsert(stream.key, stream.output, trace);
-      } else {
-        sink_->IncrementCounter("cache.stale_insert_skipped", 1);
-      }
-    }
-    // End (and append) the span before delivering: a caller may finish
-    // the trace as soon as Wait() returns, and a span recorded after that
-    // would be dropped as an orphan.
-    snippet_span.End();
-    // Deliver last: once the barrier reports drained, the cache insert
-    // has already happened — Wait() is a true completion point.
-    if (barrier != nullptr) {
-      for (std::exception_ptr& exception : exceptions) {
-        barrier->Deliver(std::move(exception));
-      }
     }
   }
+  if (!stream.cache_insert) return summary;
+  // Cache the materialized answer — unless base data moved since
+  // translation (the stored answer would be stale and its invalidation
+  // already happened). Checked and inserted under one shared lock, so no
+  // append can slip between the two.
+  auto data_guard = ReadGuard();
+  const Database* db = soda_->database();
+  if (db == nullptr ||
+      db->change_log().sequence() == stream.translated_at_sequence) {
+    CacheInsert(stream.key, stream.output, trace);
+  } else {
+    sink_->IncrementCounter("cache.stale_insert_skipped", 1);
+  }
+  return summary;
 }
 
-std::vector<Result<SearchOutput>> SodaEngine::SearchAllAsync(
-    std::span<const std::string> queries, SnippetCallback on_snippet,
-    SnippetBarrier* barrier) const {
+AsyncSearch SodaEngine::SearchAllAsync(std::span<const std::string> queries,
+                                       SnippetCallback on_snippet) const {
   if (queries.empty()) return {};
-  // The async trace outlives this call: the streams carry the batch
-  // span's context to the waiting thread and append their spans after the
-  // trace was finished — TraceData is shared and append-safe, so they
-  // still land in the archived record.
+  // The async trace outlives this call: the runs carry the batch span's
+  // context to the thread that runs the stream and append their spans
+  // after the trace was finished — TraceData is shared and append-safe,
+  // so they still land in the archived record.
   ServeScope serve(ReadGuard(), sink_.get(), "engine.search_all_async");
   serve.span().SetAttr("queries", static_cast<int64_t>(queries.size()));
 
@@ -742,56 +727,30 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAllAsync(
   std::vector<BatchItem> items = TranslateQueries(
       queries, /*execute=*/false, serve.span().context(), serve.start());
 
-  // Snapshot the per-unique stream states before the items are consumed
-  // by ExpandBatch.
-  std::vector<std::shared_ptr<StreamState>> streams;
+  // One run per unique query with results, in item (= first-occurrence)
+  // order, captured before ExpandBatch consumes the items.
+  AsyncSearch search;
+  const TraceContext stream_trace = serve.span().context();
   for (const BatchItem& item : items) {
     // Nothing to stream: TranslateBatch already cached the empty answer.
     if (!item.output.ok() || item.output->results.empty()) continue;
-    auto stream = std::make_shared<StreamState>();
-    stream->output = *item.output;
-    stream->occurrences = item.occurrences;
-    stream->key = item.normalized;
-    stream->on_snippet = on_snippet;
-    stream->run_execution = can_execute && !item.from_cache;
-    stream->cache_insert = !item.from_cache;
-    stream->translated_at_sequence = translated_at_sequence;
-    streams.push_back(std::move(stream));
+    StreamState stream;
+    stream.output = *item.output;
+    stream.occurrences = item.occurrences;
+    stream.key = item.normalized;
+    stream.on_snippet = on_snippet;
+    stream.run_execution = can_execute && !item.from_cache;
+    stream.cache_insert = !item.from_cache;
+    stream.translated_at_sequence = translated_at_sequence;
+    search.snippets.runs_.push_back(
+        {item.occurrences.front(),
+         [this, stream = std::move(stream), stream_trace]() mutable {
+           return RunStream(stream, stream_trace);
+         }});
   }
-
-  std::vector<Result<SearchOutput>> outputs =
-      ExpandBatch(std::move(items), queries.size(),
-                  /*mark_dedup_as_cached=*/false, serve.start());
-
-  // Release the serve's shared lock before any stream runs: each stream
-  // takes its own ReadGuard, which must not re-enter the shared_mutex (UB,
-  // and a deadlock with a queued writer). The sequence check keeps a
-  // mutation that sneaks into the gap from ever caching a stale answer.
-  serve.ReleaseDataGuard();
-
-  const TraceContext stream_trace = serve.span().context();
-  for (std::shared_ptr<StreamState>& stream : streams) {
-    if (barrier == nullptr) {
-      RunStream(*stream, nullptr, stream_trace);
-      continue;
-    }
-    const size_t callbacks =
-        stream->output.results.size() * stream->occurrences.size();
-    barrier->Register(callbacks, [this, stream = std::move(stream), barrier,
-                                  stream_trace] {
-      RunStream(*stream, barrier, stream_trace);
-    });
-  }
-  return outputs;
-}
-
-Result<SearchOutput> SodaEngine::SearchAsync(const std::string& query,
-                                             SnippetCallback on_snippet,
-                                             SnippetBarrier* barrier) const {
-  std::vector<Result<SearchOutput>> outputs =
-      SearchAllAsync(std::span<const std::string>(&query, 1),
-                     std::move(on_snippet), barrier);
-  return std::move(outputs[0]);
+  search.outputs = ExpandBatch(std::move(items), queries.size(),
+                               /*mark_dedup_as_cached=*/false, serve.start());
+  return search;
 }
 
 }  // namespace soda

@@ -23,10 +23,10 @@
 //      at once, dedups identical normalized queries inside the batch
 //      (Steps 1-5 run once per unique query; repeats cost one cache hit),
 //      and runs one pool task per unique miss;
-//   5. async snippet streaming — SearchAsync/SearchAllAsync return the
-//      translated, ranked SQL immediately and register each query's
-//      snippet work on a SnippetBarrier; the barrier's Wait() runs it on
-//      the waiting thread, delivering each executed snippet through a
+//   5. async snippet streaming — SearchAllAsync returns the translated,
+//      ranked SQL immediately, together with a SnippetStream holding each
+//      query's snippet work; the caller's Run() executes it on the
+//      calling thread, delivering each executed snippet through a
 //      SnippetCallback in result order;
 //   6. pluggable observability — every stage latency, cache hit/miss,
 //      batch dedup, snippet outcome and queue-depth sample flows into a
@@ -136,28 +136,20 @@ class SodaEngine : public SodaService {
   std::vector<Result<SearchOutput>> SearchAll(
       std::span<const std::string> queries) const override;
 
-  /// Async search: returns the translated, ranked SQL immediately —
-  /// results carry executed=false and empty snippets (unless served from
-  /// cache, which already holds them) — and registers the snippet work on
-  /// `barrier`. barrier->Wait() executes the snippets on the waiting
-  /// thread, in result order, delivering each through `on_snippet`
-  /// exactly once per result; after the last one the fully materialized
-  /// output is inserted into the result cache. This engine must outlive
-  /// that Wait(). With `barrier` == nullptr the snippets run before this
-  /// returns. query_index is always 0 for this entry point.
-  Result<SearchOutput> SearchAsync(const std::string& query,
-                                   SnippetCallback on_snippet,
-                                   SnippetBarrier* barrier) const override;
-
-  /// Batched async search: SearchAll's dedup and cross-query fan-out for
-  /// the translation phase, snippet streaming for the execution phase
-  /// (one registered stream per unique query, run in input order). Each
-  /// input index receives exactly one callback per result in its output;
-  /// deduplicated repeats share one snippet execution but still get
-  /// their own callbacks (with their own query_index).
-  std::vector<Result<SearchOutput>> SearchAllAsync(
-      std::span<const std::string> queries, SnippetCallback on_snippet,
-      SnippetBarrier* barrier) const override;
+  /// Async batched search: SearchAll's dedup and cross-query fan-out
+  /// for the translation phase, then returns at once. The outputs carry
+  /// executed=false and empty snippets (unless served from cache, which
+  /// already holds them); the stream holds one run per unique query with
+  /// results, in first-occurrence order. Its Run() executes each query's
+  /// snippets in result order on the calling thread, delivering each
+  /// through `on_snippet` once per occurrence — deduplicated repeats
+  /// share one execution but get their own callbacks (with their own
+  /// query_index) — and caches the materialized answer after the last
+  /// one, unless base data changed since translation. The data lock is
+  /// held only around each snippet's execution and the cache insert,
+  /// never across a callback. This engine must outlive that Run().
+  AsyncSearch SearchAllAsync(std::span<const std::string> queries,
+                             SnippetCallback on_snippet) const override;
 
   /// Cache observability.
   CacheStats cache_stats() const override { return cache_.stats(); }
@@ -170,8 +162,8 @@ class SodaEngine : public SodaService {
   /// concurrently with Search traffic: the predicate runs under the
   /// cache lock (keep it cheap; it must not call back into the engine),
   /// and in-flight readers keep their payloads alive. Note async
-  /// streaming inserts into the cache inside its barrier's Wait(), so
-  /// invalidate after Wait() to cover in-flight async answers.
+  /// streaming inserts into the cache inside SnippetStream::Run(), so
+  /// invalidate after Run() to cover in-flight async answers.
   size_t InvalidateWhere(
       const std::function<bool(const std::string&)>& pred) const override;
 
@@ -179,8 +171,9 @@ class SodaEngine : public SodaService {
   /// to the underlying Soda's inverted index (which every engine sharing
   /// the core sees). MUST run under the
   /// database change log's exclusive data lock (i.e. from a
-  /// ChangeListener) — every serving path holds the shared side for its
-  /// whole serve, so the delta can never interleave with a probe.
+  /// ChangeListener) — every serve holds the shared side from its cache
+  /// probe to its cache insert, and a snippet stream around each
+  /// execution and its insert, so the delta never interleaves with one.
   /// Returns the number of new posting entries.
   size_t ApplyBaseDataDelta(const ChangeEvent& event) override {
     return soda_->ApplyBaseDataDelta(event);
@@ -276,17 +269,17 @@ class SodaEngine : public SodaService {
       bool mark_dedup_as_cached,
       std::chrono::steady_clock::time_point batch_start) const;
 
-  /// Runs one unique query's snippet stream in result order on the
-  /// calling thread: executes each snippet, fans its callback out to every
-  /// occurrence, delivers to `barrier` (when set), and caches the
-  /// materialized answer after the last result.
-  void RunStream(StreamState& stream, SnippetBarrier* barrier,
-                 const TraceContext& trace) const;
+  /// Runs one unique query's snippets in result order on the calling
+  /// thread: executes each under its own ReadGuard, fans its callback
+  /// out to every occurrence unlocked, and caches the materialized answer
+  /// after the last result.
+  SnippetStream::Summary RunStream(StreamState& stream,
+                                   const TraceContext& trace) const;
 
-  /// Shared data lock for the serve (empty when the engine has no
-  /// database): every entry point takes one before probing the cache and
-  /// holds it through its own cache insert, so answers can never be
-  /// cached after an invalidation that should have covered them.
+  /// Shared data lock (empty when the engine has no database): every
+  /// entry point takes one before probing the cache and holds it through
+  /// its own cache insert, so answers can never be cached after an
+  /// invalidation that should have covered them.
   std::shared_lock<std::shared_mutex> ReadGuard() const;
 
   /// Cache insert + freshness dependency registration, one atom: both

@@ -19,21 +19,24 @@
 // constraint change can affect. The shared result cache holds
 // unconstrained answers only; reuse across a session's constrained
 // serves is the plan's job.
+//
+// The async half of a search is a returned value, not registered work:
+// SearchAllAsync hands back the translated outputs with a SnippetStream,
+// and the caller runs that stream on its own thread (the HTTP streaming
+// handler writes each snippet event as the stream delivers it).
 
 #ifndef SODA_CORE_SERVICE_H_
 #define SODA_CORE_SERVICE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <initializer_list>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/lru_cache.h"
@@ -45,63 +48,68 @@ namespace soda {
 class FreshnessManager;
 struct ChangeEvent;
 
-/// Delivered once per (query_index, result_index) pair by the async entry
-/// points, after that result's snippet finished executing (or was skipped
-/// because execution is disabled — check result.executed). Invoked on the
-/// thread that calls SnippetBarrier::Wait(), one query's results in result
-/// order; without a barrier, before the entry point returns (on the
-/// caller's thread for a SodaEngine, on the dispatch threads for a
-/// router batch). Exceptions thrown by the callback are caught, counted
-/// on the barrier, and never abort the stream.
+/// Delivered once per (query_index, result_index) pair by
+/// SnippetStream::Run(), after that result's snippet finished executing
+/// (or was skipped because execution is disabled — check
+/// result.executed). Invoked on the thread that calls Run(), in
+/// first-occurrence query order, then result order, then occurrence
+/// order. Exceptions thrown by the callback are caught, counted in Run()'s
+/// summary, and never abort the stream.
 using SnippetCallback = std::function<void(
     size_t query_index, size_t result_index, const SodaResult& result)>;
 
-/// Completion point of async snippet streaming. The async entry points
-/// translate, then register each query's snippet work here instead of
-/// running it; Wait() runs that work on the calling thread, so a streamed
-/// request executes its snippets on the thread that waits for them. One
-/// barrier can span several SearchAsync/SearchAllAsync submissions (the
-/// sharded router's shards register from their dispatch threads). Every
-/// engine passed the barrier must outlive Wait(); a barrier destroyed
-/// without Wait() drops its registered work and no callback fires.
-class SnippetBarrier {
+/// The deferred half of an async search: one run per unique query that
+/// has results, ordered by the input index of that query's first
+/// occurrence — whatever engine, shard count or dispatch thread
+/// translated it. Run() executes them on the calling thread, delivering
+/// each snippet through the search's SnippetCallback and caching each
+/// materialized answer after its last snippet. Move-only; a stream
+/// destroyed without Run() executes and caches nothing. The engine that
+/// returned the stream must outlive Run().
+class SnippetStream {
  public:
-  SnippetBarrier() = default;
-  SnippetBarrier(const SnippetBarrier&) = delete;
-  SnippetBarrier& operator=(const SnippetBarrier&) = delete;
+  /// What Run() reports (the fields of the streamed "done" event).
+  struct Summary {
+    size_t delivered = 0;  // callbacks made, throwing ones included
+    size_t callback_exceptions = 0;
+  };
 
-  /// Runs every registered piece of work on this thread, in registration
-  /// order, and returns once every expected callback has been delivered
-  /// (including ones that threw). A concurrent second waiter blocks until
-  /// the first has delivered everything. Deterministic: after Wait()
-  /// returns, no further callbacks fire for the submissions registered
-  /// so far.
-  void Wait();
+  SnippetStream() = default;
+  SnippetStream(SnippetStream&&) = default;
+  SnippetStream& operator=(SnippetStream&&) = default;
+  SnippetStream(const SnippetStream&) = delete;
+  SnippetStream& operator=(const SnippetStream&) = delete;
 
-  /// Callbacks registered but not yet delivered.
-  size_t pending() const;
-  /// Callbacks delivered so far (throwing ones included).
-  size_t delivered() const;
-  /// Callbacks that exited via an exception. The stream keeps draining;
-  /// the first exception is retained for inspection.
-  size_t callback_exceptions() const;
-  std::exception_ptr first_exception() const;
+  /// Runs every query's snippets on this thread, in order; once. A second
+  /// call runs nothing and reports zeros.
+  Summary Run() {
+    Summary total;
+    std::vector<QueryRun> runs = std::move(runs_);
+    runs_.clear();
+    for (QueryRun& run : runs) {
+      Summary summary = run.run();
+      total.delivered += summary.delivered;
+      total.callback_exceptions += summary.callback_exceptions;
+    }
+    return total;
+  }
 
  private:
   friend class SodaEngine;
+  friend class ShardedSodaEngine;
 
-  /// Registers `callbacks` expected deliveries and the work that makes
-  /// them, atomically with respect to Wait().
-  void Register(size_t callbacks, std::function<void()> work);
-  void Deliver(std::exception_ptr exception);
+  struct QueryRun {
+    size_t first_index;  // input index of the query's first occurrence
+    std::function<Summary()> run;
+  };
+  std::vector<QueryRun> runs_;  // ascending first_index
+};
 
-  mutable std::mutex mu_;
-  std::condition_variable done_;
-  std::vector<std::function<void()>> work_;  // registered, not yet started
-  size_t expected_ = 0;
-  size_t delivered_ = 0;
-  size_t exceptions_ = 0;
-  std::exception_ptr first_exception_;
+/// SearchAllAsync's answer: the translated outputs, in input order, and
+/// the snippet work still to run.
+struct AsyncSearch {
+  std::vector<Result<SearchOutput>> outputs;
+  SnippetStream snippets;
 };
 
 /// A session's cached prefix of one question's translation: the parsed
@@ -170,16 +178,10 @@ class SodaService {
   virtual std::vector<Result<SearchOutput>> SearchAll(
       std::span<const std::string> queries) const = 0;
 
-  /// Async search: translated, ranked SQL returns immediately; snippets
-  /// stream through `on_snippet`; `barrier` is the completion point.
-  virtual Result<SearchOutput> SearchAsync(const std::string& query,
-                                           SnippetCallback on_snippet,
-                                           SnippetBarrier* barrier) const = 0;
-
-  /// Batched async search.
-  virtual std::vector<Result<SearchOutput>> SearchAllAsync(
-      std::span<const std::string> queries, SnippetCallback on_snippet,
-      SnippetBarrier* barrier) const = 0;
+  /// Async batched search: the translated, ranked SQL returns at once,
+  /// and the snippets run when the caller runs the returned stream.
+  virtual AsyncSearch SearchAllAsync(std::span<const std::string> queries,
+                                     SnippetCallback on_snippet) const = 0;
 
   /// Session entry point: as Search(query, constraints), but additionally
   /// maintains `*plan` (required non-null; *plan may be null). When the
@@ -236,8 +238,8 @@ class SodaService {
 
   /// Instantaneous backlog: tasks queued but not yet claimed across the
   /// engine's worker pools (the router adds its dispatch pool and every
-  /// shard's pool). Only batches queue tasks — a single query and every
-  /// snippet run on the caller's or the waiter's thread — so
+  /// shard's pool). Only batches queue tasks — a single query runs on
+  /// its caller's thread and every snippet on the stream's runner — so
   /// single-query traffic reads 0 here. A load signal, not an exact
   /// count — sampled without a global lock, so concurrent submits/claims
   /// may skew it by a few.

@@ -118,14 +118,6 @@ Result<SearchOutput> ShardedSodaEngine::SearchSession(
   });
 }
 
-Result<SearchOutput> ShardedSodaEngine::SearchAsync(
-    const std::string& query, SnippetCallback on_snippet,
-    SnippetBarrier* barrier) const {
-  return RouteQuery(query, [&](const SodaEngine& engine) {
-    return engine.SearchAsync(query, on_snippet, barrier);
-  });
-}
-
 Result<SearchOutput> ShardedSodaEngine::RouteQuery(
     const std::string& query,
     const std::function<Result<SearchOutput>(const SodaEngine&)>& call) const {
@@ -148,18 +140,19 @@ Result<SearchOutput> ShardedSodaEngine::RouteQuery(
 
 std::vector<Result<SearchOutput>> ShardedSodaEngine::SearchAll(
     std::span<const std::string> queries) const {
-  return DispatchBatch(queries, /*async=*/false, nullptr, nullptr);
+  return DispatchBatch(queries, nullptr, nullptr);
 }
 
-std::vector<Result<SearchOutput>> ShardedSodaEngine::SearchAllAsync(
-    std::span<const std::string> queries, SnippetCallback on_snippet,
-    SnippetBarrier* barrier) const {
-  return DispatchBatch(queries, /*async=*/true, on_snippet, barrier);
+AsyncSearch ShardedSodaEngine::SearchAllAsync(
+    std::span<const std::string> queries, SnippetCallback on_snippet) const {
+  AsyncSearch search;
+  search.outputs = DispatchBatch(queries, on_snippet, &search.snippets);
+  return search;
 }
 
 std::vector<Result<SearchOutput>> ShardedSodaEngine::DispatchBatch(
-    std::span<const std::string> queries, bool async,
-    const SnippetCallback& on_snippet, SnippetBarrier* barrier) const {
+    std::span<const std::string> queries, const SnippetCallback& on_snippet,
+    SnippetStream* snippets) const {
   if (queries.empty()) return {};
 
   // Split the batch by routing key. Sub-batches keep input order, so a
@@ -185,14 +178,15 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::DispatchBatch(
 
   // Shards share only the immutable core (each has its own pool, cache
   // and sink), so this is pure fan-out. For the async path it covers the
-  // translation phase only — each shard registers its snippet work on
-  // `barrier` before its SearchAllAsync returns, so by the time we
-  // return the barrier holds every shard's work and the caller's Wait()
-  // runs it on the caller's thread. The trace context crosses onto
-  // the helper threads by value, so every router.dispatch span parents
-  // under the caller's trace.
+  // translation phase only: each shard returns its snippet work as a
+  // stream, and the merge below orders the runs after the join, so the
+  // caller's Run() delivers in input order whichever dispatch thread
+  // finished first. The trace context crosses onto the helper threads by
+  // value, so every router.dispatch span parents under the caller's
+  // trace.
   std::vector<Result<SearchOutput>> outputs(
       queries.size(), Result<SearchOutput>(Status::Internal("unrouted query")));
+  std::vector<SnippetStream> sub_streams(occupied.size());
   TraceContext trace = CurrentTraceContext();
   dispatch_pool_.ParallelFor(occupied.size(), [&](size_t i) {
     const size_t shard = occupied[i];
@@ -206,13 +200,13 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::DispatchBatch(
     std::vector<Result<SearchOutput>> sub_outputs;
     Status failure = DispatchContained(shard, [&] {
       std::span<const std::string> sub(sub_queries[shard]);
-      if (!async) {
+      if (snippets == nullptr) {
         sub_outputs = shards_[shard]->SearchAll(sub);
         return;
       }
       SnippetCallback callback;
       if (on_snippet) {
-        // By value: snippets stream inside the caller's Wait(), after
+        // By value: snippets stream inside the caller's Run(), after
         // this call returns.
         callback = [to_global = indices, on_snippet](
                        size_t query_index, size_t result_index,
@@ -220,8 +214,9 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::DispatchBatch(
           on_snippet(to_global[query_index], result_index, result);
         };
       }
-      sub_outputs =
-          shards_[shard]->SearchAllAsync(sub, std::move(callback), barrier);
+      AsyncSearch async = shards_[shard]->SearchAllAsync(sub, callback);
+      sub_outputs = std::move(async.outputs);
+      sub_streams[i] = std::move(async.snippets);
     });
     if (!failure.ok()) {
       span.SetError(failure.message());
@@ -235,6 +230,24 @@ std::vector<Result<SearchOutput>> ShardedSodaEngine::DispatchBatch(
       outputs[indices[k]] = std::move(sub_outputs[k]);
     }
   });
+  if (snippets == nullptr) return outputs;
+
+  // Each run's first index is shard-local; map it to the batch position
+  // and order the fleet's runs by it. A query lives on one shard, so the
+  // indices are distinct and the order is total.
+  std::vector<SnippetStream::QueryRun>& runs = snippets->runs_;
+  for (size_t i = 0; i < occupied.size(); ++i) {
+    const std::vector<size_t>& indices = sub_indices[occupied[i]];
+    for (SnippetStream::QueryRun& run : sub_streams[i].runs_) {
+      run.first_index = indices[run.first_index];
+      runs.push_back(std::move(run));
+    }
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const SnippetStream::QueryRun& a,
+               const SnippetStream::QueryRun& b) {
+              return a.first_index < b.first_index;
+            });
   return outputs;
 }
 

@@ -25,7 +25,10 @@
 //      dispatch pool, and re-merges the per-query Results into input
 //      order. Each shard still applies its own in-batch dedup and cache,
 //      so the ranked output is byte-identical to a single engine at any
-//      shard count × thread count;
+//      shard count × thread count. SearchAllAsync splits the same way and
+//      orders the shards' snippet runs by global first-occurrence index
+//      after the join, so the streamed event order is a single engine's
+//      too;
 //   3. failure containment — every shard dispatch runs behind the
 //      "shard.dispatch" failpoint and an exception barrier. A sub-batch
 //      whose dispatch fails (throws, or errors through the failpoint)
@@ -115,19 +118,14 @@ class ShardedSodaEngine : public SodaService {
       std::span<const std::string> queries) const override;
 
   /// Async admission: per-shard SearchAllAsync with the callback's
-  /// query_index remapped to the caller's batch position. All shards'
-  /// translations complete before this returns (so `barrier` holds every
-  /// shard's snippet work); the snippets then run inside the caller's
-  /// Wait(), on the waiting thread. A failed sub-batch registers no
-  /// callbacks and its queries come back Unavailable.
-  std::vector<Result<SearchOutput>> SearchAllAsync(
-      std::span<const std::string> queries, SnippetCallback on_snippet,
-      SnippetBarrier* barrier) const override;
-
-  /// Single-query async, routed to its shard.
-  Result<SearchOutput> SearchAsync(const std::string& query,
-                                   SnippetCallback on_snippet,
-                                   SnippetBarrier* barrier) const override;
+  /// query_index remapped to the caller's batch position. Every shard's
+  /// translation completes before this returns; the shards' streams are
+  /// concatenated after the join and ordered by global first-occurrence
+  /// index, so Run() delivers in the same order at any shard count. A
+  /// failed sub-batch contributes no runs and its queries come back
+  /// Unavailable.
+  AsyncSearch SearchAllAsync(std::span<const std::string> queries,
+                             SnippetCallback on_snippet) const override;
 
   /// Sum of every shard's cache books (hits/misses/dedup/invalidations;
   /// capacity and size sum too — they describe the fleet).
@@ -185,9 +183,9 @@ class ShardedSodaEngine : public SodaService {
   const SodaEngine& shard(size_t i) const { return *shards_[i]; }
 
  private:
-  /// Search / SearchSession / SearchAsync: runs `call` on the query's
-  /// home shard inline on the caller thread, under a router.route span,
-  /// with the dispatch contained.
+  /// Search / SearchSession: runs `call` on the query's home shard
+  /// inline on the caller thread, under a router.route span, with the
+  /// dispatch contained.
   Result<SearchOutput> RouteQuery(
       const std::string& query,
       const std::function<Result<SearchOutput>(const SodaEngine&)>& call)
@@ -197,10 +195,12 @@ class ShardedSodaEngine : public SodaService {
   /// occupied shards' sub-batches run through dispatch_pool_.ParallelFor
   /// (the caller runs one of them itself, so a one-shard batch runs
   /// inline), each under its own router.dispatch span, and their outputs
-  /// merge back into input order.
+  /// merge back into input order. With `snippets` set the sub-batches run
+  /// async and their streams merge into *snippets in global
+  /// first-occurrence order.
   std::vector<Result<SearchOutput>> DispatchBatch(
-      std::span<const std::string> queries, bool async,
-      const SnippetCallback& on_snippet, SnippetBarrier* barrier) const;
+      std::span<const std::string> queries, const SnippetCallback& on_snippet,
+      SnippetStream* snippets) const;
 
   /// `num_shards` engines over the one shared `core`.
   ShardedSodaEngine(std::shared_ptr<Soda> core, size_t num_shards);

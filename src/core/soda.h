@@ -12,7 +12,8 @@
 //   │ SodaEngine (core/engine.h)                                     │
 //   │   LRU result cache · worker pool fanning out batch queries     │
 //   │   one translation core: Search/SearchSession are a batch of    │
-//   │   one, SearchAll/SearchAllAsync the deduplicated batch         │
+//   │   one, SearchAll/SearchAllAsync the deduplicated batch; the    │
+//   │   async half is a returned SnippetStream the caller runs       │
 //   └──────────────────────────┬─────────────────────────────────────┘
 //                              │ shares the stage list of
 //   ┌──────────────────────────▼─────────────────────────────────────┐

@@ -474,23 +474,22 @@ bool SodaHttpServer::HandleStreamingSearch(const HttpRequest& request, int fd,
     return false;
   }
 
-  // Snippet callbacks fire only inside barrier.Wait() below, on this
-  // thread, after the head and the translation payload are out — so each
-  // event is written straight to the socket. After a failed write the
-  // rest of the stream is dropped.
+  // Snippet callbacks fire only inside Run() below, on this thread, after
+  // the head and the translation payload are out — so each event is
+  // written straight to the socket. After a failed write the rest of the
+  // stream is dropped.
   bool write_failed = false;
   auto send = [this, fd, &write_failed](const std::string& bytes) {
     if (!write_failed && !SendAll(fd, bytes)) write_failed = true;
   };
-  SnippetBarrier barrier;
   auto on_snippet = [&send](size_t query_index, size_t result_index,
                             const SodaResult& result) {
     send(SerializeChunk(
         RenderSnippetEventJson(query_index, result_index, result)));
   };
 
-  std::vector<Result<SearchOutput>> outputs = service_->SearchAllAsync(
-      std::span<const std::string>(*queries), on_snippet, &barrier);
+  AsyncSearch search = service_->SearchAllAsync(
+      std::span<const std::string>(*queries), on_snippet);
 
   HttpResponse head;
   head.status = 200;
@@ -501,14 +500,14 @@ bool SodaHttpServer::HandleStreamingSearch(const HttpRequest& request, int fd,
   if (!trace_header.empty()) head.SetHeader("X-Soda-Trace-Id", trace_header);
   // The head and the translation payload go out in one write.
   send(SerializeChunkedHead(head, keep_alive) +
-       SerializeChunk(RenderSearchResponseJson(*queries, outputs)));
+       SerializeChunk(RenderSearchResponseJson(*queries, search.outputs)));
 
-  // Runs the snippets and streams their events; once it returns no
-  // callback can fire, so the done line and the terminating chunk (one
-  // write) close the stream.
-  barrier.Wait();
-  send(SerializeChunk(RenderStreamDoneJson(barrier.delivered(),
-                                           barrier.callback_exceptions())) +
+  // Runs the snippets and streams their events in first-occurrence query
+  // order, then result order; once it returns no callback can fire, so
+  // the done line and the terminating chunk (one write) close the stream.
+  SnippetStream::Summary summary = search.snippets.Run();
+  send(SerializeChunk(RenderStreamDoneJson(summary.delivered,
+                                           summary.callback_exceptions)) +
        SerializeLastChunk());
   return true;
 }

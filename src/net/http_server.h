@@ -16,9 +16,10 @@
 //   POST /search?stream=1   chunked newline-delimited JSON: the
 //                           translated outputs first, then one
 //                           {"event":"snippet",...} line per snippet as
-//                           the SnippetBarrier's Wait() runs it on the
-//                           connection thread (one query's results in
-//                           order), closed by an {"event":"done",...}
+//                           the returned SnippetStream runs it on the
+//                           connection thread — in first-occurrence
+//                           query order, then result order, at any shard
+//                           count — closed by an {"event":"done",...}
 //                           summary.
 //   GET  /metrics           Prometheus text exposition of the server's
 //                           own counters merged with the service fleet

@@ -6,8 +6,9 @@
 //     batch books one miss + N-1 hits (dedup before the cache);
 //   - per-query error isolation inside a batch;
 //   - async streaming: snippet callbacks arrive exactly once per
-//     (query, result) pair, on the thread that waits on the barrier, and
-//     the barrier drains even when callbacks throw.
+//     (query, result) pair, on the thread that runs the returned stream,
+//     in first-occurrence query order; the stream runs on when callbacks
+//     throw, and a stream dropped unrun executes and caches nothing.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -275,19 +277,16 @@ TEST_F(BatchAsyncTest, AsyncDeliversExactlyOncePerResult) {
     auto engine = MakeEngine(threads, /*cache_capacity=*/0);
     const std::vector<std::string> queries = MiniBankQueries();
     CallbackRecorder recorder;
-    SnippetBarrier barrier;
-    auto outputs =
-        engine->SearchAllAsync(queries, recorder.Callback(), &barrier);
-    ASSERT_EQ(outputs.size(), queries.size());
-    barrier.Wait();
-    EXPECT_EQ(barrier.pending(), 0u);
-    EXPECT_EQ(barrier.callback_exceptions(), 0u);
+    AsyncSearch search = engine->SearchAllAsync(queries, recorder.Callback());
+    ASSERT_EQ(search.outputs.size(), queries.size());
+    SnippetStream::Summary summary = search.snippets.Run();
+    EXPECT_EQ(summary.callback_exceptions, 0u);
 
     size_t expected_total = 0;
     auto deliveries = recorder.deliveries();
     for (size_t q = 0; q < queries.size(); ++q) {
-      ASSERT_TRUE(outputs[q].ok()) << queries[q];
-      for (size_t r = 0; r < outputs[q]->results.size(); ++r) {
+      ASSERT_TRUE(search.outputs[q].ok()) << queries[q];
+      for (size_t r = 0; r < search.outputs[q]->results.size(); ++r) {
         auto it = deliveries.find({q, r});
         ASSERT_NE(it, deliveries.end())
             << "threads=" << threads << " missing callback for query " << q
@@ -299,39 +298,41 @@ TEST_F(BatchAsyncTest, AsyncDeliversExactlyOncePerResult) {
       }
     }
     EXPECT_EQ(deliveries.size(), expected_total) << "threads=" << threads;
-    EXPECT_EQ(barrier.delivered(), expected_total) << "threads=" << threads;
+    EXPECT_EQ(summary.delivered, expected_total) << "threads=" << threads;
     EXPECT_TRUE(recorder.sql_always_present());
+    // A stream runs once.
+    EXPECT_EQ(search.snippets.Run().delivered, 0u);
   }
 }
 
 TEST_F(BatchAsyncTest, AsyncReturnsTranslationImmediatelyAndExecutesLater) {
   auto engine = MakeEngine(/*threads=*/2, /*cache_capacity=*/0);
-  const std::string query = "addresses Sara Guttinger";
+  const std::vector<std::string> queries = {"addresses Sara Guttinger"};
   std::atomic<size_t> executed_callbacks{0};
-  SnippetBarrier barrier;
-  auto output = engine->SearchAsync(
-      query,
-      [&](size_t query_index, size_t, const SodaResult& result) {
+  AsyncSearch search = engine->SearchAllAsync(
+      queries, [&](size_t query_index, size_t, const SodaResult& result) {
         EXPECT_EQ(query_index, 0u);
         if (result.executed) executed_callbacks.fetch_add(1);
-      },
-      &barrier);
-  ASSERT_TRUE(output.ok()) << output.status();
-  ASSERT_FALSE(output->results.empty());
+      });
+  ASSERT_TRUE(search.outputs[0].ok()) << search.outputs[0].status();
+  const SearchOutput& output = *search.outputs[0];
+  ASSERT_FALSE(output.results.empty());
   // The immediate return carries translated, ranked SQL with execution
   // still pending.
-  for (const SodaResult& result : output->results) {
+  for (const SodaResult& result : output.results) {
     EXPECT_FALSE(result.sql.empty());
     EXPECT_FALSE(result.executed);
   }
-  barrier.Wait();
-  EXPECT_EQ(executed_callbacks.load(), output->results.size());
+  EXPECT_EQ(executed_callbacks.load(), 0u);
+  search.snippets.Run();
+  EXPECT_EQ(executed_callbacks.load(), output.results.size());
 }
 
-// Snippets run inside Wait(): until then every returned result is
-// unexecuted, and every callback fires on the waiting thread — on a plain
-// engine at any pool width and through a router whose batch spans shards.
-TEST_F(BatchAsyncTest, CallbacksRunOnTheWaitingThread) {
+// Snippets run inside Run(): until then every returned result is
+// unexecuted, and every callback fires on the thread that runs the
+// stream — on a plain engine at any pool width and through a router
+// whose batch spans shards.
+TEST_F(BatchAsyncTest, CallbacksRunOnTheRunningThread) {
   const std::vector<std::string> queries = MiniBankQueries();
   std::set<size_t> shards_hit;
   for (const std::string& query : queries) {
@@ -357,16 +358,13 @@ TEST_F(BatchAsyncTest, CallbacksRunOnTheWaitingThread) {
     SCOPED_TRACE(label);
     std::mutex mu;
     std::vector<std::thread::id> callback_threads;
-    SnippetBarrier barrier;
-    auto outputs = service->SearchAllAsync(
-        queries,
-        [&](size_t, size_t, const SodaResult&) {
+    AsyncSearch search = service->SearchAllAsync(
+        queries, [&](size_t, size_t, const SodaResult&) {
           std::lock_guard<std::mutex> lock(mu);
           callback_threads.push_back(std::this_thread::get_id());
-        },
-        &barrier);
+        });
     size_t results = 0;
-    for (const auto& output : outputs) {
+    for (const auto& output : search.outputs) {
       ASSERT_TRUE(output.ok()) << output.status();
       for (const SodaResult& result : output->results) {
         EXPECT_FALSE(result.executed);
@@ -379,14 +377,14 @@ TEST_F(BatchAsyncTest, CallbacksRunOnTheWaitingThread) {
       EXPECT_TRUE(callback_threads.empty());
     }
 
-    std::thread::id waiter;
-    std::thread waiting([&] {
-      waiter = std::this_thread::get_id();
-      barrier.Wait();
+    std::thread::id runner;
+    std::thread running([&] {
+      runner = std::this_thread::get_id();
+      search.snippets.Run();
     });
-    waiting.join();
+    running.join();
     EXPECT_EQ(callback_threads.size(), results);
-    for (std::thread::id id : callback_threads) EXPECT_EQ(id, waiter);
+    for (std::thread::id id : callback_threads) EXPECT_EQ(id, runner);
   }
 }
 
@@ -397,19 +395,15 @@ TEST_F(BatchAsyncTest, AsyncStreamedBytesMatchSyncSearch) {
     auto expected = sync_engine->Search(query);
     ASSERT_TRUE(expected.ok());
 
-    std::mutex mu;
     std::vector<SodaResult> streamed(expected->results.size());
-    SnippetBarrier barrier;
-    auto output = async_engine->SearchAsync(
-        query,
+    AsyncSearch search = async_engine->SearchAllAsync(
+        std::span<const std::string>(&query, 1),
         [&](size_t, size_t result_index, const SodaResult& result) {
-          std::lock_guard<std::mutex> lock(mu);
           ASSERT_LT(result_index, streamed.size());
           streamed[result_index] = result;
-        },
-        &barrier);
-    ASSERT_TRUE(output.ok());
-    barrier.Wait();
+        });
+    ASSERT_TRUE(search.outputs[0].ok());
+    search.snippets.Run();
 
     ASSERT_EQ(streamed.size(), expected->results.size()) << query;
     for (size_t r = 0; r < streamed.size(); ++r) {
@@ -424,32 +418,29 @@ TEST_F(BatchAsyncTest, AsyncStreamedBytesMatchSyncSearch) {
   }
 }
 
-TEST_F(BatchAsyncTest, BarrierDrainsWhenCallbacksThrow) {
+TEST_F(BatchAsyncTest, StreamRunsOnWhenCallbacksThrow) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
     auto engine = MakeEngine(threads, /*cache_capacity=*/0);
     const std::vector<std::string> queries = MiniBankQueries();
-    std::atomic<size_t> calls{0};
-    SnippetBarrier barrier;
-    auto outputs = engine->SearchAllAsync(
-        queries,
-        [&](size_t, size_t, const SodaResult&) {
-          calls.fetch_add(1);
+    size_t calls = 0;
+    AsyncSearch search = engine->SearchAllAsync(
+        queries, [&](size_t, size_t, const SodaResult&) {
+          ++calls;
           throw std::runtime_error("sink is on fire");
-        },
-        &barrier);
-    // Must not hang: every callback (all throwing) still drains.
-    barrier.Wait();
-    EXPECT_EQ(barrier.pending(), 0u) << "threads=" << threads;
-    EXPECT_EQ(barrier.callback_exceptions(), calls.load())
-        << "threads=" << threads;
-    ASSERT_GT(calls.load(), 0u);
-    ASSERT_NE(barrier.first_exception(), nullptr);
-    try {
-      std::rethrow_exception(barrier.first_exception());
-      FAIL() << "expected an exception";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "sink is on fire");
+        });
+    size_t results = 0;
+    for (const auto& output : search.outputs) {
+      ASSERT_TRUE(output.ok()) << output.status();
+      results += output->results.size();
     }
+    // Every callback throws, and every one is still made and counted.
+    SnippetStream::Summary summary = search.snippets.Run();
+    ASSERT_GT(results, 0u);
+    EXPECT_EQ(calls, results) << "threads=" << threads;
+    EXPECT_EQ(summary.delivered, results) << "threads=" << threads;
+    EXPECT_EQ(summary.callback_exceptions, results) << "threads=" << threads;
+    EXPECT_EQ(engine->metrics_snapshot().counter("snippet.callback_exception"),
+              results);
   }
 }
 
@@ -458,17 +449,17 @@ TEST_F(BatchAsyncTest, AsyncDuplicateQueriesShareExecutionButGetOwnCallbacks) {
   const std::string query = "addresses Sara Guttinger";
   const std::vector<std::string> queries = {query, query};
   CallbackRecorder recorder;
-  SnippetBarrier barrier;
-  auto outputs = engine->SearchAllAsync(queries, recorder.Callback(), &barrier);
-  ASSERT_EQ(outputs.size(), 2u);
-  ASSERT_TRUE(outputs[0].ok());
-  ASSERT_TRUE(outputs[1].ok());
-  barrier.Wait();
+  AsyncSearch search = engine->SearchAllAsync(queries, recorder.Callback());
+  ASSERT_EQ(search.outputs.size(), 2u);
+  ASSERT_TRUE(search.outputs[0].ok());
+  ASSERT_TRUE(search.outputs[1].ok());
+  SnippetStream::Summary summary = search.snippets.Run();
 
   auto deliveries = recorder.deliveries();
-  size_t results = outputs[0]->results.size();
+  size_t results = search.outputs[0]->results.size();
   ASSERT_GT(results, 0u);
   EXPECT_EQ(deliveries.size(), 2 * results);  // both indices, every result
+  EXPECT_EQ(summary.delivered, 2 * results);
   for (size_t r = 0; r < results; ++r) {
     EXPECT_EQ((deliveries[{0, r}]), 1);
     EXPECT_EQ((deliveries[{1, r}]), 1);
@@ -477,19 +468,25 @@ TEST_F(BatchAsyncTest, AsyncDuplicateQueriesShareExecutionButGetOwnCallbacks) {
   CacheStats stats = engine->cache_stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
+  MetricsSnapshot snapshot = engine->metrics_snapshot();
+  EXPECT_EQ(snapshot.counter("snippet.executed") +
+                snapshot.counter("snippet.failed"),
+            results);
 }
 
 TEST_F(BatchAsyncTest, AsyncPopulatesCacheAfterStreaming) {
   auto engine = MakeEngine(/*threads=*/2, /*cache_capacity=*/8);
-  const std::string query = "private customers family name";
-  SnippetBarrier barrier;
-  auto output = engine->SearchAsync(query, nullptr, &barrier);
-  ASSERT_TRUE(output.ok());
-  barrier.Wait();
+  const std::vector<std::string> queries = {"private customers family name"};
+  AsyncSearch search = engine->SearchAllAsync(queries, nullptr);
+  ASSERT_TRUE(search.outputs[0].ok());
+  // Nothing cached until the stream ran.
+  EXPECT_EQ(engine->cache_stats().size, 0u);
+  SnippetStream::Summary summary = search.snippets.Run();
+  EXPECT_EQ(summary.delivered, search.outputs[0]->results.size());
 
-  // After the barrier the materialized (snippet-bearing) answer is in
-  // the cache; a sync Search must hit and carry executed snippets.
-  auto cached = engine->Search(query);
+  // After Run() the materialized (snippet-bearing) answer is in the
+  // cache; a sync Search must hit and carry executed snippets.
+  auto cached = engine->Search(queries[0]);
   ASSERT_TRUE(cached.ok());
   EXPECT_TRUE(cached->from_cache);
   for (const SodaResult& result : cached->results) {
@@ -497,17 +494,45 @@ TEST_F(BatchAsyncTest, AsyncPopulatesCacheAfterStreaming) {
   }
 }
 
+// A stream destroyed unrun executes nothing, calls back nothing and
+// caches nothing: the next request for a query with results is a cold
+// miss. (An answer with no results has no snippets and was cached at
+// translation.)
+TEST_F(BatchAsyncTest, DroppedStreamRunsNothing) {
+  auto engine = MakeEngine(/*threads=*/2, /*cache_capacity=*/8);
+  const std::vector<std::string> queries = MiniBankQueries();
+  CallbackRecorder recorder;
+  size_t without_results = 0;
+  {
+    AsyncSearch search = engine->SearchAllAsync(queries, recorder.Callback());
+    for (const auto& output : search.outputs) {
+      ASSERT_TRUE(output.ok()) << output.status();
+      if (output->results.empty()) ++without_results;
+    }
+    ASSERT_LT(without_results, queries.size());
+  }
+  EXPECT_TRUE(recorder.deliveries().empty());
+  MetricsSnapshot snapshot = engine->metrics_snapshot();
+  EXPECT_EQ(snapshot.counter("snippet.executed"), 0u);
+  EXPECT_EQ(snapshot.counter("snippet.failed"), 0u);
+  EXPECT_EQ(snapshot.counter("snippet.streamed"), 0u);
+  EXPECT_EQ(engine->cache_stats().size, without_results);
+  for (const std::string& query : queries) {
+    auto again = engine->Search(query);
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_EQ(again->from_cache, again->results.empty()) << query;
+  }
+}
+
 TEST_F(BatchAsyncTest, AsyncErrorQueriesProduceNoCallbacks) {
   auto engine = MakeEngine(/*threads=*/2, /*cache_capacity=*/0);
   const std::vector<std::string> queries = {"sum(investments"};
   CallbackRecorder recorder;
-  SnippetBarrier barrier;
-  auto outputs = engine->SearchAllAsync(queries, recorder.Callback(), &barrier);
-  ASSERT_EQ(outputs.size(), 1u);
-  EXPECT_FALSE(outputs[0].ok());
-  barrier.Wait();  // returns immediately: nothing was expected
+  AsyncSearch search = engine->SearchAllAsync(queries, recorder.Callback());
+  ASSERT_EQ(search.outputs.size(), 1u);
+  EXPECT_FALSE(search.outputs[0].ok());
+  EXPECT_EQ(search.snippets.Run().delivered, 0u);
   EXPECT_TRUE(recorder.deliveries().empty());
-  EXPECT_EQ(barrier.delivered(), 0u);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Tests for the SodaEngine service layer: deterministic results under the
 // concurrent fan-out (same query -> byte-identical ranked SQL list at 1 vs
 // N threads), one query staying on its caller's thread, LRU cache
-// behavior, and construction-error propagation.
+// behavior, construction-error propagation, and a snippet stream that
+// holds the data lock only around its own scans and cache insert.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -200,7 +204,8 @@ using EngineTest = EngineMiniBankTest;
 
 // The pool fans out across the queries of a batch only: every stage of
 // one query — its interpretations and snippets included — runs on the
-// thread that asked (or, for async, the thread that waits).
+// thread that asked (or, for async snippets, the thread that runs the
+// returned stream).
 TEST_F(EngineTest, OneQueryStaysOnTheCallerThread) {
   auto engine = MakeEngine(/*threads=*/4, /*cache_capacity=*/0);
   auto sink = std::make_shared<StageThreadSink>();
@@ -223,14 +228,114 @@ TEST_F(EngineTest, OneQueryStaysOnTheCallerThread) {
   ASSERT_TRUE(engine->SearchSession(query, SessionConstraints{}, &plan).ok());
   expect_on_caller("SearchSession");
 
-  SnippetBarrier barrier;
-  ASSERT_TRUE(engine->SearchAsync(query, nullptr, &barrier).ok());
-  barrier.Wait();
-  expect_on_caller("SearchAsync");
+  AsyncSearch search =
+      engine->SearchAllAsync(std::span<const std::string>(&query, 1), nullptr);
+  ASSERT_TRUE(search.outputs[0].ok()) << search.outputs[0].status();
+  search.snippets.Run();
+  expect_on_caller("SearchAllAsync");
 }
 
 // SearchAll batch determinism (vs independent Search calls, dedup
 // accounting, async streaming) lives in tests/batch_async_test.cc.
+
+// ---------------------------------------------------------------------------
+// Snippet streams and the data lock
+// ---------------------------------------------------------------------------
+
+// Each test here appends to its own MiniBank, leaving the shared one
+// untouched.
+class EngineStreamTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto built = BuildMiniBank();
+    ASSERT_TRUE(built.ok()) << built.status();
+    bank_ = std::move(built).value();
+    SodaConfig config;
+    config.num_threads = 1;
+    config.cache_capacity = 8;
+    auto engine = SodaEngine::Create(&bank_->db, &bank_->graph,
+                                     CreditSuissePatternLibrary(), config);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    engine_ = std::move(engine).value();
+  }
+
+  // One new Zürich address: a base-data change under the change log's
+  // exclusive lock.
+  Status AppendAddress() {
+    Table* addresses = bank_->db.FindTable("addresses");
+    if (addresses == nullptr) return Status::NotFound("addresses");
+    int64_t id = static_cast<int64_t>(addresses->num_rows()) + 1000;
+    return addresses->Append({Value::Int(id), Value::Int(id),
+                              Value::Str("Teststrasse 1"),
+                              Value::Str("Zürich"), Value::Str("CH")});
+  }
+
+  std::unique_ptr<MiniBank> bank_;
+  std::unique_ptr<SodaEngine> engine_;
+};
+
+// A stream callback may block for as long as its client stops reading
+// (the HTTP server's is a blocking socket write). It runs without the
+// data lock, so an append issued meanwhile completes while the callback
+// is still parked.
+TEST_F(EngineStreamTest, AppendCompletesWhileACallbackIsParked) {
+  const std::vector<std::string> queries = {"addresses Sara Guttinger"};
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  size_t calls = 0;
+  AsyncSearch search = engine_->SearchAllAsync(
+      queries, [&](size_t, size_t, const SodaResult&) {
+        if (calls++ == 0) {
+          parked.set_value();
+          released.wait();
+        }
+      });
+  ASSERT_TRUE(search.outputs[0].ok()) << search.outputs[0].status();
+  ASSERT_FALSE(search.outputs[0]->results.empty());
+
+  SnippetStream::Summary summary;
+  std::thread runner([&] { summary = search.snippets.Run(); });
+  parked.get_future().wait();
+  std::future<Status> append =
+      std::async(std::launch::async, [this] { return AppendAddress(); });
+  const bool appended = append.wait_for(std::chrono::seconds(2)) ==
+                        std::future_status::ready;
+  release.set_value();  // unpark before asserting, so nothing hangs
+  runner.join();
+  EXPECT_TRUE(appended) << "the append waited behind a parked callback";
+  EXPECT_TRUE(append.get().ok());
+  EXPECT_EQ(summary.delivered, search.outputs[0]->results.size());
+  // The data moved under the stream: its answer is not cached.
+  EXPECT_EQ(
+      engine_->metrics_snapshot().counter("cache.stale_insert_skipped"), 1u);
+  EXPECT_EQ(engine_->cache_stats().size, 0u);
+}
+
+// The stream caches each answer after its last snippet — unless base
+// data changed since translation: the append already invalidated what
+// depended on it, and caching the older answer afterwards would undo
+// that. A stream with no intervening change caches as usual.
+TEST_F(EngineStreamTest, StaleInsertIsSkipped) {
+  const std::vector<std::string> queries = {"addresses Sara Guttinger",
+                                            "private customers family name"};
+  AsyncSearch stale = engine_->SearchAllAsync(queries, nullptr);
+  ASSERT_TRUE(AppendAddress().ok());
+  SnippetStream::Summary summary = stale.snippets.Run();
+  EXPECT_GT(summary.delivered, 0u);
+  EXPECT_EQ(
+      engine_->metrics_snapshot().counter("cache.stale_insert_skipped"), 2u);
+  EXPECT_EQ(engine_->cache_stats().size, 0u);
+
+  AsyncSearch fresh = engine_->SearchAllAsync(queries, nullptr);
+  fresh.snippets.Run();
+  EXPECT_EQ(
+      engine_->metrics_snapshot().counter("cache.stale_insert_skipped"), 2u);
+  EXPECT_EQ(engine_->cache_stats().size, 2u);
+  auto warm = engine_->Search(queries[0]);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_TRUE(warm->from_cache);
+}
 
 // The enterprise workload (paper Table 2) is the multi-interpretation
 // stress: every query must come back byte-identical at 1 vs N threads.

@@ -8,7 +8,7 @@
 //   - engine.pool_task / snippet.execute armed inside the engine: a
 //     poisoned pool task degrades to a per-query (or per-result) error
 //     instead of unwinding the serving layer, and an async snippet
-//     stream always drains its barrier;
+//     stream always runs to its end;
 //   - freshness.apply_delta armed: a failed index delta falls back to
 //     full cache invalidation, never a stale answer;
 //   - http.handle armed: a throwing handler is answered 500 and the
@@ -21,9 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -141,26 +139,23 @@ MiniBank* FaultInjectionTest::bank_ = nullptr;
 // Router containment: a failed shard dispatch fails only its own queries
 // ---------------------------------------------------------------------------
 
-// Runs SearchAllAsync over `queries`, waits for the stream, and folds the
+// Runs SearchAllAsync over `queries`, runs the stream, and folds the
 // streamed snippets back into the outputs. Counts every delivery.
 std::vector<Result<SearchOutput>> StreamAll(
     const SodaService& service, const std::vector<std::string>& queries,
     size_t* delivered) {
-  std::mutex mu;
   std::vector<std::vector<SodaResult>> streamed(queries.size());
   size_t deliveries = 0;
-  SnippetBarrier barrier;
-  auto outputs = service.SearchAllAsync(
+  AsyncSearch search = service.SearchAllAsync(
       std::span<const std::string>(queries),
       [&](size_t query_index, size_t result_index, const SodaResult& result) {
-        std::lock_guard<std::mutex> lock(mu);
         auto& slot = streamed[query_index];
         if (result_index >= slot.size()) slot.resize(result_index + 1);
         slot[result_index] = result;
         ++deliveries;
-      },
-      &barrier);
-  barrier.Wait();
+      });
+  EXPECT_EQ(search.snippets.Run().delivered, deliveries);
+  std::vector<Result<SearchOutput>>& outputs = search.outputs;
   for (size_t q = 0; q < outputs.size(); ++q) {
     if (!outputs[q].ok()) continue;
     EXPECT_EQ(streamed[q].size(), outputs[q]->results.size()) << "query " << q;
@@ -169,14 +164,14 @@ std::vector<Result<SearchOutput>> StreamAll(
     }
   }
   *delivered = deliveries;
-  return outputs;
+  return std::move(outputs);
 }
 
 // shard.dispatch armed on one shard of four, as an error and as a throw.
 // SearchAll and SearchAllAsync fail exactly that shard's queries with
-// Unavailable (its sub-batch registers no snippet callbacks) and every
-// other slot matches a cold single engine. Search, SearchSession and
-// SearchAsync homed there return Unavailable, and a failed session
+// Unavailable (its sub-batch contributes no snippet runs) and every
+// other slot matches a cold single engine. Search and SearchSession
+// homed there return Unavailable, and a failed session
 // search leaves the caller's plan slot untouched. Once disarmed, every
 // entry point serves identically again — the session plan resumes.
 TEST_F(FaultInjectionTest, ShardDispatchFaultFailsOnlyItsShard) {
@@ -245,22 +240,9 @@ TEST_F(FaultInjectionTest, ShardDispatchFaultFailsOnlyItsShard) {
       EXPECT_EQ(refined.status().code(), StatusCode::kUnavailable);
       EXPECT_EQ(plan.get(), captured);
 
-      SnippetBarrier barrier;
-      std::atomic<size_t> async_deliveries{0};
-      auto async = router->SearchAsync(
-          queries[0],
-          [&](size_t, size_t, const SodaResult&) {
-            async_deliveries.fetch_add(1);
-          },
-          &barrier);
-      barrier.Wait();
-      ASSERT_FALSE(async.ok());
-      EXPECT_EQ(async.status().code(), StatusCode::kUnavailable);
-      EXPECT_EQ(async_deliveries.load(), 0u);
-
       // One fire per dispatch to the armed shard — nothing retried.
       EXPECT_EQ(Failpoints::Instance().fires("shard.dispatch") - fires_before,
-                5u);
+                4u);
 
       Failpoints::Instance().DisarmAll();
       auto recovered = router->SearchAll(std::span<const std::string>(queries));
@@ -403,11 +385,11 @@ TEST_F(FaultInjectionTest, SnippetExceptionMarksResultFailed) {
 // ---------------------------------------------------------------------------
 
 // A snippet task that throws mid-stream, in an async batch beside a
-// shard whose dispatch failed, still delivers every expected callback:
-// Wait() returns instead of hanging, the failed shard's queries come
-// back Unavailable with no callbacks, and the poisoned results are
+// shard whose dispatch failed, still makes every expected callback: the
+// stream runs past the poisoned snippets, the failed shard's queries
+// come back Unavailable with no callbacks, and the poisoned results are
 // marked unexecuted.
-TEST_F(FaultInjectionTest, SnippetBarrierDrainsBesideAFailedShard) {
+TEST_F(FaultInjectionTest, SnippetStreamRunsBesideAFailedShard) {
   std::vector<std::string> queries = MiniBankQueries();
   size_t bad = ShardOfKey(NormalizedQueryKey(queries[0]), 4);
   auto router = MakeRouter(FaultConfig(4, /*threads=*/2));
@@ -420,18 +402,17 @@ TEST_F(FaultInjectionTest, SnippetBarrierDrainsBesideAFailedShard) {
   snippet_spec.action = FailpointSpec::Action::kThrow;
   Failpoints::Instance().Arm("snippet.execute", snippet_spec);
 
-  std::atomic<size_t> delivered{0};
-  std::atomic<size_t> executed{0};
-  SnippetBarrier barrier;
-  auto outputs = router->SearchAllAsync(
+  size_t delivered = 0;
+  size_t executed = 0;
+  AsyncSearch search = router->SearchAllAsync(
       std::span<const std::string>(queries),
       [&delivered, &executed](size_t, size_t, const SodaResult& result) {
-        if (result.executed) executed.fetch_add(1);
-        delivered.fetch_add(1);
-      },
-      &barrier);
-  barrier.Wait();  // must return: every callback delivered despite faults
+        if (result.executed) ++executed;
+        ++delivered;
+      });
+  SnippetStream::Summary summary = search.snippets.Run();
 
+  const std::vector<Result<SearchOutput>>& outputs = search.outputs;
   ASSERT_EQ(outputs.size(), queries.size());
   size_t expected = 0;
   size_t failed = 0;
@@ -447,10 +428,10 @@ TEST_F(FaultInjectionTest, SnippetBarrierDrainsBesideAFailedShard) {
   }
   EXPECT_GE(failed, 1u);
   EXPECT_GT(expected, 0u);
-  EXPECT_EQ(delivered.load(), expected);
-  EXPECT_EQ(executed.load(), 0u);  // every snippet execution was poisoned
-  EXPECT_EQ(barrier.pending(), 0u);
-  EXPECT_EQ(barrier.callback_exceptions(), 0u);
+  EXPECT_EQ(delivered, expected);
+  EXPECT_EQ(summary.delivered, expected);
+  EXPECT_EQ(executed, 0u);  // every snippet execution was poisoned
+  EXPECT_EQ(summary.callback_exceptions, 0u);
 }
 
 // ---------------------------------------------------------------------------

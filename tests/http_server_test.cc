@@ -15,7 +15,9 @@
 //     (405), unknown path (404), and stalled half-requests (408) — all
 //     answered, none crash the server;
 //   - chunked streaming: /search?stream=1 opens with the byte-identical
-//     translation payload and closes with the done event;
+//     translation payload and closes with the done event, and whole
+//     streamed bodies are byte-identical at 1, 2 and 4 shards and under
+//     concurrent clients;
 //   - /healthz and /metrics (every server_* series present).
 
 #include <gtest/gtest.h>
@@ -123,15 +125,9 @@ class ForwardingService : public SodaService {
       std::span<const std::string> queries) const override {
     return wrapped_->SearchAll(queries);
   }
-  Result<SearchOutput> SearchAsync(const std::string& query,
-                                   SnippetCallback on_snippet,
-                                   SnippetBarrier* barrier) const override {
-    return wrapped_->SearchAsync(query, std::move(on_snippet), barrier);
-  }
-  std::vector<Result<SearchOutput>> SearchAllAsync(
-      std::span<const std::string> queries, SnippetCallback on_snippet,
-      SnippetBarrier* barrier) const override {
-    return wrapped_->SearchAllAsync(queries, std::move(on_snippet), barrier);
+  AsyncSearch SearchAllAsync(std::span<const std::string> queries,
+                             SnippetCallback on_snippet) const override {
+    return wrapped_->SearchAllAsync(queries, std::move(on_snippet));
   }
   Result<SearchOutput> SearchSession(
       const std::string& query, const SessionConstraints& constraints,
@@ -502,11 +498,9 @@ TEST_F(HttpServerTest, StreamingSearchDeliversTranslationsThenDone) {
   // snippets are not executed yet (they arrive as events), so the
   // reference comes from the same entry point the server uses.
   auto reference_engine = MakeEngine(2);
-  SnippetBarrier reference_barrier;
-  auto outputs = reference_engine->SearchAllAsync(
-      queries, [](size_t, size_t, const SodaResult&) {}, &reference_barrier);
-  reference_barrier.Wait();
-  std::string expected_head = RenderSearchResponseJson(queries, outputs);
+  AsyncSearch reference = reference_engine->SearchAllAsync(queries, nullptr);
+  std::string expected_head =
+      RenderSearchResponseJson(queries, reference.outputs);
 
   HttpClient client = Connect(*server);
   auto response = client.Post("/search?stream=1", BatchBody(queries));
@@ -522,6 +516,102 @@ TEST_F(HttpServerTest, StreamingSearchDeliversTranslationsThenDone) {
   std::string last_line = response->body.substr(last_line_start + 1);
   EXPECT_NE(last_line.find("\"event\":\"done\""), std::string::npos)
       << last_line;
+}
+
+// The wire contract of a streamed body: snippet events come in
+// first-occurrence query order, then result order, whatever the shard
+// count. The full bodies — head, every event, done — of the same request
+// sequence (a batch, a batch with in-batch repeats and queries the first
+// one cached, the first batch again warm) are byte-identical at 1, 2
+// and 4 shards.
+TEST_F(HttpServerTest, StreamedBodiesAreByteIdenticalAcrossShardCounts) {
+  const std::vector<std::string> minibank = MiniBankQueries();
+  const std::vector<std::string> repeats = {
+      minibank[1], minibank[3], "  addresses   Sara Guttinger",
+      minibank[0], minibank[1], minibank[3], "sum(investments"};
+  std::vector<std::vector<std::string>> bodies;
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    auto engine = MakeEngine(shards);
+    auto server = StartServer(engine.get());
+    HttpClient client = Connect(*server);
+    std::vector<std::string>& shard_bodies = bodies.emplace_back();
+    for (const auto* queries : {&minibank, &repeats, &minibank}) {
+      auto response = client.Post("/search?stream=1", BatchBody(*queries));
+      ASSERT_TRUE(response.ok()) << response.status() << " shards=" << shards;
+      ASSERT_EQ(response->status, 200) << "shards=" << shards;
+      shard_bodies.push_back(response->body);
+    }
+  }
+  // Every repeat of a query got its own events; the malformed query none.
+  EXPECT_NE(bodies[0][1].find("{\"event\":\"snippet\",\"query\":4,"),
+            std::string::npos);
+  EXPECT_EQ(bodies[0][1].find("{\"event\":\"snippet\",\"query\":6,"),
+            std::string::npos);
+  for (size_t i = 1; i < bodies.size(); ++i) {
+    for (size_t b = 0; b < bodies[0].size(); ++b) {
+      EXPECT_EQ(bodies[i][b], bodies[0][b])
+          << "shard count #" << i << " request " << b;
+    }
+  }
+}
+
+// Concurrent streamed clients against a 4-shard server read the bytes a
+// 1-shard server sends one client. The cache is off on both: with it on,
+// a head could carry the snippets another client's stream had just
+// cached, and every request here must execute its snippets — the work
+// whose event order the router sets across its dispatch threads.
+TEST_F(HttpServerTest, ConcurrentStreamedClientsReadTheOneShardBytes) {
+  const std::vector<std::string> queries = MiniBankQueries();
+  const std::string body =
+      BatchBody({queries[0], queries[1], queries[2], queries[1], queries[3]});
+  auto make_uncached = [](size_t shards) {
+    SodaConfig config;
+    config.num_shards = shards;
+    config.num_threads = 2;
+    config.cache_capacity = 0;
+    auto engine = ShardedSodaEngine::Create(
+        &bank_->db, &bank_->graph, CreditSuissePatternLibrary(), config);
+    EXPECT_TRUE(engine.ok()) << engine.status();
+    return std::move(engine).value();
+  };
+
+  std::string expected;
+  {
+    auto engine = make_uncached(1);
+    auto server = StartServer(engine.get());
+    HttpClient client = Connect(*server);
+    auto response = client.Post("/search?stream=1", body);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_EQ(response->status, 200);
+    expected = response->body;
+  }
+
+  auto engine = make_uncached(4);
+  auto server = StartServer(engine.get());
+  constexpr size_t kClients = 4;
+  constexpr size_t kRounds = 3;
+  std::vector<std::string> mismatches(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      HttpClient client = Connect(*server);
+      for (size_t round = 0; round < kRounds; ++round) {
+        auto response = client.Post("/search?stream=1", body);
+        if (!response.ok() || response->status != 200 ||
+            response->body != expected) {
+          mismatches[c] = "round " + std::to_string(round) + ": " +
+                          (response.ok() ? response->body
+                                         : response.status().ToString());
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (size_t c = 0; c < kClients; ++c) {
+    EXPECT_TRUE(mismatches[c].empty())
+        << "client " << c << ": " << mismatches[c];
+  }
 }
 
 // ---------------------------------------------------------------------------

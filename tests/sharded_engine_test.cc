@@ -3,7 +3,8 @@
 //   - folded-hash routing: stable, whitespace-insensitive, in range, and
 //     sanely distributed across 1/2/4/8 shards;
 //   - determinism: SearchAll / Search / SearchAllAsync output bytes match
-//     a single serial engine at every shard count × thread count;
+//     a single serial engine at every shard count × thread count, and
+//     the async delivery order does not depend on the shard count;
 //   - aggregation: summed cache stats and merged metrics equal a single
 //     engine's totals for the same traffic, plus the router's own
 //     counters and batch-size samples;
@@ -353,24 +354,18 @@ TEST_F(ShardedEngineTest, AsyncStreamsExactlyOncePerGlobalIndex) {
   const std::vector<std::string> queries = MiniBankQueries();
   auto router = MakeRouter(/*shards=*/4, /*threads=*/2, /*cache_capacity=*/0);
 
-  std::mutex mu;
   std::map<std::pair<size_t, size_t>, int> deliveries;
-  SnippetBarrier barrier;
-  auto outputs = router->SearchAllAsync(
-      queries,
-      [&](size_t query_index, size_t result_index, const SodaResult&) {
-        std::lock_guard<std::mutex> lock(mu);
+  AsyncSearch search = router->SearchAllAsync(
+      queries, [&](size_t query_index, size_t result_index, const SodaResult&) {
         ++deliveries[{query_index, result_index}];
-      },
-      &barrier);
-  ASSERT_EQ(outputs.size(), queries.size());
-  barrier.Wait();
-  EXPECT_EQ(barrier.pending(), 0u);
+      });
+  ASSERT_EQ(search.outputs.size(), queries.size());
+  SnippetStream::Summary summary = search.snippets.Run();
 
   size_t expected_total = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
-    ASSERT_TRUE(outputs[q].ok()) << queries[q];
-    for (size_t r = 0; r < outputs[q]->results.size(); ++r) {
+    ASSERT_TRUE(search.outputs[q].ok()) << queries[q];
+    for (size_t r = 0; r < search.outputs[q]->results.size(); ++r) {
       auto it = deliveries.find({q, r});
       ASSERT_NE(it, deliveries.end())
           << "missing callback for query " << q << " result " << r;
@@ -380,7 +375,53 @@ TEST_F(ShardedEngineTest, AsyncStreamsExactlyOncePerGlobalIndex) {
     }
   }
   EXPECT_EQ(deliveries.size(), expected_total);
-  EXPECT_EQ(barrier.delivered(), expected_total);
+  EXPECT_EQ(summary.delivered, expected_total);
+}
+
+// The delivery contract: first-occurrence query order, then result
+// order, then occurrence order. The router orders its shards' runs by
+// global first-occurrence index after the dispatch join, so the sequence
+// — in-batch repeats included — is the same at every shard count,
+// whichever dispatch thread finished first.
+TEST_F(ShardedEngineTest, AsyncDeliveryOrderIsIndependentOfShardCount) {
+  std::vector<std::string> queries = MiniBankQueries();
+  queries.push_back(queries[2]);
+  queries.push_back("  " + queries[0] + " ");
+  queries.push_back(queries[2]);
+  using Delivery = std::pair<size_t, size_t>;
+
+  auto reference = MakeEngine(/*threads=*/1, /*cache_capacity=*/0);
+  std::vector<std::vector<size_t>> occurrences;  // per unique query
+  std::map<std::string, size_t> unique_of_key;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto [it, inserted] = unique_of_key.emplace(NormalizedQueryKey(queries[i]),
+                                                occurrences.size());
+    if (inserted) occurrences.emplace_back();
+    occurrences[it->second].push_back(i);
+  }
+  std::vector<Delivery> expected;
+  for (const std::vector<size_t>& occ : occurrences) {
+    auto output = reference->Search(queries[occ.front()]);
+    ASSERT_TRUE(output.ok()) << output.status();
+    for (size_t r = 0; r < output->results.size(); ++r) {
+      for (size_t i : occ) expected.emplace_back(i, r);
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    auto router = MakeRouter(shards, /*threads=*/2, /*cache_capacity=*/0);
+    for (int round = 0; round < 3; ++round) {
+      std::vector<Delivery> order;
+      AsyncSearch search = router->SearchAllAsync(
+          queries, [&](size_t query_index, size_t result_index,
+                       const SodaResult&) {
+            order.emplace_back(query_index, result_index);
+          });
+      search.snippets.Run();
+      EXPECT_EQ(order, expected) << "shards=" << shards << " round=" << round;
+    }
+  }
 }
 
 TEST_F(ShardedEngineTest, AsyncBytesMatchSyncAcrossShardCounts) {
@@ -388,14 +429,12 @@ TEST_F(ShardedEngineTest, AsyncBytesMatchSyncAcrossShardCounts) {
   auto reference = MakeEngine(/*threads=*/1, /*cache_capacity=*/0);
   for (size_t shards : {size_t{2}, size_t{4}}) {
     auto router = MakeRouter(shards, /*threads=*/2, /*cache_capacity=*/8);
-    SnippetBarrier barrier;
-    auto outputs = router->SearchAllAsync(queries, nullptr, &barrier);
-    barrier.Wait();
-    // After the barrier every shard has inserted its materialized
-    // answers; warm Searches must serve the same bytes as a single
-    // serial engine.
+    AsyncSearch search = router->SearchAllAsync(queries, nullptr);
+    search.snippets.Run();
+    // After Run() every shard has inserted its materialized answers;
+    // warm Searches must serve the same bytes as a single serial engine.
     for (size_t q = 0; q < queries.size(); ++q) {
-      ASSERT_TRUE(outputs[q].ok());
+      ASSERT_TRUE(search.outputs[q].ok());
       auto expected = reference->Search(queries[q]);
       ASSERT_TRUE(expected.ok());
       auto warm = router->Search(queries[q]);

@@ -10,7 +10,7 @@
 //   - the recorder ring wraps oldest-first at its capacity, and
 //     concurrent StartTrace/FinishTrace from many threads is safe
 //     (the TSan leg runs this suite);
-//   - deferred parentage: snippet.stream spans recorded inside Wait(),
+//   - deferred parentage: snippet.stream spans recorded inside Run(),
 //     after SearchAllAsync returned, parent under the batch span;
 //   - ranked output is byte-identical with tracing off vs sample-all,
 //     at shards {1,4} x threads {1,4};
@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -305,19 +304,12 @@ TEST_F(TraceEngineTest, AsyncSnippetSpansParentUnderTheBatchSpan) {
     std::vector<std::string> queries = {"addresses Sara Guttinger",
                                         "customers Zürich financial "
                                         "instruments"};
-    std::atomic<size_t> delivered{0};
-    SnippetBarrier barrier;
-    auto outputs = engine->SearchAllAsync(
-        queries,
-        [&delivered](size_t, size_t, const SodaResult&) {
-          delivered.fetch_add(1);
-        },
-        &barrier);
-    barrier.Wait();
-    ASSERT_EQ(outputs.size(), queries.size());
-    EXPECT_GT(delivered.load(), 0u);
+    AsyncSearch search = engine->SearchAllAsync(queries, nullptr);
+    ASSERT_EQ(search.outputs.size(), queries.size());
+    // The batch span has ended; the stream's spans still parent under it.
+    EXPECT_GT(search.snippets.Run().delivered, 0u);
   }
-  // snippet.stream spans end inside Wait(), before it returns; the retry
+  // snippet.stream spans end inside Run(), before it returns; the retry
   // loop only tolerates a slow append.
   uint64_t batch_span_id = 0;
   size_t child_streams = 0;
@@ -556,13 +548,13 @@ TEST_F(TraceEngineTest, CacheInsertSpanMarksMissesOnly) {
   ASSERT_TRUE(hit->from_cache);
   EXPECT_TRUE(insert_parents().empty());
 
-  // The streamed path caches after its last snippet, inside Wait().
-  SnippetBarrier barrier;
-  auto streamed = engine->SearchAsync("private customers family name",
-                                      nullptr, &barrier);
-  ASSERT_TRUE(streamed.ok()) << streamed.status();
-  ASSERT_FALSE(streamed->results.empty());
-  barrier.Wait();
+  // The streamed path caches after its last snippet, inside Run().
+  const std::vector<std::string> streamed_query = {
+      "private customers family name"};
+  AsyncSearch streamed = engine->SearchAllAsync(streamed_query, nullptr);
+  ASSERT_TRUE(streamed.outputs[0].ok()) << streamed.outputs[0].status();
+  ASSERT_FALSE(streamed.outputs[0]->results.empty());
+  streamed.snippets.Run();
   EXPECT_EQ(insert_parents(),
             std::vector<std::string>{"engine.search_all_async"});
 }
