@@ -91,23 +91,10 @@ int main() {
               "\naddresses, financial_instruments, fi_contains_sec, "
               "securities)\n", total);
 
-  // Closure ablation (PR 4): the same step with the compiled closure
-  // layer (entry-point traversal memo + APSP join paths) on vs off.
-  soda::SodaConfig no_closures = config;
-  no_closures.enable_closures = false;
-  auto engine_off_ptr = soda::Soda::Create(&(*bank)->db, &(*bank)->graph,
-                                           soda::CreditSuissePatternLibrary(),
-                                           no_closures)
-                            .value();
-  soda::Soda& engine_off = *engine_off_ptr;
+  // Step 3 cost over the compiled closures (entry-point traversal memo
+  // + APSP join paths).
   constexpr int kIterations = 2000;
-  double us_on = MicrosPerRun(engine, entries, kIterations);
-  double us_off = MicrosPerRun(engine_off, entries, kIterations);
-  std::printf("\nTables step, %d runs (identical output):\n", kIterations);
-  std::printf("  compiled closures ON    %8.2f us/run\n", us_on);
-  std::printf("  compiled closures OFF   %8.2f us/run\n", us_off);
-  if (us_on > 0.0 && us_off > 0.0) {
-    std::printf("  speedup                 %8.2fx\n", us_off / us_on);
-  }
+  std::printf("\nTables step, %d runs: %8.2f us/run\n", kIterations,
+              MicrosPerRun(engine, entries, kIterations));
   return 0;
 }

@@ -7,7 +7,6 @@
 // once keeping every attached join, and reports the blowup in FROM-list
 // sizes and join counts.
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -18,22 +17,18 @@ struct Aggregate {
   double avg_tables = 0.0;
   double avg_joins = 0.0;
   size_t results = 0;
-  double wall_ms = 0.0;  // full-workload translation time
 };
 
-Aggregate Run(const soda::bench::Fixture& fixture, bool direct_path_only,
-              bool enable_closures = true) {
+Aggregate Run(const soda::bench::Fixture& fixture, bool direct_path_only) {
   soda::SodaConfig config;
   config.execute_snippets = false;
   config.direct_path_only = direct_path_only;
-  config.enable_closures = enable_closures;
   auto engine = soda::Soda::Create(&fixture.warehouse->db,
                                    &fixture.warehouse->graph,
                                    soda::CreditSuissePatternLibrary(), config)
                     .value();
   Aggregate aggregate;
   size_t tables = 0, joins = 0;
-  auto start = std::chrono::steady_clock::now();
   for (const auto& query : soda::EnterpriseWorkload()) {
     auto output = engine->Search(query.keywords);
     if (!output.ok()) continue;
@@ -45,9 +40,6 @@ Aggregate Run(const soda::bench::Fixture& fixture, bool direct_path_only,
       ++aggregate.results;
     }
   }
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  aggregate.wall_ms =
-      std::chrono::duration<double, std::milli>(elapsed).count();
   if (aggregate.results > 0) {
     aggregate.avg_tables =
         static_cast<double>(tables) / static_cast<double>(aggregate.results);
@@ -78,22 +70,5 @@ int main() {
       "%.1fx in joined tables (paper: attached joins are 'ignored to keep\n"
       "the result small and precise').\n",
       pruned.avg_tables > 0 ? attached.avg_tables / pruned.avg_tables : 0.0);
-
-  // Closure ablation (PR 4): direct-path discovery served from the APSP
-  // matrices + traversal memo vs recomputed per query. Identical output
-  // (same #results / FROM / joins), different work.
-  Aggregate closed = Run(*fixture, /*direct_path_only=*/true,
-                         /*enable_closures=*/true);
-  Aggregate open = Run(*fixture, /*direct_path_only=*/true,
-                       /*enable_closures=*/false);
-  std::printf("\nDirect paths, compiled closures ON  vs OFF "
-              "(13-query workload):\n");
-  std::printf("%-34s %10.2f ms  (%zu results)\n", "  closures ON",
-              closed.wall_ms, closed.results);
-  std::printf("%-34s %10.2f ms  (%zu results)\n", "  closures OFF",
-              open.wall_ms, open.results);
-  if (closed.wall_ms > 0.0) {
-    std::printf("%-34s %10.2fx\n", "  speedup", open.wall_ms / closed.wall_ms);
-  }
   return 0;
 }

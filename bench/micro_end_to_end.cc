@@ -444,22 +444,32 @@ BENCHMARK(BM_ShardedSearchAll)
     ->Args({4, 4});
 
 // ---------------------------------------------------------------------------
-// Compiled closures (PR 4): the full workload translated with the
-// closure layer on vs off — entry-point traversal memo, APSP join-path
-// matrices, integer-interned adjacency. Per-op CPU time is the number to
-// read (1-vCPU caveat as above); "closure_traverse_hits" and
+// Compiled closures: the full workload translated serially over the
+// entry-point traversal memo, APSP join-path matrices and
+// integer-interned adjacency. Per-op CPU time is the number to read
+// (1-vCPU caveat as above); "closure_traverse_hits" and
 // "closure_path_lookups" feed the CI counter guard.
 // ---------------------------------------------------------------------------
 
-void BM_EngineClosure(benchmark::State& state) {
-  bool closures = state.range(0) != 0;
-  static std::map<bool, std::unique_ptr<soda::SodaEngine>> engines;
-  auto it = engines.find(closures);
-  if (it == engines.end()) {
+// One snippet-free enterprise core shared by the Step-3 and join-path
+// rows below.
+const soda::Soda& ClosureSoda() {
+  static std::unique_ptr<soda::Soda> soda = [] {
     soda::SodaConfig config;
     config.execute_snippets = false;
-    config.enable_closures = closures;
-    config.num_threads = 1;  // serial: isolate the closure effect
+    return soda::Soda::Create(&env()->warehouse->db,
+                              &env()->warehouse->graph,
+                              soda::CreditSuissePatternLibrary(), config)
+        .value();
+  }();
+  return *soda;
+}
+
+void BM_EngineClosure(benchmark::State& state) {
+  static std::unique_ptr<soda::SodaEngine> engine = [] {
+    soda::SodaConfig config;
+    config.execute_snippets = false;
+    config.num_threads = 1;  // serial: isolate the translation cost
     config.cache_capacity = 0;
     auto created = soda::SodaEngine::Create(&env()->warehouse->db,
                                             &env()->warehouse->graph,
@@ -470,9 +480,8 @@ void BM_EngineClosure(benchmark::State& state) {
                    created.status().ToString().c_str());
       std::exit(1);
     }
-    it = engines.emplace(closures, std::move(created).value()).first;
-  }
-  soda::SodaEngine* engine = it->second.get();
+    return std::move(created).value();
+  }();
   const auto& workload = soda::EnterpriseWorkload();
   for (auto _ : state) {
     for (const soda::BenchmarkQuery& bench : workload) {
@@ -480,7 +489,6 @@ void BM_EngineClosure(benchmark::State& state) {
     }
   }
   soda::MetricsSnapshot snapshot = engine->metrics_snapshot();
-  state.counters["closures"] = closures ? 1.0 : 0.0;
   state.counters["closure_traverse_hits"] =
       static_cast<double>(snapshot.counter("closure.traverse_hits"));
   state.counters["closure_path_lookups"] =
@@ -488,26 +496,13 @@ void BM_EngineClosure(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(workload.size()));
 }
-BENCHMARK(BM_EngineClosure)->Arg(0)->Arg(1);
+BENCHMARK(BM_EngineClosure);
 
 // Step 3 in isolation (the Figure 6 path): one fixed entry-point set,
-// translated through TablesStep::Run with the traversal memo + APSP
-// closure on vs off.
+// translated through TablesStep::Run over the traversal memo + APSP
+// closure.
 void BM_TablesStepClosure(benchmark::State& state) {
-  bool closures = state.range(0) != 0;
-  static std::map<bool, std::unique_ptr<soda::Soda>> sodas;
-  auto it = sodas.find(closures);
-  if (it == sodas.end()) {
-    soda::SodaConfig config;
-    config.execute_snippets = false;
-    config.enable_closures = closures;
-    auto soda = soda::Soda::Create(&env()->warehouse->db,
-                                   &env()->warehouse->graph,
-                                   soda::CreditSuissePatternLibrary(), config)
-                    .value();
-    it = sodas.emplace(closures, std::move(soda)).first;
-  }
-  const soda::Soda& translator = *it->second;
+  const soda::Soda& translator = ClosureSoda();
   std::vector<soda::EntryPoint> entries;
   for (const char* phrase :
        {"private customers", "family name", "organizations"}) {
@@ -521,29 +516,15 @@ void BM_TablesStepClosure(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(translator.tables_step().Run(entries));
   }
-  state.counters["closures"] = closures ? 1.0 : 0.0;
   state.counters["entry_points"] = static_cast<double>(entries.size());
 }
-BENCHMARK(BM_TablesStepClosure)->Arg(0)->Arg(1);
+BENCHMARK(BM_TablesStepClosure);
 
 // Join-path discovery in isolation (the Figure 9 path): DirectPath over
 // every ordered pair of the first tables of the harvested edge list —
-// matrix min-scan + reconstruction vs per-call BFS.
+// matrix min-scan + reconstruction.
 void BM_JoinPathClosure(benchmark::State& state) {
-  bool closures = state.range(0) != 0;
-  static std::map<bool, std::unique_ptr<soda::Soda>> sodas;
-  auto it = sodas.find(closures);
-  if (it == sodas.end()) {
-    soda::SodaConfig config;
-    config.execute_snippets = false;
-    config.enable_closures = closures;
-    auto soda = soda::Soda::Create(&env()->warehouse->db,
-                                   &env()->warehouse->graph,
-                                   soda::CreditSuissePatternLibrary(), config)
-                    .value();
-    it = sodas.emplace(closures, std::move(soda)).first;
-  }
-  const soda::JoinGraph& join_graph = it->second->join_graph();
+  const soda::JoinGraph& join_graph = ClosureSoda().join_graph();
   std::vector<std::string> tables;
   for (const soda::JoinEdge& edge : join_graph.all_edges()) {
     for (const std::string& table : {edge.from.table, edge.to.table}) {
@@ -568,12 +549,11 @@ void BM_JoinPathClosure(benchmark::State& state) {
       }
     }
   }
-  state.counters["closures"] = closures ? 1.0 : 0.0;
   state.counters["path_pairs"] =
       static_cast<double>(tables.size() * (tables.size() - 1));
   benchmark::DoNotOptimize(paths);
 }
-BENCHMARK(BM_JoinPathClosure)->Arg(0)->Arg(1);
+BENCHMARK(BM_JoinPathClosure);
 
 void BM_EngineCacheHit(benchmark::State& state) {
   soda::SodaEngine* engine = env()->engine(/*threads=*/2,

@@ -73,18 +73,15 @@ void BM_BridgeTablePatternMatchAll(benchmark::State& state) {
 }
 BENCHMARK(BM_BridgeTablePatternMatchAll);
 
-// Arg 0: pattern harvest only (comparable with pre-closure recordings).
-// Arg 1: harvest + the APSP path-closure precompute added in PR 4.
+// The pattern harvest plus the APSP path-closure precompute.
 void BM_JoinGraphBuild(benchmark::State& state) {
-  bool precompute_paths = state.range(0) != 0;
   const soda::PatternMatcher& matcher = *env()->matcher;
   for (auto _ : state) {
     soda::JoinGraph graph;
-    benchmark::DoNotOptimize(graph.Build(matcher, precompute_paths));
+    benchmark::DoNotOptimize(graph.Build(matcher));
   }
-  state.counters["precompute_paths"] = precompute_paths ? 1.0 : 0.0;
 }
-BENCHMARK(BM_JoinGraphBuild)->Arg(0)->Arg(1);
+BENCHMARK(BM_JoinGraphBuild);
 
 // The whole shared core a ShardedSodaEngine builds once per process:
 // indexes, pattern matcher, join graph and closures.

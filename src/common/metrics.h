@@ -10,9 +10,10 @@
 // worker-queue depth samples.
 //
 // The default InMemoryMetricsSink aggregates counters and fixed-bucket
-// histograms under a mutex and hands out consistent snapshots; deployments
-// that export to statsd/Prometheus implement the three-method interface
-// and plug it in with SodaEngine::set_metrics_sink.
+// histograms under a mutex and hands out consistent snapshots, which
+// RenderPrometheusText (common/prometheus_sink.h) turns into a /metrics
+// payload; push exporters (statsd and the like) implement the
+// three-method interface and plug it in with SodaEngine::set_metrics_sink.
 
 #ifndef SODA_COMMON_METRICS_H_
 #define SODA_COMMON_METRICS_H_
@@ -110,8 +111,8 @@ struct MetricsSnapshot {
   /// entirely — as does any metric that went backwards (a Reset() sink
   /// renders as an empty interval rather than underflowing; take a
   /// fresh baseline snapshot after resetting). This is the
-  /// per-interval-rate primitive the Prometheus exporter's
-  /// RenderDeltaText builds on.
+  /// per-interval-rate primitive: render `now.DeltaSince(previous)` with
+  /// RenderPrometheusText for one scrape interval.
   MetricsSnapshot DeltaSince(const MetricsSnapshot& earlier) const;
 };
 

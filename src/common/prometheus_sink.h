@@ -1,10 +1,9 @@
-// Prometheus text-exposition exporter over the MetricsSink interface.
+// Prometheus text-exposition rendering of a MetricsSnapshot.
 //
-// The ROADMAP's "metrics exporters" item: deployments that scrape
-// instead of push plug one of these into SodaEngine::set_metrics_sink
-// (one instance may serve every shard — it is thread-safe) and serve
-// RenderText() from their /metrics endpoint. Rendering follows the
-// Prometheus text exposition format, version 0.0.4:
+// Deployments that scrape instead of push render the engine's (or the
+// router's merged) metrics_snapshot() with RenderPrometheusText and serve
+// it from their /metrics endpoint, as SodaHttpServer does. Rendering
+// follows the Prometheus text exposition format, version 0.0.4:
 //
 //   * counters become `<prefix>_<name>_total` with a # TYPE header;
 //   * distributions become classic histograms — cumulative
@@ -34,43 +33,6 @@ namespace soda {
 /// "soda_cache_hit_total").
 std::string RenderPrometheusText(const MetricsSnapshot& snapshot,
                                  std::string_view prefix = "soda");
-
-/// A MetricsSink that aggregates like the in-memory default and renders
-/// Prometheus text on demand. Thread-safe; install with
-/// SodaEngine::set_metrics_sink (or hand one instance to a sharded
-/// fleet).
-class PrometheusTextMetricsSink : public MetricsSink {
- public:
-  explicit PrometheusTextMetricsSink(std::string prefix = "soda")
-      : prefix_(std::move(prefix)) {}
-
-  void IncrementCounter(std::string_view name, uint64_t delta) override {
-    aggregate_.IncrementCounter(name, delta);
-  }
-  void Observe(std::string_view name, double value) override {
-    aggregate_.Observe(name, value);
-  }
-
-  /// Consistent snapshot of everything observed so far (feed this to
-  /// DeltaSince for interval rates).
-  MetricsSnapshot Snapshot() const { return aggregate_.Snapshot(); }
-
-  /// The /metrics payload: the current snapshot in exposition format.
-  std::string RenderText() const {
-    return RenderPrometheusText(Snapshot(), prefix_);
-  }
-
-  /// The per-interval payload: everything observed since `previous`.
-  std::string RenderDeltaText(const MetricsSnapshot& previous) const {
-    return RenderPrometheusText(Snapshot().DeltaSince(previous), prefix_);
-  }
-
-  const std::string& prefix() const { return prefix_; }
-
- private:
-  std::string prefix_;
-  InMemoryMetricsSink aggregate_;
-};
 
 }  // namespace soda
 

@@ -40,13 +40,6 @@ struct SodaConfig {
   /// Execute the generated statements to produce result snippets.
   bool execute_snippets = true;
 
-  /// Compiled closures over the immutable metadata graph: the APSP
-  /// join-path matrices (JoinGraph) and the per-node Step-3 traversal
-  /// memo (EntryPointClosure). Output is byte-identical either way; off
-  /// is the escape hatch that trades the precompute time and memory for
-  /// per-query BFS work. Default on.
-  bool enable_closures = true;
-
   /// SodaEngine: width of the worker pool that fans the queries of a
   /// batch out (one query never splits across it). 0 means "use the
   /// hardware concurrency"; 1 runs every batch serially. The ranked

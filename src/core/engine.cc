@@ -731,7 +731,7 @@ AsyncSearch SodaEngine::SearchAllAsync(std::span<const std::string> queries,
   // order, captured before ExpandBatch consumes the items.
   AsyncSearch search;
   const TraceContext stream_trace = serve.span().context();
-  for (const BatchItem& item : items) {
+  for (BatchItem& item : items) {
     // Nothing to stream: TranslateBatch already cached the empty answer.
     if (!item.output.ok() || item.output->results.empty()) continue;
     StreamState stream;
@@ -742,6 +742,16 @@ AsyncSearch SodaEngine::SearchAllAsync(std::span<const std::string> queries,
     stream.run_execution = can_execute && !item.from_cache;
     stream.cache_insert = !item.from_cache;
     stream.translated_at_sequence = translated_at_sequence;
+    // The outputs never carry snippet payloads, so a cache-served answer
+    // renders exactly like a miss; its stream keeps the materialized copy
+    // for its events.
+    if (item.from_cache) {
+      for (SodaResult& result : item.output->results) {
+        result.snippet = ResultSet();
+        result.executed = false;
+        result.execution_status = Status::OK();
+      }
+    }
     search.snippets.runs_.push_back(
         {item.occurrences.front(),
          [this, stream = std::move(stream), stream_trace]() mutable {

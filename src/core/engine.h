@@ -138,9 +138,9 @@ class SodaEngine : public SodaService {
 
   /// Async batched search: SearchAll's dedup and cross-query fan-out
   /// for the translation phase, then returns at once. The outputs carry
-  /// executed=false and empty snippets (unless served from cache, which
-  /// already holds them); the stream holds one run per unique query with
-  /// results, in first-occurrence order. Its Run() executes each query's
+  /// executed=false and empty snippets, cache-served answers included;
+  /// the stream holds one run per unique query with results, in
+  /// first-occurrence order. Its Run() executes each query's
   /// snippets in result order on the calling thread, delivering each
   /// through `on_snippet` once per occurrence — deduplicated repeats
   /// share one execution but get their own callbacks (with their own
@@ -189,7 +189,7 @@ class SodaEngine : public SodaService {
     freshness_ = freshness;
   }
 
-  /// Replaces the metrics sink (statsd/Prometheus exporters plug in
+  /// Replaces the metrics sink (push exporters such as statsd plug in
   /// here). Not thread-safe with respect to in-flight searches — install
   /// the sink before serving traffic. Passing nullptr restores the
   /// built-in in-memory sink.

@@ -50,8 +50,7 @@ void JoinGraph::AddEdge(JoinEdge edge,
   edges_.push_back(std::move(edge));
 }
 
-Status JoinGraph::Build(const PatternMatcher& matcher,
-                        bool precompute_paths) {
+Status JoinGraph::Build(const PatternMatcher& matcher) {
   const MetadataGraph& graph = *matcher.graph();
   std::unordered_set<std::string> seen_edges;
   std::unordered_set<std::string> seen_bridges;
@@ -122,7 +121,7 @@ Status JoinGraph::Build(const PatternMatcher& matcher,
   SODA_RETURN_NOT_OK(harvest_bridges(patterns::kBridgeTableJoin, "c1", "p1",
                                      "c2", "p2"));
 
-  if (precompute_paths) BuildPathClosure();
+  BuildPathClosure();
   return Status::OK();
 }
 
@@ -215,60 +214,25 @@ bool JoinGraph::DirectPath(const std::vector<std::string>& from_set,
   TableId best_source = kInvalidTableId;
   TableId best_target = kInvalidTableId;
 
-  if (has_path_closure()) {
-    // Min-scan over the precomputed distance matrix: strict improvement
-    // keeps the first (source, target) pair in set order on ties.
-    for (const auto& from : from_set) {
-      TableId source = catalog_.Find(from);
-      if (source == kInvalidTableId) continue;
-      const uint32_t* row = dist_.data() + source * tables;
-      for (const auto& to : to_set) {
-        TableId target = catalog_.Find(to);
-        if (target == kInvalidTableId) continue;
-        if (row[target] < best_dist) {
-          best_dist = row[target];
-          best_source = source;
-          best_target = target;
-        }
-      }
-    }
-    if (best_dist == kUnreachable) return false;
-    EmitPath(parent_edge_.data() + best_source * tables, best_source,
-             best_target, path_edges, path_tables);
-    return true;
-  }
-
-  // Fallback (enable_closures off): the same rule computed per call —
-  // one BFS per distinct source, identical tie-breaking, identical path.
-  std::vector<TableId> seen_sources;
-  std::vector<uint32_t> dist;
-  std::vector<EdgeId> parent;
-  std::vector<EdgeId> best_parent;
+  // Min-scan over the precomputed distance matrix: strict improvement
+  // keeps the first (source, target) pair in set order on ties.
   for (const auto& from : from_set) {
     TableId source = catalog_.Find(from);
     if (source == kInvalidTableId) continue;
-    if (std::find(seen_sources.begin(), seen_sources.end(), source) !=
-        seen_sources.end()) {
-      continue;
-    }
-    seen_sources.push_back(source);
-    BfsFrom(source, &dist, &parent);
-    bool improved = false;
+    const uint32_t* row = dist_.data() + source * tables;
     for (const auto& to : to_set) {
       TableId target = catalog_.Find(to);
       if (target == kInvalidTableId) continue;
-      if (dist[target] < best_dist) {
-        best_dist = dist[target];
+      if (row[target] < best_dist) {
+        best_dist = row[target];
         best_source = source;
         best_target = target;
-        improved = true;
       }
     }
-    if (improved) best_parent = parent;
   }
   if (best_dist == kUnreachable) return false;
-  EmitPath(best_parent.data(), best_source, best_target, path_edges,
-           path_tables);
+  EmitPath(parent_edge_.data() + best_source * tables, best_source,
+           best_target, path_edges, path_tables);
   return true;
 }
 

@@ -68,11 +68,9 @@ struct BridgeInfo {
 class JoinGraph {
  public:
   /// Harvests all join conditions and bridge tables from the graph using
-  /// the Foreign-Key, Join-Relationship and Bridge-Table patterns. With
-  /// `precompute_paths` (the default, SodaConfig::enable_closures) the
-  /// all-pairs shortest-path closure is built here too; without it
-  /// DirectPath falls back to per-call BFS with identical results.
-  Status Build(const PatternMatcher& matcher, bool precompute_paths = true);
+  /// the Foreign-Key, Join-Relationship and Bridge-Table patterns, then
+  /// builds the all-pairs shortest-path closure DirectPath reads.
+  Status Build(const PatternMatcher& matcher);
 
   /// All join edges touching `table`.
   const std::vector<JoinEdge>& EdgesOf(const std::string& table) const;
@@ -85,9 +83,8 @@ class JoinGraph {
   /// Deterministic pair choice: among all (from, to) pairs the one with
   /// the fewest joins wins, ties broken by from_set order then to_set
   /// order; the path itself is the BFS tree chain of the winning source
-  /// (fixed edge-insertion adjacency order). The closure and the BFS
-  /// fallback implement exactly the same rule, so the answer is
-  /// byte-identical whether the APSP matrices were precomputed or not.
+  /// (fixed edge-insertion adjacency order), read from the precomputed
+  /// APSP matrices.
   bool DirectPath(const std::vector<std::string>& from_set,
                   const std::vector<std::string>& to_set,
                   std::vector<JoinEdge>* path_edges,
@@ -101,15 +98,11 @@ class JoinGraph {
   const TableCatalog& catalog() const { return catalog_; }
   size_t num_tables() const { return catalog_.size(); }
 
-  /// True when Build precomputed the APSP distance/parent matrices and
-  /// DirectPath serves lookups without a BFS.
-  bool has_path_closure() const { return !dist_.empty(); }
-
  private:
   /// BFS from `source` over non-ignored edges in adjacency order,
   /// filling distances and the parent edge of every reached table.
-  /// This single routine defines the path tie-breaking: the closure
-  /// build runs it per table, the fallback runs it per call.
+  /// This single routine defines the path tie-breaking; the closure
+  /// build runs it once per table.
   void BfsFrom(TableId source, std::vector<uint32_t>* dist,
                std::vector<EdgeId>* parent) const;
 
@@ -130,7 +123,7 @@ class JoinGraph {
   std::vector<std::vector<JoinEdge>> edges_of_;      // EdgesOf() shim
   std::vector<BridgeInfo> bridges_;
 
-  // APSP closure (empty when Build ran with precompute_paths=false):
+  // APSP closure (empty only for a graph without tables):
   // row-major [source * num_tables + target]. dist_ counts joins
   // (kUnreachable when disconnected); parent_edge_ is the edge that
   // discovered `target` in BfsFrom(source).

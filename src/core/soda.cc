@@ -19,17 +19,14 @@ Result<std::unique_ptr<Soda>> Soda::Create(
 Soda::Soda(const Database* db, const MetadataGraph* graph,
            PatternLibrary patterns, SodaConfig config)
     : db_(db), graph_(graph), patterns_(std::move(patterns)),
-      config_(config) {
+      config_(config), closure_(graph_->num_nodes()) {
   if (db_ != nullptr) inverted_index_.Build(*db_);
   classification_.Build(*graph_, db_ != nullptr ? &inverted_index_ : nullptr);
   matcher_ = std::make_unique<PatternMatcher>(graph_, &patterns_);
-  init_status_ = join_graph_.Build(*matcher_, config_.enable_closures);
-  if (config_.enable_closures) {
-    closure_ = std::make_shared<EntryPointClosure>(graph_->num_nodes());
-  }
+  init_status_ = join_graph_.Build(*matcher_);
   lookup_step_ = std::make_unique<LookupStep>(&classification_, &config_);
   tables_step_ = std::make_unique<TablesStep>(matcher_.get(), &join_graph_,
-                                              &config_, closure_.get());
+                                              &config_, &closure_);
   filters_step_ = std::make_unique<FiltersStep>(db_);
   generator_ = std::make_unique<SqlGenerator>(
       matcher_.get(), &join_graph_, &classification_, &config_);

@@ -149,10 +149,8 @@ class Soda {
   const Database* database() const { return db_; }
   const MetadataGraph* graph() const { return graph_; }
 
-  /// The Step-3 traversal memo (nullptr when closures are disabled).
-  const std::shared_ptr<EntryPointClosure>& entry_point_closure() const {
-    return closure_;
-  }
+  /// The Step-3 traversal memo.
+  const EntryPointClosure& entry_point_closure() const { return closure_; }
 
  private:
   /// Index construction happens here (the paper reports it separately
@@ -171,7 +169,7 @@ class Soda {
   ClassificationIndex classification_;
   std::unique_ptr<PatternMatcher> matcher_;
   JoinGraph join_graph_;
-  std::shared_ptr<EntryPointClosure> closure_;  // nullptr when disabled
+  EntryPointClosure closure_;
   std::unique_ptr<LookupStep> lookup_step_;
   std::unique_ptr<TablesStep> tables_step_;
   std::unique_ptr<FiltersStep> filters_step_;

@@ -225,21 +225,16 @@ Result<SelectStatement> SqlGenerator::Generate(
       order.descending = true;
       stmt.order_by.push_back(std::move(order));
     }
-    if (top_n.has_value() && group_columns.empty() && !stmt.items.empty()) {
-      // "top 10 sum(x)" without grouping still limits output rows.
-    }
   } else {
     stmt.items.push_back(SelectItem{Expr::MakeStar(), ""});
-    if (top_n.has_value()) {
-      // Without an aggregate there is nothing to rank by; the paper
-      // resolves "top 10 trading volume" through the metadata
-      // aggregation, which lands in the aggregate branch above.
-    }
   }
+  // A top-N request always limits output rows: "top 10 sum(x)" without
+  // grouping too. Without an aggregate there is nothing to rank by; the
+  // paper resolves "top 10 trading volume" through the metadata
+  // aggregation, which lands in the aggregate branch above.
   if (top_n.has_value()) stmt.limit = top_n;
 
-  if (metrics != nullptr && path_lookups > 0 &&
-      join_graph_->has_path_closure()) {
+  if (metrics != nullptr && path_lookups > 0) {
     metrics->IncrementCounter("closure.path_lookups", path_lookups);
   }
   return stmt;

@@ -30,9 +30,9 @@ class SqlGenerator {
 
   /// Builds the statement for one interpretation. `query` carries the
   /// aggregation / group-by / top-N operators; `tables` and `filters` are
-  /// the Step 3/4 outputs. When `metrics` is set and the join graph has
-  /// its path closure, join-path lookups made while connecting operator
-  /// argument tables are booked as closure.path_lookups.
+  /// the Step 3/4 outputs. When `metrics` is set, join-path lookups made
+  /// while connecting operator argument tables are booked as
+  /// closure.path_lookups.
   Result<SelectStatement> Generate(const InputQuery& query,
                                    const TablesOutput& tables,
                                    const std::vector<GeneratedFilter>& filters,

@@ -62,9 +62,9 @@ void PushUniqueJoin(std::vector<JoinEdge>* joins, const JoinEdge& edge) {
 
 }  // namespace
 
-void TablesStep::Traverse(NodeId start, TablesOutput* out,
-                          std::vector<std::string>* tables) const {
+void TablesStep::Traverse(NodeId start, TraverseClosure* out) const {
   const MetadataGraph& graph = *matcher_->graph();
+  std::vector<std::string>* tables = &out->tables;
 
   std::set<NodeId> visited;
   std::deque<std::pair<NodeId, size_t>> queue;  // (node, depth)
@@ -231,8 +231,7 @@ void TablesStep::PruneUnconstrainedSiblings(
 
 const TraverseClosure* TablesStep::ClosureFor(NodeId start, bool* hit) const {
   *hit = false;
-  if (closure_ == nullptr || start < 0 ||
-      static_cast<size_t>(start) >= closure_->num_nodes()) {
+  if (start < 0 || static_cast<size_t>(start) >= closure_->num_nodes()) {
     return nullptr;
   }
   if (const TraverseClosure* cached = closure_->Find(start)) {
@@ -240,22 +239,14 @@ const TraverseClosure* TablesStep::ClosureFor(NodeId start, bool* hit) const {
     return cached;
   }
   auto fresh = std::make_unique<TraverseClosure>();
-  TablesOutput scratch;
-  Traverse(start, &scratch, &fresh->tables);
-  fresh->filters = std::move(scratch.filters);
-  fresh->aggregations = std::move(scratch.aggregations);
+  Traverse(start, fresh.get());
   return closure_->Publish(start, std::move(fresh));
 }
 
 std::vector<std::string> TablesStep::TablesFromNode(NodeId node) const {
   bool hit = false;
-  if (const TraverseClosure* cached = ClosureFor(node, &hit)) {
-    return cached->tables;
-  }
-  TablesOutput scratch;
-  std::vector<std::string> tables;
-  Traverse(node, &scratch, &tables);
-  return tables;
+  const TraverseClosure* cached = ClosureFor(node, &hit);
+  return cached != nullptr ? cached->tables : std::vector<std::string>();
 }
 
 Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
@@ -288,8 +279,7 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
     } else {
       bool hit = false;
       if (const TraverseClosure* cached = ClosureFor(entry.node, &hit)) {
-        // Memoized traversal: splice the compiled closure in exactly
-        // where Traverse would have appended.
+        // Splice the memoized traversal in.
         tables = cached->tables;
         out.filters.insert(out.filters.end(), cached->filters.begin(),
                            cached->filters.end());
@@ -297,8 +287,6 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
                                 cached->aggregations.begin(),
                                 cached->aggregations.end());
         ++(hit ? traverse_hits : traverse_misses);
-      } else {
-        Traverse(entry.node, &out, &tables);
       }
       column = ResolvePhysicalColumn(graph, entry.node);
     }
@@ -398,7 +386,7 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
     if (traverse_misses > 0) {
       metrics->IncrementCounter("closure.traverse_misses", traverse_misses);
     }
-    if (path_lookups > 0 && join_graph_->has_path_closure()) {
+    if (path_lookups > 0) {
       metrics->IncrementCounter("closure.path_lookups", path_lookups);
     }
   }

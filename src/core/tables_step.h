@@ -75,12 +75,10 @@ struct TablesOutput {
 
 class TablesStep {
  public:
-  /// `closure` (optional) memoizes the per-node traversal; it must be
-  /// built over the same metadata graph as `matcher` and outlive this
-  /// step. nullptr disables memoization (SodaConfig::enable_closures).
+  /// `closure` memoizes the per-node traversal; it must be built over
+  /// the same metadata graph as `matcher` and outlive this step.
   TablesStep(const PatternMatcher* matcher, const JoinGraph* join_graph,
-             const SodaConfig* config,
-             const EntryPointClosure* closure = nullptr)
+             const SodaConfig* config, const EntryPointClosure* closure)
       : matcher_(matcher), join_graph_(join_graph), config_(config),
         closure_(closure) {}
 
@@ -92,8 +90,8 @@ class TablesStep {
                            MetricsSink* metrics = nullptr) const;
 
   /// The tables reachable from a single metadata node (exposed for the
-  /// Figure 6 bench and the schema-explorer example). Served from the
-  /// closure when one is attached.
+  /// Figure 6 bench and the schema-explorer example), served from the
+  /// closure.
   std::vector<std::string> TablesFromNode(NodeId node) const;
 
   /// Step 5 keeps statements "reasonable ... considering foreign keys and
@@ -112,13 +110,12 @@ class TablesStep {
       const std::vector<std::string>* protected_tables = nullptr) const;
 
  private:
-  void Traverse(NodeId start, TablesOutput* out,
-                std::vector<std::string>* tables) const;
+  void Traverse(NodeId start, TraverseClosure* out) const;
 
-  /// The memoized traversal: Find, or Traverse-into-a-TraverseClosure +
-  /// Publish. Returns nullptr when no closure is attached or the node is
-  /// out of the closure's range; `hit` reports whether it was served
-  /// without traversing.
+  /// The memoized traversal: Find, or Traverse + Publish. Returns
+  /// nullptr when the node is out of the closure's range (it names no
+  /// node of the graph, so it reaches nothing); `hit` reports whether it
+  /// was served without traversing.
   const TraverseClosure* ClosureFor(NodeId start, bool* hit) const;
 
   const PatternMatcher* matcher_;

@@ -1,5 +1,6 @@
-// Enterprise-workload closure identity through the sharded router —
-// the heavyweight companion of pipeline_closure_test.cc. Kept in its
+// Enterprise-workload identity through the sharded router against the
+// serial Soda::Search reference — the heavyweight companion of
+// pipeline_closure_test.cc. Kept in its
 // own binary (name deliberately outside the sanitizer ctest filter):
 // it builds several full enterprise engines, which does not fit the
 // sanitizer legs' per-binary timeout; the closure concurrency surface
@@ -36,13 +37,12 @@ std::string Fingerprint(const SearchOutput& output) {
   return fp;
 }
 
-TEST(ClosureEnterpriseTest, ShardedClosureOnMatchesSerialOff) {
+TEST(ClosureEnterpriseTest, ShardedMatchesSerial) {
   auto warehouse = BuildEnterpriseWarehouse().value();
-  SodaConfig off_config;
-  off_config.enable_closures = false;
-  off_config.execute_snippets = false;
+  SodaConfig serial_config;
+  serial_config.execute_snippets = false;
   auto baseline = Soda::Create(&warehouse->db, &warehouse->graph,
-                               CreditSuissePatternLibrary(), off_config);
+                               CreditSuissePatternLibrary(), serial_config);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   std::vector<std::string> queries;
   for (const BenchmarkQuery& bench : EnterpriseWorkload()) {
@@ -51,7 +51,6 @@ TEST(ClosureEnterpriseTest, ShardedClosureOnMatchesSerialOff) {
   for (size_t shards : {1u, 4u}) {
     for (size_t threads : {1u, 4u}) {
       SodaConfig config;
-      config.enable_closures = true;
       config.execute_snippets = false;
       config.num_shards = shards;
       config.num_threads = threads;

@@ -4,8 +4,8 @@
 // sequences, and the acceptance bar — an engine that stayed up across a
 // mutation (auto-invalidated by the FreshnessManager) answers
 // byte-identically to a freshly created engine over the mutated
-// database, at any shards × threads, closures on and off, while
-// unaffected cache entries survive.
+// database, at any shards × threads, while unaffected cache entries
+// survive.
 
 #include <gtest/gtest.h>
 
@@ -297,13 +297,11 @@ TEST(IncrementalIndexFreshnessTest, RandomMutationSequencesMatchRebuild) {
 // leak mutations across tests), so there is no static dataset here.
 class FreshnessEngineTest : public ::testing::Test {
  protected:
-  static SodaConfig Config(size_t threads, size_t shards,
-                           bool closures = true) {
+  static SodaConfig Config(size_t threads, size_t shards) {
     SodaConfig config;
     config.num_threads = threads;
     config.num_shards = shards;
     config.cache_capacity = 64;
-    config.enable_closures = closures;
     return config;
   }
 };
@@ -402,12 +400,10 @@ TEST_F(FreshnessEngineTest, ShardedSweepMatchesColdEngine) {
   uint64_t single_shard_postings = 0;
   for (size_t shards : {1, 4}) {
     for (size_t threads : {1, 4}) {
-      // Closures off once on the smallest config; on everywhere else.
-      bool closures = !(shards == 1 && threads == 1);
       auto bank = BuildMiniBank().value();
       auto router = ShardedSodaEngine::Create(
                         &bank->db, &bank->graph, CreditSuissePatternLibrary(),
-                        Config(threads, shards, closures))
+                        Config(threads, shards))
                         .value();
       // One core: every shard serves from the same Soda.
       for (size_t s = 1; s < router->num_shards(); ++s) {
@@ -435,8 +431,7 @@ TEST_F(FreshnessEngineTest, ShardedSweepMatchesColdEngine) {
 
       auto cold = SodaEngine::Create(&bank->db, &bank->graph,
                                      CreditSuissePatternLibrary(),
-                                     Config(/*threads=*/1, /*shards=*/1,
-                                            closures))
+                                     Config(/*threads=*/1, /*shards=*/1))
                       .value();
       std::vector<Result<SearchOutput>> stayed_up =
           router->SearchAll(queries);

@@ -555,29 +555,45 @@ TEST_F(HttpServerTest, StreamedBodiesAreByteIdenticalAcrossShardCounts) {
   }
 }
 
+// A streamed head never carries snippet payloads, so a request served
+// from the cache sends the bytes its cold run sent: the same batch, cold
+// then warm, gives one body at 1 and at 4 shards.
+TEST_F(HttpServerTest, StreamedBodyIsByteIdenticalColdAndWarm) {
+  const std::string body = BatchBody(MiniBankQueries());
+  std::string one_shard;
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    auto engine = MakeEngine(shards);
+    auto server = StartServer(engine.get());
+    HttpClient client = Connect(*server);
+    auto cold = client.Post("/search?stream=1", body);
+    ASSERT_TRUE(cold.ok()) << cold.status();
+    ASSERT_EQ(cold->status, 200);
+    const size_t hits_before = engine->cache_stats().hits;
+    auto warm = client.Post("/search?stream=1", body);
+    ASSERT_TRUE(warm.ok()) << warm.status();
+    ASSERT_EQ(warm->status, 200);
+    EXPECT_EQ(engine->cache_stats().hits,
+              hits_before + MiniBankQueries().size())
+        << "shards=" << shards;
+    EXPECT_NE(cold->body.find("\"event\":\"snippet\""), std::string::npos);
+    EXPECT_EQ(warm->body, cold->body) << "shards=" << shards;
+    if (one_shard.empty()) one_shard = cold->body;
+    EXPECT_EQ(cold->body, one_shard) << "shards=" << shards;
+  }
+}
+
 // Concurrent streamed clients against a 4-shard server read the bytes a
-// 1-shard server sends one client. The cache is off on both: with it on,
-// a head could carry the snippets another client's stream had just
-// cached, and every request here must execute its snippets — the work
-// whose event order the router sets across its dispatch threads.
+// 1-shard server sends one client, the cache on at both: whichever
+// client's stream caches an answer first, every head renders like a miss
+// and every stream delivers the same events.
 TEST_F(HttpServerTest, ConcurrentStreamedClientsReadTheOneShardBytes) {
   const std::vector<std::string> queries = MiniBankQueries();
   const std::string body =
       BatchBody({queries[0], queries[1], queries[2], queries[1], queries[3]});
-  auto make_uncached = [](size_t shards) {
-    SodaConfig config;
-    config.num_shards = shards;
-    config.num_threads = 2;
-    config.cache_capacity = 0;
-    auto engine = ShardedSodaEngine::Create(
-        &bank_->db, &bank_->graph, CreditSuissePatternLibrary(), config);
-    EXPECT_TRUE(engine.ok()) << engine.status();
-    return std::move(engine).value();
-  };
 
   std::string expected;
   {
-    auto engine = make_uncached(1);
+    auto engine = MakeEngine(1);
     auto server = StartServer(engine.get());
     HttpClient client = Connect(*server);
     auto response = client.Post("/search?stream=1", body);
@@ -586,7 +602,7 @@ TEST_F(HttpServerTest, ConcurrentStreamedClientsReadTheOneShardBytes) {
     expected = response->body;
   }
 
-  auto engine = make_uncached(4);
+  auto engine = MakeEngine(4);
   auto server = StartServer(engine.get());
   constexpr size_t kClients = 4;
   constexpr size_t kRounds = 3;

@@ -1,19 +1,25 @@
-// Tests for the compiled closure layer (PR 4): closure-on output must be
-// Fingerprint-identical to closure-off across workloads, engines and
-// shard/thread sweeps; the APSP join-path closure must agree with the
-// per-call BFS fallback on random subgraphs; the count-only index probes
-// must agree with the materializing lookups; and the closure counters
-// must surface through the engine metrics snapshots.
+// Tests for the compiled closure layer: a fresh core's cold-memo output
+// must be Fingerprint-identical to its warm-memo output, and the sharded
+// engines across shard/thread sweeps to the serial Soda::Search
+// reference; the APSP join-path closure must agree with a naive
+// per-call BFS reference on random subgraphs and on the mini-bank; the
+// count-only index probes must agree with the materializing lookups;
+// and the closure counters must surface through the engine metrics
+// snapshots.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-
+#include <cstdint>
+#include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/closure.h"
 #include "core/engine.h"
 #include "core/join_graph.h"
@@ -66,89 +72,164 @@ std::vector<std::string> EnterpriseQueries() {
   return queries;
 }
 
+// Runs every query twice on a fresh core: the cold pass traverses and
+// fills the Step-3 memo, the warm pass must be served from it (no
+// traversal misses) with byte-identical output.
+void ExpectWarmMemoMatchesCold(const Soda& soda,
+                               const std::vector<std::string>& queries) {
+  ASSERT_EQ(soda.entry_point_closure().filled(), 0u);
+  InMemoryMetricsSink cold_sink;
+  std::vector<std::string> cold;
+  for (const std::string& query : queries) {
+    auto output = soda.Search(query, &cold_sink);
+    ASSERT_TRUE(output.ok()) << output.status();
+    cold.push_back(Fingerprint(*output));
+  }
+  EXPECT_GT(cold_sink.Snapshot().counter("closure.traverse_misses"), 0u);
+  EXPECT_GT(soda.entry_point_closure().filled(), 0u);
+
+  InMemoryMetricsSink warm_sink;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto output = soda.Search(queries[q], &warm_sink);
+    ASSERT_TRUE(output.ok()) << output.status();
+    EXPECT_EQ(Fingerprint(*output), cold[q]) << queries[q];
+  }
+  MetricsSnapshot warm = warm_sink.Snapshot();
+  EXPECT_GT(warm.counter("closure.traverse_hits"), 0u);
+  EXPECT_EQ(warm.counter("closure.traverse_misses"), 0u);
+}
+
+// The tie-break JoinGraph::DirectPath documents, computed the slow way:
+// adjacency rebuilt from all_edges() in insertion order, one fresh BFS
+// per known source table, strict improvement over (from, to) pairs in
+// set order, and the winning BFS tree chain walked back from the target.
+bool NaiveDirectPath(const JoinGraph& graph,
+                     const std::vector<std::string>& from_set,
+                     const std::vector<std::string>& to_set,
+                     std::vector<JoinEdge>* path_edges,
+                     std::vector<std::string>* path_tables) {
+  for (const std::string& from : from_set) {
+    for (const std::string& to : to_set) {
+      if (FoldForMatch(from) == FoldForMatch(to)) {
+        path_tables->push_back(from);
+        return true;
+      }
+    }
+  }
+  const std::vector<JoinEdge>& edges = graph.all_edges();
+  std::map<std::string, std::vector<size_t>> adjacency;
+  for (size_t e = 0; e < edges.size(); ++e) {
+    adjacency[FoldForMatch(edges[e].from.table)].push_back(e);
+    adjacency[FoldForMatch(edges[e].to.table)].push_back(e);
+  }
+  constexpr size_t kNone = SIZE_MAX;
+  size_t best_dist = kNone;
+  std::string best_target;
+  std::map<std::string, size_t> best_parent;
+  std::string best_source;
+  for (const std::string& from : from_set) {
+    const std::string source = FoldForMatch(from);
+    if (adjacency.count(source) == 0) continue;
+    std::map<std::string, size_t> dist = {{source, 0}};
+    std::map<std::string, size_t> parent;
+    std::deque<std::string> queue = {source};
+    while (!queue.empty()) {
+      std::string current = queue.front();
+      queue.pop_front();
+      for (size_t e : adjacency[current]) {
+        if (edges[e].ignored) continue;
+        std::string a = FoldForMatch(edges[e].from.table);
+        std::string other = a == current ? FoldForMatch(edges[e].to.table) : a;
+        if (dist.count(other) != 0) continue;
+        dist[other] = dist[current] + 1;
+        parent[other] = e;
+        queue.push_back(other);
+      }
+    }
+    for (const std::string& to : to_set) {
+      auto it = dist.find(FoldForMatch(to));
+      if (it != dist.end() && it->second < best_dist) {
+        best_dist = it->second;
+        best_source = source;
+        best_target = it->first;
+        best_parent = parent;
+      }
+    }
+  }
+  if (best_dist == kNone) return false;
+  for (std::string cursor = best_target; cursor != best_source;) {
+    const JoinEdge& edge = edges[best_parent[cursor]];
+    path_edges->push_back(edge);
+    path_tables->push_back(edge.from.table);
+    path_tables->push_back(edge.to.table);
+    std::string a = FoldForMatch(edge.from.table);
+    cursor = a == cursor ? FoldForMatch(edge.to.table) : a;
+  }
+  std::reverse(path_edges->begin(), path_edges->end());
+  return true;
+}
+
+void ExpectDirectPathMatchesNaive(const JoinGraph& graph,
+                                  const std::vector<std::string>& from_set,
+                                  const std::vector<std::string>& to_set) {
+  std::vector<JoinEdge> apsp_edges, naive_edges;
+  std::vector<std::string> apsp_tables, naive_tables;
+  bool apsp = graph.DirectPath(from_set, to_set, &apsp_edges, &apsp_tables);
+  bool naive =
+      NaiveDirectPath(graph, from_set, to_set, &naive_edges, &naive_tables);
+  ASSERT_EQ(apsp, naive);
+  ASSERT_EQ(apsp_edges, naive_edges);
+  ASSERT_EQ(apsp_tables, naive_tables);
+}
+
 class PipelineClosureTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     bank_ = BuildMiniBank().value().release();
     enterprise_ = BuildEnterpriseWarehouse().value().release();
-    // One enterprise translator per closure mode, shared by every test
-    // in this suite: building a full enterprise Soda is the dominant
-    // cost under the sanitizer legs' ctest timeout (snippets off — the
-    // snippet-inclusive fingerprint is held by the minibank tests).
-    SodaConfig on_config = Config(true);
-    SodaConfig off_config = Config(false);
-    on_config.execute_snippets = false;
-    off_config.execute_snippets = false;
-    enterprise_on_ = Soda::Create(&enterprise_->db, &enterprise_->graph,
-                                  CreditSuissePatternLibrary(), on_config)
-                         .value()
-                         .release();
-    enterprise_off_ = Soda::Create(&enterprise_->db, &enterprise_->graph,
-                                   CreditSuissePatternLibrary(), off_config)
-                          .value()
-                          .release();
   }
   static void TearDownTestSuite() {
-    delete enterprise_off_;
-    delete enterprise_on_;
     delete enterprise_;
     delete bank_;
   }
 
-  static SodaConfig Config(bool closures) {
-    SodaConfig config;
-    config.enable_closures = closures;
-    return config;
-  }
-
   static MiniBank* bank_;
   static EnterpriseWarehouse* enterprise_;
-  static Soda* enterprise_on_;
-  static Soda* enterprise_off_;
 };
 
 MiniBank* PipelineClosureTest::bank_ = nullptr;
 EnterpriseWarehouse* PipelineClosureTest::enterprise_ = nullptr;
-Soda* PipelineClosureTest::enterprise_on_ = nullptr;
-Soda* PipelineClosureTest::enterprise_off_ = nullptr;
 
 // ---------------------------------------------------------------------------
-// Fingerprint identity, serial driver
+// Fingerprint identity, serial driver: cold memo vs warm memo
 // ---------------------------------------------------------------------------
 
-TEST_F(PipelineClosureTest, SerialMiniBankClosureOnMatchesOff) {
-  auto on = Soda::Create(&bank_->db, &bank_->graph,
-                         CreditSuissePatternLibrary(), Config(true));
-  auto off = Soda::Create(&bank_->db, &bank_->graph,
-                          CreditSuissePatternLibrary(), Config(false));
-  ASSERT_TRUE(on.ok()) << on.status();
-  ASSERT_TRUE(off.ok()) << off.status();
-  for (const std::string& query : MiniBankQueries()) {
-    auto with = (*on)->Search(query);
-    auto without = (*off)->Search(query);
-    ASSERT_TRUE(with.ok()) << with.status();
-    ASSERT_TRUE(without.ok()) << without.status();
-    EXPECT_EQ(Fingerprint(*with), Fingerprint(*without)) << query;
-  }
+TEST_F(PipelineClosureTest, SerialMiniBankWarmMemoMatchesCold) {
+  auto soda = Soda::Create(&bank_->db, &bank_->graph,
+                           CreditSuissePatternLibrary(), SodaConfig());
+  ASSERT_TRUE(soda.ok()) << soda.status();
+  ExpectWarmMemoMatchesCold(**soda, MiniBankQueries());
 }
 
-TEST_F(PipelineClosureTest, SerialEnterpriseClosureOnMatchesOff) {
-  for (const std::string& query : EnterpriseQueries()) {
-    auto with = enterprise_on_->Search(query);
-    auto without = enterprise_off_->Search(query);
-    ASSERT_TRUE(with.ok()) << with.status();
-    ASSERT_TRUE(without.ok()) << without.status();
-    EXPECT_EQ(Fingerprint(*with), Fingerprint(*without)) << query;
-  }
+TEST_F(PipelineClosureTest, SerialEnterpriseWarmMemoMatchesCold) {
+  // Snippets off: building and searching a full enterprise core is the
+  // dominant cost under the sanitizer legs' ctest timeout, and the
+  // snippet-inclusive fingerprint is held by the mini-bank test.
+  SodaConfig config;
+  config.execute_snippets = false;
+  auto soda = Soda::Create(&enterprise_->db, &enterprise_->graph,
+                           CreditSuissePatternLibrary(), config);
+  ASSERT_TRUE(soda.ok()) << soda.status();
+  ExpectWarmMemoMatchesCold(**soda, EnterpriseQueries());
 }
 
 // ---------------------------------------------------------------------------
 // Fingerprint identity, sharded engines across shards x threads
 // ---------------------------------------------------------------------------
 
-TEST_F(PipelineClosureTest, ShardedMiniBankSweepClosureOnMatchesSerialOff) {
+TEST_F(PipelineClosureTest, ShardedMiniBankSweepMatchesSerial) {
   auto baseline = Soda::Create(&bank_->db, &bank_->graph,
-                               CreditSuissePatternLibrary(), Config(false));
+                               CreditSuissePatternLibrary(), SodaConfig());
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   std::vector<std::string> queries = MiniBankQueries();
   std::vector<std::string> expected;
@@ -159,7 +240,7 @@ TEST_F(PipelineClosureTest, ShardedMiniBankSweepClosureOnMatchesSerialOff) {
   }
   for (size_t shards : {1u, 4u}) {
     for (size_t threads : {1u, 4u}) {
-      SodaConfig config = Config(true);
+      SodaConfig config;
       config.num_shards = shards;
       config.num_threads = threads;
       auto router = ShardedSodaEngine::Create(&bank_->db, &bank_->graph,
@@ -184,21 +265,19 @@ TEST_F(PipelineClosureTest, ShardedMiniBankSweepClosureOnMatchesSerialOff) {
 // the minibank sweep above.
 
 TEST_F(PipelineClosureTest, ShardsShareOneEntryPointClosure) {
-  SodaConfig config = Config(true);
+  SodaConfig config;
   config.num_shards = 2;
   config.num_threads = 1;
   auto router = ShardedSodaEngine::Create(&bank_->db, &bank_->graph,
                                           CreditSuissePatternLibrary(),
                                           config);
   ASSERT_TRUE(router.ok()) << router.status();
-  const auto& closure0 = (*router)->shard(0).soda().entry_point_closure();
-  const auto& closure1 = (*router)->shard(1).soda().entry_point_closure();
-  ASSERT_NE(closure0, nullptr);
-  EXPECT_EQ(closure0.get(), closure1.get());
+  EXPECT_EQ(&(*router)->shard(0).soda().entry_point_closure(),
+            &(*router)->shard(1).soda().entry_point_closure());
 }
 
 // ---------------------------------------------------------------------------
-// APSP closure vs BFS fallback on random subgraphs
+// APSP closure vs the naive BFS reference
 // ---------------------------------------------------------------------------
 
 TEST_F(PipelineClosureTest, ApspMatchesBfsOnRandomSubgraphs) {
@@ -242,13 +321,8 @@ TEST_F(PipelineClosureTest, ApspMatchesBfsOnRandomSubgraphs) {
     ASSERT_TRUE(model.Compile(&graph, nullptr).ok());
     PatternLibrary library = CreditSuissePatternLibrary();
     PatternMatcher matcher(&graph, &library);
-    JoinGraph with_closure;
-    JoinGraph without_closure;
-    ASSERT_TRUE(with_closure.Build(matcher, /*precompute_paths=*/true).ok());
-    ASSERT_TRUE(
-        without_closure.Build(matcher, /*precompute_paths=*/false).ok());
-    ASSERT_TRUE(with_closure.has_path_closure());
-    ASSERT_FALSE(without_closure.has_path_closure());
+    JoinGraph join_graph;
+    ASSERT_TRUE(join_graph.Build(matcher).ok());
 
     for (int probe = 0; probe < 40; ++probe) {
       std::vector<std::string> from_set;
@@ -260,15 +334,31 @@ TEST_F(PipelineClosureTest, ApspMatchesBfsOnRandomSubgraphs) {
         to_set.push_back(rng.Chance(0.1) ? "unknown_table"
                                          : rng.Pick(names));
       }
-      std::vector<JoinEdge> apsp_edges, bfs_edges;
-      std::vector<std::string> apsp_tables, bfs_tables;
-      bool apsp = with_closure.DirectPath(from_set, to_set, &apsp_edges,
-                                          &apsp_tables);
-      bool bfs = without_closure.DirectPath(from_set, to_set, &bfs_edges,
-                                            &bfs_tables);
-      ASSERT_EQ(apsp, bfs);
-      ASSERT_EQ(apsp_edges, bfs_edges);
-      ASSERT_EQ(apsp_tables, bfs_tables);
+      ExpectDirectPathMatchesNaive(join_graph, from_set, to_set);
+    }
+  }
+}
+
+TEST_F(PipelineClosureTest, ApspMatchesBfsOnMiniBankTablePairs) {
+  auto soda = Soda::Create(&bank_->db, &bank_->graph,
+                           CreditSuissePatternLibrary(), SodaConfig());
+  ASSERT_TRUE(soda.ok()) << soda.status();
+  const JoinGraph& join_graph = (*soda)->join_graph();
+  std::vector<std::string> tables;
+  for (const JoinEdge& edge : join_graph.all_edges()) {
+    for (const std::string& table : {edge.from.table, edge.to.table}) {
+      if (std::find(tables.begin(), tables.end(), table) == tables.end()) {
+        tables.push_back(table);
+      }
+    }
+  }
+  ASSERT_GT(tables.size(), 2u);
+  for (const std::string& a : tables) {
+    for (const std::string& b : tables) {
+      ExpectDirectPathMatchesNaive(join_graph, {a}, {b});
+      for (const std::string& c : tables) {
+        ExpectDirectPathMatchesNaive(join_graph, {a, c}, {b});
+      }
     }
   }
 }
@@ -278,7 +368,12 @@ TEST_F(PipelineClosureTest, ApspMatchesBfsOnRandomSubgraphs) {
 // ---------------------------------------------------------------------------
 
 TEST_F(PipelineClosureTest, CountProbesMatchMaterializedLookups) {
-  const Soda& soda = *enterprise_on_;
+  SodaConfig config;
+  config.execute_snippets = false;
+  auto created = Soda::Create(&enterprise_->db, &enterprise_->graph,
+                              CreditSuissePatternLibrary(), config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  const Soda& soda = **created;
   std::vector<std::string> phrases = {
       "customers",       "family name", "trading volume", "currency",
       "transactions",    "investments", "Sara",           "organizations",
@@ -305,7 +400,7 @@ TEST_F(PipelineClosureTest, CountProbesMatchMaterializedLookups) {
 // ---------------------------------------------------------------------------
 
 TEST_F(PipelineClosureTest, ClosureCountersSurfaceOnEngine) {
-  SodaConfig config = Config(true);
+  SodaConfig config;
   config.num_threads = 2;
   config.cache_capacity = 0;  // repeats must re-run the pipeline
   auto engine = SodaEngine::Create(&bank_->db, &bank_->graph,
@@ -321,7 +416,7 @@ TEST_F(PipelineClosureTest, ClosureCountersSurfaceOnEngine) {
 }
 
 TEST_F(PipelineClosureTest, ClosureCountersSurfaceOnShardedEngine) {
-  SodaConfig config = Config(true);
+  SodaConfig config;
   config.num_shards = 2;
   config.num_threads = 1;
   config.cache_capacity = 0;
@@ -336,20 +431,6 @@ TEST_F(PipelineClosureTest, ClosureCountersSurfaceOnShardedEngine) {
   MetricsSnapshot snapshot = (*router)->metrics_snapshot();
   EXPECT_GT(snapshot.counter("closure.traverse_misses"), 0u);
   EXPECT_GT(snapshot.counter("closure.path_lookups"), 0u);
-}
-
-TEST_F(PipelineClosureTest, ClosuresOffBooksNoClosureCounters) {
-  SodaConfig config = Config(false);
-  config.cache_capacity = 0;
-  auto engine = SodaEngine::Create(&bank_->db, &bank_->graph,
-                                   CreditSuissePatternLibrary(), config);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  ASSERT_EQ((*engine)->soda().entry_point_closure(), nullptr);
-  ASSERT_TRUE((*engine)->Search("customers Zürich").ok());
-  MetricsSnapshot snapshot = (*engine)->metrics_snapshot();
-  EXPECT_EQ(snapshot.counter("closure.traverse_hits"), 0u);
-  EXPECT_EQ(snapshot.counter("closure.traverse_misses"), 0u);
-  EXPECT_EQ(snapshot.counter("closure.path_lookups"), 0u);
 }
 
 }  // namespace

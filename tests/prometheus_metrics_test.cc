@@ -1,10 +1,11 @@
-// Tests for the Prometheus text-exposition exporter and snapshot
+// Tests for the Prometheus text-exposition rendering and snapshot
 // diffing: golden-checks the exact rendered format (TYPE headers,
 // cumulative buckets over the shared grid, name sanitization), and
 // DeltaSince's per-interval semantics for counters and histograms.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "common/metrics.h"
@@ -61,10 +62,10 @@ TEST(PrometheusRenderTest, SanitizesNamesAndHonorsPrefix) {
 }
 
 TEST(PrometheusRenderTest, SinkAggregatesAndRenders) {
-  PrometheusTextMetricsSink sink("soda");
+  InMemoryMetricsSink sink;
   sink.IncrementCounter("freshness.events", 3);
   sink.Observe("pool.queue_depth", 2.0);
-  std::string text = sink.RenderText();
+  std::string text = RenderPrometheusText(sink.Snapshot(), "soda");
   EXPECT_NE(text.find("soda_freshness_events_total 3"), std::string::npos);
   EXPECT_NE(text.find("soda_pool_queue_depth_count 1"), std::string::npos);
 }
@@ -76,10 +77,10 @@ TEST(PrometheusRenderTest, WorksAsEngineSink) {
   auto engine = SodaEngine::Create(&bank->db, &bank->graph,
                                    CreditSuissePatternLibrary(), config)
                     .value();
-  auto prometheus = std::make_shared<PrometheusTextMetricsSink>();
-  engine->set_metrics_sink(prometheus);
+  auto sink = std::make_shared<InMemoryMetricsSink>();
+  engine->set_metrics_sink(sink);
   ASSERT_TRUE(engine->Search("addresses Sara Guttinger").ok());
-  std::string text = prometheus->RenderText();
+  std::string text = RenderPrometheusText(sink->Snapshot());
   EXPECT_NE(text.find("soda_cache_miss_total 1"), std::string::npos);
   EXPECT_NE(text.find("# TYPE soda_search_wall_ms histogram"),
             std::string::npos);
@@ -184,13 +185,13 @@ TEST(MetricsDeltaTest, HistogramsSubtractExactlyOnTheSharedGrid) {
   EXPECT_TRUE(empty_delta.counters.empty());
 }
 
-TEST(MetricsDeltaTest, RenderDeltaTextShowsOnlyTheInterval) {
-  PrometheusTextMetricsSink sink;
+TEST(MetricsDeltaTest, RenderedDeltaShowsOnlyTheInterval) {
+  InMemoryMetricsSink sink;
   sink.IncrementCounter("freshness.events", 2);
   MetricsSnapshot before = sink.Snapshot();
   sink.IncrementCounter("freshness.events", 3);
   sink.IncrementCounter("freshness.keys_invalidated", 7);
-  std::string text = sink.RenderDeltaText(before);
+  std::string text = RenderPrometheusText(sink.Snapshot().DeltaSince(before));
   EXPECT_NE(text.find("soda_freshness_events_total 3"), std::string::npos);
   EXPECT_NE(text.find("soda_freshness_keys_invalidated_total 7"),
             std::string::npos);

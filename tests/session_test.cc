@@ -4,8 +4,8 @@
 // and the acceptance bar — Refine resumes the captured TranslationPlan
 // (skipping stages per the constraint-change matrix) yet answers
 // byte-identically to a cold constrained translation, at any shards x
-// threads, closures on and off; a base-data mutation invalidates the
-// plan and the next Refine silently runs the full pipeline again.
+// threads; a base-data mutation invalidates the plan and the next
+// Refine silently runs the full pipeline again.
 //
 // Minibank only, deliberately: this binary is inside the sanitizer ctest
 // filter (ci.sh adds 'session'); the enterprise explanation identity
@@ -270,52 +270,48 @@ TEST_F(SessionTest, RefineBeforeAskErrors) {
 TEST_F(SessionTest, RefineMatchesColdConstrainedTranslation) {
   for (size_t shards : {1u, 4u}) {
     for (size_t threads : {1u, 4u}) {
-      for (bool closures : {true, false}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) +
-                     " threads=" + std::to_string(threads) +
-                     " closures=" + std::to_string(closures));
-        SodaConfig config;
-        config.num_shards = shards;
-        config.num_threads = threads;
-        config.enable_closures = closures;
-        config.cache_capacity = 0;  // every serve translates
-        auto router = ShardedSodaEngine::Create(&bank_->db, &bank_->graph,
-                                                CreditSuissePatternLibrary(),
-                                                config);
-        ASSERT_TRUE(router.ok()) << router.status();
-        SodaService* service = router->get();
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      SodaConfig config;
+      config.num_shards = shards;
+      config.num_threads = threads;
+      config.cache_capacity = 0;  // every serve translates
+      auto router = ShardedSodaEngine::Create(&bank_->db, &bank_->graph,
+                                              CreditSuissePatternLibrary(),
+                                              config);
+      ASSERT_TRUE(router.ok()) << router.status();
+      SodaService* service = router->get();
 
-        SodaSession session(service);
-        auto first = session.Ask(kMultiResult);
-        ASSERT_TRUE(first.ok()) << first.status();
-        EXPECT_EQ(session.last_stages_skipped(), 0u);
+      SodaSession session(service);
+      auto first = session.Ask(kMultiResult);
+      ASSERT_TRUE(first.ok()) << first.status();
+      EXPECT_EQ(session.last_stages_skipped(), 0u);
 
-        // Pin/ban change: Step 5 only.
-        const std::string target = PartialTable(*first);
-        ASSERT_FALSE(target.empty());
-        auto refined = session.BanTable(target).Refine();
-        ASSERT_TRUE(refined.ok()) << refined.status();
-        EXPECT_GT(session.last_stages_skipped(), 0u);
-        EXPECT_NE(Fingerprint(*refined), Fingerprint(*first));
-        auto cold = service->Search(kMultiResult, session.constraints());
-        ASSERT_TRUE(cold.ok()) << cold.status();
-        EXPECT_EQ(Fingerprint(*refined), Fingerprint(*cold));
+      // Pin/ban change: Step 5 only.
+      const std::string target = PartialTable(*first);
+      ASSERT_FALSE(target.empty());
+      auto refined = session.BanTable(target).Refine();
+      ASSERT_TRUE(refined.ok()) << refined.status();
+      EXPECT_GT(session.last_stages_skipped(), 0u);
+      EXPECT_NE(Fingerprint(*refined), Fingerprint(*first));
+      auto cold = service->Search(kMultiResult, session.constraints());
+      ASSERT_TRUE(cold.ok()) << cold.status();
+      EXPECT_EQ(Fingerprint(*refined), Fingerprint(*cold));
 
-        // Binding change on top: re-ranks from the cached lookup.
-        auto candidates = session.TermCandidates("name");
-        ASSERT_EQ(candidates.size(), 7u);
-        auto rebound = session.BindTerm("name", candidates[2].first).Refine();
-        ASSERT_TRUE(rebound.ok()) << rebound.status();
-        EXPECT_GT(session.last_stages_skipped(), 0u);
-        auto cold_bound = service->Search(kMultiResult, session.constraints());
-        ASSERT_TRUE(cold_bound.ok()) << cold_bound.status();
-        EXPECT_EQ(Fingerprint(*rebound), Fingerprint(*cold_bound));
+      // Binding change on top: re-ranks from the cached lookup.
+      auto candidates = session.TermCandidates("name");
+      ASSERT_EQ(candidates.size(), 7u);
+      auto rebound = session.BindTerm("name", candidates[2].first).Refine();
+      ASSERT_TRUE(rebound.ok()) << rebound.status();
+      EXPECT_GT(session.last_stages_skipped(), 0u);
+      auto cold_bound = service->Search(kMultiResult, session.constraints());
+      ASSERT_TRUE(cold_bound.ok()) << cold_bound.status();
+      EXPECT_EQ(Fingerprint(*rebound), Fingerprint(*cold_bound));
 
-        MetricsSnapshot snapshot = service->metrics_snapshot();
-        EXPECT_GT(snapshot.counter("session.stages_skipped"), 0u);
-        EXPECT_EQ(snapshot.counter("session.refines"), 2u);
-        EXPECT_EQ(snapshot.counter("router.session_queries"), 3u);
-      }
+      MetricsSnapshot snapshot = service->metrics_snapshot();
+      EXPECT_GT(snapshot.counter("session.stages_skipped"), 0u);
+      EXPECT_EQ(snapshot.counter("session.refines"), 2u);
+      EXPECT_EQ(snapshot.counter("router.session_queries"), 3u);
     }
   }
 }
