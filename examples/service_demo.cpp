@@ -263,11 +263,12 @@ int main(int argc, char** argv) {
   // One warm request with the full observability surface.
   auto warm = service.Search(dashboard[0]);
   if (warm.ok()) {
+    stats = service.cache_stats();
     std::printf("\nwarm '%s':\n  from_cache=%d wall=%.3f ms "
-                "(owning shard: %zu hits / %zu misses, %zu threads)\n",
+                "(fleet: %zu hits / %zu misses, %zu threads per shard)\n",
                 dashboard[0].c_str(), warm->from_cache ? 1 : 0,
-                warm->timings.wall_ms, warm->cache_hits, warm->cache_misses,
-                warm->threads_used);
+                warm->timings.wall_ms, stats.hits, stats.misses,
+                service.num_threads());
   }
 
   // Interactive session: one user steering a translation. Ask answers

@@ -14,9 +14,9 @@
 // publish with a compare-exchange; losing a race just means the
 // duplicate (identical, the graph is immutable) computation is thrown
 // away. Each Soda core owns one instance (slots are keyed by NodeId
-// only, so it is only valid for that core's graph, pattern library and
-// SodaConfig::max_traversal_depth). The shards of a ShardedSodaEngine
-// share the core, so shard N's queries warm shard M's entry points.
+// only, so it is only valid for that core's graph and pattern library).
+// The shards of a ShardedSodaEngine share the core, so shard N's queries
+// warm shard M's entry points.
 
 #ifndef SODA_CORE_CLOSURE_H_
 #define SODA_CORE_CLOSURE_H_

@@ -19,19 +19,6 @@ struct SodaConfig {
   /// counter still reports the untruncated product.
   size_t max_interpretations = 1000;
 
-  /// Maximum depth of the metadata-graph traversal in Step 3 - Tables.
-  size_t max_traversal_depth = 8;
-
-  /// Ranking weights by entry-point location (paper Step 2: "a keyword
-  /// which was found in DBpedia gets a lower score than a keyword which
-  /// was found in the domain ontology").
-  double weight_domain_ontology = 1.0;
-  double weight_conceptual = 0.85;
-  double weight_logical = 0.80;
-  double weight_physical = 0.75;
-  double weight_base_data = 0.70;
-  double weight_dbpedia = 0.40;
-
   /// Step 3: keep only join conditions on a direct path between entry
   /// points (Figure 9). Disabling this is the ablation that includes every
   /// join edge attached to a collected table.

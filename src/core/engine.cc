@@ -234,9 +234,7 @@ size_t SodaEngine::InvalidateWhere(
 }
 
 std::shared_lock<std::shared_mutex> SodaEngine::ReadGuard() const {
-  const Database* db = soda_->database();
-  if (db == nullptr) return {};
-  return db->change_log().ReaderLock();
+  return soda_->database()->change_log().ReaderLock();
 }
 
 void SodaEngine::CacheInsert(const std::string& key, const SearchOutput& output,
@@ -262,37 +260,6 @@ void SodaEngine::CacheInsert(const std::string& key, const SearchOutput& output,
       });
     }
   }
-}
-
-bool SodaEngine::PlanStillFresh(const TranslationPlan& plan) const {
-  if (!plan.valid.load(std::memory_order_acquire)) return false;
-  // A watched plan's validity is maintained precisely (the freshness
-  // hook flips it exactly when a mutation touches its term vocabulary);
-  // unwatched plans fall back to the coarse check: any change-log
-  // advance voids them.
-  if (plan.watched) return true;
-  const Database* db = soda_->database();
-  if (db == nullptr) return true;
-  return db->change_log().sequence() == plan.captured_at_sequence;
-}
-
-void SodaEngine::RegisterPlan(
-    const std::shared_ptr<TranslationPlan>& plan) const {
-  if (freshness_ == nullptr) return;
-  std::string reg_key =
-      "plan:" + std::to_string(reinterpret_cast<uintptr_t>(plan.get()));
-  // The hook only flips an atomic through a weak_ptr: it is safe to fire
-  // from OnChange (under the exclusive data lock, outside the manager
-  // mutex) and safe against the plan dying first.
-  std::weak_ptr<TranslationPlan> weak = plan;
-  freshness_->RecordPlan(reg_key, plan->freshness_terms, [weak] {
-    if (std::shared_ptr<TranslationPlan> p = weak.lock()) {
-      p->valid.store(false, std::memory_order_release);
-    }
-  });
-  plan->watched = true;
-  FreshnessManager* manager = freshness_;
-  plan->deregister = [manager, reg_key] { manager->ForgetPlan(reg_key); };
 }
 
 // ---------------------------------------------------------------------------
@@ -347,6 +314,8 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
                                   std::chrono::steady_clock::time_point start,
                                   const char* query_span) const {
   const SodaConfig& config = soda_->config();
+  // Stable for the whole batch: every caller holds the shared data lock.
+  const uint64_t sequence = soda_->database()->change_log().sequence();
 
   // One job per unique cache miss: its context, its span, the stage list
   // it starts from and, when it captures a session plan, the snapshot of
@@ -376,8 +345,9 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
         item.constrained() ? nullptr : cache_.Get(item.normalized);
     if (cached != nullptr) {
       // Deliberate copy: the payload is bounded (top_n statements x
-      // snippet_rows rows) and the response needs its own counter
-      // fields; measured hit path stays ~100x faster than the pipeline.
+      // snippet_rows rows) and the response patches its own from_cache,
+      // timings and stages_skipped; measured hit path stays ~100x faster
+      // than the pipeline.
       sink_->IncrementCounter("cache.hit", 1);
       if (item.plan != nullptr) {
         sink_->IncrementCounter("session.stages_skipped", 5);
@@ -407,7 +377,8 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     if (item.plan == nullptr) continue;
 
     // Session serve. Resume only from a plan that answers this very
-    // question and still reflects the current base data. Bindings select
+    // question and still reflects the current base data: no mutation
+    // since its capture (the change log has not moved). Bindings select
     // which stages the resume can skip — pins/bans only gate Step 5, so
     // matching bindings reuse the post-Filters states wholesale, while a
     // binding change re-ranks from the (always constraint-independent)
@@ -415,7 +386,7 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     // captures a fresh plan.
     const TranslationPlan* held = item.plan->get();
     if (held != nullptr && held->key == item.normalized &&
-        PlanStillFresh(*held)) {
+        held->captured_at_sequence == sequence) {
       // Copies, never moves: the plan stays resumable for the next Refine.
       ctx.parsed = held->parsed;
       ctx.lookup = held->lookup;
@@ -437,8 +408,7 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
   // pool fans out across the queries of a batch only, so a batch of one
   // never leaves the caller's thread. Each task writes only its own job,
   // so a poisoned task fails one query.
-  const bool run_snippets =
-      execute && config.execute_snippets && soda_->database() != nullptr;
+  const bool run_snippets = execute && config.execute_snippets;
   if (jobs.size() > 1) {
     sink_->Observe("pool.queue_depth",
                    static_cast<double>(pool_.queue_depth()));
@@ -481,9 +451,7 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       job.plan->bindings_fp = item.constraints->BindingsFingerprint();
       job.plan->freshness_terms = ctx.freshness_terms;
       job.plan->states = std::move(job.snapshot);
-      const Database* db = soda_->database();
-      job.plan->captured_at_sequence =
-          db != nullptr ? db->change_log().sequence() : 0;
+      job.plan->captured_at_sequence = sequence;
     }
     const TraceContext query_trace = ctx.trace;
     item.output = FinalizeOutput(std::move(ctx));
@@ -517,16 +485,13 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     // (statements + snippets): all of them on the sync paths, only those
     // without a snippet to stream on the async path — its last snippet
     // task caches the rest. The stored copy keeps from_cache=false;
-    // responses patch their own counters.
+    // each response patches its own.
     if (!item.constrained() && (execute || item.output->results.empty())) {
       CacheInsert(item.normalized, *item.output, trace);
     }
     // Hand a new plan over last: a serve that failed anywhere leaves the
     // caller's previous plan untouched.
-    if (job.plan != nullptr) {
-      RegisterPlan(job.plan);
-      *item.plan = std::move(job.plan);
-    }
+    if (job.plan != nullptr) *item.plan = std::move(job.plan);
   }
   return interpretations;
 }
@@ -547,7 +512,6 @@ std::vector<Result<SearchOutput>> SodaEngine::ExpandBatch(
     sink_->IncrementCounter("batch.dedup_hits", repeats);
   }
 
-  CacheStats stats = cache_.stats();
   std::vector<Result<SearchOutput>> outputs(
       query_count, Result<SearchOutput>(Status::Internal("unmapped query")));
   for (BatchItem& item : items) {
@@ -579,9 +543,6 @@ std::vector<Result<SearchOutput>> SodaEngine::ExpandBatch(
         output.timings.wall_ms = MsSince(batch_start);
         output.stages_skipped = 5;
       }
-      output.cache_hits = stats.hits;
-      output.cache_misses = stats.misses;
-      output.threads_used = num_threads();
       outputs[input_idx] = std::move(output);
     }
   }
@@ -698,9 +659,8 @@ SnippetStream::Summary SodaEngine::RunStream(StreamState& stream,
   // already happened). Checked and inserted under one shared lock, so no
   // append can slip between the two.
   auto data_guard = ReadGuard();
-  const Database* db = soda_->database();
-  if (db == nullptr ||
-      db->change_log().sequence() == stream.translated_at_sequence) {
+  if (soda_->database()->change_log().sequence() ==
+      stream.translated_at_sequence) {
     CacheInsert(stream.key, stream.output, trace);
   } else {
     sink_->IncrementCounter("cache.stale_insert_skipped", 1);
@@ -718,11 +678,9 @@ AsyncSearch SodaEngine::SearchAllAsync(std::span<const std::string> queries,
   ServeScope serve(ReadGuard(), sink_.get(), "engine.search_all_async");
   serve.span().SetAttr("queries", static_cast<int64_t>(queries.size()));
 
-  const SodaConfig& config = soda_->config();
-  const Database* db = soda_->database();
-  const bool can_execute = config.execute_snippets && db != nullptr;
+  const bool can_execute = soda_->config().execute_snippets;
   const uint64_t translated_at_sequence =
-      db != nullptr ? db->change_log().sequence() : 0;
+      soda_->database()->change_log().sequence();
 
   std::vector<BatchItem> items = TranslateQueries(
       queries, /*execute=*/false, serve.span().context(), serve.start());

@@ -217,16 +217,6 @@ class SodaEngine : public SodaService {
   struct BatchItem;
   struct StreamState;
 
-  /// Whether a captured plan may still be resumed: its valid flag has
-  /// not been flipped by a freshness hook, and — when nobody watches it
-  /// — the change log has not advanced past its capture point.
-  bool PlanStillFresh(const TranslationPlan& plan) const;
-
-  /// Registers a freshly captured plan with the freshness manager so
-  /// base-data mutations touching its term vocabulary flip its valid
-  /// flag. No-op without a manager.
-  void RegisterPlan(const std::shared_ptr<TranslationPlan>& plan) const;
-
   /// The batch entry points' front half: deduplicates `queries` into one
   /// item per unique normalized query, runs TranslateBatch over them
   /// (one "batch.query" span per miss) and books the batch.* counters
@@ -276,10 +266,10 @@ class SodaEngine : public SodaService {
   SnippetStream::Summary RunStream(StreamState& stream,
                                    const TraceContext& trace) const;
 
-  /// Shared data lock (empty when the engine has no database): every
-  /// entry point takes one before probing the cache and holds it through
-  /// its own cache insert, so answers can never be cached after an
-  /// invalidation that should have covered them.
+  /// The database's shared data lock: every entry point takes one before
+  /// probing the cache and holds it through its own cache insert, so
+  /// answers can never be cached after an invalidation that should have
+  /// covered them.
   std::shared_lock<std::shared_mutex> ReadGuard() const;
 
   /// Cache insert + freshness dependency registration, one atom: both

@@ -15,7 +15,7 @@ CompareOp ParseCompareOp(const std::string& text) {
 Value FiltersStep::TypeValue(const PhysicalColumnRef& column,
                              const std::string& text) const {
   ValueType type = ValueType::kString;
-  const Table* table = db_ != nullptr ? db_->FindTable(column.table) : nullptr;
+  const Table* table = db_->FindTable(column.table);
   if (table != nullptr) {
     int index = table->ColumnIndex(column.column);
     if (index >= 0) type = table->columns()[static_cast<size_t>(index)].type;

@@ -39,6 +39,7 @@ struct GeneratedFilter {
 
 class FiltersStep {
  public:
+  /// `db` (non-null) types literals against the columns' declared types.
   explicit FiltersStep(const Database* db) : db_(db) {}
 
   /// Produces the filters for one interpretation.

@@ -6,7 +6,6 @@
 #include "common/strings.h"
 #include "common/trace.h"
 #include "core/service.h"
-#include "text/tokenizer.h"
 
 namespace soda {
 
@@ -74,28 +73,6 @@ void FreshnessManager::RecordQuery(const std::string& key,
   sink_->IncrementCounter("freshness.keys_tracked", 1);
 }
 
-void FreshnessManager::RecordPlan(const std::string& plan_key,
-                                  const std::vector<std::string>& terms,
-                                  std::function<void()> on_invalidate) {
-  Deps deps;
-  deps.terms = terms;  // plans carry no table dependency: a resume
-                       // regenerates SQL and re-executes snippets anyway
-  std::lock_guard<std::mutex> lock(mu_);
-  ForgetLocked(plan_key);
-  for (const std::string& term : deps.terms) {
-    keys_by_term_[term].insert(plan_key);
-  }
-  deps_by_key_[plan_key] = std::move(deps);
-  plan_hooks_[plan_key] = std::move(on_invalidate);
-  sink_->IncrementCounter("freshness.plans_tracked", 1);
-}
-
-void FreshnessManager::ForgetPlan(const std::string& plan_key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ForgetLocked(plan_key);
-  plan_hooks_.erase(plan_key);
-}
-
 void FreshnessManager::Forget(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   ForgetLocked(key);
@@ -147,21 +124,13 @@ void FreshnessManager::CollectAffectedLocked(
   // value at publication, however many listeners consume it); the
   // reverse map is keyed on spellings, so resolve each id through the
   // event's dictionary.
-  auto probe_term = [&](const std::string& token) {
-    auto term_bucket = keys_by_term_.find(token);
-    if (term_bucket == keys_by_term_.end()) return;
-    affected->insert(term_bucket->second.begin(), term_bucket->second.end());
-  };
   for (const ColumnDelta& delta : event.deltas) {
-    if (event.dict != nullptr) {
-      for (const std::vector<TokenId>& value_ids : delta.token_ids) {
-        for (TokenId id : value_ids) probe_term(event.dict->Spelling(id));
-      }
-    } else {
-      // Dictionary-less event (hand-built in tests): fall back to
-      // tokenizing the raw values.
-      for (const std::string& value : delta.values) {
-        for (const std::string& token : Tokenize(value)) probe_term(token);
+    for (const std::vector<TokenId>& value_ids : delta.token_ids) {
+      for (TokenId id : value_ids) {
+        auto term_bucket = keys_by_term_.find(event.dict->Spelling(id));
+        if (term_bucket == keys_by_term_.end()) continue;
+        affected->insert(term_bucket->second.begin(),
+                         term_bucket->second.end());
       }
     }
   }
@@ -223,33 +192,11 @@ void FreshnessManager::OnChange(const ChangeEvent& event) {
                        static_cast<int64_t>(delta_postings));
   }
 
-  // 2. Keyed invalidation for exactly the dependent answers — and the
-  // dependent session plans, which live in the same reverse maps but
-  // resolve to a hook instead of a cache eviction. Partition them out
-  // under the mutex, fire the hooks outside it (they only flip an
-  // atomic, so firing under the exclusive data lock is safe and means
-  // no serve — readers hold the shared side — can resume a plan the
-  // mutation just voided).
+  // 2. Keyed invalidation for exactly the dependent answers.
   std::unordered_set<std::string> affected;
-  std::vector<std::function<void()>> plan_hooks;
   {
     std::lock_guard<std::mutex> lock(mu_);
     CollectAffectedLocked(event, &affected);
-    for (auto it = affected.begin(); it != affected.end();) {
-      auto hook = plan_hooks_.find(*it);
-      if (hook == plan_hooks_.end()) {
-        ++it;
-        continue;
-      }
-      plan_hooks.push_back(std::move(hook->second));
-      ForgetLocked(*it);
-      plan_hooks_.erase(hook);
-      it = affected.erase(it);
-    }
-  }
-  if (!plan_hooks.empty()) {
-    for (const std::function<void()>& hook : plan_hooks) hook();
-    sink_->IncrementCounter("freshness.plans_invalidated", plan_hooks.size());
   }
   size_t invalidated = 0;
   if (!affected.empty()) {
@@ -267,8 +214,6 @@ void FreshnessManager::OnChange(const ChangeEvent& event) {
     }
   }
   if (burst_span.active()) {
-    burst_span.SetAttr("plans_invalidated",
-                       static_cast<int64_t>(plan_hooks.size()));
     burst_span.SetAttr("keys_invalidated", static_cast<int64_t>(invalidated));
   }
   burst_span.End();

@@ -33,9 +33,10 @@
 // — only base data moves, exactly the regime the paper assumes.
 //
 // Counters (booked into the sink handed to the constructor):
-// freshness.events, freshness.delta_postings, freshness.keys_invalidated,
-// freshness.keys_tracked, freshness.plans_tracked,
-// freshness.plans_invalidated.
+// freshness.events, freshness.delta_postings, freshness.delta_failures,
+// freshness.keys_invalidated, freshness.keys_tracked. Session plans are
+// not tracked here: a TranslationPlan resumes only while the change
+// log's sequence still equals the one it was captured at.
 //
 // Threading: OnChange runs under the change log's exclusive data lock;
 // RecordQuery runs under engines' shared locks. The manager's own state
@@ -87,9 +88,8 @@ class FreshnessManager : public ChangeListener {
 
   /// Tracks a service (serial engine or sharded router alike): its index
   /// receives every delta, its cache every keyed invalidation, and the
-  /// service reports its cache inserts (and session plans) back here
-  /// (set_freshness is called on it). The service must outlive this
-  /// manager.
+  /// service reports its cache inserts back here (set_freshness is
+  /// called on it). The service must outlive this manager.
   void Track(SodaService* service);
 
   /// Records one cached answer's dependencies. Called by tracked engines
@@ -113,25 +113,9 @@ class FreshnessManager : public ChangeListener {
                      const std::function<bool(const std::string&)>&
                          still_cached);
 
-  /// Registers one session TranslationPlan under its lookup's term
-  /// vocabulary, in the same reverse map that invalidates cached
-  /// answers. `plan_key` must be unique among plans and cache keys (the
-  /// engine uses "plan:<address>", which no normalized query can
-  /// collide with); `on_invalidate` fires — under the exclusive data
-  /// lock, outside this manager's mutex — when a mutation touches any
-  /// of `terms`, and must be cheap and lock-free (the engine's hook
-  /// flips an atomic). Re-recording a key replaces hook and terms.
-  void RecordPlan(const std::string& plan_key,
-                  const std::vector<std::string>& terms,
-                  std::function<void()> on_invalidate);
-
-  /// Deregisters one plan (TranslationPlan's destructor calls this).
-  void ForgetPlan(const std::string& plan_key);
-
   /// ChangeListener: applies the event's delta to every tracked engine's
-  /// index, then invalidates exactly the dependent cache keys and fires
-  /// the hooks of dependent session plans. Runs under the change log's
-  /// exclusive data lock.
+  /// index, then invalidates exactly the dependent cache keys. Runs under
+  /// the change log's exclusive data lock.
   void OnChange(const ChangeEvent& event) override;
 
   /// Lifetime books (also exported as freshness.* counters).
@@ -176,10 +160,6 @@ class FreshnessManager : public ChangeListener {
       keys_by_term_;
   std::unordered_map<std::string, std::unordered_set<std::string>>
       keys_by_table_;
-  /// Session plans, keyed like cache keys in the maps above but resolved
-  /// to an invalidation hook instead of a cache eviction. Membership
-  /// here is what distinguishes a plan key in an affected set.
-  std::unordered_map<std::string, std::function<void()>> plan_hooks_;
   uint64_t events_seen_ = 0;
   uint64_t keys_invalidated_ = 0;
 };

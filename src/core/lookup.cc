@@ -202,20 +202,30 @@ Result<LookupOutput> LookupStep::Run(const InputQuery& query, ProbeMemo* memo,
   return out;
 }
 
-double LayerWeight(MetadataLayer layer, const SodaConfig& config) {
+// Ranking weights by entry-point location (paper Step 2: "a keyword
+// which was found in DBpedia gets a lower score than a keyword which was
+// found in the domain ontology").
+constexpr double kWeightDomainOntology = 1.0;
+constexpr double kWeightConceptual = 0.85;
+constexpr double kWeightLogical = 0.80;
+constexpr double kWeightPhysical = 0.75;
+constexpr double kWeightBaseData = 0.70;
+constexpr double kWeightDbpedia = 0.40;
+
+double LayerWeight(MetadataLayer layer) {
   switch (layer) {
     case MetadataLayer::kDomainOntology:
-      return config.weight_domain_ontology;
+      return kWeightDomainOntology;
     case MetadataLayer::kConceptualSchema:
-      return config.weight_conceptual;
+      return kWeightConceptual;
     case MetadataLayer::kLogicalSchema:
-      return config.weight_logical;
+      return kWeightLogical;
     case MetadataLayer::kPhysicalSchema:
-      return config.weight_physical;
+      return kWeightPhysical;
     case MetadataLayer::kBaseData:
-      return config.weight_base_data;
+      return kWeightBaseData;
     case MetadataLayer::kDbpedia:
-      return config.weight_dbpedia;
+      return kWeightDbpedia;
     case MetadataLayer::kOther:
       return 0.1;
   }
@@ -232,7 +242,7 @@ std::vector<Interpretation> RankAndTopN(const LookupOutput& lookup,
       const LookupTerm& term = lookup.terms[t];
       if (term.candidates.empty()) continue;
       const EntryPoint& ep = term.candidates[interpretation.choice[t]];
-      total += LayerWeight(ep.layer, config);
+      total += LayerWeight(ep.layer);
       ++counted;
     }
     interpretation.score = counted == 0 ? 0.0 : total / counted;

@@ -88,7 +88,7 @@ std::vector<Interpretation> RankAndTopN(const LookupOutput& lookup,
                                         const SodaConfig& config);
 
 /// The ranking weight of one entry point (by metadata layer).
-double LayerWeight(MetadataLayer layer, const SodaConfig& config);
+double LayerWeight(MetadataLayer layer);
 
 }  // namespace soda
 

@@ -221,12 +221,9 @@ struct SearchOutput {
   std::vector<SodaResult> results;
   StepTimings timings;
 
-  /// Engine-level observability. Plain Soda::Search leaves the defaults;
-  /// SodaEngine::Search fills them in.
+  /// Served materialized from the engine's result cache (plain
+  /// Soda::Search never sets it).
   bool from_cache = false;
-  size_t cache_hits = 0;    // engine-lifetime counters at response time
-  size_t cache_misses = 0;
-  size_t threads_used = 1;  // pool width that produced this answer
 
   /// How many of the five pipeline stages this response skipped: 0 for a
   /// cold translation, 1/4 when a session resumed a cached plan

@@ -28,7 +28,6 @@
 #ifndef SODA_CORE_SERVICE_H_
 #define SODA_CORE_SERVICE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -120,15 +119,11 @@ struct AsyncSearch {
 /// changes re-rank from Step 2 — with output byte-identical to a cold
 /// constrained translation.
 ///
-/// Freshness: when a FreshnessManager watches the owning engine, the plan
-/// is registered under its lookup's term vocabulary in the same reverse
-/// maps that invalidate cached answers; a base-data mutation that could
-/// change the lookup flips `valid` (under the exclusive data lock, so
-/// no resume can race it) and the next Refine re-translates. Without a
-/// manager, `captured_at_sequence` is compared against the change log
-/// instead — any mutation voids the plan. Plans deregister themselves on
-/// destruction; destroy sessions/plans before the manager they are
-/// registered with.
+/// Freshness: a plan is resumable only while the change log's sequence
+/// still equals `captured_at_sequence` — any base-data mutation voids it,
+/// the same rule the deferred stream cache insert follows, and the next
+/// Refine re-translates. `freshness_terms` ride along so a resumed
+/// unconstrained answer is still cached with its dependencies.
 struct TranslationPlan {
   std::string key;  // NormalizedQueryKey of the question
   InputQuery parsed;
@@ -137,16 +132,6 @@ struct TranslationPlan {
   std::vector<InterpretationState> states;  // post-Filters, pre-Sql snapshot
   std::vector<std::string> freshness_terms;
   uint64_t captured_at_sequence = 0;
-  bool watched = false;  // registered with a FreshnessManager
-  std::atomic<bool> valid{true};
-  std::function<void()> deregister;
-
-  TranslationPlan() = default;
-  TranslationPlan(const TranslationPlan&) = delete;
-  TranslationPlan& operator=(const TranslationPlan&) = delete;
-  ~TranslationPlan() {
-    if (deregister) deregister();
-  }
 };
 
 class SodaService {
@@ -220,9 +205,9 @@ class SodaService {
   /// from a ChangeListener). Returns the number of new posting entries.
   virtual size_t ApplyBaseDataDelta(const ChangeEvent& event) = 0;
 
-  /// Registers the freshness manager cache inserts (and session plans)
-  /// are reported to. Install before serving traffic; nullptr detaches.
-  /// Normally called by FreshnessManager::Track.
+  /// Registers the freshness manager cache inserts are reported to.
+  /// Install before serving traffic; nullptr detaches. Normally called
+  /// by FreshnessManager::Track.
   virtual void set_freshness(FreshnessManager* freshness) = 0;
 
   /// Replaces the metrics sink on the engine (every shard, on the

@@ -31,8 +31,10 @@
 //
 // Not thread-safe: a session models one user's conversation. Use one
 // session per concurrent user; the shared service underneath is fully
-// concurrent. Destroy sessions before the FreshnessManager tracking the
-// service (their plans deregister themselves on destruction).
+// concurrent. A plan is stale as soon as the database's change log
+// moves past the sequence it was captured at — any append, whatever it
+// touched — and holds no reference to a FreshnessManager, so sessions
+// and managers may be destroyed in either order.
 
 #ifndef SODA_CORE_SESSION_H_
 #define SODA_CORE_SESSION_H_

@@ -9,6 +9,7 @@ namespace soda {
 Result<std::unique_ptr<Soda>> Soda::Create(
     const Database* db, const MetadataGraph* graph, PatternLibrary patterns,
     SodaConfig config) {
+  if (db == nullptr) return Status::InvalidArgument("Soda needs a database");
   // Not make_unique: the constructor is private to force construction
   // through this factory (and its init_status_ check).
   std::unique_ptr<Soda> soda(new Soda(db, graph, std::move(patterns), config));
@@ -20,16 +21,16 @@ Soda::Soda(const Database* db, const MetadataGraph* graph,
            PatternLibrary patterns, SodaConfig config)
     : db_(db), graph_(graph), patterns_(std::move(patterns)),
       config_(config), closure_(graph_->num_nodes()) {
-  if (db_ != nullptr) inverted_index_.Build(*db_);
-  classification_.Build(*graph_, db_ != nullptr ? &inverted_index_ : nullptr);
+  inverted_index_.Build(*db_);
+  classification_.Build(*graph_, &inverted_index_);
   matcher_ = std::make_unique<PatternMatcher>(graph_, &patterns_);
   init_status_ = join_graph_.Build(*matcher_);
   lookup_step_ = std::make_unique<LookupStep>(&classification_, &config_);
   tables_step_ = std::make_unique<TablesStep>(matcher_.get(), &join_graph_,
                                               &config_, &closure_);
   filters_step_ = std::make_unique<FiltersStep>(db_);
-  generator_ = std::make_unique<SqlGenerator>(
-      matcher_.get(), &join_graph_, &classification_, &config_);
+  generator_ = std::make_unique<SqlGenerator>(matcher_.get(), &join_graph_,
+                                              &classification_);
   executor_ = std::make_unique<Executor>(db_);
 
   lookup_stage_ = std::make_unique<LookupStage>(lookup_step_.get());
@@ -72,8 +73,8 @@ Result<SearchOutput> Soda::Search(const std::string& query,
   // Live-data discipline: hold the database's shared data lock for the
   // whole serve, so concurrent appends (exclusive holders) can never
   // interleave with the pipeline, the index probes or the snippet scan.
-  std::shared_lock<std::shared_mutex> data_guard;
-  if (db_ != nullptr) data_guard = db_->change_log().ReaderLock();
+  std::shared_lock<std::shared_mutex> data_guard =
+      db_->change_log().ReaderLock();
 
   auto t_start = std::chrono::steady_clock::now();
   QueryContext ctx(query);
@@ -82,7 +83,7 @@ Result<SearchOutput> Soda::Search(const std::string& query,
   SODA_RETURN_NOT_OK(RunPipeline(stages_, &ctx));
   SearchOutput output = FinalizeOutput(std::move(ctx));
 
-  if (config_.execute_snippets && db_ != nullptr) {
+  if (config_.execute_snippets) {
     StageScope exec(kExecuteTiming, TraceContext{}, metrics, &output.timings);
     for (SodaResult& result : output.results) {
       ExecuteSnippet(&result, metrics);

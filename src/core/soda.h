@@ -79,8 +79,9 @@ class Soda {
  public:
   /// Builds the search engine over an existing catalog + metadata graph,
   /// propagating any index-construction failure (e.g. a malformed join
-  /// pattern) instead of deferring it. `db` and `graph` must outlive the
-  /// returned instance. This is the only way to construct a Soda — a
+  /// pattern) instead of deferring it. `db` (required: a null one is
+  /// InvalidArgument) and `graph` must outlive the returned instance.
+  /// This is the only way to construct a Soda — a
   /// returned instance is always fully initialized, so Search never has
   /// to report a construction-time failure after the fact.
   ///

@@ -32,8 +32,7 @@ Result<SqlGenerator::ResolvedArgument> SqlGenerator::ResolveArgument(
   // domain-ontology terms win over raw physical names.
   std::stable_sort(candidates.begin(), candidates.end(),
                    [&](const EntryPoint& a, const EntryPoint& b) {
-                     return LayerWeight(a.layer, *config_) >
-                            LayerWeight(b.layer, *config_);
+                     return LayerWeight(a.layer) > LayerWeight(b.layer);
                    });
   for (const EntryPoint& candidate : candidates) {
     if (candidate.kind != EntryPoint::Kind::kMetadataNode) continue;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/classification.h"
-#include "core/config.h"
 #include "core/filters_step.h"
 #include "core/input_query.h"
 #include "core/join_graph.h"
@@ -21,12 +20,10 @@ namespace soda {
 class SqlGenerator {
  public:
   SqlGenerator(const PatternMatcher* matcher, const JoinGraph* join_graph,
-               const ClassificationIndex* classification,
-               const SodaConfig* config)
+               const ClassificationIndex* classification)
       : matcher_(matcher),
         join_graph_(join_graph),
-        classification_(classification),
-        config_(config) {}
+        classification_(classification) {}
 
   /// Builds the statement for one interpretation. `query` carries the
   /// aggregation / group-by / top-N operators; `tables` and `filters` are
@@ -57,7 +54,6 @@ class SqlGenerator {
   const PatternMatcher* matcher_;
   const JoinGraph* join_graph_;
   const ClassificationIndex* classification_;
-  const SodaConfig* config_;
 };
 
 }  // namespace soda

@@ -60,6 +60,9 @@ void PushUniqueJoin(std::vector<JoinEdge>* joins, const JoinEdge& edge) {
   joins->push_back(edge);
 }
 
+// Maximum depth of the metadata-graph traversal from one entry point.
+constexpr size_t kMaxTraversalDepth = 8;
+
 }  // namespace
 
 void TablesStep::Traverse(NodeId start, TraverseClosure* out) const {
@@ -134,7 +137,7 @@ void TablesStep::Traverse(NodeId start, TraverseClosure* out) const {
       }
     }
 
-    if (depth >= config_->max_traversal_depth) continue;
+    if (depth >= kMaxTraversalDepth) continue;
     for (const char* predicate : kTraversalPredicates) {
       for (NodeId next : graph.Targets(node, predicate)) {
         if (visited.insert(next).second) {

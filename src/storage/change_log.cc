@@ -66,8 +66,7 @@ void ChangeLog::PublishLocked(const Table& table, size_t row_begin,
   // dataset construction without a live listener stays copy-free.
   if (listeners_.empty()) return;
   // Interning happens here, under the exclusive data lock, so sharing
-  // the dictionary with every replica's index is race-free.
-  if (dict_ == nullptr) dict_ = std::make_shared<TokenDict>();
+  // the dictionary with the inverted index is race-free.
   ChangeEvent event;
   event.table = table.name();
   event.row_begin = row_begin;

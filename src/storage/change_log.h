@@ -56,11 +56,11 @@ class Table;
 /// entry, so `rows` carries the exact positions). Values arrive
 /// pre-tokenized as interned TokenIds against the log's dictionary
 /// (ChangeEvent::dict): the event is built once per mutation but
-/// consumed by every listener and every shard replica's index —
-/// tokenizing AND interning at the source keeps the exclusive-lock
-/// window (which stalls all serving) from paying one Tokenize per
-/// consumer, and replicas sharing the dictionary apply deltas without
-/// touching a token string at all.
+/// consumed by every listener — tokenizing AND interning at the source
+/// keeps the exclusive-lock window (which stalls all serving) from
+/// paying one Tokenize per consumer, and the inverted index, which
+/// shares the dictionary, applies deltas without touching a token
+/// string at all.
 struct ColumnDelta {
   std::string column;
   uint32_t column_index = 0;
@@ -79,8 +79,8 @@ struct ChangeEvent {
   size_t row_end = 0;
   uint64_t sequence = 0;
   /// The dictionary the deltas' token_ids were interned against — the
-  /// database's shared vocabulary. Consumers whose index shares it use
-  /// the ids verbatim; foreign consumers translate via Spelling().
+  /// database's shared vocabulary. The index built over the database
+  /// uses the ids verbatim; other consumers resolve them via Spelling().
   std::shared_ptr<const TokenDict> dict;
   std::vector<ColumnDelta> deltas;  // string columns only, in column order
 
@@ -128,13 +128,8 @@ class ChangeLog {
   void Subscribe(ChangeListener* listener);
   void Unsubscribe(ChangeListener* listener);
 
-  /// The dictionary published events intern their token ids against.
-  /// Database wires its shared vocabulary in at construction; a log
-  /// without one lazily creates a private dictionary on first publish.
-  /// Call before any mutation traffic (not internally synchronized).
-  void set_token_dict(std::shared_ptr<TokenDict> dict) {
-    dict_ = std::move(dict);
-  }
+  /// The dictionary published events intern their token ids against:
+  /// the database's shared vocabulary (Database::token_dict()).
   const std::shared_ptr<TokenDict>& token_dict() const { return dict_; }
 
   /// Opens/closes a batched epoch. Nestable; only the outermost EndEpoch
@@ -193,7 +188,7 @@ class ChangeLog {
   mutable std::shared_mutex data_mu_;
 
   // All below guarded by data_mu_ (exclusive for writes).
-  std::shared_ptr<TokenDict> dict_;
+  std::shared_ptr<TokenDict> dict_ = std::make_shared<TokenDict>();
   std::vector<ChangeListener*> listeners_;
   std::vector<PendingRange> pending_;  // first-touch order
   int epoch_depth_ = 0;

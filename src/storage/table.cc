@@ -85,14 +85,14 @@ Value Table::ValueAt(size_t row_index, const std::string& column_name) const {
   return rows_[row_index][static_cast<size_t>(col)];
 }
 
-Database::Database()
-    : token_dict_(std::make_shared<TokenDict>()),
-      change_log_(std::make_unique<ChangeLog>()) {
-  change_log_->set_token_dict(token_dict_);
-}
+Database::Database() : change_log_(std::make_unique<ChangeLog>()) {}
 Database::~Database() = default;
 Database::Database(Database&&) noexcept = default;
 Database& Database::operator=(Database&&) noexcept = default;
+
+const std::shared_ptr<TokenDict>& Database::token_dict() const {
+  return change_log_->token_dict();
+}
 
 Result<Table*> Database::CreateTable(const std::string& name,
                                      std::vector<ColumnDef> columns) {

@@ -180,17 +180,16 @@ class Database {
   /// mutations of the catalog (the engines hold `const Database*`).
   ChangeLog& change_log() const { return *change_log_; }
 
-  /// The database's shared token vocabulary: every InvertedIndex built
-  /// over this catalog adopts it (so N shard replicas hold one copy, not
-  /// N), and the change log interns published deltas against it. Appends
-  /// happen under the change log's exclusive data lock only.
-  const std::shared_ptr<TokenDict>& token_dict() const { return token_dict_; }
+  /// The database's shared token vocabulary, owned by its change log:
+  /// the InvertedIndex built over this catalog adopts it, and the change
+  /// log interns published deltas against it. Appends happen under the
+  /// change log's exclusive data lock only.
+  const std::shared_ptr<TokenDict>& token_dict() const;
 
  private:
   // Creation order preserved for deterministic iteration.
   std::vector<std::unique_ptr<Table>> tables_;
   std::map<std::string, Table*> by_name_;  // folded-lowercase name -> table
-  std::shared_ptr<TokenDict> token_dict_;
   std::unique_ptr<ChangeLog> change_log_;
 };
 

@@ -52,11 +52,10 @@ bool InvertedIndex::ValueKeyEq::operator()(uint32_t a,
 }
 
 void InvertedIndex::Build(const Database& db) {
-  // Adopt the database's shared vocabulary so every replica built over
-  // this catalog holds the same dictionary instance.
-  if (dict_ == nullptr) dict_ = db.token_dict();
-  // The build appends to a possibly-shared dictionary; exclude readers
-  // (replicas are built sequentially, so this never self-deadlocks).
+  // Adopt the database's shared vocabulary, so change-log events arrive
+  // interned against this index's own dictionary.
+  dict_ = db.token_dict();
+  // The build appends to the shared dictionary; exclude readers.
   auto lock = db.change_log().WriterLock();
   for (const Table* table : db.tables()) {
     IndexTable(*table);
@@ -80,34 +79,14 @@ void InvertedIndex::IndexTable(const Table& table) {
 
 size_t InvertedIndex::ApplyDelta(const ChangeEvent& event) {
   uint32_t table_ord = TableOrdinal(event.table);
-  const bool same_dict = event.dict != nullptr && event.dict.get() == dict_.get();
   size_t inserted = 0;
   for (const ColumnDelta& delta : event.deltas) {
     for (size_t i = 0; i < delta.values.size(); ++i) {
-      // Events carry each value pre-tokenized as interned ids so N shard
-      // replicas do not re-tokenize under the exclusive data lock.
-      const std::vector<TokenId>* ids =
-          i < delta.token_ids.size() ? &delta.token_ids[i] : nullptr;
-      if (ids != nullptr && same_dict) {
-        // Shared dictionary: the ids are already ours.
-        inserted += AddOccurrence(table_ord, delta.column_index, delta.rows[i],
-                                  event.table, delta.column, delta.values[i],
-                                  ids);
-      } else if (ids != nullptr && event.dict != nullptr) {
-        // Foreign dictionary: translate id -> spelling -> our id. Rare
-        // path (an index subscribed to a database it was not built over).
-        if (dict_ == nullptr) dict_ = std::make_shared<TokenDict>();
-        translate_scratch_.clear();
-        for (TokenId id : *ids) {
-          translate_scratch_.push_back(dict_->Intern(event.dict->Spelling(id)));
-        }
-        inserted += AddOccurrence(table_ord, delta.column_index, delta.rows[i],
-                                  event.table, delta.column, delta.values[i],
-                                  &translate_scratch_);
-      } else {
-        inserted += AddOccurrence(table_ord, delta.column_index, delta.rows[i],
-                                  event.table, delta.column, delta.values[i]);
-      }
+      // Events carry each value pre-tokenized as ids interned against
+      // the database's dictionary, which Build adopted: they are ours.
+      inserted += AddOccurrence(table_ord, delta.column_index, delta.rows[i],
+                                event.table, delta.column, delta.values[i],
+                                &delta.token_ids[i]);
     }
   }
   return inserted;

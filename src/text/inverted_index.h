@@ -18,9 +18,10 @@
 // multi-token probe walks the postings of the RAREST phrase token and
 // prunes candidates against the other tokens' lists by sorted merge
 // before verifying adjacency. When the index is built over a Database it
-// adopts the database's dictionary, so every shard replica shares one
-// vocabulary; probes only ever read the dictionary (Find), never extend
-// it — appends happen under the change log's exclusive data lock.
+// adopts the database's dictionary, so the index and the change log's
+// events share one vocabulary; probes only ever read the dictionary
+// (Find), never extend it — appends happen under the change log's
+// exclusive data lock.
 
 #ifndef SODA_TEXT_INVERTED_INDEX_H_
 #define SODA_TEXT_INVERTED_INDEX_H_
@@ -58,8 +59,7 @@ class InvertedIndex {
 
   /// Indexes every string column of every table in `db`, under the
   /// database change log's exclusive data lock (the build appends to the
-  /// shared dictionary). Adopts db.token_dict() unless a dictionary was
-  /// set explicitly beforehand.
+  /// shared dictionary). Adopts db.token_dict().
   void Build(const Database& db);
 
   /// Indexes one table (incremental build). Callers on a live database
@@ -67,21 +67,17 @@ class InvertedIndex {
   /// run quiesced.
   void IndexTable(const Table& table);
 
-  /// The dictionary tokens are interned through. Setting one explicitly
-  /// (before any indexing) overrides the Build-time adoption — used to
-  /// force a private vocabulary; a plain IndexTable build without a
-  /// database creates one lazily.
-  void set_token_dict(std::shared_ptr<TokenDict> dict) {
-    dict_ = std::move(dict);
-  }
+  /// The dictionary tokens are interned through: the database's after
+  /// Build; a plain IndexTable build without a database creates one
+  /// lazily.
   const std::shared_ptr<TokenDict>& token_dict() const { return dict_; }
 
   /// Incremental index maintenance: inserts the appended (table, column,
   /// value) occurrences of one ChangeEvent in place — append-only
   /// matches the paper's historization model, so no rebuild is ever
-  /// needed. Events from a log sharing this index's dictionary apply
-  /// their TokenIds verbatim; foreign events are translated through the
-  /// event's dictionary (or re-tokenized when it carries none). Postings
+  /// needed. REQUIRES an index built (Build) over the event's database:
+  /// the event's TokenIds are interned against that database's
+  /// dictionary, which this index then shares, and apply verbatim. Postings
   /// are kept ordered by the value's first-occurrence scan position
   /// (table creation order, column, row), so every probe (LookupPhrase /
   /// CountPhrase / ContainsPhrase / ContainsToken) returns results
@@ -114,8 +110,8 @@ class InvertedIndex {
 
   /// Approximate heap footprint of the index structures (stored values,
   /// token arena, postings, value-key interner). EXCLUDES the token
-  /// dictionary — it is typically shared across replicas; account for it
-  /// once via token_dict()->ApproxMemoryBytes().
+  /// dictionary — it is the database's, shared with its change log;
+  /// account for it via token_dict()->ApproxMemoryBytes().
   size_t ApproxMemoryBytes() const;
 
  private:
@@ -169,8 +165,8 @@ class InvertedIndex {
   /// one non-empty string occurrence at scan position (table_ord,
   /// column_index, row_index). `token_ids`, when non-null, is the
   /// value's pre-interned token sequence AGAINST THIS INDEX'S dictionary
-  /// (ChangeEvents from the shared log ship it); null means tokenize and
-  /// intern here. Returns the number of posting entries inserted (0 for
+  /// (ChangeEvents from the database's log ship it); null means tokenize
+  /// and intern here. Returns the number of posting entries inserted (0 for
   /// an already-known value).
   size_t AddOccurrence(uint32_t table_ord, uint32_t column_index,
                        size_t row_index, const std::string& table,
@@ -187,7 +183,7 @@ class InvertedIndex {
   std::vector<TokenId> token_arena_;
   // TokenId -> indexes into values_ (deduplicated, sorted by order_key).
   // Dense by id; slots for dictionary tokens this index never saw stay
-  // empty (the dictionary may be shared wider than this index).
+  // empty (the dictionary is the database's, shared with its log).
   std::vector<std::vector<uint32_t>> postings_;
   size_t num_tokens_ = 0;  // non-empty postings lists
   std::vector<StoredValue> values_;
@@ -200,7 +196,6 @@ class InvertedIndex {
   // Mutation-path scratch (builds and delta applies are serialized by
   // the exclusive data lock; probes never touch these).
   std::vector<TokenId> intern_scratch_;
-  std::vector<TokenId> translate_scratch_;
   std::vector<TokenId> dedupe_scratch_;
 };
 

@@ -4,8 +4,8 @@
 // addressed by a dense uint32 TokenId from then on: stored-value token
 // sequences, postings lists and phrase probes all operate on ids, so
 // phrase verification is an integer-sequence search instead of a
-// string-compare scan, and N shard replicas over one database share ONE
-// vocabulary instead of holding N private copies.
+// string-compare scan, and a database's index and change log share ONE
+// vocabulary, so published deltas apply without re-tokenizing.
 //
 // Concurrency contract. The dictionary is append-only and NOT internally
 // synchronized; it inherits the change log's readers-writer discipline

@@ -131,14 +131,14 @@ TEST_F(EngineMiniBankTest, CacheHitShortCircuitsAndCounts) {
   auto miss = engine->Search(query);
   ASSERT_TRUE(miss.ok()) << miss.status();
   EXPECT_FALSE(miss->from_cache);
-  EXPECT_EQ(miss->cache_hits, 0u);
-  EXPECT_EQ(miss->cache_misses, 1u);
+  EXPECT_EQ(engine->cache_stats().hits, 0u);
+  EXPECT_EQ(engine->cache_stats().misses, 1u);
 
   auto hit = engine->Search(query);
   ASSERT_TRUE(hit.ok()) << hit.status();
   EXPECT_TRUE(hit->from_cache);
-  EXPECT_EQ(hit->cache_hits, 1u);
-  EXPECT_EQ(hit->cache_misses, 1u);
+  EXPECT_EQ(engine->cache_stats().hits, 1u);
+  EXPECT_EQ(engine->cache_stats().misses, 1u);
   EXPECT_EQ(Fingerprint(*miss), Fingerprint(*hit));
 
   // The key collapses whitespace (the tokenizer splits on it anyway)...

@@ -149,13 +149,12 @@ TEST_F(LookupRankTest, ComparisonWithoutLhsFails) {
 // ---------------------------------------------------------------------------
 
 TEST_F(LookupRankTest, LayerWeightsOrdered) {
-  SodaConfig config;
-  EXPECT_GT(LayerWeight(MetadataLayer::kDomainOntology, config),
-            LayerWeight(MetadataLayer::kConceptualSchema, config));
-  EXPECT_GT(LayerWeight(MetadataLayer::kConceptualSchema, config),
-            LayerWeight(MetadataLayer::kLogicalSchema, config));
-  EXPECT_GT(LayerWeight(MetadataLayer::kBaseData, config),
-            LayerWeight(MetadataLayer::kDbpedia, config));
+  EXPECT_GT(LayerWeight(MetadataLayer::kDomainOntology),
+            LayerWeight(MetadataLayer::kConceptualSchema));
+  EXPECT_GT(LayerWeight(MetadataLayer::kConceptualSchema),
+            LayerWeight(MetadataLayer::kLogicalSchema));
+  EXPECT_GT(LayerWeight(MetadataLayer::kBaseData),
+            LayerWeight(MetadataLayer::kDbpedia));
 }
 
 TEST_F(LookupRankTest, RankingPrefersOntologyOverDbpedia) {

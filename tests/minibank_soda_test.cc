@@ -37,6 +37,15 @@ class MiniBankSodaTest : public ::testing::Test {
 MiniBank* MiniBankSodaTest::bank_ = nullptr;
 Soda* MiniBankSodaTest::soda_ = nullptr;
 
+// A Soda always searches a database: building one without is an error,
+// not a metadata-only mode.
+TEST_F(MiniBankSodaTest, CreateRequiresDatabase) {
+  auto soda = Soda::Create(nullptr, &bank_->graph,
+                           CreditSuissePatternLibrary(), SodaConfig{});
+  ASSERT_FALSE(soda.ok());
+  EXPECT_EQ(soda.status().code(), StatusCode::kInvalidArgument);
+}
+
 // Paper Query 1: "Sara Guttinger" should generate a parties/individuals
 // join filtered on first and last name.
 TEST_F(MiniBankSodaTest, SaraGuttingerKeywordQuery) {
