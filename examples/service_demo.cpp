@@ -207,9 +207,8 @@ int main(int argc, char** argv) {
 
   // Live-base-data wiring: storage appends now publish ChangeEvents, the
   // manager applies incremental index deltas to the shared core and
-  // fires keyed invalidation for exactly the affected cache entries.
-  // Installed before serving so every cached answer's dependencies are
-  // recorded.
+  // fires keyed invalidation for exactly the affected cache entries,
+  // judged from the dependencies each cached answer carries.
   soda::FreshnessManager freshness(&(*bank)->db.change_log());
   freshness.Track(&engine);
 
@@ -319,9 +318,10 @@ int main(int argc, char** argv) {
 
   // Manual keyed invalidation is still available for callers that know
   // which keys a change affects...
-  size_t evicted = service.InvalidateWhere([](const std::string& key) {
-    return key.find("investments") != std::string::npos;
-  });
+  size_t evicted = service.InvalidateWhere(
+      [](const std::string& key, const soda::SearchOutput&) {
+        return key.find("investments") != std::string::npos;
+      });
   auto recomputed = service.Search(dashboard[1]);
   std::printf("---- keyed invalidation ---------------------------------\n"
               "  InvalidateWhere(\"investments\") evicted %zu entr%s; "

@@ -14,7 +14,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -70,36 +69,23 @@ class LruCache {
   }
 
   /// Inserts (or replaces) a value, evicting the least recently used
-  /// entry when over capacity. Returns the evicted entry's key when one
-  /// was dropped — the hook dependents (the freshness layer's reverse
-  /// maps) use to forget keys the cache can no longer serve.
-  std::optional<K> Put(const K& key, std::shared_ptr<const V> value) {
-    if (capacity_ == 0) return std::nullopt;
+  /// entry when over capacity.
+  void Put(const K& key, std::shared_ptr<const V> value) {
+    if (capacity_ == 0) return;
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
     if (it != map_.end()) {
       it->second->second = std::move(value);
       order_.splice(order_.begin(), order_, it->second);
-      return std::nullopt;
+      return;
     }
     order_.emplace_front(key, std::move(value));
     map_[key] = order_.begin();
     if (map_.size() > capacity_) {
-      std::optional<K> evicted(std::move(order_.back().first));
-      map_.erase(*evicted);
+      map_.erase(order_.back().first);
       order_.pop_back();
       ++evictions_;
-      return evicted;
     }
-    return std::nullopt;
-  }
-
-  /// Pure membership probe: no LRU bump, no hit/miss accounting — for
-  /// bookkeeping layers (freshness dependency maps) that must ask
-  /// "could this key still be served?" without distorting the stats.
-  bool Contains(const K& key) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.count(key) > 0;
   }
 
   /// Counts `n` extra hits without probing the map. The engine's batch
@@ -113,10 +99,11 @@ class LruCache {
     hits_ += n;
   }
 
-  /// Keyed eviction: drops every entry whose key satisfies `pred` and
-  /// returns how many were dropped. This is the cache-invalidation hook —
-  /// when base data changes, the engine evicts exactly the answers the
-  /// change can affect instead of nuking the whole cache. The predicate
+  /// Keyed eviction: drops every entry for which `pred(key, value)`
+  /// holds and returns how many were dropped. This is the
+  /// cache-invalidation hook — when base data changes, the engine evicts
+  /// exactly the answers the change can affect (judged from the stored
+  /// answers themselves) instead of nuking the whole cache. The predicate
   /// runs under the cache lock, so it must be cheap and must not touch
   /// the cache; in-flight readers keep their shared_ptr payloads alive.
   template <typename Pred>
@@ -124,7 +111,7 @@ class LruCache {
     std::lock_guard<std::mutex> lock(mu_);
     size_t erased = 0;
     for (auto it = order_.begin(); it != order_.end();) {
-      if (pred(it->first)) {
+      if (pred(it->first, *it->second)) {
         map_.erase(it->first);
         it = order_.erase(it);
         ++erased;

@@ -150,13 +150,15 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 
 bool EqualsFolded(std::string_view s, std::string_view t) {
   // FoldForMatch maps an ASCII byte to its tolower at the same output
-  // position, so over a common ASCII prefix the first differing byte
-  // decides, and a longer string folds to a longer result. Only a
+  // position and looks ahead at most one byte, so identical bytes fold
+  // identically, the first differing byte decides when both are ASCII,
+  // and a longer string folds to a longer result. Only a differing
   // non-ASCII byte needs the full fold.
   const size_t n = std::min(s.size(), t.size());
   for (size_t i = 0; i < n; ++i) {
     unsigned char a = static_cast<unsigned char>(s[i]);
     unsigned char b = static_cast<unsigned char>(t[i]);
+    if (a == b) continue;
     if (a >= 0x80 || b >= 0x80) return FoldForMatch(s) == FoldForMatch(t);
     if (std::tolower(a) != std::tolower(b)) return false;
   }

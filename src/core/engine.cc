@@ -8,7 +8,6 @@
 #include "common/failpoint.h"
 #include "common/strings.h"
 #include "common/trace.h"
-#include "core/freshness.h"
 #include "storage/change_log.h"
 
 namespace soda {
@@ -215,21 +214,9 @@ size_t SodaEngine::num_threads() const {
   return pool_.size() == 0 ? 1 : pool_.size();
 }
 
-size_t SodaEngine::InvalidateWhere(
-    const std::function<bool(const std::string&)>& pred) const {
-  // Collect the evicted keys while the predicate runs (under the cache
-  // lock — a plain push_back), so the freshness layer can drop their
-  // dependency records afterwards instead of leaking them.
-  std::vector<std::string> erased_keys;
-  size_t erased = cache_.EraseIf([&](const std::string& key) {
-    if (!pred(key)) return false;
-    if (freshness_ != nullptr) erased_keys.push_back(key);
-    return true;
-  });
+size_t SodaEngine::InvalidateWhere(const CachePredicate& pred) const {
+  size_t erased = cache_.EraseIf(pred);
   sink_->IncrementCounter("cache.invalidated", erased);
-  if (freshness_ != nullptr) {
-    for (const std::string& key : erased_keys) freshness_->Forget(key);
-  }
   return erased;
 }
 
@@ -240,26 +227,9 @@ std::shared_lock<std::shared_mutex> SodaEngine::ReadGuard() const {
 void SodaEngine::CacheInsert(const std::string& key, const SearchOutput& output,
                              const TraceContext& trace) const {
   if (cache_.capacity() == 0) return;
-  // Names a miss's copy and freshness book-keeping in a sampled trace.
+  // Names a miss's copy in a sampled trace.
   Span span(trace, "cache.insert");
-  // The manager keeps the dependency record; the stored copy does not
-  // need to carry the term vector through every future cache hit.
-  auto stored = std::make_shared<SearchOutput>(output);
-  stored->freshness_terms.clear();
-  stored->freshness_terms.shrink_to_fit();
-  std::optional<std::string> evicted = cache_.Put(key, std::move(stored));
-  if (freshness_ != nullptr) {
-    freshness_->RecordQuery(key, output);
-    // Capacity eviction: the dropped key can no longer be served, so
-    // its reverse-map entries would only leak — forget them, unless a
-    // concurrent serve re-inserted the same key meanwhile (ForgetEvicted
-    // re-checks membership under the manager's mutex).
-    if (evicted.has_value()) {
-      freshness_->ForgetEvicted(*evicted, [this](const std::string& k) {
-        return cache_.Contains(k);
-      });
-    }
-  }
+  cache_.Put(key, std::make_shared<SearchOutput>(output));
 }
 
 // ---------------------------------------------------------------------------
@@ -362,7 +332,6 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     QueryContext& ctx = job.ctx;
     ctx.config = &config;
     ctx.metrics = sink_.get();
-    ctx.collect_freshness_terms = freshness_ != nullptr;
     if (item.constrained()) ctx.constraints = item.constraints;
     // A batch query's span stays open until its task is done, so its
     // duration covers that query's pipeline and snippets; stage spans

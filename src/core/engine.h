@@ -9,8 +9,8 @@
 //   1. an LRU result cache keyed on the whitespace-normalized query
 //      string (case is kept: comparison literals are case-sensitive) —
 //      repeated business queries (dashboards, saved searches)
-//      short-circuit the whole pipeline; hit/miss counters are surfaced
-//      on every response;
+//      short-circuit the whole pipeline; hit/miss counters are read
+//      through cache_stats();
 //   2. a fixed-size worker pool that fans out across the queries of a
 //      batch, never within one query: each query's stages, its
 //      interpretations (in ranked order) and its snippets run on one
@@ -72,8 +72,6 @@
 
 namespace soda {
 
-class FreshnessManager;
-
 /// The engine's cache key and the sharded router's routing key:
 /// whitespace runs collapsed to single spaces, ends trimmed. Case is NOT
 /// folded — comparison literals ("family name = Meier") compare
@@ -106,8 +104,7 @@ class SodaEngine : public SodaService {
   /// behavior): SearchSession without a plan slot. Non-empty constraints
   /// bypass the cache. On a cache hit the stored output is copied with
   /// `from_cache` set; on a miss the pipeline and the snippets run on the
-  /// caller's thread. Every response carries the engine-lifetime cache
-  /// counters and the pool width.
+  /// caller's thread.
   Result<SearchOutput> Search(
       const std::string& query,
       const SessionConstraints& constraints) const override;
@@ -154,18 +151,18 @@ class SodaEngine : public SodaService {
   /// Cache observability.
   CacheStats cache_stats() const override { return cache_.stats(); }
 
-  /// Keyed cache invalidation: evicts every cached answer whose
-  /// normalized query key (see NormalizedQueryKey) satisfies `pred`, and
-  /// returns how many entries were dropped. This is the base-data update
-  /// hook for mutable warehouses — on a table refresh, evict the queries
-  /// that mention it instead of clearing the whole cache. Safe to call
+  /// Keyed cache invalidation: evicts every cached answer for which
+  /// `pred(key, answer)` holds — the key is the normalized query (see
+  /// NormalizedQueryKey), the answer the stored output — and returns how
+  /// many entries were dropped. This is the base-data update hook for
+  /// mutable warehouses — on a table refresh, evict the answers that
+  /// read it instead of clearing the whole cache. Safe to call
   /// concurrently with Search traffic: the predicate runs under the
   /// cache lock (keep it cheap; it must not call back into the engine),
   /// and in-flight readers keep their payloads alive. Note async
   /// streaming inserts into the cache inside SnippetStream::Run(), so
   /// invalidate after Run() to cover in-flight async answers.
-  size_t InvalidateWhere(
-      const std::function<bool(const std::string&)>& pred) const override;
+  size_t InvalidateWhere(const CachePredicate& pred) const override;
 
   /// Incremental base-data maintenance: forwards one storage ChangeEvent
   /// to the underlying Soda's inverted index (which every engine sharing
@@ -177,16 +174,6 @@ class SodaEngine : public SodaService {
   /// Returns the number of new posting entries.
   size_t ApplyBaseDataDelta(const ChangeEvent& event) override {
     return soda_->ApplyBaseDataDelta(event);
-  }
-
-  /// Registers the freshness manager this engine reports cache inserts
-  /// to: each materialized answer's (normalized key, dependency terms,
-  /// referenced tables) triple is recorded so storage mutations can
-  /// invalidate exactly the affected keys. Install before serving
-  /// traffic (entries cached earlier have no recorded dependencies).
-  /// nullptr detaches. Normally called by FreshnessManager::Track.
-  void set_freshness(FreshnessManager* freshness) override {
-    freshness_ = freshness;
   }
 
   /// Replaces the metrics sink (push exporters such as statsd plug in
@@ -247,7 +234,7 @@ class SodaEngine : public SodaService {
                         const char* query_span) const;
 
   /// Expands per-unique BatchItems into per-input-index outputs, booking
-  /// dedup repeats as cache hits and stamping the lifetime counters.
+  /// dedup repeats as cache hits.
   /// `mark_dedup_as_cached` sets from_cache on in-batch repeats — true
   /// for the sync path (repeats are materialized), false for async
   /// (repeats are still-unexecuted translations).
@@ -272,9 +259,10 @@ class SodaEngine : public SodaService {
   /// covered them.
   std::shared_lock<std::shared_mutex> ReadGuard() const;
 
-  /// Cache insert + freshness dependency registration, one atom: both
-  /// happen under the caller's ReadGuard, inside a "cache.insert" span
-  /// under `trace`.
+  /// Caches a copy of `output` under `key` — its freshness_terms
+  /// included, the dependency record InvalidateWhere predicates read —
+  /// under the caller's ReadGuard, inside a "cache.insert" span under
+  /// `trace`.
   void CacheInsert(const std::string& key, const SearchOutput& output,
                    const TraceContext& trace) const;
 
@@ -287,7 +275,6 @@ class SodaEngine : public SodaService {
   std::vector<const PipelineStage*> stages_rank_on_;
   std::vector<const PipelineStage*> stages_pre_sql_;
   std::vector<const PipelineStage*> stages_sql_;
-  FreshnessManager* freshness_ = nullptr;
   mutable LruCache<std::string, SearchOutput> cache_;
   std::shared_ptr<InMemoryMetricsSink> default_sink_;
   std::shared_ptr<MetricsSink> sink_;

@@ -218,9 +218,7 @@ Status LookupStage::Run(QueryContext* ctx) const {
     ctx->metrics->IncrementCounter("index.probe_memo_misses",
                                    ctx->probe_memo->misses());
   }
-  if (ctx->collect_freshness_terms) {
-    ctx->freshness_terms = CollectFreshnessTerms(*ctx);
-  }
+  ctx->freshness_terms = CollectFreshnessTerms(*ctx);
   return Status::OK();
 }
 

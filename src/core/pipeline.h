@@ -234,9 +234,9 @@ struct SearchOutput {
   /// token Step 1 probed against the classification/inverted indexes
   /// (matched phrases, ignored words, aggregation and group-by
   /// arguments, string comparison operands), sorted and deduplicated.
-  /// Recorded cheaply during lookup; the FreshnessManager keys its
-  /// reverse map on these to invalidate cached answers whose lookup
-  /// could see an appended value (core/freshness.h).
+  /// Recorded cheaply during lookup and kept in the cached copy; the
+  /// FreshnessManager invalidates cached answers whose terms an appended
+  /// value's tokens intersect (core/freshness.h).
   std::vector<std::string> freshness_terms;
 };
 
@@ -320,11 +320,8 @@ struct QueryContext {
   /// only — NOT thread-safe; per-interpretation stages must not use it.
   std::unique_ptr<ProbeMemo> probe_memo;
 
-  /// When set, LookupStage records the probed token vocabulary into
-  /// freshness_terms (moved into SearchOutput by FinalizeOutput). The
-  /// engine turns it on when a FreshnessManager is attached; otherwise
-  /// nobody would read the terms, so the collection is skipped.
-  bool collect_freshness_terms = false;
+  /// The probed token vocabulary LookupStage records (moved into
+  /// SearchOutput by FinalizeOutput).
   std::vector<std::string> freshness_terms;
 };
 

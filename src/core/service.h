@@ -44,7 +44,6 @@
 
 namespace soda {
 
-class FreshnessManager;
 struct ChangeEvent;
 
 /// Delivered once per (query_index, result_index) pair by
@@ -134,6 +133,11 @@ struct TranslationPlan {
   uint64_t captured_at_sequence = 0;
 };
 
+/// An InvalidateWhere predicate over one cached entry: its normalized
+/// query key and the stored answer.
+using CachePredicate = std::function<bool(const std::string& key,
+                                          const SearchOutput& answer)>;
+
 class SodaService {
  public:
   virtual ~SodaService() = default;
@@ -186,29 +190,24 @@ class SodaService {
   /// Cache observability (fleet-level sums on the router).
   virtual CacheStats cache_stats() const = 0;
 
-  /// Drops every cached answer. One InvalidateWhere that matches every
-  /// key, so a clear books cache.invalidated and the freshness manager
-  /// forgets the cleared keys' dependency records.
+  /// Drops every cached answer: one InvalidateWhere that matches every
+  /// entry, so a clear books cache.invalidated.
   void ClearCache() const {
-    InvalidateWhere([](const std::string&) { return true; });
+    InvalidateWhere(
+        [](const std::string&, const SearchOutput&) { return true; });
   }
 
-  /// Keyed cache invalidation: evicts every cached answer whose key
-  /// satisfies `pred`, returns how many. Keys are normalized queries
-  /// (NormalizedQueryKey); constrained answers are never cached.
-  virtual size_t InvalidateWhere(
-      const std::function<bool(const std::string&)>& pred) const = 0;
+  /// Keyed cache invalidation: evicts every cached answer for which
+  /// `pred(key, answer)` holds, returns how many. Keys are normalized
+  /// queries (NormalizedQueryKey); the answer is the stored output,
+  /// `freshness_terms` included. Constrained answers are never cached.
+  virtual size_t InvalidateWhere(const CachePredicate& pred) const = 0;
 
   /// Incremental base-data maintenance: forwards one storage ChangeEvent
   /// to the inverted index (once, to the shared core, on the router).
   /// MUST run under the database change log's exclusive data lock (i.e.
   /// from a ChangeListener). Returns the number of new posting entries.
   virtual size_t ApplyBaseDataDelta(const ChangeEvent& event) = 0;
-
-  /// Registers the freshness manager cache inserts are reported to.
-  /// Install before serving traffic; nullptr detaches. Normally called
-  /// by FreshnessManager::Track.
-  virtual void set_freshness(FreshnessManager* freshness) = 0;
 
   /// Replaces the metrics sink on the engine (every shard, on the
   /// router). Install before serving traffic; nullptr restores the

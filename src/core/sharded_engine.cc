@@ -263,8 +263,7 @@ CacheStats ShardedSodaEngine::cache_stats() const {
   return total;
 }
 
-size_t ShardedSodaEngine::InvalidateWhere(
-    const std::function<bool(const std::string&)>& pred) const {
+size_t ShardedSodaEngine::InvalidateWhere(const CachePredicate& pred) const {
   size_t erased = 0;
   for (const std::unique_ptr<SodaEngine>& shard : shards_) {
     erased += shard->InvalidateWhere(pred);
@@ -276,12 +275,6 @@ size_t ShardedSodaEngine::InvalidateWhere(
 size_t ShardedSodaEngine::ApplyBaseDataDelta(const ChangeEvent& event) {
   // One core: any shard forwards to it, and every shard sees the result.
   return shards_.front()->ApplyBaseDataDelta(event);
-}
-
-void ShardedSodaEngine::set_freshness(FreshnessManager* freshness) {
-  for (const std::unique_ptr<SodaEngine>& shard : shards_) {
-    shard->set_freshness(freshness);
-  }
 }
 
 void ShardedSodaEngine::set_metrics_sink(std::shared_ptr<MetricsSink> sink) {

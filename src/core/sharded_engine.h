@@ -131,12 +131,11 @@ class ShardedSodaEngine : public SodaService {
   /// capacity and size sum too — they describe the fleet).
   CacheStats cache_stats() const override;
 
-  /// Keyed invalidation fan-out: forwards `pred` (over normalized query
-  /// keys) to every shard and returns the total number of evicted
+  /// Keyed invalidation fan-out: forwards `pred` (over cached entries:
+  /// normalized query key and stored answer) to every shard and returns the total number of evicted
   /// entries. Each key lives on exactly one shard, so the total equals
   /// what a single engine would have evicted.
-  size_t InvalidateWhere(
-      const std::function<bool(const std::string&)>& pred) const override;
+  size_t InvalidateWhere(const CachePredicate& pred) const override;
 
   /// Incremental base-data maintenance: every shard shares one core, so
   /// one storage ChangeEvent is applied once, to the core's inverted
@@ -144,11 +143,6 @@ class ShardedSodaEngine : public SodaService {
   /// the change log's exclusive data lock, i.e. from a ChangeListener).
   /// Returns the number of new posting entries.
   size_t ApplyBaseDataDelta(const ChangeEvent& event) override;
-
-  /// Registers the freshness manager on every shard (each shard
-  /// reports its own cache inserts; the manager dedups by key). nullptr
-  /// detaches. Normally called by FreshnessManager::Track.
-  void set_freshness(FreshnessManager* freshness) override;
 
   /// Installs `sink` on every shard — the exporter hook for fleet
   /// deployments (MetricsSink implementations are thread-safe, so one

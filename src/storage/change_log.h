@@ -15,7 +15,9 @@
 //        ▼
 //   ChangeListener (e.g. core/freshness.h FreshnessManager)
 //        ├── InvertedIndex::ApplyDelta   (incremental postings, no rebuild)
-//        └── SodaEngine::InvalidateWhere (keyed cache eviction)
+//        └── SodaEngine::InvalidateWhere (evicts the cached answers whose
+//                                         own terms or tables the event
+//                                         touches)
 //
 // Concurrency contract. The log owns one readers-writer data lock for
 // the whole database: every search path holds it shared for the full

@@ -97,6 +97,8 @@ TEST(StringsTest, EqualsFoldedMatchesFoldForMatchOnRandomPairs) {
       {"z", "Z"},
       {"u", "U", "\xC3\xBC", "\xC3\x9C", "\xFC"},
       {"e", "E", "\xC3\xA9", "\xE9"},
+      {"ss", "\xC3\x9F"},
+      {"\xC3"},  // a lead byte with no Latin-1 continuation
       {"0"},
       {"9"},
       {"_"},

@@ -167,7 +167,7 @@ TEST(LruCacheTest, EraseIfDropsExactlyMatchingKeys) {
   cache.Put("orders today", std::make_shared<const int>(1));
   cache.Put("orders open", std::make_shared<const int>(2));
   cache.Put("customers Zürich", std::make_shared<const int>(3));
-  size_t erased = cache.EraseIf([](const std::string& key) {
+  size_t erased = cache.EraseIf([](const std::string& key, int) {
     return key.rfind("orders", 0) == 0;
   });
   EXPECT_EQ(erased, 2u);
@@ -180,13 +180,30 @@ TEST(LruCacheTest, EraseIfDropsExactlyMatchingKeys) {
   EXPECT_EQ(stats.size, 1u);
 }
 
+// The predicate sees each stored value, so an invalidation can judge an
+// entry by what it holds (the freshness layer reads the cached answer's
+// dependencies this way).
+TEST(LruCacheTest, EraseIfJudgesStoredValues) {
+  LruCache<std::string, int> cache(8);
+  cache.Put("a", std::make_shared<const int>(1));
+  cache.Put("b", std::make_shared<const int>(20));
+  cache.Put("c", std::make_shared<const int>(30));
+  EXPECT_EQ(
+      cache.EraseIf([](const std::string&, int value) { return value > 10; }),
+      2u);
+  EXPECT_NE(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.Get("b"), nullptr);
+  EXPECT_EQ(cache.Get("c"), nullptr);
+}
+
 TEST(LruCacheTest, EraseIfPreservesRecencyOrderOfSurvivors) {
   LruCache<std::string, int> cache(2);
   cache.Put("a", std::make_shared<const int>(1));
   cache.Put("b", std::make_shared<const int>(2));
   cache.Put("c", std::make_shared<const int>(3));  // evicts a; order c,b
-  EXPECT_EQ(cache.EraseIf([](const std::string& key) { return key == "x"; }),
-            0u);
+  EXPECT_EQ(
+      cache.EraseIf([](const std::string& key, int) { return key == "x"; }),
+      0u);
   cache.Put("d", std::make_shared<const int>(4));  // must evict b, not c
   EXPECT_EQ(cache.Get("b"), nullptr);
   EXPECT_NE(cache.Get("c"), nullptr);
@@ -196,7 +213,7 @@ TEST(LruCacheTest, EraseIfDoesNotInvalidateReaders) {
   LruCache<std::string, int> cache(4);
   cache.Put("a", std::make_shared<const int>(42));
   auto held = cache.Get("a");
-  EXPECT_EQ(cache.EraseIf([](const std::string&) { return true; }), 1u);
+  EXPECT_EQ(cache.EraseIf([](const std::string&, int) { return true; }), 1u);
   EXPECT_EQ(cache.Get("a"), nullptr);
   EXPECT_EQ(*held, 42);
 }
@@ -220,7 +237,7 @@ TEST(LruCacheTest, ConcurrentEraseIfAgainstMixedTraffic) {
   }
   threads.emplace_back([&] {
     for (int i = 0; i < 200; ++i) {
-      cache.EraseIf([i](const std::string& key) {
+      cache.EraseIf([i](const std::string& key, int) {
         return key == "k" + std::to_string(i % 32);
       });
     }

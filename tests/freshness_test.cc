@@ -324,7 +324,6 @@ TEST_F(FreshnessEngineTest, AutoInvalidationMatchesColdEngineAndIsKeyed) {
   for (const std::string& query : queries) {
     ASSERT_TRUE(engine->Search(query).ok());
   }
-  EXPECT_EQ(freshness.tracked_keys(), queries.size());
   uint64_t events_before = freshness.events_seen();
 
   AppendZebraQuuxville(&bank->db);
@@ -447,62 +446,76 @@ TEST_F(FreshnessEngineTest, ShardedSweepMatchesColdEngine) {
   }
 }
 
+// Appends race dashboard batches. The 4-shard router with two cache
+// slots per shard also races capacity evictions and re-inserts against
+// the invalidations.
 TEST_F(FreshnessEngineTest, ConcurrentAppendDuringSearchAllIsConsistent) {
-  auto bank = BuildMiniBank().value();
-  auto engine = SodaEngine::Create(&bank->db, &bank->graph,
+  for (size_t shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto bank = BuildMiniBank().value();
+    SodaConfig config = Config(/*threads=*/2, shards);
+    if (shards > 1) config.cache_capacity = 2;
+    std::unique_ptr<SodaService> service;
+    if (shards == 1) {
+      service = SodaEngine::Create(&bank->db, &bank->graph,
+                                   CreditSuissePatternLibrary(), config)
+                    .value();
+    } else {
+      service = ShardedSodaEngine::Create(&bank->db, &bank->graph,
+                                          CreditSuissePatternLibrary(), config)
+                    .value();
+    }
+    FreshnessManager freshness(&bank->db.change_log());
+    freshness.Track(service.get());
+
+    const std::vector<std::string> queries = Dashboard();
+    std::atomic<bool> stop{false};
+    std::atomic<size_t> batches{0};
+
+    std::thread searcher([&] {
+      while (!stop.load()) {
+        for (const auto& output : service->SearchAll(queries)) {
+          ASSERT_TRUE(output.ok());
+        }
+        batches.fetch_add(1);
+      }
+    });
+
+    // Every row lands under the exclusive data lock, so each batch sees
+    // a consistent prefix of the mutation stream.
+    Table* securities = bank->db.FindTable("securities");
+    ASSERT_NE(securities, nullptr);
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(securities
+                      ->Append({Value::Int(1000 + i),
+                                Value::Str("Racer Bond " + std::to_string(i)),
+                                Value::Str("RACE" + std::to_string(i))})
+                      .ok());
+      if (i == 10) {
+        // Let at least one batch land mid-stream.
+        while (batches.load() == 0 && !stop.load()) std::this_thread::yield();
+      }
+    }
+    stop.store(true);
+    searcher.join();
+
+    // Quiesced: the stayed-up service must now agree with a cold engine
+    // over the final database, for the mutated vocabulary too.
+    std::vector<std::string> final_queries = queries;
+    final_queries.push_back("securities Racer Bond");
+    auto cold = SodaEngine::Create(&bank->db, &bank->graph,
                                    CreditSuissePatternLibrary(),
                                    Config(/*threads=*/2, /*shards=*/1))
                     .value();
-  FreshnessManager freshness(&bank->db.change_log());
-  freshness.Track(engine.get());
-
-  const std::vector<std::string> queries = Dashboard();
-  std::atomic<bool> stop{false};
-  std::atomic<size_t> batches{0};
-
-  std::thread searcher([&] {
-    while (!stop.load()) {
-      for (const auto& output : engine->SearchAll(queries)) {
-        ASSERT_TRUE(output.ok());
-      }
-      batches.fetch_add(1);
+    for (const std::string& query : final_queries) {
+      auto stayed_up = service->Search(query);
+      auto fresh = cold->Search(query);
+      ASSERT_TRUE(stayed_up.ok()) << query;
+      ASSERT_TRUE(fresh.ok()) << query;
+      EXPECT_EQ(Fingerprint(*stayed_up), Fingerprint(*fresh)) << query;
     }
-  });
-
-  // Appends race the batches: every row lands under the exclusive data
-  // lock, so each batch sees a consistent prefix of the mutation stream.
-  Table* securities = bank->db.FindTable("securities");
-  ASSERT_NE(securities, nullptr);
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(securities
-                    ->Append({Value::Int(1000 + i),
-                              Value::Str("Racer Bond " + std::to_string(i)),
-                              Value::Str("RACE" + std::to_string(i))})
-                    .ok());
-    if (i == 10) {
-      // Let at least one batch land mid-stream.
-      while (batches.load() == 0 && !stop.load()) std::this_thread::yield();
-    }
+    EXPECT_EQ(freshness.events_seen(), 20u);
   }
-  stop.store(true);
-  searcher.join();
-
-  // Quiesced: the stayed-up engine must now agree with a cold engine
-  // over the final database, for the mutated vocabulary too.
-  std::vector<std::string> final_queries = queries;
-  final_queries.push_back("securities Racer Bond");
-  auto cold = SodaEngine::Create(&bank->db, &bank->graph,
-                                 CreditSuissePatternLibrary(),
-                                 Config(/*threads=*/2, /*shards=*/1))
-                  .value();
-  for (const std::string& query : final_queries) {
-    auto stayed_up = engine->Search(query);
-    auto fresh = cold->Search(query);
-    ASSERT_TRUE(stayed_up.ok()) << query;
-    ASSERT_TRUE(fresh.ok()) << query;
-    EXPECT_EQ(Fingerprint(*stayed_up), Fingerprint(*fresh)) << query;
-  }
-  EXPECT_EQ(freshness.events_seen(), 20u);
 }
 
 TEST_F(FreshnessEngineTest, DisabledCacheTracksNothingAndStaysSafe) {
@@ -516,7 +529,7 @@ TEST_F(FreshnessEngineTest, DisabledCacheTracksNothingAndStaysSafe) {
   freshness.Track(engine.get());
 
   ASSERT_TRUE(engine->Search("addresses Sara Guttinger").ok());
-  EXPECT_EQ(freshness.tracked_keys(), 0u);  // nothing cached → no deps
+  EXPECT_EQ(engine->cache_stats().size, 0u);
 
   AppendZebraQuuxville(&bank->db);
   EXPECT_EQ(freshness.events_seen(), 2u);
@@ -524,31 +537,9 @@ TEST_F(FreshnessEngineTest, DisabledCacheTracksNothingAndStaysSafe) {
   ASSERT_TRUE(engine->Search("addresses Quuxville").ok());
 }
 
-TEST_F(FreshnessEngineTest, CapacityEvictionForgetsDependencies) {
-  auto bank = BuildMiniBank().value();
-  SodaConfig config = Config(/*threads=*/1, /*shards=*/1);
-  config.cache_capacity = 2;
-  auto engine = SodaEngine::Create(&bank->db, &bank->graph,
-                                   CreditSuissePatternLibrary(), config)
-                    .value();
-  FreshnessManager freshness(&bank->db.change_log());
-  freshness.Track(engine.get());
-
-  // Three unique queries through a 2-entry cache: the LRU eviction must
-  // drop the first key's dependency record too, so the reverse maps stay
-  // bounded by the cache, not by every key ever served.
-  ASSERT_TRUE(engine->Search("addresses Sara Guttinger").ok());
-  ASSERT_TRUE(engine->Search("private customers family name").ok());
-  ASSERT_TRUE(engine->Search("customers Zürich financial instruments").ok());
-  EXPECT_EQ(engine->cache_stats().evictions, 1u);
-  EXPECT_EQ(freshness.tracked_keys(), 2u);
-}
-
-// ClearCache is InvalidateWhere over every key, so the freshness
-// manager forgets each cleared key's dependency records instead of
-// keeping them for answers that are gone — on a plain engine and on a
-// router alike. The clear books cache.invalidated.
-TEST_F(FreshnessEngineTest, ClearCacheForgetsDependencies) {
+// ClearCache is InvalidateWhere over every entry: it empties the cache
+// and books cache.invalidated, on a plain engine and on a router alike.
+TEST_F(FreshnessEngineTest, ClearCacheEvictsAndBooksEveryEntry) {
   auto bank = BuildMiniBank().value();
   auto engine = SodaEngine::Create(&bank->db, &bank->graph,
                                    CreditSuissePatternLibrary(),
@@ -561,26 +552,25 @@ TEST_F(FreshnessEngineTest, ClearCacheForgetsDependencies) {
   for (SodaService* service : {static_cast<SodaService*>(engine.get()),
                                static_cast<SodaService*>(router.get())}) {
     SCOPED_TRACE(service == engine.get() ? "engine" : "router");
-    FreshnessManager freshness(&bank->db.change_log());
-    freshness.Track(service);
     for (const auto& output : service->SearchAll(Dashboard())) {
       ASSERT_TRUE(output.ok()) << output.status();
     }
     const size_t cached = service->cache_stats().size;
     ASSERT_GT(cached, 0u);
-    EXPECT_EQ(freshness.tracked_keys(), cached);
     const uint64_t invalidated_before =
         service->metrics_snapshot().counter("cache.invalidated");
 
     service->ClearCache();
     EXPECT_EQ(service->cache_stats().size, 0u);
-    EXPECT_EQ(freshness.tracked_keys(), 0u);
     EXPECT_EQ(service->metrics_snapshot().counter("cache.invalidated"),
               invalidated_before + cached);
   }
 }
 
-TEST_F(FreshnessEngineTest, DestroyedManagerDetachesFromEngines) {
+// Engines hold no pointer to the manager, so an engine keeps serving and
+// caching after the manager that tracked it is gone (the ASan leg guards
+// the negative).
+TEST_F(FreshnessEngineTest, EngineOutlivesDestroyedManager) {
   auto bank = BuildMiniBank().value();
   auto engine = SodaEngine::Create(&bank->db, &bank->graph,
                                    CreditSuissePatternLibrary(),
@@ -590,12 +580,49 @@ TEST_F(FreshnessEngineTest, DestroyedManagerDetachesFromEngines) {
     FreshnessManager freshness(&bank->db.change_log());
     freshness.Track(engine.get());
     ASSERT_TRUE(engine->Search("addresses Sara Guttinger").ok());
-    EXPECT_EQ(freshness.tracked_keys(), 1u);
   }
-  // The manager is gone; the engine must have been detached — a cache
-  // insert after this point must not call into freed memory (ASan leg
-  // guards the negative).
   ASSERT_TRUE(engine->Search("customers Zürich financial instruments").ok());
+  AppendZebraQuuxville(&bank->db);
+  EXPECT_EQ(engine->cache_stats().size, 2u);
+}
+
+// An answer cached before Track carries its own dependencies, so the
+// first append after Track still evicts it.
+TEST_F(FreshnessEngineTest, AnswerCachedBeforeTrackIsInvalidated) {
+  for (size_t shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto bank = BuildMiniBank().value();
+    std::unique_ptr<SodaService> service;
+    if (shards == 1) {
+      service = SodaEngine::Create(&bank->db, &bank->graph,
+                                   CreditSuissePatternLibrary(),
+                                   Config(/*threads=*/2, shards))
+                    .value();
+    } else {
+      service = ShardedSodaEngine::Create(&bank->db, &bank->graph,
+                                          CreditSuissePatternLibrary(),
+                                          Config(/*threads=*/2, shards))
+                    .value();
+    }
+    const std::string query = "customers Zürich financial instruments";
+    ASSERT_TRUE(service->Search(query).ok());
+    ASSERT_TRUE(service->Search(query)->from_cache);
+
+    FreshnessManager freshness(&bank->db.change_log());
+    freshness.Track(service.get());
+    AppendZebraQuuxville(&bank->db);
+
+    auto after = service->Search(query);
+    ASSERT_TRUE(after.ok());
+    EXPECT_FALSE(after->from_cache);
+    auto cold = SodaEngine::Create(&bank->db, &bank->graph,
+                                   CreditSuissePatternLibrary(),
+                                   Config(/*threads=*/1, /*shards=*/1))
+                    .value();
+    auto fresh = cold->Search(query);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(Fingerprint(*after), Fingerprint(*fresh));
+  }
 }
 
 TEST_F(FreshnessEngineTest, FreshnessCountersSurfaceThroughSink) {
@@ -604,22 +631,16 @@ TEST_F(FreshnessEngineTest, FreshnessCountersSurfaceThroughSink) {
                                    CreditSuissePatternLibrary(),
                                    Config(/*threads=*/1, /*shards=*/1))
                     .value();
-  // Book the freshness counters into the engine's own sink, the way a
-  // served deployment would.
-  FreshnessManager freshness(
-      &bank->db.change_log(),
-      std::shared_ptr<MetricsSink>(engine->metrics_sink(),
-                                   [](MetricsSink*) {}));
+  FreshnessManager freshness(&bank->db.change_log());
   freshness.Track(engine.get());
 
   ASSERT_TRUE(engine->Search("customers Zürich financial instruments").ok());
   AppendZebraQuuxville(&bank->db);
 
-  MetricsSnapshot snapshot = engine->metrics_snapshot();
+  MetricsSnapshot snapshot = freshness.metrics_snapshot();
   EXPECT_EQ(snapshot.counter("freshness.events"), 2u);
   EXPECT_GT(snapshot.counter("freshness.delta_postings"), 0u);
   EXPECT_GT(snapshot.counter("freshness.keys_invalidated"), 0u);
-  EXPECT_GT(snapshot.counter("freshness.keys_tracked"), 0u);
 }
 
 }  // namespace

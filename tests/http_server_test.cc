@@ -135,15 +135,11 @@ class ForwardingService : public SodaService {
     return wrapped_->SearchSession(query, constraints, plan);
   }
   CacheStats cache_stats() const override { return wrapped_->cache_stats(); }
-  size_t InvalidateWhere(
-      const std::function<bool(const std::string&)>& pred) const override {
+  size_t InvalidateWhere(const CachePredicate& pred) const override {
     return wrapped_->InvalidateWhere(pred);
   }
   size_t ApplyBaseDataDelta(const ChangeEvent& event) override {
     return wrapped_->ApplyBaseDataDelta(event);
-  }
-  void set_freshness(FreshnessManager* freshness) override {
-    wrapped_->set_freshness(freshness);
   }
   void set_metrics_sink(std::shared_ptr<MetricsSink> sink) override {
     wrapped_->set_metrics_sink(std::move(sink));

@@ -336,13 +336,11 @@ TEST_F(SessionTest, RefineMatchesColdConstrainedTranslation) {
 // ---------------------------------------------------------------------------
 
 // The shared cache holds unconstrained answers only: a constrained serve
-// neither probes nor fills it (nor the freshness records behind it), so
-// a repeat of the same constrained search translates again, while the
-// unconstrained entry of the same question keeps hitting.
+// neither probes nor fills it, so a repeat of the same constrained
+// search translates again, while the unconstrained entry of the same
+// question keeps hitting.
 TEST_F(SessionTest, ConstrainedAnswersBypassResultCache) {
   auto engine = Engine(Config(/*threads=*/2, /*cache=*/64));
-  FreshnessManager freshness(&bank_->db.change_log());
-  freshness.Track(engine.get());
   auto miss = engine->Search(kMultiResult);
   ASSERT_TRUE(miss.ok());
   EXPECT_FALSE(miss->from_cache);
@@ -350,7 +348,6 @@ TEST_F(SessionTest, ConstrainedAnswersBypassResultCache) {
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit->from_cache);
   const size_t cached_entries = engine->cache_stats().size;
-  const size_t tracked = freshness.tracked_keys();
   EXPECT_EQ(cached_entries, 1u);
 
   const std::string target = PartialTable(*miss);
@@ -367,7 +364,6 @@ TEST_F(SessionTest, ConstrainedAnswersBypassResultCache) {
   EXPECT_FALSE(constrained_again->from_cache);
   EXPECT_EQ(Fingerprint(*constrained_again), Fingerprint(*constrained));
   EXPECT_EQ(engine->cache_stats().size, cached_entries);
-  EXPECT_EQ(freshness.tracked_keys(), tracked);
 
   // And the unconstrained entry survived untouched.
   auto still_cached = engine->Search(kMultiResult);

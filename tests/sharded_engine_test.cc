@@ -460,9 +460,10 @@ TEST_F(ShardedEngineTest, InvalidateWhereEvictsExactlyMatchingKeysFleetWide) {
 
   // A base-data update touching "addresses": evict the cached answers
   // that mention it, wherever their shard put them.
-  size_t erased = router->InvalidateWhere([](const std::string& key) {
-    return key.find("addresses") != std::string::npos;
-  });
+  size_t erased =
+      router->InvalidateWhere([](const std::string& key, const SearchOutput&) {
+        return key.find("addresses") != std::string::npos;
+      });
   EXPECT_EQ(erased, 1u);
   CacheStats stats = router->cache_stats();
   EXPECT_EQ(stats.invalidations, 1u);
@@ -521,7 +522,7 @@ TEST_F(ShardedEngineTest, InvalidateWhereIsSafeUnderConcurrentSearch) {
   }
   std::thread invalidator([&] {
     for (int round = 0; round < 10; ++round) {
-      router->InvalidateWhere([](const std::string& key) {
+      router->InvalidateWhere([](const std::string& key, const SearchOutput&) {
         return key.find("customers") != std::string::npos;
       });
     }
