@@ -6,7 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -589,7 +588,8 @@ BENCHMARK(BM_EngineCachedWorkload);
 // Env must stay immutable for the other benches. Every shard shares one
 // core, so the delta is applied once whatever the shard count:
 // "freshness_delta_postings" (new postings per append) stays flat from
-// shards=1 to shards=4.
+// shards=1 to shards=4. Each run builds its own env and makes a fixed
+// number of appends, so every run measures the same table sizes.
 struct FreshnessEnv {
   std::unique_ptr<soda::MiniBank> bank;
   std::unique_ptr<soda::ShardedSodaEngine> engine;
@@ -616,44 +616,55 @@ struct FreshnessEnv {
   }
 };
 
-FreshnessEnv* freshness_env(size_t shards) {
-  static std::map<size_t, FreshnessEnv*> instances;
-  FreshnessEnv*& instance = instances[shards];
-  if (instance == nullptr) instance = new FreshnessEnv(shards);
-  return instance;
-}
-
 void BM_FreshnessAppendInvalidate(benchmark::State& state) {
-  FreshnessEnv* env = freshness_env(static_cast<size_t>(state.range(0)));
-  soda::Table* addresses = env->bank->db.FindTable("addresses");
+  FreshnessEnv env(static_cast<size_t>(state.range(0)));
+  soda::Table* addresses = env.bank->db.FindTable("addresses");
   const std::string query = "customers Zürich financial instruments";
-  const uint64_t postings_before =
-      env->freshness->metrics_snapshot().counter("freshness.delta_postings");
   for (auto _ : state) {
     // The previous iteration's append invalidated this key, so every
     // serve is a cold pipeline run over the grown table. The street is
     // new on every append, so each delta books fresh postings.
-    benchmark::DoNotOptimize(env->engine->Search(query));
-    int64_t id = env->next_id++;
+    benchmark::DoNotOptimize(env.engine->Search(query));
+    int64_t id = env.next_id++;
     addresses->AppendUnchecked({soda::Value::Int(id), soda::Value::Int(id),
                                 soda::Value::Str("Benchstrasse " +
                                                  std::to_string(id)),
                                 soda::Value::Str("Zürich"),
                                 soda::Value::Str("CH")});
   }
-  auto snapshot = env->freshness->metrics_snapshot();
-  state.counters["shards"] = static_cast<double>(env->engine->num_shards());
+  auto snapshot = env.freshness->metrics_snapshot();
+  const double iterations = static_cast<double>(state.iterations());
+  state.counters["shards"] = static_cast<double>(env.engine->num_shards());
   state.counters["freshness_events"] =
       static_cast<double>(snapshot.counter("freshness.events"));
   state.counters["freshness_keys_invalidated"] =
       static_cast<double>(snapshot.counter("freshness.keys_invalidated"));
   state.counters["freshness_delta_postings"] =
-      static_cast<double>(snapshot.counter("freshness.delta_postings") -
-                          postings_before) /
-      static_cast<double>(std::max<benchmark::IterationCount>(
-          1, state.iterations()));
+      static_cast<double>(snapshot.counter("freshness.delta_postings")) /
+      iterations;
 }
-BENCHMARK(BM_FreshnessAppendInvalidate)->Arg(1)->Arg(4);
+BENCHMARK(BM_FreshnessAppendInvalidate)->Arg(1)->Arg(4)->Iterations(500);
+
+// A session engine over the shared enterprise warehouse: snippets off,
+// so a serve is translation alone.
+soda::SodaEngine* SessionEngine(size_t cache_capacity) {
+  soda::SodaConfig config;
+  config.execute_snippets = false;
+  config.num_threads = 2;
+  config.cache_capacity = cache_capacity;
+  auto created = soda::SodaEngine::Create(&env()->warehouse->db,
+                                          &env()->warehouse->graph,
+                                          soda::CreditSuissePatternLibrary(),
+                                          config);
+  if (!created.ok()) {
+    std::fprintf(stderr, "failed to build session engine: %s\n",
+                 created.status().ToString().c_str());
+    std::exit(1);
+  }
+  return created.value().release();
+}
+
+constexpr char kSessionQuestion[] = "private customers family name";
 
 // The interactive-session loop: one Ask captures a TranslationPlan, then
 // every iteration flips a pin/ban constraint and Refines — a pure Step-5
@@ -662,24 +673,10 @@ BENCHMARK(BM_FreshnessAppendInvalidate)->Arg(1)->Arg(4);
 // surface; compare against BM_TranslateOntologyJoin for the cold cost of
 // what a refine skips.
 void BM_SessionRefine(benchmark::State& state) {
-  static soda::SodaEngine* engine = [] {
-    soda::SodaConfig config;
-    config.execute_snippets = false;
-    config.num_threads = 2;
-    config.cache_capacity = 0;  // measure the plan resume, not the cache
-    auto created = soda::SodaEngine::Create(&env()->warehouse->db,
-                                            &env()->warehouse->graph,
-                                            soda::CreditSuissePatternLibrary(),
-                                            config);
-    if (!created.ok()) {
-      std::fprintf(stderr, "failed to build session engine: %s\n",
-                   created.status().ToString().c_str());
-      std::exit(1);
-    }
-    return created.value().release();
-  }();
+  // Cache off: measure the plan resume, not the cache.
+  static soda::SodaEngine* engine = SessionEngine(/*cache_capacity=*/0);
   soda::SodaSession session(engine);
-  auto first = session.Ask("private customers family name");
+  auto first = session.Ask(kSessionQuestion);
   if (!first.ok()) {
     state.SkipWithError("session Ask failed");
     return;
@@ -702,5 +699,30 @@ void BM_SessionRefine(benchmark::State& state) {
       static_cast<double>(snapshot.counter("session.stages_skipped"));
 }
 BENCHMARK(BM_SessionRefine);
+
+// A new user steering a popular question: the cache already holds the
+// answer, so every iteration starts a session whose Ask is a hit, pins a
+// table and Refines. The first Refine resumes the plan cached beside the
+// answer; "first_refine_stages_skipped" reads 4 when it does and 0 when
+// it re-runs the whole pipeline.
+void BM_SessionFirstRefineAfterCachedAsk(benchmark::State& state) {
+  static soda::SodaEngine* engine = SessionEngine(/*cache_capacity=*/64);
+  if (!engine->Search(kSessionQuestion).ok()) {  // fill the entry once
+    state.SkipWithError("filling Search failed");
+    return;
+  }
+  double stages_skipped = 0.0;
+  for (auto _ : state) {
+    soda::SodaSession session(engine);
+    benchmark::DoNotOptimize(session.Ask(kSessionQuestion));
+    session.PinTable("party_td");
+    benchmark::DoNotOptimize(session.Refine());
+    stages_skipped += static_cast<double>(session.last_stages_skipped());
+  }
+  state.counters["first_refine_stages_skipped"] =
+      stages_skipped / static_cast<double>(state.iterations());
+  state.counters["cache_hit_rate"] = engine->cache_stats().hit_rate();
+}
+BENCHMARK(BM_SessionFirstRefineAfterCachedAsk);
 
 }  // namespace

@@ -48,7 +48,9 @@
 # dropped request, shed-accounting mismatch or missing counter. Finally
 # it smoke-runs perfbench (analyst_cold and session_steer, 2 s each) and
 # fails unless both exit 0 with "correct":true on their last line and a
-# setup_s of at most 0.25 s.
+# setup_s of at most 0.25 s, plus a traced 2 s session_steer run that
+# fails when session.stages_skipped_per_refine drops below 2.0 (Refines
+# that stop resuming plans, e.g. after a cached Ask, read about 1.3).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -482,6 +484,25 @@ if [[ "${BUILD_TYPE}" == "Release" ]]; then
   done
   echo "perfbench smoke OK: analyst_cold + session_steer correct," \
        "setup_s under 0.25 s"
+
+  # Plan reuse guard: a session's Refines resume the plan its answer was
+  # translated from — cached beside the answer when the cache served it —
+  # so the traced run's stage skips per Refine stay well above what cold
+  # first Refines after cached Asks would give.
+  PERF_OUT="${BUILD_DIR}/perfbench_session_steer_trace.txt"
+  if ! python3 perfbench/run.py --workload session_steer --seed 1 \
+         --seconds 2 --trace 1 >"${PERF_OUT}"; then
+    echo "perfbench session_steer traced run failed" >&2
+    exit 1
+  fi
+  skipped=$(tail -n 1 "${PERF_OUT}" | python3 -c \
+      'import json, sys; print(json.load(sys.stdin)["metrics"]["session.stages_skipped_per_refine"]["value"])')
+  if ! awk -v s="${skipped}" 'BEGIN { exit !(s + 0 >= 2.0) }'; then
+    echo "perfbench session_steer: stages_skipped_per_refine ${skipped}" \
+         "is below 2.0" >&2
+    exit 1
+  fi
+  echo "perfbench plan reuse OK: ${skipped} stages skipped per Refine"
 fi
 
 # The Release leg always proves the serving front end end-to-end;

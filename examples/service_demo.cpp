@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
   // Manual keyed invalidation is still available for callers that know
   // which keys a change affects...
   size_t evicted = service.InvalidateWhere(
-      [](const std::string& key, const soda::SearchOutput&) {
+      [](const std::string& key, const soda::CachedAnswer&) {
         return key.find("investments") != std::string::npos;
       });
   auto recomputed = service.Search(dashboard[1]);

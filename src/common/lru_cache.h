@@ -68,6 +68,15 @@ class LruCache {
     return it->second->second;
   }
 
+  /// Returns the cached value, or nullptr, without booking a hit or a
+  /// miss and without refreshing its recency: a read that consults an
+  /// entry without being served by it.
+  std::shared_ptr<const V> Peek(const K& key) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
+    return it == map_.end() ? nullptr : it->second->second;
+  }
+
   /// Inserts (or replaces) a value, evicting the least recently used
   /// entry when over capacity.
   void Put(const K& key, std::shared_ptr<const V> value) {

@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <unordered_map>
@@ -141,6 +142,39 @@ void ExecuteSnippetContained(const Soda& soda, SodaResult* result,
                          1);
 }
 
+// What a plan keeps of one post-Filters state (see
+// PlannedInterpretation). No stage time is kept: a resumed run books only
+// the stage work it does.
+PlannedInterpretation PlanInterpretation(const InterpretationState& state) {
+  PlannedInterpretation planned;
+  planned.interpretation = state.interpretation;
+  planned.tables = state.tables;
+  if (planned.tables.has_value()) {
+    planned.tables->tables_per_entry.clear();
+    planned.tables->tables_per_entry.shrink_to_fit();
+  }
+  planned.filters = state.filters;
+  planned.dropped = state.dropped;
+  return planned;
+}
+
+// The post-Filters states a Step-5-only resume starts from, fresh copies
+// (SqlStage mutates states in place) with the derived fields rebuilt.
+std::vector<InterpretationState> ResumeInterpretations(
+    const TranslationPlan& plan) {
+  std::vector<InterpretationState> states(plan.states.size());
+  for (size_t s = 0; s < states.size(); ++s) {
+    const PlannedInterpretation& planned = plan.states[s];
+    InterpretationState& state = states[s];
+    state.interpretation = planned.interpretation;
+    MaterializeInterpretation(plan.lookup, &state);
+    state.tables = planned.tables;
+    state.filters = planned.filters;
+    state.dropped = planned.dropped;
+  }
+  return states;
+}
+
 }  // namespace
 
 // Whitespace runs collapsed — the input tokenizer splits on whitespace,
@@ -224,12 +258,27 @@ std::shared_lock<std::shared_mutex> SodaEngine::ReadGuard() const {
   return soda_->database()->change_log().ReaderLock();
 }
 
-void SodaEngine::CacheInsert(const std::string& key, const SearchOutput& output,
+void SodaEngine::CacheInsert(const std::string& key, SearchOutput output,
+                             std::shared_ptr<const TranslationPlan> plan,
                              const TraceContext& trace) const {
   if (cache_.capacity() == 0) return;
   // Names a miss's copy in a sampled trace.
   Span span(trace, "cache.insert");
-  cache_.Put(key, std::make_shared<SearchOutput>(output));
+  auto entry = std::make_shared<CachedAnswer>();
+  // The plan holds the parsed query and the freshness terms.
+  output.parsed = InputQuery{};
+  output.freshness_terms = {};
+  for (const SodaResult& result : output.results) {
+    for (const TableRef& ref : result.statement.from) {
+      entry->tables.push_back(FoldForMatch(ref.table));
+    }
+  }
+  std::sort(entry->tables.begin(), entry->tables.end());
+  entry->tables.erase(std::unique(entry->tables.begin(), entry->tables.end()),
+                      entry->tables.end());
+  entry->output = std::move(output);
+  entry->plan = std::move(plan);
+  cache_.Put(key, std::move(entry));
 }
 
 // ---------------------------------------------------------------------------
@@ -239,11 +288,15 @@ void SodaEngine::CacheInsert(const std::string& key, const SearchOutput& output,
 struct SodaEngine::BatchItem {
   const std::string* query = nullptr;  // raw text of the first occurrence
   std::string normalized;  // NormalizedQueryKey(*query); the cache key
-  const SessionConstraints* constraints = nullptr;   // nullptr: none
-  std::shared_ptr<TranslationPlan>* plan = nullptr;  // session plan slot
+  const SessionConstraints* constraints = nullptr;  // nullptr: none
+  std::shared_ptr<const TranslationPlan>* plan = nullptr;  // session slot
   std::vector<size_t> occurrences;  // input indices, ascending
   bool from_cache = false;
   Result<SearchOutput> output{Status::Internal("batch item not computed")};
+  // The plan the output was translated from: the cache entry's on a hit,
+  // else the one resumed or captured (null when no one keeps a plan).
+  // The session slot and the cache entry the answer fills both take it.
+  std::shared_ptr<const TranslationPlan> answer_plan;
 
   // Non-empty constraints bypass the result cache: a pinned, banned or
   // bound answer is a one-off, and reusing it is the session plan's job.
@@ -286,10 +339,11 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
   const SodaConfig& config = soda_->config();
   // Stable for the whole batch: every caller holds the shared data lock.
   const uint64_t sequence = soda_->database()->change_log().sequence();
+  const bool cache_enabled = cache_.capacity() > 0;
 
   // One job per unique cache miss: its context, its span, the stage list
-  // it starts from and, when it captures a session plan, the snapshot of
-  // its states at the Step-4/5 boundary.
+  // it starts from, the plan it resumes and, when it captures a plan,
+  // the snapshot of its states at the Step-4/5 boundary.
   struct Job {
     explicit Job(BatchItem* batch_item)
         : item(batch_item), ctx(*batch_item->query) {}
@@ -299,8 +353,9 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     const std::vector<const PipelineStage*>* stages = nullptr;
     size_t stages_skipped = 0;
     bool capture = false;
-    std::vector<InterpretationState> snapshot;
-    std::shared_ptr<TranslationPlan> plan;  // handed over on success only
+    std::vector<PlannedInterpretation> snapshot;
+    // The plan resumed, then the one captured; handed over on success only.
+    std::shared_ptr<const TranslationPlan> plan;
     size_t interpretations = 0;
     Status status;
   };
@@ -311,7 +366,7 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     if (item.plan != nullptr && *item.plan != nullptr) {
       sink_->IncrementCounter("session.refines", 1);
     }
-    std::shared_ptr<const SearchOutput> cached =
+    std::shared_ptr<const CachedAnswer> cached =
         item.constrained() ? nullptr : cache_.Get(item.normalized);
     if (cached != nullptr) {
       // Deliberate copy: the payload is bounded (top_n statements x
@@ -319,11 +374,13 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       // timings and stages_skipped; measured hit path stays ~100x faster
       // than the pipeline.
       sink_->IncrementCounter("cache.hit", 1);
+      item.from_cache = true;
+      item.output = cached->Served();
+      item.answer_plan = cached->plan;
       if (item.plan != nullptr) {
         sink_->IncrementCounter("session.stages_skipped", 5);
+        *item.plan = cached->plan;
       }
-      item.from_cache = true;
-      item.output = *cached;
       continue;
     }
     if (!item.constrained()) sink_->IncrementCounter("cache.miss", 1);
@@ -343,33 +400,56 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       ctx.trace = job.span.context();
     }
     job.stages = &soda_->stages();
-    if (item.plan == nullptr) continue;
-
-    // Session serve. Resume only from a plan that answers this very
-    // question and still reflects the current base data: no mutation
-    // since its capture (the change log has not moved). Bindings select
-    // which stages the resume can skip — pins/bans only gate Step 5, so
-    // matching bindings reuse the post-Filters states wholesale, while a
-    // binding change re-ranks from the (always constraint-independent)
-    // Step-1 lookup. Whenever the states are not reused, the serve
-    // captures a fresh plan.
-    const TranslationPlan* held = item.plan->get();
-    if (held != nullptr && held->key == item.normalized &&
-        held->captured_at_sequence == sequence) {
-      // Copies, never moves: the plan stays resumable for the next Refine.
-      ctx.parsed = held->parsed;
-      ctx.lookup = held->lookup;
-      ctx.freshness_terms = held->freshness_terms;
-      if (held->bindings_fp == item.constraints->BindingsFingerprint()) {
-        ctx.states = held->states;  // SqlStage mutates states in place
-        job.stages = &stages_sql_;
-        job.stages_skipped = 4;  // lookup, rank, tables, filters
-      } else {
-        job.stages = &stages_rank_on_;
-        job.stages_skipped = 1;  // lookup
+    if (item.plan != nullptr) {
+      // Session serve. Resume only from a plan that answers this very
+      // question and still reflects the current base data: no mutation
+      // since its capture (the change log has not moved). Bindings
+      // select which stages the resume can skip — pins/bans only gate
+      // Step 5, so a plan ranked under this serve's bindings lends its
+      // post-Filters states wholesale, while any other plan re-ranks
+      // from its (always constraint-independent) Step-1 lookup. When the
+      // held plan cannot serve with Step 5 alone, a constrained serve
+      // peeks the plan cached beside its question's unconstrained
+      // answer — a peek books no hit or miss, and a constrained answer
+      // fills nothing.
+      const std::string fp = item.constraints->BindingsFingerprint();
+      std::shared_ptr<const TranslationPlan> plan = *item.plan;
+      if (plan != nullptr && (plan->captured_at_sequence != sequence ||
+                              NormalizedQueryKey(plan->parsed.raw) !=
+                                  item.normalized)) {
+        plan = nullptr;
+      }
+      if (item.constrained() && (plan == nullptr || plan->bindings_fp != fp)) {
+        std::shared_ptr<const CachedAnswer> entry =
+            cache_.Peek(item.normalized);
+        if (entry != nullptr &&
+            entry->plan->captured_at_sequence == sequence &&
+            (plan == nullptr || entry->plan->bindings_fp == fp)) {
+          plan = entry->plan;
+        }
+      }
+      if (plan != nullptr) {
+        // Copies, never moves: the plan is shared and stays resumable.
+        ctx.parsed = plan->parsed;
+        ctx.lookup = plan->lookup;
+        ctx.freshness_terms = plan->freshness_terms;
+        if (plan->bindings_fp == fp) {
+          ctx.states = ResumeInterpretations(*plan);
+          job.stages = &stages_sql_;
+          job.stages_skipped = 4;  // lookup, rank, tables, filters
+        } else {
+          job.stages = &stages_rank_on_;
+          job.stages_skipped = 1;  // lookup
+        }
+        job.plan = std::move(plan);
       }
     }
-    job.capture = job.stages_skipped != 4;
+    // Capture for whoever keeps a plan — the session slot, and the cache
+    // entry an unconstrained answer fills — unless the states are reused
+    // as they are. With the cache off a plain serve captures nothing.
+    job.capture = (item.plan != nullptr ||
+                   (!item.constrained() && cache_enabled)) &&
+                  job.stages_skipped != 4;
   }
 
   // One task per job: a query's stages, its plan snapshot, its output
@@ -396,11 +476,9 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
               RunInterpretationStages(*job.stages, ctx, state);
               continue;
             }
-            // Snapshot at the Step-4/5 boundary, with no stage time
-            // booked: a resumed run books only the stage work it does.
+            // Snapshot at the Step-4/5 boundary.
             RunInterpretationStages(stages_pre_sql_, ctx, state);
-            job.snapshot[s] = *state;
-            job.snapshot[s].timings = StepTimings{};
+            job.snapshot[s] = PlanInterpretation(*state);
             RunInterpretationStages(stages_sql_, ctx, state);
           }
           return Status::OK();
@@ -413,14 +491,16 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     }
     if (job.capture) {
       // Before FinalizeOutput, which consumes the context fields.
-      job.plan = std::make_shared<TranslationPlan>();
-      job.plan->key = item.normalized;
-      job.plan->parsed = ctx.parsed;
-      job.plan->lookup = ctx.lookup;
-      job.plan->bindings_fp = item.constraints->BindingsFingerprint();
-      job.plan->freshness_terms = ctx.freshness_terms;
-      job.plan->states = std::move(job.snapshot);
-      job.plan->captured_at_sequence = sequence;
+      auto plan = std::make_shared<TranslationPlan>();
+      plan->parsed = ctx.parsed;
+      plan->lookup = ctx.lookup;
+      if (item.constraints != nullptr) {
+        plan->bindings_fp = item.constraints->BindingsFingerprint();
+      }
+      plan->freshness_terms = ctx.freshness_terms;
+      plan->states = std::move(job.snapshot);
+      plan->captured_at_sequence = sequence;
+      job.plan = std::move(plan);
     }
     const TraceContext query_trace = ctx.trace;
     item.output = FinalizeOutput(std::move(ctx));
@@ -455,12 +535,13 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     // without a snippet to stream on the async path — its last snippet
     // task caches the rest. The stored copy keeps from_cache=false;
     // each response patches its own.
+    item.answer_plan = std::move(job.plan);
     if (!item.constrained() && (execute || item.output->results.empty())) {
-      CacheInsert(item.normalized, *item.output, trace);
+      CacheInsert(item.normalized, *item.output, item.answer_plan, trace);
     }
-    // Hand a new plan over last: a serve that failed anywhere leaves the
+    // Hand the plan over last: a serve that failed anywhere leaves the
     // caller's previous plan untouched.
-    if (job.plan != nullptr) *item.plan = std::move(job.plan);
+    if (item.plan != nullptr) *item.plan = item.answer_plan;
   }
   return interpretations;
 }
@@ -529,7 +610,7 @@ Result<SearchOutput> SodaEngine::Search(
 
 Result<SearchOutput> SodaEngine::SearchSession(
     const std::string& query, const SessionConstraints& constraints,
-    std::shared_ptr<TranslationPlan>* plan) const {
+    std::shared_ptr<const TranslationPlan>* plan) const {
   ServeScope serve(ReadGuard(), sink_.get(), "engine.search");
   serve.span().SetAttr("query", query);
 
@@ -575,6 +656,7 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAll(
 /// One unique query's snippet stream, run in result order by one thread.
 struct SodaEngine::StreamState {
   SearchOutput output;
+  std::shared_ptr<const TranslationPlan> plan;  // cached beside the output
   std::vector<size_t> occurrences;
   std::string key;
   SnippetCallback on_snippet;  // one copy per unique query
@@ -630,7 +712,8 @@ SnippetStream::Summary SodaEngine::RunStream(StreamState& stream,
   auto data_guard = ReadGuard();
   if (soda_->database()->change_log().sequence() ==
       stream.translated_at_sequence) {
-    CacheInsert(stream.key, stream.output, trace);
+    CacheInsert(stream.key, std::move(stream.output), std::move(stream.plan),
+                trace);
   } else {
     sink_->IncrementCounter("cache.stale_insert_skipped", 1);
   }
@@ -663,6 +746,7 @@ AsyncSearch SodaEngine::SearchAllAsync(std::span<const std::string> queries,
     if (!item.output.ok() || item.output->results.empty()) continue;
     StreamState stream;
     stream.output = *item.output;
+    stream.plan = item.answer_plan;
     stream.occurrences = item.occurrences;
     stream.key = item.normalized;
     stream.on_snippet = on_snippet;

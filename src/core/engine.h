@@ -37,7 +37,13 @@
 //   7. interactive sessions — Search takes SessionConstraints (constrained
 //      answers bypass the result cache), and SearchSession captures/resumes
 //      a TranslationPlan so a session's Refine re-runs only the stages a
-//      constraint change can affect (core/service.h, core/session.h).
+//      constraint change can affect (core/service.h, core/session.h). The
+//      miss that fills a cache entry stores its plan there (nothing is
+//      captured with the cache off), so an Ask served from cache hands
+//      its session that plan, and a constrained session serve with no
+//      fitting plan of its own resumes from the one cached for its
+//      question — peeked, so the hit/miss books and the rule that
+//      constrained answers neither probe nor fill the cache stand.
 //
 // One driver serves all of it: every entry point runs the same
 // translation core (TranslateBatch) — Search and SearchSession as a batch
@@ -112,14 +118,13 @@ class SodaEngine : public SodaService {
   /// Session search: Search + TranslationPlan capture/resume — see
   /// SodaService::SearchSession for the contract and the stage-skip
   /// matrix. A batch of one through TranslateBatch; only unconstrained
-  /// answers touch the cache. With a plan slot the core resumes from a
-  /// still-fresh matching plan — skipping Step 1 (bindings changed) or
-  /// Steps 1-4 (pins/bans only) — and captures a fresh plan into the slot
-  /// whenever it could not reuse the held one, handing it over only when
-  /// the serve succeeded. Outputs are byte-identical across all paths.
+  /// answers probe or fill the cache, constrained ones may peek a cached
+  /// plan. The slot takes the answer's plan (cached, resumed or newly
+  /// captured) only when the serve succeeded. Outputs are byte-identical
+  /// across all paths.
   Result<SearchOutput> SearchSession(
       const std::string& query, const SessionConstraints& constraints,
-      std::shared_ptr<TranslationPlan>* plan) const override;
+      std::shared_ptr<const TranslationPlan>* plan) const override;
 
   /// Batched search: one dashboard refresh in, per-query outputs out, in
   /// input order. Identical normalized queries inside the batch are
@@ -152,9 +157,9 @@ class SodaEngine : public SodaService {
   CacheStats cache_stats() const override { return cache_.stats(); }
 
   /// Keyed cache invalidation: evicts every cached answer for which
-  /// `pred(key, answer)` holds — the key is the normalized query (see
-  /// NormalizedQueryKey), the answer the stored output — and returns how
-  /// many entries were dropped. This is the base-data update hook for
+  /// `pred(key, entry)` holds — the key is the normalized query (see
+  /// NormalizedQueryKey), the entry the stored answer with its plan and
+  /// tables — and returns how many entries were dropped. This is the base-data update hook for
   /// mutable warehouses — on a table refresh, evict the answers that
   /// read it instead of clearing the whole cache. Safe to call
   /// concurrently with Search traffic: the predicate runs under the
@@ -218,8 +223,10 @@ class SodaEngine : public SodaService {
   /// — its query-level stages (or a session plan resume), then its
   /// interpretations in ranked order — so a throwing task fails only its
   /// query and a batch of one stays on the caller's thread. A capturing
-  /// session item snapshots its states at the Step-4/5 boundary and gets
-  /// its new plan only on success. `execute` (the sync paths) appends the
+  /// item (a session serve that cannot reuse a plan's states, or an
+  /// unconstrained miss with the cache on) snapshots its states at the
+  /// Step-4/5 boundary; its plan reaches the session slot and the cache
+  /// entry only on success. `execute` (the sync paths) appends the
   /// query's snippet execution to its task, timed into its own output;
   /// computed answers are cached once materialized (all of them when
   /// `execute`, else only those with no snippet to stream). `trace` (the
@@ -259,11 +266,13 @@ class SodaEngine : public SodaService {
   /// covered them.
   std::shared_lock<std::shared_mutex> ReadGuard() const;
 
-  /// Caches a copy of `output` under `key` — its freshness_terms
-  /// included, the dependency record InvalidateWhere predicates read —
-  /// under the caller's ReadGuard, inside a "cache.insert" span under
-  /// `trace`.
-  void CacheInsert(const std::string& key, const SearchOutput& output,
+  /// Caches `output` under `key` beside `plan` (non-null: the plan it
+  /// was translated from, which keeps its parsed query and freshness
+  /// terms) with its folded table list — the dependency record
+  /// InvalidateWhere predicates read — under the caller's ReadGuard,
+  /// inside a "cache.insert" span under `trace`.
+  void CacheInsert(const std::string& key, SearchOutput output,
+                   std::shared_ptr<const TranslationPlan> plan,
                    const TraceContext& trace) const;
 
   std::shared_ptr<Soda> soda_;
@@ -275,7 +284,7 @@ class SodaEngine : public SodaService {
   std::vector<const PipelineStage*> stages_rank_on_;
   std::vector<const PipelineStage*> stages_pre_sql_;
   std::vector<const PipelineStage*> stages_sql_;
-  mutable LruCache<std::string, SearchOutput> cache_;
+  mutable LruCache<std::string, CachedAnswer> cache_;
   std::shared_ptr<InMemoryMetricsSink> default_sink_;
   std::shared_ptr<MetricsSink> sink_;
   // Fans out across the queries of a batch only; every ParallelFor joins

@@ -13,20 +13,19 @@ namespace soda {
 
 namespace {
 
-// The dependency rule: a cached answer is stale after `event` when its
-// lookup probed one of the appended values' tokens (a new base-data
-// entry point, a previously ignored word that now matches, shifted
-// counts), or when one of its statements reads the appended table (its
-// snippets show different rows). An event carries a handful of
-// spellings, so each is binary-searched in the answer's sorted terms.
-bool DependsOn(const SearchOutput& answer, const ChangeEvent& event,
+// The dependency rule: a cached answer is stale after an append to
+// `table` (folded) when one of its statements reads that table (its
+// snippets show different rows), or when its lookup probed one of the
+// appended values' tokens (a new base-data entry point, a previously
+// ignored word that now matches, shifted counts). Both of the entry's
+// lists are folded, sorted and unique, and an event carries a handful of
+// spellings, so the rule is a few binary searches per entry.
+bool DependsOn(const CachedAnswer& entry, const std::string& table,
                const std::vector<std::string>& spellings) {
-  for (const SodaResult& result : answer.results) {
-    for (const TableRef& ref : result.statement.from) {
-      if (EqualsFolded(ref.table, event.table)) return true;
-    }
+  if (std::binary_search(entry.tables.begin(), entry.tables.end(), table)) {
+    return true;
   }
-  const std::vector<std::string>& terms = answer.freshness_terms;
+  const std::vector<std::string>& terms = entry.plan->freshness_terms;
   for (const std::string& spelling : spellings) {
     if (std::binary_search(terms.begin(), terms.end(), spelling)) return true;
   }
@@ -111,9 +110,10 @@ void FreshnessManager::OnChange(const ChangeEvent& event) {
   std::sort(spellings.begin(), spellings.end());
   spellings.erase(std::unique(spellings.begin(), spellings.end()),
                   spellings.end());
+  const std::string table = FoldForMatch(event.table);
   const CachePredicate stale = [&](const std::string&,
-                                   const SearchOutput& answer) {
-    return DependsOn(answer, event, spellings);
+                                   const CachedAnswer& entry) {
+    return DependsOn(entry, table, spellings);
   };
   size_t invalidated = 0;
   for (SodaService* target : targets) {

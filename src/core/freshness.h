@@ -26,7 +26,8 @@
 //     the cached copy — among the appended values' tokens, which can
 //     change the query's entry points, or
 //   * has a generated statement that reads the appended table, whose
-//     snippets show different rows once the table has more.
+//     snippets show different rows once the table has more (the entry
+//     keeps its tables folded and sorted for this check).
 //
 // Everything else survives: invalidation is keyed, not a cache clear.
 // Because the rule reads the stored answers, an answer cached before
@@ -37,9 +38,10 @@
 //
 // Counters (booked into the manager's own sink, metrics_snapshot()):
 // freshness.events, freshness.delta_postings, freshness.delta_failures,
-// freshness.keys_invalidated. Session plans are not tracked here: a
+// freshness.keys_invalidated. Plans are not tracked here: a
 // TranslationPlan resumes only while the change log's sequence still
-// equals the one it was captured at.
+// equals the one it was captured at, and an evicted entry takes the plan
+// cached beside it along.
 //
 // Lifetime: engines hold no pointer to the manager, so they may outlive
 // it. The manager calls into its tracked services on every append until

@@ -226,11 +226,8 @@ Status LookupStage::Run(QueryContext* ctx) const {
 // RankStage
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Materializes the chosen entry points of one interpretation: terms with
-// no candidates do not contribute an entry point, and operator bindings
-// are remapped to the compacted entry indexes.
+// Terms with no candidates do not contribute an entry point, and
+// operator bindings are remapped to the compacted entry indexes.
 void MaterializeInterpretation(const LookupOutput& lookup,
                                InterpretationState* state) {
   std::vector<size_t> remap(lookup.terms.size(), SIZE_MAX);
@@ -251,6 +248,8 @@ void MaterializeInterpretation(const LookupOutput& lookup,
     }
   }
 }
+
+namespace {
 
 // Applies term bindings to the enumerated product: an interpretation
 // survives only if its choice for every bound term is the candidate

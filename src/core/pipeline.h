@@ -420,6 +420,13 @@ class SqlStage : public PipelineStage {
   const SqlGenerator* generator_;
 };
 
+/// RankStage's per-state work: fills the chosen entry points, the
+/// operator bindings and the explanation terms of `state` from its
+/// interpretation's choice vector over `lookup`. A resumed session plan
+/// re-derives them this way instead of storing them.
+void MaterializeInterpretation(const LookupOutput& lookup,
+                               InterpretationState* state);
+
 /// Runs the query-level prefix of `stages` (lookup, rank) once, in
 /// order, each under a StageScope writing ctx->timings. Per-interpretation
 /// stages in the list are skipped. Soda::Search (through RunPipeline) and

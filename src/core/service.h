@@ -14,11 +14,13 @@
 // The interface also carries the session machinery shared by both
 // implementations: SessionConstraints travel with every Search (the
 // unconstrained overload is a non-virtual convenience), SearchSession
-// additionally captures/reuses a TranslationPlan — the session-cached
-// Steps 1-2 (+3-4) output that lets a Refine re-run only the stages a
-// constraint change can affect. The shared result cache holds
-// unconstrained answers only; reuse across a session's constrained
-// serves is the plan's job.
+// additionally captures/reuses a TranslationPlan — the Steps 1-2 (+3-4)
+// output that lets a Refine re-run only the stages a constraint change
+// can affect. The shared result cache holds unconstrained answers only,
+// each beside the plan it was translated from (CachedAnswer), so a
+// session whose question was answered from cache still resumes its
+// Refines; reuse across a session's constrained serves is the plan's
+// job.
 //
 // The async half of a search is a returned value, not registered work:
 // SearchAllAsync hands back the translated outputs with a SnippetStream,
@@ -33,6 +35,7 @@
 #include <functional>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -110,13 +113,29 @@ struct AsyncSearch {
   SnippetStream snippets;
 };
 
-/// A session's cached prefix of one question's translation: the parsed
-/// input and Step-1 lookup (constraint-independent), plus the
-/// post-Filters interpretation states ranked under `bindings_fp`. Held by
-/// SodaSession via shared_ptr and handed back to SearchSession, which
-/// resumes from it — pin/ban-only changes re-run Step 5 alone, binding
-/// changes re-rank from Step 2 — with output byte-identical to a cold
-/// constrained translation.
+/// One ranked interpretation as Steps 2-4 left it, kept to what Step 5
+/// and FinalizeOutput need. The entry points, operator bindings and
+/// explanation terms are re-derived from the plan's lookup through the
+/// choice vector (MaterializeInterpretation), and the tables output
+/// drops its per-entry groups, which only Step 3 reads: plans live
+/// beside cached answers, so they stay small.
+struct PlannedInterpretation {
+  Interpretation interpretation;  // choice per term, score
+  std::optional<TablesOutput> tables;
+  std::vector<GeneratedFilter> filters;
+  bool dropped = false;
+};
+
+/// The cached prefix of one question's translation: the parsed input and
+/// Step-1 lookup (constraint-independent), plus the post-Filters
+/// interpretations ranked under `bindings_fp`. Immutable once
+/// captured and shared by pointer: a SodaSession holds one between its
+/// calls, and every result-cache entry holds the one its answer was
+/// translated from. SearchSession resumes from it — pin/ban-only changes
+/// re-run Step 5 alone, binding changes re-rank from Step 2 — with output
+/// byte-identical to a cold constrained translation.
+///
+/// The question it answers is NormalizedQueryKey(parsed.raw).
 ///
 /// Freshness: a plan is resumable only while the change log's sequence
 /// still equals `captured_at_sequence` — any base-data mutation voids it,
@@ -124,19 +143,39 @@ struct AsyncSearch {
 /// Refine re-translates. `freshness_terms` ride along so a resumed
 /// unconstrained answer is still cached with its dependencies.
 struct TranslationPlan {
-  std::string key;  // NormalizedQueryKey of the question
   InputQuery parsed;
   LookupOutput lookup;
   std::string bindings_fp;  // BindingsFingerprint the states were ranked under
-  std::vector<InterpretationState> states;  // post-Filters, pre-Sql snapshot
+  std::vector<PlannedInterpretation> states;  // post-Filters, pre-Sql
   std::vector<std::string> freshness_terms;
   uint64_t captured_at_sequence = 0;
 };
 
+/// One result-cache entry: an unconstrained answer, the plan it was
+/// translated from (never null) and the dependency record the
+/// FreshnessManager reads. Each piece is stored once: the stored output
+/// leaves `parsed` and `freshness_terms` empty — they live in the plan,
+/// and Served() puts them back.
+struct CachedAnswer {
+  SearchOutput output;
+  std::shared_ptr<const TranslationPlan> plan;
+  /// FoldForMatch of every table the answer's statements read, sorted
+  /// and unique, so an append's table is one binary search.
+  std::vector<std::string> tables;
+
+  /// The answer as a response carries it.
+  SearchOutput Served() const {
+    SearchOutput served = output;
+    served.parsed = plan->parsed;
+    served.freshness_terms = plan->freshness_terms;
+    return served;
+  }
+};
+
 /// An InvalidateWhere predicate over one cached entry: its normalized
-/// query key and the stored answer.
-using CachePredicate = std::function<bool(const std::string& key,
-                                          const SearchOutput& answer)>;
+/// query key and the entry.
+using CachePredicate =
+    std::function<bool(const std::string& key, const CachedAnswer& entry)>;
 
 class SodaService {
  public:
@@ -173,19 +212,29 @@ class SodaService {
                                      SnippetCallback on_snippet) const = 0;
 
   /// Session entry point: as Search(query, constraints), but additionally
-  /// maintains `*plan` (required non-null; *plan may be null). When the
-  /// held plan matches `query` and is still fresh, the engine resumes
-  /// from it — skipping lookup (bindings changed) or lookup + rank +
-  /// tables + filters (pins/bans only) — and books
-  /// session.{refines,stages_skipped}. Otherwise the query translates
-  /// cold and a fresh plan is captured into *plan.
-  /// Output is byte-identical either way. On a sharded engine the plan's
-  /// query routes by its normalized text only (the constraints are NOT
-  /// hashed), so every constrained variant of one question shares a
-  /// shard: session affinity.
+  /// maintains `*plan` (required non-null; *plan may be null), which
+  /// afterwards holds the plan the answer was translated from:
+  ///
+  ///   * an unconstrained answer served from cache installs the plan
+  ///     stored beside it (stages_skipped 5);
+  ///   * otherwise the serve resumes from a fresh plan for `query` —
+  ///     the held one, or, for a constrained serve the held one cannot
+  ///     answer with Step 5 alone, the one cached beside the question's
+  ///     unconstrained answer (peeked: no hit or miss is booked and
+  ///     nothing is filled) — preferring a plan ranked under the same
+  ///     bindings. Matching bindings skip lookup + rank + tables +
+  ///     filters (4), changed ones skip lookup (1);
+  ///   * with no fresh plan for `query` the serve translates cold.
+  ///
+  /// Any serve that could not reuse a plan's states as they are
+  /// captures a new plan. Books session.{refines,stages_skipped}. Output
+  /// is byte-identical on every path. On a sharded engine the query
+  /// routes by its normalized text only (the constraints are NOT
+  /// hashed), so every constrained variant of one question meets its
+  /// cached answer on one shard: session affinity.
   virtual Result<SearchOutput> SearchSession(
       const std::string& query, const SessionConstraints& constraints,
-      std::shared_ptr<TranslationPlan>* plan) const = 0;
+      std::shared_ptr<const TranslationPlan>* plan) const = 0;
 
   /// Cache observability (fleet-level sums on the router).
   virtual CacheStats cache_stats() const = 0;
@@ -194,13 +243,13 @@ class SodaService {
   /// entry, so a clear books cache.invalidated.
   void ClearCache() const {
     InvalidateWhere(
-        [](const std::string&, const SearchOutput&) { return true; });
+        [](const std::string&, const CachedAnswer&) { return true; });
   }
 
   /// Keyed cache invalidation: evicts every cached answer for which
-  /// `pred(key, answer)` holds, returns how many. Keys are normalized
-  /// queries (NormalizedQueryKey); the answer is the stored output,
-  /// `freshness_terms` included. Constrained answers are never cached.
+  /// `pred(key, entry)` holds, plan included, and returns how many. Keys
+  /// are normalized queries (NormalizedQueryKey). Constrained answers are
+  /// never cached.
   virtual size_t InvalidateWhere(const CachePredicate& pred) const = 0;
 
   /// Incremental base-data maintenance: forwards one storage ChangeEvent

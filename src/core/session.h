@@ -14,18 +14,26 @@
 //   session.BindTerm("zürich", session.TermCandidates("zürich")[1].first);
 //   auto third = session.Refine();        // re-ranks from cached lookup
 //
-// Refine re-runs only the stages the constraint change can affect, by
-// resuming the TranslationPlan the service captured on the first answer:
+// Every answer leaves the session holding the TranslationPlan it was
+// translated from — captured by the serve, or, when the answer came from
+// the result cache, the plan stored beside it — and Refine re-runs only
+// the stages the constraint change can affect by resuming it:
 //
-//   constraint change          stages re-run            stages skipped
-//   ─────────────────────────  ───────────────────────  ──────────────
-//   pin/ban only               sql                      4
-//   term binding changed       rank, tables, filters,   1
-//                              sql
-//   question changed / plan    full pipeline (plan      0
-//   stale (base data moved)    recaptured)
+//   serve                           stages re-run            skipped
+//   ──────────────────────────────  ───────────────────────  ───────
+//   unconstrained, answer cached    none (cache hit)         5
+//   pin/ban only                    sql                      4
+//   term binding changed            rank, tables, filters,   1
+//                                   sql
+//   question changed, its answer    sql (no bindings held)   4
+//   cached                          or rank..sql (bindings)  1
+//   no fresh plan for the question  full pipeline (plan      0
+//   (none cached, or base data      captured)
+//   moved since the capture)
 //
-// and the refined output is byte-identical to translating the same query
+// A constrained serve whose held plan does not fit peeks the plan cached
+// beside its question's unconstrained answer without booking a cache hit
+// or miss. The output is byte-identical to translating the same query
 // cold under the same constraints — the plan is an optimization, never a
 // semantic.
 //
@@ -55,8 +63,9 @@ class SodaSession {
   /// `service` must outlive the session.
   explicit SodaSession(SodaService* service) : service_(service) {}
 
-  /// Starts a fresh question: clears the constraints and the cached
-  /// plan, translates cold, and captures a new plan for later Refines.
+  /// Starts a fresh question: clears the constraints and the held plan,
+  /// then translates — or takes the cached answer and the plan cached
+  /// beside it — holding the answer's plan for later Refines.
   Result<SearchOutput> Ask(const std::string& query);
 
   /// Re-translates the current question under the current constraints,
@@ -65,8 +74,9 @@ class SodaSession {
   Result<SearchOutput> Refine();
 
   /// As Refine(), but replaces the question first, keeping the
-  /// constraints. A changed question cannot resume the old plan, so the
-  /// pipeline runs in full and a new plan is captured.
+  /// constraints. A changed question cannot resume the old plan: it
+  /// resumes from the plan cached beside the new question's answer, or
+  /// runs the pipeline in full and captures a new plan.
   Result<SearchOutput> Refine(const std::string& query);
 
   /// Constraint levers (semantics in SessionConstraints, pipeline.h).
@@ -81,8 +91,10 @@ class SodaSession {
 
   /// The entry-point candidates Step 1 found for `term` in the current
   /// question, as (entry_key, human-readable description) pairs in
-  /// candidate order — entry_key is a valid BindTerm target. Empty when
-  /// no plan is held or the term matched nothing.
+  /// candidate order — entry_key is a valid BindTerm target. Every
+  /// answer leaves a plan behind, cache hits included, so this is empty
+  /// only before the question's first answer or when the term matched
+  /// nothing.
   std::vector<std::pair<std::string, std::string>> TermCandidates(
       const std::string& term) const;
 
@@ -100,7 +112,7 @@ class SodaSession {
   SodaService* service_;
   std::string query_;
   SessionConstraints constraints_;
-  std::shared_ptr<TranslationPlan> plan_;
+  std::shared_ptr<const TranslationPlan> plan_;
   size_t refines_ = 0;
   size_t last_stages_skipped_ = 0;
 };

@@ -111,7 +111,7 @@ Result<SearchOutput> ShardedSodaEngine::Search(
 
 Result<SearchOutput> ShardedSodaEngine::SearchSession(
     const std::string& query, const SessionConstraints& constraints,
-    std::shared_ptr<TranslationPlan>* plan) const {
+    std::shared_ptr<const TranslationPlan>* plan) const {
   router_sink_->IncrementCounter("router.session_queries", 1);
   return RouteQuery(query, [&](const SodaEngine& engine) {
     return engine.SearchSession(query, constraints, plan);

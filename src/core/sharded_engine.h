@@ -100,12 +100,13 @@ class ShardedSodaEngine : public SodaService {
       const std::string& query,
       const SessionConstraints& constraints) const override;
 
-  /// Session search with affinity: the plan's question routes by its
+  /// Session search with affinity: the question routes by its
   /// normalized text, so every Refine resumes on the shard that captured
-  /// the plan. Books router.session_queries.
+  /// its plan, and a constrained serve lands on the shard whose cache
+  /// holds the question's answer and plan. Books router.session_queries.
   Result<SearchOutput> SearchSession(
       const std::string& query, const SessionConstraints& constraints,
-      std::shared_ptr<TranslationPlan>* plan) const override;
+      std::shared_ptr<const TranslationPlan>* plan) const override;
 
   /// Batched admission point: splits the batch by shard, runs the
   /// occupied shards' SearchAll concurrently, and merges the per-query

@@ -224,7 +224,7 @@ TEST_F(EngineTest, OneQueryStaysOnTheCallerThread) {
   ASSERT_GT(searched->results.size(), 1u);
   expect_on_caller("Search");
 
-  std::shared_ptr<TranslationPlan> plan;
+  std::shared_ptr<const TranslationPlan> plan;
   ASSERT_TRUE(engine->SearchSession(query, SessionConstraints{}, &plan).ok());
   expect_on_caller("SearchSession");
 

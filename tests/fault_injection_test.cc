@@ -194,11 +194,11 @@ TEST_F(FaultInjectionTest, ShardDispatchFaultFailsOnlyItsShard) {
                    " threads=" + std::to_string(threads));
       auto router = MakeRouter(FaultConfig(4, threads));
       // A session plan captured while healthy.
-      std::shared_ptr<TranslationPlan> plan;
+      std::shared_ptr<const TranslationPlan> plan;
       auto asked = router->SearchSession(queries[0], {}, &plan);
       ASSERT_TRUE(asked.ok()) << asked.status();
       ASSERT_NE(plan, nullptr);
-      TranslationPlan* const captured = plan.get();
+      const TranslationPlan* const captured = plan.get();
       ASSERT_FALSE(asked->results.empty());
       SessionConstraints pinned;
       pinned.PinTable(asked->results[0].statement.from[0].table);

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -622,6 +623,103 @@ TEST_F(FreshnessEngineTest, AnswerCachedBeforeTrackIsInvalidated) {
     auto fresh = cold->Search(query);
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(Fingerprint(*after), Fingerprint(*fresh));
+  }
+}
+
+// The dependency rule, pinned: over a warm cache, each append of a
+// scripted sequence invalidates exactly the recorded key set. The sets
+// were recorded with the rule that compared every result's FROM entries
+// with EqualsFolded; the folded, sorted table list each cached answer
+// now carries must reproduce them. Tables without string columns publish
+// no tokens, so only the table half of the rule can fire for them.
+TEST_F(FreshnessEngineTest, ScriptedAppendsInvalidateTheRecordedKeys) {
+  auto bank = BuildMiniBank().value();
+  auto engine = SodaEngine::Create(&bank->db, &bank->graph,
+                                   CreditSuissePatternLibrary(),
+                                   Config(/*threads=*/2, /*shards=*/1))
+                    .value();
+  FreshnessManager freshness(&bank->db.change_log());
+  freshness.Track(engine.get());
+
+  const std::string zurich = "customers Zürich financial instruments";
+  const std::string sara = "addresses Sara Guttinger";
+  const std::string family = "private customers family name";
+  const std::string quux = "addresses Quuxville";
+  const std::string corporate = "corporate customers";
+  const std::string money = "money transactions CHF";
+  const std::string trading =
+      "trading volume transaction date between date(2010-01-01) "
+      "date(2011-12-31)";
+  const std::vector<std::string> queries = {
+      zurich,       sara,    "sum(investments) group by (currency)",
+      family,       trading, quux,
+      corporate,    money,   "securities",
+      "Geneva",     "fund",  "wealthy customers",
+  };
+  // Lists the cached keys without evicting any.
+  auto cached_keys = [&] {
+    std::set<std::string> keys;
+    engine->InvalidateWhere([&](const std::string& key, const auto&) {
+      keys.insert(key);
+      return false;
+    });
+    return keys;
+  };
+  const Date day = Date::FromYmd(2012, 3, 4);
+  struct Append {
+    std::string table;
+    std::vector<Value> row;
+    std::set<std::string> invalidated;
+  };
+  const std::vector<Append> script = {
+      {"individuals",
+       {Value::Int(9001), Value::Str("Zebra"), Value::Str("Quuxville"),
+        Value::Int(90000), Value::DateV(day)},
+       {quux, sara, zurich, family, "wealthy customers"}},
+      {"addresses",
+       {Value::Int(9001), Value::Int(9001), Value::Str("Teststrasse 1"),
+        Value::Str("Zürich"), Value::Str("CH")},
+       {"Geneva", quux, sara, zurich}},
+      {"organizations",
+       {Value::Int(9002), Value::Str("Geneva Holdings")},
+       {"Geneva", corporate}},
+      {"money_transactions",
+       {Value::Int(9003), Value::Real(12.5), Value::Str("CHF"),
+        Value::DateV(day)},
+       {money, trading}},
+      {"securities",
+       {Value::Int(9004), Value::Str("Guttinger Bond"),
+        Value::Str("CH0000000001")},
+       {sara, zurich, family, "securities"}},
+      {"fin_instruments",
+       {Value::Int(9005), Value::Str("Basel fund"), Value::Str("fund")},
+       {sara, zurich, "fund", family}},
+      {"parties",
+       {Value::Int(9006), Value::Str("person")},
+       {"Geneva", quux, sara, corporate, zurich, family}},
+      {"fi_contains_sec",
+       {Value::Int(1), Value::Int(1)},
+       {sara, zurich, family}},
+      {"transactions",
+       {Value::Int(9007), Value::Int(1), Value::Int(2)},
+       {sara, zurich, money, family, trading}},
+  };
+  for (const Append& append : script) {
+    SCOPED_TRACE(append.table);
+    for (const std::string& query : queries) {
+      ASSERT_TRUE(engine->Search(query).ok()) << query;
+    }
+    const std::set<std::string> before = cached_keys();
+    ASSERT_EQ(before.size(), queries.size());
+    Table* table = bank->db.FindTable(append.table);
+    ASSERT_NE(table, nullptr);
+    ASSERT_TRUE(table->Append(append.row).ok());
+    const std::set<std::string> after = cached_keys();
+    std::set<std::string> invalidated;
+    for (const std::string& key : before) {
+      if (after.count(key) == 0) invalidated.insert(key);
+    }
+    EXPECT_EQ(invalidated, append.invalidated);
   }
 }
 

@@ -131,7 +131,7 @@ class ForwardingService : public SodaService {
   }
   Result<SearchOutput> SearchSession(
       const std::string& query, const SessionConstraints& constraints,
-      std::shared_ptr<TranslationPlan>* plan) const override {
+      std::shared_ptr<const TranslationPlan>* plan) const override {
     return wrapped_->SearchSession(query, constraints, plan);
   }
   CacheStats cache_stats() const override { return wrapped_->cache_stats(); }

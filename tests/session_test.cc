@@ -558,5 +558,222 @@ TEST_F(SessionTest, SessionOutlivesFreshnessManager) {
   }  // the session and its plan die after the manager
 }
 
+// ---------------------------------------------------------------------------
+// Plans cached beside answers
+// ---------------------------------------------------------------------------
+
+// A router at `shards` shards with the result cache on.
+std::unique_ptr<ShardedSodaEngine> CachedRouter(MiniBank* bank,
+                                                size_t shards) {
+  SodaConfig config;
+  config.num_shards = shards;
+  config.num_threads = 2;
+  config.cache_capacity = 64;
+  auto router = ShardedSodaEngine::Create(&bank->db, &bank->graph,
+                                          CreditSuissePatternLibrary(), config);
+  EXPECT_TRUE(router.ok()) << router.status();
+  return std::move(router).value();
+}
+
+// The cold constrained translation every session answer must equal: a
+// cache-off engine, so nothing it serves is resumed.
+std::string ColdFingerprint(MiniBank* bank, const std::string& query,
+                            const SessionConstraints& constraints) {
+  SodaConfig config;
+  config.num_threads = 1;
+  config.cache_capacity = 0;
+  auto engine = SodaEngine::Create(&bank->db, &bank->graph,
+                                   CreditSuissePatternLibrary(), config)
+                    .value();
+  auto cold = engine->Search(query, constraints);
+  EXPECT_TRUE(cold.ok()) << cold.status();
+  return cold.ok() ? Fingerprint(*cold) : "";
+}
+
+// An Ask served from cache hands the session the plan stored beside the
+// answer, so term candidates are there to bind and the first Refine
+// resumes instead of re-running Steps 1-4.
+TEST_F(SessionTest, CachedAskKeepsTermCandidates) {
+  for (size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto router = CachedRouter(bank_, shards);
+    SodaSession cold(router.get());
+    auto first = cold.Ask(kSteerable);
+    ASSERT_TRUE(first.ok()) << first.status();
+    ASSERT_FALSE(first->from_cache);
+    const auto expected = cold.TermCandidates("financial instruments");
+    ASSERT_EQ(expected.size(), 2u);
+
+    SodaSession cached(router.get());
+    auto second = cached.Ask(kSteerable);
+    ASSERT_TRUE(second.ok()) << second.status();
+    EXPECT_TRUE(second->from_cache);
+    EXPECT_EQ(cached.last_stages_skipped(), 5u);
+    EXPECT_EQ(cached.TermCandidates("financial instruments"), expected);
+    EXPECT_EQ(cached.TermCandidates("zürich"), cold.TermCandidates("zürich"));
+  }
+}
+
+// After a cached Ask: a pin/ban Refine skips 4 stages, a bind Refine 1,
+// and dropping the binding again resumes Step 5 from the cached plan —
+// every answer equal to a cold constrained translation, and no peek
+// books a cache hit or miss.
+TEST_F(SessionTest, RefinesAfterCachedAskResumeTheCachedPlan) {
+  for (size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto router = CachedRouter(bank_, shards);
+    ASSERT_TRUE(router->Search(kSteerable).ok());
+
+    // First Refine a pin/ban.
+    SodaSession banning(router.get());
+    ASSERT_TRUE(banning.Ask(kSteerable).ok());
+    EXPECT_EQ(banning.last_stages_skipped(), 5u);
+    const CacheStats before = router->cache_stats();
+    auto banned = banning.BanTable("fi_contains_sec").Refine();
+    ASSERT_TRUE(banned.ok()) << banned.status();
+    EXPECT_EQ(banning.last_stages_skipped(), 4u);
+    EXPECT_EQ(Fingerprint(*banned),
+              ColdFingerprint(bank_, kSteerable, banning.constraints()));
+
+    // Then a binding: re-ranks from the plan's lookup.
+    const auto candidates = banning.TermCandidates("financial instruments");
+    ASSERT_EQ(candidates.size(), 2u);
+    auto bound =
+        banning.BindTerm("financial instruments", candidates[1].first)
+            .Refine();
+    ASSERT_TRUE(bound.ok()) << bound.status();
+    EXPECT_EQ(banning.last_stages_skipped(), 1u);
+    EXPECT_EQ(Fingerprint(*bound),
+              ColdFingerprint(bank_, kSteerable, banning.constraints()));
+
+    // Unbinding leaves a held plan ranked under the binding; the plan
+    // cached beside the unconstrained answer fits, and Step 5 alone runs.
+    auto unbound = banning.UnbindTerm("financial instruments").Refine();
+    ASSERT_TRUE(unbound.ok()) << unbound.status();
+    EXPECT_EQ(banning.last_stages_skipped(), 4u);
+    EXPECT_EQ(Fingerprint(*unbound), Fingerprint(*banned));
+
+    // First Refine a bind.
+    SodaSession binding(router.get());
+    ASSERT_TRUE(binding.Ask(kSteerable).ok());
+    auto first_bind =
+        binding.BindTerm("financial instruments", candidates[0].first)
+            .Refine();
+    ASSERT_TRUE(first_bind.ok()) << first_bind.status();
+    EXPECT_EQ(binding.last_stages_skipped(), 1u);
+    EXPECT_EQ(Fingerprint(*first_bind),
+              ColdFingerprint(bank_, kSteerable, binding.constraints()));
+
+    // Only the two Asks touched the books, as hits.
+    const CacheStats after = router->cache_stats();
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.hits, before.hits + 1);
+    EXPECT_EQ(after.size, before.size);
+  }
+}
+
+// A changed question under carried constraints resumes from the plan
+// cached beside the new question's answer: Step 5 alone under pins and
+// bans, re-ranking when bindings are carried.
+TEST_F(SessionTest, ChangedQuestionResumesFromCachedPlan) {
+  const std::string other = "addresses Sara Guttinger";
+  for (size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto router = CachedRouter(bank_, shards);
+    ASSERT_TRUE(router->Search(other).ok());
+    const CacheStats before = router->cache_stats();
+
+    SodaSession session(router.get());
+    ASSERT_TRUE(session.Ask(kSteerable).ok());
+    EXPECT_EQ(session.last_stages_skipped(), 0u);
+    ASSERT_TRUE(session.BanTable("securities").Refine().ok());
+    auto changed = session.Refine(other);
+    ASSERT_TRUE(changed.ok()) << changed.status();
+    EXPECT_EQ(session.last_stages_skipped(), 4u);
+    EXPECT_EQ(Fingerprint(*changed),
+              ColdFingerprint(bank_, other, session.constraints()));
+
+    // Back to the first question, with a binding carried over.
+    auto back = session.Refine(kSteerable);
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ(session.last_stages_skipped(), 4u);
+    const auto candidates = session.TermCandidates("financial instruments");
+    ASSERT_EQ(candidates.size(), 2u);
+    ASSERT_TRUE(session.BindTerm("financial instruments", candidates[1].first)
+                    .Refine()
+                    .ok());
+    auto bound_change = session.Refine(other);
+    ASSERT_TRUE(bound_change.ok()) << bound_change.status();
+    EXPECT_EQ(session.last_stages_skipped(), 1u);
+    EXPECT_EQ(Fingerprint(*bound_change),
+              ColdFingerprint(bank_, other, session.constraints()));
+
+    // The Ask missed and filled its entry; no constrained serve touched
+    // the books.
+    const CacheStats after = router->cache_stats();
+    EXPECT_EQ(after.misses, before.misses + 1);
+    EXPECT_EQ(after.hits, before.hits);
+  }
+}
+
+// The one staleness rule covers cached plans too: after an append, an
+// answer that survived invalidation still serves from cache, but the
+// plan beside it is not resumed — the Refine runs cold, equals a cold
+// engine over the mutated data, and its recaptured plan resumes again.
+// An entry the FreshnessManager evicts takes its plan with it.
+TEST_F(SessionTest, StaleCachedPlanIsNotResumed) {
+  // Reads no individuals and probes none of the appended tokens, so a
+  // tracking FreshnessManager keeps its entry.
+  const std::string survivor = "money transactions CHF";
+  for (size_t shards : {1u, 2u, 4u}) {
+    for (bool tracked : {false, true}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " tracked=" + std::to_string(tracked));
+      // This test mutates the database, so it builds its own mini-bank.
+      auto bank = BuildMiniBank().value();
+      auto router = CachedRouter(bank.get(), shards);
+      std::unique_ptr<FreshnessManager> freshness;
+      if (tracked) {
+        freshness =
+            std::make_unique<FreshnessManager>(&bank->db.change_log());
+        freshness->Track(router.get());
+      }
+      auto warm = router->Search(survivor);
+      ASSERT_TRUE(warm.ok()) << warm.status();
+      ASSERT_FALSE(warm->results.empty());
+      ASSERT_TRUE(router->Search(kSteerable).ok());
+      const std::string table = warm->results[0].statement.from[0].table;
+
+      AppendUnprobedIndividual(&bank->db);
+
+      SodaSession session(router.get());
+      auto asked = session.Ask(survivor);
+      ASSERT_TRUE(asked.ok()) << asked.status();
+      EXPECT_TRUE(asked->from_cache);
+      auto pinned = session.PinTable(table).Refine();
+      ASSERT_TRUE(pinned.ok()) << pinned.status();
+      EXPECT_EQ(session.last_stages_skipped(), 0u);
+      EXPECT_EQ(Fingerprint(*pinned),
+                ColdFingerprint(bank.get(), survivor, session.constraints()));
+      ASSERT_TRUE(session.Refine().ok());
+      EXPECT_EQ(session.last_stages_skipped(), 4u);
+
+      // The steerable question reads individuals: a tracked service
+      // evicted its entry and plan, so its Ask recaptures; untracked, the
+      // answer is still cached and its stale plan ignored.
+      SodaSession steering(router.get());
+      auto steered = steering.Ask(kSteerable);
+      ASSERT_TRUE(steered.ok()) << steered.status();
+      EXPECT_EQ(steered->from_cache, !tracked);
+      auto banned = steering.BanTable("fi_contains_sec").Refine();
+      ASSERT_TRUE(banned.ok()) << banned.status();
+      EXPECT_EQ(steering.last_stages_skipped(), tracked ? 4u : 0u);
+      EXPECT_EQ(Fingerprint(*banned),
+                ColdFingerprint(bank.get(), kSteerable,
+                                steering.constraints()));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace soda

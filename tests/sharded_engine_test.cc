@@ -9,7 +9,9 @@
 //     engine's totals for the same traffic, plus the router's own
 //     counters and batch-size samples;
 //   - invalidation: InvalidateWhere evicts exactly the matching keys
-//     across shards, and keyed eviction is safe under concurrent Search.
+//     across shards, and keyed eviction is safe under concurrent Search;
+//   - session affinity: a constrained session serve resumes the plan
+//     cached beside its question's answer at any shard count.
 
 #include <gtest/gtest.h>
 
@@ -347,6 +349,56 @@ TEST_F(ShardedEngineTest, RepeatTrafficHitsTheOwningShardCache) {
 }
 
 // ---------------------------------------------------------------------------
+// Plans cached beside answers
+// ---------------------------------------------------------------------------
+
+// A constrained session serve with an empty plan slot finds its
+// question's cached plan on the shard that answered the question — the
+// constraints do not move the route — and resumes Step 5 alone. The
+// peek books no hit or miss, fills nothing, and the answer equals a
+// cold constrained translation; a slot-less constrained Search stays
+// cold.
+TEST_F(ShardedEngineTest, ConstrainedSessionServeResumesTheCachedPlan) {
+  auto reference = MakeEngine(/*threads=*/1, /*cache_capacity=*/0);
+  const std::vector<std::string> queries = MiniBankQueries();
+  for (size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto router = MakeRouter(shards, /*threads=*/2, /*cache_capacity=*/16);
+    for (const auto& output : router->SearchAll(queries)) {
+      ASSERT_TRUE(output.ok()) << output.status();
+    }
+    const CacheStats before = router->cache_stats();
+    for (const std::string& query : queries) {
+      SCOPED_TRACE(query);
+      auto unconstrained = reference->Search(query);
+      ASSERT_TRUE(unconstrained.ok());
+      if (unconstrained->results.empty()) continue;
+      SessionConstraints pinned;
+      pinned.PinTable(unconstrained->results[0].statement.from[0].table);
+      auto cold = reference->Search(query, pinned);
+      ASSERT_TRUE(cold.ok()) << cold.status();
+
+      std::shared_ptr<const TranslationPlan> plan;
+      auto resumed = router->SearchSession(query, pinned, &plan);
+      ASSERT_TRUE(resumed.ok()) << resumed.status();
+      EXPECT_EQ(resumed->stages_skipped, 4u);
+      EXPECT_FALSE(resumed->from_cache);
+      EXPECT_NE(plan, nullptr);
+      EXPECT_EQ(Fingerprint(*resumed), Fingerprint(*cold));
+
+      auto searched = router->Search(query, pinned);
+      ASSERT_TRUE(searched.ok()) << searched.status();
+      EXPECT_EQ(searched->stages_skipped, 0u);
+      EXPECT_EQ(Fingerprint(*searched), Fingerprint(*cold));
+    }
+    const CacheStats after = router->cache_stats();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.size, before.size);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Async streaming through the router
 // ---------------------------------------------------------------------------
 
@@ -461,7 +513,7 @@ TEST_F(ShardedEngineTest, InvalidateWhereEvictsExactlyMatchingKeysFleetWide) {
   // A base-data update touching "addresses": evict the cached answers
   // that mention it, wherever their shard put them.
   size_t erased =
-      router->InvalidateWhere([](const std::string& key, const SearchOutput&) {
+      router->InvalidateWhere([](const std::string& key, const CachedAnswer&) {
         return key.find("addresses") != std::string::npos;
       });
   EXPECT_EQ(erased, 1u);
@@ -522,7 +574,7 @@ TEST_F(ShardedEngineTest, InvalidateWhereIsSafeUnderConcurrentSearch) {
   }
   std::thread invalidator([&] {
     for (int round = 0; round < 10; ++round) {
-      router->InvalidateWhere([](const std::string& key, const SearchOutput&) {
+      router->InvalidateWhere([](const std::string& key, const CachedAnswer&) {
         return key.find("customers") != std::string::npos;
       });
     }

@@ -497,7 +497,7 @@ TEST_F(TraceEngineTest, StageLatencyViewsAgree) {
       }
       return outputs;
     });
-    std::shared_ptr<TranslationPlan> plan;
+    std::shared_ptr<const TranslationPlan> plan;
     check("SearchSession capture", [&] {
       auto output = engine.SearchSession(query, SessionConstraints{}, &plan);
       EXPECT_TRUE(output.ok()) << output.status();
