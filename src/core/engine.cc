@@ -265,9 +265,7 @@ void SodaEngine::CacheInsert(const std::string& key, SearchOutput output,
   // Names a miss's copy in a sampled trace.
   Span span(trace, "cache.insert");
   auto entry = std::make_shared<CachedAnswer>();
-  // The plan holds the parsed query and the freshness terms.
-  output.parsed = InputQuery{};
-  output.freshness_terms = {};
+  output.parsed = InputQuery{};  // the plan holds it
   for (const SodaResult& result : output.results) {
     for (const TableRef& ref : result.statement.from) {
       entry->tables.push_back(FoldForMatch(ref.table));
@@ -432,12 +430,12 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
         // Copies, never moves: the plan is shared and stays resumable.
         ctx.parsed = plan->parsed;
         ctx.lookup = plan->lookup;
-        ctx.freshness_terms = plan->freshness_terms;
         if (plan->bindings_fp == fp) {
           ctx.states = ResumeInterpretations(*plan);
           job.stages = &stages_sql_;
           job.stages_skipped = 4;  // lookup, rank, tables, filters
         } else {
+          ctx.freshness_terms = plan->freshness_terms;  // for the capture
           job.stages = &stages_rank_on_;
           job.stages_skipped = 1;  // lookup
         }
@@ -497,7 +495,7 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       if (item.constraints != nullptr) {
         plan->bindings_fp = item.constraints->BindingsFingerprint();
       }
-      plan->freshness_terms = ctx.freshness_terms;
+      plan->freshness_terms = std::move(ctx.freshness_terms);
       plan->states = std::move(job.snapshot);
       plan->captured_at_sequence = sequence;
       job.plan = std::move(plan);

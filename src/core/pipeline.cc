@@ -470,7 +470,6 @@ SearchOutput FinalizeOutput(QueryContext&& ctx) {
   output.complexity = ctx.lookup.complexity;
   output.ignored_words = std::move(ctx.lookup.ignored_words);
   output.timings = ctx.timings;
-  output.freshness_terms = std::move(ctx.freshness_terms);
 
   std::set<std::string> seen_sql;
   for (InterpretationState& state : ctx.states) {

@@ -229,15 +229,6 @@ struct SearchOutput {
   /// cold translation, 1/4 when a session resumed a cached plan
   /// (lookup, or lookup+rank+tables+filters), 5 on a cache hit.
   size_t stages_skipped = 0;
-
-  /// The base-data value vocabulary this answer depends on: every folded
-  /// token Step 1 probed against the classification/inverted indexes
-  /// (matched phrases, ignored words, aggregation and group-by
-  /// arguments, string comparison operands), sorted and deduplicated.
-  /// Recorded cheaply during lookup and kept in the cached copy; the
-  /// FreshnessManager invalidates cached answers whose terms an appended
-  /// value's tokens intersect (core/freshness.h).
-  std::vector<std::string> freshness_terms;
 };
 
 /// Canonical form of a statement for result deduplication: FROM order,
@@ -320,8 +311,14 @@ struct QueryContext {
   /// only — NOT thread-safe; per-interpretation stages must not use it.
   std::unique_ptr<ProbeMemo> probe_memo;
 
-  /// The probed token vocabulary LookupStage records (moved into
-  /// SearchOutput by FinalizeOutput).
+  /// The base-data value vocabulary the answer depends on: every folded
+  /// token Step 1 probed against the classification/inverted indexes
+  /// (matched phrases, ignored words, aggregation and group-by
+  /// arguments, string comparison operands), sorted and deduplicated.
+  /// Recorded cheaply by LookupStage; the engine keeps it in the
+  /// TranslationPlan cached beside the answer, where the
+  /// FreshnessManager matches it against appended values' tokens
+  /// (core/freshness.h).
   std::vector<std::string> freshness_terms;
 };
 

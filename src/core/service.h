@@ -140,8 +140,9 @@ struct PlannedInterpretation {
 /// Freshness: a plan is resumable only while the change log's sequence
 /// still equals `captured_at_sequence` — any base-data mutation voids it,
 /// the same rule the deferred stream cache insert follows, and the next
-/// Refine re-translates. `freshness_terms` ride along so a resumed
-/// unconstrained answer is still cached with its dependencies.
+/// Refine re-translates. `freshness_terms` are the answer's dependency
+/// record: the FreshnessManager reads them from the plan cached beside
+/// the answer.
 struct TranslationPlan {
   InputQuery parsed;
   LookupOutput lookup;
@@ -153,9 +154,9 @@ struct TranslationPlan {
 
 /// One result-cache entry: an unconstrained answer, the plan it was
 /// translated from (never null) and the dependency record the
-/// FreshnessManager reads. Each piece is stored once: the stored output
-/// leaves `parsed` and `freshness_terms` empty — they live in the plan,
-/// and Served() puts them back.
+/// FreshnessManager reads (the plan's freshness terms and `tables`).
+/// Each piece is stored once: the stored output leaves `parsed` empty —
+/// the plan holds it, and Served() puts it back.
 struct CachedAnswer {
   SearchOutput output;
   std::shared_ptr<const TranslationPlan> plan;
@@ -167,7 +168,6 @@ struct CachedAnswer {
   SearchOutput Served() const {
     SearchOutput served = output;
     served.parsed = plan->parsed;
-    served.freshness_terms = plan->freshness_terms;
     return served;
   }
 };
