@@ -700,15 +700,15 @@ void BM_SessionRefine(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionRefine);
 
-// A new user steering a popular question: the cache already holds the
-// answer, so every iteration starts a session whose Ask is a hit, pins a
-// table and Refines. The first Refine resumes the plan cached beside the
-// answer; "first_refine_stages_skipped" reads 4 when it does and 0 when
-// it re-runs the whole pipeline.
+// A new user steering a popular question: an earlier session's Ask
+// cached the answer, so every iteration starts a session whose Ask is a
+// hit, pins a table and Refines. The first Refine resumes the plan cached
+// beside the answer; "first_refine_stages_skipped" reads 4 when it does
+// and 0 when it re-runs the whole pipeline.
 void BM_SessionFirstRefineAfterCachedAsk(benchmark::State& state) {
   static soda::SodaEngine* engine = SessionEngine(/*cache_capacity=*/64);
-  if (!engine->Search(kSessionQuestion).ok()) {  // fill the entry once
-    state.SkipWithError("filling Search failed");
+  if (!soda::SodaSession(engine).Ask(kSessionQuestion).ok()) {  // fill once
+    state.SkipWithError("filling Ask failed");
     return;
   }
   double stages_skipped = 0.0;

@@ -259,13 +259,14 @@ std::shared_lock<std::shared_mutex> SodaEngine::ReadGuard() const {
 }
 
 void SodaEngine::CacheInsert(const std::string& key, SearchOutput output,
+                             std::vector<std::string> freshness_terms,
                              std::shared_ptr<const TranslationPlan> plan,
                              const TraceContext& trace) const {
   if (cache_.capacity() == 0) return;
   // Names a miss's copy in a sampled trace.
   Span span(trace, "cache.insert");
   auto entry = std::make_shared<CachedAnswer>();
-  output.parsed = InputQuery{};  // the plan holds it
+  if (plan != nullptr) output.parsed = InputQuery{};  // the plan holds it
   for (const SodaResult& result : output.results) {
     for (const TableRef& ref : result.statement.from) {
       entry->tables.push_back(FoldForMatch(ref.table));
@@ -275,6 +276,7 @@ void SodaEngine::CacheInsert(const std::string& key, SearchOutput output,
   entry->tables.erase(std::unique(entry->tables.begin(), entry->tables.end()),
                       entry->tables.end());
   entry->output = std::move(output);
+  entry->freshness_terms = std::move(freshness_terms);
   entry->plan = std::move(plan);
   cache_.Put(key, std::move(entry));
 }
@@ -291,10 +293,8 @@ struct SodaEngine::BatchItem {
   std::vector<size_t> occurrences;  // input indices, ascending
   bool from_cache = false;
   Result<SearchOutput> output{Status::Internal("batch item not computed")};
-  // The plan the output was translated from: the cache entry's on a hit,
-  // else the one resumed or captured (null when no one keeps a plan).
-  // The session slot and the cache entry the answer fills both take it.
-  std::shared_ptr<const TranslationPlan> answer_plan;
+  // An unconstrained computed answer's dependency record, for its entry.
+  std::vector<std::string> freshness_terms;
 
   // Non-empty constraints bypass the result cache: a pinned, banned or
   // bound answer is a one-off, and reusing it is the session plan's job.
@@ -337,7 +337,6 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
   const SodaConfig& config = soda_->config();
   // Stable for the whole batch: every caller holds the shared data lock.
   const uint64_t sequence = soda_->database()->change_log().sequence();
-  const bool cache_enabled = cache_.capacity() > 0;
 
   // One job per unique cache miss: its context, its span, the stage list
   // it starts from, the plan it resumes and, when it captures a plan,
@@ -374,7 +373,6 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       sink_->IncrementCounter("cache.hit", 1);
       item.from_cache = true;
       item.output = cached->Served();
-      item.answer_plan = cached->plan;
       if (item.plan != nullptr) {
         sink_->IncrementCounter("session.stages_skipped", 5);
         *item.plan = cached->plan;
@@ -420,7 +418,7 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       if (item.constrained() && (plan == nullptr || plan->bindings_fp != fp)) {
         std::shared_ptr<const CachedAnswer> entry =
             cache_.Peek(item.normalized);
-        if (entry != nullptr &&
+        if (entry != nullptr && entry->plan != nullptr &&
             entry->plan->captured_at_sequence == sequence &&
             (plan == nullptr || entry->plan->bindings_fp == fp)) {
           plan = entry->plan;
@@ -435,19 +433,16 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
           job.stages = &stages_sql_;
           job.stages_skipped = 4;  // lookup, rank, tables, filters
         } else {
-          ctx.freshness_terms = plan->freshness_terms;  // for the capture
           job.stages = &stages_rank_on_;
           job.stages_skipped = 1;  // lookup
         }
         job.plan = std::move(plan);
       }
     }
-    // Capture for whoever keeps a plan — the session slot, and the cache
-    // entry an unconstrained answer fills — unless the states are reused
-    // as they are. With the cache off a plain serve captures nothing.
-    job.capture = (item.plan != nullptr ||
-                   (!item.constrained() && cache_enabled)) &&
-                  job.stages_skipped != 4;
+    // A session serve captures a plan unless it reuses a plan's states
+    // as they are; the cache entry its answer fills keeps the plan too.
+    // Plain serves capture nothing.
+    job.capture = item.plan != nullptr && job.stages_skipped != 4;
   }
 
   // One task per job: a query's stages, its plan snapshot, its output
@@ -495,10 +490,15 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       if (item.constraints != nullptr) {
         plan->bindings_fp = item.constraints->BindingsFingerprint();
       }
-      plan->freshness_terms = std::move(ctx.freshness_terms);
       plan->states = std::move(job.snapshot);
       plan->captured_at_sequence = sequence;
       job.plan = std::move(plan);
+    }
+    if (!item.constrained()) {
+      // A resumed serve skipped the lookup that records the terms.
+      item.freshness_terms = job.stages_skipped == 0
+                                 ? std::move(ctx.freshness_terms)
+                                 : CollectFreshnessTerms(ctx);
     }
     const TraceContext query_trace = ctx.trace;
     item.output = FinalizeOutput(std::move(ctx));
@@ -533,13 +533,15 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     // without a snippet to stream on the async path — its last snippet
     // task caches the rest. The stored copy keeps from_cache=false;
     // each response patches its own.
-    item.answer_plan = std::move(job.plan);
+    // The plan the output was translated from (resumed or captured; null
+    // for plain serves) goes to the cache entry and the session slot.
     if (!item.constrained() && (execute || item.output->results.empty())) {
-      CacheInsert(item.normalized, *item.output, item.answer_plan, trace);
+      CacheInsert(item.normalized, *item.output,
+                  std::move(item.freshness_terms), job.plan, trace);
     }
     // Hand the plan over last: a serve that failed anywhere leaves the
     // caller's previous plan untouched.
-    if (item.plan != nullptr) *item.plan = item.answer_plan;
+    if (item.plan != nullptr) *item.plan = std::move(job.plan);
   }
   return interpretations;
 }
@@ -654,7 +656,7 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAll(
 /// One unique query's snippet stream, run in result order by one thread.
 struct SodaEngine::StreamState {
   SearchOutput output;
-  std::shared_ptr<const TranslationPlan> plan;  // cached beside the output
+  std::vector<std::string> freshness_terms;  // cached beside the output
   std::vector<size_t> occurrences;
   std::string key;
   SnippetCallback on_snippet;  // one copy per unique query
@@ -710,8 +712,9 @@ SnippetStream::Summary SodaEngine::RunStream(StreamState& stream,
   auto data_guard = ReadGuard();
   if (soda_->database()->change_log().sequence() ==
       stream.translated_at_sequence) {
-    CacheInsert(stream.key, std::move(stream.output), std::move(stream.plan),
-                trace);
+    // Plain searches keep no plan.
+    CacheInsert(stream.key, std::move(stream.output),
+                std::move(stream.freshness_terms), nullptr, trace);
   } else {
     sink_->IncrementCounter("cache.stale_insert_skipped", 1);
   }
@@ -744,7 +747,7 @@ AsyncSearch SodaEngine::SearchAllAsync(std::span<const std::string> queries,
     if (!item.output.ok() || item.output->results.empty()) continue;
     StreamState stream;
     stream.output = *item.output;
-    stream.plan = item.answer_plan;
+    stream.freshness_terms = std::move(item.freshness_terms);
     stream.occurrences = item.occurrences;
     stream.key = item.normalized;
     stream.on_snippet = on_snippet;

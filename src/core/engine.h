@@ -37,12 +37,12 @@
 //   7. interactive sessions — Search takes SessionConstraints (constrained
 //      answers bypass the result cache), and SearchSession captures/resumes
 //      a TranslationPlan so a session's Refine re-runs only the stages a
-//      constraint change can affect (core/service.h, core/session.h). The
-//      miss that fills a cache entry stores its plan there (nothing is
-//      captured with the cache off), so an Ask served from cache hands
-//      its session that plan, and a constrained session serve with no
-//      fitting plan of its own resumes from the one cached for its
-//      question — peeked, so the hit/miss books and the rule that
+//      constraint change can affect (core/service.h, core/session.h). A
+//      session serve that fills a cache entry stores its plan there
+//      (plain searches capture none), so a later Ask served from that
+//      entry hands its session the plan, and a constrained session serve
+//      with no fitting plan of its own resumes from the one cached for
+//      its question — peeked, so the hit/miss books and the rule that
 //      constrained answers neither probe nor fill the cache stand.
 //
 // One driver serves all of it: every entry point runs the same
@@ -223,10 +223,10 @@ class SodaEngine : public SodaService {
   /// — its query-level stages (or a session plan resume), then its
   /// interpretations in ranked order — so a throwing task fails only its
   /// query and a batch of one stays on the caller's thread. A capturing
-  /// item (a session serve that cannot reuse a plan's states, or an
-  /// unconstrained miss with the cache on) snapshots its states at the
-  /// Step-4/5 boundary; its plan reaches the session slot and the cache
-  /// entry only on success. `execute` (the sync paths) appends the
+  /// item (a session serve that cannot reuse a plan's states) snapshots
+  /// its states at the Step-4/5 boundary; its plan reaches the session
+  /// slot, and the cache entry an unconstrained answer fills, only on
+  /// success. `execute` (the sync paths) appends the
   /// query's snippet execution to its task, timed into its own output;
   /// computed answers are cached once materialized (all of them when
   /// `execute`, else only those with no snippet to stream). `trace` (the
@@ -266,12 +266,13 @@ class SodaEngine : public SodaService {
   /// covered them.
   std::shared_lock<std::shared_mutex> ReadGuard() const;
 
-  /// Caches `output` under `key` beside `plan` (non-null: the plan it
-  /// was translated from, which keeps its parsed query and freshness
-  /// terms) with its folded table list — the dependency record
-  /// InvalidateWhere predicates read — under the caller's ReadGuard,
-  /// inside a "cache.insert" span under `trace`.
+  /// Caches `output` under `key` with its dependency record — its
+  /// `freshness_terms` and folded table list, which InvalidateWhere
+  /// predicates read — and `plan` (the plan it was translated from, or
+  /// null when no session serve captured one), under the caller's
+  /// ReadGuard, inside a "cache.insert" span under `trace`.
   void CacheInsert(const std::string& key, SearchOutput output,
+                   std::vector<std::string> freshness_terms,
                    std::shared_ptr<const TranslationPlan> plan,
                    const TraceContext& trace) const;
 

@@ -25,7 +25,7 @@ bool DependsOn(const CachedAnswer& entry, const std::string& table,
   if (std::binary_search(entry.tables.begin(), entry.tables.end(), table)) {
     return true;
   }
-  const std::vector<std::string>& terms = entry.plan->freshness_terms;
+  const std::vector<std::string>& terms = entry.freshness_terms;
   for (const std::string& spelling : spellings) {
     if (std::binary_search(terms.begin(), terms.end(), spelling)) return true;
   }

@@ -162,13 +162,10 @@ Status PipelineStage::RunOne(const QueryContext&, InterpretationState*) const {
 // LookupStage
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// The folded token vocabulary Step 1 probed: everything segmentation and
-// classification compared against the base-data index. An appended value
-// whose tokens intersect this set can change the query's lookup (a new
-// entry point, a previously ignored word that now matches, a shifted
-// candidate count), so the freshness layer keys invalidation on it.
+// An appended value whose tokens intersect the probed vocabulary can
+// change the query's lookup (a new entry point, a previously ignored word
+// that now matches, a shifted candidate count), so the freshness layer
+// keys invalidation on it.
 std::vector<std::string> CollectFreshnessTerms(const QueryContext& ctx) {
   std::vector<std::string> terms;
   auto add_tokens = [&terms](std::string_view text) {
@@ -203,8 +200,6 @@ std::vector<std::string> CollectFreshnessTerms(const QueryContext& ctx) {
   terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
   return terms;
 }
-
-}  // namespace
 
 Status LookupStage::Run(QueryContext* ctx) const {
   SODA_ASSIGN_OR_RETURN(ctx->parsed, ParseInputQuery(ctx->raw_query));

@@ -316,7 +316,7 @@ struct QueryContext {
   /// (matched phrases, ignored words, aggregation and group-by
   /// arguments, string comparison operands), sorted and deduplicated.
   /// Recorded cheaply by LookupStage; the engine keeps it in the
-  /// TranslationPlan cached beside the answer, where the
+  /// answer's result-cache entry (CachedAnswer), where the
   /// FreshnessManager matches it against appended values' tokens
   /// (core/freshness.h).
   std::vector<std::string> freshness_terms;
@@ -423,6 +423,11 @@ class SqlStage : public PipelineStage {
 /// re-derives them this way instead of storing them.
 void MaterializeInterpretation(const LookupOutput& lookup,
                                InterpretationState* state);
+
+/// LookupStage's record of ctx->freshness_terms, from ctx->parsed and
+/// ctx->lookup. A resumed session plan, whose lookup was not re-run,
+/// re-derives the terms this way when its answer is cached.
+std::vector<std::string> CollectFreshnessTerms(const QueryContext& ctx);
 
 /// Runs the query-level prefix of `stages` (lookup, rank) once, in
 /// order, each under a StageScope writing ctx->timings. Per-interpretation

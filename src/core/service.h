@@ -17,10 +17,10 @@
 // additionally captures/reuses a TranslationPlan — the Steps 1-2 (+3-4)
 // output that lets a Refine re-run only the stages a constraint change
 // can affect. The shared result cache holds unconstrained answers only,
-// each beside the plan it was translated from (CachedAnswer), so a
-// session whose question was answered from cache still resumes its
-// Refines; reuse across a session's constrained serves is the plan's
-// job.
+// each a session serve filled beside the plan it was translated from
+// (CachedAnswer), so a session whose question was answered from cache
+// still resumes its Refines; reuse across a session's constrained serves
+// is the plan's job.
 //
 // The async half of a search is a returned value, not registered work:
 // SearchAllAsync hands back the translated outputs with a SnippetStream,
@@ -130,44 +130,43 @@ struct PlannedInterpretation {
 /// Step-1 lookup (constraint-independent), plus the post-Filters
 /// interpretations ranked under `bindings_fp`. Immutable once
 /// captured and shared by pointer: a SodaSession holds one between its
-/// calls, and every result-cache entry holds the one its answer was
-/// translated from. SearchSession resumes from it — pin/ban-only changes
-/// re-run Step 5 alone, binding changes re-rank from Step 2 — with output
-/// byte-identical to a cold constrained translation.
+/// calls, and a result-cache entry a session serve filled holds the one
+/// its answer was translated from. SearchSession resumes from it —
+/// pin/ban-only changes re-run Step 5 alone, binding changes re-rank from
+/// Step 2 — with output byte-identical to a cold constrained translation.
 ///
 /// The question it answers is NormalizedQueryKey(parsed.raw).
 ///
 /// Freshness: a plan is resumable only while the change log's sequence
 /// still equals `captured_at_sequence` — any base-data mutation voids it,
 /// the same rule the deferred stream cache insert follows, and the next
-/// Refine re-translates. `freshness_terms` are the answer's dependency
-/// record: the FreshnessManager reads them from the plan cached beside
-/// the answer.
+/// Refine re-translates.
 struct TranslationPlan {
   InputQuery parsed;
   LookupOutput lookup;
   std::string bindings_fp;  // BindingsFingerprint the states were ranked under
   std::vector<PlannedInterpretation> states;  // post-Filters, pre-Sql
-  std::vector<std::string> freshness_terms;
   uint64_t captured_at_sequence = 0;
 };
 
-/// One result-cache entry: an unconstrained answer, the plan it was
-/// translated from (never null) and the dependency record the
-/// FreshnessManager reads (the plan's freshness terms and `tables`).
-/// Each piece is stored once: the stored output leaves `parsed` empty —
-/// the plan holds it, and Served() puts it back.
+/// One result-cache entry: an unconstrained answer, its dependency record
+/// (what the FreshnessManager reads) and, when a session serve filled the
+/// entry, the plan the answer was translated from — plain searches
+/// capture none. Each piece is stored once: with a plan, the stored
+/// output leaves `parsed` empty, and Served() puts the plan's back.
 struct CachedAnswer {
   SearchOutput output;
-  std::shared_ptr<const TranslationPlan> plan;
+  /// Every folded token Step 1 probed (QueryContext::freshness_terms).
+  std::vector<std::string> freshness_terms;
   /// FoldForMatch of every table the answer's statements read, sorted
   /// and unique, so an append's table is one binary search.
   std::vector<std::string> tables;
+  std::shared_ptr<const TranslationPlan> plan;  // null: no session filled it
 
   /// The answer as a response carries it.
   SearchOutput Served() const {
     SearchOutput served = output;
-    served.parsed = plan->parsed;
+    if (plan != nullptr) served.parsed = plan->parsed;
     return served;
   }
 };
@@ -216,7 +215,8 @@ class SodaService {
   /// afterwards holds the plan the answer was translated from:
   ///
   ///   * an unconstrained answer served from cache installs the plan
-  ///     stored beside it (stages_skipped 5);
+  ///     stored beside it (stages_skipped 5) — none when a plain search,
+  ///     which captures no plan, filled the entry;
   ///   * otherwise the serve resumes from a fresh plan for `query` —
   ///     the held one, or, for a constrained serve the held one cannot
   ///     answer with Step 5 alone, the one cached beside the question's
@@ -227,7 +227,8 @@ class SodaService {
   ///   * with no fresh plan for `query` the serve translates cold.
   ///
   /// Any serve that could not reuse a plan's states as they are
-  /// captures a new plan. Books session.{refines,stages_skipped}. Output
+  /// captures a new plan, which the cache entry an unconstrained answer
+  /// fills keeps too. Books session.{refines,stages_skipped}. Output
   /// is byte-identical on every path. On a sharded engine the query
   /// routes by its normalized text only (the constraints are NOT
   /// hashed), so every constrained variant of one question meets its

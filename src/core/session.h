@@ -16,8 +16,9 @@
 //
 // Every answer leaves the session holding the TranslationPlan it was
 // translated from — captured by the serve, or, when the answer came from
-// the result cache, the plan stored beside it — and Refine re-runs only
-// the stages the constraint change can affect by resuming it:
+// the result cache, the plan a session serve stored beside it (none when
+// a plain search filled the entry) — and Refine re-runs only the stages
+// the constraint change can affect by resuming it:
 //
 //   serve                           stages re-run            skipped
 //   ──────────────────────────────  ───────────────────────  ───────
@@ -64,7 +65,7 @@ class SodaSession {
   explicit SodaSession(SodaService* service) : service_(service) {}
 
   /// Starts a fresh question: clears the constraints and the held plan,
-  /// then translates — or takes the cached answer and the plan cached
+  /// then translates — or takes the cached answer and any plan cached
   /// beside it — holding the answer's plan for later Refines.
   Result<SearchOutput> Ask(const std::string& query);
 
@@ -91,10 +92,10 @@ class SodaSession {
 
   /// The entry-point candidates Step 1 found for `term` in the current
   /// question, as (entry_key, human-readable description) pairs in
-  /// candidate order — entry_key is a valid BindTerm target. Every
-  /// answer leaves a plan behind, cache hits included, so this is empty
-  /// only before the question's first answer or when the term matched
-  /// nothing.
+  /// candidate order — entry_key is a valid BindTerm target. Empty when
+  /// no plan is held — before the question's first answer, or after an
+  /// Ask served from an entry a plain search filled; any Refine captures
+  /// one — or when the term matched nothing.
   std::vector<std::pair<std::string, std::string>> TermCandidates(
       const std::string& term) const;
 

@@ -476,32 +476,20 @@ bool SodaHttpServer::HandleStreamingSearch(const HttpRequest& request, int fd,
 
   // Snippet callbacks fire only inside Run() below, on this thread, after
   // the head and the translation payload are out — so each event is
-  // written straight to the socket, except the last one, which waits to
-  // share the closing write. After a failed write the rest of the stream
-  // is dropped.
+  // written straight to the socket. After a failed write the rest of the
+  // stream is dropped.
   bool write_failed = false;
   auto send = [this, fd, &write_failed](const std::string& bytes) {
     if (!write_failed && !SendAll(fd, bytes)) write_failed = true;
   };
-  size_t events_left = 0;  // set once the outputs are known
-  std::string last_event;
-  auto on_snippet = [&](size_t query_index, size_t result_index,
-                        const SodaResult& result) {
-    std::string event = SerializeChunk(
-        RenderSnippetEventJson(query_index, result_index, result));
-    if (events_left > 0 && --events_left == 0) {
-      last_event = std::move(event);
-    } else {
-      send(event);
-    }
+  auto on_snippet = [&send](size_t query_index, size_t result_index,
+                            const SodaResult& result) {
+    send(SerializeChunk(
+        RenderSnippetEventJson(query_index, result_index, result)));
   };
 
   AsyncSearch search = service_->SearchAllAsync(
       std::span<const std::string>(*queries), on_snippet);
-  // One event per result of every answered query, repeats included.
-  for (const Result<SearchOutput>& output : search.outputs) {
-    if (output.ok()) events_left += output->results.size();
-  }
 
   HttpResponse head;
   head.status = 200;
@@ -516,11 +504,9 @@ bool SodaHttpServer::HandleStreamingSearch(const HttpRequest& request, int fd,
 
   // Runs the snippets and streams their events in first-occurrence query
   // order, then result order; once it returns no callback can fire, so
-  // the last event, the done line and the terminating chunk (one write)
-  // close the stream.
+  // the done line and the terminating chunk (one write) close the stream.
   SnippetStream::Summary summary = search.snippets.Run();
-  send(last_event +
-       SerializeChunk(RenderStreamDoneJson(summary.delivered,
+  send(SerializeChunk(RenderStreamDoneJson(summary.delivered,
                                            summary.callback_exceptions)) +
        SerializeLastChunk());
   return true;

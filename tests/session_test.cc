@@ -622,7 +622,7 @@ TEST_F(SessionTest, RefinesAfterCachedAskResumeTheCachedPlan) {
   for (size_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     auto router = CachedRouter(bank_, shards);
-    ASSERT_TRUE(router->Search(kSteerable).ok());
+    ASSERT_TRUE(SodaSession(router.get()).Ask(kSteerable).ok());
 
     // First Refine a pin/ban.
     SodaSession banning(router.get());
@@ -680,7 +680,7 @@ TEST_F(SessionTest, ChangedQuestionResumesFromCachedPlan) {
   for (size_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     auto router = CachedRouter(bank_, shards);
-    ASSERT_TRUE(router->Search(other).ok());
+    ASSERT_TRUE(SodaSession(router.get()).Ask(other).ok());
     const CacheStats before = router->cache_stats();
 
     SodaSession session(router.get());
@@ -738,10 +738,10 @@ TEST_F(SessionTest, StaleCachedPlanIsNotResumed) {
             std::make_unique<FreshnessManager>(&bank->db.change_log());
         freshness->Track(router.get());
       }
-      auto warm = router->Search(survivor);
+      auto warm = SodaSession(router.get()).Ask(survivor);
       ASSERT_TRUE(warm.ok()) << warm.status();
       ASSERT_FALSE(warm->results.empty());
-      ASSERT_TRUE(router->Search(kSteerable).ok());
+      ASSERT_TRUE(SodaSession(router.get()).Ask(kSteerable).ok());
       const std::string table = warm->results[0].statement.from[0].table;
 
       AppendUnprobedIndividual(&bank->db);
@@ -772,6 +772,63 @@ TEST_F(SessionTest, StaleCachedPlanIsNotResumed) {
                 ColdFingerprint(bank.get(), kSteerable,
                                 steering.constraints()));
     }
+  }
+}
+
+// An unconstrained serve that resumes a plan skipped the lookup that
+// records the dependency terms; its answer is still cached with the same
+// dependency record as a cold serve's.
+TEST_F(SessionTest, ResumedAnswerIsCachedWithItsDependencies) {
+  auto router = CachedRouter(bank_, 1);
+  std::vector<std::vector<std::string>> records;
+  const CachePredicate take = [&](const std::string&,
+                                  const CachedAnswer& entry) {
+    records.push_back(entry.freshness_terms);
+    records.push_back(entry.tables);
+    return true;
+  };
+  SodaSession session(router.get());
+  ASSERT_TRUE(session.Ask(kSteerable).ok());
+  ASSERT_EQ(router->InvalidateWhere(take), 1u);
+  auto resumed = session.Refine();
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_FALSE(resumed->from_cache);
+  EXPECT_EQ(session.last_stages_skipped(), 4u);
+  ASSERT_EQ(router->InvalidateWhere(take), 1u);
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_FALSE(records[0].empty());
+  EXPECT_FALSE(records[1].empty());
+  EXPECT_EQ(records[2], records[0]);
+  EXPECT_EQ(records[3], records[1]);
+}
+
+// A plain search captures no plan, so an Ask served from the entry it
+// filled hands the session none: no term candidates until a Refine, which
+// runs cold (a peek finds no plan either), captures one and equals a cold
+// constrained translation. The next Refine resumes that capture.
+TEST_F(SessionTest, PlainSearchFillsNoPlan) {
+  for (size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto router = CachedRouter(bank_, shards);
+    ASSERT_TRUE(router->Search(kSteerable).ok());
+
+    SodaSession session(router.get());
+    auto asked = session.Ask(kSteerable);
+    ASSERT_TRUE(asked.ok()) << asked.status();
+    EXPECT_TRUE(asked->from_cache);
+    EXPECT_TRUE(session.TermCandidates("financial instruments").empty());
+
+    auto banned = session.BanTable("fi_contains_sec").Refine();
+    ASSERT_TRUE(banned.ok()) << banned.status();
+    EXPECT_EQ(session.last_stages_skipped(), 0u);
+    EXPECT_EQ(Fingerprint(*banned),
+              ColdFingerprint(bank_, kSteerable, session.constraints()));
+    EXPECT_EQ(session.TermCandidates("financial instruments").size(), 2u);
+    ASSERT_TRUE(session.UnbanTable("fi_contains_sec")
+                    .BanTable("securities")
+                    .Refine()
+                    .ok());
+    EXPECT_EQ(session.last_stages_skipped(), 4u);
   }
 }
 

@@ -364,7 +364,10 @@ TEST_F(ShardedEngineTest, ConstrainedSessionServeResumesTheCachedPlan) {
   for (size_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     auto router = MakeRouter(shards, /*threads=*/2, /*cache_capacity=*/16);
-    for (const auto& output : router->SearchAll(queries)) {
+    // Session serves fill the cache, each entry beside its plan.
+    for (const std::string& query : queries) {
+      std::shared_ptr<const TranslationPlan> plan;
+      auto output = router->SearchSession(query, SessionConstraints{}, &plan);
       ASSERT_TRUE(output.ok()) << output.status();
     }
     const CacheStats before = router->cache_stats();
