@@ -250,12 +250,6 @@ void BM_EngineBatchSearchAll(benchmark::State& state) {
       snapshot.histogram("stage.lookup.ms");
   state.counters["stage_samples"] =
       lookup == nullptr ? 0.0 : static_cast<double>(lookup->count);
-  // Per-query probe memo effectiveness: hits are classification probes
-  // answered without re-scanning the inverted index (CI greps for it).
-  state.counters["probe_memo_hits"] =
-      static_cast<double>(snapshot.counter("index.probe_memo_hits"));
-  state.counters["probe_memo_misses"] =
-      static_cast<double>(snapshot.counter("index.probe_memo_misses"));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(queries.size()));
 }

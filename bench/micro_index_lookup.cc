@@ -132,13 +132,13 @@ void BM_PhraseCountSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_PhraseCountSweep)->ArgsProduct({{1, 2, 3}, {0, 1}});
 
-// The no-materialize segmentation probe over the same skew corpus: a
-// dense-token phrase that never matches ("hot mid3 hot") — the adversary
-// for adjacency verification.
+// A dense-token phrase that never matches ("hot mid3 hot") over the same
+// skew corpus — the adversary for adjacency verification. A miss scans
+// the same postings whichever probe runs it, so this uses the count
+// probe; the name is kept for the ledger.
 void BM_ContainsPhraseMissDense(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        skew_env()->index.ContainsPhrase("hot mid3 hot"));
+    benchmark::DoNotOptimize(skew_env()->index.CountPhrase("hot mid3 hot"));
   }
 }
 BENCHMARK(BM_ContainsPhraseMissDense);

@@ -407,7 +407,7 @@ if [[ "${BUILD_TYPE}" == "Release" &&
                  closure_traverse_hits closure_path_lookups \
                  freshness_events freshness_keys_invalidated \
                  freshness_delta_postings \
-                 probe_memo_hits session_refines session_stages_skipped \
+                 session_refines session_stages_skipped \
                  trace_spans trace_sampled trace_dropped \
                  snippet_statements tuples_per_statement seed_reductions; do
     if ! grep -q "${counter}" "${BENCH_OUT}"; then

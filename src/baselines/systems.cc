@@ -240,14 +240,13 @@ class Banks : public KeywordSearchSystem {
     BaselineAnswer answer;
     // BANKS matches base data and relation/attribute names, nothing else.
     std::vector<std::string> ignored;
-    std::vector<std::string> phrases =
+    std::vector<LookupTerm> phrases =
         context_->classification->SegmentKeywords(Tokenize(query), &ignored);
     std::vector<Match> matches;
     std::vector<std::string> tables;
-    for (const auto& phrase : phrases) {
+    for (const LookupTerm& phrase : phrases) {
       bool found = false;
-      for (const EntryPoint& candidate :
-           context_->classification->Lookup(phrase)) {
+      for (const EntryPoint& candidate : phrase.candidates) {
         if (candidate.kind == EntryPoint::Kind::kBaseData) {
           matches.push_back(Match{true, candidate.table, candidate.column,
                                   candidate.value});
@@ -438,13 +437,13 @@ class Keymantic : public KeywordSearchSystem {
     const ClassificationIndex& metadata =
         *context_->metadata_only_classification;
     std::vector<std::string> ignored;
-    std::vector<std::string> phrases =
+    std::vector<LookupTerm> phrases =
         metadata.SegmentKeywords(Tokenize(query), &ignored);
 
     const MetadataGraph& graph = *context_->graph_for_resolution;
     std::vector<std::string> tables;
-    for (const auto& phrase : phrases) {
-      for (const EntryPoint& candidate : metadata.Lookup(phrase)) {
+    for (const LookupTerm& phrase : phrases) {
+      for (const EntryPoint& candidate : phrase.candidates) {
         auto column = ResolvePhysicalColumn(graph, candidate.node);
         if (column.has_value()) {
           tables.push_back(column->table);

@@ -61,12 +61,8 @@ void ClassificationIndex::Build(const MetadataGraph& graph,
 
 std::vector<EntryPoint> ClassificationIndex::Lookup(
     const std::string& phrase) const {
-  return LookupKey(PhraseKey(phrase));
-}
-
-std::vector<EntryPoint> ClassificationIndex::LookupKey(
-    const std::string& key) const {
   std::vector<EntryPoint> result;
+  const std::string key = PhraseKey(phrase);
   if (key.empty()) return result;
 
   auto it = metadata_.find(key);
@@ -90,10 +86,7 @@ std::vector<EntryPoint> ClassificationIndex::LookupKey(
 }
 
 size_t ClassificationIndex::CountMatches(const std::string& phrase) const {
-  return CountKey(PhraseKey(phrase));
-}
-
-size_t ClassificationIndex::CountKey(const std::string& key) const {
+  const std::string key = PhraseKey(phrase);
   if (key.empty()) return 0;
   size_t count = 0;
   auto it = metadata_.find(key);
@@ -102,20 +95,10 @@ size_t ClassificationIndex::CountKey(const std::string& key) const {
   return count;
 }
 
-bool ClassificationIndex::Matches(const std::string& phrase) const {
-  return MatchesKey(PhraseKey(phrase));
-}
-
-bool ClassificationIndex::MatchesKey(const std::string& key) const {
-  if (key.empty()) return false;
-  if (metadata_.count(key) > 0) return true;
-  return base_data_ != nullptr && base_data_->ContainsPhrase(key);
-}
-
-std::vector<std::string> ClassificationIndex::SegmentKeywords(
+std::vector<LookupTerm> ClassificationIndex::SegmentKeywords(
     const std::vector<std::string>& words,
-    std::vector<std::string>* ignored, ProbeMemo* memo) const {
-  std::vector<std::string> phrases;
+    std::vector<std::string>* ignored) const {
+  std::vector<LookupTerm> phrases;
   size_t i = 0;
   while (i < words.size()) {
     // Longest combination first: try words[i..j] for the largest j.
@@ -124,9 +107,9 @@ std::vector<std::string> ClassificationIndex::SegmentKeywords(
       std::vector<std::string> combo(words.begin() + i,
                                      words.begin() + i + len);
       std::string phrase = Join(combo, " ");
-      bool match = memo != nullptr ? memo->Matches(phrase) : Matches(phrase);
-      if (match) {
-        phrases.push_back(phrase);
+      std::vector<EntryPoint> candidates = Lookup(phrase);
+      if (!candidates.empty()) {
+        phrases.push_back({std::move(phrase), std::move(candidates)});
         i += len;
         matched = true;
         break;
@@ -138,68 +121,6 @@ std::vector<std::string> ClassificationIndex::SegmentKeywords(
     }
   }
   return phrases;
-}
-
-// ---------------------------------------------------------------------------
-// ProbeMemo
-// ---------------------------------------------------------------------------
-
-ProbeMemo::Entry& ProbeMemo::EntryFor(const std::string& phrase) {
-  auto [it, inserted] = memo_.try_emplace(phrase);
-  if (inserted) it->second.key = ClassificationIndex::PhraseKey(phrase);
-  return it->second;
-}
-
-bool ProbeMemo::Matches(const std::string& phrase) {
-  Entry& entry = EntryFor(phrase);
-  if (entry.matches >= 0) {
-    ++hits_;
-    return entry.matches == 1;
-  }
-  ++misses_;
-  bool match = index_->MatchesKey(entry.key);
-  entry.matches = match ? 1 : 0;
-  if (match) {
-    // Accepted phrases get their entry points fetched right after
-    // segmentation; materialize now so that Lookup is a memo hit.
-    entry.entries = index_->LookupKey(entry.key);
-    entry.has_entries = true;
-    entry.count = static_cast<ptrdiff_t>(entry.entries.size());
-  } else {
-    entry.count = 0;
-  }
-  return match;
-}
-
-size_t ProbeMemo::CountMatches(const std::string& phrase) {
-  Entry& entry = EntryFor(phrase);
-  if (entry.count >= 0) {
-    ++hits_;
-    return static_cast<size_t>(entry.count);
-  }
-  ++misses_;
-  entry.count = static_cast<ptrdiff_t>(index_->CountKey(entry.key));
-  entry.matches = entry.count > 0 ? 1 : 0;
-  return static_cast<size_t>(entry.count);
-}
-
-std::vector<EntryPoint> ProbeMemo::Lookup(const std::string& phrase) {
-  Entry& entry = EntryFor(phrase);
-  if (entry.has_entries) {
-    ++hits_;
-    return entry.entries;
-  }
-  if (entry.matches == 0) {
-    // Known non-match: the entry-point list is empty by definition.
-    ++hits_;
-    return {};
-  }
-  ++misses_;
-  entry.entries = index_->LookupKey(entry.key);
-  entry.has_entries = true;
-  entry.count = static_cast<ptrdiff_t>(entry.entries.size());
-  entry.matches = entry.entries.empty() ? 0 : 1;
-  return entry.entries;
 }
 
 }  // namespace soda

@@ -7,7 +7,10 @@
 // Every node label of the metadata graph (entity names, attribute names,
 // table/column names, ontology concepts, DBpedia terms, metadata filters
 // and aggregations) is indexed under its folded token phrase. Base-data
-// phrases are resolved through the inverted index.
+// phrases are resolved through the inverted index. Segmentation looks up
+// each word combination it tries once and returns the accepted phrases
+// with the entry points that lookup found, so Step 1 needs no second
+// probe per phrase.
 
 #ifndef SODA_CORE_CLASSIFICATION_H_
 #define SODA_CORE_CLASSIFICATION_H_
@@ -23,7 +26,16 @@
 
 namespace soda {
 
-class ProbeMemo;
+/// One keyword phrase accepted by segmentation, with all its candidate
+/// entry points (ClassificationIndex::Lookup of the phrase).
+struct LookupTerm {
+  std::string phrase;  // the words joined by single spaces, as typed
+  std::vector<EntryPoint> candidates;
+  /// Set by the lookup step when an operator binding references this
+  /// term — it then contributes a predicate instead of a plain presence
+  /// match.
+  bool has_operator = false;
+};
 
 class ClassificationIndex {
  public:
@@ -31,10 +43,6 @@ class ClassificationIndex {
   /// be nullptr when no inverted index is available (metadata-only mode,
   /// used by the Keymantic baseline comparison).
   void Build(const MetadataGraph& graph, const InvertedIndex* base_data);
-
-  /// Folded token-phrase key of `phrase` ("Financial  Instruments" ->
-  /// "financial instruments") — the form the *Key probes take.
-  static std::string PhraseKey(const std::string& phrase);
 
   /// Returns all entry points matching the phrase exactly (folded tokens).
   /// Metadata matches come first, base-data matches after.
@@ -44,86 +52,26 @@ class ClassificationIndex {
   /// complexity accounting only needs candidate counts.
   size_t CountMatches(const std::string& phrase) const;
 
-  /// True when the phrase matches at least one entry point. Early-exits
-  /// on the first base-data hit instead of building the postings list.
-  bool Matches(const std::string& phrase) const;
-
-  /// Pre-folded variants of the probes above: `key` is PhraseKey(phrase).
-  /// The ProbeMemo folds each distinct phrase once and re-probes through
-  /// these, so a phrase seen across segmentation attempts and complexity
-  /// accounting pays one Tokenize total.
-  std::vector<EntryPoint> LookupKey(const std::string& key) const;
-  size_t CountKey(const std::string& key) const;
-  bool MatchesKey(const std::string& key) const;
-
   /// Longest-word-combination segmentation (paper Section 4.2.2,
   /// "Keywords"): greedily matches the longest prefix of `words` that the
-  /// index knows, then continues with the rest. Unmatched single words are
-  /// returned in `ignored` ("'and' might be unknown and we therefore
-  /// ignore it"). When `memo` is non-null the match probes go through it,
-  /// so repeated combinations across keyword runs — and the entry-point
-  /// lookups the caller issues for accepted phrases — are answered from
-  /// the memo.
-  std::vector<std::string> SegmentKeywords(
+  /// index knows, then continues with the rest. Each combination tried is
+  /// looked up once, and an accepted phrase keeps the candidates that
+  /// lookup found. Unmatched single words are returned in `ignored`
+  /// ("'and' might be unknown and we therefore ignore it").
+  std::vector<LookupTerm> SegmentKeywords(
       const std::vector<std::string>& words,
-      std::vector<std::string>* ignored, ProbeMemo* memo = nullptr) const;
+      std::vector<std::string>* ignored) const;
 
   size_t num_metadata_phrases() const { return metadata_.size(); }
 
  private:
+  /// Folded token-phrase key of `phrase` ("Financial  Instruments" ->
+  /// "financial instruments"), the form both indexes are keyed on.
+  static std::string PhraseKey(const std::string& phrase);
+
   // folded phrase -> metadata entry points
   std::unordered_map<std::string, std::vector<EntryPoint>> metadata_;
   const InvertedIndex* base_data_ = nullptr;
-};
-
-/// Per-query memo over the classification probes (paper Step 1 issues a
-/// storm of them: every segmentation attempt, every accepted phrase's
-/// entry-point lookup, every aggregation/group-by count). Each distinct
-/// raw phrase is folded ONCE; each probe against the underlying indexes
-/// runs at most once per phrase, with cheaper answers derived from
-/// richer ones (materialized entries answer counts and match tests).
-///
-/// A memo belongs to one query-level lookup pass and is NOT thread-safe:
-/// per-interpretation stages running on the worker pool must keep using
-/// the ClassificationIndex directly.
-class ProbeMemo {
- public:
-  explicit ProbeMemo(const ClassificationIndex* index) : index_(index) {}
-  ProbeMemo(const ProbeMemo&) = delete;
-  ProbeMemo& operator=(const ProbeMemo&) = delete;
-
-  /// Memoized ClassificationIndex::Matches. A successful first probe
-  /// also materializes the phrase's entry points: segmentation accepts
-  /// the phrase and the lookup step fetches its candidates right after,
-  /// so the follow-up Lookup becomes a memo hit instead of a re-scan.
-  bool Matches(const std::string& phrase);
-
-  /// Memoized ClassificationIndex::CountMatches.
-  size_t CountMatches(const std::string& phrase);
-
-  /// Memoized ClassificationIndex::Lookup.
-  std::vector<EntryPoint> Lookup(const std::string& phrase);
-
-  /// Probes answered without touching the underlying indexes / probes
-  /// that had to go through. Booked as index.probe_memo_{hits,misses}.
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-
- private:
-  struct Entry {
-    std::string key;  // PhraseKey(phrase), computed once
-    int matches = -1;  // -1 unknown, else 0/1
-    ptrdiff_t count = -1;  // -1 unknown
-    bool has_entries = false;
-    std::vector<EntryPoint> entries;
-  };
-
-  Entry& EntryFor(const std::string& phrase);
-
-  const ClassificationIndex* index_;
-  std::unordered_map<std::string, Entry> memo_;  // raw phrase -> entry
-  size_t hits_ = 0;
-  size_t misses_ = 0;
 };
 
 }  // namespace soda

@@ -31,12 +31,17 @@ constexpr const char* kEngineCounterSeries[] = {
     "snippet.executed", "snippet.failed", "snippet.exception",
     "snippet.streamed", "snippet.callback_exception",
     "executor.index_builds", "executor.seed_reductions",
-    "index.probe_memo_hits", "index.probe_memo_misses",
     "lookup.interpretations_capped",
     "closure.traverse_hits", "closure.traverse_misses",
     "closure.path_lookups",
     "trace.spans", "trace.sampled", "trace.dropped", "trace.slow_queries",
 };
+
+// Indexes into Soda::stages() (lookup, rank, tables, filters, sql) of
+// the first stage a session resume runs; each equals the stages_skipped
+// the serve reports.
+constexpr size_t kRankStage = 1;  // bindings changed: re-rank
+constexpr size_t kSqlStage = 4;   // pins/bans only: Step 5 alone
 
 void PreRegisterEngineCounters(MetricsSink* sink) {
   for (const char* name : kEngineCounterSeries) {
@@ -223,16 +228,8 @@ SodaEngine::SodaEngine(std::shared_ptr<Soda> soda)
         "executor.tuples"}) {
     default_sink_->RegisterHistogram(name);
   }
-  // Each stage's histogram, and the session-resume sub-lists over the
-  // Soda-owned stage objects. The drivers skip stages of the wrong kind,
-  // so membership alone encodes what a resume re-runs.
-  bool seen_sql = false;
   for (const PipelineStage* stage : soda_->stages()) {
     default_sink_->RegisterHistogram(stage->timing().histogram);
-    if (stage->name() != "lookup") stages_rank_on_.push_back(stage);
-    if (!stage->per_interpretation()) continue;
-    if (stage->name() == "sql") seen_sql = true;
-    (seen_sql ? stages_sql_ : stages_pre_sql_).push_back(stage);
   }
 }
 
@@ -266,7 +263,6 @@ void SodaEngine::CacheInsert(const std::string& key, SearchOutput output,
   // Names a miss's copy in a sampled trace.
   Span span(trace, "cache.insert");
   auto entry = std::make_shared<CachedAnswer>();
-  if (plan != nullptr) output.parsed = InputQuery{};  // the plan holds it
   for (const SodaResult& result : output.results) {
     for (const TableRef& ref : result.statement.from) {
       entry->tables.push_back(FoldForMatch(ref.table));
@@ -338,17 +334,16 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
   // Stable for the whole batch: every caller holds the shared data lock.
   const uint64_t sequence = soda_->database()->change_log().sequence();
 
-  // One job per unique cache miss: its context, its span, the stage list
-  // it starts from, the plan it resumes and, when it captures a plan,
-  // the snapshot of its states at the Step-4/5 boundary.
+  // One job per unique cache miss: its context, its span, the stage it
+  // starts from, the plan it resumes and, when it captures a plan, the
+  // snapshot of its states at the Step-4/5 boundary.
   struct Job {
     explicit Job(BatchItem* batch_item)
         : item(batch_item), ctx(*batch_item->query) {}
     BatchItem* item;
     QueryContext ctx;
     Span span;  // one per batch query; inert for a single query
-    const std::vector<const PipelineStage*>* stages = nullptr;
-    size_t stages_skipped = 0;
+    size_t stages_skipped = 0;  // = the index of the first stage run
     bool capture = false;
     std::vector<PlannedInterpretation> snapshot;
     // The plan resumed, then the one captured; handed over on success only.
@@ -372,7 +367,7 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       // than the pipeline.
       sink_->IncrementCounter("cache.hit", 1);
       item.from_cache = true;
-      item.output = cached->Served();
+      item.output = cached->output;
       if (item.plan != nullptr) {
         sink_->IncrementCounter("session.stages_skipped", 5);
         *item.plan = cached->plan;
@@ -395,7 +390,6 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       job.span.SetAttr("query", ctx.raw_query);
       ctx.trace = job.span.context();
     }
-    job.stages = &soda_->stages();
     if (item.plan != nullptr) {
       // Session serve. Resume only from a plan that answers this very
       // question and still reflects the current base data: no mutation
@@ -430,11 +424,9 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
         ctx.lookup = plan->lookup;
         if (plan->bindings_fp == fp) {
           ctx.states = ResumeInterpretations(*plan);
-          job.stages = &stages_sql_;
-          job.stages_skipped = 4;  // lookup, rank, tables, filters
+          job.stages_skipped = kSqlStage;
         } else {
-          job.stages = &stages_rank_on_;
-          job.stages_skipped = 1;  // lookup
+          job.stages_skipped = kRankStage;
         }
         job.plan = std::move(plan);
       }
@@ -442,7 +434,7 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     // A session serve captures a plan unless it reuses a plan's states
     // as they are; the cache entry its answer fills keeps the plan too.
     // Plain serves capture nothing.
-    job.capture = item.plan != nullptr && job.stages_skipped != 4;
+    job.capture = item.plan != nullptr && job.stages_skipped != kSqlStage;
   }
 
   // One task per job: a query's stages, its plan snapshot, its output
@@ -455,24 +447,27 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     sink_->Observe("pool.queue_depth",
                    static_cast<double>(pool_.queue_depth()));
   }
+  const std::span<const PipelineStage* const> all_stages = soda_->stages();
   auto run_job = [&](Job& job) {
     QueryContext& ctx = job.ctx;
     job.status = RunContained(
         sink_.get(), "engine.task_exceptions", "pipeline task", [&] {
           SODA_FAILPOINT("engine.pool_task");
-          SODA_RETURN_NOT_OK(RunQueryStages(*job.stages, &ctx));
+          const auto stages = all_stages.subspan(job.stages_skipped);
+          SODA_RETURN_NOT_OK(RunQueryStages(stages, &ctx));
           job.interpretations = ctx.states.size();
           if (job.capture) job.snapshot.resize(ctx.states.size());
           for (size_t s = 0; s < ctx.states.size(); ++s) {
             InterpretationState* state = &ctx.states[s];
             if (!job.capture) {
-              RunInterpretationStages(*job.stages, ctx, state);
+              RunInterpretationStages(stages, ctx, state);
               continue;
             }
-            // Snapshot at the Step-4/5 boundary.
-            RunInterpretationStages(stages_pre_sql_, ctx, state);
+            // Snapshot at the Step-4/5 boundary (the driver skips the
+            // query-level stages of the prefix).
+            RunInterpretationStages(all_stages.first(kSqlStage), ctx, state);
             job.snapshot[s] = PlanInterpretation(*state);
-            RunInterpretationStages(stages_sql_, ctx, state);
+            RunInterpretationStages(all_stages.subspan(kSqlStage), ctx, state);
           }
           return Status::OK();
         });
@@ -600,13 +595,8 @@ std::vector<Result<SearchOutput>> SodaEngine::ExpandBatch(
 }
 
 // ---------------------------------------------------------------------------
-// Single-query entry points: a batch of one
+// Single-query entry point: a batch of one
 // ---------------------------------------------------------------------------
-
-Result<SearchOutput> SodaEngine::Search(
-    const std::string& query, const SessionConstraints& constraints) const {
-  return SearchSession(query, constraints, /*plan=*/nullptr);
-}
 
 Result<SearchOutput> SodaEngine::SearchSession(
     const std::string& query, const SessionConstraints& constraints,

@@ -46,11 +46,11 @@
 //      constrained answers neither probe nor fill the cache stand.
 //
 // One driver serves all of it: every entry point runs the same
-// translation core (TranslateBatch) — Search and SearchSession as a batch
-// of one item that carries its constraints and plan slot, SearchAll and
-// SearchAllAsync as the deduplicated batch — so cache probing, session
-// resume, fan-out, exception containment and snippet execution exist
-// once.
+// translation core (TranslateBatch) — SearchSession (which Search calls
+// without a plan slot) as a batch of one item that carries its
+// constraints and plan slot, SearchAll and SearchAllAsync as the
+// deduplicated batch — so cache probing, session resume, fan-out,
+// exception containment and snippet execution exist once.
 //
 // The engine is safe to share across caller threads: all entry points are
 // const, the cache and sink are internally locked, and the underlying
@@ -103,25 +103,17 @@ class SodaEngine : public SodaService {
   /// (an untraced engine never turns a configured recorder off).
   explicit SodaEngine(std::shared_ptr<Soda> soda);
 
-  using SodaService::Search;
   using SodaService::SearchAll;
 
-  /// Concurrent search under `constraints` (empty = classic, cached
-  /// behavior): SearchSession without a plan slot. Non-empty constraints
-  /// bypass the cache. On a cache hit the stored output is copied with
-  /// `from_cache` set; on a miss the pipeline and the snippets run on the
-  /// caller's thread.
-  Result<SearchOutput> Search(
-      const std::string& query,
-      const SessionConstraints& constraints) const override;
-
-  /// Session search: Search + TranslationPlan capture/resume — see
-  /// SodaService::SearchSession for the contract and the stage-skip
-  /// matrix. A batch of one through TranslateBatch; only unconstrained
-  /// answers probe or fill the cache, constrained ones may peek a cached
-  /// plan. The slot takes the answer's plan (cached, resumed or newly
-  /// captured) only when the serve succeeded. Outputs are byte-identical
-  /// across all paths.
+  /// Single-question search, with TranslationPlan capture/resume when
+  /// `plan` is set — see SodaService::SearchSession for the contract and
+  /// the stage-skip matrix. A batch of one through TranslateBatch: on a
+  /// cache hit the stored output is copied with `from_cache` set; on a
+  /// miss the pipeline and the snippets run on the caller's thread. Only
+  /// unconstrained answers probe or fill the cache, constrained ones may
+  /// peek a cached plan. The slot takes the answer's plan (cached,
+  /// resumed or newly captured) only when the serve succeeded. Outputs
+  /// are byte-identical across all paths.
   Result<SearchOutput> SearchSession(
       const std::string& query, const SessionConstraints& constraints,
       std::shared_ptr<const TranslationPlan>* plan) const override;
@@ -186,9 +178,6 @@ class SodaEngine : public SodaService {
   /// the sink before serving traffic. Passing nullptr restores the
   /// built-in in-memory sink.
   void set_metrics_sink(std::shared_ptr<MetricsSink> sink) override;
-
-  /// The active sink.
-  MetricsSink* metrics_sink() const { return sink_.get(); }
 
   /// Snapshot of the built-in in-memory sink. When a custom sink is
   /// installed the built-in one stops receiving events and this freezes;
@@ -277,14 +266,6 @@ class SodaEngine : public SodaService {
                    const TraceContext& trace) const;
 
   std::shared_ptr<Soda> soda_;
-  // Stage sub-lists for session resume, built once in the constructor
-  // from soda_->stages() (which owns the stage objects):
-  //   rank_on_  — everything after lookup (bindings changed: re-rank)
-  //   pre_sql_  — per-interpretation stages before sql (plan capture)
-  //   sql_      — sql alone (pins/bans only: regenerate statements)
-  std::vector<const PipelineStage*> stages_rank_on_;
-  std::vector<const PipelineStage*> stages_pre_sql_;
-  std::vector<const PipelineStage*> stages_sql_;
   mutable LruCache<std::string, CachedAnswer> cache_;
   std::shared_ptr<InMemoryMetricsSink> default_sink_;
   std::shared_ptr<MetricsSink> sink_;

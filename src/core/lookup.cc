@@ -28,7 +28,7 @@ bool IsLiteral(const InputElement& element) {
 
 }  // namespace
 
-Result<LookupOutput> LookupStep::Run(const InputQuery& query, ProbeMemo* memo,
+Result<LookupOutput> LookupStep::Run(const InputQuery& query,
                                      MetricsSink* metrics) const {
   LookupOutput out;
 
@@ -44,13 +44,8 @@ Result<LookupOutput> LookupStep::Run(const InputQuery& query, ProbeMemo* memo,
       continue;
     }
     size_t begin = out.terms.size();
-    std::vector<std::string> phrases =
-        index_->SegmentKeywords(element.words, &out.ignored_words, memo);
-    for (auto& phrase : phrases) {
-      LookupTerm term;
-      term.phrase = phrase;
-      term.candidates =
-          memo != nullptr ? memo->Lookup(phrase) : index_->Lookup(phrase);
+    for (LookupTerm& term :
+         index_->SegmentKeywords(element.words, &out.ignored_words)) {
       out.terms.push_back(std::move(term));
     }
     term_range[e] = {begin, out.terms.size()};
@@ -145,10 +140,6 @@ Result<LookupOutput> LookupStep::Run(const InputQuery& query, ProbeMemo* memo,
     if (out.complexity > 1000000 / n) overflowed = true;
     out.complexity *= n;
   };
-  auto count_matches = [&](const std::string& phrase) {
-    return memo != nullptr ? memo->CountMatches(phrase)
-                           : index_->CountMatches(phrase);
-  };
   for (const LookupTerm& term : out.terms) {
     account(term.candidates.size());
   }
@@ -157,11 +148,11 @@ Result<LookupOutput> LookupStep::Run(const InputQuery& query, ProbeMemo* memo,
         !element.agg_argument.empty()) {
       // Count-only probe: the accounting needs the candidate count, not
       // the (potentially large) materialized entry-point vectors.
-      account(count_matches(element.agg_argument));
+      account(index_->CountMatches(element.agg_argument));
     }
     if (element.kind == InputElement::Kind::kGroupBy) {
       for (const std::string& phrase : element.group_by_phrases) {
-        account(count_matches(phrase));
+        account(index_->CountMatches(phrase));
       }
     }
   }

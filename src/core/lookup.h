@@ -1,7 +1,8 @@
 // Step 1 - Lookup and Step 2 - Rank and top N (paper Section 3).
 //
 // The lookup step segments every keyword run with the longest-word-
-// combination algorithm, finds all entry points per phrase, binds
+// combination algorithm, which hands back all entry points per accepted
+// phrase (one classification lookup per word combination tried), binds
 // comparison / between operators to their neighboring phrases, and forms
 // the combinatorial product of entry-point choices ("the output of the
 // lookup step is a combinatorial product of all lookup terms", Figure 5).
@@ -32,15 +33,6 @@ struct OperatorBinding {
   Value literal_high;  // upper bound when is_between
 };
 
-/// One keyword phrase with all its candidate entry points.
-struct LookupTerm {
-  std::string phrase;
-  std::vector<EntryPoint> candidates;
-  /// True when an operator binding references this term — it then
-  /// contributes a predicate instead of a plain presence match.
-  bool has_operator = false;
-};
-
 /// One element of the combinatorial product: a choice of entry point per
 /// term.
 struct Interpretation {
@@ -64,18 +56,13 @@ class LookupStep {
       : index_(index), config_(config) {}
 
   /// Runs lookup on the parsed input. Aggregation / group-by / top-N
-  /// elements pass through untouched (the SQL generator handles them).
-  /// When `memo` is non-null every classification probe (segmentation,
-  /// entry-point lookup, complexity counting) goes through it, so each
-  /// distinct phrase is tokenized and scanned at most once per query.
+  /// elements pass through untouched (the SQL generator handles them);
+  /// their phrases are only counted, for the complexity measure.
   /// When the product of candidate choices exceeds max_interpretations,
   /// only the first max_interpretations are enumerated and, when
   /// `metrics` is set, lookup.interpretations_capped is booked once.
-  Result<LookupOutput> Run(const InputQuery& query, ProbeMemo* memo = nullptr,
+  Result<LookupOutput> Run(const InputQuery& query,
                            MetricsSink* metrics = nullptr) const;
-
-  /// The classification index probes run against (memo construction).
-  const ClassificationIndex* index() const { return index_; }
 
  private:
   const ClassificationIndex* index_;

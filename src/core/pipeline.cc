@@ -203,16 +203,7 @@ std::vector<std::string> CollectFreshnessTerms(const QueryContext& ctx) {
 
 Status LookupStage::Run(QueryContext* ctx) const {
   SODA_ASSIGN_OR_RETURN(ctx->parsed, ParseInputQuery(ctx->raw_query));
-  ctx->probe_memo = std::make_unique<ProbeMemo>(step_->index());
-  SODA_ASSIGN_OR_RETURN(ctx->lookup,
-                        step_->Run(ctx->parsed, ctx->probe_memo.get(),
-                                   ctx->metrics));
-  if (ctx->metrics != nullptr) {
-    ctx->metrics->IncrementCounter("index.probe_memo_hits",
-                                   ctx->probe_memo->hits());
-    ctx->metrics->IncrementCounter("index.probe_memo_misses",
-                                   ctx->probe_memo->misses());
-  }
+  SODA_ASSIGN_OR_RETURN(ctx->lookup, step_->Run(ctx->parsed, ctx->metrics));
   ctx->freshness_terms = CollectFreshnessTerms(*ctx);
   return Status::OK();
 }
@@ -409,7 +400,7 @@ Status SqlStage::RunOne(const QueryContext& ctx,
 // Drivers
 // ---------------------------------------------------------------------------
 
-void RunInterpretationStages(const std::vector<const PipelineStage*>& stages,
+void RunInterpretationStages(std::span<const PipelineStage* const> stages,
                              const QueryContext& ctx,
                              InterpretationState* state) {
   for (const PipelineStage* stage : stages) {
@@ -433,7 +424,7 @@ void RunInterpretationStages(const std::vector<const PipelineStage*>& stages,
   }
 }
 
-Status RunQueryStages(const std::vector<const PipelineStage*>& stages,
+Status RunQueryStages(std::span<const PipelineStage* const> stages,
                       QueryContext* ctx) {
   for (const PipelineStage* stage : stages) {
     if (stage->per_interpretation()) continue;
@@ -450,7 +441,7 @@ Status RunQueryStages(const std::vector<const PipelineStage*>& stages,
   return Status::OK();
 }
 
-Status RunPipeline(const std::vector<const PipelineStage*>& stages,
+Status RunPipeline(std::span<const PipelineStage* const> stages,
                    QueryContext* ctx) {
   SODA_RETURN_NOT_OK(RunQueryStages(stages, ctx));
   for (InterpretationState& state : ctx->states) {
@@ -461,7 +452,6 @@ Status RunPipeline(const std::vector<const PipelineStage*>& stages,
 
 SearchOutput FinalizeOutput(QueryContext&& ctx) {
   SearchOutput output;
-  output.parsed = std::move(ctx.parsed);
   output.complexity = ctx.lookup.complexity;
   output.ignored_words = std::move(ctx.lookup.ignored_words);
   output.timings = ctx.timings;

@@ -3,7 +3,8 @@
 // The paper's five steps are modeled as an ordered list of PipelineStage
 // objects operating on one QueryContext:
 //
-//   LookupStage   (query level)      parse + Step 1 - lookup
+//   LookupStage   (query level)      parse + Step 1 - lookup; one index
+//                                    lookup per word combination tried
 //   RankStage     (query level)      Step 2 - rank and top N; materializes
 //                                    one InterpretationState per survivor
 //   TablesStage   (per interpretation)  Step 3 - tables and joins
@@ -23,8 +24,8 @@
 #define SODA_CORE_PIPELINE_H_
 
 #include <chrono>
-#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -215,7 +216,6 @@ class StageScope {
 
 /// Everything a search produced.
 struct SearchOutput {
-  InputQuery parsed;
   size_t complexity = 1;  // lookup combinatorics (paper Table 4)
   std::vector<std::string> ignored_words;
   std::vector<SodaResult> results;
@@ -304,12 +304,6 @@ struct QueryContext {
   LookupOutput lookup;
   std::vector<InterpretationState> states;
   StepTimings timings;
-
-  /// Per-query probe memo, created by LookupStage so each distinct
-  /// phrase is tokenized and scanned once per query (booked as
-  /// index.probe_memo_{hits,misses} when `metrics` is set). Query-level
-  /// only — NOT thread-safe; per-interpretation stages must not use it.
-  std::unique_ptr<ProbeMemo> probe_memo;
 
   /// The base-data value vocabulary the answer depends on: every folded
   /// token Step 1 probed against the classification/inverted indexes
@@ -432,22 +426,23 @@ std::vector<std::string> CollectFreshnessTerms(const QueryContext& ctx);
 /// Runs the query-level prefix of `stages` (lookup, rank) once, in
 /// order, each under a StageScope writing ctx->timings. Per-interpretation
 /// stages in the list are skipped. Soda::Search (through RunPipeline) and
-/// the engine's translation core start with this.
-Status RunQueryStages(const std::vector<const PipelineStage*>& stages,
+/// the engine's translation core start with this; a resumed session plan
+/// passes the sub-range of Soda::stages() from its first stage on.
+Status RunQueryStages(std::span<const PipelineStage* const> stages,
                       QueryContext* ctx);
 
 /// Runs the per-interpretation suffix of `stages` on one state, in order,
 /// each under a StageScope writing state->timings. Query-level stages in
 /// the list are skipped. The engine runs it once per state, in ranked
 /// order, on the query's own thread.
-void RunInterpretationStages(const std::vector<const PipelineStage*>& stages,
+void RunInterpretationStages(std::span<const PipelineStage* const> stages,
                              const QueryContext& ctx,
                              InterpretationState* state);
 
 /// Serial driver: query-level stages once, per-interpretation stages over
 /// every state, with per-stage timings recorded into ctx->timings. This
 /// is exactly the paper's Figure 4 loop.
-Status RunPipeline(const std::vector<const PipelineStage*>& stages,
+Status RunPipeline(std::span<const PipelineStage* const> stages,
                    QueryContext* ctx);
 
 /// Merges the finished context into a SearchOutput: copies query-level

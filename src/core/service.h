@@ -12,15 +12,15 @@
 // fits the deployment and hand it around as a SodaService*.
 //
 // The interface also carries the session machinery shared by both
-// implementations: SessionConstraints travel with every Search (the
-// unconstrained overload is a non-virtual convenience), SearchSession
-// additionally captures/reuses a TranslationPlan — the Steps 1-2 (+3-4)
-// output that lets a Refine re-run only the stages a constraint change
-// can affect. The shared result cache holds unconstrained answers only,
-// each a session serve filled beside the plan it was translated from
-// (CachedAnswer), so a session whose question was answered from cache
-// still resumes its Refines; reuse across a session's constrained serves
-// is the plan's job.
+// implementations: SessionConstraints travel with every search, and
+// SearchSession — the one single-question entry point, which both Search
+// overloads call without a plan slot — captures/reuses a TranslationPlan
+// when given one: the Steps 1-2 (+3-4) output that lets a Refine re-run
+// only the stages a constraint change can affect. The shared result
+// cache holds unconstrained answers only, each a session serve filled
+// beside the plan it was translated from (CachedAnswer), so a session
+// whose question was answered from cache still resumes its Refines;
+// reuse across a session's constrained serves is the plan's job.
 //
 // The async half of a search is a returned value, not registered work:
 // SearchAllAsync hands back the translated outputs with a SnippetStream,
@@ -152,8 +152,7 @@ struct TranslationPlan {
 /// One result-cache entry: an unconstrained answer, its dependency record
 /// (what the FreshnessManager reads) and, when a session serve filled the
 /// entry, the plan the answer was translated from — plain searches
-/// capture none. Each piece is stored once: with a plan, the stored
-/// output leaves `parsed` empty, and Served() puts the plan's back.
+/// capture none.
 struct CachedAnswer {
   SearchOutput output;
   /// Every folded token Step 1 probed (QueryContext::freshness_terms).
@@ -162,13 +161,6 @@ struct CachedAnswer {
   /// and unique, so an append's table is one binary search.
   std::vector<std::string> tables;
   std::shared_ptr<const TranslationPlan> plan;  // null: no session filled it
-
-  /// The answer as a response carries it.
-  SearchOutput Served() const {
-    SearchOutput served = output;
-    if (plan != nullptr) served.parsed = plan->parsed;
-    return served;
-  }
 };
 
 /// An InvalidateWhere predicate over one cached entry: its normalized
@@ -180,10 +172,17 @@ class SodaService {
  public:
   virtual ~SodaService() = default;
 
-  /// Unconstrained search — the classic entry point, now a convenience
-  /// over the constrained overload.
+  /// Unconstrained search — the classic entry point.
   Result<SearchOutput> Search(const std::string& query) const {
     return Search(query, SessionConstraints{});
+  }
+
+  /// Search under `constraints`: SearchSession without a plan slot.
+  /// Empty constraints are the classic cached search; non-empty ones
+  /// neither probe nor fill the result cache.
+  Result<SearchOutput> Search(const std::string& query,
+                              const SessionConstraints& constraints) const {
+    return SearchSession(query, constraints, /*plan=*/nullptr);
   }
 
   /// Brace-list convenience: service.SearchAll({"a", "b"}). One shared
@@ -193,12 +192,6 @@ class SodaService {
     return SearchAll(
         std::span<const std::string>(queries.begin(), queries.size()));
   }
-
-  /// Concurrent search under `constraints`. Empty constraints are the
-  /// classic cached search; non-empty ones neither probe nor fill the
-  /// result cache.
-  virtual Result<SearchOutput> Search(
-      const std::string& query, const SessionConstraints& constraints) const = 0;
 
   /// Batched search: one dashboard refresh in, per-query outputs out, in
   /// input order, with in-batch dedup of identical normalized queries.
@@ -210,8 +203,10 @@ class SodaService {
   virtual AsyncSearch SearchAllAsync(std::span<const std::string> queries,
                                      SnippetCallback on_snippet) const = 0;
 
-  /// Session entry point: as Search(query, constraints), but additionally
-  /// maintains `*plan` (required non-null; *plan may be null), which
+  /// The single-question entry point. Empty constraints are the classic
+  /// cached search; non-empty ones neither probe nor fill the result
+  /// cache. With `plan` null that is all (Search). Otherwise it
+  /// additionally maintains `*plan` (which may be null), which
   /// afterwards holds the plan the answer was translated from:
   ///
   ///   * an unconstrained answer served from cache installs the plan

@@ -100,28 +100,15 @@ ShardedSodaEngine::ShardedSodaEngine(std::shared_ptr<Soda> core,
 // Routed entry points
 // ---------------------------------------------------------------------------
 
-Result<SearchOutput> ShardedSodaEngine::Search(
-    const std::string& query, const SessionConstraints& constraints) const {
-  // Route by the normalized query alone: constrained variants of one
-  // question share its shard (and therefore its plans).
-  return RouteQuery(query, [&](const SodaEngine& engine) {
-    return engine.Search(query, constraints);
-  });
-}
-
 Result<SearchOutput> ShardedSodaEngine::SearchSession(
     const std::string& query, const SessionConstraints& constraints,
     std::shared_ptr<const TranslationPlan>* plan) const {
-  router_sink_->IncrementCounter("router.session_queries", 1);
-  return RouteQuery(query, [&](const SodaEngine& engine) {
-    return engine.SearchSession(query, constraints, plan);
-  });
-}
-
-Result<SearchOutput> ShardedSodaEngine::RouteQuery(
-    const std::string& query,
-    const std::function<Result<SearchOutput>(const SodaEngine&)>& call) const {
+  if (plan != nullptr) {
+    router_sink_->IncrementCounter("router.session_queries", 1);
+  }
   router_sink_->IncrementCounter("router.shard_queries", 1);
+  // Route by the normalized query alone: constrained variants of one
+  // question share its shard (and therefore its plans).
   size_t shard = ShardOfKey(NormalizedQueryKey(query), shards_.size());
   // Inline on the caller thread, joined to the caller's trace; the
   // shard's engine.search parents under this span.
@@ -129,8 +116,9 @@ Result<SearchOutput> ShardedSodaEngine::RouteQuery(
   if (span.active()) span.SetAttr("shard", static_cast<int64_t>(shard));
   ScopedTraceContext scoped(span.context());
   Result<SearchOutput> output = Status::Unavailable("no dispatch attempted");
-  Status failure =
-      DispatchContained(shard, [&] { output = call(*shards_[shard]); });
+  Status failure = DispatchContained(shard, [&] {
+    output = shards_[shard]->SearchSession(query, constraints, plan);
+  });
   if (!failure.ok()) {
     span.SetError(failure.message());
     return failure;

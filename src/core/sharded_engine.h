@@ -54,7 +54,6 @@
 #define SODA_CORE_SHARDED_ENGINE_H_
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -88,22 +87,17 @@ class ShardedSodaEngine : public SodaService {
       const Database* db, const MetadataGraph* graph, PatternLibrary patterns,
       SodaConfig config);
 
-  using SodaService::Search;
   using SodaService::SearchAll;
 
-  /// Routes the query to its shard and delegates. Same contract as
-  /// SodaEngine::Search; repeats of one query always land on the same
-  /// shard (constraints excluded from the routing key), so its cache
-  /// behaves exactly like a single engine's. A failed dispatch returns
-  /// Unavailable.
-  Result<SearchOutput> Search(
-      const std::string& query,
-      const SessionConstraints& constraints) const override;
-
-  /// Session search with affinity: the question routes by its
-  /// normalized text, so every Refine resumes on the shard that captured
-  /// its plan, and a constrained serve lands on the shard whose cache
-  /// holds the question's answer and plan. Books router.session_queries.
+  /// Routes the query to its shard and runs that shard's SearchSession
+  /// inline on the caller thread, under a router.route span, with the
+  /// dispatch contained (a failed dispatch returns Unavailable). The
+  /// question routes by its normalized text (constraints excluded), so
+  /// repeats of one query always land on the same shard and its cache
+  /// behaves exactly like a single engine's; every Refine resumes on the
+  /// shard that captured its plan, and a constrained serve lands on the
+  /// shard whose cache holds the question's answer and plan: session
+  /// affinity. Books router.session_queries when `plan` is set.
   Result<SearchOutput> SearchSession(
       const std::string& query, const SessionConstraints& constraints,
       std::shared_ptr<const TranslationPlan>* plan) const override;
@@ -178,14 +172,6 @@ class ShardedSodaEngine : public SodaService {
   const SodaEngine& shard(size_t i) const { return *shards_[i]; }
 
  private:
-  /// Search / SearchSession: runs `call` on the query's home shard
-  /// inline on the caller thread, under a router.route span, with the
-  /// dispatch contained.
-  Result<SearchOutput> RouteQuery(
-      const std::string& query,
-      const std::function<Result<SearchOutput>(const SodaEngine&)>& call)
-      const;
-
   /// Shared split/route/merge core of SearchAll and SearchAllAsync: the
   /// occupied shards' sub-batches run through dispatch_pool_.ParallelFor
   /// (the caller runs one of them itself, so a one-shard batch runs

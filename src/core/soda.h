@@ -110,7 +110,8 @@ class Soda {
                               MetricsSink* metrics) const;
 
   /// The ordered stage list (lookup, rank, tables, filters, sql). The
-  /// SodaEngine drives these same stages concurrently.
+  /// SodaEngine drives these same stages concurrently, and resumes a
+  /// session plan at index 1 (rank) or 4 (sql).
   const std::vector<const PipelineStage*>& stages() const { return stages_; }
 
   /// Executes `statement` with the snippet row limit and stores the

@@ -204,9 +204,7 @@ void InvertedIndex::ForEachPhraseMatch(const std::string& phrase,
 
   if (query_ids.size() == 1) {
     // Single-token phrase: every posting of the token is a match.
-    for (uint32_t index : base) {
-      if (!fn(index)) return;
-    }
+    for (uint32_t index : base) fn(index);
     return;
   }
 
@@ -239,7 +237,7 @@ void InvertedIndex::ForEachPhraseMatch(const std::string& phrase,
     const TokenId* hay_end = hay + sv.token_count;
     if (std::search(hay, hay_end, query_ids.begin(), query_ids.end()) !=
         hay_end) {
-      if (!fn(index)) return;
+      fn(index);
     }
   }
 }
@@ -251,27 +249,14 @@ std::vector<ValuePosting> InvertedIndex::LookupPhrase(
     const StoredValue& sv = values_[index];
     result.push_back(ValuePosting{sv.table, sv.column, sv.value,
                                   sv.row_count});
-    return true;
   });
   return result;
 }
 
 size_t InvertedIndex::CountPhrase(const std::string& phrase) const {
   size_t count = 0;
-  ForEachPhraseMatch(phrase, [&](uint32_t) {
-    ++count;
-    return true;
-  });
+  ForEachPhraseMatch(phrase, [&](uint32_t) { ++count; });
   return count;
-}
-
-bool InvertedIndex::ContainsPhrase(const std::string& phrase) const {
-  bool found = false;
-  ForEachPhraseMatch(phrase, [&](uint32_t) {
-    found = true;
-    return false;  // first match is enough
-  });
-  return found;
 }
 
 bool InvertedIndex::ContainsToken(const std::string& token) const {

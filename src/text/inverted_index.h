@@ -80,7 +80,7 @@ class InvertedIndex {
   /// dictionary, which this index then shares, and apply verbatim. Postings
   /// are kept ordered by the value's first-occurrence scan position
   /// (table creation order, column, row), so every probe (LookupPhrase /
-  /// CountPhrase / ContainsPhrase / ContainsToken) returns results
+  /// CountPhrase / ContainsToken) returns results
   /// identical to a from-scratch Build over the mutated database —
   /// ordering included. Returns the number of new posting entries
   /// inserted (0 when every value was already indexed and only row
@@ -96,10 +96,6 @@ class InvertedIndex {
   /// LookupPhrase(phrase).size() without materializing the postings —
   /// the probe the lookup step's complexity accounting wants.
   size_t CountPhrase(const std::string& phrase) const;
-
-  /// !LookupPhrase(phrase).empty() with early exit on the first match —
-  /// the probe keyword segmentation wants.
-  bool ContainsPhrase(const std::string& phrase) const;
 
   /// True when the single token occurs anywhere.
   bool ContainsToken(const std::string& token) const;
@@ -155,7 +151,7 @@ class InvertedIndex {
   };
 
   /// Shared phrase scan: calls `fn(index)` for every stored value whose
-  /// token sequence contains the phrase; fn returns false to stop early.
+  /// token sequence contains the phrase.
   /// Candidates are enumerated from the rarest phrase token's postings,
   /// in order-key order (== the order a first-token scan yields).
   template <typename Fn>

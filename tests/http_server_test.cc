@@ -113,14 +113,8 @@ class ForwardingService : public SodaService {
  public:
   explicit ForwardingService(SodaService* wrapped) : wrapped_(wrapped) {}
 
-  using SodaService::Search;
   using SodaService::SearchAll;
 
-  Result<SearchOutput> Search(
-      const std::string& query,
-      const SessionConstraints& constraints) const override {
-    return wrapped_->Search(query, constraints);
-  }
   std::vector<Result<SearchOutput>> SearchAll(
       std::span<const std::string> queries) const override {
     return wrapped_->SearchAll(queries);

@@ -1,17 +1,22 @@
 // Unit tests for classification, the lookup step, and ranking — on the
-// mini-bank (shared across the suite to amortize setup).
+// mini-bank (shared across the suite to amortize setup), plus
+// segmentation over the enterprise warehouse.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "common/metrics.h"
+#include "common/strings.h"
 #include "core/classification.h"
 #include "core/engine.h"
 #include "core/lookup.h"
 #include "core/soda.h"
+#include "datasets/enterprise.h"
 #include "datasets/minibank.h"
+#include "eval/workload.h"
 #include "pattern/library.h"
+#include "text/tokenizer.h"
 
 namespace soda {
 namespace {
@@ -92,8 +97,9 @@ TEST_F(LookupRankTest, SegmentationPrefersLongestCombination) {
   auto phrases = soda_->classification().SegmentKeywords(
       {"financial", "instruments", "Zurich"}, &ignored);
   ASSERT_EQ(phrases.size(), 2u);
-  EXPECT_EQ(phrases[0], "financial instruments");
-  EXPECT_EQ(phrases[1], "Zurich");  // original spelling preserved
+  EXPECT_EQ(phrases[0].phrase, "financial instruments");
+  EXPECT_EQ(phrases[0].candidates.size(), 2u);
+  EXPECT_EQ(phrases[1].phrase, "Zurich");  // original spelling preserved
   EXPECT_TRUE(ignored.empty());
 }
 
@@ -102,9 +108,98 @@ TEST_F(LookupRankTest, UnknownWordsIgnored) {
   auto phrases = soda_->classification().SegmentKeywords(
       {"frobnicate", "customers"}, &ignored);
   ASSERT_EQ(phrases.size(), 1u);
-  EXPECT_EQ(phrases[0], "customers");
+  EXPECT_EQ(phrases[0].phrase, "customers");
   ASSERT_EQ(ignored.size(), 1u);
   EXPECT_EQ(ignored[0], "frobnicate");
+}
+
+// Segmentation against a reference built from the count probe: the
+// longest combination with a non-zero candidate count wins, words no
+// combination starts with are ignored, and every accepted phrase carries
+// exactly Lookup(phrase), in order.
+void ExpectSegmentationMatchesReference(const ClassificationIndex& index,
+                                        const std::vector<std::string>& words) {
+  std::vector<std::string> expected_phrases;
+  std::vector<std::string> expected_ignored;
+  for (size_t i = 0; i < words.size();) {
+    size_t len = words.size() - i;
+    std::string phrase;
+    for (; len >= 1; --len) {
+      phrase = Join(std::vector<std::string>(words.begin() + i,
+                                             words.begin() + i + len),
+                    " ");
+      if (index.CountMatches(phrase) > 0) break;
+    }
+    if (len == 0) {
+      expected_ignored.push_back(words[i]);
+      ++i;
+    } else {
+      expected_phrases.push_back(phrase);
+      i += len;
+    }
+  }
+
+  const std::string run = Join(words, " ");
+  std::vector<std::string> ignored;
+  std::vector<LookupTerm> phrases = index.SegmentKeywords(words, &ignored);
+  EXPECT_EQ(ignored, expected_ignored) << run;
+  ASSERT_EQ(phrases.size(), expected_phrases.size()) << run;
+  for (size_t p = 0; p < phrases.size(); ++p) {
+    EXPECT_EQ(phrases[p].phrase, expected_phrases[p]) << run;
+    std::vector<EntryPoint> lookup = index.Lookup(phrases[p].phrase);
+    ASSERT_EQ(phrases[p].candidates.size(), lookup.size())
+        << phrases[p].phrase;
+    for (size_t c = 0; c < lookup.size(); ++c) {
+      const EntryPoint& got = phrases[p].candidates[c];
+      EXPECT_EQ(EntryPointKey(got), EntryPointKey(lookup[c]))
+          << phrases[p].phrase << " #" << c;
+      EXPECT_EQ(got.label, lookup[c].label) << phrases[p].phrase;
+      EXPECT_EQ(got.row_count, lookup[c].row_count) << phrases[p].phrase;
+    }
+  }
+}
+
+// Every keyword run of the Table 2 queries, as the parser splits them,
+// plus each query's raw tokens (the baselines segment those).
+std::vector<std::vector<std::string>> Table2KeywordRuns() {
+  std::vector<std::vector<std::string>> runs;
+  for (const BenchmarkQuery& query : EnterpriseWorkload()) {
+    auto parsed = ParseInputQuery(query.keywords);
+    EXPECT_TRUE(parsed.ok()) << query.id;
+    if (!parsed.ok()) continue;
+    for (const InputElement& element : parsed->elements) {
+      if (element.kind == InputElement::Kind::kKeywords) {
+        runs.push_back(element.words);
+      }
+    }
+    runs.push_back(Tokenize(query.keywords));
+  }
+  return runs;
+}
+
+TEST_F(LookupRankTest, SegmentedPhrasesCarryTheirLookupOnMiniBank) {
+  std::vector<std::vector<std::string>> runs = Table2KeywordRuns();
+  runs.push_back({"financial", "instruments", "Zurich", "and", "customers"});
+  for (const auto& words : runs) {
+    ExpectSegmentationMatchesReference(soda_->classification(), words);
+  }
+}
+
+TEST(SegmentationTest, SegmentedPhrasesCarryTheirLookupOnEnterprise) {
+  auto warehouse = BuildEnterpriseWarehouse();
+  ASSERT_TRUE(warehouse.ok()) << warehouse.status();
+  SodaConfig config;
+  config.execute_snippets = false;
+  auto soda = Soda::Create(&(*warehouse)->db, &(*warehouse)->graph,
+                           CreditSuissePatternLibrary(), config);
+  ASSERT_TRUE(soda.ok()) << soda.status();
+  // The Keymantic baseline's metadata-only index: no base data.
+  ClassificationIndex metadata_only;
+  metadata_only.Build((*warehouse)->graph, nullptr);
+  for (const auto& words : Table2KeywordRuns()) {
+    ExpectSegmentationMatchesReference((*soda)->classification(), words);
+    ExpectSegmentationMatchesReference(metadata_only, words);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -192,15 +287,14 @@ TEST_F(LookupRankTest, InterpretationCapStopsTheProductAndIsCounted) {
   LookupStep step(&soda_->classification(), &config);
 
   InMemoryMetricsSink sink;
-  auto capped = step.Run(*ParseInputQuery(capped_query), nullptr, &sink);
+  auto capped = step.Run(*ParseInputQuery(capped_query), &sink);
   ASSERT_TRUE(capped.ok()) << capped.status();
   ASSERT_GT(capped->complexity, 2u);
   EXPECT_EQ(capped->interpretations.size(), 2u);
   EXPECT_EQ(sink.Snapshot().counter("lookup.interpretations_capped"), 1u);
 
   InMemoryMetricsSink uncapped_sink;
-  auto uncapped =
-      step.Run(*ParseInputQuery("customers"), nullptr, &uncapped_sink);
+  auto uncapped = step.Run(*ParseInputQuery("customers"), &uncapped_sink);
   ASSERT_TRUE(uncapped.ok()) << uncapped.status();
   EXPECT_EQ(uncapped->interpretations.size(), 1u);
   EXPECT_EQ(uncapped_sink.Snapshot().counter("lookup.interpretations_capped"),

@@ -109,7 +109,6 @@ TEST(PrometheusRenderTest, EngineExportsEverySeriesBeforeAnyTraffic) {
       "snippet.executed", "snippet.failed", "snippet.exception",
       "snippet.streamed", "snippet.callback_exception",
       "executor.index_builds", "executor.seed_reductions",
-      "index.probe_memo_hits", "index.probe_memo_misses",
       "lookup.interpretations_capped",
       "closure.traverse_hits", "closure.traverse_misses",
       "closure.path_lookups",
