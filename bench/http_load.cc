@@ -31,9 +31,10 @@
 // (transport error / unexpected status). Dropped must be zero; shed must
 // match the server's own server.shed book. Nothing is silently lost.
 //
-// `--probe` is a one-shot smoke check (healthz + search round trip +
-// metrics exposition) against an already-running server — the no-curl
-// fallback for the CI server smoke stage.
+// `--probe` is a one-shot smoke check (healthz + search round trip + a
+// streamed search ending in its done event + metrics exposition) against
+// an already-running server — the no-curl fallback for the CI server
+// smoke stage.
 
 #include <algorithm>
 #include <atomic>
@@ -46,6 +47,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -418,6 +420,29 @@ int RunProbe(const Options& options) {
     return 1;
   }
 
+  // The streamed form of one query: a 200 whose last body line is the
+  // done event, written by the coalesced chunk writer.
+  auto streamed = client.Post("/search?stream=1",
+                              RequestBody(/*k=*/1, /*hit_fraction=*/1.0));
+  std::string stream_error;
+  if (!streamed.ok()) {
+    stream_error = streamed.status().ToString();
+  } else if (streamed->status != 200) {
+    stream_error = std::to_string(streamed->status);
+  } else {
+    std::string_view body = streamed->body;
+    if (!body.empty() && body.back() == '\n') body.remove_suffix(1);
+    std::string_view last = body.substr(body.rfind('\n') + 1);
+    if (last.find("\"event\":\"done\"") == std::string_view::npos) {
+      stream_error = "last line is not the done event";
+    }
+  }
+  if (!stream_error.empty()) {
+    std::fprintf(stderr, "PROBE_FAIL search?stream=1: %s\n",
+                 stream_error.c_str());
+    return 1;
+  }
+
   auto metrics = client.Get("/metrics");
   if (!metrics.ok() || metrics->status != 200) {
     std::fprintf(stderr, "PROBE_FAIL metrics: %s\n",
@@ -428,7 +453,7 @@ int RunProbe(const Options& options) {
   for (const char* required :
        {"soda_server_requests_total", "soda_server_accepted_total",
         "soda_server_shed_total", "soda_server_timeouts_total",
-        "soda_server_inflight"}) {
+        "soda_server_stream_writes_total", "soda_server_inflight"}) {
     if (metrics->body.find(required) == std::string::npos) {
       std::fprintf(stderr, "PROBE_FAIL metrics: missing %s\n", required);
       return 1;
@@ -467,7 +492,7 @@ int RunProbe(const Options& options) {
                  "PROBE_FAIL debug/traces: not a valid trace listing\n");
     return 1;
   }
-  std::printf("PROBE_OK healthz+search+metrics+debug on %s:%u\n",
+  std::printf("PROBE_OK healthz+search+stream+metrics+debug on %s:%u\n",
               options.host.c_str(), options.port);
   return 0;
 }

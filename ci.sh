@@ -181,8 +181,8 @@ esac
 # --------------------------------------------------------------------------
 # Server smoke stage: boots the demo's HTTP serving mode on an ephemeral
 # port and proves the whole front end over real sockets — /healthz
-# answers, /search round-trips a query, /metrics exports every server_*
-# series — then SIGTERMs the process and requires a clean graceful-drain
+# answers, /search round-trips a query, /search?stream=1 ends with its
+# done event, /metrics exports every server_* series — then SIGTERMs the process and requires a clean graceful-drain
 # exit. bench_http_load --probe performs the same checks through the
 # in-tree HTTP client, so the stage keeps its teeth on a curl-less box
 # (and cross-checks curl when both are present).
@@ -228,12 +228,19 @@ run_server_smoke() {
         "http://127.0.0.1:${port}/search" \
         | grep -q '"outputs"' \
         || { echo "server smoke: /search round-trip failed" >&2; status=1; }
+    # A streamed search goes through the coalesced chunk writer: curl -f
+    # requires the 200, and the last body line must be the done event.
+    curl -fsS --max-time 30 -X POST \
+        -d '{"query":"addresses Sara Guttinger"}' \
+        "http://127.0.0.1:${port}/search?stream=1" \
+        | tail -n 1 | grep -q '"event":"done"' \
+        || { echo "server smoke: /search?stream=1 check failed" >&2; status=1; }
     local metrics series
     metrics=$(curl -fsS --max-time 10 "http://127.0.0.1:${port}/metrics") \
         || status=1
     for series in soda_server_requests_total soda_server_accepted_total \
                   soda_server_shed_total soda_server_timeouts_total \
-                  soda_server_inflight; do
+                  soda_server_stream_writes_total soda_server_inflight; do
       if ! grep -q "${series}" <<<"${metrics}"; then
         echo "server smoke: /metrics is missing series '${series}'" >&2
         status=1
@@ -260,7 +267,7 @@ run_server_smoke() {
     cat "${log}" >&2
     return 1
   fi
-  echo "server smoke OK: healthz + search round-trip" \
+  echo "server smoke OK: healthz + search round-trip + streamed search" \
        "+ metrics series + debug endpoints + clean drain"
 }
 

@@ -84,8 +84,8 @@ Result<LookupOutput> LookupStep::Run(const InputQuery& query,
         // when they occur in the base data; drop that term.)
         size_t begin = term_range[e + 1].first;
         size_t end = term_range[e + 1].second;
-        if (end > begin && out.terms[begin].phrase ==
-                               FoldForMatch(rhs.words[0])) {
+        if (end > begin &&
+            EqualsFolded(out.terms[begin].phrase, rhs.words[0])) {
           out.terms.erase(out.terms.begin() + static_cast<long>(begin));
           for (size_t k = e + 1; k < query.elements.size(); ++k) {
             if (term_range[k].first > begin) --term_range[k].first;

@@ -25,7 +25,8 @@
 // The async half of a search is a returned value, not registered work:
 // SearchAllAsync hands back the translated outputs with a SnippetStream,
 // and the caller runs that stream on its own thread (the HTTP streaming
-// handler writes each snippet event as the stream delivers it).
+// handler buffers one query's snippet events and writes them together
+// when the stream moves on to the next query).
 
 #ifndef SODA_CORE_SERVICE_H_
 #define SODA_CORE_SERVICE_H_
@@ -82,13 +83,16 @@ class SnippetStream {
   SnippetStream& operator=(const SnippetStream&) = delete;
 
   /// Runs every query's snippets on this thread, in order; once. A second
-  /// call runs nothing and reports zeros.
-  Summary Run() {
+  /// call runs nothing and reports zeros. `between_runs`, when set, is
+  /// called on this thread after each run but the last: every event of
+  /// one unique query has been delivered, and the next query's have not.
+  Summary Run(const std::function<void()>& between_runs = {}) {
     Summary total;
     std::vector<QueryRun> runs = std::move(runs_);
     runs_.clear();
-    for (QueryRun& run : runs) {
-      Summary summary = run.run();
+    for (size_t i = 0; i < runs.size(); ++i) {
+      if (i > 0 && between_runs) between_runs();
+      Summary summary = runs[i].run();
       total.delivered += summary.delivered;
       total.callback_exceptions += summary.callback_exceptions;
     }

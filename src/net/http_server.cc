@@ -127,6 +127,7 @@ Status SodaHttpServer::Start() {
   sink_->IncrementCounter("server.accepted", 0);
   sink_->IncrementCounter("server.shed", 0);
   sink_->IncrementCounter("server.timeouts", 0);
+  sink_->IncrementCounter("server.stream_writes", 0);
   sink_->IncrementCounter("trace.spans", 0);
   sink_->IncrementCounter("trace.sampled", 0);
   sink_->IncrementCounter("trace.dropped", 0);
@@ -475,17 +476,27 @@ bool SodaHttpServer::HandleStreamingSearch(const HttpRequest& request, int fd,
   }
 
   // Snippet callbacks fire only inside Run() below, on this thread, after
-  // the head and the translation payload are out — so each event is
-  // written straight to the socket. After a failed write the rest of the
-  // stream is dropped.
+  // the head and the translation payload are out. Each unique query's
+  // events are buffered and written together once its snippets have run,
+  // so a stream of R runs costs R + 1 writes, not one per event. After a
+  // failed write the rest of the stream is dropped.
   bool write_failed = false;
   auto send = [this, fd, &write_failed](const std::string& bytes) {
-    if (!write_failed && !SendAll(fd, bytes)) write_failed = true;
+    if (write_failed) return;
+    // Booked before the bytes go out, so a client that has read the whole
+    // body also sees every write counted.
+    sink_->IncrementCounter("server.stream_writes", 1);
+    if (!SendAll(fd, bytes)) write_failed = true;
   };
-  auto on_snippet = [&send](size_t query_index, size_t result_index,
-                            const SodaResult& result) {
-    send(SerializeChunk(
-        RenderSnippetEventJson(query_index, result_index, result)));
+  std::string pending;  // the current run's serialized events
+  auto on_snippet = [&pending](size_t query_index, size_t result_index,
+                               const SodaResult& result) {
+    pending += SerializeChunk(
+        RenderSnippetEventJson(query_index, result_index, result));
+  };
+  auto flush_run = [&send, &pending] {
+    send(pending);
+    pending.clear();
   };
 
   AsyncSearch search = service_->SearchAllAsync(
@@ -502,13 +513,15 @@ bool SodaHttpServer::HandleStreamingSearch(const HttpRequest& request, int fd,
   send(SerializeChunkedHead(head, keep_alive) +
        SerializeChunk(RenderSearchResponseJson(*queries, search.outputs)));
 
-  // Runs the snippets and streams their events in first-occurrence query
-  // order, then result order; once it returns no callback can fire, so
-  // the done line and the terminating chunk (one write) close the stream.
-  SnippetStream::Summary summary = search.snippets.Run();
-  send(SerializeChunk(RenderStreamDoneJson(summary.delivered,
-                                           summary.callback_exceptions)) +
-       SerializeLastChunk());
+  // Runs the snippets in first-occurrence query order, then result order,
+  // writing each run's events as the next run starts; once it returns no
+  // callback can fire, so the last run's events, the done line and the
+  // terminating chunk share the closing write.
+  SnippetStream::Summary summary = search.snippets.Run(flush_run);
+  pending += SerializeChunk(RenderStreamDoneJson(
+      summary.delivered, summary.callback_exceptions));
+  pending += SerializeLastChunk();
+  send(pending);
   return true;
 }
 

@@ -20,7 +20,10 @@
 //                           connection thread — in first-occurrence
 //                           query order, then result order, at any shard
 //                           count — closed by an {"event":"done",...}
-//                           summary.
+//                           summary. A query's events are written
+//                           together once its snippets have run (one
+//                           write per query; the last shares the done
+//                           line's write).
 //   GET  /metrics           Prometheus text exposition of the server's
 //                           own counters merged with the service fleet
 //                           snapshot (and an optional extra snapshot,

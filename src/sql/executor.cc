@@ -5,6 +5,7 @@
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -223,8 +224,9 @@ class Evaluation {
     // whose index group replaces the scan (nullptr = scan every row).
     const Value* lookup = nullptr;
     size_t lookup_col = 0;
-    // The table's index over key_cols[0] (hash step) or lookup_col (seed),
-    // fetched on first use so an empty prefix never asks for it.
+    // The table's index over key_cols[0] (hash step; ChooseProbeKey moves
+    // the most selective key there) or lookup_col (seed), fetched on first
+    // use so an empty prefix never asks for it.
     const EqualityIndex* index = nullptr;
     // Cross product: rows passing `pushed`, filtered on first use.
     bool built = false;
@@ -498,7 +500,7 @@ class Evaluation {
     // Hash step: the group matching the first key, then the other keys
     // and the pushed predicates per candidate. NULL never joins: the index
     // holds no NULL cells, and the further keys are compared as WHERE is.
-    if (step.index == nullptr) step.index = &Index(t, step.key_cols[0]);
+    if (step.index == nullptr) ChooseProbeKey(t, &step);
     for (size_t r : step.index->Find(Cell(tuple_, step.probe_cols[0]))) {
       tuple_[step.table] = r;
       if (KeysMatch(step, t->row(r)) && Passes(step.pushed) &&
@@ -514,6 +516,25 @@ class Evaluation {
     ++tuples_enumerated_;
     if (!Passes(steps_[s].late)) return true;
     return Extend(s + 1, emit);
+  }
+
+  // Fetches the step's probe index: the one, over all its keys, with the
+  // most distinct values, whose key moves to the front. The rows matching
+  // every key are the same ascending row ids whichever key is probed
+  // (Value::Hash agrees with Compare), so only the work per probe moves.
+  // Ties keep WHERE order.
+  void ChooseProbeKey(const Table* t, Step* step) {
+    size_t best = 0;
+    step->index = &Index(t, step->key_cols[0]);
+    for (size_t k = 1; k < step->key_cols.size(); ++k) {
+      const EqualityIndex& index = Index(t, step->key_cols[k]);
+      if (index.distinct_keys() > step->index->distinct_keys()) {
+        best = k;
+        step->index = &index;
+      }
+    }
+    std::swap(step->key_cols[0], step->key_cols[best]);
+    std::swap(step->probe_cols[0], step->probe_cols[best]);
   }
 
   // True when `row` matches the bound cells on every key after the first.

@@ -45,6 +45,9 @@ class EqualityIndex {
     return it->second;
   }
 
+  /// Distinct non-NULL values: the higher, the smaller a probe's group.
+  size_t distinct_keys() const { return groups_.size(); }
+
  private:
   friend class Table;
 

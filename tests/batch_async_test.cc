@@ -488,6 +488,32 @@ TEST_F(BatchAsyncTest, AsyncPopulatesCacheAfterStreaming) {
   }
 }
 
+// Run's between-runs callback fires once between two unique queries'
+// runs and never after the last: each stretch of events it separates is
+// every occurrence of one query, and a query without results adds none.
+TEST_F(BatchAsyncTest, BetweenRunsSeparatesUniqueQueries) {
+  auto engine = MakeEngine(/*threads=*/2, /*cache_capacity=*/0);
+  const std::vector<std::string> minibank = MiniBankQueries();
+  const std::vector<std::string> queries = {
+      minibank[4], minibank[0], minibank[4], minibank[2], "qqqzzzx"};
+  std::vector<std::vector<size_t>> runs(1);  // query index per event
+  AsyncSearch search = engine->SearchAllAsync(
+      queries, [&](size_t query_index, size_t, const SodaResult&) {
+        runs.back().push_back(query_index);
+      });
+  search.snippets.Run([&] { runs.emplace_back(); });
+
+  ASSERT_EQ(runs.size(), 3u);
+  std::set<std::string> seen;
+  for (const std::vector<size_t>& run : runs) {
+    ASSERT_FALSE(run.empty());
+    const std::string& text = queries[run.front()];
+    for (size_t query_index : run) EXPECT_EQ(queries[query_index], text);
+    EXPECT_TRUE(seen.insert(text).second) << text;
+  }
+  EXPECT_EQ(runs[0].size(), 2 * search.outputs[0]->results.size());
+}
+
 // A stream destroyed unrun executes nothing, calls back nothing and
 // caches nothing: the next request for a query with results is a cold
 // miss. (An answer with no results has no snippets and was cached at

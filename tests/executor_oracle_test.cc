@@ -555,6 +555,50 @@ TEST(ExecutorOracleTest, MatchesNaiveReferenceOnRandomSchemas) {
   EXPECT_GE(reduced, statements / 10);
 }
 
+// A join step with two keys probes the one with more distinct values:
+// `pmt` joins `ordr` on crncy_cd (two values) and on id (one row each,
+// stored as DOUBLE against ordr's INT ids, plus a NULL id that never
+// joins). Whichever key is probed, the rows, their order and the limited
+// prefix match the naive reference.
+TEST(ExecutorOracleTest, ProbesTheMostSelectiveJoinKey) {
+  Database db;
+  Table* crncy = *db.CreateTable("crncy", {{"cd", ValueType::kString}});
+  crncy->AppendUnchecked({Value::Str("YEN")});
+  crncy->AppendUnchecked({Value::Str("CHF")});
+  Table* ordr = *db.CreateTable(
+      "ordr", {{"id", ValueType::kInt64}, {"crncy_cd", ValueType::kString}});
+  Table* pmt = *db.CreateTable(
+      "pmt", {{"id", ValueType::kDouble}, {"crncy_cd", ValueType::kString}});
+  constexpr int64_t kOrders = 40;
+  for (int64_t i = 0; i < kOrders; ++i) {
+    Value cd = Value::Str(i % 2 == 0 ? "YEN" : "CHF");
+    ordr->AppendUnchecked({Value::Int(i), cd});
+    // Every third order is paid in the other currency: the id matches,
+    // the currency does not.
+    Value paid = i % 3 == 0 ? Value::Str(i % 2 == 0 ? "CHF" : "YEN") : cd;
+    pmt->AppendUnchecked({Value::Real(static_cast<double>(kOrders - 1 - i)),
+                          paid});
+  }
+  pmt->AppendUnchecked({Value::Null(), Value::Str("YEN")});
+
+  Executor executor(&db);
+  for (const char* tail : {"", " LIMIT 3"}) {
+    RandomStatement rs;
+    rs.sql = std::string(
+                 "SELECT * FROM crncy, ordr, pmt"
+                 " WHERE ordr.crncy_cd = crncy.cd"
+                 " AND pmt.crncy_cd = ordr.crncy_cd AND pmt.id = ordr.id"
+                 " AND crncy.cd = 'YEN'") +
+             tail;
+    auto stmt = ParseSql(rs.sql);
+    ASSERT_TRUE(stmt.ok()) << rs.sql << " -> " << stmt.status();
+    auto got = executor.Execute(*stmt);
+    ASSERT_TRUE(got.ok()) << rs.sql << " -> " << got.status();
+    EXPECT_FALSE(got->rows.empty()) << rs.sql;
+    ExpectMatchesReference(db, *stmt, rs, *got);
+  }
+}
+
 // A row for a table whose indexes are live: NULL keys, cells repeating one
 // already in the column, and INT/DOUBLE cells that compare equal (1 and 3
 // lie in both domains) are all likely.

@@ -17,7 +17,8 @@
 //   - chunked streaming: /search?stream=1 opens with the byte-identical
 //     translation payload and closes with the done event, and whole
 //     streamed bodies are byte-identical at 1, 2 and 4 shards and under
-//     concurrent clients;
+//     concurrent clients; a stream is one write for the head plus one per
+//     unique query's events;
 //   - /healthz and /metrics (every server_* series present).
 
 #include <gtest/gtest.h>
@@ -620,6 +621,51 @@ TEST_F(HttpServerTest, ConcurrentStreamedClientsReadTheOneShardBytes) {
   }
 }
 
+// The write boundaries of a stream: the head alone, then one write per
+// unique query's events, the last sharing the done line's write. A
+// single-query stream is 2 writes however many snippets it has, a batch
+// of R runs is R + 1, and a query with no results is the head and done.
+TEST_F(HttpServerTest, StreamWritesOncePerQueryRun) {
+  auto engine = MakeEngine(2);
+  auto server = StartServer(engine.get());
+  HttpClient client = Connect(*server);
+  auto writes_for = [&](const std::string& body, std::string* response_body) {
+    const uint64_t before =
+        server->server_metrics().counter("server.stream_writes");
+    auto response = client.Post("/search?stream=1", body);
+    EXPECT_TRUE(response.ok()) << response.status();
+    if (!response.ok()) return uint64_t{0};
+    EXPECT_EQ(response->status, 200);
+    *response_body = response->body;
+    return server->server_metrics().counter("server.stream_writes") - before;
+  };
+  auto events_of = [](const std::string& body, size_t query) {
+    const std::string prefix =
+        "{\"event\":\"snippet\",\"query\":" + std::to_string(query) + ",";
+    size_t count = 0;
+    for (size_t at = body.find(prefix); at != std::string::npos;
+         at = body.find(prefix, at + 1)) {
+      ++count;
+    }
+    return count;
+  };
+  const std::vector<std::string> queries = MiniBankQueries();
+
+  std::string body;
+  EXPECT_EQ(writes_for("{\"query\":\"" + queries[3] + "\"}", &body), 2u);
+  EXPECT_GE(events_of(body, 0), 2u) << body;
+
+  EXPECT_EQ(writes_for(BatchBody({queries[3], queries[0], queries[1]}), &body),
+            4u);
+  for (size_t query = 0; query < 3; ++query) {
+    EXPECT_GE(events_of(body, query), 1u) << "query " << query;
+  }
+
+  EXPECT_EQ(writes_for("{\"query\":\"qqqzzzx\"}", &body), 2u);
+  EXPECT_EQ(events_of(body, 0), 0u) << body;
+  EXPECT_NE(body.find("\"event\":\"done\""), std::string::npos) << body;
+}
+
 // ---------------------------------------------------------------------------
 // Health and metrics
 // ---------------------------------------------------------------------------
@@ -639,7 +685,7 @@ TEST_F(HttpServerTest, MetricsExposesEveryServerSeries) {
   for (const char* series :
        {"soda_server_requests_total", "soda_server_accepted_total",
         "soda_server_shed_total", "soda_server_timeouts_total",
-        "soda_server_inflight"}) {
+        "soda_server_stream_writes_total", "soda_server_inflight"}) {
     EXPECT_NE(metrics->body.find(series), std::string::npos)
         << "missing " << series;
   }

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "common/metrics.h"
 #include "common/strings.h"
@@ -220,6 +222,39 @@ TEST_F(LookupRankTest, OperatorBindsToPrecedingTerm) {
   EXPECT_EQ(out.operators[0].literal, Value::Int(500000));
   EXPECT_EQ(out.terms[out.operators[0].term_index].phrase, "salary");
   EXPECT_TRUE(out.terms[out.operators[0].term_index].has_operator);
+}
+
+// A word operand is consumed as the literal whatever its case: the term
+// segmentation made of it is dropped for `Sara` as for `sara`, so both
+// spellings give the same terms and the same SQL (the literal keeps the
+// typed spelling).
+TEST_F(LookupRankTest, OperandWordIsDroppedWhateverItsCase) {
+  for (const auto& [typed, lower] :
+       {std::pair<std::string, std::string>{"given name = Sara",
+                                            "given name = sara"},
+        {"city = Zurich", "city = zurich"}}) {
+    LookupOutput a = Lookup(typed);
+    LookupOutput b = Lookup(lower);
+    ASSERT_EQ(a.terms.size(), b.terms.size()) << typed;
+    for (size_t t = 0; t < a.terms.size(); ++t) {
+      EXPECT_EQ(a.terms[t].phrase, b.terms[t].phrase) << typed;
+    }
+    ASSERT_EQ(a.operators.size(), 1u) << typed;
+    ASSERT_EQ(b.operators.size(), 1u) << lower;
+    EXPECT_EQ(a.operators[0].term_index, b.operators[0].term_index) << typed;
+
+    auto typed_out = soda_->Search(typed);
+    auto lower_out = soda_->Search(lower);
+    ASSERT_TRUE(typed_out.ok() && lower_out.ok()) << typed;
+    ASSERT_FALSE(typed_out->results.empty()) << typed;
+    ASSERT_EQ(typed_out->results.size(), lower_out->results.size()) << typed;
+    for (size_t r = 0; r < typed_out->results.size(); ++r) {
+      const SodaResult& x = typed_out->results[r];
+      const SodaResult& y = lower_out->results[r];
+      EXPECT_TRUE(EqualsFolded(x.sql, y.sql)) << x.sql << "\nvs\n" << y.sql;
+      EXPECT_EQ(x.explanation, y.explanation) << typed;
+    }
+  }
 }
 
 TEST_F(LookupRankTest, BetweenBindsTwoLiterals) {

@@ -1,7 +1,8 @@
 // Tests for the Prometheus text-exposition rendering and snapshot
 // diffing: golden-checks the exact rendered format (TYPE headers,
 // cumulative buckets over the shared grid, name sanitization), and
-// DeltaSince's per-interval semantics for counters and histograms.
+// DeltaSince's per-interval semantics for counters and histograms, and
+// the zero-traffic series inventory of the engine and the HTTP server.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "common/prometheus_sink.h"
 #include "core/engine.h"
 #include "datasets/minibank.h"
+#include "net/http_server.h"
 #include "pattern/library.h"
 
 namespace soda {
@@ -139,6 +141,28 @@ TEST(PrometheusRenderTest, EngineExportsEverySeriesBeforeAnyTraffic) {
     EXPECT_EQ(replaced.counters.count(name), 1u)
         << "missing " << name << " after set_metrics_sink";
   }
+}
+
+// The HTTP server's own books follow the same rule: a started server
+// exports every server.* counter at zero before its first request.
+TEST(PrometheusRenderTest, ServerExportsEverySeriesBeforeAnyTraffic) {
+  auto bank = BuildMiniBank().value();
+  SodaConfig config;
+  config.num_threads = 1;
+  auto engine = SodaEngine::Create(&bank->db, &bank->graph,
+                                   CreditSuissePatternLibrary(), config)
+                    .value();
+  SodaHttpServer server(engine.get(), HttpServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  MetricsSnapshot snapshot = server.server_metrics();
+  for (const char* name :
+       {"server.requests", "server.accepted", "server.shed",
+        "server.timeouts", "server.stream_writes"}) {
+    EXPECT_EQ(snapshot.counters.count(name), 1u) << "missing " << name;
+    EXPECT_EQ(snapshot.counter(name), 0u) << name << " not zero";
+  }
+  EXPECT_NE(snapshot.histogram("server.inflight"), nullptr);
+  server.Stop();
 }
 
 TEST(MetricsDeltaTest, CountersSubtractAndDropWhenUnchanged) {
