@@ -148,6 +148,15 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
          s.substr(s.size() - suffix.size()) == suffix;
 }
 
+uint64_t Fnv1a64(std::string_view s) {
+  uint64_t hash = 1469598103934665603ull;  // FNV offset basis
+  for (unsigned char c : s) {
+    hash ^= static_cast<uint64_t>(c);
+    hash *= 1099511628211ull;  // FNV prime
+  }
+  return hash;
+}
+
 bool EqualsFolded(std::string_view s, std::string_view t) {
   // FoldForMatch maps an ASCII byte to its tolower at the same output
   // position and looks ahead at most one byte, so identical bytes fold

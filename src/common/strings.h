@@ -9,6 +9,7 @@
 #ifndef SODA_COMMON_STRINGS_H_
 #define SODA_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,6 +53,11 @@ bool ContainsFolded(std::string_view haystack, std::string_view needle);
 /// Replaces every occurrence of `from` with `to`.
 std::string ReplaceAll(std::string_view s, std::string_view from,
                        std::string_view to);
+
+/// 64-bit FNV-1a over the bytes of `s`. Deliberately not std::hash: the
+/// value is identical across standard libraries and runs, so shard maps
+/// and committed digests can rely on it.
+uint64_t Fnv1a64(std::string_view s);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

@@ -7,23 +7,12 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/strings.h"
 #include "common/trace.h"
 
 namespace soda {
 
 namespace {
-
-// 64-bit FNV-1a over the key bytes. Deliberately not std::hash: the
-// router's shard map must be identical across standard libraries and
-// runs, so tests (and any external placement logic) can rely on it.
-uint64_t Fnv1a64(const std::string& key) {
-  uint64_t hash = 1469598103934665603ull;  // FNV offset basis
-  for (unsigned char c : key) {
-    hash ^= static_cast<uint64_t>(c);
-    hash *= 1099511628211ull;  // FNV prime
-  }
-  return hash;
-}
 
 // Runs one shard dispatch behind the "shard.dispatch" failpoint (detail:
 // the shard) and turns an escaped exception into an Unavailable failure.
