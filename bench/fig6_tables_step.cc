@@ -82,8 +82,9 @@ int main() {
   size_t total = 0;
   for (size_t i = 0; i < tables->tables_per_entry.size(); ++i) {
     std::printf("  from '%s':\n", entries[i].label.c_str());
-    for (const auto& table : tables->tables_per_entry[i]) {
-      std::printf("    %s\n", table.c_str());
+    for (soda::TableId table : tables->tables_per_entry[i]) {
+      std::printf("    %s\n",
+                  engine.join_graph().catalog().name(table).c_str());
       ++total;
     }
   }

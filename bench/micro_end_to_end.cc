@@ -518,13 +518,11 @@ BENCHMARK(BM_TablesStepClosure);
 // matrix min-scan + reconstruction.
 void BM_JoinPathClosure(benchmark::State& state) {
   const soda::JoinGraph& join_graph = ClosureSoda().join_graph();
-  std::vector<std::string> tables;
-  for (const soda::JoinEdge& edge : join_graph.all_edges()) {
-    for (const std::string& table : {edge.from.table, edge.to.table}) {
-      if (std::find(tables.begin(), tables.end(), table) == tables.end()) {
-        tables.push_back(table);
-      }
-    }
+  std::vector<soda::TableId> tables;
+  for (soda::EdgeId edge = 0; edge < join_graph.num_edges(); ++edge) {
+    const auto& [from, to] = join_graph.ends(edge);
+    soda::AppendUnique(&tables, from);
+    soda::AppendUnique(&tables, to);
     if (tables.size() >= 12) break;
   }
   size_t paths = 0;
@@ -532,9 +530,9 @@ void BM_JoinPathClosure(benchmark::State& state) {
     for (size_t i = 0; i < tables.size(); ++i) {
       for (size_t j = 0; j < tables.size(); ++j) {
         if (i == j) continue;
-        std::vector<soda::JoinEdge> path;
-        std::vector<std::string> path_tables;
-        if (join_graph.DirectPath({tables[i]}, {tables[j]}, &path,
+        std::vector<soda::EdgeId> path;
+        std::vector<soda::TableId> path_tables;
+        if (join_graph.DirectPath({&tables[i], 1}, {&tables[j], 1}, &path,
                                   &path_tables)) {
           ++paths;
         }

@@ -37,13 +37,18 @@ void Explore(const soda::Soda& engine, const char* keyword) {
       continue;
     }
     // Tables reachable from this node (the Step 3 mapping).
+    // Step 3 works on table ids; the join graph's catalog names them.
+    const soda::JoinGraph& join_graph = engine.join_graph();
     auto tables = engine.tables_step().TablesFromNode(entry.node);
     std::printf("  maps to %zu physical table(s):", tables.size());
-    for (const auto& table : tables) std::printf(" %s", table.c_str());
+    for (soda::TableId table : tables) {
+      std::printf(" %s", join_graph.catalog().name(table).c_str());
+    }
     std::printf("\n");
     // Join relationships around those tables.
-    for (const auto& table : tables) {
-      for (const auto& edge : engine.join_graph().EdgesOf(table)) {
+    for (soda::TableId table : tables) {
+      for (soda::EdgeId id : join_graph.EdgesOf(table)) {
+        const soda::JoinEdge& edge = join_graph.edge(id);
         std::printf("    join: %s%s\n", edge.ToString().c_str(),
                     edge.ignored ? "   [annotated: ignore]" : "");
       }

@@ -1,8 +1,8 @@
 // Compiled entry-point closures for Step 3 - Tables.
 //
 // The metadata graph is immutable during a search session, so the result
-// of the bounded Step-3 traversal from a given node — the tables,
-// metadata filters and aggregations reachable from it — "is the same for
+// of the bounded Step-3 traversal from a given node — the tables (as
+// TableIds), metadata filters and aggregations reachable from it — "is the same for
 // every query" (the same argument src/core/join_graph.h makes for join
 // conditions). TablesStep re-runs that traversal per entry point, per
 // interpretation, per query; interpretations inside one combinatorial
@@ -24,15 +24,19 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/tables_step.h"
 
 namespace soda {
 
-/// Everything one Step-3 traversal discovers from a single start node.
+/// Everything one Step-3 traversal discovers from a single start node:
+/// the tables as the JoinGraph's TableIds, in first-seen order, and the
+/// physical column the node itself resolves to, if any.
 struct TraverseClosure {
-  std::vector<std::string> tables;
+  std::vector<TableId> tables;
+  std::optional<PhysicalColumnRef> column;
   std::vector<DiscoveredFilter> filters;
   std::vector<DiscoveredAggregation> aggregations;
 };

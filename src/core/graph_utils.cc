@@ -9,8 +9,9 @@ TableId TableCatalog::Intern(const std::string& table) {
   std::string key = FoldForMatch(table);
   auto it = id_of_.find(key);
   if (it != id_of_.end()) return it->second;
-  TableId id = static_cast<TableId>(id_of_.size());
+  TableId id = static_cast<TableId>(names_.size());
   id_of_.emplace(std::move(key), id);
+  names_.push_back(table);
   return id;
 }
 

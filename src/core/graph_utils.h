@@ -3,11 +3,13 @@
 #ifndef SODA_CORE_GRAPH_UTILS_H_
 #define SODA_CORE_GRAPH_UTILS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "graph/metadata_graph.h"
 
@@ -28,24 +30,40 @@ inline constexpr TableId kInvalidTableId = UINT32_MAX;
 
 /// Interner mapping folded table names <-> dense TableIds. The warehouse
 /// table set is immutable during a search session, so the catalog is
-/// built once (during Soda::Create / JoinGraph::Build) and read-only
-/// afterwards — integer ids replace folded-string comparisons on every
-/// hot path that walks tables (join-path search, adjacency, APSP).
+/// built once (by JoinGraph::Build, during Soda::Create) and read-only
+/// afterwards: Steps 3-5 and result dedup work on the ids, and names are
+/// rendered only into the SQL the generator emits.
 class TableCatalog {
  public:
   /// Returns the id for `table` (folding it first), interning on first
-  /// use. Build-time only: not safe to call concurrently with Find.
+  /// use; the first spelling seen becomes the table's name. Build-time
+  /// only: not safe to call concurrently with Find.
   TableId Intern(const std::string& table);
 
   /// The id for `table`, or kInvalidTableId when it was never interned.
   TableId Find(std::string_view table) const;
 
+  /// The name `id` was interned under. `id` must be valid.
+  const std::string& name(TableId id) const { return names_[id]; }
+
   /// Number of interned tables (ids are 0..size()-1, dense).
-  size_t size() const { return id_of_.size(); }
+  size_t size() const { return names_.size(); }
 
  private:
   std::unordered_map<std::string, TableId> id_of_;  // folded name -> id
+  std::vector<std::string> names_;                  // id -> name
 };
+
+/// Id-list helpers. Step 3-5 lists hold a handful of ids, where a linear
+/// scan beats any set; AppendUnique keeps first-seen order.
+template <typename Ids, typename Id>
+bool ContainsId(const Ids& ids, Id id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+template <typename Id>
+void AppendUnique(std::vector<Id>* ids, Id id) {
+  if (!ContainsId(*ids, id)) ids->push_back(id);
+}
 
 /// The table name of a physical-table node (its `tablename` label).
 std::optional<std::string> TableNameOf(const MetadataGraph& graph,

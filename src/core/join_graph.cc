@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_set>
 #include <utility>
 
-#include "common/strings.h"
 #include "graph/vocab.h"
 
 namespace soda {
-
-const std::vector<JoinEdge> JoinGraph::kEmpty;
 
 namespace {
 
@@ -28,211 +24,210 @@ std::string UnorderedKey(const JoinEdge& edge) {
 
 }  // namespace
 
-void JoinGraph::AddEdge(JoinEdge edge,
-                        std::unordered_set<std::string>* seen) {
+EdgeId JoinGraph::AddEdge(JoinEdge edge,
+                          std::unordered_map<std::string, EdgeId>* seen) {
   // Deduplicate (both orientations describe the same condition).
-  if (!seen->insert(UnorderedKey(edge)).second) return;
   EdgeId id = static_cast<EdgeId>(edges_.size());
+  auto [it, inserted] = seen->emplace(UnorderedKey(edge), id);
+  if (!inserted) return it->second;
   TableId from_id = catalog_.Intern(edge.from.table);
   TableId to_id = catalog_.Intern(edge.to.table);
-  size_t tables = catalog_.size();
-  if (adjacency_.size() < tables) {
-    adjacency_.resize(tables);
-    edges_of_.resize(tables);
-  }
+  if (adjacency_.size() < catalog_.size()) adjacency_.resize(catalog_.size());
   // Registered on both endpoints (twice on the same list for a self
   // join), in insertion order — the order every path search iterates.
   adjacency_[from_id].push_back(id);
   adjacency_[to_id].push_back(id);
-  edges_of_[from_id].push_back(edge);
-  edges_of_[to_id].push_back(edge);
   edge_ends_.emplace_back(from_id, to_id);
   edges_.push_back(std::move(edge));
+  return id;
 }
 
 Status JoinGraph::Build(const PatternMatcher& matcher) {
   const MetadataGraph& graph = *matcher.graph();
-  std::unordered_set<std::string> seen_edges;
-  std::unordered_set<std::string> seen_bridges;
+  std::unordered_map<std::string, EdgeId> seen_edges;
 
-  // Direct foreign_key edges: pattern "foreign_key" binds x (fk column)
-  // and y (pk column).
+  // Every physical table, whether or not a join touches it: x is the
+  // table node. The node is kept for the inheritance pass below.
   SODA_ASSIGN_OR_RETURN(
-      std::vector<MatchBinding> fk_matches,
-      matcher.MatchAll(patterns::kForeignKey, /*max_matches=*/100000));
-  for (const MatchBinding& m : fk_matches) {
-    auto from = ColumnRefOf(graph, m.node("x"));
-    auto to = ColumnRefOf(graph, m.node("y"));
-    if (!from.has_value() || !to.has_value()) continue;
-    JoinEdge edge{*from, *to, /*ignored=*/false};
-    auto annotation = graph.FirstText(m.node("x"), vocab::kAnnotation);
-    edge.ignored = annotation.has_value() &&
-                   *annotation == vocab::kIgnoreRelationship;
-    AddEdge(std::move(edge), &seen_edges);
+      std::vector<MatchBinding> table_matches,
+      matcher.MatchAll(patterns::kTable, /*max_matches=*/100000));
+  std::vector<NodeId> table_nodes;
+  for (const MatchBinding& m : table_matches) {
+    auto name = TableNameOf(graph, m.node("x"));
+    if (!name.has_value()) continue;
+    TableId id = catalog_.Intern(*name);
+    if (id == table_nodes.size()) table_nodes.push_back(m.node("x"));
   }
+  adjacency_.resize(catalog_.size());
 
-  // Explicit join-relationship nodes: x join node, f fk column, p pk col.
-  SODA_ASSIGN_OR_RETURN(
-      std::vector<MatchBinding> join_matches,
-      matcher.MatchAll(patterns::kJoinRelationship, /*max_matches=*/100000));
-  for (const MatchBinding& m : join_matches) {
-    auto from = ColumnRefOf(graph, m.node("f"));
-    auto to = ColumnRefOf(graph, m.node("p"));
-    if (!from.has_value() || !to.has_value()) continue;
-    JoinEdge edge{*from, *to, /*ignored=*/false};
-    auto annotation = graph.FirstText(m.node("x"), vocab::kAnnotation);
-    edge.ignored = annotation.has_value() &&
-                   *annotation == vocab::kIgnoreRelationship;
-    AddEdge(std::move(edge), &seen_edges);
-  }
+  // Join conditions: `from` binds the foreign-key column, `to` the
+  // primary-key column and `annotated` the node an ignore annotation
+  // sits on. Direct foreign_key edges bind x -> y; explicit
+  // join-relationship nodes bind x (the join node), f and p.
+  auto harvest_edges = [&](const char* pattern, const char* from_var,
+                           const char* to_var,
+                           const char* annotated) -> Status {
+    SODA_ASSIGN_OR_RETURN(std::vector<MatchBinding> matches,
+                          matcher.MatchAll(pattern, /*max_matches=*/100000));
+    for (const MatchBinding& m : matches) {
+      auto from = ColumnRefOf(graph, m.node(from_var));
+      auto to = ColumnRefOf(graph, m.node(to_var));
+      if (!from.has_value() || !to.has_value()) continue;
+      auto annotation = graph.FirstText(m.node(annotated), vocab::kAnnotation);
+      AddEdge(JoinEdge{*from, *to,
+                       annotation.has_value() &&
+                           *annotation == vocab::kIgnoreRelationship},
+              &seen_edges);
+    }
+    return Status::OK();
+  };
+  SODA_RETURN_NOT_OK(harvest_edges(patterns::kForeignKey, "x", "y", "x"));
+  SODA_RETURN_NOT_OK(
+      harvest_edges(patterns::kJoinRelationship, "f", "p", "x"));
 
-  // Bridge tables, in both foreign-key representations.
-  auto harvest_bridges = [&](const char* pattern, const char* c1,
-                             const char* p1, const char* c2,
-                             const char* p2) -> Status {
+  // Bridge tables, in both foreign-key representations. A bridge's
+  // foreign keys are join edges harvested above; one whose keys were not
+  // (a malformed column the join patterns reject) is skipped. An ignore
+  // annotation on a bridge's keys keeps them out of join paths but not
+  // out of the bridge.
+  auto harvest_bridges = [&](const char* pattern) -> Status {
     SODA_ASSIGN_OR_RETURN(std::vector<MatchBinding> matches,
                           matcher.MatchAll(pattern, /*max_matches=*/100000));
     for (const MatchBinding& m : matches) {
       auto bridge_name = TableNameOf(graph, m.node("x"));
-      auto from1 = ColumnRefOf(graph, m.node(c1));
-      auto to1 = ColumnRefOf(graph, m.node(p1));
-      auto from2 = ColumnRefOf(graph, m.node(c2));
-      auto to2 = ColumnRefOf(graph, m.node(p2));
+      auto from1 = ColumnRefOf(graph, m.node("c1"));
+      auto to1 = ColumnRefOf(graph, m.node("p1"));
+      auto from2 = ColumnRefOf(graph, m.node("c2"));
+      auto to2 = ColumnRefOf(graph, m.node("p2"));
       if (!bridge_name || !from1 || !to1 || !from2 || !to2) continue;
       // Each unordered {left,right} pair appears twice (c1/c2 swapped);
       // keep one orientation deterministically.
       if (to1->ToString() > to2->ToString()) continue;
-      BridgeInfo info;
-      info.bridge_table = *bridge_name;
-      info.left = JoinEdge{*from1, *to1, false};
-      info.right = JoinEdge{*from2, *to2, false};
-      std::string key = info.bridge_table + '\1' + RefKey(info.left.from) +
-                        '\1' + RefKey(info.left.to) + '\1' +
-                        RefKey(info.right.from) + '\1' +
-                        RefKey(info.right.to);
-      if (seen_bridges.insert(std::move(key)).second) {
-        bridges_.push_back(std::move(info));
+      auto left = seen_edges.find(UnorderedKey(JoinEdge{*from1, *to1}));
+      auto right = seen_edges.find(UnorderedKey(JoinEdge{*from2, *to2}));
+      BridgeInfo bridge{catalog_.Find(*bridge_name), kInvalidEdgeId,
+                        kInvalidEdgeId, catalog_.Find(to1->table),
+                        catalog_.Find(to2->table)};
+      if (left == seen_edges.end() || right == seen_edges.end() ||
+          bridge.table == kInvalidTableId) {
+        continue;
+      }
+      bridge.left = left->second;
+      bridge.right = right->second;
+      if (std::find(bridges_.begin(), bridges_.end(), bridge) ==
+          bridges_.end()) {
+        bridges_.push_back(bridge);
       }
     }
     return Status::OK();
   };
-  SODA_RETURN_NOT_OK(harvest_bridges(patterns::kBridgeTable, "c1", "p1",
-                                     "c2", "p2"));
-  SODA_RETURN_NOT_OK(harvest_bridges(patterns::kBridgeTableJoin, "c1", "p1",
-                                     "c2", "p2"));
+  SODA_RETURN_NOT_OK(harvest_bridges(patterns::kBridgeTable));
+  SODA_RETURN_NOT_OK(harvest_bridges(patterns::kBridgeTableJoin));
+
+  // Inheritance, one Inheritance-Child match per table node: y is the
+  // inheritance node, p its parent table.
+  parents_.resize(catalog_.size());
+  siblings_.resize(catalog_.size());
+  for (TableId table = 0; table < table_nodes.size(); ++table) {
+    SODA_ASSIGN_OR_RETURN(
+        std::vector<MatchBinding> matches,
+        matcher.MatchAt(patterns::kInheritanceChild, table_nodes[table]));
+    for (const MatchBinding& m : matches) {
+      auto parent = TableNameOf(graph, m.node("p"));
+      TableId id = parent ? catalog_.Find(*parent) : kInvalidTableId;
+      if (id != kInvalidTableId) AppendUnique(&parents_[table], id);
+    }
+    if (matches.empty()) continue;
+    for (NodeId sibling :
+         graph.Targets(matches.front().node("y"), vocab::kInheritanceChild)) {
+      auto name = TableNameOf(graph, sibling);
+      TableId id = name ? catalog_.Find(*name) : kInvalidTableId;
+      if (sibling != table_nodes[table] && id != kInvalidTableId) {
+        siblings_[table].push_back(id);
+      }
+    }
+  }
 
   BuildPathClosure();
   return Status::OK();
 }
 
-const std::vector<JoinEdge>& JoinGraph::EdgesOf(
-    const std::string& table) const {
-  TableId id = catalog_.Find(table);
-  return id == kInvalidTableId ? kEmpty : edges_of_[id];
-}
-
-void JoinGraph::BfsFrom(TableId source, std::vector<uint32_t>* dist,
-                        std::vector<EdgeId>* parent) const {
-  dist->assign(catalog_.size(), kUnreachable);
-  parent->assign(catalog_.size(), kInvalidEdgeId);
-  (*dist)[source] = 0;
-  std::deque<TableId> queue;
-  queue.push_back(source);
-  while (!queue.empty()) {
-    TableId current = queue.front();
-    queue.pop_front();
-    for (EdgeId edge_id : adjacency_[current]) {
-      if (edges_[edge_id].ignored) continue;
-      const auto& [from_id, to_id] = edge_ends_[edge_id];
-      TableId other = from_id == current ? to_id : from_id;
-      if ((*dist)[other] != kUnreachable) continue;
-      (*dist)[other] = (*dist)[current] + 1;
-      (*parent)[other] = edge_id;
-      queue.push_back(other);
-    }
-  }
-}
-
 void JoinGraph::BuildPathClosure() {
-  size_t tables = catalog_.size();
-  if (tables == 0) return;
+  const size_t tables = catalog_.size();
   dist_.assign(tables * tables, kUnreachable);
   parent_edge_.assign(tables * tables, kInvalidEdgeId);
-  std::vector<uint32_t> dist;
-  std::vector<EdgeId> parent;
+  std::deque<TableId> queue;
   for (TableId source = 0; source < tables; ++source) {
-    BfsFrom(source, &dist, &parent);
-    std::copy(dist.begin(), dist.end(), dist_.begin() + source * tables);
-    std::copy(parent.begin(), parent.end(),
-              parent_edge_.begin() + source * tables);
+    // One BFS per source over non-ignored edges in adjacency order: this
+    // single loop defines the path tie-breaking.
+    uint32_t* dist = dist_.data() + source * tables;
+    EdgeId* parent = parent_edge_.data() + source * tables;
+    dist[source] = 0;
+    queue.push_back(source);
+    while (!queue.empty()) {
+      TableId current = queue.front();
+      queue.pop_front();
+      for (EdgeId edge_id : adjacency_[current]) {
+        if (edges_[edge_id].ignored) continue;
+        const auto& [from_id, to_id] = edge_ends_[edge_id];
+        TableId other = from_id == current ? to_id : from_id;
+        if (dist[other] != kUnreachable) continue;
+        dist[other] = dist[current] + 1;
+        parent[other] = edge_id;
+        queue.push_back(other);
+      }
+    }
   }
 }
 
-void JoinGraph::EmitPath(const EdgeId* parent, TableId source, TableId target,
-                         std::vector<JoinEdge>* path_edges,
-                         std::vector<std::string>* path_tables) const {
-  // Walk back to the source, emitting in the backward order the original
-  // BFS walk produced (edges are reversed afterwards, tables are not).
-  TableId cursor = target;
-  while (cursor != source) {
-    EdgeId edge_id = parent[cursor];
-    const JoinEdge& edge = edges_[edge_id];
-    if (path_edges != nullptr) path_edges->push_back(edge);
-    if (path_tables != nullptr) {
-      path_tables->push_back(edge.from.table);
-      path_tables->push_back(edge.to.table);
+bool JoinGraph::DirectPath(std::span<const TableId> from_set,
+                           std::span<const TableId> to_set,
+                           std::vector<EdgeId>* path_edges,
+                           std::vector<TableId>* path_tables) const {
+  const size_t tables = catalog_.size();
+  uint32_t best_dist = kUnreachable;
+  TableId source = kInvalidTableId;
+  TableId target = kInvalidTableId;
+
+  // Min-scan over the precomputed distance matrix: strict improvement
+  // keeps the first (source, target) pair in set order on ties, and an
+  // overlap (distance 0) wins outright.
+  for (TableId from : from_set) {
+    const uint32_t* row = dist_.data() + static_cast<size_t>(from) * tables;
+    for (TableId to : to_set) {
+      if (row[to] < best_dist) {
+        best_dist = row[to];
+        source = from;
+        target = to;
+      }
     }
+    if (best_dist == 0) break;
+  }
+  if (best_dist == kUnreachable) return false;
+
+  // A table is joined to itself by the empty path.
+  if (source == target && path_tables != nullptr) {
+    path_tables->push_back(source);
+  }
+  // Walk the parent chain back from the target: edges are emitted
+  // target-first and reversed afterwards, tables are not.
+  const EdgeId* parent =
+      parent_edge_.data() + static_cast<size_t>(source) * tables;
+  const size_t first_edge = path_edges != nullptr ? path_edges->size() : 0;
+  for (TableId cursor = target; cursor != source;) {
+    EdgeId edge_id = parent[cursor];
     const auto& [from_id, to_id] = edge_ends_[edge_id];
+    if (path_edges != nullptr) path_edges->push_back(edge_id);
+    if (path_tables != nullptr) {
+      path_tables->push_back(from_id);
+      path_tables->push_back(to_id);
+    }
     cursor = from_id == cursor ? to_id : from_id;
   }
   if (path_edges != nullptr) {
-    std::reverse(path_edges->begin(), path_edges->end());
+    std::reverse(path_edges->begin() + static_cast<long>(first_edge),
+                 path_edges->end());
   }
-}
-
-bool JoinGraph::DirectPath(const std::vector<std::string>& from_set,
-                           const std::vector<std::string>& to_set,
-                           std::vector<JoinEdge>* path_edges,
-                           std::vector<std::string>* path_tables) const {
-  // Overlapping sets: already connected, nothing to add. Compared on
-  // folded names (not ids) so tables the catalog never saw still match.
-  std::vector<std::string> target_keys;
-  target_keys.reserve(to_set.size());
-  for (const auto& t : to_set) target_keys.push_back(FoldForMatch(t));
-  for (const auto& t : from_set) {
-    std::string key = FoldForMatch(t);
-    for (const auto& target : target_keys) {
-      if (key == target) {
-        if (path_tables != nullptr) path_tables->push_back(t);
-        return true;
-      }
-    }
-  }
-
-  const size_t tables = catalog_.size();
-  uint32_t best_dist = kUnreachable;
-  TableId best_source = kInvalidTableId;
-  TableId best_target = kInvalidTableId;
-
-  // Min-scan over the precomputed distance matrix: strict improvement
-  // keeps the first (source, target) pair in set order on ties.
-  for (const auto& from : from_set) {
-    TableId source = catalog_.Find(from);
-    if (source == kInvalidTableId) continue;
-    const uint32_t* row = dist_.data() + source * tables;
-    for (const auto& to : to_set) {
-      TableId target = catalog_.Find(to);
-      if (target == kInvalidTableId) continue;
-      if (row[target] < best_dist) {
-        best_dist = row[target];
-        best_source = source;
-        best_target = target;
-      }
-    }
-  }
-  if (best_dist == kUnreachable) return false;
-  EmitPath(parent_edge_.data() + best_source * tables, best_source,
-           best_target, path_edges, path_tables);
   return true;
 }
 

@@ -9,15 +9,18 @@
 // direct-path computation on it. Bridge tables (two outgoing foreign keys,
 // Section 4.2.1) are detected with the bridge patterns.
 //
-// The same immutability argument is applied one level deeper: tables are
-// interned into dense TableIds (TableCatalog), adjacency is a flat
-// vector-of-EdgeId-vectors instead of a string map, and — since the
-// warehouse has only a few hundred tables (paper: 472) — all-pairs
-// shortest join paths are precomputed at Build time (one BFS per table,
-// distance + parent-edge matrices; O(T·E) build, O(path) reconstruct).
-// DirectPath then needs no per-query BFS at all: it min-scans the
-// distance matrix over the (source, target) pairs and walks the stored
-// parent chain. The string-keyed API is preserved as a thin shim.
+// The same immutability argument is applied one level deeper: every
+// physical table (each node the Table pattern matches) is interned into a
+// dense TableId (TableCatalog), adjacency is a flat vector-of-EdgeId-vectors,
+// and — since the warehouse has only a few hundred tables (paper: 472) —
+// all-pairs shortest join paths are precomputed at Build time (one BFS per
+// table, distance + parent-edge matrices; O(T·E) build, O(path)
+// reconstruct). DirectPath then needs no per-query BFS at all: it
+// min-scans the distance matrix over the (source, target) id pairs and
+// walks the stored parent chain. Each table's inheritance parents and
+// siblings are read off the Inheritance-Child pattern once here too, so
+// Steps 3-5 run on ids with no pattern matching, name folding or node
+// lookup at query time.
 //
 // Edge insertion order is the order in which PatternMatcher::MatchAll
 // emits the Foreign-Key and Join-Relationship matches (its plan order;
@@ -32,8 +35,10 @@
 #define SODA_CORE_JOIN_GRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -60,35 +65,62 @@ inline constexpr EdgeId kInvalidEdgeId = UINT32_MAX;
 
 /// A bridge table with the two foreign keys that make it one.
 struct BridgeInfo {
-  std::string bridge_table;
-  JoinEdge left;   // bridge -> first entity
-  JoinEdge right;  // bridge -> second entity
+  TableId table = kInvalidTableId;         // the bridge table
+  EdgeId left = kInvalidEdgeId;            // bridge -> first entity
+  EdgeId right = kInvalidEdgeId;           // bridge -> second entity
+  TableId left_entity = kInvalidTableId;   // the table `left` points to
+  TableId right_entity = kInvalidTableId;  // the table `right` points to
+
+  bool operator==(const BridgeInfo&) const = default;
 };
 
 class JoinGraph {
  public:
-  /// Harvests all join conditions and bridge tables from the graph using
-  /// the Foreign-Key, Join-Relationship and Bridge-Table patterns, then
-  /// builds the all-pairs shortest-path closure DirectPath reads.
+  /// Interns every physical table, harvests all join conditions and
+  /// bridge tables from the graph using the Foreign-Key,
+  /// Join-Relationship and Bridge-Table patterns, reads each table's
+  /// inheritance off the Inheritance-Child pattern, then builds the
+  /// all-pairs shortest-path closure DirectPath reads.
   Status Build(const PatternMatcher& matcher);
 
-  /// All join edges touching `table`.
-  const std::vector<JoinEdge>& EdgesOf(const std::string& table) const;
+  /// All join edges touching `table`, in insertion order (a self join is
+  /// listed twice). `table` must come from catalog().
+  const std::vector<EdgeId>& EdgesOf(TableId table) const {
+    return adjacency_[table];
+  }
 
   /// Shortest join path (fewest joins) between any table in `from_set` and
-  /// any table in `to_set`. Ignored edges are not used. Returns the edges
-  /// of the path and appends tables on the path (including endpoints) to
-  /// `path_tables`. Empty result + false when no path exists.
+  /// any table in `to_set`; every id must come from catalog(). Ignored
+  /// edges are not used. Appends the edges of the path to `path_edges`
+  /// and the tables on it (including endpoints; the table itself when
+  /// the sets overlap) to `path_tables`. Returns false when no path
+  /// exists.
   ///
   /// Deterministic pair choice: among all (from, to) pairs the one with
   /// the fewest joins wins, ties broken by from_set order then to_set
   /// order; the path itself is the BFS tree chain of the winning source
   /// (fixed edge-insertion adjacency order), read from the precomputed
   /// APSP matrices.
-  bool DirectPath(const std::vector<std::string>& from_set,
-                  const std::vector<std::string>& to_set,
-                  std::vector<JoinEdge>* path_edges,
-                  std::vector<std::string>* path_tables) const;
+  bool DirectPath(std::span<const TableId> from_set,
+                  std::span<const TableId> to_set,
+                  std::vector<EdgeId>* path_edges,
+                  std::vector<TableId>* path_tables) const;
+
+  /// The join condition of `edge` and the tables at its (from, to) ends.
+  const JoinEdge& edge(EdgeId edge) const { return edges_[edge]; }
+  const std::pair<TableId, TableId>& ends(EdgeId edge) const {
+    return edge_ends_[edge];
+  }
+
+  /// The inheritance parents of `table` (the `p` of every
+  /// Inheritance-Child match at its node, unique, in match order) and its
+  /// siblings (the other children of the first match's inheritance node).
+  const std::vector<TableId>& parents(TableId table) const {
+    return parents_[table];
+  }
+  const std::vector<TableId>& siblings(TableId table) const {
+    return siblings_[table];
+  }
 
   const std::vector<BridgeInfo>& bridges() const { return bridges_; }
   const std::vector<JoinEdge>& all_edges() const { return edges_; }
@@ -96,42 +128,30 @@ class JoinGraph {
 
   /// The table interner populated by Build (folded name -> dense id).
   const TableCatalog& catalog() const { return catalog_; }
-  size_t num_tables() const { return catalog_.size(); }
 
  private:
-  /// BFS from `source` over non-ignored edges in adjacency order,
-  /// filling distances and the parent edge of every reached table.
-  /// This single routine defines the path tie-breaking; the closure
-  /// build runs it once per table.
-  void BfsFrom(TableId source, std::vector<uint32_t>* dist,
-               std::vector<EdgeId>* parent) const;
-
-  /// Walks the parent chain target -> source, appending output exactly
-  /// like the original backward walk did.
-  void EmitPath(const EdgeId* parent, TableId source, TableId target,
-                std::vector<JoinEdge>* path_edges,
-                std::vector<std::string>* path_tables) const;
-
-  /// Appends `edge` unless `seen` already holds its unordered key.
-  void AddEdge(JoinEdge edge, std::unordered_set<std::string>* seen);
+  /// Appends `edge` unless `seen` already holds its unordered key; returns
+  /// the id of the edge with that key either way.
+  EdgeId AddEdge(JoinEdge edge,
+                 std::unordered_map<std::string, EdgeId>* seen);
+  /// Fills the APSP matrices: one BFS per table.
   void BuildPathClosure();
 
   std::vector<JoinEdge> edges_;
   std::vector<std::pair<TableId, TableId>> edge_ends_;  // per EdgeId
   TableCatalog catalog_;
   std::vector<std::vector<EdgeId>> adjacency_;       // per TableId
-  std::vector<std::vector<JoinEdge>> edges_of_;      // EdgesOf() shim
+  std::vector<std::vector<TableId>> parents_;        // per TableId
+  std::vector<std::vector<TableId>> siblings_;       // per TableId
   std::vector<BridgeInfo> bridges_;
 
   // APSP closure (empty only for a graph without tables):
   // row-major [source * num_tables + target]. dist_ counts joins
   // (kUnreachable when disconnected); parent_edge_ is the edge that
-  // discovered `target` in BfsFrom(source).
+  // discovered `target` in the BFS from `source`.
   static constexpr uint32_t kUnreachable = UINT32_MAX;
   std::vector<uint32_t> dist_;
   std::vector<EdgeId> parent_edge_;
-
-  static const std::vector<JoinEdge> kEmpty;
 };
 
 }  // namespace soda

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 #include <utility>
 
 #include "common/strings.h"
@@ -118,25 +117,57 @@ double StageScope::End() {
   return ms_;
 }
 
-std::string CanonicalKey(const SelectStatement& stmt) {
-  std::vector<std::string> tables;
-  for (const auto& t : stmt.from) tables.push_back(FoldForMatch(t.table));
-  std::sort(tables.begin(), tables.end());
-  std::vector<std::string> conjuncts;
-  for (const auto& p : stmt.where) {
-    std::string a = p.lhs.ToString(), b = p.rhs.ToString();
-    if (p.op == CompareOp::kEq && b < a) std::swap(a, b);
-    conjuncts.push_back(a + CompareOpSymbol(p.op) + b);
+namespace {
+
+// Same rendered SQL: structural equality, with a literal's type compared
+// too (Value equality holds across numeric types, 3 == 3.0, while the
+// two render differently).
+bool SameExpr(const Expr& a, const Expr& b) {
+  return a == b && (a.kind != Expr::Kind::kLiteral ||
+                    a.literal.type() == b.literal.type());
+}
+
+bool SameConjunct(const Predicate& a, const Predicate& b) {
+  if (a.op != b.op) return false;
+  if (SameExpr(a.lhs, b.lhs) && SameExpr(a.rhs, b.rhs)) return true;
+  return a.op == CompareOp::kEq && SameExpr(a.lhs, b.rhs) &&
+         SameExpr(a.rhs, b.lhs);
+}
+
+bool SameItem(const SelectItem& a, const SelectItem& b) {
+  return a.alias == b.alias && SameExpr(a.expr, b.expr);
+}
+
+}  // namespace
+
+bool SameStatement(const StatementKey& key_a, const SelectStatement& a,
+                   const StatementKey& key_b, const SelectStatement& b) {
+  if (key_a.tables != key_b.tables || key_a.joins != key_b.joins ||
+      a.where.size() != b.where.size() || a.items.size() != b.items.size() ||
+      a.group_by != b.group_by || a.limit != b.limit) {
+    return false;
   }
-  std::sort(conjuncts.begin(), conjuncts.end());
-  std::vector<std::string> items;
-  for (const auto& item : stmt.items) items.push_back(item.ToString());
-  std::sort(items.begin(), items.end());
-  std::string key = Join(tables, ",") + "|" + Join(conjuncts, "&") + "|" +
-                    Join(items, ",");
-  for (const auto& g : stmt.group_by) key += "#" + g.ToString();
-  if (stmt.limit.has_value()) key += "^" + std::to_string(*stmt.limit);
-  return key;
+  // The joins lead the WHERE clause; the filters follow them.
+  const auto filters_a = a.where.begin() + static_cast<long>(key_a.joins.size());
+  const auto filters_b = b.where.begin() + static_cast<long>(key_b.joins.size());
+  return std::is_permutation(filters_a, a.where.end(), filters_b,
+                             SameConjunct) &&
+         std::is_permutation(a.items.begin(), a.items.end(), b.items.begin(),
+                             SameItem);
+}
+
+void ApplyConstraints(const SessionConstraints& constraints,
+                      const TableCatalog& catalog, QueryContext* ctx) {
+  ctx->constraints = &constraints;
+  ctx->pinned_table_ids.clear();
+  ctx->banned_table_ids.clear();
+  for (const std::string& table : constraints.pinned_tables) {
+    ctx->pinned_table_ids.push_back(catalog.Find(table));
+  }
+  for (const std::string& table : constraints.banned_tables) {
+    TableId id = catalog.Find(table);
+    if (id != kInvalidTableId) ctx->banned_table_ids.push_back(id);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -337,51 +368,29 @@ Status FiltersStage::RunOne(const QueryContext&,
 Status SqlStage::RunOne(const QueryContext& ctx,
                         InterpretationState* state) const {
   // Step 5 precondition: drop mutually exclusive inheritance siblings
-  // that no filter or column constrains (see TablesStep). A pinned table
-  // counts as constrained — the user asked for it by name.
-  std::vector<PhysicalColumnRef> constrained;
-  for (const GeneratedFilter& filter : state->filters) {
-    constrained.push_back(filter.column);
-  }
-  for (const auto& column : state->tables->entry_columns) {
-    if (column.has_value()) constrained.push_back(*column);
-  }
-  for (const auto& aggregation : state->tables->aggregations) {
-    constrained.push_back(aggregation.column);
-  }
-  const SessionConstraints* session = ctx.constraints;
-  tables_step_->PruneUnconstrainedSiblings(
-      &*state->tables, constrained,
-      session != nullptr ? &session->pinned_tables : nullptr);
+  // that no filter or column constrains. A pinned table counts as
+  // constrained — the user asked for it by name.
+  generator_->PruneUnconstrainedSiblings(&*state->tables, state->filters,
+                                         ctx.pinned_table_ids);
 
   Result<SelectStatement> stmt = generator_->Generate(
-      ctx.parsed, *state->tables, state->filters, ctx.metrics);
+      ctx.parsed, *state->tables, state->filters, &state->key, ctx.metrics);
   if (!stmt.ok()) {
     state->dropped = true;
     return Status::OK();
   }
   // Pin/ban enforcement over the statement actually emitted: banned
   // tables retire the interpretation, pinned tables must all be read.
-  if (session != nullptr &&
-      (!session->pinned_tables.empty() || !session->banned_tables.empty())) {
-    auto reads_table = [&stmt](const std::string& folded) {
-      for (const TableRef& ref : stmt->from) {
-        if (FoldForMatch(ref.table) == folded) return true;
-      }
-      return false;
-    };
-    for (const std::string& banned : session->banned_tables) {
-      if (reads_table(banned)) {
-        state->dropped = true;
-        return Status::OK();
-      }
-    }
-    for (const std::string& pinned : session->pinned_tables) {
-      if (!reads_table(pinned)) {
-        state->dropped = true;
-        return Status::OK();
-      }
-    }
+  auto reads_table = [state](TableId table) {
+    return std::binary_search(state->key.tables.begin(),
+                              state->key.tables.end(), table);
+  };
+  if (std::any_of(ctx.banned_table_ids.begin(), ctx.banned_table_ids.end(),
+                  reads_table) ||
+      !std::all_of(ctx.pinned_table_ids.begin(), ctx.pinned_table_ids.end(),
+                   reads_table)) {
+    state->dropped = true;
+    return Status::OK();
   }
   state->fully_connected = state->tables->fully_connected;
   // Complete the provenance record with what was actually emitted (the
@@ -390,7 +399,10 @@ Status SqlStage::RunOne(const QueryContext& ctx,
   for (const TableRef& ref : stmt->from) {
     state->explanation.tables.push_back(ref.table);
   }
-  state->explanation.joins = state->tables->joins;
+  state->explanation.joins.clear();
+  for (EdgeId edge : state->tables->joins) {
+    state->explanation.joins.push_back(generator_->join_graph().edge(edge));
+  }
   state->explanation.filters = state->filters;
   state->statement = std::move(*stmt);
   return Status::OK();
@@ -456,13 +468,21 @@ SearchOutput FinalizeOutput(QueryContext&& ctx) {
   output.ignored_words = std::move(ctx.lookup.ignored_words);
   output.timings = ctx.timings;
 
-  std::set<std::string> seen_sql;
+  // The keys of the kept results, parallel to output.results (ctx.states
+  // outlives the loop and is not resized by it).
+  std::vector<const StatementKey*> kept;
   for (InterpretationState& state : ctx.states) {
     output.timings.tables_ms += state.timings.tables_ms;
     output.timings.filters_ms += state.timings.filters_ms;
     output.timings.sql_ms += state.timings.sql_ms;
     if (state.dropped || !state.statement.has_value()) continue;
-    if (!seen_sql.insert(CanonicalKey(*state.statement)).second) continue;
+    bool duplicate = false;
+    for (size_t k = 0; k < kept.size() && !duplicate; ++k) {
+      duplicate = SameStatement(*kept[k], output.results[k].statement,
+                                state.key, *state.statement);
+    }
+    if (duplicate) continue;
+    kept.push_back(&state.key);
 
     SodaResult result;
     result.statement = std::move(*state.statement);

@@ -18,7 +18,7 @@
 // serial driver (Soda::Search) stays a thin loop over the same stage list.
 // Both time every stage run through one StageScope.
 // Results are merged deterministically in ranked order and deduplicated
-// with CanonicalKey, so the outcome is byte-identical at any thread count.
+// with SameStatement, so the outcome is byte-identical at any thread count.
 
 #ifndef SODA_CORE_PIPELINE_H_
 #define SODA_CORE_PIPELINE_H_
@@ -231,12 +231,16 @@ struct SearchOutput {
   size_t stages_skipped = 0;
 };
 
-/// Canonical form of a statement for result deduplication: FROM order,
-/// the operand order of symmetric `=` predicates, and conjunct/item order
-/// are all normalized, while GROUP BY and LIMIT stay discriminating.
-/// Different entry-point choices that collapse to the same logical
-/// statement therefore produce one result. Exposed for tests.
-std::string CanonicalKey(const SelectStatement& stmt);
+/// Result deduplication: true when statements `a` and `b` (with the keys
+/// the generator filled for them) are one logical statement. FROM order,
+/// conjunct order, the operand order of `=` and select-item order do not
+/// count; tables and joins compare by id, filters and items by what they
+/// render (a literal's type included), and GROUP BY and LIMIT stay
+/// discriminating. DISTINCT and ORDER BY are not compared. Different
+/// entry-point choices that collapse to the same statement therefore
+/// produce one result. Exposed for tests.
+bool SameStatement(const StatementKey& key_a, const SelectStatement& a,
+                   const StatementKey& key_b, const SelectStatement& b);
 
 /// The per-interpretation slice of the pipeline state. Per-interpretation
 /// stages own exactly one of these; nothing else of theirs is shared.
@@ -255,6 +259,7 @@ struct InterpretationState {
   std::optional<TablesOutput> tables;
   std::vector<GeneratedFilter> filters;
   std::optional<SelectStatement> statement;
+  StatementKey key;  // the statement's ids, which result dedup compares
   bool fully_connected = true;
 
   /// Set by any stage to retire the interpretation (no entry points, no
@@ -297,8 +302,15 @@ struct QueryContext {
   /// pruning and enforces pin/ban on the emitted statement. The pointee
   /// must outlive the pipeline run; applied identically by every driver,
   /// so constrained output is byte-identical serial vs. engine vs.
-  /// session-resume.
+  /// session-resume. Set through ApplyConstraints.
   const SessionConstraints* constraints = nullptr;
+
+  /// The constraints' pinned and banned tables as TableIds, resolved once
+  /// per serve by ApplyConstraints. A pinned table the catalog lacks
+  /// stays as kInvalidTableId, which no statement reads, so every
+  /// interpretation drops; a banned one is left out, so it is inert.
+  std::vector<TableId> pinned_table_ids;
+  std::vector<TableId> banned_table_ids;
 
   InputQuery parsed;
   LookupOutput lookup;
@@ -398,18 +410,21 @@ class FiltersStage : public PipelineStage {
 /// the statement.
 class SqlStage : public PipelineStage {
  public:
-  SqlStage(const TablesStep* tables_step, const SqlGenerator* generator)
-      : PipelineStage(kSqlTiming),
-        tables_step_(tables_step),
-        generator_(generator) {}
+  explicit SqlStage(const SqlGenerator* generator)
+      : PipelineStage(kSqlTiming), generator_(generator) {}
   bool per_interpretation() const override { return true; }
   Status RunOne(const QueryContext& ctx,
                 InterpretationState* state) const override;
 
  private:
-  const TablesStep* tables_step_;
   const SqlGenerator* generator_;
 };
+
+/// Points `ctx` at `constraints`, which must outlive the run, and
+/// resolves its pinned and banned tables against `catalog` once for all
+/// of the serve's interpretations.
+void ApplyConstraints(const SessionConstraints& constraints,
+                      const TableCatalog& catalog, QueryContext* ctx);
 
 /// RankStage's per-state work: fills the chosen entry points, the
 /// operator bindings and the explanation terms of `state` from its
@@ -447,7 +462,7 @@ Status RunPipeline(std::span<const PipelineStage* const> stages,
 
 /// Merges the finished context into a SearchOutput: copies query-level
 /// fields, folds per-state timings into the totals, and walks the states
-/// in ranked order deduplicating statements by CanonicalKey. Ranked-order
+/// in ranked order deduplicating statements by SameStatement. Ranked-order
 /// merging makes the result list independent of execution schedule.
 SearchOutput FinalizeOutput(QueryContext&& ctx);
 

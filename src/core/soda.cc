@@ -37,8 +37,7 @@ Soda::Soda(const Database* db, const MetadataGraph* graph,
   rank_stage_ = std::make_unique<RankStage>();
   tables_stage_ = std::make_unique<TablesStage>(tables_step_.get());
   filters_stage_ = std::make_unique<FiltersStage>(filters_step_.get());
-  sql_stage_ = std::make_unique<SqlStage>(tables_step_.get(),
-                                          generator_.get());
+  sql_stage_ = std::make_unique<SqlStage>(generator_.get());
   stages_ = {lookup_stage_.get(), rank_stage_.get(), tables_stage_.get(),
              filters_stage_.get(), sql_stage_.get()};
 }

@@ -8,18 +8,6 @@
 
 namespace soda {
 
-namespace {
-
-bool ContainsTable(const std::vector<std::string>& tables,
-                   const std::string& table) {
-  for (const auto& t : tables) {
-    if (EqualsFolded(t, table)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 Result<SqlGenerator::ResolvedArgument> SqlGenerator::ResolveArgument(
     const std::string& phrase) const {
   const MetadataGraph& graph = *matcher_->graph();
@@ -65,44 +53,94 @@ Result<SqlGenerator::ResolvedArgument> SqlGenerator::ResolveArgument(
                           "' does not resolve to a column or table");
 }
 
-void SqlGenerator::EnsureTable(const std::string& table,
-                               std::vector<std::string>* tables,
-                               std::vector<JoinEdge>* joins,
+void SqlGenerator::EnsureTable(TableId table, std::vector<TableId>* tables,
+                               std::vector<EdgeId>* joins,
                                uint64_t* path_lookups) const {
-  if (ContainsTable(*tables, table)) return;
+  if (ContainsId(*tables, table)) return;
   // Connect the new table to the existing FROM set via a direct path.
-  std::vector<JoinEdge> path;
-  std::vector<std::string> path_tables;
-  if (!tables->empty()) ++*path_lookups;
-  if (!tables->empty() &&
-      join_graph_->DirectPath(*tables, {table}, &path, &path_tables)) {
-    for (const JoinEdge& edge : path) {
-      bool duplicate = false;
-      for (const JoinEdge& existing : *joins) {
-        if ((existing.from == edge.from && existing.to == edge.to) ||
-            (existing.from == edge.to && existing.to == edge.from)) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) joins->push_back(edge);
-    }
-    for (const auto& t : path_tables) {
-      if (!ContainsTable(*tables, t)) tables->push_back(t);
+  if (!tables->empty()) {
+    ++*path_lookups;
+    std::vector<EdgeId> path;
+    std::vector<TableId> path_tables;
+    if (join_graph_->DirectPath(*tables, {&table, 1}, &path, &path_tables)) {
+      for (EdgeId edge : path) AppendUnique(joins, edge);
+      for (TableId t : path_tables) AppendUnique(tables, t);
     }
   }
-  if (!ContainsTable(*tables, table)) tables->push_back(table);
+  AppendUnique(tables, table);
+}
+
+void SqlGenerator::PruneUnconstrainedSiblings(
+    TablesOutput* tables, const std::vector<GeneratedFilter>& filters,
+    std::span<const TableId> protected_tables) const {
+  // Candidate children: inheritance children with a sibling child among
+  // the tables.
+  std::vector<TableId> droppable_candidates;
+  for (TableId table : tables->tables) {
+    for (TableId sibling : join_graph_->siblings(table)) {
+      if (ContainsId(tables->tables, sibling)) {
+        droppable_candidates.push_back(table);
+        break;
+      }
+    }
+  }
+
+  for (TableId child : droppable_candidates) {
+    // Pinned, or named by a filter, an entry column or an aggregation.
+    const std::string& name = join_graph_->catalog().name(child);
+    bool constrained = ContainsId(protected_tables, child);
+    for (const GeneratedFilter& filter : filters) {
+      constrained |= EqualsFolded(filter.column.table, name);
+    }
+    for (const auto& column : tables->entry_columns) {
+      constrained |= column.has_value() && EqualsFolded(column->table, name);
+    }
+    for (const DiscoveredAggregation& aggregation : tables->aggregations) {
+      constrained |= EqualsFolded(aggregation.column.table, name);
+    }
+    if (constrained) continue;
+    // Droppable only when every join touching the child leads to one and
+    // the same neighbor (a pure leaf of the join graph).
+    auto touches_child = [&](EdgeId edge) {
+      const auto& [from, to] = join_graph_->ends(edge);
+      return from == child || to == child;
+    };
+    TableId neighbor = kInvalidTableId;
+    bool droppable = true;
+    for (EdgeId edge : tables->joins) {
+      if (!touches_child(edge)) continue;
+      const auto& [from, to] = join_graph_->ends(edge);
+      TableId other = from == child ? to : from;
+      if (neighbor == kInvalidTableId) neighbor = other;
+      droppable = droppable && neighbor == other;
+    }
+    if (!droppable || neighbor == kInvalidTableId) continue;
+    std::erase_if(tables->joins, touches_child);
+    std::erase(tables->tables, child);
+  }
 }
 
 Result<SelectStatement> SqlGenerator::Generate(
     const InputQuery& query, const TablesOutput& tables,
-    const std::vector<GeneratedFilter>& filters,
+    const std::vector<GeneratedFilter>& filters, StatementKey* key,
     MetricsSink* metrics) const {
   SelectStatement stmt;
   uint64_t path_lookups = 0;
 
-  std::vector<std::string> from_tables = tables.tables;
-  std::vector<JoinEdge> joins = tables.joins;
+  const TableCatalog& catalog = join_graph_->catalog();
+  std::vector<TableId> from_tables = tables.tables;
+  std::vector<EdgeId> joins = tables.joins;
+  // Operator arguments, metadata aggregations and filters name their
+  // columns' tables; each is resolved to its id once, here.
+  auto ensure = [&](const std::string& table) -> Status {
+    TableId id = catalog.Find(table);
+    if (id == kInvalidTableId) {
+      return Status::NotFound("table '" + table +
+                              "' is no physical table of the metadata");
+    }
+    EnsureTable(id, &from_tables, &joins, &path_lookups);
+    return Status::OK();
+  };
 
   // ---- aggregates --------------------------------------------------------
   struct PlannedAggregate {
@@ -124,11 +162,11 @@ Result<SelectStatement> SqlGenerator::Generate(
                             ResolveArgument(element.agg_argument));
       if (arg.column.has_value()) {
         planned.column = arg.column;
-        EnsureTable(arg.column->table, &from_tables, &joins, &path_lookups);
+        SODA_RETURN_NOT_OK(ensure(arg.column->table));
       } else if (arg.table.has_value()) {
         // count(<entity>) — count the entity's key column (the paper's
         // Query 4 emits count(fi_transactions.id)).
-        EnsureTable(*arg.table, &from_tables, &joins, &path_lookups);
+        SODA_RETURN_NOT_OK(ensure(*arg.table));
         planned.column = PhysicalColumnRef{*arg.table, "id"};
         planned.over_entity = true;
       }
@@ -141,8 +179,7 @@ Result<SelectStatement> SqlGenerator::Generate(
     PlannedAggregate planned;
     planned.func = discovered.func;
     planned.column = discovered.column;
-    EnsureTable(discovered.column.table, &from_tables, &joins,
-                &path_lookups);
+    SODA_RETURN_NOT_OK(ensure(discovered.column.table));
     aggregates.push_back(std::move(planned));
   }
 
@@ -157,7 +194,7 @@ Result<SelectStatement> SqlGenerator::Generate(
                                        "' does not resolve to a column");
       }
       group_columns.push_back(*arg.column);
-      EnsureTable(arg.column->table, &from_tables, &joins, &path_lookups);
+      SODA_RETURN_NOT_OK(ensure(arg.column->table));
     }
   }
 
@@ -176,15 +213,16 @@ Result<SelectStatement> SqlGenerator::Generate(
   // SQL; pull those tables in (connected via join paths when possible)
   // before assembling the statement.
   for (const GeneratedFilter& filter : filters) {
-    EnsureTable(filter.column.table, &from_tables, &joins, &path_lookups);
+    SODA_RETURN_NOT_OK(ensure(filter.column.table));
   }
 
   // ---- assemble -----------------------------------------------------------
   stmt.from.reserve(from_tables.size());
-  for (const auto& table : from_tables) {
-    stmt.from.push_back(TableRef{table, ""});
+  for (TableId table : from_tables) {
+    stmt.from.push_back(TableRef{catalog.name(table), ""});
   }
-  for (const JoinEdge& join : joins) {
+  for (EdgeId edge : joins) {
+    const JoinEdge& join = join_graph_->edge(edge);
     Predicate p;
     p.lhs = Expr::MakeColumn(join.from.table, join.from.column);
     p.op = CompareOp::kEq;
@@ -232,6 +270,11 @@ Result<SelectStatement> SqlGenerator::Generate(
   // paper resolves "top 10 trading volume" through the metadata
   // aggregation, which lands in the aggregate branch above.
   if (top_n.has_value()) stmt.limit = top_n;
+
+  key->tables = std::move(from_tables);
+  std::sort(key->tables.begin(), key->tables.end());
+  key->joins = std::move(joins);
+  std::sort(key->joins.begin(), key->joins.end());
 
   if (metrics != nullptr && path_lookups > 0) {
     metrics->IncrementCounter("closure.path_lookups", path_lookups);

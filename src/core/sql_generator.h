@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/classification.h"
@@ -17,6 +18,15 @@
 
 namespace soda {
 
+/// The ids a generated statement was built from, sorted: what result
+/// dedup compares instead of rendering the statement (SameStatement,
+/// core/pipeline.h). The statement's WHERE clause is the join conjuncts
+/// followed by the filters.
+struct StatementKey {
+  std::vector<TableId> tables;  // the FROM list
+  std::vector<EdgeId> joins;    // the join conjuncts
+};
+
 class SqlGenerator {
  public:
   SqlGenerator(const PatternMatcher* matcher, const JoinGraph* join_graph,
@@ -25,31 +35,48 @@ class SqlGenerator {
         join_graph_(join_graph),
         classification_(classification) {}
 
-  /// Builds the statement for one interpretation. `query` carries the
-  /// aggregation / group-by / top-N operators; `tables` and `filters` are
-  /// the Step 3/4 outputs. When `metrics` is set, join-path lookups made
-  /// while connecting operator argument tables are booked as
-  /// closure.path_lookups.
+  /// Step 5 keeps statements "reasonable ... considering foreign keys and
+  /// inheritance patterns in the schema": when two mutually exclusive
+  /// inheritance children would be joined through the same parent row the
+  /// statement is unsatisfiable, so an inheritance child is dropped from
+  /// `tables` when (a) a sibling child is also among the tables, (b) no
+  /// filter, entry column or aggregation constrains it, and (c) all its
+  /// joins lead to one single neighbor (it is a pure leaf).
+  /// `protected_tables` are treated as constrained no matter what — the
+  /// session layer passes its pinned tables so a pin can keep an
+  /// otherwise-droppable inheritance child.
+  void PruneUnconstrainedSiblings(
+      TablesOutput* tables, const std::vector<GeneratedFilter>& filters,
+      std::span<const TableId> protected_tables) const;
+
+  /// Builds the statement for one interpretation and fills `key` with
+  /// its ids. `query` carries the aggregation / group-by / top-N
+  /// operators; `tables` and `filters` are the Step 3/4 outputs. Table
+  /// and join ids become names only here, in the emitted statement. When
+  /// `metrics` is set, join-path lookups made while connecting operator
+  /// argument tables are booked as closure.path_lookups.
   Result<SelectStatement> Generate(const InputQuery& query,
                                    const TablesOutput& tables,
                                    const std::vector<GeneratedFilter>& filters,
+                                   StatementKey* key,
                                    MetricsSink* metrics = nullptr) const;
+
+  const JoinGraph& join_graph() const { return *join_graph_; }
 
  private:
   /// Resolves an operator argument phrase ("amount", "transaction date",
   /// "transactions") to a physical column, or to a table (entities
-  /// aggregate as COUNT over their key). Adds the owning table (and a
-  /// connecting join path) to `stmt_tables`/`joins` when missing.
+  /// aggregate as COUNT over their key).
   struct ResolvedArgument {
     std::optional<PhysicalColumnRef> column;
     std::optional<std::string> table;  // entity argument
   };
   Result<ResolvedArgument> ResolveArgument(const std::string& phrase) const;
 
-  void EnsureTable(const std::string& table,
-                   std::vector<std::string>* tables,
-                   std::vector<JoinEdge>* joins,
-                   uint64_t* path_lookups) const;
+  /// Adds `table` to `tables` unless it is there, connected to them by a
+  /// direct join path when one exists.
+  void EnsureTable(TableId table, std::vector<TableId>* tables,
+                   std::vector<EdgeId>* joins, uint64_t* path_lookups) const;
 
   const PatternMatcher* matcher_;
   const JoinGraph* join_graph_;

@@ -7,10 +7,8 @@
 #include <utility>
 
 #include "common/metrics.h"
-#include "common/strings.h"
 #include "core/closure.h"
 #include "graph/vocab.h"
-#include "schema/warehouse_model.h"
 
 namespace soda {
 
@@ -43,23 +41,6 @@ const char* kTraversalPredicates[] = {
     vocab::kInheritanceParent,
 };
 
-void PushUnique(std::vector<std::string>* vec, const std::string& value) {
-  for (const auto& existing : *vec) {
-    if (EqualsFolded(existing, value)) return;
-  }
-  vec->push_back(value);
-}
-
-void PushUniqueJoin(std::vector<JoinEdge>* joins, const JoinEdge& edge) {
-  for (const auto& existing : *joins) {
-    if ((existing.from == edge.from && existing.to == edge.to) ||
-        (existing.from == edge.to && existing.to == edge.from)) {
-      return;
-    }
-  }
-  joins->push_back(edge);
-}
-
 // Maximum depth of the metadata-graph traversal from one entry point.
 constexpr size_t kMaxTraversalDepth = 8;
 
@@ -67,7 +48,16 @@ constexpr size_t kMaxTraversalDepth = 8;
 
 void TablesStep::Traverse(NodeId start, TraverseClosure* out) const {
   const MetadataGraph& graph = *matcher_->graph();
-  std::vector<std::string>* tables = &out->tables;
+  const TableCatalog& catalog = join_graph_->catalog();
+  std::vector<TableId>* tables = &out->tables;
+  out->column = ResolvePhysicalColumn(graph, start);
+  // Every physical table is interned at Build, so a name the catalog
+  // lacks belongs to no table node.
+  auto add_table = [&](const std::string& name) {
+    TableId id = catalog.Find(name);
+    if (id != kInvalidTableId) AppendUnique(tables, id);
+    return id;
+  };
 
   std::set<NodeId> visited;
   std::deque<std::pair<NodeId, size_t>> queue;  // (node, depth)
@@ -78,20 +68,17 @@ void TablesStep::Traverse(NodeId start, TraverseClosure* out) const {
     auto [node, depth] = queue.front();
     queue.pop_front();
 
-    // Test the Table pattern: collect the table name.
+    // Test the Table pattern: collect the table, then its inheritance
+    // parents ("we need to collect the table name of the inheritance
+    // parent because this table is needed to produce correct SQL
+    // statements"), which the JoinGraph read off the Inheritance-Child
+    // pattern at Build.
     if (matcher_->Matches(patterns::kTable, node)) {
       auto name = TableNameOf(graph, node);
-      if (name.has_value()) PushUnique(tables, *name);
-
-      // Test the Inheritance-Child pattern at the table: collect the
-      // parent table ("we need to collect the table name of the
-      // inheritance parent because this table is needed to produce
-      // correct SQL statements").
-      auto inh = matcher_->MatchAt(patterns::kInheritanceChild, node);
-      if (inh.ok()) {
-        for (const MatchBinding& m : *inh) {
-          auto parent = TableNameOf(graph, m.node("p"));
-          if (parent.has_value()) PushUnique(tables, *parent);
+      TableId id = name.has_value() ? add_table(*name) : kInvalidTableId;
+      if (id != kInvalidTableId) {
+        for (TableId parent : join_graph_->parents(id)) {
+          AppendUnique(tables, parent);
         }
       }
     }
@@ -99,7 +86,7 @@ void TablesStep::Traverse(NodeId start, TraverseClosure* out) const {
     // Test the Column pattern: collect the owning table.
     if (matcher_->Matches(patterns::kColumn, node)) {
       auto column = ColumnRefOf(graph, node);
-      if (column.has_value()) PushUnique(tables, column->table);
+      if (column.has_value()) add_table(column->table);
     }
 
     // Test the Metadata-Filter pattern: harvest the stored predicate.
@@ -114,7 +101,7 @@ void TablesStep::Traverse(NodeId start, TraverseClosure* out) const {
           filter.op = m.text("op");
           filter.value = m.text("v");
           out->filters.push_back(std::move(filter));
-          PushUnique(tables, column->table);
+          add_table(column->table);
         }
       }
     }
@@ -133,7 +120,7 @@ void TablesStep::Traverse(NodeId start, TraverseClosure* out) const {
         if (*func_text == "min") aggregation.func = AggFunc::kMin;
         if (*func_text == "max") aggregation.func = AggFunc::kMax;
         out->aggregations.push_back(std::move(aggregation));
-        PushUnique(tables, column->table);
+        add_table(column->table);
       }
     }
 
@@ -143,90 +130,6 @@ void TablesStep::Traverse(NodeId start, TraverseClosure* out) const {
         if (visited.insert(next).second) {
           queue.emplace_back(next, depth + 1);
         }
-      }
-    }
-  }
-}
-
-void TablesStep::PruneUnconstrainedSiblings(
-    TablesOutput* tables,
-    const std::vector<PhysicalColumnRef>& constrained_columns,
-    const std::vector<std::string>* protected_tables) const {
-  const MetadataGraph& graph = *matcher_->graph();
-
-  auto in_tables = [&](const std::string& name) {
-    for (const auto& t : tables->tables) {
-      if (EqualsFolded(t, name)) return true;
-    }
-    return false;
-  };
-
-  // Candidate children: tables that match the Inheritance-Child pattern
-  // and have a sibling child among the tables.
-  std::vector<std::string> droppable_candidates;
-  for (const std::string& table : tables->tables) {
-    NodeId node = graph.FindNode(TableUri(table));
-    if (node == kInvalidNode) continue;
-    auto matches = matcher_->MatchAt(patterns::kInheritanceChild, node);
-    if (!matches.ok() || matches->empty()) continue;
-    const MatchBinding& m = matches->front();
-    bool sibling_present = false;
-    for (NodeId sibling :
-         graph.Targets(m.node("y"), vocab::kInheritanceChild)) {
-      if (sibling == node) continue;
-      auto sibling_name = TableNameOf(graph, sibling);
-      if (sibling_name.has_value() && in_tables(*sibling_name)) {
-        sibling_present = true;
-        break;
-      }
-    }
-    if (sibling_present) droppable_candidates.push_back(table);
-  }
-
-  for (const std::string& child : droppable_candidates) {
-    bool constrained = false;
-    for (const auto& column : constrained_columns) {
-      if (EqualsFolded(column.table, child)) {
-        constrained = true;
-        break;
-      }
-    }
-    if (!constrained && protected_tables != nullptr) {
-      for (const std::string& protected_table : *protected_tables) {
-        if (EqualsFolded(protected_table, child)) {
-          constrained = true;
-          break;
-        }
-      }
-    }
-    if (constrained) continue;
-    // Droppable only when every join touching the child leads to one and
-    // the same neighbor (a pure leaf of the join graph).
-    std::string neighbor;
-    bool droppable = true;
-    std::vector<size_t> touching;
-    for (size_t j = 0; j < tables->joins.size(); ++j) {
-      const JoinEdge& edge = tables->joins[j];
-      bool from_child = EqualsFolded(edge.from.table, child);
-      bool to_child = EqualsFolded(edge.to.table, child);
-      if (!from_child && !to_child) continue;
-      const std::string& other = from_child ? edge.to.table : edge.from.table;
-      if (neighbor.empty()) {
-        neighbor = other;
-      } else if (!EqualsFolded(neighbor, other)) {
-        droppable = false;
-        break;
-      }
-      touching.push_back(j);
-    }
-    if (!droppable || touching.empty()) continue;
-    for (auto it = touching.rbegin(); it != touching.rend(); ++it) {
-      tables->joins.erase(tables->joins.begin() + static_cast<long>(*it));
-    }
-    for (auto it = tables->tables.begin(); it != tables->tables.end(); ++it) {
-      if (EqualsFolded(*it, child)) {
-        tables->tables.erase(it);
-        break;
       }
     }
   }
@@ -246,15 +149,14 @@ const TraverseClosure* TablesStep::ClosureFor(NodeId start, bool* hit) const {
   return closure_->Publish(start, std::move(fresh));
 }
 
-std::vector<std::string> TablesStep::TablesFromNode(NodeId node) const {
+std::vector<TableId> TablesStep::TablesFromNode(NodeId node) const {
   bool hit = false;
   const TraverseClosure* cached = ClosureFor(node, &hit);
-  return cached != nullptr ? cached->tables : std::vector<std::string>();
+  return cached != nullptr ? cached->tables : std::vector<TableId>();
 }
 
 Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
                                      MetricsSink* metrics) const {
-  const MetadataGraph& graph = *matcher_->graph();
   TablesOutput out;
   uint64_t traverse_hits = 0;
   uint64_t traverse_misses = 0;
@@ -262,23 +164,20 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
 
   // ---- Part 1: tables per entry point -----------------------------------
   for (const EntryPoint& entry : entries) {
-    std::vector<std::string> tables;
+    std::vector<TableId> tables;
     std::optional<PhysicalColumnRef> column;
     if (entry.kind == EntryPoint::Kind::kBaseData) {
-      tables.push_back(entry.table);
-      column = PhysicalColumnRef{entry.table, entry.column};
-      // Base-data hits on inheritance children still need the parent; the
-      // Inheritance-Child pattern fires on the table node.
-      NodeId table_node = graph.FindNode(TableUri(entry.table));
-      if (table_node != kInvalidNode) {
-        auto inh = matcher_->MatchAt(patterns::kInheritanceChild, table_node);
-        if (inh.ok()) {
-          for (const MatchBinding& m : *inh) {
-            auto parent = TableNameOf(graph, m.node("p"));
-            if (parent.has_value()) PushUnique(&tables, *parent);
-          }
-        }
+      TableId table = join_graph_->catalog().Find(entry.table);
+      if (table == kInvalidTableId) {
+        return Status::NotFound("base-data table '" + entry.table +
+                                "' is no physical table of the metadata");
       }
+      // Base-data hits on inheritance children still need the parent.
+      tables.push_back(table);
+      for (TableId parent : join_graph_->parents(table)) {
+        AppendUnique(&tables, parent);
+      }
+      column = PhysicalColumnRef{entry.table, entry.column};
     } else {
       bool hit = false;
       if (const TraverseClosure* cached = ClosureFor(entry.node, &hit)) {
@@ -289,9 +188,9 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
         out.aggregations.insert(out.aggregations.end(),
                                 cached->aggregations.begin(),
                                 cached->aggregations.end());
+        column = cached->column;
         ++(hit ? traverse_hits : traverse_misses);
       }
-      column = ResolvePhysicalColumn(graph, entry.node);
     }
     out.entry_columns.push_back(column);
     out.tables_per_entry.push_back(std::move(tables));
@@ -299,8 +198,24 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
 
   // ---- Part 2: joins on direct paths between entry points ---------------
   for (const auto& tables : out.tables_per_entry) {
-    for (const auto& table : tables) PushUnique(&out.tables, table);
+    for (TableId table : tables) AppendUnique(&out.tables, table);
   }
+
+  std::vector<EdgeId> path;
+  std::vector<TableId> path_tables;
+  // Adds one direct path between two table sets; false when none exists.
+  auto connect = [&](std::span<const TableId> from_set,
+                     std::span<const TableId> to_set) {
+    path.clear();
+    path_tables.clear();
+    ++path_lookups;
+    if (!join_graph_->DirectPath(from_set, to_set, &path, &path_tables)) {
+      return false;
+    }
+    for (EdgeId edge : path) AppendUnique(&out.joins, edge);
+    for (TableId table : path_tables) AppendUnique(&out.tables, table);
+    return true;
+  };
 
   if (config_->direct_path_only) {
     for (size_t i = 0; i < out.tables_per_entry.size(); ++i) {
@@ -309,17 +224,7 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
             out.tables_per_entry[j].empty()) {
           continue;
         }
-        std::vector<JoinEdge> path;
-        std::vector<std::string> path_tables;
-        ++path_lookups;
-        if (join_graph_->DirectPath(out.tables_per_entry[i],
-                                    out.tables_per_entry[j], &path,
-                                    &path_tables)) {
-          for (const JoinEdge& edge : path) PushUniqueJoin(&out.joins, edge);
-          for (const auto& table : path_tables) {
-            PushUnique(&out.tables, table);
-          }
-        } else {
+        if (!connect(out.tables_per_entry[i], out.tables_per_entry[j])) {
           out.fully_connected = false;
         }
       }
@@ -327,12 +232,14 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
   } else {
     // Ablation: keep every join condition attached to a collected table
     // (what Figure 9 warns against — "attached" joins blow up results).
-    for (const auto& table : out.tables) {
-      for (const JoinEdge& edge : join_graph_->EdgesOf(table)) {
-        if (edge.ignored) continue;
-        PushUniqueJoin(&out.joins, edge);
-        PushUnique(&out.tables, edge.from.table);
-        PushUnique(&out.tables, edge.to.table);
+    const size_t collected = out.tables.size();
+    for (size_t t = 0; t < collected; ++t) {
+      for (EdgeId edge : join_graph_->EdgesOf(out.tables[t])) {
+        if (join_graph_->edge(edge).ignored) continue;
+        AppendUnique(&out.joins, edge);
+        const auto& [from, to] = join_graph_->ends(edge);
+        AppendUnique(&out.tables, from);
+        AppendUnique(&out.tables, to);
       }
     }
   }
@@ -343,42 +250,27 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
   for (const auto& group : out.tables_per_entry) {
     for (size_t a = 0; a < group.size(); ++a) {
       for (size_t b = a + 1; b < group.size(); ++b) {
-        std::vector<JoinEdge> path;
-        std::vector<std::string> path_tables;
-        ++path_lookups;
-        if (join_graph_->DirectPath({group[a]}, {group[b]}, &path,
-                                    &path_tables)) {
-          for (const JoinEdge& edge : path) PushUniqueJoin(&out.joins, edge);
-          for (const auto& table : path_tables) {
-            PushUnique(&out.tables, table);
-          }
-        }
+        connect({&group[a], 1}, {&group[b], 1});
       }
     }
   }
 
   // ---- Part 3: bridge tables between entry points ------------------------
-  std::vector<std::string> entry_tables;
+  std::vector<TableId> entry_tables;
   for (const auto& group : out.tables_per_entry) {
-    for (const auto& table : group) PushUnique(&entry_tables, table);
+    for (TableId table : group) AppendUnique(&entry_tables, table);
   }
-  auto in_entry = [&](const std::string& table) {
-    for (const auto& t : entry_tables) {
-      if (EqualsFolded(t, table)) return true;
-    }
-    return false;
-  };
   for (const BridgeInfo& bridge : join_graph_->bridges()) {
-    if (bridge.left.ignored || bridge.right.ignored) continue;
     // "If we find a bridge table between two of our entry points, we
     // use it to add additional join conditions." This also fires for
     // bridges between inheritance siblings that are both entry tables —
     // the war story behind the low precision of paper queries Q5.0/Q9.0.
-    if (in_entry(bridge.left.to.table) && in_entry(bridge.right.to.table) &&
-        !EqualsFolded(bridge.left.to.table, bridge.right.to.table)) {
-      PushUnique(&out.tables, bridge.bridge_table);
-      PushUniqueJoin(&out.joins, bridge.left);
-      PushUniqueJoin(&out.joins, bridge.right);
+    if (bridge.left_entity != bridge.right_entity &&
+        ContainsId(entry_tables, bridge.left_entity) &&
+        ContainsId(entry_tables, bridge.right_entity)) {
+      AppendUnique(&out.tables, bridge.table);
+      AppendUnique(&out.joins, bridge.left);
+      AppendUnique(&out.joins, bridge.right);
     }
   }
 

@@ -11,11 +11,15 @@
 // patterns at every visited node. Join discovery then keeps the join
 // conditions on a direct path between the entry-point tables (Figure 9)
 // and finally adds bridge-table joins between entry points (Section 4.2.1).
+//
+// Tables and joins are carried as the JoinGraph's TableIds and EdgeIds;
+// inheritance parents and siblings come precomputed from the JoinGraph,
+// so only the first traversal from a node (a closure fill) runs the
+// pattern matcher. Names are rendered by the SQL generator.
 
 #ifndef SODA_CORE_TABLES_STEP_H_
 #define SODA_CORE_TABLES_STEP_H_
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,14 +55,15 @@ struct DiscoveredAggregation {
 struct TablesOutput {
   /// Tables discovered per entry point (same order as the entry points
   /// handed to Run). This is what paper Figure 6 prints.
-  std::vector<std::vector<std::string>> tables_per_entry;
+  std::vector<std::vector<TableId>> tables_per_entry;
 
   /// Final FROM list: entry tables first, then connector tables added by
   /// join-path discovery and bridge tables. Deduplicated, ordered.
-  std::vector<std::string> tables;
+  std::vector<TableId> tables;
 
-  /// Join conditions to emit (direct paths + inheritance + bridges).
-  std::vector<JoinEdge> joins;
+  /// Join conditions to emit (direct paths + inheritance + bridges),
+  /// deduplicated, in discovery order.
+  std::vector<EdgeId> joins;
 
   /// The physical column each entry point resolves to, when it does
   /// (schema attributes and base-data hits; entities resolve to none).
@@ -92,22 +97,7 @@ class TablesStep {
   /// The tables reachable from a single metadata node (exposed for the
   /// Figure 6 bench and the schema-explorer example), served from the
   /// closure.
-  std::vector<std::string> TablesFromNode(NodeId node) const;
-
-  /// Step 5 keeps statements "reasonable ... considering foreign keys and
-  /// inheritance patterns in the schema": when two mutually exclusive
-  /// inheritance children would be joined through the same parent row the
-  /// statement is unsatisfiable, so an inheritance child is dropped when
-  /// (a) a sibling child is also among the tables, (b) no filter, entry
-  /// column or aggregation constrains it, and (c) all its joins lead to
-  /// one single neighbor (it is a pure leaf). `protected_tables`
-  /// (optional, folded names) are treated as constrained no matter what —
-  /// the session layer passes its pinned tables so a pin can keep an
-  /// otherwise-droppable inheritance child.
-  void PruneUnconstrainedSiblings(
-      TablesOutput* tables,
-      const std::vector<PhysicalColumnRef>& constrained_columns,
-      const std::vector<std::string>* protected_tables = nullptr) const;
+  std::vector<TableId> TablesFromNode(NodeId node) const;
 
  private:
   void Traverse(NodeId start, TraverseClosure* out) const;

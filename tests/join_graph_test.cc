@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/join_graph.h"
-#include "graph/vocab.h"
+#include "datasets/enterprise.h"
 #include "datasets/minibank.h"
+#include "graph/vocab.h"
 #include "pattern/library.h"
 #include "pattern/matcher.h"
+#include "schema/warehouse_model.h"
 
 namespace soda {
 namespace {
@@ -37,6 +41,17 @@ class JoinGraphTest : public ::testing::Test {
 };
 
 MiniBank* JoinGraphTest::bank_ = nullptr;
+
+// The ids of `tables` in `graph`'s catalog; tables it lacks are left out.
+std::vector<TableId> Ids(const JoinGraph& graph,
+                         const std::vector<std::string>& tables) {
+  std::vector<TableId> ids;
+  for (const std::string& table : tables) {
+    TableId id = graph.catalog().Find(table);
+    if (id != kInvalidTableId) ids.push_back(id);
+  }
+  return ids;
+}
 PatternLibrary* JoinGraphTest::library_ = nullptr;
 PatternMatcher* JoinGraphTest::matcher_ = nullptr;
 JoinGraph* JoinGraphTest::join_graph_ = nullptr;
@@ -47,16 +62,19 @@ TEST_F(JoinGraphTest, HarvestsAllDeclaredForeignKeys) {
 }
 
 TEST_F(JoinGraphTest, AdjacencyCoversBothSides) {
-  EXPECT_FALSE(join_graph_->EdgesOf("parties").empty());
-  EXPECT_FALSE(join_graph_->EdgesOf("individuals").empty());
-  EXPECT_TRUE(join_graph_->EdgesOf("no_such_table").empty());
+  const TableCatalog& catalog = join_graph_->catalog();
+  EXPECT_FALSE(join_graph_->EdgesOf(catalog.Find("parties")).empty());
+  EXPECT_FALSE(join_graph_->EdgesOf(catalog.Find("individuals")).empty());
+  EXPECT_EQ(catalog.Find("no_such_table"), kInvalidTableId);
 }
 
 TEST_F(JoinGraphTest, DetectsBridgeTables) {
   // fi_contains_sec bridges fin_instruments and securities.
   bool found = false;
   for (const BridgeInfo& bridge : join_graph_->bridges()) {
-    if (bridge.bridge_table == "fi_contains_sec") found = true;
+    if (join_graph_->catalog().name(bridge.table) == "fi_contains_sec") {
+      found = true;
+    }
   }
   EXPECT_TRUE(found);
 }
@@ -65,23 +83,26 @@ TEST_F(JoinGraphTest, TransactionsIsNotABridgeOntoItself) {
   // transactions has two FKs to the same table (parties); the bridge
   // pattern requires two distinct targets (p1 distinct p2).
   for (const BridgeInfo& bridge : join_graph_->bridges()) {
-    EXPECT_NE(bridge.bridge_table, "transactions");
+    EXPECT_NE(join_graph_->catalog().name(bridge.table), "transactions");
   }
 }
 
 TEST_F(JoinGraphTest, DirectPathSingleHop) {
-  std::vector<JoinEdge> path;
-  std::vector<std::string> tables;
-  ASSERT_TRUE(join_graph_->DirectPath({"individuals"}, {"parties"}, &path,
+  std::vector<EdgeId> path;
+  std::vector<TableId> tables;
+  ASSERT_TRUE(join_graph_->DirectPath(Ids(*join_graph_, {"individuals"}),
+                                      Ids(*join_graph_, {"parties"}), &path,
                                       &tables));
   ASSERT_EQ(path.size(), 1u);
-  EXPECT_EQ(path[0].ToString(), "individuals.id = parties.id");
+  EXPECT_EQ(join_graph_->edge(path[0]).ToString(),
+            "individuals.id = parties.id");
 }
 
 TEST_F(JoinGraphTest, DirectPathMultiHop) {
-  std::vector<JoinEdge> path;
-  std::vector<std::string> tables;
-  ASSERT_TRUE(join_graph_->DirectPath({"addresses"}, {"fin_instruments"},
+  std::vector<EdgeId> path;
+  std::vector<TableId> tables;
+  ASSERT_TRUE(join_graph_->DirectPath(Ids(*join_graph_, {"addresses"}),
+                                      Ids(*join_graph_, {"fin_instruments"}),
                                       &path, &tables));
   // addresses - individuals - parties - transactions - fi_transactions -
   // fin_instruments.
@@ -89,18 +110,22 @@ TEST_F(JoinGraphTest, DirectPathMultiHop) {
 }
 
 TEST_F(JoinGraphTest, MultiSourcePathPicksShortest) {
-  std::vector<JoinEdge> path;
-  std::vector<std::string> tables;
-  ASSERT_TRUE(join_graph_->DirectPath({"addresses", "parties"},
-                                      {"transactions"}, &path, &tables));
+  std::vector<EdgeId> path;
+  std::vector<TableId> tables;
+  ASSERT_TRUE(
+      join_graph_->DirectPath(Ids(*join_graph_, {"addresses", "parties"}),
+                              Ids(*join_graph_, {"transactions"}), &path,
+                              &tables));
   ASSERT_EQ(path.size(), 1u);  // parties -> transactions directly
 }
 
 TEST_F(JoinGraphTest, OverlappingSetsNeedNoPath) {
-  std::vector<JoinEdge> path;
-  std::vector<std::string> tables;
-  ASSERT_TRUE(join_graph_->DirectPath({"parties", "individuals"},
-                                      {"individuals"}, &path, &tables));
+  std::vector<EdgeId> path;
+  std::vector<TableId> tables;
+  ASSERT_TRUE(
+      join_graph_->DirectPath(Ids(*join_graph_, {"parties", "individuals"}),
+                              Ids(*join_graph_, {"individuals"}), &path,
+                              &tables));
   EXPECT_TRUE(path.empty());
 }
 
@@ -110,8 +135,9 @@ TEST_F(JoinGraphTest, DisconnectedTablesReportFalse) {
   PatternMatcher matcher(&isolated_graph, &lib);
   JoinGraph empty;
   ASSERT_TRUE(empty.Build(matcher).ok());
-  std::vector<JoinEdge> path;
-  EXPECT_FALSE(empty.DirectPath({"a"}, {"b"}, &path, nullptr));
+  std::vector<EdgeId> path;
+  EXPECT_FALSE(
+      empty.DirectPath(Ids(empty, {"a"}), Ids(empty, {"b"}), &path, nullptr));
 }
 
 TEST_F(JoinGraphTest, IgnoredEdgesAreNotUsedForPaths) {
@@ -127,9 +153,135 @@ TEST_F(JoinGraphTest, IgnoredEdgesAreNotUsedForPaths) {
   PatternMatcher matcher(&bank->graph, &lib);
   JoinGraph jg;
   ASSERT_TRUE(jg.Build(matcher).ok());
-  std::vector<JoinEdge> path;
-  EXPECT_FALSE(jg.DirectPath({"addresses"}, {"individuals"}, &path,
-                             nullptr));
+  std::vector<EdgeId> path;
+  EXPECT_FALSE(jg.DirectPath(Ids(jg, {"addresses"}), Ids(jg, {"individuals"}),
+                             &path, nullptr));
+}
+
+// The physical tables of `graph`: every node typed physical_table.
+size_t CountPhysicalTables(const MetadataGraph& graph) {
+  size_t count = 0;
+  for (NodeId node = 0; static_cast<size_t>(node) < graph.num_nodes();
+       ++node) {
+    if (graph.HasType(node, vocab::kPhysicalTable)) ++count;
+  }
+  return count;
+}
+
+// Checks the precomputed inheritance of every table against the
+// Inheritance-Child pattern matched at its node, the way Step 3 used to
+// at query time: the parents of all matches, the siblings of the first.
+void ExpectInheritanceMatchesPattern(const MetadataGraph& graph,
+                                     const PatternMatcher& matcher,
+                                     const JoinGraph& join_graph) {
+  const TableCatalog& catalog = join_graph.catalog();
+  size_t children = 0;
+  for (NodeId node = 0; static_cast<size_t>(node) < graph.num_nodes();
+       ++node) {
+    if (!graph.HasType(node, vocab::kPhysicalTable)) continue;
+    std::string table = *TableNameOf(graph, node);
+    auto matches = matcher.MatchAt(patterns::kInheritanceChild, node);
+    ASSERT_TRUE(matches.ok()) << matches.status();
+    std::vector<std::string> want_parents;
+    std::vector<std::string> want_siblings;
+    for (const MatchBinding& m : *matches) {
+      std::string parent = *TableNameOf(graph, m.node("p"));
+      if (std::find(want_parents.begin(), want_parents.end(), parent) ==
+          want_parents.end()) {
+        want_parents.push_back(parent);
+      }
+    }
+    if (!matches->empty()) {
+      ++children;
+      for (NodeId sibling : graph.Targets(matches->front().node("y"),
+                                          vocab::kInheritanceChild)) {
+        if (sibling != node) {
+          want_siblings.push_back(*TableNameOf(graph, sibling));
+        }
+      }
+    }
+    std::vector<std::string> got_parents;
+    std::vector<std::string> got_siblings;
+    TableId id = catalog.Find(table);
+    ASSERT_NE(id, kInvalidTableId) << table;
+    for (TableId parent : join_graph.parents(id)) {
+      got_parents.push_back(catalog.name(parent));
+    }
+    for (TableId sibling : join_graph.siblings(id)) {
+      got_siblings.push_back(catalog.name(sibling));
+    }
+    EXPECT_EQ(got_parents, want_parents) << table;
+    EXPECT_EQ(got_siblings, want_siblings) << table;
+  }
+  EXPECT_GT(children, 0u);
+}
+
+TEST_F(JoinGraphTest, InternsEveryPhysicalTable) {
+  EXPECT_EQ(join_graph_->catalog().size(),
+            CountPhysicalTables(bank_->graph));
+  EXPECT_EQ(join_graph_->catalog().size(), bank_->db.num_tables());
+
+  auto warehouse = BuildEnterpriseWarehouse().value();
+  PatternLibrary lib = CreditSuissePatternLibrary();
+  PatternMatcher matcher(&warehouse->graph, &lib);
+  JoinGraph jg;
+  ASSERT_TRUE(jg.Build(matcher).ok());
+  EXPECT_EQ(jg.catalog().size(), CountPhysicalTables(warehouse->graph));
+  EXPECT_EQ(jg.catalog().size(), 472u);
+}
+
+TEST_F(JoinGraphTest, EdgeLessTableReachesOnlyItself) {
+  WarehouseModel model;
+  for (const char* name : {"lonely", "a", "b"}) {
+    TableSpec spec;
+    spec.name = name;
+    spec.columns.push_back(ColumnSpec{"id", ValueType::kInt64, ""});
+    spec.columns.push_back(ColumnSpec{"ref", ValueType::kInt64, ""});
+    model.AddTable(std::move(spec));
+  }
+  ForeignKeySpec fk;
+  fk.from_table = "a";
+  fk.from_column = "ref";
+  fk.to_table = "b";
+  fk.to_column = "id";
+  model.AddForeignKey(std::move(fk));
+  MetadataGraph graph;
+  ASSERT_TRUE(model.Compile(&graph, nullptr).ok());
+  PatternLibrary lib = CreditSuissePatternLibrary();
+  PatternMatcher matcher(&graph, &lib);
+  JoinGraph jg;
+  ASSERT_TRUE(jg.Build(matcher).ok());
+  ASSERT_EQ(jg.catalog().size(), 3u);
+  TableId lonely = jg.catalog().Find("lonely");
+  ASSERT_NE(lonely, kInvalidTableId);
+  EXPECT_TRUE(jg.EdgesOf(lonely).empty());
+
+  // Connected to itself by the empty path...
+  std::vector<EdgeId> path;
+  std::vector<TableId> tables;
+  ASSERT_TRUE(jg.DirectPath(Ids(jg, {"lonely"}), Ids(jg, {"lonely"}), &path,
+                            &tables));
+  EXPECT_TRUE(path.empty());
+  EXPECT_EQ(tables, std::vector<TableId>{lonely});
+  // ...and to nothing else, in either direction.
+  EXPECT_FALSE(jg.DirectPath(Ids(jg, {"lonely"}), Ids(jg, {"a", "b"}), &path,
+                             &tables));
+  EXPECT_FALSE(jg.DirectPath(Ids(jg, {"b"}), Ids(jg, {"lonely"}), &path,
+                             &tables));
+  EXPECT_TRUE(jg.DirectPath(Ids(jg, {"lonely", "a"}), Ids(jg, {"b"}), &path,
+                            &tables));
+  EXPECT_EQ(path.size(), 1u);
+}
+
+TEST_F(JoinGraphTest, InheritanceMatchesPatternOnBothDatasets) {
+  ExpectInheritanceMatchesPattern(bank_->graph, *matcher_, *join_graph_);
+
+  auto warehouse = BuildEnterpriseWarehouse().value();
+  PatternLibrary lib = CreditSuissePatternLibrary();
+  PatternMatcher matcher(&warehouse->graph, &lib);
+  JoinGraph jg;
+  ASSERT_TRUE(jg.Build(matcher).ok());
+  ExpectInheritanceMatchesPattern(warehouse->graph, matcher, jg);
 }
 
 }  // namespace

@@ -169,12 +169,30 @@ bool NaiveDirectPath(const JoinGraph& graph,
   return true;
 }
 
+// Runs the id API on the names' catalog ids (names the catalog lacks are
+// left out, as the naive reference ignores them) and maps its output
+// back to edges and names.
 void ExpectDirectPathMatchesNaive(const JoinGraph& graph,
                                   const std::vector<std::string>& from_set,
                                   const std::vector<std::string>& to_set) {
+  auto ids = [&graph](const std::vector<std::string>& tables) {
+    std::vector<TableId> out;
+    for (const std::string& table : tables) {
+      TableId id = graph.catalog().Find(table);
+      if (id != kInvalidTableId) out.push_back(id);
+    }
+    return out;
+  };
+  std::vector<EdgeId> path_edges;
+  std::vector<TableId> path_tables;
+  bool apsp = graph.DirectPath(ids(from_set), ids(to_set), &path_edges,
+                               &path_tables);
   std::vector<JoinEdge> apsp_edges, naive_edges;
   std::vector<std::string> apsp_tables, naive_tables;
-  bool apsp = graph.DirectPath(from_set, to_set, &apsp_edges, &apsp_tables);
+  for (EdgeId edge : path_edges) apsp_edges.push_back(graph.edge(edge));
+  for (TableId table : path_tables) {
+    apsp_tables.push_back(graph.catalog().name(table));
+  }
   bool naive =
       NaiveDirectPath(graph, from_set, to_set, &naive_edges, &naive_tables);
   ASSERT_EQ(apsp, naive);

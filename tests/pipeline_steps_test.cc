@@ -47,8 +47,8 @@ class PipelineStepsTest : public ::testing::Test {
   }
 
   static bool HasTable(const TablesOutput& out, const std::string& name) {
-    for (const auto& table : out.tables) {
-      if (table == name) return true;
+    for (TableId table : out.tables) {
+      if (soda_->join_graph().catalog().name(table) == name) return true;
     }
     return false;
   }
@@ -104,8 +104,9 @@ TEST_F(PipelineStepsTest, JoinsOnDirectPathBetweenEntries) {
        BaseDataEntry("Zürich")});
   ASSERT_TRUE(out.ok());
   bool address_join = false;
-  for (const auto& join : out->joins) {
-    if (join.ToString() == "addresses.party_id = individuals.id") {
+  for (EdgeId join : out->joins) {
+    if (soda_->join_graph().edge(join).ToString() ==
+        "addresses.party_id = individuals.id") {
       address_join = true;
     }
   }
