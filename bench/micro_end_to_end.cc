@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -545,6 +547,65 @@ void BM_JoinPathClosure(benchmark::State& state) {
   benchmark::DoNotOptimize(paths);
 }
 BENCHMARK(BM_JoinPathClosure);
+
+// Steps 3 and 5 plus result dedup over the ranked interpretations of the
+// 13 Table 2 queries, on a warm closure. Lookup, rank and Step 4 run once
+// in setup; each iteration copies every query's post-Rank states, runs
+// the tables and sql stages on each (replaying the filters Step 4 made in
+// setup) and merges them with FinalizeOutput. Per-op time covers the
+// whole workload; "interpretations" and "results" count one pass.
+void BM_TablesSqlDedup(benchmark::State& state) {
+  const soda::Soda& soda = ClosureSoda();
+  // lookup, rank, tables, filters, sql
+  const std::vector<const soda::PipelineStage*>& stages = soda.stages();
+  struct Prepared {
+    std::unique_ptr<soda::QueryContext> ranked;
+    // Step 4's output per state; nullopt when Step 3 or 4 retired it.
+    std::vector<std::optional<std::vector<soda::GeneratedFilter>>> filters;
+  };
+  std::vector<Prepared> prepared;
+  for (const soda::BenchmarkQuery& bench : soda::EnterpriseWorkload()) {
+    Prepared query;
+    query.ranked = std::make_unique<soda::QueryContext>(bench.keywords);
+    query.ranked->config = &soda.config();
+    if (!soda::RunQueryStages(stages, query.ranked.get()).ok()) continue;
+    for (const soda::InterpretationState& ranked : query.ranked->states) {
+      soda::InterpretationState warm = ranked;  // also fills the closure
+      soda::RunInterpretationStages(
+          std::span<const soda::PipelineStage* const>(stages).first(4),
+          *query.ranked, &warm);
+      query.filters.push_back(warm.dropped ? std::nullopt
+                                           : std::optional(warm.filters));
+    }
+    prepared.push_back(std::move(query));
+  }
+  size_t interpretations = 0;
+  size_t results = 0;
+  for (auto _ : state) {
+    interpretations = 0;
+    results = 0;
+    for (const Prepared& query : prepared) {
+      soda::QueryContext ctx(query.ranked->raw_query);
+      ctx.config = query.ranked->config;
+      ctx.parsed = query.ranked->parsed;
+      ctx.states = query.ranked->states;
+      for (size_t s = 0; s < ctx.states.size(); ++s) {
+        soda::InterpretationState* interpretation = &ctx.states[s];
+        if (interpretation->dropped || !query.filters[s].has_value()) {
+          continue;
+        }
+        (void)stages[2]->RunOne(ctx, interpretation);
+        interpretation->filters = *query.filters[s];
+        (void)stages[4]->RunOne(ctx, interpretation);
+        ++interpretations;
+      }
+      results += soda::FinalizeOutput(std::move(ctx)).results.size();
+    }
+  }
+  state.counters["interpretations"] = static_cast<double>(interpretations);
+  state.counters["results"] = static_cast<double>(results);
+}
+BENCHMARK(BM_TablesSqlDedup);
 
 void BM_EngineCacheHit(benchmark::State& state) {
   soda::SodaEngine* engine = env()->engine(/*threads=*/2,

@@ -39,7 +39,9 @@ void Explore(const soda::Soda& engine, const char* keyword) {
     // Tables reachable from this node (the Step 3 mapping).
     // Step 3 works on table ids; the join graph's catalog names them.
     const soda::JoinGraph& join_graph = engine.join_graph();
-    auto tables = engine.tables_step().TablesFromNode(entry.node);
+    auto step3 = engine.tables_step().Run({entry});
+    std::vector<soda::TableId> tables;
+    if (step3.ok()) tables = step3->tables_per_entry.front();
     std::printf("  maps to %zu physical table(s):", tables.size());
     for (soda::TableId table : tables) {
       std::printf(" %s", join_graph.catalog().name(table).c_str());

@@ -54,9 +54,8 @@ bool ContainsFolded(std::string_view haystack, std::string_view needle);
 std::string ReplaceAll(std::string_view s, std::string_view from,
                        std::string_view to);
 
-/// 64-bit FNV-1a over the bytes of `s`. Deliberately not std::hash: the
-/// value is identical across standard libraries and runs, so shard maps
-/// and committed digests can rely on it.
+/// 64-bit FNV-1a over the bytes of `s`: unlike std::hash, identical
+/// across standard libraries and runs (shard maps, committed digests).
 uint64_t Fnv1a64(std::string_view s);
 
 /// printf-style formatting into a std::string.

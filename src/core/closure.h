@@ -32,8 +32,7 @@
 namespace soda {
 
 /// Everything one Step-3 traversal discovers from a single start node:
-/// the tables as the JoinGraph's TableIds, in first-seen order, and the
-/// physical column the node itself resolves to, if any.
+/// its tables (first-seen order) and the node's own physical column.
 struct TraverseClosure {
   std::vector<TableId> tables;
   std::optional<PhysicalColumnRef> column;

@@ -17,7 +17,7 @@
 //      thread, so a single query never pays a thread hand-off (its units
 //      of work cost about as much as one hand-off each);
 //   3. a deterministic merge: states are recombined in ranked order and
-//      deduplicated with CanonicalKey, so the ranked SQL list is
+//      deduplicated with SameStatement, so the ranked SQL list is
 //      byte-identical whether num_threads is 1 or N;
 //   4. a batched front door — SearchAll admits a whole dashboard refresh
 //      at once, dedups identical normalized queries inside the batch

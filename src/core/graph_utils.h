@@ -28,11 +28,10 @@ struct PhysicalColumnRef {
 using TableId = uint32_t;
 inline constexpr TableId kInvalidTableId = UINT32_MAX;
 
-/// Interner mapping folded table names <-> dense TableIds. The warehouse
-/// table set is immutable during a search session, so the catalog is
-/// built once (by JoinGraph::Build, during Soda::Create) and read-only
-/// afterwards: Steps 3-5 and result dedup work on the ids, and names are
-/// rendered only into the SQL the generator emits.
+/// Interner mapping folded table names <-> dense TableIds, built once by
+/// JoinGraph::Build (the table set is immutable during a search session)
+/// and read-only afterwards. Steps 3-5 and result dedup work on the ids;
+/// names are rendered only into the SQL the generator emits.
 class TableCatalog {
  public:
   /// Returns the id for `table` (folding it first), interning on first

@@ -105,15 +105,12 @@ Status JoinGraph::Build(const PatternMatcher& matcher) {
       if (to1->ToString() > to2->ToString()) continue;
       auto left = seen_edges.find(UnorderedKey(JoinEdge{*from1, *to1}));
       auto right = seen_edges.find(UnorderedKey(JoinEdge{*from2, *to2}));
-      BridgeInfo bridge{catalog_.Find(*bridge_name), kInvalidEdgeId,
-                        kInvalidEdgeId, catalog_.Find(to1->table),
-                        catalog_.Find(to2->table)};
+      TableId table = catalog_.Find(*bridge_name);
       if (left == seen_edges.end() || right == seen_edges.end() ||
-          bridge.table == kInvalidTableId) {
+          table == kInvalidTableId) {
         continue;
       }
-      bridge.left = left->second;
-      bridge.right = right->second;
+      BridgeInfo bridge{table, left->second, right->second};
       if (std::find(bridges_.begin(), bridges_.end(), bridge) ==
           bridges_.end()) {
         bridges_.push_back(bridge);

@@ -14,13 +14,11 @@
 // dense TableId (TableCatalog), adjacency is a flat vector-of-EdgeId-vectors,
 // and — since the warehouse has only a few hundred tables (paper: 472) —
 // all-pairs shortest join paths are precomputed at Build time (one BFS per
-// table, distance + parent-edge matrices; O(T·E) build, O(path)
-// reconstruct). DirectPath then needs no per-query BFS at all: it
-// min-scans the distance matrix over the (source, target) id pairs and
-// walks the stored parent chain. Each table's inheritance parents and
-// siblings are read off the Inheritance-Child pattern once here too, so
-// Steps 3-5 run on ids with no pattern matching, name folding or node
-// lookup at query time.
+// table, distance + parent-edge matrices). DirectPath then min-scans the
+// distance matrix over the (source, target) id pairs and walks the stored
+// parent chain. Each table's inheritance parents and siblings are read
+// off the Inheritance-Child pattern here too, so Steps 3-5 run on ids with
+// no pattern matching, name folding or node lookup at query time.
 //
 // Edge insertion order is the order in which PatternMatcher::MatchAll
 // emits the Foreign-Key and Join-Relationship matches (its plan order;
@@ -63,28 +61,24 @@ struct JoinEdge {
 using EdgeId = uint32_t;
 inline constexpr EdgeId kInvalidEdgeId = UINT32_MAX;
 
-/// A bridge table with the two foreign keys that make it one.
+/// A bridge table with the two foreign keys that make it one; each key's
+/// `to` end is the entity it points to.
 struct BridgeInfo {
-  TableId table = kInvalidTableId;         // the bridge table
-  EdgeId left = kInvalidEdgeId;            // bridge -> first entity
-  EdgeId right = kInvalidEdgeId;           // bridge -> second entity
-  TableId left_entity = kInvalidTableId;   // the table `left` points to
-  TableId right_entity = kInvalidTableId;  // the table `right` points to
+  TableId table = kInvalidTableId;  // the bridge table
+  EdgeId left = kInvalidEdgeId;     // bridge -> first entity
+  EdgeId right = kInvalidEdgeId;    // bridge -> second entity
 
   bool operator==(const BridgeInfo&) const = default;
 };
 
 class JoinGraph {
  public:
-  /// Interns every physical table, harvests all join conditions and
-  /// bridge tables from the graph using the Foreign-Key,
-  /// Join-Relationship and Bridge-Table patterns, reads each table's
-  /// inheritance off the Inheritance-Child pattern, then builds the
-  /// all-pairs shortest-path closure DirectPath reads.
+  /// Interns every physical table, harvests join conditions, bridge
+  /// tables and inheritance with the patterns, then builds the all-pairs
+  /// shortest-path closure DirectPath reads.
   Status Build(const PatternMatcher& matcher);
 
-  /// All join edges touching `table`, in insertion order (a self join is
-  /// listed twice). `table` must come from catalog().
+  /// The edges touching `table`, in insertion order (a self join twice).
   const std::vector<EdgeId>& EdgesOf(TableId table) const {
     return adjacency_[table];
   }

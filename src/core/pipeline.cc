@@ -119,9 +119,8 @@ double StageScope::End() {
 
 namespace {
 
-// Same rendered SQL: structural equality, with a literal's type compared
-// too (Value equality holds across numeric types, 3 == 3.0, while the
-// two render differently).
+// Same rendered SQL: structural equality plus a literal's type (Value
+// equality holds across numeric types, 3 == 3.0; their SQL differs).
 bool SameExpr(const Expr& a, const Expr& b) {
   return a == b && (a.kind != Expr::Kind::kLiteral ||
                     a.literal.type() == b.literal.type());
@@ -134,10 +133,6 @@ bool SameConjunct(const Predicate& a, const Predicate& b) {
          SameExpr(a.rhs, b.lhs);
 }
 
-bool SameItem(const SelectItem& a, const SelectItem& b) {
-  return a.alias == b.alias && SameExpr(a.expr, b.expr);
-}
-
 }  // namespace
 
 bool SameStatement(const StatementKey& key_a, const SelectStatement& a,
@@ -148,12 +143,15 @@ bool SameStatement(const StatementKey& key_a, const SelectStatement& a,
     return false;
   }
   // The joins lead the WHERE clause; the filters follow them.
-  const auto filters_a = a.where.begin() + static_cast<long>(key_a.joins.size());
-  const auto filters_b = b.where.begin() + static_cast<long>(key_b.joins.size());
+  auto filters_a = a.where.begin() + key_a.joins.size();
+  auto filters_b = b.where.begin() + key_b.joins.size();
   return std::is_permutation(filters_a, a.where.end(), filters_b,
                              SameConjunct) &&
          std::is_permutation(a.items.begin(), a.items.end(), b.items.begin(),
-                             SameItem);
+                             [](const SelectItem& x, const SelectItem& y) {
+                               return x.alias == y.alias &&
+                                      SameExpr(x.expr, y.expr);
+                             });
 }
 
 void ApplyConstraints(const SessionConstraints& constraints,
@@ -165,8 +163,7 @@ void ApplyConstraints(const SessionConstraints& constraints,
     ctx->pinned_table_ids.push_back(catalog.Find(table));
   }
   for (const std::string& table : constraints.banned_tables) {
-    TableId id = catalog.Find(table);
-    if (id != kInvalidTableId) ctx->banned_table_ids.push_back(id);
+    ctx->banned_table_ids.push_back(catalog.Find(table));
   }
 }
 

@@ -231,14 +231,11 @@ struct SearchOutput {
   size_t stages_skipped = 0;
 };
 
-/// Result deduplication: true when statements `a` and `b` (with the keys
-/// the generator filled for them) are one logical statement. FROM order,
-/// conjunct order, the operand order of `=` and select-item order do not
-/// count; tables and joins compare by id, filters and items by what they
-/// render (a literal's type included), and GROUP BY and LIMIT stay
-/// discriminating. DISTINCT and ORDER BY are not compared. Different
-/// entry-point choices that collapse to the same statement therefore
-/// produce one result. Exposed for tests.
+/// Result dedup: true when statements `a` and `b` (with the keys the
+/// generator filled) are one logical statement, whatever their FROM,
+/// conjunct, `=` operand and select-item order. Tables and joins compare
+/// by id, filters and items by what they render; GROUP BY and LIMIT
+/// discriminate, DISTINCT and ORDER BY are not compared. Exposed for tests.
 bool SameStatement(const StatementKey& key_a, const SelectStatement& a,
                    const StatementKey& key_b, const SelectStatement& b);
 
@@ -306,9 +303,9 @@ struct QueryContext {
   const SessionConstraints* constraints = nullptr;
 
   /// The constraints' pinned and banned tables as TableIds, resolved once
-  /// per serve by ApplyConstraints. A pinned table the catalog lacks
-  /// stays as kInvalidTableId, which no statement reads, so every
-  /// interpretation drops; a banned one is left out, so it is inert.
+  /// per serve by ApplyConstraints. A table the catalog lacks resolves to
+  /// kInvalidTableId, which no statement reads: pinning it drops every
+  /// interpretation, banning it is inert.
   std::vector<TableId> pinned_table_ids;
   std::vector<TableId> banned_table_ids;
 

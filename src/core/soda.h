@@ -27,8 +27,9 @@
 //   │   LookupStage → RankStage → TablesStage → FiltersStage →       │
 //   │   SqlStage, over one QueryContext; per-interpretation stages   │
 //   │   are independent per InterpretationState, which is what the   │
-//   │   engine exploits for parallelism. FinalizeOutput merges in    │
-//   │   ranked order and dedups via CanonicalKey, so serial and      │
+//   │   engine exploits for parallelism. Steps 3-5 work on the join  │
+//   │   graph's table and edge ids; FinalizeOutput merges in ranked  │
+//   │   order and dedups on those ids (SameStatement), so serial and │
 //   │   concurrent execution produce byte-identical result lists.    │
 //   │   Each stage run is timed by one StageScope (span, histogram   │
 //   │   and StepTimings slot from the same clock readings).          │

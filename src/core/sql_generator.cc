@@ -130,8 +130,7 @@ Result<SelectStatement> SqlGenerator::Generate(
   const TableCatalog& catalog = join_graph_->catalog();
   std::vector<TableId> from_tables = tables.tables;
   std::vector<EdgeId> joins = tables.joins;
-  // Operator arguments, metadata aggregations and filters name their
-  // columns' tables; each is resolved to its id once, here.
+  // Adds the table an argument, aggregation or filter column names.
   auto ensure = [&](const std::string& table) -> Status {
     TableId id = catalog.Find(table);
     if (id == kInvalidTableId) {

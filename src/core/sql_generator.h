@@ -18,10 +18,9 @@
 
 namespace soda {
 
-/// The ids a generated statement was built from, sorted: what result
-/// dedup compares instead of rendering the statement (SameStatement,
-/// core/pipeline.h). The statement's WHERE clause is the join conjuncts
-/// followed by the filters.
+/// The sorted ids a generated statement was built from, which result
+/// dedup (SameStatement) compares; its WHERE clause lists these joins
+/// first, then the filters.
 struct StatementKey {
   std::vector<TableId> tables;  // the FROM list
   std::vector<EdgeId> joins;    // the join conjuncts
@@ -73,8 +72,7 @@ class SqlGenerator {
   };
   Result<ResolvedArgument> ResolveArgument(const std::string& phrase) const;
 
-  /// Adds `table` to `tables` unless it is there, connected to them by a
-  /// direct join path when one exists.
+  /// Adds `table` to `tables`, joined to them by a direct path if any.
   void EnsureTable(TableId table, std::vector<TableId>* tables,
                    std::vector<EdgeId>* joins, uint64_t* path_lookups) const;
 

@@ -149,12 +149,6 @@ const TraverseClosure* TablesStep::ClosureFor(NodeId start, bool* hit) const {
   return closure_->Publish(start, std::move(fresh));
 }
 
-std::vector<TableId> TablesStep::TablesFromNode(NodeId node) const {
-  bool hit = false;
-  const TraverseClosure* cached = ClosureFor(node, &hit);
-  return cached != nullptr ? cached->tables : std::vector<TableId>();
-}
-
 Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
                                      MetricsSink* metrics) const {
   TablesOutput out;
@@ -265,9 +259,10 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
     // use it to add additional join conditions." This also fires for
     // bridges between inheritance siblings that are both entry tables —
     // the war story behind the low precision of paper queries Q5.0/Q9.0.
-    if (bridge.left_entity != bridge.right_entity &&
-        ContainsId(entry_tables, bridge.left_entity) &&
-        ContainsId(entry_tables, bridge.right_entity)) {
+    TableId left = join_graph_->ends(bridge.left).second;
+    TableId right = join_graph_->ends(bridge.right).second;
+    if (left != right && ContainsId(entry_tables, left) &&
+        ContainsId(entry_tables, right)) {
       AppendUnique(&out.tables, bridge.table);
       AppendUnique(&out.joins, bridge.left);
       AppendUnique(&out.joins, bridge.right);

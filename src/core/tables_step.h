@@ -7,15 +7,14 @@
 //
 // The traversal follows the schema's downward edges (classification,
 // implementation, realization, containment, inheritance) up to a depth
-// bound and tests the Table / Column / Inheritance-Child / Metadata-Filter
-// patterns at every visited node. Join discovery then keeps the join
-// conditions on a direct path between the entry-point tables (Figure 9)
-// and finally adds bridge-table joins between entry points (Section 4.2.1).
-//
-// Tables and joins are carried as the JoinGraph's TableIds and EdgeIds;
-// inheritance parents and siblings come precomputed from the JoinGraph,
-// so only the first traversal from a node (a closure fill) runs the
-// pattern matcher. Names are rendered by the SQL generator.
+// bound and tests the Table / Column / Metadata-Filter patterns at every
+// visited node; a table's inheritance parents come precomputed from the
+// JoinGraph's Inheritance-Child matches. Join discovery then keeps the
+// join conditions on a direct path between the entry-point tables
+// (Figure 9) and finally adds bridge-table joins between entry points
+// (Section 4.2.1). Tables and joins are the JoinGraph's TableIds and
+// EdgeIds, named only by the SQL generator, and only a closure fill (the
+// first traversal from a node) runs the pattern matcher.
 
 #ifndef SODA_CORE_TABLES_STEP_H_
 #define SODA_CORE_TABLES_STEP_H_
@@ -93,11 +92,6 @@ class TablesStep {
   /// closure.traverse_misses, closure.path_lookups).
   Result<TablesOutput> Run(const std::vector<EntryPoint>& entries,
                            MetricsSink* metrics = nullptr) const;
-
-  /// The tables reachable from a single metadata node (exposed for the
-  /// Figure 6 bench and the schema-explorer example), served from the
-  /// closure.
-  std::vector<TableId> TablesFromNode(NodeId node) const;
 
  private:
   void Traverse(NodeId start, TraverseClosure* out) const;

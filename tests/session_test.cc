@@ -231,6 +231,47 @@ TEST_F(SessionTest, BanAndPinEnforced) {
             first->results.size());
 }
 
+// Pins and bans resolve to table ids once per serve; a name no table
+// carries keeps its string-era meaning.
+TEST_F(SessionTest, PinOfUnknownTableDropsEveryInterpretation) {
+  auto engine = Engine(Config());
+  SodaSession session(engine.get());
+  auto first = session.Ask(kMultiResult);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_FALSE(first->results.empty());
+
+  auto pinned = session.PinTable("no_such_table").Refine();
+  ASSERT_TRUE(pinned.ok()) << pinned.status();
+  EXPECT_TRUE(pinned->results.empty());
+  // A known table pinned beside it does not rescue any statement.
+  auto both = session.PinTable(PartialTable(*first)).Refine();
+  ASSERT_TRUE(both.ok()) << both.status();
+  EXPECT_TRUE(both->results.empty());
+}
+
+TEST_F(SessionTest, BanOfUnknownTableIsInert) {
+  auto engine = Engine(Config());
+  SodaSession session(engine.get());
+  auto first = session.Ask(kMultiResult);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_FALSE(first->results.empty());
+
+  auto banned = session.BanTable("no_such_table").Refine();
+  ASSERT_TRUE(banned.ok()) << banned.status();
+  EXPECT_EQ(Fingerprint(*banned), Fingerprint(*first));
+  // Banning a known table beside it bans exactly what banning it alone
+  // does.
+  const std::string target = PartialTable(*first);
+  auto both = session.BanTable(target).Refine();
+  SodaSession alone_session(engine.get());
+  ASSERT_TRUE(alone_session.Ask(kMultiResult).ok());
+  auto alone = alone_session.BanTable(target).Refine();
+  ASSERT_TRUE(both.ok()) << both.status();
+  ASSERT_TRUE(alone.ok()) << alone.status();
+  ASSERT_LT(alone->results.size(), first->results.size());
+  EXPECT_EQ(Fingerprint(*both), Fingerprint(*alone));
+}
+
 TEST_F(SessionTest, BindTermRestrictsChosenEntryPoints) {
   auto engine = Engine(Config());
   SodaSession session(engine.get());
