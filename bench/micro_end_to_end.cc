@@ -599,7 +599,9 @@ void BM_TablesSqlDedup(benchmark::State& state) {
         (void)stages[4]->RunOne(ctx, interpretation);
         ++interpretations;
       }
-      results += soda::FinalizeOutput(std::move(ctx)).results.size();
+      soda::SearchOutput output = soda::FinalizeOutput(std::move(ctx));
+      results += output.results.size();
+      benchmark::DoNotOptimize(output);
     }
   }
   state.counters["interpretations"] = static_cast<double>(interpretations);

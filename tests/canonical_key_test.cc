@@ -2,8 +2,8 @@
 // entry-point choices that collapse to the same logical statement must be
 // one result, while genuinely different statements must stay distinct.
 //
-// CanonicalKey below is the rendered-string key result dedup used before
-// it compared ids. It stays here as the oracle: every case asserts that
+// CanonicalKey below renders a statement to a normalized string; it is
+// the reference SameStatement must agree with. Every case asserts that
 // the two make the same decision, and so does every pair of statements
 // the seeded benchmark pool generates on the enterprise warehouse.
 

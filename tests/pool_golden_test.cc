@@ -15,10 +15,6 @@
 // the first differing query and writes the actual digests to
 // pool_digest.actual.txt in the working directory; after checking that
 // the new output is intended, copy that file over the pinned one.
-//
-// Sanitizer builds hash the first kSanitizerPrefix queries only (the
-// Table 2 queries and the first variants of each template), which keeps
-// the test inside the ctest timeout there.
 
 #include <gtest/gtest.h>
 
@@ -44,14 +40,6 @@ constexpr char kActualPath[] = "pool_digest.actual.txt";
 constexpr size_t kPoolSize = 1500;
 constexpr uint64_t kPoolSeed = 7;
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr size_t kSanitizerPrefix = 200;
-constexpr bool kSanitized = true;
-#else
-constexpr size_t kSanitizerPrefix = kPoolSize;
-constexpr bool kSanitized = false;
-#endif
-
 class PoolGoldenTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -59,7 +47,6 @@ class PoolGoldenTest : public ::testing::Test {
     perfbench::Rng rng(kPoolSeed);
     pool_ = new std::vector<std::string>(perfbench::DistinctPool(
         perfbench::ExtractVocab(warehouse_->db), kPoolSize, &rng));
-    if (pool_->size() > kSanitizerPrefix) pool_->resize(kSanitizerPrefix);
   }
   static void TearDownTestSuite() {
     delete pool_;
@@ -126,9 +113,7 @@ class PoolGoldenTest : public ::testing::Test {
         if (first_diff == SIZE_MAX) first_diff = q;
       }
     }
-    // A sanitizer build checks a prefix; a full build checks every line.
-    const bool whole = kSanitized || pinned.size() == pool_->size();
-    if (differing == 0 && whole) return;
+    if (differing == 0 && pinned.size() == pool_->size()) return;
     std::ofstream(kActualPath) << actual;
     ASSERT_NE(differing, 0u) << kDigestPath << " has " << pinned.size()
                              << " digests for " << pool_->size()
