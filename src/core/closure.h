@@ -2,12 +2,12 @@
 //
 // The metadata graph is immutable during a search session, so the result
 // of the bounded Step-3 traversal from a given node — the tables (as
-// TableIds), metadata filters and aggregations reachable from it — "is the same for
-// every query" (the same argument src/core/join_graph.h makes for join
-// conditions). TablesStep re-runs that traversal per entry point, per
-// interpretation, per query; interpretations inside one combinatorial
-// product share term candidates, so the same start nodes recur
-// constantly. EntryPointClosure memoizes the traversal per NodeId.
+// TableIds), metadata filters and aggregations reachable from it — "is
+// the same for every query" (the same argument src/core/join_graph.h
+// makes for join conditions). TablesStep re-runs that traversal per
+// entry point, per interpretation, per query; interpretations inside one
+// combinatorial product share term candidates, so the same start nodes
+// recur constantly. EntryPointClosure memoizes the traversal per NodeId.
 //
 // Concurrency model: one fixed-size slot per graph node, lazily filled.
 // Readers do a single acquire load — lock-free after fill. Writers

@@ -24,12 +24,11 @@ std::string UnorderedKey(const JoinEdge& edge) {
 
 }  // namespace
 
-EdgeId JoinGraph::AddEdge(JoinEdge edge,
-                          std::unordered_map<std::string, EdgeId>* seen) {
+void JoinGraph::AddEdge(JoinEdge edge,
+                        std::unordered_map<std::string, EdgeId>* seen) {
   // Deduplicate (both orientations describe the same condition).
   EdgeId id = static_cast<EdgeId>(edges_.size());
-  auto [it, inserted] = seen->emplace(UnorderedKey(edge), id);
-  if (!inserted) return it->second;
+  if (!seen->emplace(UnorderedKey(edge), id).second) return;
   TableId from_id = catalog_.Intern(edge.from.table);
   TableId to_id = catalog_.Intern(edge.to.table);
   if (adjacency_.size() < catalog_.size()) adjacency_.resize(catalog_.size());
@@ -39,7 +38,6 @@ EdgeId JoinGraph::AddEdge(JoinEdge edge,
   adjacency_[to_id].push_back(id);
   edge_ends_.emplace_back(from_id, to_id);
   edges_.push_back(std::move(edge));
-  return id;
 }
 
 Status JoinGraph::Build(const PatternMatcher& matcher) {

@@ -124,10 +124,9 @@ class JoinGraph {
   const TableCatalog& catalog() const { return catalog_; }
 
  private:
-  /// Appends `edge` unless `seen` already holds its unordered key; returns
-  /// the id of the edge with that key either way.
-  EdgeId AddEdge(JoinEdge edge,
-                 std::unordered_map<std::string, EdgeId>* seen);
+  /// Appends `edge` unless `seen` (unordered key -> EdgeId) already holds
+  /// its unordered key.
+  void AddEdge(JoinEdge edge, std::unordered_map<std::string, EdgeId>* seen);
   /// Fills the APSP matrices: one BFS per table.
   void BuildPathClosure();
 
