@@ -19,9 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cinttypes>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
