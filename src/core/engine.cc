@@ -380,9 +380,7 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
     QueryContext& ctx = job.ctx;
     ctx.config = &config;
     ctx.metrics = sink_.get();
-    if (item.constrained()) {
-      ApplyConstraints(*item.constraints, soda_->join_graph().catalog(), &ctx);
-    }
+    if (item.constrained()) ctx.constraints = item.constraints;
     // A batch query's span stays open until its task is done, so its
     // duration covers that query's pipeline and snippets; stage spans
     // parent under it through ctx.trace.

@@ -16,7 +16,11 @@ TableId TableCatalog::Intern(const std::string& table) {
 }
 
 TableId TableCatalog::Find(std::string_view table) const {
-  auto it = id_of_.find(FoldForMatch(table));
+  return FindFolded(FoldForMatch(table));
+}
+
+TableId TableCatalog::FindFolded(const std::string& folded) const {
+  auto it = id_of_.find(folded);
   return it == id_of_.end() ? kInvalidTableId : it->second;
 }
 

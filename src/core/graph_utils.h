@@ -42,6 +42,9 @@ class TableCatalog {
   /// The id for `table`, or kInvalidTableId when it was never interned.
   TableId Find(std::string_view table) const;
 
+  /// Find for a name that is already folded (FoldForMatch).
+  TableId FindFolded(const std::string& folded) const;
+
   /// The name `id` was interned under. `id` must be valid.
   const std::string& name(TableId id) const { return names_[id]; }
 

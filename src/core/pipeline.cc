@@ -117,56 +117,6 @@ double StageScope::End() {
   return ms_;
 }
 
-namespace {
-
-// Same rendered SQL: structural equality plus a literal's type (Value
-// equality holds across numeric types, 3 == 3.0; their SQL differs).
-bool SameExpr(const Expr& a, const Expr& b) {
-  return a == b && (a.kind != Expr::Kind::kLiteral ||
-                    a.literal.type() == b.literal.type());
-}
-
-bool SameConjunct(const Predicate& a, const Predicate& b) {
-  if (a.op != b.op) return false;
-  if (SameExpr(a.lhs, b.lhs) && SameExpr(a.rhs, b.rhs)) return true;
-  return a.op == CompareOp::kEq && SameExpr(a.lhs, b.rhs) &&
-         SameExpr(a.rhs, b.lhs);
-}
-
-}  // namespace
-
-bool SameStatement(const StatementKey& key_a, const SelectStatement& a,
-                   const StatementKey& key_b, const SelectStatement& b) {
-  if (key_a.tables != key_b.tables || key_a.joins != key_b.joins ||
-      a.where.size() != b.where.size() || a.items.size() != b.items.size() ||
-      a.group_by != b.group_by || a.limit != b.limit) {
-    return false;
-  }
-  // The joins lead the WHERE clause; the filters follow them.
-  auto filters_a = a.where.begin() + key_a.joins.size();
-  auto filters_b = b.where.begin() + key_b.joins.size();
-  return std::is_permutation(filters_a, a.where.end(), filters_b,
-                             SameConjunct) &&
-         std::is_permutation(a.items.begin(), a.items.end(), b.items.begin(),
-                             [](const SelectItem& x, const SelectItem& y) {
-                               return x.alias == y.alias &&
-                                      SameExpr(x.expr, y.expr);
-                             });
-}
-
-void ApplyConstraints(const SessionConstraints& constraints,
-                      const TableCatalog& catalog, QueryContext* ctx) {
-  ctx->constraints = &constraints;
-  ctx->pinned_table_ids.clear();
-  ctx->banned_table_ids.clear();
-  for (const std::string& table : constraints.pinned_tables) {
-    ctx->pinned_table_ids.push_back(catalog.Find(table));
-  }
-  for (const std::string& table : constraints.banned_tables) {
-    ctx->banned_table_ids.push_back(catalog.Find(table));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // PipelineStage defaults
 // ---------------------------------------------------------------------------
@@ -364,11 +314,25 @@ Status FiltersStage::RunOne(const QueryContext&,
 
 Status SqlStage::RunOne(const QueryContext& ctx,
                         InterpretationState* state) const {
+  // Session pins and bans as ids. The constraints hold folded names; a
+  // name no table carries resolves to kInvalidTableId, which no statement
+  // reads: pinning it drops every interpretation, banning it is inert.
+  std::vector<TableId> pinned;
+  std::vector<TableId> banned;
+  if (ctx.constraints != nullptr) {
+    const TableCatalog& catalog = generator_->join_graph().catalog();
+    for (const std::string& table : ctx.constraints->pinned_tables) {
+      pinned.push_back(catalog.FindFolded(table));
+    }
+    for (const std::string& table : ctx.constraints->banned_tables) {
+      banned.push_back(catalog.FindFolded(table));
+    }
+  }
   // Step 5 precondition: drop mutually exclusive inheritance siblings
   // that no filter or column constrains. A pinned table counts as
   // constrained — the user asked for it by name.
   generator_->PruneUnconstrainedSiblings(&*state->tables, state->filters,
-                                         ctx.pinned_table_ids);
+                                         pinned);
 
   Result<SelectStatement> stmt = generator_->Generate(
       ctx.parsed, *state->tables, state->filters, &state->key, ctx.metrics);
@@ -382,10 +346,8 @@ Status SqlStage::RunOne(const QueryContext& ctx,
     return std::binary_search(state->key.tables.begin(),
                               state->key.tables.end(), table);
   };
-  if (std::any_of(ctx.banned_table_ids.begin(), ctx.banned_table_ids.end(),
-                  reads_table) ||
-      !std::all_of(ctx.pinned_table_ids.begin(), ctx.pinned_table_ids.end(),
-                   reads_table)) {
+  if (std::any_of(banned.begin(), banned.end(), reads_table) ||
+      !std::all_of(pinned.begin(), pinned.end(), reads_table)) {
     state->dropped = true;
     return Status::OK();
   }

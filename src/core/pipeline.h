@@ -231,14 +231,6 @@ struct SearchOutput {
   size_t stages_skipped = 0;
 };
 
-/// Result dedup: true when statements `a` and `b` (with the keys the
-/// generator filled) are one logical statement, whatever their FROM,
-/// conjunct, `=` operand and select-item order. Tables and joins compare
-/// by id, filters and items by what they render; GROUP BY and LIMIT
-/// discriminate, DISTINCT and ORDER BY are not compared. Exposed for tests.
-bool SameStatement(const StatementKey& key_a, const SelectStatement& a,
-                   const StatementKey& key_b, const SelectStatement& b);
-
 /// The per-interpretation slice of the pipeline state. Per-interpretation
 /// stages own exactly one of these; nothing else of theirs is shared.
 struct InterpretationState {
@@ -299,15 +291,8 @@ struct QueryContext {
   /// pruning and enforces pin/ban on the emitted statement. The pointee
   /// must outlive the pipeline run; applied identically by every driver,
   /// so constrained output is byte-identical serial vs. engine vs.
-  /// session-resume. Set through ApplyConstraints.
+  /// session-resume.
   const SessionConstraints* constraints = nullptr;
-
-  /// The constraints' pinned and banned tables as TableIds, resolved once
-  /// per serve by ApplyConstraints. A table the catalog lacks resolves to
-  /// kInvalidTableId, which no statement reads: pinning it drops every
-  /// interpretation, banning it is inert.
-  std::vector<TableId> pinned_table_ids;
-  std::vector<TableId> banned_table_ids;
 
   InputQuery parsed;
   LookupOutput lookup;
@@ -416,12 +401,6 @@ class SqlStage : public PipelineStage {
  private:
   const SqlGenerator* generator_;
 };
-
-/// Points `ctx` at `constraints`, which must outlive the run, and
-/// resolves its pinned and banned tables against `catalog` once for all
-/// of the serve's interpretations.
-void ApplyConstraints(const SessionConstraints& constraints,
-                      const TableCatalog& catalog, QueryContext* ctx);
 
 /// RankStage's per-state work: fills the chosen entry points, the
 /// operator bindings and the explanation terms of `state` from its

@@ -8,6 +8,43 @@
 
 namespace soda {
 
+namespace {
+
+// Same rendered SQL: structural equality plus a literal's type (Value
+// equality holds across numeric types, 3 == 3.0; their SQL differs).
+bool SameExpr(const Expr& a, const Expr& b) {
+  return a == b && (a.kind != Expr::Kind::kLiteral ||
+                    a.literal.type() == b.literal.type());
+}
+
+bool SameConjunct(const Predicate& a, const Predicate& b) {
+  if (a.op != b.op) return false;
+  if (SameExpr(a.lhs, b.lhs) && SameExpr(a.rhs, b.rhs)) return true;
+  return a.op == CompareOp::kEq && SameExpr(a.lhs, b.rhs) &&
+         SameExpr(a.rhs, b.lhs);
+}
+
+}  // namespace
+
+bool SameStatement(const StatementKey& key_a, const SelectStatement& a,
+                   const StatementKey& key_b, const SelectStatement& b) {
+  if (key_a.tables != key_b.tables || key_a.joins != key_b.joins ||
+      a.where.size() != b.where.size() || a.items.size() != b.items.size() ||
+      a.group_by != b.group_by || a.limit != b.limit) {
+    return false;
+  }
+  // Generate puts the key's joins first in WHERE and the filters after.
+  auto filters_a = a.where.begin() + key_a.joins.size();
+  auto filters_b = b.where.begin() + key_b.joins.size();
+  return std::is_permutation(filters_a, a.where.end(), filters_b,
+                             SameConjunct) &&
+         std::is_permutation(a.items.begin(), a.items.end(), b.items.begin(),
+                             [](const SelectItem& x, const SelectItem& y) {
+                               return x.alias == y.alias &&
+                                      SameExpr(x.expr, y.expr);
+                             });
+}
+
 Result<SqlGenerator::ResolvedArgument> SqlGenerator::ResolveArgument(
     const std::string& phrase) const {
   const MetadataGraph& graph = *matcher_->graph();
@@ -220,6 +257,7 @@ Result<SelectStatement> SqlGenerator::Generate(
   for (TableId table : from_tables) {
     stmt.from.push_back(TableRef{catalog.name(table), ""});
   }
+  // Joins first, then filters: SameStatement reads WHERE in this layout.
   for (EdgeId edge : joins) {
     const JoinEdge& join = join_graph_->edge(edge);
     Predicate p;

@@ -19,12 +19,20 @@
 namespace soda {
 
 /// The sorted ids a generated statement was built from, which result
-/// dedup (SameStatement) compares; its WHERE clause lists these joins
-/// first, then the filters.
+/// dedup (SameStatement) compares; Generate lists these joins first in
+/// the WHERE clause, then the filters.
 struct StatementKey {
   std::vector<TableId> tables;  // the FROM list
   std::vector<EdgeId> joins;    // the join conjuncts
 };
+
+/// Result dedup: true when statements `a` and `b` (with the keys Generate
+/// filled) are one logical statement, whatever their FROM, conjunct, `=`
+/// operand and select-item order. Tables and joins compare by id, filters
+/// and items by what they render; GROUP BY and LIMIT discriminate,
+/// DISTINCT and ORDER BY are not compared.
+bool SameStatement(const StatementKey& key_a, const SelectStatement& a,
+                   const StatementKey& key_b, const SelectStatement& b);
 
 class SqlGenerator {
  public:

@@ -231,8 +231,66 @@ TEST_F(SessionTest, BanAndPinEnforced) {
             first->results.size());
 }
 
-// Pins and bans resolve to table ids once per serve; a name no table
-// carries keeps its string-era meaning.
+// A caller that drives the stages itself sets QueryContext::constraints
+// directly. The pipeline alone must enforce a pin and a ban from that
+// one field, answering exactly as a session Refine under the same set.
+TEST_F(SessionTest, ContextConstraintsEnforcedWithoutEngine) {
+  auto engine = Engine(Config());
+  const Soda& soda = engine->soda();
+  auto run = [&](const SessionConstraints* constraints) {
+    QueryContext ctx(kMultiResult);
+    ctx.config = &soda.config();
+    ctx.constraints = constraints;
+    EXPECT_TRUE(RunPipeline(soda.stages(), &ctx).ok());
+    return FinalizeOutput(std::move(ctx));
+  };
+  const SearchOutput free = run(nullptr);
+  // A pin that drops some results and a ban that drops some of the rest.
+  std::set<std::string> tables;
+  for (const SodaResult& result : free.results) {
+    for (const TableRef& ref : result.statement.from) tables.insert(ref.table);
+  }
+  std::string pin;
+  std::string ban;
+  for (const std::string& p : tables) {
+    for (const std::string& b : tables) {
+      size_t kept = 0;
+      size_t banned = 0;
+      for (const SodaResult& result : free.results) {
+        if (!ResultReadsTable(result, p)) continue;
+        ++(ResultReadsTable(result, b) ? banned : kept);
+      }
+      if (pin.empty() && kept > 0 && banned > 0 &&
+          kept + banned < free.results.size()) {
+        pin = p;
+        ban = b;
+      }
+    }
+  }
+  ASSERT_FALSE(pin.empty());
+  SessionConstraints constraints;
+  constraints.PinTable(pin);
+  constraints.BanTable(ban);
+
+  const SearchOutput constrained = run(&constraints);
+  ASSERT_FALSE(constrained.results.empty());
+  ASSERT_LT(constrained.results.size(), free.results.size());
+  for (const SodaResult& result : constrained.results) {
+    EXPECT_TRUE(ResultReadsTable(result, pin)) << result.sql;
+    EXPECT_FALSE(ResultReadsTable(result, ban)) << result.sql;
+  }
+  SodaSession session(engine.get());
+  ASSERT_TRUE(session.Ask(kMultiResult).ok());
+  auto refined = session.PinTable(pin).BanTable(ban).Refine();
+  ASSERT_TRUE(refined.ok()) << refined.status();
+  ASSERT_EQ(refined->results.size(), constrained.results.size());
+  for (size_t i = 0; i < constrained.results.size(); ++i) {
+    EXPECT_EQ(refined->results[i].sql, constrained.results[i].sql);
+  }
+}
+
+// A pinned or banned name no table carries keeps the meaning it had when
+// pins and bans compared names: the pin matches nothing, the ban is inert.
 TEST_F(SessionTest, PinOfUnknownTableDropsEveryInterpretation) {
   auto engine = Engine(Config());
   SodaSession session(engine.get());
