@@ -289,8 +289,8 @@ TEST_F(SessionTest, ContextConstraintsEnforcedWithoutEngine) {
   }
 }
 
-// A pinned or banned name no table carries keeps the meaning it had when
-// pins and bans compared names: the pin matches nothing, the ban is inert.
+// A pinned name no table carries matches no statement, so every
+// interpretation drops; a banned one is inert.
 TEST_F(SessionTest, PinOfUnknownTableDropsEveryInterpretation) {
   auto engine = Engine(Config());
   SodaSession session(engine.get());
