@@ -8,10 +8,10 @@
 // 64-bit FNV-1a. The digests are pinned in tests/data/pool_digest.txt,
 // one line per query, so a diff names the queries that moved.
 //
-// The pool is answered twice: by one shard with one worker and a cold
-// cache, and by four shards with four workers each after a warm-up pass,
-// so every answer comes from the result cache. Both must match the
-// pinned digests. On a mismatch the test prints the full rendering of
+// The pool is answered in four shapes (shards x workers): 1 x 1 and
+// 1 x 4 with a cold cache, so every answer is computed, and 4 x 1 and
+// 4 x 4 after a warm-up pass, so every answer comes from the result
+// cache. Every shape must match the pinned digests. On a mismatch the test prints the full rendering of
 // the first differing query and writes the actual digests to
 // pool_digest.actual.txt in the working directory; after checking that
 // the new output is intended, copy that file over the pinned one.
@@ -128,6 +128,23 @@ class PoolGoldenTest : public ::testing::Test {
            << kActualPath;
   }
 
+  // Answers the whole pool on a fresh engine of `shards` x `threads`: once
+  // cold, or, with `warm`, again after a warm-up pass, so every answer is
+  // a cache hit. Every answer must match its pinned digest.
+  static void ExpectShapeMatchesPinned(size_t shards, size_t threads,
+                                       bool warm) {
+    auto engine = MakeEngine(shards, threads);
+    if (warm) engine->SearchAll(*pool_);  // fills every shard's cache
+    std::vector<Result<SearchOutput>> outputs = engine->SearchAll(*pool_);
+    for (const auto& output : outputs) {
+      if (output.ok()) ASSERT_EQ(output->from_cache, warm);
+    }
+    ExpectMatchesPinned(outputs, StrFormat("%zu shard(s) x %zu thread(s), %s",
+                                           shards, threads,
+                                           warm ? "warm" : "cold")
+                                     .c_str());
+  }
+
   static EnterpriseWarehouse* warehouse_;
   static std::vector<std::string>* pool_;
 };
@@ -136,22 +153,19 @@ EnterpriseWarehouse* PoolGoldenTest::warehouse_ = nullptr;
 std::vector<std::string>* PoolGoldenTest::pool_ = nullptr;
 
 TEST_F(PoolGoldenTest, OneShardOneThreadColdMatchesPinnedDigests) {
-  auto engine = MakeEngine(1, 1);
-  std::vector<Result<SearchOutput>> outputs = engine->SearchAll(*pool_);
-  for (const auto& output : outputs) {
-    if (output.ok()) ASSERT_FALSE(output->from_cache);
-  }
-  ExpectMatchesPinned(outputs, "1 shard x 1 thread, cold");
+  ExpectShapeMatchesPinned(1, 1, /*warm=*/false);
+}
+
+TEST_F(PoolGoldenTest, OneShardFourThreadsColdMatchesPinnedDigests) {
+  ExpectShapeMatchesPinned(1, 4, /*warm=*/false);
+}
+
+TEST_F(PoolGoldenTest, FourShardsOneThreadWarmMatchesPinnedDigests) {
+  ExpectShapeMatchesPinned(4, 1, /*warm=*/true);
 }
 
 TEST_F(PoolGoldenTest, FourShardsFourThreadsWarmMatchesPinnedDigests) {
-  auto engine = MakeEngine(4, 4);
-  engine->SearchAll(*pool_);  // warm-up: fills every shard's cache
-  std::vector<Result<SearchOutput>> outputs = engine->SearchAll(*pool_);
-  for (const auto& output : outputs) {
-    if (output.ok()) ASSERT_TRUE(output->from_cache);
-  }
-  ExpectMatchesPinned(outputs, "4 shards x 4 threads, warm");
+  ExpectShapeMatchesPinned(4, 4, /*warm=*/true);
 }
 
 }  // namespace
