@@ -1,7 +1,7 @@
 // Closed/open-loop load harness for the HTTP front end.
 //
-// Default mode is fully self-contained: build the mini-bank, put a
-// sharded engine (with live-freshness wiring) behind a SodaHttpServer on
+// Default mode is fully self-contained: build the mini-bank, put an
+// engine (with live-freshness wiring) behind a SodaHttpServer on
 // an ephemeral loopback port, then drive a concurrency sweep of mixed
 // traffic at it over real sockets:
 //
@@ -51,8 +51,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/freshness.h"
-#include "core/sharded_engine.h"
 #include "datasets/minibank.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
@@ -67,8 +67,8 @@ using Clock = std::chrono::steady_clock;
 struct Options {
   std::vector<size_t> concurrency = {1, 2, 4};
   size_t requests = 200;       // per sweep level
-  size_t shards = 2;
-  size_t threads = 2;          // per shard
+  size_t shards = 2;           // result-cache stripes
+  size_t threads = 2;          // per stripe
   size_t cache_capacity = 64;
   size_t watermark = 128;
   double open_rate = 0.0;      // requests/sec; 0 = closed loop
@@ -87,8 +87,8 @@ void Usage(const char* argv0) {
       "usage: %s [flags]\n"
       "  --concurrency LIST  sweep levels, comma-separated (default 1,2,4)\n"
       "  --requests N        requests per level (default 200)\n"
-      "  --shards N          engine shards for the in-process server (2)\n"
-      "  --threads N         worker threads per shard (2)\n"
+      "  --shards N          cache stripes for the in-process engine (2)\n"
+      "  --threads N         worker threads per stripe (2)\n"
       "  --watermark N       admission shed watermark (128)\n"
       "  --hit-fraction F    fraction of cache-hit traffic (0.7)\n"
       "  --mutate-every N    one base-data append per N requests; 0=off (50)\n"
@@ -220,7 +220,7 @@ struct LevelStats {
 /// server).
 struct InProcessStack {
   std::unique_ptr<soda::MiniBank> bank;
-  std::unique_ptr<soda::ShardedSodaEngine> engine;
+  std::unique_ptr<soda::SodaEngine> engine;
   std::unique_ptr<soda::FreshnessManager> freshness;
   std::unique_ptr<soda::SodaHttpServer> server;
   std::atomic<int64_t> next_row_id{50000};
@@ -251,9 +251,8 @@ soda::Result<std::unique_ptr<InProcessStack>> BuildStack(
   config.cache_capacity = options.cache_capacity;
   SODA_ASSIGN_OR_RETURN(
       stack->engine,
-      soda::ShardedSodaEngine::Create(&stack->bank->db, &stack->bank->graph,
-                                      soda::CreditSuissePatternLibrary(),
-                                      config));
+      soda::SodaEngine::Create(&stack->bank->db, &stack->bank->graph,
+                               soda::CreditSuissePatternLibrary(), config));
 
   stack->freshness = std::make_unique<soda::FreshnessManager>(
       &stack->bank->db.change_log());
@@ -518,7 +517,7 @@ int main(int argc, char** argv) {
     }
     stack = std::move(built).value();
     port = stack->server->port();
-    std::printf("in-process server up on %s:%u (%zu shards x %zu threads, "
+    std::printf("in-process server up on %s:%u (%zu stripes x %zu threads, "
                 "watermark %zu)\n",
                 options.host.c_str(), port, options.shards, options.threads,
                 options.watermark);

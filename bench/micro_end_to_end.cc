@@ -20,7 +20,6 @@
 #include "core/engine.h"
 #include "core/freshness.h"
 #include "core/session.h"
-#include "core/sharded_engine.h"
 #include "core/soda.h"
 #include "datasets/enterprise.h"
 #include "datasets/minibank.h"
@@ -378,59 +377,58 @@ void BM_EngineAsyncStream(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineAsyncStream);
 
-// Sharded router over replicated engines: the 13-query workload admitted
-// as one batch, split across shards by the folded-hash router and merged
-// back into input order. Sweep shards x per-shard threads; on the 1-vCPU
-// CI box the wall clock stays flat (the shards time-slice one core) but
-// CPU time per shard drops — re-record on multi-core hardware to see the
-// fan-out. "shards" and "router_shard_queries" feed the CI counter guard
-// for the router.* metrics surface.
-void BM_ShardedSearchAll(benchmark::State& state) {
-  size_t shards = static_cast<size_t>(state.range(0));
+// Striped result cache: the 13-query workload admitted as one batch by
+// an engine of Arg(0) cache stripes x Arg(1) workers per stripe (one pool
+// of stripes x threads), each stripe an LRU of 4 entries. One stripe
+// holds 4 of the 13 answers, so the batch thrashes it; more stripes hold
+// more of them, each in the stripe its folded key hash picks. On the
+// 1-vCPU CI box the pool's wall clock stays flat (its workers time-slice
+// one core) — read the hit rate, and re-record on multi-core hardware to
+// see the fan-out. "shards" (the stripe count), "stripe_capacity" and
+// "stripe_entries" feed the CI counter guard for the striped cache.
+void BM_StripedSearchAll(benchmark::State& state) {
+  size_t stripes = static_cast<size_t>(state.range(0));
   size_t threads = static_cast<size_t>(state.range(1));
   static std::map<std::pair<size_t, size_t>,
-                  std::unique_ptr<soda::ShardedSodaEngine>>
-      routers;
-  auto key = std::make_pair(shards, threads);
-  auto it = routers.find(key);
-  if (it == routers.end()) {
+                  std::unique_ptr<soda::SodaEngine>>
+      engines;
+  auto key = std::make_pair(stripes, threads);
+  auto it = engines.find(key);
+  if (it == engines.end()) {
     soda::SodaConfig config;
     config.execute_snippets = false;
-    config.num_shards = shards;
+    config.num_shards = stripes;
     config.num_threads = threads;
-    config.cache_capacity = 0;  // cold: measure routed pipeline work
-    auto created = soda::ShardedSodaEngine::Create(
+    config.cache_capacity = 4;  // per stripe
+    auto created = soda::SodaEngine::Create(
         &env()->warehouse->db, &env()->warehouse->graph,
         soda::CreditSuissePatternLibrary(), config);
     if (!created.ok()) {
-      std::fprintf(stderr, "failed to build sharded engine: %s\n",
+      std::fprintf(stderr, "failed to build striped engine: %s\n",
                    created.status().ToString().c_str());
       std::exit(1);
     }
-    it = routers.emplace(key, std::move(created).value()).first;
+    it = engines.emplace(key, std::move(created).value()).first;
   }
-  soda::ShardedSodaEngine* router = it->second.get();
+  soda::SodaEngine* engine = it->second.get();
   std::vector<std::string> queries;
   for (const soda::BenchmarkQuery& bench : soda::EnterpriseWorkload()) {
     queries.push_back(bench.keywords);
   }
   for (auto _ : state) {
-    auto outputs = router->SearchAll(queries);
+    auto outputs = engine->SearchAll(queries);
     benchmark::DoNotOptimize(outputs);
   }
-  soda::MetricsSnapshot snapshot = router->metrics_snapshot();
-  state.counters["shards"] = static_cast<double>(router->num_shards());
-  state.counters["threads"] = static_cast<double>(router->num_threads());
-  state.counters["router_shard_queries"] =
-      static_cast<double>(snapshot.counter("router.shard_queries"));
-  const soda::HistogramSnapshot* sizes =
-      snapshot.histogram("router.shard_batch_size");
-  state.counters["router_shard_batches"] =
-      sizes == nullptr ? 0.0 : static_cast<double>(sizes->count);
+  soda::CacheStats stats = engine->cache_stats();
+  state.counters["shards"] = static_cast<double>(stripes);
+  state.counters["threads"] = static_cast<double>(engine->num_threads());
+  state.counters["stripe_capacity"] = static_cast<double>(stats.capacity);
+  state.counters["stripe_entries"] = static_cast<double>(stats.size);
+  state.counters["hit_rate"] = stats.hit_rate();
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(queries.size()));
 }
-BENCHMARK(BM_ShardedSearchAll)
+BENCHMARK(BM_StripedSearchAll)
     ->Args({1, 1})
     ->Args({1, 4})
     ->Args({2, 1})
@@ -638,29 +636,29 @@ BENCHMARK(BM_EngineCachedWorkload);
 
 // The live-base-data cycle: serve a cached query, append a row that its
 // answer depends on (new Zürich address), let the FreshnessManager apply
-// the index delta and invalidate the key, and serve again cold. Runs a
-// router with Arg(0) shards on its own mini-bank — the shared enterprise
-// Env must stay immutable for the other benches. Every shard shares one
-// core, so the delta is applied once whatever the shard count:
+// the index delta and invalidate the key, and serve again cold. Runs an
+// engine with Arg(0) cache stripes on its own mini-bank — the shared
+// enterprise Env must stay immutable for the other benches. The engine
+// has one core, so the delta is applied once whatever the stripe count:
 // "freshness_delta_postings" (new postings per append) stays flat from
 // shards=1 to shards=4. Each run builds its own env and makes a fixed
 // number of appends, so every run measures the same table sizes.
 struct FreshnessEnv {
   std::unique_ptr<soda::MiniBank> bank;
-  std::unique_ptr<soda::ShardedSodaEngine> engine;
+  std::unique_ptr<soda::SodaEngine> engine;
   std::unique_ptr<soda::FreshnessManager> freshness;
   int64_t next_id = 100000;
 
-  explicit FreshnessEnv(size_t shards) {
+  explicit FreshnessEnv(size_t stripes) {
     bank = std::move(soda::BuildMiniBank()).value();
     soda::SodaConfig config;
-    config.num_shards = shards;
+    config.num_shards = stripes;
     config.num_threads = 2;
     config.cache_capacity = 64;
-    auto created = soda::ShardedSodaEngine::Create(
+    auto created = soda::SodaEngine::Create(
         &bank->db, &bank->graph, soda::CreditSuissePatternLibrary(), config);
     if (!created.ok()) {
-      std::fprintf(stderr, "failed to build freshness router: %s\n",
+      std::fprintf(stderr, "failed to build freshness engine: %s\n",
                    created.status().ToString().c_str());
       std::exit(1);
     }
@@ -689,7 +687,7 @@ void BM_FreshnessAppendInvalidate(benchmark::State& state) {
   }
   auto snapshot = env.freshness->metrics_snapshot();
   const double iterations = static_cast<double>(state.iterations());
-  state.counters["shards"] = static_cast<double>(env.engine->num_shards());
+  state.counters["shards"] = static_cast<double>(state.range(0));
   state.counters["freshness_events"] =
       static_cast<double>(snapshot.counter("freshness.events"));
   state.counters["freshness_keys_invalidated"] =

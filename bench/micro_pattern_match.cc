@@ -83,7 +83,7 @@ void BM_JoinGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinGraphBuild);
 
-// The whole shared core a ShardedSodaEngine builds once per process:
+// The whole immutable core a SodaEngine builds once per process:
 // indexes, pattern matcher, join graph and closures.
 void BM_SodaCreateEnterprise(benchmark::State& state) {
   const soda::EnterpriseWarehouse& warehouse = *env()->warehouse;

@@ -6,7 +6,7 @@
 #   BUILD_TYPE={RelWithDebInfo,Release,Debug}   (default RelWithDebInfo)
 #   SANITIZE={tsan,asan}  sanitizer leg: Debug build with TSan or
 #       ASan+UBSan, running the concurrency-facing suites (thread pool,
-#       cache, engine, sharded router, batch/async streaming, metrics,
+#       cache, engine and its cache stripes, batch/async streaming, metrics,
 #       pipeline, HTTP server), the executor suites (unit tests and
 #       the differential oracles) and the storage suite (tables and their
 #       lazily built equality indexes) under the sanitizer runtime.
@@ -15,7 +15,7 @@
 #       committed .clang-format is the single source of truth). No build.
 #   FAULTS=1              fault leg: runs the failpoint sweep
 #       (fault_injection_test — armed throw/error/stall failpoints,
-#       shard-dispatch containment, engine/freshness/HTTP degradation to
+#       detail matching, engine/freshness/HTTP degradation to
 #       per-request errors) under BOTH
 #       TSan and ASan by re-entering this script once per sanitizer with
 #       the ctest filter narrowed to the fault suite. The full sanitizer
@@ -41,7 +41,7 @@
 # BUILD_TYPE=Release additionally smoke-runs the end-to-end bench, tees
 # its output to ${BUILD_DIR}/bench_smoke.txt (uploaded as a CI artifact)
 # and fails if the bench crashed or any required counter is missing from
-# the output — the guard for the engine's metrics/batch/router counters.
+# the output — the guard for the engine's metrics/batch/stripe counters.
 # The Release leg also drives the closed-loop HTTP load harness
 # (bench_http_load) against a live server, recording latency percentiles
 # to ${BUILD_DIR}/BENCH_http_load.json (a CI artifact) and failing on any
@@ -117,8 +117,8 @@ fi
 
 # --------------------------------------------------------------------------
 # Fault leg: the failpoint sweep must be clean under both sanitizers —
-# TSan for the concurrent sub-batch fan-out around a failed shard and
-# the async snippet streams beside it, ASan+LSan for leaks on the
+# TSan for the pool fan-out around poisoned tasks and the async snippet
+# streams past poisoned snippets, ASan+LSan for leaks on the
 # contained-exception paths. Reuses
 # the standard sanitizer build dirs so a box that already ran those legs
 # only pays the (filtered) test time.
@@ -398,19 +398,19 @@ fi
 if [[ "${BUILD_TYPE}" == "Release" &&
       -x "${BUILD_DIR}/bench_micro_end_to_end" ]]; then
   # Smoke-run: one fast repetition, enough to catch crashes and record
-  # the thread-sweep + cache + batch/async + sharded-router numbers in
+  # the thread-sweep + cache + batch/async + cache-stripe numbers in
   # CI logs.
   BENCH_OUT="${BUILD_DIR}/bench_smoke.txt"
   "${BUILD_DIR}/bench_micro_end_to_end" \
       --benchmark_min_time=0.05 \
       --benchmark_counters_tabular=true 2>&1 | tee "${BENCH_OUT}"
 
-  # Counter guard: the sweep and the batch/async/metrics/router surfaces
+  # Counter guard: the sweep and the batch/async/metrics/stripe surfaces
   # must all have reported. A missing counter means a bench silently
   # stopped exercising (or exporting) that path.
   for counter in threads interpretations hit_rate batch_queries \
                  dedup_hits snippets_streamed cache_hits stage_samples \
-                 shards router_shard_queries router_shard_batches \
+                 shards stripe_capacity stripe_entries \
                  closure_traverse_hits closure_path_lookups \
                  freshness_events freshness_keys_invalidated \
                  freshness_delta_postings \

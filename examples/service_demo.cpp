@@ -1,18 +1,17 @@
-// Service demo: the sharded SODA service — a folded-hash query router
-// over SodaEngine shards sharing one Soda core, many user threads firing
-// the paper's
-// queries at it, the way a BI front end would (interactive query
-// building over a warehouse à la Sigma Worksheet).
+// Service demo: the SODA service — one SodaEngine over one Soda core,
+// with a worker pool and a result cache striped by a folded hash of the
+// normalized query, and many user threads firing the paper's queries at
+// it, the way a BI front end would (interactive query building over a
+// warehouse à la Sigma Worksheet).
 //
-// Shows: the router splitting one dashboard refresh across shards (each
-// with its own worker pool and LRU cache, byte-identical merge back into
-// input order), async snippet streaming through a returned stream, live
-// base data — a row appended mid-serve flows through the change log into
-// the shared core's inverted index and invalidates exactly the dependent
-// cache keys automatically (FreshnessManager) — and the fleet-level
-// metrics snapshot, in both the human-readable dump and Prometheus text
-// exposition format. Everything serves through the abstract SodaService
-// interface — the demo would read the same over a single SodaEngine —
+// Shows: one dashboard refresh fanned out across the pool (byte-identical
+// results in input order, each answer cached in its stripe), async
+// snippet streaming through a returned stream, live base data — a row
+// appended mid-serve flows through the change log into the core's
+// inverted index and invalidates exactly the dependent cache keys
+// automatically (FreshnessManager) — and the metrics snapshot, in both
+// the human-readable dump and Prometheus text exposition format.
+// Everything serves through the abstract SodaService interface,
 // including an interactive session (pin/ban/bind + incremental Refine).
 //
 // With --serve the same stack goes behind the HTTP front end
@@ -33,9 +32,9 @@
 #include <vector>
 
 #include "common/prometheus_sink.h"
+#include "core/engine.h"
 #include "core/freshness.h"
 #include "core/session.h"
-#include "core/sharded_engine.h"
 #include "datasets/minibank.h"
 #include "net/http_server.h"
 #include "pattern/library.h"
@@ -51,7 +50,10 @@ void PrintUsage(const char* argv0) {
   std::printf(
       "usage: %s [--serve] [--port N] [--shards N] [--threads N]\n"
       "\n"
-      "Without flags: the scripted demo (router, sessions, freshness,\n"
+      "--shards N: result-cache stripes (2); --threads N: workers per\n"
+      "stripe (2).\n"
+      "\n"
+      "Without flags: the scripted demo (cache, sessions, freshness,\n"
       "async streaming, metrics) against the mini-bank warehouse.\n"
       "\n"
       "--serve: the same stack behind the HTTP front end. Quickstart:\n"
@@ -69,7 +71,7 @@ void PrintUsage(const char* argv0) {
       argv0, argv0);
 }
 
-// The HTTP serving mode: mini-bank + sharded engine + freshness wiring
+// The HTTP serving mode: mini-bank + engine + freshness wiring
 // behind a SodaHttpServer, alive until a stop signal.
 int RunServe(uint16_t port, size_t shards, size_t threads) {
   auto bank = soda::BuildMiniBank();
@@ -87,7 +89,7 @@ int RunServe(uint16_t port, size_t shards, size_t threads) {
   // flags anything over 250ms in /debug/vars' slow_log.
   config.trace_sample_n = 1;
   config.slow_query_threshold_ms = 250.0;
-  auto created = soda::ShardedSodaEngine::Create(
+  auto created = soda::SodaEngine::Create(
       &(*bank)->db, &(*bank)->graph, soda::CreditSuissePatternLibrary(),
       config);
   if (!created.ok()) {
@@ -113,9 +115,9 @@ int RunServe(uint16_t port, size_t shards, size_t threads) {
 
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
-  std::printf("serving on http://127.0.0.1:%u (%zu shards x %zu threads)\n",
-              server.port(), created->get()->num_shards(),
-              created->get()->num_threads());
+  std::printf("serving on http://127.0.0.1:%u (%zu cache stripes, "
+              "%zu threads)\n",
+              server.port(), config.num_shards, created->get()->num_threads());
   std::printf("  curl http://127.0.0.1:%u/healthz\n", server.port());
   std::printf("  curl -X POST -d '{\"query\":\"addresses Sara Guttinger\"}' "
               "http://127.0.0.1:%u/search\n",
@@ -171,7 +173,7 @@ int main(int argc, char** argv) {
   config.num_shards = 2;
   config.num_threads = 2;
   config.cache_capacity = 32;
-  auto created = soda::ShardedSodaEngine::Create(
+  auto created = soda::SodaEngine::Create(
       &(*bank)->db, &(*bank)->graph, soda::CreditSuissePatternLibrary(),
       config);
   if (!created.ok()) {
@@ -179,30 +181,28 @@ int main(int argc, char** argv) {
                  created.status().ToString().c_str());
     return 1;
   }
-  soda::ShardedSodaEngine& engine = **created;
-  // Serving goes through the abstract interface: swap in a single
-  // SodaEngine and nothing below this line changes.
+  soda::SodaEngine& engine = **created;
+  // Serving goes through the abstract interface: everything below this
+  // line would run unchanged over any SodaService.
   soda::SodaService& service = engine;
-  std::printf("router up: %zu shard(s) x %zu worker thread(s), "
-              "fleet cache capacity %zu\n\n",
-              engine.num_shards(), engine.num_threads(),
+  std::printf("engine up: %zu worker thread(s), %zu cache stripe(s), "
+              "cache capacity %zu\n\n",
+              engine.num_threads(), config.num_shards,
               service.cache_stats().capacity);
 
-  // Index memory accounting: every shard serves the one Soda core, so
-  // the fleet holds one packed postings structure and one token
-  // dictionary (the database's), whatever the shard count.
+  // Index memory accounting: the engine serves one Soda core, which
+  // holds one packed postings structure and shares the database's token
+  // dictionary.
   std::printf("---- index memory accounting ----------------------------\n");
-  const soda::InvertedIndex& index = engine.shard(0).soda().inverted_index();
+  const soda::InvertedIndex& index = engine.soda().inverted_index();
   size_t index_bytes = index.ApproxMemoryBytes();
-  std::printf("  shared core index:       %8.1f KiB (%zu values, %zu tokens, "
-              "1 copy for %zu shards)\n",
-              index_bytes / 1024.0, index.num_values(), index.num_tokens(),
-              engine.num_shards());
+  std::printf("  core index:              %8.1f KiB (%zu values, %zu tokens)\n",
+              index_bytes / 1024.0, index.num_values(), index.num_tokens());
   const auto& dict = (*bank)->db.token_dict();
   size_t dict_bytes = dict->ApproxMemoryBytes();
   std::printf("  shared token dict:       %8.1f KiB (%zu spellings)\n",
               dict_bytes / 1024.0, dict->size());
-  std::printf("  fleet total:             %8.1f KiB\n\n",
+  std::printf("  total:                   %8.1f KiB\n\n",
               (index_bytes + dict_bytes) / 1024.0);
 
   // Live-base-data wiring: storage appends now publish ChangeEvents, the
@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
   if (warm.ok()) {
     stats = service.cache_stats();
     std::printf("\nwarm '%s':\n  from_cache=%d wall=%.3f ms "
-                "(fleet: %zu hits / %zu misses, %zu threads per shard)\n",
+                "(cache: %zu hits / %zu misses, %zu worker threads)\n",
                 dashboard[0].c_str(), warm->from_cache ? 1 : 0,
                 warm->timings.wall_ms, stats.hits, stats.misses,
                 service.num_threads());
@@ -331,8 +331,8 @@ int main(int argc, char** argv) {
                                                         : "pipeline");
 
   // ...but live base data does not need it: append a brand-new customer
-  // while the fleet is up, and the change log + FreshnessManager update
-  // every shard's inverted index in place and evict exactly the cached
+  // while the engine is up, and the change log + FreshnessManager update
+  // the core's inverted index in place and evict exactly the cached
   // answers the row can affect (the Zürich dashboard entry), leaving the
   // rest warm.
   std::printf("---- live base data (automatic freshness) ---------------\n");
@@ -354,7 +354,7 @@ int main(int argc, char** argv) {
               "(one epoch, %llu events)\n",
               static_cast<unsigned long long>(freshness.events_seen()));
   std::printf("  '%s' served from %s (auto-invalidated, %llu key(s) "
-              "evicted fleet-wide)\n",
+              "evicted)\n",
               dashboard[0].c_str(),
               after_append.ok() && after_append->from_cache ? "cache"
                                                            : "pipeline",
@@ -388,20 +388,20 @@ int main(int argc, char** argv) {
   std::printf("  stream done: %zu snippet callback(s), %zu exception(s)\n",
               streamed.delivered, streamed.callback_exceptions);
 
-  // The fleet-level view: per-stage latency histograms and service
+  // The process-level view: per-stage latency histograms and service
   // counters, aggregated across everything this process just did —
   // freshness.* books included (the manager writes into its own sink
-  // here; fold it into the fleet view for one merged dump).
-  soda::MetricsSnapshot fleet = service.metrics_snapshot();
-  fleet.MergeFrom(freshness.metrics_snapshot());
+  // here; fold it into the engine's view for one merged dump).
+  soda::MetricsSnapshot snapshot = service.metrics_snapshot();
+  snapshot.MergeFrom(freshness.metrics_snapshot());
   std::printf("---- metrics snapshot -----------------------------------\n%s",
-              fleet.ToString().c_str());
+              snapshot.ToString().c_str());
 
   // The same snapshot a /metrics endpoint would serve, in Prometheus
   // text exposition format (counters only here — the histogram series
   // render too but would flood the terminal).
   std::printf("---- prometheus exposition (counters) -------------------\n");
-  std::string exposition = soda::RenderPrometheusText(fleet);
+  std::string exposition = soda::RenderPrometheusText(snapshot);
   size_t pos = 0;
   while (pos < exposition.size()) {
     size_t eol = exposition.find('\n', pos);

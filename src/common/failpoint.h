@@ -1,13 +1,12 @@
 // Deterministic failpoint injection for fault testing.
 //
 // A failpoint is a named hook compiled into a hot seam of the serving
-// stack (shard dispatch, pool task bodies, delta application, snippet
-// streaming, HTTP request handling). Tests and benches *arm* a
-// failpoint by name to make that seam throw, return an error Status,
-// or stall — which is how fault_injection_test proves that a failed
-// shard dispatch stays contained to that shard's queries, and that
-// engine, freshness and HTTP faults degrade to per-request errors,
-// without ever depending on real hardware faults.
+// stack (pool task bodies, delta application, snippet execution, HTTP
+// request handling). Tests and benches *arm* a failpoint by name to make
+// that seam throw, return an error Status, or stall — which is how
+// fault_injection_test proves that engine, freshness and HTTP faults
+// degrade to per-request errors, without ever depending on real
+// hardware faults.
 //
 // Cost when unarmed: a single relaxed atomic load and a predictable
 // branch (the global armed count is zero, so the slow path — registry
@@ -18,21 +17,21 @@
 // Determinism: an armed failpoint with probability < 1 draws from its
 // own seeded mt19937_64, so a given (seed, hit sequence) fires on the
 // same hits in every run. `match` restricts firing to hits whose
-// detail string equals it — e.g. arm "shard.dispatch" with match "1"
-// to fail only shard 1's dispatches.
+// detail string equals it — e.g. arm "freshness.apply_delta" with match
+// "individuals" to fail only the deltas of appends to that table.
 //
 // Usage at a seam:
 //
 //   SODA_FAILPOINT("engine.pool_task");                  // void seam
 //   SODA_RETURN_NOT_OK(SODA_FAILPOINT_STATUS(            // Status seam,
-//       "shard.dispatch", std::to_string(shard)));       // with detail
+//       "freshness.apply_delta", event.table));          // with detail
 //
 // and in a test:
 //
-//   Failpoints::Instance().Arm("shard.dispatch",
-//                              {.action = FailpointSpec::Action::kThrow,
-//                               .match = "1"});
-//   ... drive traffic: shard 1's queries answer Unavailable ...
+//   Failpoints::Instance().Arm("freshness.apply_delta",
+//                              {.action = FailpointSpec::Action::kError,
+//                               .match = "individuals"});
+//   ... append to individuals: the delta fails, the cache is cleared ...
 //   Failpoints::Instance().DisarmAll();
 //
 // The registry is process-global and thread-safe; DisarmAll() in test
@@ -74,8 +73,8 @@ struct FailpointSpec {
   /// Stall duration for Action::kSleep.
   double sleep_ms = 0.0;
   /// Fire only on hits whose detail string equals this; "" fires on any
-  /// hit. The shard-dispatch seam passes the shard index as detail, so
-  /// match = "2" fails exactly shard 2.
+  /// hit. The delta seam passes the appended table as detail, so match =
+  /// "individuals" fails exactly that table's deltas.
   std::string match;
   /// Probability of firing on a matching hit, drawn from a generator
   /// seeded with `seed` — deterministic across runs.
@@ -163,15 +162,6 @@ inline bool FailpointsArmed() {
     }                                                                    \
   } while (false)
 
-/// Void seam with a detail string (matched against FailpointSpec::match).
-#define SODA_FAILPOINT_D(name, detail)                                   \
-  do {                                                                   \
-    if (::soda::FailpointsArmed()) {                                     \
-      (void)::soda::Failpoints::Instance().Evaluate((name), (detail),    \
-                                                    /*status_seam=*/false); \
-    }                                                                    \
-  } while (false)
-
 /// Status seam: evaluates to a Status — OK when unarmed/not firing,
 /// Unavailable for Action::kError. kThrow still throws, kSleep sleeps.
 #define SODA_FAILPOINT_STATUS(name, detail)                           \
@@ -183,7 +173,6 @@ inline bool FailpointsArmed() {
 #else  // !SODA_FAILPOINTS
 
 #define SODA_FAILPOINT(name) ((void)0)
-#define SODA_FAILPOINT_D(name, detail) ((void)0)
 #define SODA_FAILPOINT_STATUS(name, detail) ::soda::Status::OK()
 
 #endif  // SODA_FAILPOINTS

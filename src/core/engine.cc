@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -55,7 +56,7 @@ void PreRegisterEngineCounters(MetricsSink* sink) {
 // freshness check, the pipeline, the snippet scan and the cache insert
 // all see one database state — books the entry counter, and opens the
 // root span named after the entry point: joined to the caller's trace
-// (HTTP request, router dispatch) when one is installed on this thread,
+// (an HTTP request's) when one is installed on this thread,
 // otherwise in a trace of its own when the recorder is on. The untraced
 // common case is one relaxed load and a branch. The destructor ends the
 // root span and finishes an owned trace on every exit path, booking the
@@ -100,8 +101,11 @@ class ServeScope {
   Span span_;
 };
 
-size_t ResolveThreads(size_t configured) {
-  if (configured != 0) return configured;
+// num_threads workers per cache stripe, or the whole machine when 0.
+size_t PoolWidth(const SodaConfig& config) {
+  if (config.num_threads != 0) {
+    return config.num_threads * std::max<size_t>(1, config.num_shards);
+  }
   size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
@@ -184,10 +188,20 @@ std::vector<InterpretationState> ResumeInterpretations(
 
 // Whitespace runs collapsed — the input tokenizer splits on whitespace,
 // so reformatted repeats are the same query (see the header for why case
-// is kept). The single definition shared by the cache, the sharded
-// router and the invalidation hooks.
+// is kept). The single definition shared by the cache, its stripe choice
+// and the invalidation hooks.
 std::string NormalizedQueryKey(const std::string& query) {
   return Join(SplitWhitespace(query), " ");
+}
+
+size_t ShardOfKey(const std::string& normalized_key, size_t num_shards) {
+  if (num_shards <= 1) return 0;
+  uint64_t hash = Fnv1a64(normalized_key);
+  // Fold to 32 bits: FNV's low bits mix slowly for short keys, so xor
+  // the halves before the modulo to keep small stripe counts balanced.
+  uint32_t folded = static_cast<uint32_t>(hash >> 32) ^
+                    static_cast<uint32_t>(hash & 0xffffffffull);
+  return static_cast<size_t>(folded % num_shards);
 }
 
 // ---------------------------------------------------------------------------
@@ -199,20 +213,25 @@ Result<std::unique_ptr<SodaEngine>> SodaEngine::Create(
     SodaConfig config) {
   SODA_ASSIGN_OR_RETURN(std::unique_ptr<Soda> soda,
                         Soda::Create(db, graph, std::move(patterns), config));
-  return std::make_unique<SodaEngine>(std::move(soda));
+  // Not make_unique: the constructor is private.
+  return std::unique_ptr<SodaEngine>(new SodaEngine(std::move(soda)));
 }
 
-SodaEngine::SodaEngine(std::shared_ptr<Soda> soda)
+SodaEngine::SodaEngine(std::unique_ptr<Soda> soda)
     : soda_(std::move(soda)),
-      cache_(soda_->config().cache_capacity),
       default_sink_(std::make_shared<InMemoryMetricsSink>()),
       sink_(default_sink_),
-      pool_(ResolveThreads(soda_->config().num_threads)) {
-  // The recorder is process-global (traces cross engine/router/server
+      pool_(PoolWidth(soda_->config())) {
+  const SodaConfig& config = soda_->config();
+  const size_t num_stripes = std::max<size_t>(1, config.num_shards);
+  stripes_.reserve(num_stripes);
+  for (size_t s = 0; s < num_stripes; ++s) {
+    stripes_.push_back(std::make_unique<AnswerCache>(config.cache_capacity));
+  }
+  // The recorder is process-global (traces cross the engine and server
   // layers); an engine only pushes its knobs there when they are set, so
   // building an untraced engine never turns an already-configured
   // recorder off.
-  const SodaConfig& config = soda_->config();
   if (config.trace_sample_n != 0 || config.slow_query_threshold_ms != 0.0) {
     TraceRecorder::Instance().Configure(config.trace_sample_n,
                                         config.slow_query_threshold_ms);
@@ -245,8 +264,19 @@ size_t SodaEngine::num_threads() const {
   return pool_.size() == 0 ? 1 : pool_.size();
 }
 
+CacheStats SodaEngine::cache_stats() const {
+  CacheStats total;
+  for (const std::unique_ptr<AnswerCache>& stripe : stripes_) {
+    total += stripe->stats();
+  }
+  return total;
+}
+
 size_t SodaEngine::InvalidateWhere(const CachePredicate& pred) const {
-  size_t erased = cache_.EraseIf(pred);
+  size_t erased = 0;
+  for (const std::unique_ptr<AnswerCache>& stripe : stripes_) {
+    erased += stripe->EraseIf(pred);
+  }
   sink_->IncrementCounter("cache.invalidated", erased);
   return erased;
 }
@@ -259,7 +289,7 @@ void SodaEngine::CacheInsert(const std::string& key, SearchOutput output,
                              std::vector<std::string> freshness_terms,
                              std::shared_ptr<const TranslationPlan> plan,
                              const TraceContext& trace) const {
-  if (cache_.capacity() == 0) return;
+  if (soda_->config().cache_capacity == 0) return;
   // Names a miss's copy in a sampled trace.
   Span span(trace, "cache.insert");
   auto entry = std::make_shared<CachedAnswer>();
@@ -274,7 +304,7 @@ void SodaEngine::CacheInsert(const std::string& key, SearchOutput output,
   entry->output = std::move(output);
   entry->freshness_terms = std::move(freshness_terms);
   entry->plan = std::move(plan);
-  cache_.Put(key, std::move(entry));
+  StripeOf(key).Put(key, std::move(entry));
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +389,8 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       sink_->IncrementCounter("session.refines", 1);
     }
     std::shared_ptr<const CachedAnswer> cached =
-        item.constrained() ? nullptr : cache_.Get(item.normalized);
+        item.constrained() ? nullptr
+                           : StripeOf(item.normalized).Get(item.normalized);
     if (cached != nullptr) {
       // Deliberate copy: the payload is bounded (top_n statements x
       // snippet_rows rows) and the response patches its own from_cache,
@@ -411,7 +442,7 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       }
       if (item.constrained() && (plan == nullptr || plan->bindings_fp != fp)) {
         std::shared_ptr<const CachedAnswer> entry =
-            cache_.Peek(item.normalized);
+            StripeOf(item.normalized).Peek(item.normalized);
         if (entry != nullptr && entry->plan != nullptr &&
             entry->plan->captured_at_sequence == sequence &&
             (plan == nullptr || entry->plan->bindings_fp == fp)) {
@@ -545,7 +576,7 @@ std::vector<Result<SearchOutput>> SodaEngine::ExpandBatch(
     std::vector<BatchItem> items, size_t query_count,
     bool mark_dedup_as_cached,
     std::chrono::steady_clock::time_point batch_start) const {
-  const bool cache_enabled = cache_.capacity() > 0;
+  const bool cache_enabled = soda_->config().cache_capacity > 0;
 
   // Book the in-batch repeats: the unique probe already counted one
   // miss (or hit); each further occurrence of the same normalized query
@@ -553,7 +584,7 @@ std::vector<Result<SearchOutput>> SodaEngine::ExpandBatch(
   for (const BatchItem& item : items) {
     if (!item.output.ok() || item.occurrences.size() <= 1) continue;
     size_t repeats = item.occurrences.size() - 1;
-    cache_.RecordDedupHits(repeats);
+    StripeOf(item.normalized).RecordDedupHits(repeats);
     sink_->IncrementCounter("batch.dedup_hits", repeats);
   }
 
@@ -755,10 +786,9 @@ AsyncSearch SodaEngine::SearchAllAsync(std::span<const std::string> queries,
       }
     }
     search.snippets.runs_.push_back(
-        {item.occurrences.front(),
-         [this, stream = std::move(stream), stream_trace]() mutable {
-           return RunStream(stream, stream_trace);
-         }});
+        [this, stream = std::move(stream), stream_trace]() mutable {
+          return RunStream(stream, stream_trace);
+        });
   }
   search.outputs = ExpandBatch(std::move(items), queries.size(),
                                /*mark_dedup_as_cached=*/false, serve.start());

@@ -10,7 +10,12 @@
 //      string (case is kept: comparison literals are case-sensitive) —
 //      repeated business queries (dashboards, saved searches)
 //      short-circuit the whole pipeline; hit/miss counters are read
-//      through cache_stats();
+//      through cache_stats(). The cache is striped: config.num_shards
+//      LRUs of cache_capacity entries each, every one behind its own
+//      lock, and a key lives in exactly one of them, picked by
+//      ShardOfKey over its normalized text. A key's stripe sees every
+//      hit, miss, eviction and plan peek of that key, so concurrent
+//      callers contend per stripe rather than on one lock;
 //   2. a fixed-size worker pool that fans out across the queries of a
 //      batch, never within one query: each query's stages, its
 //      interpretations (in ranked order) and its snippets run on one
@@ -52,10 +57,12 @@
 // deduplicated batch — so cache probing, session resume, fan-out,
 // exception containment and snippet execution exist once.
 //
-// The engine is safe to share across caller threads: all entry points are
-// const, the cache and sink are internally locked, and the underlying
-// step objects are stateless (the pattern matcher's memoization is
-// mutex-guarded).
+// The engine owns its Soda core (inverted and classification indexes,
+// join graph, closure), built once in Create and immutable afterwards
+// apart from ApplyBaseDataDelta. It is safe to share across caller
+// threads: all entry points are const, every cache stripe and the sink
+// are internally locked, and the underlying step objects are stateless
+// (the pattern matcher's memoization is mutex-guarded).
 
 #ifndef SODA_CORE_ENGINE_H_
 #define SODA_CORE_ENGINE_H_
@@ -78,30 +85,37 @@
 
 namespace soda {
 
-/// The engine's cache key and the sharded router's routing key:
+/// The engine's cache key, whose hash also picks its cache stripe:
 /// whitespace runs collapsed to single spaces, ends trimmed. Case is NOT
 /// folded — comparison literals ("family name = Meier") compare
 /// case-sensitively in the executor, so differently-cased queries can
-/// have genuinely different answers. Exposed so the router, the
-/// invalidation predicates handed to InvalidateWhere, and the tests all
-/// agree on exactly the bytes that get hashed and cached.
+/// have genuinely different answers. Exposed so the invalidation
+/// predicates handed to InvalidateWhere and the tests agree on exactly
+/// the bytes that get hashed and cached.
 std::string NormalizedQueryKey(const std::string& query);
+
+/// The cache stripe of a *normalized* query key (callers hash
+/// NormalizedQueryKey(query), not the raw string): 64-bit FNV-1a folded
+/// to 32 bits (high xor low) before the modulo, so short keys still
+/// spread over every stripe. Deterministic and platform-independent, so
+/// a key's stripe is the same across runs and machines. Session traffic
+/// picks by the same key — the constraints are NOT hashed — so every
+/// constrained variant of one question peeks the stripe holding its
+/// unconstrained answer and plan.
+size_t ShardOfKey(const std::string& normalized_key, size_t num_shards);
 
 class SodaEngine : public SodaService {
  public:
   /// Builds the underlying Soda (propagating index-construction errors),
-  /// the worker pool (config.num_threads; 0 = hardware concurrency) and
-  /// the result cache (config.cache_capacity; 0 disables).
+  /// the worker pool (config.num_threads x config.num_shards workers;
+  /// hardware concurrency when num_threads is 0) and the result cache
+  /// (config.num_shards stripes of config.cache_capacity entries; 0
+  /// capacity disables). Sets the process-wide trace recorder's knobs
+  /// when the config sets them (an untraced engine never turns a
+  /// configured recorder off).
   static Result<std::unique_ptr<SodaEngine>> Create(
       const Database* db, const MetadataGraph* graph, PatternLibrary patterns,
       SodaConfig config);
-
-  /// Wraps an already-constructed Soda core, sized by its config. The
-  /// core may be shared: the sharded router hands one core to every
-  /// shard, and each engine adds only its own cache, pool and sink. Sets
-  /// the process-wide trace recorder's knobs when the config sets them
-  /// (an untraced engine never turns a configured recorder off).
-  explicit SodaEngine(std::shared_ptr<Soda> soda);
 
   using SodaService::SearchAll;
 
@@ -145,14 +159,15 @@ class SodaEngine : public SodaService {
   AsyncSearch SearchAllAsync(std::span<const std::string> queries,
                              SnippetCallback on_snippet) const override;
 
-  /// Cache observability.
-  CacheStats cache_stats() const override { return cache_.stats(); }
+  /// Cache observability: every stripe's books summed (capacity and
+  /// size too — they describe the whole cache).
+  CacheStats cache_stats() const override;
 
   /// Keyed cache invalidation: evicts every cached answer for which
   /// `pred(key, entry)` holds — the key is the normalized query (see
   /// NormalizedQueryKey), the entry the stored answer with its plan and
-  /// tables — and returns how many entries were dropped. This is the base-data update hook for
-  /// mutable warehouses — on a table refresh, evict the answers that
+  /// tables — and returns how many entries were dropped, over every
+  /// stripe. This is the base-data update hook for mutable warehouses — on a table refresh, evict the answers that
   /// read it instead of clearing the whole cache. Safe to call
   /// concurrently with Search traffic: the predicate runs under the
   /// cache lock (keep it cheap; it must not call back into the engine),
@@ -162,8 +177,7 @@ class SodaEngine : public SodaService {
   size_t InvalidateWhere(const CachePredicate& pred) const override;
 
   /// Incremental base-data maintenance: forwards one storage ChangeEvent
-  /// to the underlying Soda's inverted index (which every engine sharing
-  /// the core sees). MUST run under the
+  /// to the underlying Soda's inverted index. MUST run under the
   /// database change log's exclusive data lock (i.e. from a
   /// ChangeListener) — every serve holds the shared side from its cache
   /// probe to its cache insert, and a snippet stream around each
@@ -186,7 +200,8 @@ class SodaEngine : public SodaService {
     return default_sink_->Snapshot();
   }
 
-  /// Effective parallelism: worker count, or 1 when running inline.
+  /// Effective parallelism: the whole pool's worker count, or 1 when
+  /// running inline.
   size_t num_threads() const override;
 
   /// Worker-pool backlog (see SodaService::queue_depth).
@@ -194,7 +209,23 @@ class SodaEngine : public SodaService {
 
   const Soda& soda() const { return *soda_; }
 
+  /// The cache stripe count, and the engine itself as its only "shard":
+  /// kept, with the old router's name aliased in core/sharded_engine.h,
+  /// for the end-to-end benchmark harness under perfbench/, which still
+  /// reads them. Delete all three with their last use there.
+  size_t num_shards() const { return stripes_.size(); }
+  const SodaEngine& shard(size_t) const { return *this; }
+
  private:
+  using AnswerCache = LruCache<std::string, CachedAnswer>;
+
+  explicit SodaEngine(std::unique_ptr<Soda> soda);
+
+  /// The stripe that holds normalized key `key`.
+  AnswerCache& StripeOf(const std::string& key) const {
+    return *stripes_[ShardOfKey(key, stripes_.size())];
+  }
+
   struct BatchItem;
   struct StreamState;
 
@@ -255,18 +286,19 @@ class SodaEngine : public SodaService {
   /// covered them.
   std::shared_lock<std::shared_mutex> ReadGuard() const;
 
-  /// Caches `output` under `key` with its dependency record — its
-  /// `freshness_terms` and folded table list, which InvalidateWhere
-  /// predicates read — and `plan` (the plan it was translated from, or
-  /// null when no session serve captured one), under the caller's
-  /// ReadGuard, inside a "cache.insert" span under `trace`.
+  /// Caches `output` under `key`, in its stripe, with its dependency
+  /// record — its `freshness_terms` and folded table list, which
+  /// InvalidateWhere predicates read — and `plan` (the plan it was
+  /// translated from, or null when no session serve captured one), under
+  /// the caller's ReadGuard, inside a "cache.insert" span under `trace`.
   void CacheInsert(const std::string& key, SearchOutput output,
                    std::vector<std::string> freshness_terms,
                    std::shared_ptr<const TranslationPlan> plan,
                    const TraceContext& trace) const;
 
-  std::shared_ptr<Soda> soda_;
-  mutable LruCache<std::string, CachedAnswer> cache_;
+  std::unique_ptr<Soda> soda_;
+  // config.num_shards stripes (at least one), each its own locked LRU.
+  std::vector<std::unique_ptr<AnswerCache>> stripes_;
   std::shared_ptr<InMemoryMetricsSink> default_sink_;
   std::shared_ptr<MetricsSink> sink_;
   // Fans out across the queries of a batch only; every ParallelFor joins

@@ -79,7 +79,8 @@ void FreshnessManager::OnChange(const ChangeEvent& event) {
   for (SodaService* target : targets) {
     bool applied = false;
     try {
-      if (SODA_FAILPOINT_STATUS("freshness.apply_delta", "").ok()) {
+      if (SODA_FAILPOINT_STATUS("freshness.apply_delta", event.table)
+              .ok()) {
         delta_postings += target->ApplyBaseDataDelta(event);
         applied = true;
       }

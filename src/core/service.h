@@ -1,18 +1,14 @@
 // SodaService — the abstract serving surface of the SODA stack.
 //
-// Both engines implement this interface:
+// SodaEngine (core/engine.h: one worker pool, one striped result cache,
+// one Soda core) implements it. Everything above the engine — the
+// interactive session layer (core/session.h), the FreshnessManager
+// (core/freshness.h), the HTTP server (net/http_server.h) and the demos —
+// programs against SodaService, so tests can put a fake service behind
+// the same callers.
 //
-//   SodaEngine         (core/engine.h)          one worker pool + one cache
-//   ShardedSodaEngine  (core/sharded_engine.h)  N shards over one core
-//
-// Everything above the engines — the interactive session layer
-// (core/session.h), the FreshnessManager (core/freshness.h), the demos
-// and the determinism tests — programs against SodaService, so serial
-// vs. sharded is a construction-time choice only: build whichever engine
-// fits the deployment and hand it around as a SodaService*.
-//
-// The interface also carries the session machinery shared by both
-// implementations: SessionConstraints travel with every search, and
+// The interface also carries the session machinery:
+// SessionConstraints travel with every search, and
 // SearchSession — the one single-question entry point, which both Search
 // overloads call without a plan slot — captures/reuses a TranslationPlan
 // when given one: the Steps 1-2 (+3-4) output that lets a Refine re-run
@@ -62,10 +58,10 @@ using SnippetCallback = std::function<void(
 
 /// The deferred half of an async search: one run per unique query that
 /// has results, ordered by the input index of that query's first
-/// occurrence — whatever engine, shard count or dispatch thread
-/// translated it. Run() executes them on the calling thread, delivering
-/// each snippet through the search's SnippetCallback and caching each
-/// materialized answer after its last snippet. Move-only; a stream
+/// occurrence — whatever stripe count or pool thread translated it.
+/// Run() executes them on the calling thread, delivering each snippet
+/// through the search's SnippetCallback and caching each materialized
+/// answer after its last snippet. Move-only; a stream
 /// destroyed without Run() executes and caches nothing. The engine that
 /// returned the stream must outlive Run().
 class SnippetStream {
@@ -88,11 +84,11 @@ class SnippetStream {
   /// one unique query has been delivered, and the next query's have not.
   Summary Run(const std::function<void()>& between_runs = {}) {
     Summary total;
-    std::vector<QueryRun> runs = std::move(runs_);
+    std::vector<std::function<Summary()>> runs = std::move(runs_);
     runs_.clear();
     for (size_t i = 0; i < runs.size(); ++i) {
       if (i > 0 && between_runs) between_runs();
-      Summary summary = runs[i].run();
+      Summary summary = runs[i]();
       total.delivered += summary.delivered;
       total.callback_exceptions += summary.callback_exceptions;
     }
@@ -101,13 +97,8 @@ class SnippetStream {
 
  private:
   friend class SodaEngine;
-  friend class ShardedSodaEngine;
 
-  struct QueryRun {
-    size_t first_index;  // input index of the query's first occurrence
-    std::function<Summary()> run;
-  };
-  std::vector<QueryRun> runs_;  // ascending first_index
+  std::vector<std::function<Summary()>> runs_;  // first-occurrence order
 };
 
 /// SearchAllAsync's answer: the translated outputs, in input order, and
@@ -228,15 +219,12 @@ class SodaService {
   /// Any serve that could not reuse a plan's states as they are
   /// captures a new plan, which the cache entry an unconstrained answer
   /// fills keeps too. Books session.{refines,stages_skipped}. Output
-  /// is byte-identical on every path. On a sharded engine the query
-  /// routes by its normalized text only (the constraints are NOT
-  /// hashed), so every constrained variant of one question meets its
-  /// cached answer on one shard: session affinity.
+  /// is byte-identical on every path.
   virtual Result<SearchOutput> SearchSession(
       const std::string& query, const SessionConstraints& constraints,
       std::shared_ptr<const TranslationPlan>* plan) const = 0;
 
-  /// Cache observability (fleet-level sums on the router).
+  /// Cache observability.
   virtual CacheStats cache_stats() const = 0;
 
   /// Drops every cached answer: one InvalidateWhere that matches every
@@ -253,25 +241,22 @@ class SodaService {
   virtual size_t InvalidateWhere(const CachePredicate& pred) const = 0;
 
   /// Incremental base-data maintenance: forwards one storage ChangeEvent
-  /// to the inverted index (once, to the shared core, on the router).
-  /// MUST run under the database change log's exclusive data lock (i.e.
+  /// to the inverted index. MUST run under the database change log's exclusive data lock (i.e.
   /// from a ChangeListener). Returns the number of new posting entries.
   virtual size_t ApplyBaseDataDelta(const ChangeEvent& event) = 0;
 
-  /// Replaces the metrics sink on the engine (every shard, on the
-  /// router). Install before serving traffic; nullptr restores the
-  /// built-in in-memory sink.
+  /// Replaces the metrics sink on the engine. Install before serving
+  /// traffic; nullptr restores the built-in in-memory sink.
   virtual void set_metrics_sink(std::shared_ptr<MetricsSink> sink) = 0;
 
-  /// Snapshot of the built-in in-memory sink(s).
+  /// Snapshot of the built-in in-memory sink.
   virtual MetricsSnapshot metrics_snapshot() const = 0;
 
-  /// Effective per-pool parallelism.
+  /// Effective parallelism: the worker pool's width.
   virtual size_t num_threads() const = 0;
 
-  /// Instantaneous backlog: tasks queued but not yet claimed across the
-  /// engine's worker pools (the router adds its dispatch pool and every
-  /// shard's pool). Only batches queue tasks — a single query runs on
+  /// Instantaneous backlog: tasks queued but not yet claimed in the
+  /// engine's worker pool. Only batches queue tasks — a single query runs on
   /// its caller's thread and every snippet on the stream's runner — so
   /// single-query traffic reads 0 here. A load signal, not an exact
   /// count — sampled without a global lock, so concurrent submits/claims

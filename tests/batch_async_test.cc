@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/sharded_engine.h"
 #include "core/soda.h"
 #include "datasets/minibank.h"
 #include "pattern/library.h"
@@ -324,15 +323,15 @@ TEST_F(BatchAsyncTest, AsyncReturnsTranslationImmediatelyAndExecutesLater) {
 
 // Snippets run inside Run(): until then every returned result is
 // unexecuted, and every callback fires on the thread that runs the
-// stream — on a plain engine at any pool width and through a router
-// whose batch spans shards.
+// stream — at any pool width, and on an engine whose batch spans two
+// cache stripes.
 TEST_F(BatchAsyncTest, CallbacksRunOnTheRunningThread) {
   const std::vector<std::string> queries = MiniBankQueries();
-  std::set<size_t> shards_hit;
+  std::set<size_t> stripes_hit;
   for (const std::string& query : queries) {
-    shards_hit.insert(ShardOfKey(NormalizedQueryKey(query), 2));
+    stripes_hit.insert(ShardOfKey(NormalizedQueryKey(query), 2));
   }
-  ASSERT_EQ(shards_hit.size(), 2u) << "the batch must span both shards";
+  ASSERT_EQ(stripes_hit.size(), 2u) << "the batch must span both stripes";
 
   std::vector<std::pair<std::string, std::unique_ptr<SodaService>>> services;
   for (size_t threads : {size_t{1}, size_t{4}}) {
@@ -343,10 +342,10 @@ TEST_F(BatchAsyncTest, CallbacksRunOnTheRunningThread) {
   config.num_shards = 2;
   config.num_threads = 2;
   config.cache_capacity = 0;
-  auto router = ShardedSodaEngine::Create(&bank_->db, &bank_->graph,
-                                          CreditSuissePatternLibrary(), config);
-  ASSERT_TRUE(router.ok()) << router.status();
-  services.emplace_back("router 2x2", std::move(router).value());
+  auto striped = SodaEngine::Create(&bank_->db, &bank_->graph,
+                                    CreditSuissePatternLibrary(), config);
+  ASSERT_TRUE(striped.ok()) << striped.status();
+  services.emplace_back("2 stripes x 2 threads", std::move(striped).value());
 
   for (const auto& [label, service] : services) {
     SCOPED_TRACE(label);

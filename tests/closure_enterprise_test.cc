@@ -1,5 +1,5 @@
-// Enterprise-workload identity through the sharded router against the
-// serial Soda::Search reference — the heavyweight companion of
+// Enterprise-workload identity through a striped, pooled SodaEngine
+// against the serial Soda::Search reference — the heavyweight companion of
 // pipeline_closure_test.cc. Kept in its
 // own binary (name deliberately outside the sanitizer ctest filter):
 // it builds several full enterprise engines, which does not fit the
@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "core/sharded_engine.h"
+#include "core/engine.h"
 #include "core/soda.h"
 #include "datasets/enterprise.h"
 #include "eval/workload.h"
@@ -37,7 +37,7 @@ std::string Fingerprint(const SearchOutput& output) {
   return fp;
 }
 
-TEST(ClosureEnterpriseTest, ShardedMatchesSerial) {
+TEST(ClosureEnterpriseTest, StripedMatchesSerial) {
   auto warehouse = BuildEnterpriseWarehouse().value();
   SodaConfig serial_config;
   serial_config.execute_snippets = false;
@@ -48,24 +48,22 @@ TEST(ClosureEnterpriseTest, ShardedMatchesSerial) {
   for (const BenchmarkQuery& bench : EnterpriseWorkload()) {
     queries.push_back(bench.keywords);
   }
-  for (size_t shards : {1u, 4u}) {
+  for (size_t stripes : {1u, 4u}) {
     for (size_t threads : {1u, 4u}) {
       SodaConfig config;
       config.execute_snippets = false;
-      config.num_shards = shards;
+      config.num_shards = stripes;
       config.num_threads = threads;
-      auto router = ShardedSodaEngine::Create(&warehouse->db,
-                                              &warehouse->graph,
-                                              CreditSuissePatternLibrary(),
-                                              config);
-      ASSERT_TRUE(router.ok()) << router.status();
-      auto outputs = (*router)->SearchAll(queries);
+      auto engine = SodaEngine::Create(&warehouse->db, &warehouse->graph,
+                                       CreditSuissePatternLibrary(), config);
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      auto outputs = (*engine)->SearchAll(queries);
       for (size_t q = 0; q < queries.size(); ++q) {
         auto expected = (*baseline)->Search(queries[q]);
         ASSERT_TRUE(expected.ok()) << expected.status();
         ASSERT_TRUE(outputs[q].ok()) << outputs[q].status();
         EXPECT_EQ(Fingerprint(*outputs[q]), Fingerprint(*expected))
-            << "shards=" << shards << " threads=" << threads << " query="
+            << "stripes=" << stripes << " threads=" << threads << " query="
             << queries[q];
       }
     }

@@ -1,16 +1,12 @@
 // Fault-injection sweep over the serving stack's failure domains:
 //
-//   - shard.dispatch armed to throw / error on one shard of a router: the
-//     fault is contained to that shard's dispatches — its queries fail
-//     with Unavailable, never retried, while every other query stays
-//     byte-identical to a cold single engine — and the router serves
-//     normally again once disarmed;
 //   - engine.pool_task / snippet.execute armed inside the engine: a
 //     poisoned pool task degrades to a per-query (or per-result) error
 //     instead of unwinding the serving layer, and an async snippet
 //     stream always runs to its end;
 //   - freshness.apply_delta armed: a failed index delta falls back to
-//     full cache invalidation, never a stale answer;
+//     full cache invalidation, never a stale answer, and an armed match
+//     on another table's name leaves the delta alone;
 //   - http.handle armed: a throwing handler is answered 500 and the
 //     connection loop survives.
 //
@@ -20,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,7 +24,6 @@
 #include "core/engine.h"
 #include "core/freshness.h"
 #include "core/session.h"
-#include "core/sharded_engine.h"
 #include "core/soda.h"
 #include "datasets/minibank.h"
 #include "net/http_client.h"
@@ -41,7 +35,7 @@
 namespace soda {
 namespace {
 
-// Same literal-byte fingerprint as sharded_engine_test: everything
+// Same literal-byte fingerprint as engine_stripes_test: everything
 // rank-relevant including snippets, excluding serving-history counters.
 std::string Fingerprint(const SearchOutput& output) {
   std::string fp = "complexity=" + std::to_string(output.complexity) + "\n";
@@ -89,26 +83,11 @@ class FaultInjectionTest : public ::testing::Test {
   }
   void TearDown() override { Failpoints::Instance().DisarmAll(); }
 
-  static SodaConfig FaultConfig(size_t shards, size_t threads) {
-    SodaConfig config;
-    config.num_shards = shards;
-    config.num_threads = threads;
-    config.cache_capacity = 64;
-    return config;
-  }
-
-  static std::unique_ptr<ShardedSodaEngine> MakeRouter(
-      const SodaConfig& config) {
-    auto router = ShardedSodaEngine::Create(&bank_->db, &bank_->graph,
-                                            CreditSuissePatternLibrary(),
-                                            config);
-    EXPECT_TRUE(router.ok()) << router.status();
-    return std::move(router).value();
-  }
-
   static std::unique_ptr<SodaEngine> MakeEngine(size_t threads,
-                                                size_t cache_capacity) {
+                                                size_t cache_capacity,
+                                                size_t stripes = 1) {
     SodaConfig config;
+    config.num_shards = stripes;
     config.num_threads = threads;
     config.cache_capacity = cache_capacity;
     auto engine = SodaEngine::Create(&bank_->db, &bank_->graph,
@@ -134,138 +113,6 @@ class FaultInjectionTest : public ::testing::Test {
 };
 
 MiniBank* FaultInjectionTest::bank_ = nullptr;
-
-// ---------------------------------------------------------------------------
-// Router containment: a failed shard dispatch fails only its own queries
-// ---------------------------------------------------------------------------
-
-// Runs SearchAllAsync over `queries`, runs the stream, and folds the
-// streamed snippets back into the outputs. Counts every delivery.
-std::vector<Result<SearchOutput>> StreamAll(
-    const SodaService& service, const std::vector<std::string>& queries,
-    size_t* delivered) {
-  std::vector<std::vector<SodaResult>> streamed(queries.size());
-  size_t deliveries = 0;
-  AsyncSearch search = service.SearchAllAsync(
-      std::span<const std::string>(queries),
-      [&](size_t query_index, size_t result_index, const SodaResult& result) {
-        auto& slot = streamed[query_index];
-        if (result_index >= slot.size()) slot.resize(result_index + 1);
-        slot[result_index] = result;
-        ++deliveries;
-      });
-  EXPECT_EQ(search.snippets.Run().delivered, deliveries);
-  std::vector<Result<SearchOutput>>& outputs = search.outputs;
-  for (size_t q = 0; q < outputs.size(); ++q) {
-    if (!outputs[q].ok()) continue;
-    EXPECT_EQ(streamed[q].size(), outputs[q]->results.size()) << "query " << q;
-    for (size_t r = 0; r < streamed[q].size(); ++r) {
-      outputs[q]->results[r] = streamed[q][r];
-    }
-  }
-  *delivered = deliveries;
-  return std::move(outputs);
-}
-
-// shard.dispatch armed on one shard of four, as an error and as a throw.
-// SearchAll and SearchAllAsync fail exactly that shard's queries with
-// Unavailable (its sub-batch contributes no snippet runs) and every
-// other slot matches a cold single engine. Search and SearchSession
-// homed there return Unavailable, and a failed session
-// search leaves the caller's plan slot untouched. Once disarmed, every
-// entry point serves identically again — the session plan resumes.
-TEST_F(FaultInjectionTest, ShardDispatchFaultFailsOnlyItsShard) {
-  const std::vector<std::string> queries = MiniBankQueries();
-  const std::vector<std::string> baseline = ColdFingerprints(queries);
-  auto reference = MakeEngine(/*threads=*/1, /*cache_capacity=*/0);
-  const size_t bad = ShardOfKey(NormalizedQueryKey(queries[0]), 4);
-  std::vector<bool> on_bad;
-  for (const std::string& query : queries) {
-    on_bad.push_back(ShardOfKey(NormalizedQueryKey(query), 4) == bad);
-  }
-  ASSERT_NE(std::count(on_bad.begin(), on_bad.end(), false), 0)
-      << "every query homes on one shard; the sweep needs a healthy one";
-
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (FailpointSpec::Action action :
-         {FailpointSpec::Action::kError, FailpointSpec::Action::kThrow}) {
-      const bool is_error = action == FailpointSpec::Action::kError;
-      SCOPED_TRACE(std::string(is_error ? "error" : "throw") +
-                   " threads=" + std::to_string(threads));
-      auto router = MakeRouter(FaultConfig(4, threads));
-      // A session plan captured while healthy.
-      std::shared_ptr<const TranslationPlan> plan;
-      auto asked = router->SearchSession(queries[0], {}, &plan);
-      ASSERT_TRUE(asked.ok()) << asked.status();
-      ASSERT_NE(plan, nullptr);
-      const TranslationPlan* const captured = plan.get();
-      ASSERT_FALSE(asked->results.empty());
-      SessionConstraints pinned;
-      pinned.PinTable(asked->results[0].statement.from[0].table);
-
-      FailpointSpec spec;
-      spec.action = action;
-      spec.match = std::to_string(bad);
-      Failpoints::Instance().Arm("shard.dispatch", spec);
-      const uint64_t fires_before =
-          Failpoints::Instance().fires("shard.dispatch");
-
-      auto outputs = router->SearchAll(std::span<const std::string>(queries));
-      size_t delivered = 0;
-      auto streamed = StreamAll(*router, queries, &delivered);
-      ASSERT_EQ(outputs.size(), queries.size());
-      ASSERT_EQ(streamed.size(), queries.size());
-      size_t expected_deliveries = 0;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        for (const auto* output : {&outputs[i], &streamed[i]}) {
-          if (on_bad[i]) {
-            ASSERT_FALSE(output->ok()) << "query " << i;
-            EXPECT_EQ(output->status().code(), StatusCode::kUnavailable);
-          } else {
-            ASSERT_TRUE(output->ok())
-                << "query " << i << ": " << output->status();
-            EXPECT_EQ(Fingerprint(**output), baseline[i]) << "query " << i;
-          }
-        }
-        if (!on_bad[i]) expected_deliveries += streamed[i]->results.size();
-      }
-      EXPECT_EQ(delivered, expected_deliveries);
-
-      auto searched = router->Search(queries[0]);
-      ASSERT_FALSE(searched.ok());
-      EXPECT_EQ(searched.status().code(), StatusCode::kUnavailable);
-
-      auto refined = router->SearchSession(queries[0], pinned, &plan);
-      ASSERT_FALSE(refined.ok());
-      EXPECT_EQ(refined.status().code(), StatusCode::kUnavailable);
-      EXPECT_EQ(plan.get(), captured);
-
-      // One fire per dispatch to the armed shard — nothing retried.
-      EXPECT_EQ(Failpoints::Instance().fires("shard.dispatch") - fires_before,
-                4u);
-
-      Failpoints::Instance().DisarmAll();
-      auto recovered = router->SearchAll(std::span<const std::string>(queries));
-      auto recovered_stream = StreamAll(*router, queries, &delivered);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        ASSERT_TRUE(recovered[i].ok()) << recovered[i].status();
-        EXPECT_EQ(Fingerprint(*recovered[i]), baseline[i]) << "query " << i;
-        ASSERT_TRUE(recovered_stream[i].ok()) << recovered_stream[i].status();
-        EXPECT_EQ(Fingerprint(*recovered_stream[i]), baseline[i])
-            << "query " << i;
-      }
-      auto searched_again = router->Search(queries[0]);
-      ASSERT_TRUE(searched_again.ok()) << searched_again.status();
-      EXPECT_EQ(Fingerprint(*searched_again), baseline[0]);
-      auto resumed = router->SearchSession(queries[0], pinned, &plan);
-      ASSERT_TRUE(resumed.ok()) << resumed.status();
-      EXPECT_EQ(resumed->stages_skipped, 4u);
-      auto cold = reference->Search(queries[0], pinned);
-      ASSERT_TRUE(cold.ok()) << cold.status();
-      EXPECT_EQ(Fingerprint(*resumed), Fingerprint(*cold));
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Engine containment: pool tasks and snippet execution
@@ -302,21 +149,17 @@ TEST_F(FaultInjectionTest, PoolTaskExceptionBecomesPerQueryError) {
 // serve hands its new plan over only when it succeeded, so even a failed
 // binding change (which would have recaptured) keeps the old plan. Once
 // disarmed, the next Refine resumes that plan (Steps 1-4 skipped) and
-// matches a cold constrained Search, on a plain engine and through a
-// 2-shard router alike.
+// matches a cold constrained Search, at one cache stripe and at two.
 TEST_F(FaultInjectionTest, FailedRefineKeepsTheSessionPlan) {
   const std::string query = "customers Zürich financial instruments";
   const std::string term = "financial instruments";
   auto reference = MakeEngine(/*threads=*/1, /*cache_capacity=*/0);
   auto engine = MakeEngine(/*threads=*/4, /*cache_capacity=*/0);
-  SodaConfig router_config = FaultConfig(2, /*threads=*/2);
-  router_config.cache_capacity = 0;
-  auto router = MakeRouter(router_config);
+  auto striped = MakeEngine(/*threads=*/2, /*cache_capacity=*/0,
+                            /*stripes=*/2);
 
-  for (SodaService* service :
-       {static_cast<SodaService*>(engine.get()),
-        static_cast<SodaService*>(router.get())}) {
-    SCOPED_TRACE(service == engine.get() ? "engine" : "router");
+  for (SodaService* service : {engine.get(), striped.get()}) {
+    SCOPED_TRACE(service == engine.get() ? "one stripe" : "two stripes");
     SodaSession session(service);
     auto asked = session.Ask(query);
     ASSERT_TRUE(asked.ok()) << asked.status();
@@ -384,27 +227,21 @@ TEST_F(FaultInjectionTest, SnippetExceptionMarksResultFailed) {
 // Async streaming: the barrier drains through faults (satellite)
 // ---------------------------------------------------------------------------
 
-// A snippet task that throws mid-stream, in an async batch beside a
-// shard whose dispatch failed, still makes every expected callback: the
-// stream runs past the poisoned snippets, the failed shard's queries
-// come back Unavailable with no callbacks, and the poisoned results are
-// marked unexecuted.
-TEST_F(FaultInjectionTest, SnippetStreamRunsBesideAFailedShard) {
+// Snippet tasks that throw mid-stream still make every expected
+// callback: the stream runs past the poisoned snippets, and the poisoned
+// results are marked unexecuted.
+TEST_F(FaultInjectionTest, SnippetStreamRunsPastPoisonedSnippets) {
   std::vector<std::string> queries = MiniBankQueries();
-  size_t bad = ShardOfKey(NormalizedQueryKey(queries[0]), 4);
-  auto router = MakeRouter(FaultConfig(4, /*threads=*/2));
+  auto engine = MakeEngine(/*threads=*/2, /*cache_capacity=*/64,
+                           /*stripes=*/4);
 
-  FailpointSpec dispatch_spec;
-  dispatch_spec.action = FailpointSpec::Action::kError;
-  dispatch_spec.match = std::to_string(bad);
-  Failpoints::Instance().Arm("shard.dispatch", dispatch_spec);
   FailpointSpec snippet_spec;
   snippet_spec.action = FailpointSpec::Action::kThrow;
   Failpoints::Instance().Arm("snippet.execute", snippet_spec);
 
   size_t delivered = 0;
   size_t executed = 0;
-  AsyncSearch search = router->SearchAllAsync(
+  AsyncSearch search = engine->SearchAllAsync(
       std::span<const std::string>(queries),
       [&delivered, &executed](size_t, size_t, const SodaResult& result) {
         if (result.executed) ++executed;
@@ -415,18 +252,10 @@ TEST_F(FaultInjectionTest, SnippetStreamRunsBesideAFailedShard) {
   const std::vector<Result<SearchOutput>>& outputs = search.outputs;
   ASSERT_EQ(outputs.size(), queries.size());
   size_t expected = 0;
-  size_t failed = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (ShardOfKey(NormalizedQueryKey(queries[i]), 4) == bad) {
-      ASSERT_FALSE(outputs[i].ok());
-      EXPECT_EQ(outputs[i].status().code(), StatusCode::kUnavailable);
-      ++failed;
-      continue;
-    }
     ASSERT_TRUE(outputs[i].ok()) << outputs[i].status();
     expected += outputs[i]->results.size();
   }
-  EXPECT_GE(failed, 1u);
   EXPECT_GT(expected, 0u);
   EXPECT_EQ(delivered, expected);
   EXPECT_EQ(summary.delivered, expected);
@@ -533,21 +362,44 @@ TEST_F(FaultInjectionTest, RegistryCountsMatchesAndMaxFires) {
   EXPECT_FALSE(FailpointsArmed());
 }
 
+// The freshness.apply_delta seam passes the appended table's name as its
+// detail: armed to match another table, it is evaluated but never fires,
+// so the delta applies and only the answers that read the table go.
 TEST_F(FaultInjectionTest, MatchFiltersByDetail) {
-  auto router = MakeRouter(FaultConfig(4, /*threads=*/1));
-  std::vector<std::string> queries = MiniBankQueries();
-  size_t home0 = ShardOfKey(NormalizedQueryKey(queries[0]), 4);
-  // Arm a detail that is NOT query 0's home: its dispatch must not fire.
-  FailpointSpec spec;
-  spec.action = FailpointSpec::Action::kThrow;
-  spec.match = std::to_string((home0 + 1) % 4);
-  Failpoints::Instance().Arm("shard.dispatch", spec);
+  auto built = BuildMiniBank();  // private bank: this test mutates it
+  ASSERT_TRUE(built.ok()) << built.status();
+  std::unique_ptr<MiniBank> bank = std::move(built).value();
+  SodaConfig config;
+  config.num_threads = 1;
+  config.cache_capacity = 64;
+  auto engine = SodaEngine::Create(&bank->db, &bank->graph,
+                                   CreditSuissePatternLibrary(), config)
+                    .value();
+  FreshnessManager freshness(&bank->db.change_log());
+  freshness.Track(engine.get());
+  ASSERT_TRUE(engine->Search("sum(investments) group by (currency)").ok());
 
-  const uint64_t fires_before = Failpoints::Instance().fires("shard.dispatch");
-  auto output = router->Search(queries[0]);
-  ASSERT_TRUE(output.ok()) << output.status();
-  EXPECT_GE(Failpoints::Instance().evaluations("shard.dispatch"), 1u);
-  EXPECT_EQ(Failpoints::Instance().fires("shard.dispatch"), fires_before);
+  FailpointSpec spec;
+  spec.action = FailpointSpec::Action::kError;
+  spec.match = "addresses";
+  Failpoints::Instance().Arm("freshness.apply_delta", spec);
+
+  const uint64_t fires_before =
+      Failpoints::Instance().fires("freshness.apply_delta");
+  Table* individuals = bank->db.FindTable("individuals");
+  ASSERT_NE(individuals, nullptr);
+  int64_t id = static_cast<int64_t>(individuals->num_rows()) + 3000;
+  ASSERT_TRUE(individuals
+                  ->Append({Value::Int(id), Value::Str("Detail"),
+                            Value::Str("Matchville"), Value::Int(1),
+                            Value::DateV(Date::FromYmd(1990, 1, 1))})
+                  .ok());
+  EXPECT_GE(Failpoints::Instance().evaluations("freshness.apply_delta"), 1u);
+  EXPECT_EQ(Failpoints::Instance().fires("freshness.apply_delta"),
+            fires_before);
+  EXPECT_EQ(freshness.metrics_snapshot().counter("freshness.delta_failures"),
+            0u);
+  EXPECT_EQ(engine->cache_stats().size, 1u);  // reads no individuals
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // sequences, and the acceptance bar — an engine that stayed up across a
 // mutation (auto-invalidated by the FreshnessManager) answers
 // byte-identically to a freshly created engine over the mutated
-// database, at any shards × threads, while unaffected cache entries
+// database, at any cache stripes × threads, while unaffected cache entries
 // survive.
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "core/engine.h"
 #include "core/freshness.h"
-#include "core/sharded_engine.h"
 #include "core/soda.h"
 #include "datasets/minibank.h"
 #include "pattern/library.h"
@@ -296,10 +295,10 @@ TEST(IncrementalIndexFreshnessTest, RandomMutationSequencesMatchRebuild) {
 // leak mutations across tests), so there is no static dataset here.
 class FreshnessEngineTest : public ::testing::Test {
  protected:
-  static SodaConfig Config(size_t threads, size_t shards) {
+  static SodaConfig Config(size_t threads, size_t stripes) {
     SodaConfig config;
     config.num_threads = threads;
-    config.num_shards = shards;
+    config.num_shards = stripes;
     config.cache_capacity = 64;
     return config;
   }
@@ -311,7 +310,7 @@ TEST_F(FreshnessEngineTest, AutoInvalidationMatchesColdEngineAndIsKeyed) {
   auto bank = BuildMiniBank().value();
   auto engine = SodaEngine::Create(&bank->db, &bank->graph,
                                    CreditSuissePatternLibrary(),
-                                   Config(/*threads=*/2, /*shards=*/1))
+                                   Config(/*threads=*/2, /*stripes=*/1))
                     .value();
   FreshnessManager freshness(&bank->db.change_log());
   freshness.Track(engine.get());
@@ -348,7 +347,7 @@ TEST_F(FreshnessEngineTest, AutoInvalidationMatchesColdEngineAndIsKeyed) {
   // mutation, for every dashboard query.
   auto cold = SodaEngine::Create(&bank->db, &bank->graph,
                                  CreditSuissePatternLibrary(),
-                                 Config(/*threads=*/2, /*shards=*/1))
+                                 Config(/*threads=*/2, /*stripes=*/1))
                   .value();
   for (const std::string& query : queries) {
     auto stayed_up = engine->Search(query);
@@ -363,7 +362,7 @@ TEST_F(FreshnessEngineTest, IgnoredWordGainsBaseDataMatch) {
   auto bank = BuildMiniBank().value();
   auto engine = SodaEngine::Create(&bank->db, &bank->graph,
                                    CreditSuissePatternLibrary(),
-                                   Config(/*threads=*/1, /*shards=*/1))
+                                   Config(/*threads=*/1, /*stripes=*/1))
                     .value();
   FreshnessManager freshness(&bank->db.change_log());
   freshness.Track(engine.get());
@@ -382,7 +381,7 @@ TEST_F(FreshnessEngineTest, IgnoredWordGainsBaseDataMatch) {
   auto after = engine->Search(query);
   auto cold = SodaEngine::Create(&bank->db, &bank->graph,
                                  CreditSuissePatternLibrary(),
-                                 Config(/*threads=*/1, /*shards=*/1))
+                                 Config(/*threads=*/1, /*stripes=*/1))
                   .value();
   auto fresh = cold->Search(query);
   ASSERT_TRUE(after.ok());
@@ -392,27 +391,22 @@ TEST_F(FreshnessEngineTest, IgnoredWordGainsBaseDataMatch) {
   EXPECT_EQ(Fingerprint(*after), Fingerprint(*fresh));
 }
 
-TEST_F(FreshnessEngineTest, ShardedSweepMatchesColdEngine) {
-  // Postings booked by the one-shard runs: a delta is applied once, to
-  // the one core every shard shares, so any shard count books the same.
-  uint64_t single_shard_postings = 0;
-  for (size_t shards : {1, 4}) {
+TEST_F(FreshnessEngineTest, StripedSweepMatchesColdEngine) {
+  // Postings booked by the one-stripe runs: a delta is applied once, to
+  // the engine's one core, so any stripe count books the same.
+  uint64_t single_stripe_postings = 0;
+  for (size_t stripes : {1, 4}) {
     for (size_t threads : {1, 4}) {
       auto bank = BuildMiniBank().value();
-      auto router = ShardedSodaEngine::Create(
-                        &bank->db, &bank->graph, CreditSuissePatternLibrary(),
-                        Config(threads, shards))
+      auto engine = SodaEngine::Create(&bank->db, &bank->graph,
+                                       CreditSuissePatternLibrary(),
+                                       Config(threads, stripes))
                         .value();
-      // One core: every shard serves from the same Soda.
-      for (size_t s = 1; s < router->num_shards(); ++s) {
-        EXPECT_EQ(&router->shard(s).soda(), &router->shard(0).soda())
-            << "shards=" << shards << " shard " << s;
-      }
       FreshnessManager freshness(&bank->db.change_log());
-      freshness.Track(router.get());
+      freshness.Track(engine.get());
 
       const std::vector<std::string> queries = Dashboard();
-      for (const auto& output : router->SearchAll(queries)) {
+      for (const auto& output : engine->SearchAll(queries)) {
         ASSERT_TRUE(output.ok());
       }
 
@@ -421,49 +415,43 @@ TEST_F(FreshnessEngineTest, ShardedSweepMatchesColdEngine) {
       const uint64_t postings =
           freshness.metrics_snapshot().counter("freshness.delta_postings");
       EXPECT_GT(postings, 0u);
-      if (shards == 1 && single_shard_postings == 0) {
-        single_shard_postings = postings;
+      if (stripes == 1 && single_stripe_postings == 0) {
+        single_stripe_postings = postings;
       }
-      EXPECT_EQ(postings, single_shard_postings)
-          << "shards=" << shards << " threads=" << threads;
+      EXPECT_EQ(postings, single_stripe_postings)
+          << "stripes=" << stripes << " threads=" << threads;
 
       auto cold = SodaEngine::Create(&bank->db, &bank->graph,
                                      CreditSuissePatternLibrary(),
-                                     Config(/*threads=*/1, /*shards=*/1))
+                                     Config(/*threads=*/1, /*stripes=*/1))
                       .value();
       std::vector<Result<SearchOutput>> stayed_up =
-          router->SearchAll(queries);
+          engine->SearchAll(queries);
       for (size_t i = 0; i < queries.size(); ++i) {
         auto fresh = cold->Search(queries[i]);
         ASSERT_TRUE(stayed_up[i].ok()) << queries[i];
         ASSERT_TRUE(fresh.ok()) << queries[i];
         EXPECT_EQ(Fingerprint(*stayed_up[i]), Fingerprint(*fresh))
-            << "shards=" << shards << " threads=" << threads << " "
+            << "stripes=" << stripes << " threads=" << threads << " "
             << queries[i];
       }
     }
   }
 }
 
-// Appends race dashboard batches. The 4-shard router with two cache
-// slots per shard also races capacity evictions and re-inserts against
+// Appends race dashboard batches. The 4-stripe engine with two cache
+// slots per stripe also races capacity evictions and re-inserts against
 // the invalidations.
 TEST_F(FreshnessEngineTest, ConcurrentAppendDuringSearchAllIsConsistent) {
-  for (size_t shards : {1, 4}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
+  for (size_t stripes : {1, 4}) {
+    SCOPED_TRACE("stripes=" + std::to_string(stripes));
     auto bank = BuildMiniBank().value();
-    SodaConfig config = Config(/*threads=*/2, shards);
-    if (shards > 1) config.cache_capacity = 2;
-    std::unique_ptr<SodaService> service;
-    if (shards == 1) {
-      service = SodaEngine::Create(&bank->db, &bank->graph,
-                                   CreditSuissePatternLibrary(), config)
-                    .value();
-    } else {
-      service = ShardedSodaEngine::Create(&bank->db, &bank->graph,
-                                          CreditSuissePatternLibrary(), config)
-                    .value();
-    }
+    SodaConfig config = Config(/*threads=*/2, stripes);
+    if (stripes > 1) config.cache_capacity = 2;
+    std::unique_ptr<SodaService> service =
+        SodaEngine::Create(&bank->db, &bank->graph,
+                           CreditSuissePatternLibrary(), config)
+            .value();
     FreshnessManager freshness(&bank->db.change_log());
     freshness.Track(service.get());
 
@@ -504,7 +492,7 @@ TEST_F(FreshnessEngineTest, ConcurrentAppendDuringSearchAllIsConsistent) {
     final_queries.push_back("securities Racer Bond");
     auto cold = SodaEngine::Create(&bank->db, &bank->graph,
                                    CreditSuissePatternLibrary(),
-                                   Config(/*threads=*/2, /*shards=*/1))
+                                   Config(/*threads=*/2, /*stripes=*/1))
                     .value();
     for (const std::string& query : final_queries) {
       auto stayed_up = service->Search(query);
@@ -519,7 +507,7 @@ TEST_F(FreshnessEngineTest, ConcurrentAppendDuringSearchAllIsConsistent) {
 
 TEST_F(FreshnessEngineTest, DisabledCacheTracksNothingAndStaysSafe) {
   auto bank = BuildMiniBank().value();
-  SodaConfig config = Config(/*threads=*/1, /*shards=*/1);
+  SodaConfig config = Config(/*threads=*/1, /*stripes=*/1);
   config.cache_capacity = 0;
   auto engine = SodaEngine::Create(&bank->db, &bank->graph,
                                    CreditSuissePatternLibrary(), config)
@@ -537,20 +525,19 @@ TEST_F(FreshnessEngineTest, DisabledCacheTracksNothingAndStaysSafe) {
 }
 
 // ClearCache is InvalidateWhere over every entry: it empties the cache
-// and books cache.invalidated, on a plain engine and on a router alike.
+// and books cache.invalidated, at one cache stripe and at four.
 TEST_F(FreshnessEngineTest, ClearCacheEvictsAndBooksEveryEntry) {
   auto bank = BuildMiniBank().value();
   auto engine = SodaEngine::Create(&bank->db, &bank->graph,
                                    CreditSuissePatternLibrary(),
-                                   Config(/*threads=*/2, /*shards=*/1))
+                                   Config(/*threads=*/2, /*stripes=*/1))
                     .value();
-  auto router = ShardedSodaEngine::Create(&bank->db, &bank->graph,
-                                          CreditSuissePatternLibrary(),
-                                          Config(/*threads=*/2, /*shards=*/4))
-                    .value();
-  for (SodaService* service : {static_cast<SodaService*>(engine.get()),
-                               static_cast<SodaService*>(router.get())}) {
-    SCOPED_TRACE(service == engine.get() ? "engine" : "router");
+  auto striped = SodaEngine::Create(&bank->db, &bank->graph,
+                                    CreditSuissePatternLibrary(),
+                                    Config(/*threads=*/2, /*stripes=*/4))
+                     .value();
+  for (SodaService* service : {engine.get(), striped.get()}) {
+    SCOPED_TRACE(service == engine.get() ? "one stripe" : "four stripes");
     for (const auto& output : service->SearchAll(Dashboard())) {
       ASSERT_TRUE(output.ok()) << output.status();
     }
@@ -573,7 +560,7 @@ TEST_F(FreshnessEngineTest, EngineOutlivesDestroyedManager) {
   auto bank = BuildMiniBank().value();
   auto engine = SodaEngine::Create(&bank->db, &bank->graph,
                                    CreditSuissePatternLibrary(),
-                                   Config(/*threads=*/1, /*shards=*/1))
+                                   Config(/*threads=*/1, /*stripes=*/1))
                     .value();
   {
     FreshnessManager freshness(&bank->db.change_log());
@@ -588,21 +575,14 @@ TEST_F(FreshnessEngineTest, EngineOutlivesDestroyedManager) {
 // An answer cached before Track carries its own dependencies, so the
 // first append after Track still evicts it.
 TEST_F(FreshnessEngineTest, AnswerCachedBeforeTrackIsInvalidated) {
-  for (size_t shards : {1, 4}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
+  for (size_t stripes : {1, 4}) {
+    SCOPED_TRACE("stripes=" + std::to_string(stripes));
     auto bank = BuildMiniBank().value();
-    std::unique_ptr<SodaService> service;
-    if (shards == 1) {
-      service = SodaEngine::Create(&bank->db, &bank->graph,
-                                   CreditSuissePatternLibrary(),
-                                   Config(/*threads=*/2, shards))
-                    .value();
-    } else {
-      service = ShardedSodaEngine::Create(&bank->db, &bank->graph,
-                                          CreditSuissePatternLibrary(),
-                                          Config(/*threads=*/2, shards))
-                    .value();
-    }
+    std::unique_ptr<SodaService> service =
+        SodaEngine::Create(&bank->db, &bank->graph,
+                           CreditSuissePatternLibrary(),
+                           Config(/*threads=*/2, stripes))
+            .value();
     const std::string query = "customers Zürich financial instruments";
     ASSERT_TRUE(service->Search(query).ok());
     ASSERT_TRUE(service->Search(query)->from_cache);
@@ -616,7 +596,7 @@ TEST_F(FreshnessEngineTest, AnswerCachedBeforeTrackIsInvalidated) {
     EXPECT_FALSE(after->from_cache);
     auto cold = SodaEngine::Create(&bank->db, &bank->graph,
                                    CreditSuissePatternLibrary(),
-                                   Config(/*threads=*/1, /*shards=*/1))
+                                   Config(/*threads=*/1, /*stripes=*/1))
                     .value();
     auto fresh = cold->Search(query);
     ASSERT_TRUE(fresh.ok());
@@ -634,7 +614,7 @@ TEST_F(FreshnessEngineTest, ScriptedAppendsInvalidateTheRecordedKeys) {
   auto bank = BuildMiniBank().value();
   auto engine = SodaEngine::Create(&bank->db, &bank->graph,
                                    CreditSuissePatternLibrary(),
-                                   Config(/*threads=*/2, /*shards=*/1))
+                                   Config(/*threads=*/2, /*stripes=*/1))
                     .value();
   FreshnessManager freshness(&bank->db.change_log());
   freshness.Track(engine.get());
@@ -725,7 +705,7 @@ TEST_F(FreshnessEngineTest, FreshnessCountersSurfaceThroughSink) {
   auto bank = BuildMiniBank().value();
   auto engine = SodaEngine::Create(&bank->db, &bank->graph,
                                    CreditSuissePatternLibrary(),
-                                   Config(/*threads=*/1, /*shards=*/1))
+                                   Config(/*threads=*/1, /*stripes=*/1))
                     .value();
   FreshnessManager freshness(&bank->db.change_log());
   freshness.Track(engine.get());

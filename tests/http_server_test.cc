@@ -2,7 +2,7 @@
 //
 //   - wire-level byte-identity: the POST /search body equals
 //     RenderSearchResponseJson over a direct SearchAll of the same
-//     queries, at 1 and 4 shards — and the two HTTP bodies are identical
+//     queries, at 1 and 4 stripes — and the two HTTP bodies are identical
 //     to each other (the determinism contract survives the network);
 //   - concurrent clients all read identical bytes;
 //   - admission control: with the watermark filled by a blocked
@@ -16,7 +16,7 @@
 //     answered, none crash the server;
 //   - chunked streaming: /search?stream=1 opens with the byte-identical
 //     translation payload and closes with the done event, and whole
-//     streamed bodies are byte-identical at 1, 2 and 4 shards and under
+//     streamed bodies are byte-identical at 1, 2 and 4 stripes and under
 //     concurrent clients; a stream is one write for the head plus one per
 //     unique query's events;
 //   - /healthz and /metrics (every server_* series present).
@@ -34,7 +34,6 @@
 
 #include "common/trace.h"
 #include "core/engine.h"
-#include "core/sharded_engine.h"
 #include "datasets/minibank.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
@@ -76,13 +75,13 @@ class HttpServerTest : public ::testing::Test {
     bank_ = nullptr;
   }
 
-  static std::unique_ptr<ShardedSodaEngine> MakeEngine(size_t shards) {
+  static std::unique_ptr<SodaEngine> MakeEngine(size_t stripes) {
     SodaConfig config;
-    config.num_shards = shards;
+    config.num_shards = stripes;
     config.num_threads = 2;
     config.cache_capacity = 32;
-    auto engine = ShardedSodaEngine::Create(
-        &bank_->db, &bank_->graph, CreditSuissePatternLibrary(), config);
+    auto engine = SodaEngine::Create(&bank_->db, &bank_->graph,
+                                     CreditSuissePatternLibrary(), config);
     EXPECT_TRUE(engine.ok()) << engine.status();
     return std::move(engine).value();
   }
@@ -106,8 +105,8 @@ MiniBank* HttpServerTest::bank_ = nullptr;
 
 // ---------------------------------------------------------------------------
 // Decorators for deterministic shed / drain scenarios. Everything above
-// the engines programs against SodaService, so a test can interpose on
-// the serving path the same way the router does.
+// the engine programs against SodaService, so a test can interpose on
+// the serving path.
 // ---------------------------------------------------------------------------
 
 class ForwardingService : public SodaService {
@@ -206,25 +205,25 @@ class DelayService : public ForwardingService {
 // Byte-identity over the wire
 // ---------------------------------------------------------------------------
 
-TEST_F(HttpServerTest, SearchBodyIsByteIdenticalToDirectSearchAllAcrossShards) {
+TEST_F(HttpServerTest, SearchBodyIsByteIdenticalToDirectSearchAllAcrossStripes) {
   const std::vector<std::string> queries = MiniBankQueries();
   std::vector<std::string> http_bodies;
 
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    auto engine = MakeEngine(shards);
+  for (size_t stripes : {size_t{1}, size_t{4}}) {
+    auto engine = MakeEngine(stripes);
     // The reference bytes: a direct in-process SearchAll rendered with
     // the shared renderer. Computed on a second engine so the HTTP
     // request's cache is cold (from_cache must not leak into the body).
-    auto reference_engine = MakeEngine(shards);
+    auto reference_engine = MakeEngine(stripes);
     auto outputs = reference_engine->SearchAll(queries);
     std::string expected = RenderSearchResponseJson(queries, outputs);
 
     auto server = StartServer(engine.get());
     HttpClient client = Connect(*server);
     auto response = client.Post("/search", BatchBody(queries));
-    ASSERT_TRUE(response.ok()) << response.status() << " shards=" << shards;
-    ASSERT_EQ(response->status, 200) << "shards=" << shards;
-    EXPECT_EQ(response->body, expected) << "shards=" << shards;
+    ASSERT_TRUE(response.ok()) << response.status() << " stripes=" << stripes;
+    ASSERT_EQ(response->status, 200) << "stripes=" << stripes;
+    EXPECT_EQ(response->body, expected) << "stripes=" << stripes;
     EXPECT_EQ(response->header("Content-Type"), "application/json");
     // Observability rides in headers, never the body.
     EXPECT_FALSE(response->header("X-Soda-Wall-Ms").empty());
@@ -238,7 +237,7 @@ TEST_F(HttpServerTest, SearchBodyIsByteIdenticalToDirectSearchAllAcrossShards) {
     ASSERT_TRUE(warm.ok()) << warm.status();
     EXPECT_EQ(warm->body, expected) << "cache state leaked into the body";
   }
-  // 1-shard and 4-shard serving produce identical wire bytes.
+  // 1-stripe and 4-stripe serving produce identical wire bytes.
   ASSERT_EQ(http_bodies.size(), 2u);
   EXPECT_EQ(http_bodies[0], http_bodies[1]);
 }
@@ -510,27 +509,27 @@ TEST_F(HttpServerTest, StreamingSearchDeliversTranslationsThenDone) {
 }
 
 // The wire contract of a streamed body: snippet events come in
-// first-occurrence query order, then result order, whatever the shard
+// first-occurrence query order, then result order, whatever the stripe
 // count. The full bodies — head, every event, done — of the same request
 // sequence (a batch, a batch with in-batch repeats and queries the first
 // one cached, the first batch again warm) are byte-identical at 1, 2
-// and 4 shards.
-TEST_F(HttpServerTest, StreamedBodiesAreByteIdenticalAcrossShardCounts) {
+// and 4 stripes.
+TEST_F(HttpServerTest, StreamedBodiesAreByteIdenticalAcrossStripeCounts) {
   const std::vector<std::string> minibank = MiniBankQueries();
   const std::vector<std::string> repeats = {
       minibank[1], minibank[3], "  addresses   Sara Guttinger",
       minibank[0], minibank[1], minibank[3], "sum(investments"};
   std::vector<std::vector<std::string>> bodies;
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
-    auto engine = MakeEngine(shards);
+  for (size_t stripes : {size_t{1}, size_t{2}, size_t{4}}) {
+    auto engine = MakeEngine(stripes);
     auto server = StartServer(engine.get());
     HttpClient client = Connect(*server);
-    std::vector<std::string>& shard_bodies = bodies.emplace_back();
+    std::vector<std::string>& stripe_bodies = bodies.emplace_back();
     for (const auto* queries : {&minibank, &repeats, &minibank}) {
       auto response = client.Post("/search?stream=1", BatchBody(*queries));
-      ASSERT_TRUE(response.ok()) << response.status() << " shards=" << shards;
-      ASSERT_EQ(response->status, 200) << "shards=" << shards;
-      shard_bodies.push_back(response->body);
+      ASSERT_TRUE(response.ok()) << response.status() << " stripes=" << stripes;
+      ASSERT_EQ(response->status, 200) << "stripes=" << stripes;
+      stripe_bodies.push_back(response->body);
     }
   }
   // Every repeat of a query got its own events; the malformed query none.
@@ -541,19 +540,19 @@ TEST_F(HttpServerTest, StreamedBodiesAreByteIdenticalAcrossShardCounts) {
   for (size_t i = 1; i < bodies.size(); ++i) {
     for (size_t b = 0; b < bodies[0].size(); ++b) {
       EXPECT_EQ(bodies[i][b], bodies[0][b])
-          << "shard count #" << i << " request " << b;
+          << "stripe count #" << i << " request " << b;
     }
   }
 }
 
 // A streamed head never carries snippet payloads, so a request served
 // from the cache sends the bytes its cold run sent: the same batch, cold
-// then warm, gives one body at 1 and at 4 shards.
+// then warm, gives one body at 1 and at 4 stripes.
 TEST_F(HttpServerTest, StreamedBodyIsByteIdenticalColdAndWarm) {
   const std::string body = BatchBody(MiniBankQueries());
-  std::string one_shard;
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    auto engine = MakeEngine(shards);
+  std::string one_stripe;
+  for (size_t stripes : {size_t{1}, size_t{4}}) {
+    auto engine = MakeEngine(stripes);
     auto server = StartServer(engine.get());
     HttpClient client = Connect(*server);
     auto cold = client.Post("/search?stream=1", body);
@@ -565,19 +564,19 @@ TEST_F(HttpServerTest, StreamedBodyIsByteIdenticalColdAndWarm) {
     ASSERT_EQ(warm->status, 200);
     EXPECT_EQ(engine->cache_stats().hits,
               hits_before + MiniBankQueries().size())
-        << "shards=" << shards;
+        << "stripes=" << stripes;
     EXPECT_NE(cold->body.find("\"event\":\"snippet\""), std::string::npos);
-    EXPECT_EQ(warm->body, cold->body) << "shards=" << shards;
-    if (one_shard.empty()) one_shard = cold->body;
-    EXPECT_EQ(cold->body, one_shard) << "shards=" << shards;
+    EXPECT_EQ(warm->body, cold->body) << "stripes=" << stripes;
+    if (one_stripe.empty()) one_stripe = cold->body;
+    EXPECT_EQ(cold->body, one_stripe) << "stripes=" << stripes;
   }
 }
 
-// Concurrent streamed clients against a 4-shard server read the bytes a
-// 1-shard server sends one client, the cache on at both: whichever
+// Concurrent streamed clients against a 4-stripe server read the bytes a
+// 1-stripe server sends one client, the cache on at both: whichever
 // client's stream caches an answer first, every head renders like a miss
 // and every stream delivers the same events.
-TEST_F(HttpServerTest, ConcurrentStreamedClientsReadTheOneShardBytes) {
+TEST_F(HttpServerTest, ConcurrentStreamedClientsReadTheOneStripeBytes) {
   const std::vector<std::string> queries = MiniBankQueries();
   const std::string body =
       BatchBody({queries[0], queries[1], queries[2], queries[1], queries[3]});

@@ -1,6 +1,6 @@
 // Tests for the compiled closure layer: a fresh core's cold-memo output
-// must be Fingerprint-identical to its warm-memo output, and the sharded
-// engines across shard/thread sweeps to the serial Soda::Search
+// must be Fingerprint-identical to its warm-memo output, and the engine
+// across cache-stripe/thread sweeps to the serial Soda::Search
 // reference; the APSP join-path closure must agree with a naive
 // per-call BFS reference on random subgraphs and on the mini-bank; the
 // count-only index probes must agree with the materializing lookups;
@@ -23,7 +23,6 @@
 #include "core/closure.h"
 #include "core/engine.h"
 #include "core/join_graph.h"
-#include "core/sharded_engine.h"
 #include "core/soda.h"
 #include "datasets/enterprise.h"
 #include "datasets/minibank.h"
@@ -242,10 +241,10 @@ TEST_F(PipelineClosureTest, SerialEnterpriseWarmMemoMatchesCold) {
 }
 
 // ---------------------------------------------------------------------------
-// Fingerprint identity, sharded engines across shards x threads
+// Fingerprint identity, the engine across cache stripes x threads
 // ---------------------------------------------------------------------------
 
-TEST_F(PipelineClosureTest, ShardedMiniBankSweepMatchesSerial) {
+TEST_F(PipelineClosureTest, StripedMiniBankSweepMatchesSerial) {
   auto baseline = Soda::Create(&bank_->db, &bank_->graph,
                                CreditSuissePatternLibrary(), SodaConfig());
   ASSERT_TRUE(baseline.ok()) << baseline.status();
@@ -256,43 +255,30 @@ TEST_F(PipelineClosureTest, ShardedMiniBankSweepMatchesSerial) {
     ASSERT_TRUE(output.ok()) << output.status();
     expected.push_back(Fingerprint(*output));
   }
-  for (size_t shards : {1u, 4u}) {
+  for (size_t stripes : {1u, 4u}) {
     for (size_t threads : {1u, 4u}) {
       SodaConfig config;
-      config.num_shards = shards;
+      config.num_shards = stripes;
       config.num_threads = threads;
-      auto router = ShardedSodaEngine::Create(&bank_->db, &bank_->graph,
-                                              CreditSuissePatternLibrary(),
-                                              config);
-      ASSERT_TRUE(router.ok()) << router.status();
-      auto outputs = (*router)->SearchAll(queries);
+      auto engine = SodaEngine::Create(&bank_->db, &bank_->graph,
+                                       CreditSuissePatternLibrary(), config);
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      auto outputs = (*engine)->SearchAll(queries);
       for (size_t q = 0; q < queries.size(); ++q) {
         ASSERT_TRUE(outputs[q].ok()) << outputs[q].status();
         EXPECT_EQ(Fingerprint(*outputs[q]), expected[q])
-            << "shards=" << shards << " threads=" << threads << " query="
+            << "stripes=" << stripes << " threads=" << threads << " query="
             << queries[q];
       }
     }
   }
 }
 
-// The enterprise-workload router comparison lives in
+// The enterprise-workload sweep lives in
 // closure_enterprise_test.cc: it builds several more enterprise engines,
 // which does not fit the sanitizer legs' per-binary ctest timeout, and
 // the concurrency surface it would cover is already held under TSan by
 // the minibank sweep above.
-
-TEST_F(PipelineClosureTest, ShardsShareOneEntryPointClosure) {
-  SodaConfig config;
-  config.num_shards = 2;
-  config.num_threads = 1;
-  auto router = ShardedSodaEngine::Create(&bank_->db, &bank_->graph,
-                                          CreditSuissePatternLibrary(),
-                                          config);
-  ASSERT_TRUE(router.ok()) << router.status();
-  EXPECT_EQ(&(*router)->shard(0).soda().entry_point_closure(),
-            &(*router)->shard(1).soda().entry_point_closure());
-}
 
 // ---------------------------------------------------------------------------
 // APSP closure vs the naive BFS reference
@@ -427,20 +413,19 @@ TEST_F(PipelineClosureTest, ClosureCountersSurfaceOnEngine) {
   EXPECT_GT(snapshot.counter("closure.path_lookups"), 0u);
 }
 
-TEST_F(PipelineClosureTest, ClosureCountersSurfaceOnShardedEngine) {
+TEST_F(PipelineClosureTest, ClosureCountersSurfaceOnStripedEngine) {
   SodaConfig config;
   config.num_shards = 2;
   config.num_threads = 1;
   config.cache_capacity = 0;
-  auto router = ShardedSodaEngine::Create(&bank_->db, &bank_->graph,
-                                          CreditSuissePatternLibrary(),
-                                          config);
-  ASSERT_TRUE(router.ok()) << router.status();
+  auto engine = SodaEngine::Create(&bank_->db, &bank_->graph,
+                                   CreditSuissePatternLibrary(), config);
+  ASSERT_TRUE(engine.ok()) << engine.status();
   std::vector<std::string> queries = MiniBankQueries();
-  for (const auto& output : (*router)->SearchAll(queries)) {
+  for (const auto& output : (*engine)->SearchAll(queries)) {
     ASSERT_TRUE(output.ok()) << output.status();
   }
-  MetricsSnapshot snapshot = (*router)->metrics_snapshot();
+  MetricsSnapshot snapshot = (*engine)->metrics_snapshot();
   EXPECT_GT(snapshot.counter("closure.traverse_misses"), 0u);
   EXPECT_GT(snapshot.counter("closure.path_lookups"), 0u);
 }

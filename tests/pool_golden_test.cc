@@ -8,13 +8,14 @@
 // 64-bit FNV-1a. The digests are pinned in tests/data/pool_digest.txt,
 // one line per query, so a diff names the queries that moved.
 //
-// The pool is answered in four shapes (shards x workers): 1 x 1 and
-// 1 x 4 with a cold cache, so every answer is computed, and 4 x 1 and
-// 4 x 4 after a warm-up pass, so every answer comes from the result
-// cache. Every shape must match the pinned digests. On a mismatch the test prints the full rendering of
-// the first differing query and writes the actual digests to
-// pool_digest.actual.txt in the working directory; after checking that
-// the new output is intended, copy that file over the pinned one.
+// The pool is answered in four shapes (cache stripes x workers): 1 x 1
+// and 1 x 4 with a cold cache, so every answer is computed, and 4 x 1
+// and 4 x 4 after a warm-up pass, so every answer comes from the result
+// cache. Every shape must match the pinned digests. On a mismatch the
+// test prints the full rendering of the first differing query and
+// writes the actual digests to pool_digest.actual.txt in the working
+// directory; after checking that the new output is intended, copy that
+// file over the pinned one.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,7 @@
 #include <vector>
 
 #include "common/strings.h"
-#include "core/sharded_engine.h"
+#include "core/engine.h"
 #include "datasets/enterprise.h"
 #include "inputs.h"
 #include "pattern/library.h"
@@ -51,14 +52,14 @@ class PoolGoldenTest : public ::testing::Test {
     delete warehouse_;
   }
 
-  static std::unique_ptr<ShardedSodaEngine> MakeEngine(size_t shards,
-                                                       size_t threads) {
+  static std::unique_ptr<SodaEngine> MakeEngine(size_t stripes,
+                                                size_t threads) {
     SodaConfig config;
-    config.num_shards = shards;
+    config.num_shards = stripes;
     config.num_threads = threads;
-    config.cache_capacity = kPoolSize;  // per shard: the whole pool fits
-    return ShardedSodaEngine::Create(&warehouse_->db, &warehouse_->graph,
-                                     CreditSuissePatternLibrary(), config)
+    config.cache_capacity = kPoolSize;  // per stripe: the whole pool fits
+    return SodaEngine::Create(&warehouse_->db, &warehouse_->graph,
+                              CreditSuissePatternLibrary(), config)
         .value();
   }
 
@@ -128,19 +129,19 @@ class PoolGoldenTest : public ::testing::Test {
            << kActualPath;
   }
 
-  // Answers the whole pool on a fresh engine of `shards` x `threads`: once
+  // Answers the whole pool on a fresh engine of `stripes` x `threads`: once
   // cold, or, with `warm`, again after a warm-up pass, so every answer is
   // a cache hit. Every answer must match its pinned digest.
-  static void ExpectShapeMatchesPinned(size_t shards, size_t threads,
+  static void ExpectShapeMatchesPinned(size_t stripes, size_t threads,
                                        bool warm) {
-    auto engine = MakeEngine(shards, threads);
-    if (warm) engine->SearchAll(*pool_);  // fills every shard's cache
+    auto engine = MakeEngine(stripes, threads);
+    if (warm) engine->SearchAll(*pool_);  // fills every stripe
     std::vector<Result<SearchOutput>> outputs = engine->SearchAll(*pool_);
     for (const auto& output : outputs) {
       if (output.ok()) ASSERT_EQ(output->from_cache, warm);
     }
-    ExpectMatchesPinned(outputs, StrFormat("%zu shard(s) x %zu thread(s), %s",
-                                           shards, threads,
+    ExpectMatchesPinned(outputs, StrFormat("%zu stripe(s) x %zu thread(s), %s",
+                                           stripes, threads,
                                            warm ? "warm" : "cold")
                                      .c_str());
   }
@@ -152,19 +153,19 @@ class PoolGoldenTest : public ::testing::Test {
 EnterpriseWarehouse* PoolGoldenTest::warehouse_ = nullptr;
 std::vector<std::string>* PoolGoldenTest::pool_ = nullptr;
 
-TEST_F(PoolGoldenTest, OneShardOneThreadColdMatchesPinnedDigests) {
+TEST_F(PoolGoldenTest, OneStripeOneThreadColdMatchesPinnedDigests) {
   ExpectShapeMatchesPinned(1, 1, /*warm=*/false);
 }
 
-TEST_F(PoolGoldenTest, OneShardFourThreadsColdMatchesPinnedDigests) {
+TEST_F(PoolGoldenTest, OneStripeFourThreadsColdMatchesPinnedDigests) {
   ExpectShapeMatchesPinned(1, 4, /*warm=*/false);
 }
 
-TEST_F(PoolGoldenTest, FourShardsOneThreadWarmMatchesPinnedDigests) {
+TEST_F(PoolGoldenTest, FourStripesOneThreadWarmMatchesPinnedDigests) {
   ExpectShapeMatchesPinned(4, 1, /*warm=*/true);
 }
 
-TEST_F(PoolGoldenTest, FourShardsFourThreadsWarmMatchesPinnedDigests) {
+TEST_F(PoolGoldenTest, FourStripesFourThreadsWarmMatchesPinnedDigests) {
   ExpectShapeMatchesPinned(4, 4, /*warm=*/true);
 }
 

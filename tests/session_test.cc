@@ -3,8 +3,8 @@
 // constraint enforcement, constrained answers bypassing the result cache,
 // and the acceptance bar — Refine resumes the captured TranslationPlan
 // (skipping stages per the constraint-change matrix) yet answers
-// byte-identically to a cold constrained translation, at any shards x
-// threads; any base-data mutation — whether or not it touches the
+// byte-identically to a cold constrained translation, at any cache
+// stripes x threads; any base-data mutation — whether or not it touches the
 // plan's terms, with or without a FreshnessManager — invalidates the
 // plan, and the next Refine silently runs the full pipeline again.
 //
@@ -24,7 +24,6 @@
 #include "core/engine.h"
 #include "core/freshness.h"
 #include "core/session.h"
-#include "core/sharded_engine.h"
 #include "core/soda.h"
 #include "datasets/minibank.h"
 #include "pattern/library.h"
@@ -382,19 +381,14 @@ TEST_F(SessionTest, RefineBeforeAskErrors) {
 // ---------------------------------------------------------------------------
 
 TEST_F(SessionTest, RefineMatchesColdConstrainedTranslation) {
-  for (size_t shards : {1u, 4u}) {
+  for (size_t stripes : {1u, 4u}) {
     for (size_t threads : {1u, 4u}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
+      SCOPED_TRACE("stripes=" + std::to_string(stripes) +
                    " threads=" + std::to_string(threads));
-      SodaConfig config;
-      config.num_shards = shards;
-      config.num_threads = threads;
-      config.cache_capacity = 0;  // every serve translates
-      auto router = ShardedSodaEngine::Create(&bank_->db, &bank_->graph,
-                                              CreditSuissePatternLibrary(),
-                                              config);
-      ASSERT_TRUE(router.ok()) << router.status();
-      SodaService* service = router->get();
+      SodaConfig config = Config(threads, /*cache=*/0);  // all translate
+      config.num_shards = stripes;
+      auto engine = Engine(config);
+      SodaService* service = engine.get();
 
       SodaSession session(service);
       auto first = session.Ask(kMultiResult);
@@ -425,7 +419,6 @@ TEST_F(SessionTest, RefineMatchesColdConstrainedTranslation) {
       MetricsSnapshot snapshot = service->metrics_snapshot();
       EXPECT_GT(snapshot.counter("session.stages_skipped"), 0u);
       EXPECT_EQ(snapshot.counter("session.refines"), 2u);
-      EXPECT_EQ(snapshot.counter("router.session_queries"), 3u);
     }
   }
 }
@@ -473,25 +466,17 @@ TEST_F(SessionTest, ConstrainedAnswersBypassResultCache) {
 
 // Cache pollution: a session steering through twice the cache's capacity
 // in distinct constraint sets evicts nothing, so the hot unconstrained
-// question of the same shard is still served from cache afterwards.
+// question of the same stripe is still served from cache afterwards.
 TEST_F(SessionTest, ConstrainedRefinesDoNotEvictHotQuestions) {
   constexpr size_t kCapacity = 4;
   std::vector<std::string> tables;
   for (const Table* table : bank_->db.tables()) tables.push_back(table->name());
   ASSERT_GE(tables.size(), 2 * kCapacity);
-  for (size_t shards : {1u, 2u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
+  for (size_t stripes : {1u, 2u}) {
+    SCOPED_TRACE("stripes=" + std::to_string(stripes));
     SodaConfig config = Config(/*threads=*/2, kCapacity);
-    config.num_shards = shards;
-    std::unique_ptr<SodaService> service;
-    if (shards == 1) {
-      service = Engine(config);
-    } else {
-      auto router = ShardedSodaEngine::Create(
-          &bank_->db, &bank_->graph, CreditSuissePatternLibrary(), config);
-      ASSERT_TRUE(router.ok()) << router.status();
-      service = std::move(router).value();
-    }
+    config.num_shards = stripes;
+    std::unique_ptr<SodaService> service = Engine(config);
     ASSERT_TRUE(service->Search(kMultiResult).ok());
 
     SodaSession session(service.get());
@@ -588,29 +573,28 @@ TEST_F(SessionTest, MutationInvalidatesPlanAndRefineMatchesColdEngine) {
 }
 
 // One staleness rule for every plan: an append whose tokens the plan
-// never probed still voids it, at any shard count, whether or not a
+// never probed still voids it, at any stripe count, whether or not a
 // FreshnessManager tracks the service.
 TEST_F(SessionTest, UnrelatedAppendStillVoidsPlan) {
-  for (size_t shards : {1u, 4u}) {
+  for (size_t stripes : {1u, 4u}) {
     for (bool tracked : {false, true}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
+      SCOPED_TRACE("stripes=" + std::to_string(stripes) +
                    " tracked=" + std::to_string(tracked));
       // This test mutates the database, so it builds its own mini-bank.
       auto bank = BuildMiniBank().value();
       SodaConfig config = Config(/*threads=*/2, /*cache=*/0);
-      config.num_shards = shards;
-      auto router = ShardedSodaEngine::Create(&bank->db, &bank->graph,
-                                              CreditSuissePatternLibrary(),
-                                              config)
+      config.num_shards = stripes;
+      auto engine = SodaEngine::Create(&bank->db, &bank->graph,
+                                       CreditSuissePatternLibrary(), config)
                         .value();
       std::unique_ptr<FreshnessManager> freshness;
       if (tracked) {
         freshness =
             std::make_unique<FreshnessManager>(&bank->db.change_log());
-        freshness->Track(router.get());
+        freshness->Track(engine.get());
       }
 
-      SodaSession session(router.get());
+      SodaSession session(engine.get());
       ASSERT_TRUE(session.Ask(kSteerable).ok());
       ASSERT_TRUE(session.BanTable("fi_contains_sec").Refine().ok());
       EXPECT_EQ(session.last_stages_skipped(), 4u);
@@ -619,7 +603,7 @@ TEST_F(SessionTest, UnrelatedAppendStillVoidsPlan) {
       auto refined = session.Refine();
       ASSERT_TRUE(refined.ok()) << refined.status();
       EXPECT_EQ(session.last_stages_skipped(), 0u);
-      auto cold = router->Search(kSteerable, session.constraints());
+      auto cold = engine->Search(kSteerable, session.constraints());
       ASSERT_TRUE(cold.ok()) << cold.status();
       EXPECT_EQ(Fingerprint(*refined), Fingerprint(*cold));
 
@@ -661,17 +645,16 @@ TEST_F(SessionTest, SessionOutlivesFreshnessManager) {
 // Plans cached beside answers
 // ---------------------------------------------------------------------------
 
-// A router at `shards` shards with the result cache on.
-std::unique_ptr<ShardedSodaEngine> CachedRouter(MiniBank* bank,
-                                                size_t shards) {
+// An engine of `stripes` cache stripes with the result cache on.
+std::unique_ptr<SodaEngine> CachedEngine(MiniBank* bank, size_t stripes) {
   SodaConfig config;
-  config.num_shards = shards;
+  config.num_shards = stripes;
   config.num_threads = 2;
   config.cache_capacity = 64;
-  auto router = ShardedSodaEngine::Create(&bank->db, &bank->graph,
-                                          CreditSuissePatternLibrary(), config);
-  EXPECT_TRUE(router.ok()) << router.status();
-  return std::move(router).value();
+  auto engine = SodaEngine::Create(&bank->db, &bank->graph,
+                                   CreditSuissePatternLibrary(), config);
+  EXPECT_TRUE(engine.ok()) << engine.status();
+  return std::move(engine).value();
 }
 
 // The cold constrained translation every session answer must equal: a
@@ -693,17 +676,17 @@ std::string ColdFingerprint(MiniBank* bank, const std::string& query,
 // answer, so term candidates are there to bind and the first Refine
 // resumes instead of re-running Steps 1-4.
 TEST_F(SessionTest, CachedAskKeepsTermCandidates) {
-  for (size_t shards : {1u, 4u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    auto router = CachedRouter(bank_, shards);
-    SodaSession cold(router.get());
+  for (size_t stripes : {1u, 4u}) {
+    SCOPED_TRACE("stripes=" + std::to_string(stripes));
+    auto engine = CachedEngine(bank_, stripes);
+    SodaSession cold(engine.get());
     auto first = cold.Ask(kSteerable);
     ASSERT_TRUE(first.ok()) << first.status();
     ASSERT_FALSE(first->from_cache);
     const auto expected = cold.TermCandidates("financial instruments");
     ASSERT_EQ(expected.size(), 2u);
 
-    SodaSession cached(router.get());
+    SodaSession cached(engine.get());
     auto second = cached.Ask(kSteerable);
     ASSERT_TRUE(second.ok()) << second.status();
     EXPECT_TRUE(second->from_cache);
@@ -718,16 +701,16 @@ TEST_F(SessionTest, CachedAskKeepsTermCandidates) {
 // every answer equal to a cold constrained translation, and no peek
 // books a cache hit or miss.
 TEST_F(SessionTest, RefinesAfterCachedAskResumeTheCachedPlan) {
-  for (size_t shards : {1u, 2u, 4u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    auto router = CachedRouter(bank_, shards);
-    ASSERT_TRUE(SodaSession(router.get()).Ask(kSteerable).ok());
+  for (size_t stripes : {1u, 2u, 4u}) {
+    SCOPED_TRACE("stripes=" + std::to_string(stripes));
+    auto engine = CachedEngine(bank_, stripes);
+    ASSERT_TRUE(SodaSession(engine.get()).Ask(kSteerable).ok());
 
     // First Refine a pin/ban.
-    SodaSession banning(router.get());
+    SodaSession banning(engine.get());
     ASSERT_TRUE(banning.Ask(kSteerable).ok());
     EXPECT_EQ(banning.last_stages_skipped(), 5u);
-    const CacheStats before = router->cache_stats();
+    const CacheStats before = engine->cache_stats();
     auto banned = banning.BanTable("fi_contains_sec").Refine();
     ASSERT_TRUE(banned.ok()) << banned.status();
     EXPECT_EQ(banning.last_stages_skipped(), 4u);
@@ -753,7 +736,7 @@ TEST_F(SessionTest, RefinesAfterCachedAskResumeTheCachedPlan) {
     EXPECT_EQ(Fingerprint(*unbound), Fingerprint(*banned));
 
     // First Refine a bind.
-    SodaSession binding(router.get());
+    SodaSession binding(engine.get());
     ASSERT_TRUE(binding.Ask(kSteerable).ok());
     auto first_bind =
         binding.BindTerm("financial instruments", candidates[0].first)
@@ -764,7 +747,7 @@ TEST_F(SessionTest, RefinesAfterCachedAskResumeTheCachedPlan) {
               ColdFingerprint(bank_, kSteerable, binding.constraints()));
 
     // Only the two Asks touched the books, as hits.
-    const CacheStats after = router->cache_stats();
+    const CacheStats after = engine->cache_stats();
     EXPECT_EQ(after.misses, before.misses);
     EXPECT_EQ(after.hits, before.hits + 1);
     EXPECT_EQ(after.size, before.size);
@@ -776,13 +759,13 @@ TEST_F(SessionTest, RefinesAfterCachedAskResumeTheCachedPlan) {
 // bans, re-ranking when bindings are carried.
 TEST_F(SessionTest, ChangedQuestionResumesFromCachedPlan) {
   const std::string other = "addresses Sara Guttinger";
-  for (size_t shards : {1u, 2u, 4u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    auto router = CachedRouter(bank_, shards);
-    ASSERT_TRUE(SodaSession(router.get()).Ask(other).ok());
-    const CacheStats before = router->cache_stats();
+  for (size_t stripes : {1u, 2u, 4u}) {
+    SCOPED_TRACE("stripes=" + std::to_string(stripes));
+    auto engine = CachedEngine(bank_, stripes);
+    ASSERT_TRUE(SodaSession(engine.get()).Ask(other).ok());
+    const CacheStats before = engine->cache_stats();
 
-    SodaSession session(router.get());
+    SodaSession session(engine.get());
     ASSERT_TRUE(session.Ask(kSteerable).ok());
     EXPECT_EQ(session.last_stages_skipped(), 0u);
     ASSERT_TRUE(session.BanTable("securities").Refine().ok());
@@ -809,7 +792,7 @@ TEST_F(SessionTest, ChangedQuestionResumesFromCachedPlan) {
 
     // The Ask missed and filled its entry; no constrained serve touched
     // the books.
-    const CacheStats after = router->cache_stats();
+    const CacheStats after = engine->cache_stats();
     EXPECT_EQ(after.misses, before.misses + 1);
     EXPECT_EQ(after.hits, before.hits);
   }
@@ -824,28 +807,28 @@ TEST_F(SessionTest, StaleCachedPlanIsNotResumed) {
   // Reads no individuals and probes none of the appended tokens, so a
   // tracking FreshnessManager keeps its entry.
   const std::string survivor = "money transactions CHF";
-  for (size_t shards : {1u, 2u, 4u}) {
+  for (size_t stripes : {1u, 2u, 4u}) {
     for (bool tracked : {false, true}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
+      SCOPED_TRACE("stripes=" + std::to_string(stripes) +
                    " tracked=" + std::to_string(tracked));
       // This test mutates the database, so it builds its own mini-bank.
       auto bank = BuildMiniBank().value();
-      auto router = CachedRouter(bank.get(), shards);
+      auto engine = CachedEngine(bank.get(), stripes);
       std::unique_ptr<FreshnessManager> freshness;
       if (tracked) {
         freshness =
             std::make_unique<FreshnessManager>(&bank->db.change_log());
-        freshness->Track(router.get());
+        freshness->Track(engine.get());
       }
-      auto warm = SodaSession(router.get()).Ask(survivor);
+      auto warm = SodaSession(engine.get()).Ask(survivor);
       ASSERT_TRUE(warm.ok()) << warm.status();
       ASSERT_FALSE(warm->results.empty());
-      ASSERT_TRUE(SodaSession(router.get()).Ask(kSteerable).ok());
+      ASSERT_TRUE(SodaSession(engine.get()).Ask(kSteerable).ok());
       const std::string table = warm->results[0].statement.from[0].table;
 
       AppendUnprobedIndividual(&bank->db);
 
-      SodaSession session(router.get());
+      SodaSession session(engine.get());
       auto asked = session.Ask(survivor);
       ASSERT_TRUE(asked.ok()) << asked.status();
       EXPECT_TRUE(asked->from_cache);
@@ -860,7 +843,7 @@ TEST_F(SessionTest, StaleCachedPlanIsNotResumed) {
       // The steerable question reads individuals: a tracked service
       // evicted its entry and plan, so its Ask recaptures; untracked, the
       // answer is still cached and its stale plan ignored.
-      SodaSession steering(router.get());
+      SodaSession steering(engine.get());
       auto steered = steering.Ask(kSteerable);
       ASSERT_TRUE(steered.ok()) << steered.status();
       EXPECT_EQ(steered->from_cache, !tracked);
@@ -878,7 +861,7 @@ TEST_F(SessionTest, StaleCachedPlanIsNotResumed) {
 // records the dependency terms; its answer is still cached with the same
 // dependency record as a cold serve's.
 TEST_F(SessionTest, ResumedAnswerIsCachedWithItsDependencies) {
-  auto router = CachedRouter(bank_, 1);
+  auto engine = CachedEngine(bank_, 1);
   std::vector<std::vector<std::string>> records;
   const CachePredicate take = [&](const std::string&,
                                   const CachedAnswer& entry) {
@@ -886,14 +869,14 @@ TEST_F(SessionTest, ResumedAnswerIsCachedWithItsDependencies) {
     records.push_back(entry.tables);
     return true;
   };
-  SodaSession session(router.get());
+  SodaSession session(engine.get());
   ASSERT_TRUE(session.Ask(kSteerable).ok());
-  ASSERT_EQ(router->InvalidateWhere(take), 1u);
+  ASSERT_EQ(engine->InvalidateWhere(take), 1u);
   auto resumed = session.Refine();
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_FALSE(resumed->from_cache);
   EXPECT_EQ(session.last_stages_skipped(), 4u);
-  ASSERT_EQ(router->InvalidateWhere(take), 1u);
+  ASSERT_EQ(engine->InvalidateWhere(take), 1u);
   ASSERT_EQ(records.size(), 4u);
   EXPECT_FALSE(records[0].empty());
   EXPECT_FALSE(records[1].empty());
@@ -906,12 +889,12 @@ TEST_F(SessionTest, ResumedAnswerIsCachedWithItsDependencies) {
 // runs cold (a peek finds no plan either), captures one and equals a cold
 // constrained translation. The next Refine resumes that capture.
 TEST_F(SessionTest, PlainSearchFillsNoPlan) {
-  for (size_t shards : {1u, 4u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    auto router = CachedRouter(bank_, shards);
-    ASSERT_TRUE(router->Search(kSteerable).ok());
+  for (size_t stripes : {1u, 4u}) {
+    SCOPED_TRACE("stripes=" + std::to_string(stripes));
+    auto engine = CachedEngine(bank_, stripes);
+    ASSERT_TRUE(engine->Search(kSteerable).ok());
 
-    SodaSession session(router.get());
+    SodaSession session(engine.get());
     auto asked = session.Ask(kSteerable);
     ASSERT_TRUE(asked.ok()) << asked.status();
     EXPECT_TRUE(asked->from_cache);

@@ -1,9 +1,9 @@
 // Tests for the interned-token index core: the TokenDict contract, a
 // randomized equivalence sweep of the packed phrase matcher against a
 // naive string-compare reference, ApplyDelta equivalence with a rebuild
-// when the index shares the event's dictionary, and the shard sweep —
-// every shard of a ShardedSodaEngine shares ONE dictionary instance
-// while answering byte-identically at any shards × threads.
+// when the index shares the event's dictionary, and the stripe sweep —
+// an engine's index shares the database's ONE dictionary instance while
+// answering byte-identically at any cache stripes × threads.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/sharded_engine.h"
+#include "core/engine.h"
 #include "core/soda.h"
 #include "datasets/minibank.h"
 #include "pattern/library.h"
@@ -266,7 +266,7 @@ std::string Fingerprint(const SearchOutput& output) {
   return fp;
 }
 
-TEST(SharedDictShardSweepTest, ReplicasShareOneDictionaryByteIdentically) {
+TEST(SharedDictStripeSweepTest, IndexSharesOneDictionaryByteIdentically) {
   const std::vector<std::string> queries = {
       "customers Zürich financial instruments",
       "addresses Sara Guttinger",
@@ -281,9 +281,9 @@ TEST(SharedDictShardSweepTest, ReplicasShareOneDictionaryByteIdentically) {
     SodaConfig config;
     config.num_shards = 1;
     config.num_threads = 1;
-    auto engine = std::move(ShardedSodaEngine::Create(
-                                &bank->db, &bank->graph,
-                                CreditSuissePatternLibrary(), config))
+    auto engine = std::move(SodaEngine::Create(&bank->db, &bank->graph,
+                                               CreditSuissePatternLibrary(),
+                                               config))
                       .value();
     for (const std::string& query : queries) {
       auto output = engine->Search(query);
@@ -292,28 +292,26 @@ TEST(SharedDictShardSweepTest, ReplicasShareOneDictionaryByteIdentically) {
     }
   }
 
-  for (size_t shards : {1u, 4u}) {
+  for (size_t stripes : {1u, 4u}) {
     for (size_t threads : {1u, 4u}) {
       auto bank = std::move(BuildMiniBank()).value();
       SodaConfig config;
-      config.num_shards = shards;
+      config.num_shards = stripes;
       config.num_threads = threads;
-      auto engine = std::move(ShardedSodaEngine::Create(
-                                  &bank->db, &bank->graph,
-                                  CreditSuissePatternLibrary(), config))
+      auto engine = std::move(SodaEngine::Create(&bank->db, &bank->graph,
+                                                 CreditSuissePatternLibrary(),
+                                                 config))
                         .value();
-      // One dictionary instance across the whole fleet: every replica's
-      // index AND the database point at the same TokenDict.
-      for (size_t s = 0; s < engine->num_shards(); ++s) {
-        EXPECT_EQ(engine->shard(s).soda().inverted_index().token_dict().get(),
-                  bank->db.token_dict().get())
-            << shards << "x" << threads << " shard " << s;
-      }
+      // One dictionary instance: the engine's index AND the database
+      // point at the same TokenDict.
+      EXPECT_EQ(engine->soda().inverted_index().token_dict().get(),
+                bank->db.token_dict().get())
+          << stripes << "x" << threads;
       for (size_t q = 0; q < queries.size(); ++q) {
         auto output = engine->Search(queries[q]);
         ASSERT_TRUE(output.ok()) << queries[q];
         EXPECT_EQ(Fingerprint(*output), baseline[q])
-            << queries[q] << " at " << shards << "x" << threads;
+            << queries[q] << " at " << stripes << "x" << threads;
       }
     }
   }

@@ -13,9 +13,9 @@
 //   - deferred parentage: snippet.stream spans recorded inside Run(),
 //     after SearchAllAsync returned, parent under the batch span;
 //   - ranked output is byte-identical with tracing off vs sample-all,
-//     at shards {1,4} x threads {1,4};
+//     at cache stripes {1,4} x threads {1,4};
 //   - a deliberately stalled query (snippet.execute failpoint) surfaces
-//     through the slow filter with its stage, shard and cache outcome;
+//     through the slow filter with its stage and cache outcome;
 //   - the three latency views of every stage — span durations, the
 //     stage.<name>.ms histogram and the response's StepTimings — agree
 //     on the single-query, batch and session-resume paths;
@@ -36,7 +36,6 @@
 #include "common/failpoint.h"
 #include "common/trace.h"
 #include "core/engine.h"
-#include "core/sharded_engine.h"
 #include "datasets/minibank.h"
 #include "net/search_json.h"
 #include "pattern/library.h"
@@ -83,14 +82,14 @@ class TraceEngineTest : public ::testing::Test {
     return std::move(engine).value();
   }
 
-  static std::unique_ptr<ShardedSodaEngine> MakeSharded(size_t shards,
-                                                        size_t threads) {
+  static std::unique_ptr<SodaEngine> MakeStriped(size_t stripes,
+                                                 size_t threads) {
     SodaConfig config;
-    config.num_shards = shards;
+    config.num_shards = stripes;
     config.num_threads = threads;
     config.cache_capacity = 32;
-    auto engine = ShardedSodaEngine::Create(
-        &bank_->db, &bank_->graph, CreditSuissePatternLibrary(), config);
+    auto engine = SodaEngine::Create(&bank_->db, &bank_->graph,
+                                     CreditSuissePatternLibrary(), config);
     EXPECT_TRUE(engine.ok()) << engine.status();
     return std::move(engine).value();
   }
@@ -341,12 +340,12 @@ TEST_F(TraceEngineTest, RankedOutputIsByteIdenticalWithTracingOnOrOff) {
       "sum(investments) group by (currency)",
       "private customers family name",
   };
-  for (size_t shards : {1u, 4u}) {
+  for (size_t stripes : {1u, 4u}) {
     for (size_t threads : {1u, 4u}) {
       std::string untraced;
       {
         ASSERT_FALSE(TraceRecorder::Instance().enabled());
-        auto engine = MakeSharded(shards, threads);
+        auto engine = MakeStriped(stripes, threads);
         auto outputs = engine->SearchAll(queries);
         untraced = RenderSearchResponseJson(queries, outputs);
       }
@@ -354,12 +353,12 @@ TEST_F(TraceEngineTest, RankedOutputIsByteIdenticalWithTracingOnOrOff) {
       {
         ScopedRecorder recorder(/*sample_every=*/1,
                                 /*slow_threshold_ms=*/0.0);
-        auto engine = MakeSharded(shards, threads);
+        auto engine = MakeStriped(stripes, threads);
         auto outputs = engine->SearchAll(queries);
         traced = RenderSearchResponseJson(queries, outputs);
       }
       EXPECT_EQ(untraced, traced)
-          << "tracing changed ranked output at shards=" << shards
+          << "tracing changed ranked output at stripes=" << stripes
           << " threads=" << threads;
     }
   }
@@ -367,7 +366,7 @@ TEST_F(TraceEngineTest, RankedOutputIsByteIdenticalWithTracingOnOrOff) {
 
 // The acceptance scenario: a query stalled by an armed failpoint
 // surfaces through the slow filter, and its span tree names the stalled
-// stage, the shard that served it, and the cache outcome.
+// stage and the cache outcome.
 TEST_F(TraceEngineTest, StalledQuerySurfacesThroughTheSlowFilter) {
   if (!Failpoints::compiled_in()) {
     GTEST_SKIP() << "failpoints compiled out";
@@ -379,7 +378,7 @@ TEST_F(TraceEngineTest, StalledQuerySurfacesThroughTheSlowFilter) {
   spec.max_fires = 1;
   Failpoints::Instance().Arm("snippet.execute", spec);
 
-  auto engine = MakeSharded(/*shards=*/2, /*threads=*/2);
+  auto engine = MakeStriped(/*stripes=*/2, /*threads=*/2);
   TraceContext ctx = TraceRecorder::Instance().StartTrace("test");
   double wall_ms = 0.0;
   {
@@ -398,8 +397,6 @@ TEST_F(TraceEngineTest, StalledQuerySurfacesThroughTheSlowFilter) {
   // The slow filter keeps the stalled query and drops nothing-burgers.
   std::string json =
       RenderTraceJson(TraceRecorder::Instance().Snapshot(), /*min_ms=*/25.0);
-  EXPECT_NE(json.find("\"router.route\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"shard\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"engine.search\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"stage.execute\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"cache\""), std::string::npos) << json;
