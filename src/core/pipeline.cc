@@ -334,8 +334,9 @@ Status SqlStage::RunOne(const QueryContext& ctx,
   generator_->PruneUnconstrainedSiblings(&*state->tables, state->filters,
                                          pinned);
 
-  Result<SelectStatement> stmt = generator_->Generate(
-      ctx.parsed, *state->tables, state->filters, &state->key, ctx.metrics);
+  Result<SelectStatement> stmt =
+      generator_->Generate(ctx.parsed, *state->tables, state->filters,
+                           &state->key, &state->explanation.joins, ctx.metrics);
   if (!stmt.ok()) {
     state->dropped = true;
     return Status::OK();
@@ -353,14 +354,10 @@ Status SqlStage::RunOne(const QueryContext& ctx,
   }
   state->fully_connected = state->tables->fully_connected;
   // Complete the provenance record with what was actually emitted (the
-  // FROM list and joins reflect the pruning above).
+  // FROM list and joins, which Generate set, reflect the pruning above).
   state->explanation.tables.clear();
   for (const TableRef& ref : stmt->from) {
     state->explanation.tables.push_back(ref.table);
-  }
-  state->explanation.joins.clear();
-  for (EdgeId edge : state->tables->joins) {
-    state->explanation.joins.push_back(generator_->join_graph().edge(edge));
   }
   state->explanation.filters = state->filters;
   state->statement = std::move(*stmt);

@@ -160,7 +160,7 @@ void SqlGenerator::PruneUnconstrainedSiblings(
 Result<SelectStatement> SqlGenerator::Generate(
     const InputQuery& query, const TablesOutput& tables,
     const std::vector<GeneratedFilter>& filters, StatementKey* key,
-    MetricsSink* metrics) const {
+    std::vector<JoinEdge>* emitted_joins, MetricsSink* metrics) const {
   SelectStatement stmt;
   uint64_t path_lookups = 0;
 
@@ -258,8 +258,10 @@ Result<SelectStatement> SqlGenerator::Generate(
     stmt.from.push_back(TableRef{catalog.name(table), ""});
   }
   // Joins first, then filters: SameStatement reads WHERE in this layout.
+  emitted_joins->clear();
   for (EdgeId edge : joins) {
     const JoinEdge& join = join_graph_->edge(edge);
+    emitted_joins->push_back(join);
     Predicate p;
     p.lhs = Expr::MakeColumn(join.from.table, join.from.column);
     p.op = CompareOp::kEq;

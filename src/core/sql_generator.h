@@ -56,16 +56,20 @@ class SqlGenerator {
       TablesOutput* tables, const std::vector<GeneratedFilter>& filters,
       std::span<const TableId> protected_tables) const;
 
-  /// Builds the statement for one interpretation and fills `key` with
-  /// its ids. `query` carries the aggregation / group-by / top-N
-  /// operators; `tables` and `filters` are the Step 3/4 outputs. Table
-  /// and join ids become names only here, in the emitted statement. When
-  /// `metrics` is set, join-path lookups made while connecting operator
-  /// argument tables are booked as closure.path_lookups.
+  /// Builds the statement for one interpretation, fills `key` with its
+  /// ids and sets `joins` to the join conditions it emitted, in WHERE
+  /// order: Step 3's, then those connecting the tables operator
+  /// arguments, metadata aggregations and filters pulled in. `query`
+  /// carries the aggregation / group-by / top-N operators; `tables` and
+  /// `filters` are the Step 3/4 outputs. Table and join ids become names
+  /// only here, in the emitted statement. When `metrics` is set,
+  /// join-path lookups made while connecting those tables are booked as
+  /// closure.path_lookups.
   Result<SelectStatement> Generate(const InputQuery& query,
                                    const TablesOutput& tables,
                                    const std::vector<GeneratedFilter>& filters,
                                    StatementKey* key,
+                                   std::vector<JoinEdge>* joins,
                                    MetricsSink* metrics = nullptr) const;
 
   const JoinGraph& join_graph() const { return *join_graph_; }

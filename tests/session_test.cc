@@ -197,6 +197,42 @@ TEST_F(SessionTest, ExplanationMatchesRenderedLine) {
   EXPECT_GT(total_results, 0u);
 }
 
+// The provenance's joins are exactly the statement's join conjuncts, in
+// WHERE order — including the joins Step 5 adds to reach the tables of
+// aggregation arguments, group-by columns and metadata aggregations,
+// which Step 3 never saw.
+TEST_F(SessionTest, ProvenanceJoinsAreTheStatementsJoinConjuncts) {
+  auto engine = Engine(Config());
+  size_t total_joins = 0;
+  for (const std::string& query :
+       {"sum(salary) group by (city)", "count(transactions) customers Zürich",
+        "count(transactions) group by (currency)",
+        "trading volume transaction date between date(2010-01-01) "
+        "date(2011-12-31)",
+        "customers Zürich financial instruments"}) {
+    auto output = engine->Search(query);
+    ASSERT_TRUE(output.ok()) << query << ": " << output.status();
+    ASSERT_FALSE(output->results.empty()) << query;
+    for (const SodaResult& result : output->results) {
+      std::vector<std::string> conjuncts;
+      for (const Predicate& predicate : result.statement.where) {
+        if (!predicate.IsJoinCondition()) continue;
+        conjuncts.push_back(predicate.lhs.column.table + "." +
+                            predicate.lhs.column.column + " = " +
+                            predicate.rhs.column.table + "." +
+                            predicate.rhs.column.column);
+      }
+      std::vector<std::string> provenance;
+      for (const JoinEdge& join : result.provenance.joins) {
+        provenance.push_back(join.ToString());
+      }
+      EXPECT_EQ(provenance, conjuncts) << query << "\n" << result.sql;
+      total_joins += conjuncts.size();
+    }
+  }
+  EXPECT_GT(total_joins, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Constraint semantics
 // ---------------------------------------------------------------------------
