@@ -1,7 +1,7 @@
 // Bounded, thread-safe LRU cache.
 //
-// The SODA engine fronts the whole pipeline with one of these, keyed on
-// the whitespace-normalized query string: business-user workloads repeat
+// The SODA engine fronts the whole pipeline with these — one per cache
+// stripe — keyed on the whitespace-normalized query string: business-user workloads repeat
 // a small set of queries (dashboards, saved searches), so a tiny cache
 // absorbs most of the traffic. Values are stored as shared_ptr so the
 // cache itself never copies the payload on a hit and eviction never
@@ -33,8 +33,8 @@ struct CacheStats {
     return total == 0 ? 0.0 : static_cast<double>(hits) / total;
   }
 
-  /// Elementwise sum — how a sharded deployment aggregates its replicas'
-  /// books into one view (capacity sums too: it is the fleet's total).
+  /// Elementwise sum — how the engine aggregates its cache stripes'
+  /// books into one view (capacity sums too: it is the whole cache's).
   CacheStats& operator+=(const CacheStats& other) {
     hits += other.hits;
     misses += other.misses;

@@ -68,7 +68,7 @@ struct HistogramSnapshot {
 
   /// Folds `other` into this distribution. Exact for count/sum/min/max
   /// and, because every sink shares the fixed kHistogramBounds grid, for
-  /// the buckets too — merging N shard histograms loses nothing over
+  /// the buckets too — merging N sinks' histograms loses nothing over
   /// observing every sample into one sink.
   void MergeFrom(const HistogramSnapshot& other);
 
@@ -100,8 +100,8 @@ struct MetricsSnapshot {
   std::string ToString() const;
 
   /// Folds `other` into this snapshot: counters add, histograms merge
-  /// bucket-by-bucket. The sharded router uses this to present N replica
-  /// sinks (plus its own router.* samples) as one fleet-level view.
+  /// bucket-by-bucket. The HTTP server uses this to present its own
+  /// server.* books, the service's and an extra snapshot as one view.
   void MergeFrom(const MetricsSnapshot& other);
 
   /// What happened between `earlier` (an older snapshot of the same

@@ -1,7 +1,7 @@
 // Prometheus text-exposition rendering of a MetricsSnapshot.
 //
-// Deployments that scrape instead of push render the engine's (or the
-// router's merged) metrics_snapshot() with RenderPrometheusText and serve
+// Deployments that scrape instead of push render the engine's
+// metrics_snapshot() with RenderPrometheusText and serve
 // it from their /metrics endpoint, as SodaHttpServer does. Rendering
 // follows the Prometheus text exposition format, version 0.0.4:
 //
@@ -28,8 +28,8 @@
 namespace soda {
 
 /// Renders `snapshot` in Prometheus text exposition format. Works on any
-/// snapshot — a single engine's, a sharded fleet's merged view, or a
-/// DeltaSince interval. `prefix` namespaces every metric ("soda" →
+/// snapshot — an engine's, a merged view (the HTTP server adds its own
+/// books), or a DeltaSince interval. `prefix` namespaces every metric ("soda" →
 /// "soda_cache_hit_total").
 std::string RenderPrometheusText(const MetricsSnapshot& snapshot,
                                  std::string_view prefix = "soda");

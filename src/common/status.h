@@ -69,8 +69,8 @@ class Status {
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
-  /// A transiently failed dependency (failed shard dispatch, armed
-  /// failpoint): the request was valid, retrying later may succeed.
+  /// A transiently failed dependency (a contained task exception, an
+  /// armed failpoint): the request was valid, retrying later may succeed.
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }

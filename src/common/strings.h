@@ -55,7 +55,7 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
                        std::string_view to);
 
 /// 64-bit FNV-1a over the bytes of `s`: unlike std::hash, identical
-/// across standard libraries and runs (shard maps, committed digests).
+/// across standard libraries and runs (cache stripes, committed digests).
 uint64_t Fnv1a64(std::string_view s);
 
 /// printf-style formatting into a std::string.

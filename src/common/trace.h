@@ -1,8 +1,7 @@
 // Per-request distributed-style tracing for the serving stack.
 //
 // Aggregate metrics (common/metrics.h) say *that* p99 moved; a trace
-// says *why one query* was slow: which shard it hashed to, whether it
-// missed the cache, how long each of the paper's five pipeline steps
+// says *why one query* was slow: whether it missed the cache, how long each of the paper's five pipeline steps
 // took. The Figure 4 pipeline is already reified as named stages, so
 // every query has a natural span tree — this header is the machinery
 // that records it.
@@ -31,14 +30,15 @@
 // and every span/attr/event call on the resulting inactive context is
 // one pointer test — the same shape as the unarmed failpoint path.
 // BM_TraceOverhead holds this at <= 2% on the batch workload. Tracing
-// never touches ranked output: byte-identity across shards x threads
-// holds with sampling on or off (trace_test proves both).
+// never touches ranked output: byte-identity across cache stripes x
+// threads holds with sampling on or off (trace_test proves both).
 //
 // Thread-local propagation: layers that cannot thread a context through
 // their signatures (the abstract SodaService interface) publish it with
 // ScopedTraceContext and the next layer down picks it up with
-// CurrentTraceContext() — the HTTP server installs, the router
-// re-installs inside its dispatch-pool closures, the engine joins.
+// CurrentTraceContext() — the HTTP server installs, the engine joins.
+// Work that moves to another thread (pool tasks, a snippet stream run
+// later) captures the context by value instead.
 
 #ifndef SODA_COMMON_TRACE_H_
 #define SODA_COMMON_TRACE_H_
@@ -54,7 +54,7 @@
 
 namespace soda {
 
-/// One typed key/value attached to a span ("shard" = 2, "cache" =
+/// One typed key/value attached to a span ("queries" = 13, "cache" =
 /// "hit"). Stored as a tagged union-of-members so rendering stays
 /// trivially deterministic.
 struct TraceAttr {
@@ -173,8 +173,7 @@ TraceContext CurrentTraceContext();
 /// Installs `ctx` as the thread's current context for the scope —
 /// restores the previous one on destruction. The seam for layers that
 /// cannot change their signatures: the HTTP server installs the request
-/// trace, the router re-installs inside dispatch-pool closures, and the
-/// engine joins whatever is current.
+/// trace, and the engine joins whatever is current.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(TraceContext ctx);

@@ -15,8 +15,8 @@
 // duplicate (identical, the graph is immutable) computation is thrown
 // away. Each Soda core owns one instance (slots are keyed by NodeId
 // only, so it is only valid for that core's graph and pattern library).
-// The shards of a ShardedSodaEngine share the core, so shard N's queries
-// warm shard M's entry points.
+// An engine serves every query from its one core, so any query's
+// traversals warm the entry points of all later ones.
 
 #ifndef SODA_CORE_CLOSURE_H_
 #define SODA_CORE_CLOSURE_H_

@@ -27,29 +27,23 @@ struct SodaConfig {
   /// Execute the generated statements to produce result snippets.
   bool execute_snippets = true;
 
-  /// SodaEngine: width of the worker pool that fans the queries of a
-  /// batch out (one query never splits across it). 0 means "use the
-  /// hardware concurrency"; 1 runs every batch serially. The ranked
-  /// result list is byte-identical at any width.
+  /// SodaEngine: workers per cache stripe. The engine's one worker pool
+  /// is num_threads x num_shards wide and fans the queries of a batch
+  /// out (one query never splits across it). 0 means "use the hardware
+  /// concurrency" for the whole pool; a width of 1 runs every batch
+  /// serially. The ranked result list is byte-identical at any width.
   size_t num_threads = 0;
 
-  /// SodaEngine: capacity of the LRU result cache, keyed on the
+  /// SodaEngine: capacity of each LRU result-cache stripe, keyed on the
   /// whitespace-normalized query string. 0 disables caching.
   size_t cache_capacity = 128;
 
-  /// ShardedSodaEngine: how many SodaEngine shards the router fronts,
-  /// all over one shared Soda core (indexes, join graph, closure). Each
-  /// shard gets its own worker pool (num_threads wide; with
-  /// num_threads=0 the router divides the hardware concurrency across
-  /// shards so the fleet's worker count roughly matches the machine) and
-  /// its own LRU cache (cache_capacity entries); a query's cache entry
-  /// lives on exactly one shard, picked by a folded hash of the
-  /// normalized query string. 0 and 1 both mean a single shard. Plain
-  /// SodaEngine ignores this knob. The router only partitions: every
-  /// shard serves the same core in the same process, so a failed shard
-  /// dispatch fails its own queries with Unavailable and is never
-  /// retried on a sibling (which would re-run the same code over the
-  /// same data).
+  /// SodaEngine: how many stripes the result cache is split into, each
+  /// an LRU of cache_capacity entries behind its own lock. A query's
+  /// entry lives in exactly one stripe, picked by a folded hash of its
+  /// normalized string (ShardOfKey), so it meets the same hits and
+  /// evictions whatever the other stripes hold. 0 and 1 both mean one
+  /// stripe.
   size_t num_shards = 1;
 
   // -------------------------------------------------------------------

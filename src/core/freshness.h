@@ -4,17 +4,17 @@
 // The paper's warehouses are append-only with historization: base data
 // moves under a fixed schema. Two pieces of engine state derive from the
 // rows and go stale when they move — the inverted index (Step 1 probes
-// it) and the LRU result caches (whole answers, snippets included). The
+// it) and the LRU result cache (whole answers, snippets included). The
 // FreshnessManager closes the loop:
 //
 //   Table::Append ──► ChangeLog ──► FreshnessManager::OnChange
 //                                        │ (under the exclusive data lock)
 //                                        ├─ 1. ApplyBaseDataDelta on every
 //                                        │     tracked engine (incremental
-//                                        │     postings, once per core — a
-//                                        │     router's shards share one)
+//                                        │     postings, once per core)
 //                                        └─ 2. InvalidateWhere over every
-//                                              cached answer, evicting the
+//                                              cached answer, in every
+//                                              cache stripe, evicting the
 //                                              dependent ones
 //
 // Each cached answer carries its own dependency record, and "dependent"
@@ -71,7 +71,7 @@ class FreshnessManager : public ChangeListener {
   FreshnessManager(const FreshnessManager&) = delete;
   FreshnessManager& operator=(const FreshnessManager&) = delete;
 
-  /// Tracks a service (serial engine or sharded router alike): its index
+  /// Tracks a service (any SodaService, e.g. a SodaEngine): its index
   /// receives every delta, its cache every keyed invalidation. The
   /// service must outlive this manager.
   void Track(SodaService* service);

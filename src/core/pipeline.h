@@ -54,8 +54,8 @@ inline double MsSince(std::chrono::steady_clock::time_point start) {
 /// Canonical, stable identifier of one entry point, used by term bindings
 /// (SessionConstraints) and explanation keys: metadata hits render as
 /// "label@layer#node", base-data hits as "table.column=value".
-/// Deterministic across shards — node ids derive from the shared
-/// immutable metadata graph.
+/// Deterministic across engines over one graph — node ids derive from
+/// the immutable metadata graph.
 std::string EntryPointKey(const EntryPoint& ep);
 
 /// One matched term of an interpretation: the query phrase and the entry

@@ -3,7 +3,7 @@
 // The paper's target users iterate: issue a keyword query, look at the
 // proposed interpretations, and steer — "not that table", "this phrase
 // means the ontology concept, not the column". A session packages that
-// loop over any SodaService (serial engine or sharded router alike):
+// loop over any SodaService (e.g. a SodaEngine):
 //
 //   SodaSession session(&engine);
 //   auto first = session.Ask("customers Zürich");

@@ -10,12 +10,13 @@
 //
 //   ┌────────────────────────────────────────────────────────────────┐
 //   │ SodaEngine (core/engine.h)                                     │
-//   │   LRU result cache · worker pool fanning out batch queries     │
-//   │   one translation core: Search/SearchSession are a batch of    │
-//   │   one, SearchAll/SearchAllAsync the deduplicated batch; the    │
-//   │   async half is a returned SnippetStream the caller runs       │
+//   │   LRU result cache in num_shards stripes · one worker pool     │
+//   │   fanning out batch queries · one translation core:            │
+//   │   Search/SearchSession are a batch of one, SearchAll/          │
+//   │   SearchAllAsync the deduplicated batch; the async half is a   │
+//   │   returned SnippetStream the caller runs                       │
 //   └──────────────────────────┬─────────────────────────────────────┘
-//                              │ shares the stage list of
+//                              │ owns one, runs the stage list of
 //   ┌──────────────────────────▼─────────────────────────────────────┐
 //   │ Soda (this header)        serial reference driver (Search)     │
 //   │   owns the indexes (inverted, classification, join graph), the │
@@ -86,9 +87,9 @@ class Soda {
   /// returned instance is always fully initialized, so Search never has
   /// to report a construction-time failure after the fact.
   ///
-  /// One instance is one immutable core: the sharded router builds one
-  /// and every shard's SodaEngine holds it by shared_ptr, so the indexes,
-  /// the join graph and the Step-3 closure exist once per process.
+  /// One instance is one immutable core: a SodaEngine builds one and
+  /// serves every query from it, so the indexes, the join graph and the
+  /// Step-3 closure exist once per engine.
   static Result<std::unique_ptr<Soda>> Create(
       const Database* db, const MetadataGraph* graph, PatternLibrary patterns,
       SodaConfig config);

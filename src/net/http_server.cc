@@ -290,7 +290,7 @@ void SodaHttpServer::ServeConnection(int fd) {
       response = ErrorResponse(400, "malformed X-Soda-Trace-Id");
     } else {
       // Root span over the whole handler; ScopedTraceContext is what the
-      // engine/router layers join, so their spans parent under this one.
+      // engine joins, so its spans parent under this one.
       Span root_span(trace, "http.request");
       if (root_span.active()) {
         root_span.SetAttr("method", request.method);
@@ -452,7 +452,7 @@ HttpResponse SodaHttpServer::HandleSearch(const HttpRequest& request,
   response.status = 200;
   response.SetHeader("Content-Type", "application/json");
   // Observability rides in headers only: the body is byte-identical for
-  // identical questions regardless of cache state or shard layout
+  // identical questions regardless of cache state or stripe layout
   // (net/search_json.h), and wall time would break exactly that.
   response.SetHeader("X-Soda-Wall-Ms", FormatMs(wall_ms));
   response.SetHeader("X-Soda-Queries", std::to_string(queries->size()));

@@ -2,9 +2,8 @@
 //
 // The paper's system ran as a shared service over a Credit Suisse
 // warehouse; this is that deployment shape for the reproduction: a small
-// HTTP/1.1 server that fronts a SodaService (single engine or sharded
-// fleet — construction-time choice, as everywhere else) and puts the
-// serving-robustness machinery in one place:
+// HTTP/1.1 server that fronts a SodaService (a SodaEngine, or a test's
+// fake) and puts the serving-robustness machinery in one place:
 //
 //   POST /search            single {"query":"..."} or batched
 //                           {"queries":["...", ...]} JSON in; the
@@ -18,14 +17,14 @@
 //                           {"event":"snippet",...} line per snippet as
 //                           the returned SnippetStream runs it on the
 //                           connection thread — in first-occurrence
-//                           query order, then result order, at any shard
-//                           count — closed by an {"event":"done",...}
+//                           query order, then result order, at any
+//                           cache stripe count — closed by an {"event":"done",...}
 //                           summary. A query's events are written
 //                           together once its snippets have run (one
 //                           write per query; the last shares the done
 //                           line's write).
 //   GET  /metrics           Prometheus text exposition of the server's
-//                           own counters merged with the service fleet
+//                           own counters merged with the service's
 //                           snapshot (and an optional extra snapshot,
 //                           e.g. a FreshnessManager's).
 //   GET  /healthz           200 with the bare body "ok\n" (probes key on
@@ -86,7 +85,7 @@ namespace soda {
 
 struct HttpServerOptions {
   /// Loopback by default: the reproduction's serving story is a
-  /// same-host fleet; bind wider deliberately.
+  /// same-host service; bind wider deliberately.
   std::string bind_address = "127.0.0.1";
 
   /// 0 binds an ephemeral port; read the outcome from port().
@@ -158,8 +157,8 @@ class SodaHttpServer {
   /// the admission window).
   size_t search_inflight() const { return search_inflight_.load(); }
 
-  /// The /metrics view: server.* merged with the service fleet snapshot
-  /// and the optional extra snapshot.
+  /// The /metrics view: server.* merged with the service's snapshot and
+  /// the optional extra snapshot.
   MetricsSnapshot metrics_snapshot() const;
 
   /// The server's own books only (server.*).

@@ -10,8 +10,8 @@
 // snippets, complexity, ignored words, per-query errors), while
 // serving-history observability (wall times, cache counters, pool
 // width) is exiled to X-Soda-* response headers by the server: two
-// identical questions must produce identical bodies regardless of which
-// shard, cache state, or thread count produced them.
+// identical questions must produce identical bodies regardless of the
+// cache stripe count, cache state, or thread count that produced them.
 
 #ifndef SODA_NET_SEARCH_JSON_H_
 #define SODA_NET_SEARCH_JSON_H_

@@ -247,7 +247,7 @@ TEST(TokenDictDeltaTest, SharedDictionaryEventsApplyVerbatim) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard sweep: one dictionary instance fleet-wide, identical answers
+// Stripe sweep: one dictionary instance, identical answers
 // ---------------------------------------------------------------------------
 
 std::string Fingerprint(const SearchOutput& output) {
