@@ -162,6 +162,15 @@ inline bool FailpointsArmed() {
     }                                                                    \
   } while (false)
 
+/// Void seam with a detail string (matched against FailpointSpec::match).
+#define SODA_FAILPOINT_D(name, detail)                                   \
+  do {                                                                   \
+    if (::soda::FailpointsArmed()) {                                     \
+      (void)::soda::Failpoints::Instance().Evaluate((name), (detail),    \
+                                                    /*status_seam=*/false); \
+    }                                                                    \
+  } while (false)
+
 /// Status seam: evaluates to a Status — OK when unarmed/not firing,
 /// Unavailable for Action::kError. kThrow still throws, kSleep sleeps.
 #define SODA_FAILPOINT_STATUS(name, detail)                           \
@@ -173,6 +182,7 @@ inline bool FailpointsArmed() {
 #else  // !SODA_FAILPOINTS
 
 #define SODA_FAILPOINT(name) ((void)0)
+#define SODA_FAILPOINT_D(name, detail) ((void)0)
 #define SODA_FAILPOINT_STATUS(name, detail) ::soda::Status::OK()
 
 #endif  // SODA_FAILPOINTS

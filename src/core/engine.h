@@ -167,10 +167,11 @@ class SodaEngine : public SodaService {
   /// `pred(key, entry)` holds — the key is the normalized query (see
   /// NormalizedQueryKey), the entry the stored answer with its plan and
   /// tables — and returns how many entries were dropped, over every
-  /// stripe. This is the base-data update hook for mutable warehouses — on a table refresh, evict the answers that
-  /// read it instead of clearing the whole cache. Safe to call
-  /// concurrently with Search traffic: the predicate runs under the
-  /// cache lock (keep it cheap; it must not call back into the engine),
+  /// stripe. This is the base-data update hook for mutable warehouses —
+  /// on a table refresh, evict the answers that read it instead of
+  /// clearing the whole cache. Safe to call concurrently with Search
+  /// traffic: the predicate runs under each stripe's lock in turn (keep
+  /// it cheap; it must not call back into the engine),
   /// and in-flight readers keep their payloads alive. Note async
   /// streaming inserts into the cache inside SnippetStream::Run(), so
   /// invalidate after Run() to cover in-flight async answers.
