@@ -81,7 +81,7 @@ int main() {
   std::printf("Output (tables):\n");
   size_t total = 0;
   for (size_t i = 0; i < tables->tables_per_entry.size(); ++i) {
-    std::printf("  from '%s':\n", entries[i].label.c_str());
+    std::printf("  from '%s':\n", std::string(entries[i].label).c_str());
     for (soda::TableId table : tables->tables_per_entry[i]) {
       std::printf("    %s\n",
                   engine.join_graph().catalog().name(table).c_str());

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "../tests/alloc_counter.h"
 #include "common/trace.h"
 #include "core/engine.h"
 #include "core/freshness.h"
@@ -376,6 +377,48 @@ void BM_EngineAsyncStream(benchmark::State& state) {
                           static_cast<int64_t>(queries.size()));
 }
 BENCHMARK(BM_EngineAsyncStream);
+
+// One cold query per call, as an analyst's request runs it: a batch of
+// one through SearchAllAsync plus Run(), one thread, the cache off and
+// snippets on. "allocs_per_query" is the heap allocations per query over
+// the Table 2 workload (what alloc_budget_test bounds; 0 under a
+// sanitizer, which interposes the allocator).
+void BM_EngineColdAsyncQuery(benchmark::State& state) {
+  static soda::SodaEngine* engine = [] {
+    soda::SodaConfig config;
+    config.num_threads = 1;
+    config.cache_capacity = 0;
+    config.execute_snippets = true;
+    return soda::SodaEngine::Create(&env()->warehouse->db,
+                                    &env()->warehouse->graph,
+                                    soda::CreditSuissePatternLibrary(), config)
+        .value()
+        .release();
+  }();
+  std::vector<std::string> queries;
+  for (const soda::BenchmarkQuery& bench : soda::EnterpriseWorkload()) {
+    queries.push_back(bench.keywords);
+  }
+  auto serve = [&](const std::string& query) {
+    soda::AsyncSearch search = engine->SearchAllAsync(
+        std::span<const std::string>(&query, 1), nullptr);
+    search.snippets.Run();
+  };
+  for (const std::string& query : queries) serve(query);  // warm-up
+  size_t allocations = 0;
+  for (const std::string& query : queries) {
+    allocations += soda::alloc_counter::Count([&] { serve(query); });
+  }
+  size_t q = 0;
+  for (auto _ : state) {
+    serve(queries[q]);
+    q = (q + 1) % queries.size();
+  }
+  state.counters["allocs_per_query"] =
+      static_cast<double>(allocations) / static_cast<double>(queries.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineColdAsyncQuery);
 
 // Striped result cache: the 13-query workload admitted as one batch by
 // an engine of Arg(0) cache stripes x Arg(1) workers per stripe (one pool

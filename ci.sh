@@ -416,7 +416,8 @@ if [[ "${BUILD_TYPE}" == "Release" &&
                  freshness_delta_postings \
                  session_refines session_stages_skipped \
                  trace_spans trace_sampled trace_dropped \
-                 snippet_statements tuples_per_statement seed_reductions; do
+                 snippet_statements tuples_per_statement seed_reductions \
+                 allocs_per_query; do
     if ! grep -q "${counter}" "${BENCH_OUT}"; then
       echo "bench smoke-run output is missing counter '${counter}'" >&2
       exit 1

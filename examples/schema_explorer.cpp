@@ -31,8 +31,8 @@ void Explore(const soda::Soda& engine, const char* keyword) {
     std::printf("entry point: %s\n", entry.ToString().c_str());
     if (entry.kind == soda::EntryPoint::Kind::kBaseData) {
       std::printf("  value '%s' in %s.%s (%lld rows)\n",
-                  entry.value.c_str(), entry.table.c_str(),
-                  entry.column.c_str(),
+                  entry.value().c_str(), entry.table_name().c_str(),
+                  entry.column_name().c_str(),
                   static_cast<long long>(entry.row_count));
       continue;
     }

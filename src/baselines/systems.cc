@@ -248,16 +248,16 @@ class Banks : public KeywordSearchSystem {
       bool found = false;
       for (const EntryPoint& candidate : phrase.candidates) {
         if (candidate.kind == EntryPoint::Kind::kBaseData) {
-          matches.push_back(Match{true, candidate.table, candidate.column,
-                                  candidate.value});
-          tables.push_back(candidate.table);
+          matches.push_back(Match{true, candidate.table_name(),
+                                  candidate.column_name(), candidate.value()});
+          tables.push_back(candidate.table_name());
           found = true;
           break;
         }
         // Physical schema names only — BANKS knows nothing of conceptual
         // models or ontologies.
         if (candidate.layer == MetadataLayer::kPhysicalSchema) {
-          std::string table = candidate.label;
+          std::string table(candidate.label);
           if (context_->db->FindTable(table) != nullptr) {
             matches.push_back(Match{false, table, "", ""});
             tables.push_back(table);

@@ -13,9 +13,11 @@ std::string ClassificationIndex::PhraseKey(const std::string& text) {
 }
 
 void ClassificationIndex::Build(const MetadataGraph& graph,
-                                const InvertedIndex* base_data) {
+                                const InvertedIndex* base_data,
+                                const TableCatalog* catalog) {
   metadata_.clear();
   base_data_ = base_data;
+  catalog_ = catalog;
 
   // Index every text label attached to a node under the label predicates
   // business users may type.
@@ -54,7 +56,7 @@ void ClassificationIndex::Build(const MetadataGraph& graph,
       ep.node = n;
       ep.layer = layer;
       ep.label = edge.text;
-      bucket.push_back(std::move(ep));
+      bucket.push_back(ep);
     }
   }
 }
@@ -70,16 +72,20 @@ std::vector<EntryPoint> ClassificationIndex::Lookup(
     result = it->second;
   }
   if (base_data_ != nullptr) {
-    for (const ValuePosting& posting : base_data_->LookupPhrase(key)) {
+    std::vector<ValueRef> refs = base_data_->LookupPhraseRefs(key);
+    result.reserve(result.size() + refs.size());
+    for (const ValueRef& ref : refs) {
       EntryPoint ep;
       ep.kind = EntryPoint::Kind::kBaseData;
       ep.layer = MetadataLayer::kBaseData;
-      ep.table = posting.table;
-      ep.column = posting.column;
-      ep.value = posting.value;
-      ep.row_count = posting.row_count;
-      ep.label = posting.value;
-      result.push_back(std::move(ep));
+      ep.table = catalog_ != nullptr ? catalog_->IdOf(ref.table)
+                                     : kInvalidTableId;
+      ep.source = ref.table;
+      ep.column = ref.column;
+      ep.cell = ref.cell;
+      ep.row_count = ref.row_count;
+      ep.label = ref.cell->AsString();
+      result.push_back(ep);
     }
   }
   return result;
@@ -104,9 +110,11 @@ std::vector<LookupTerm> ClassificationIndex::SegmentKeywords(
     // Longest combination first: try words[i..j] for the largest j.
     bool matched = false;
     for (size_t len = words.size() - i; len >= 1; --len) {
-      std::vector<std::string> combo(words.begin() + i,
-                                     words.begin() + i + len);
-      std::string phrase = Join(combo, " ");
+      std::string phrase = words[i];
+      for (size_t w = i + 1; w < i + len; ++w) {
+        phrase += ' ';
+        phrase += words[w];
+      }
       std::vector<EntryPoint> candidates = Lookup(phrase);
       if (!candidates.empty()) {
         phrases.push_back({std::move(phrase), std::move(candidates)});

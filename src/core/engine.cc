@@ -520,11 +520,9 @@ size_t SodaEngine::TranslateBatch(std::vector<BatchItem>* items, bool execute,
       plan->captured_at_sequence = sequence;
       job.plan = std::move(plan);
     }
-    if (!item.constrained()) {
-      // A resumed serve skipped the lookup that records the terms.
-      item.freshness_terms = job.stages_skipped == 0
-                                 ? std::move(ctx.freshness_terms)
-                                 : CollectFreshnessTerms(ctx);
+    if (!item.constrained() && config.cache_capacity > 0) {
+      // Only a cache entry keeps the answer's dependency record.
+      item.freshness_terms = CollectFreshnessTerms(ctx);
     }
     const TraceContext query_trace = ctx.trace;
     item.output = FinalizeOutput(std::move(ctx));
@@ -675,8 +673,13 @@ std::vector<Result<SearchOutput>> SodaEngine::SearchAll(
 // ---------------------------------------------------------------------------
 
 /// One unique query's snippet stream, run in result order by one thread.
+/// A stream whose answer is cached (or was served from the cache) runs
+/// over its own copy of the output, which becomes or mirrors the cache
+/// entry; any other runs over the results of the returned output in
+/// place, copying nothing.
 struct SodaEngine::StreamState {
-  SearchOutput output;
+  SearchOutput output;   // the own copy; empty when running in place
+  std::span<SodaResult> results;  // the results the stream runs over
   std::vector<std::string> freshness_terms;  // cached beside the output
   std::vector<size_t> occurrences;
   std::string key;
@@ -694,14 +697,14 @@ struct SodaEngine::StreamState {
 SnippetStream::Summary SodaEngine::RunStream(StreamState& stream,
                                              const TraceContext& trace) const {
   SnippetStream::Summary summary;
-  for (size_t r = 0; r < stream.output.results.size(); ++r) {
+  for (size_t r = 0; r < stream.results.size(); ++r) {
     // The span parents under the batch span through the captured
     // context, although it starts after SearchAllAsync returned.
     Span snippet_span(trace, "snippet.stream");
     if (snippet_span.active()) {
       snippet_span.SetAttr("result", static_cast<int64_t>(r));
     }
-    SodaResult& result = stream.output.results[r];
+    SodaResult& result = stream.results[r];
     if (stream.run_execution) {
       // The data lock covers the scan only: a callback may block on a
       // slow client, and no append may wait behind it. Contained: a
@@ -753,6 +756,7 @@ AsyncSearch SodaEngine::SearchAllAsync(std::span<const std::string> queries,
   serve.span().SetAttr("queries", static_cast<int64_t>(queries.size()));
 
   const bool can_execute = soda_->config().execute_snippets;
+  const bool cache_enabled = soda_->config().cache_capacity > 0;
   const uint64_t translated_at_sequence =
       soda_->database()->change_log().sequence();
 
@@ -767,13 +771,20 @@ AsyncSearch SodaEngine::SearchAllAsync(std::span<const std::string> queries,
     // Nothing to stream: TranslateBatch already cached the empty answer.
     if (!item.output.ok() || item.output->results.empty()) continue;
     StreamState stream;
-    stream.output = *item.output;
+    stream.cache_insert = cache_enabled && !item.from_cache;
+    if (stream.cache_insert || item.from_cache) {
+      stream.output = *item.output;
+      stream.results = stream.output.results;
+    } else {
+      // In place: ExpandBatch moves the item's output, and with it this
+      // results buffer, into the returned outputs.
+      stream.results = item.output->results;
+    }
     stream.freshness_terms = std::move(item.freshness_terms);
     stream.occurrences = item.occurrences;
     stream.key = item.normalized;
     stream.on_snippet = on_snippet;
     stream.run_execution = can_execute && !item.from_cache;
-    stream.cache_insert = !item.from_cache;
     stream.translated_at_sequence = translated_at_sequence;
     // The outputs never carry snippet payloads, so a cache-served answer
     // renders exactly like a miss; its stream keeps the materialized copy

@@ -1,12 +1,21 @@
 // Entry points: where a keyword was found (paper Step 1 - Lookup).
+//
+// An entry point holds ids and references only, so later steps copy a few
+// words per chosen entry. A base-data hit names its table (catalog id and
+// database table), its column by ordinal and its value by the first
+// stored cell carrying it; rows are never modified and a row's buffer
+// stays put when its table grows, so the cell outlives every append.
 
 #ifndef SODA_CORE_ENTRY_POINT_H_
 #define SODA_CORE_ENTRY_POINT_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "core/graph_utils.h"
 #include "graph/metadata_graph.h"
+#include "storage/table.h"
 
 namespace soda {
 
@@ -19,22 +28,31 @@ struct EntryPoint {
   };
 
   Kind kind = Kind::kMetadataNode;
+  MetadataLayer layer = MetadataLayer::kOther;
 
   // kMetadataNode:
   NodeId node = kInvalidNode;
-  MetadataLayer layer = MetadataLayer::kOther;
 
   // kBaseData (layer is kBaseData then):
-  std::string table;
-  std::string column;
-  std::string value;       // the exact stored value, original spelling
+  TableId table = kInvalidTableId;  // kInvalidTableId: no metadata table
+  const Table* source = nullptr;    // the database table holding the cell
+  uint32_t column = 0;              // the column's ordinal in `source`
+  const Value* cell = nullptr;      // the first stored cell with the value
   int64_t row_count = 0;
 
-  /// The label/value that matched, for display.
-  std::string label;
+  /// The label that matched: the graph's label text of a metadata node
+  /// (the graph is immutable), the stored string of a base-data cell.
+  std::string_view label;
+
+  /// Base-data names, read through the ids.
+  const std::string& table_name() const { return source->name(); }
+  const std::string& column_name() const {
+    return source->columns()[column].name;
+  }
+  const std::string& value() const { return cell->AsString(); }
 
   std::string ToString() const {
-    return label + " @ " + std::string(MetadataLayerName(layer));
+    return std::string(label) + " @ " + std::string(MetadataLayerName(layer));
   }
 };
 

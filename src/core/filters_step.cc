@@ -66,9 +66,11 @@ Result<std::vector<GeneratedFilter>> FiltersStep::Run(
     if (entry.kind != EntryPoint::Kind::kBaseData) continue;
     if (has_operator[i]) continue;  // the operator binding covers it
     GeneratedFilter filter;
-    filter.column = PhysicalColumnRef{entry.table, entry.column};
+    filter.column = PhysicalColumnRef{entry.table_name(), entry.column_name(),
+                                      entry.table,
+                                      static_cast<int32_t>(entry.column)};
     filter.op = CompareOp::kEq;
-    filter.value = Value::Str(entry.value);
+    filter.value = *entry.cell;
     filters.push_back(std::move(filter));
   }
 

@@ -30,11 +30,6 @@ struct GeneratedFilter {
   PhysicalColumnRef column;
   CompareOp op = CompareOp::kEq;
   Value value;
-
-  Predicate ToPredicate() const {
-    return Predicate{Expr::MakeColumn(column.table, column.column), op,
-                     Expr::MakeLiteral(value)};
-  }
 };
 
 class FiltersStep {

@@ -24,6 +24,26 @@ TableId TableCatalog::FindFolded(const std::string& folded) const {
   return it == id_of_.end() ? kInvalidTableId : it->second;
 }
 
+void TableCatalog::Bind(const Database& db) {
+  tables_.assign(names_.size(), Bound{});
+  id_of_table_.clear();
+  for (size_t i = 0; i < db.num_tables(); ++i) {
+    const Table& table = db.table(i);
+    TableId id = Find(table.name());
+    if (id == kInvalidTableId || tables_[id].table != nullptr) continue;
+    tables_[id] = Bound{&table, static_cast<int32_t>(i)};
+    id_of_table_.emplace(&table, id);
+  }
+}
+
+void TableCatalog::Resolve(PhysicalColumnRef* ref) const {
+  TableId id = Find(ref->table);
+  const Table* table = this->table(id);
+  if (table == nullptr) return;
+  ref->table_id = id;
+  ref->index = table->ColumnIndex(ref->column);
+}
+
 std::optional<std::string> TableNameOf(const MetadataGraph& graph,
                                        NodeId table_node) {
   if (table_node == kInvalidNode) return std::nullopt;

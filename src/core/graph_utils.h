@@ -12,21 +12,27 @@
 #include <vector>
 
 #include "graph/metadata_graph.h"
+#include "storage/table.h"
 
 namespace soda {
-
-/// A physical column identified by names.
-struct PhysicalColumnRef {
-  std::string table;
-  std::string column;
-
-  std::string ToString() const { return table + "." + column; }
-  bool operator==(const PhysicalColumnRef&) const = default;
-};
 
 /// Dense id of a physical table inside one compiled search session.
 using TableId = uint32_t;
 inline constexpr TableId kInvalidTableId = UINT32_MAX;
+
+/// A physical column: names, and the table's catalog id and the column's
+/// ordinal once resolved (names alone decide equality and rendering).
+struct PhysicalColumnRef {
+  std::string table;
+  std::string column;
+  TableId table_id = kInvalidTableId;
+  int32_t index = -1;
+
+  std::string ToString() const { return table + "." + column; }
+  bool operator==(const PhysicalColumnRef& other) const {
+    return table == other.table && column == other.column;
+  }
+};
 
 /// Interner mapping folded table names <-> dense TableIds, built once by
 /// JoinGraph::Build (the table set is immutable during a search session)
@@ -51,9 +57,36 @@ class TableCatalog {
   /// Number of interned tables (ids are 0..size()-1, dense).
   size_t size() const { return names_.size(); }
 
+  /// Maps every id to the database table of its name and back (O(tables),
+  /// once), so the query path resolves ids without folding a name.
+  void Bind(const Database& db);
+
+  /// The database table of `id` and its ordinal there; nullptr and -1
+  /// when unbound or absent.
+  const Table* table(TableId id) const {
+    return id < tables_.size() ? tables_[id].table : nullptr;
+  }
+  int32_t ordinal(TableId id) const {
+    return id < tables_.size() ? tables_[id].ordinal : -1;
+  }
+  /// The id of database table `table`, or kInvalidTableId.
+  TableId IdOf(const Table* table) const {
+    auto it = id_of_table_.find(table);
+    return it == id_of_table_.end() ? kInvalidTableId : it->second;
+  }
+
+  /// Sets `ref`'s ids from its names (unset when unknown).
+  void Resolve(PhysicalColumnRef* ref) const;
+
  private:
+  struct Bound {
+    const Table* table = nullptr;
+    int32_t ordinal = -1;
+  };
   std::unordered_map<std::string, TableId> id_of_;  // folded name -> id
   std::vector<std::string> names_;                  // id -> name
+  std::vector<Bound> tables_;                       // id -> database table
+  std::unordered_map<const Table*, TableId> id_of_table_;
 };
 
 /// Id-list helpers. Step 3-5 lists hold a handful of ids, where a linear

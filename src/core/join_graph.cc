@@ -24,6 +24,20 @@ std::string UnorderedKey(const JoinEdge& edge) {
 
 }  // namespace
 
+void JoinGraph::Bind(const Database& db) {
+  catalog_.Bind(db);
+  for (EdgeId e = 0; e < edges_.size(); ++e) {
+    const auto& [from, to] = edge_ends_[e];
+    for (auto [ref, id] : {std::pair{&edges_[e].from, from},
+                           std::pair{&edges_[e].to, to}}) {
+      const Table* table = catalog_.table(id);
+      if (table == nullptr) continue;
+      ref->table_id = id;
+      ref->index = table->ColumnIndex(ref->column);
+    }
+  }
+}
+
 void JoinGraph::AddEdge(JoinEdge edge,
                         std::unordered_map<std::string, EdgeId>* seen) {
   // Deduplicate (both orientations describe the same condition).
@@ -85,9 +99,10 @@ Status JoinGraph::Build(const PatternMatcher& matcher) {
 
   // Bridge tables, in both foreign-key representations. A bridge's
   // foreign keys are join edges harvested above; one whose keys were not
-  // (a malformed column the join patterns reject) is skipped. An ignore
-  // annotation on a bridge's keys keeps them out of join paths but not
-  // out of the bridge.
+  // (a malformed column the join patterns reject) is skipped, and so is
+  // one with a key annotated ignore_relationship: the paper's Section
+  // 5.3.1 adjustment takes the annotated bridge out of Step 3's bridge
+  // joins as well as out of join paths.
   auto harvest_bridges = [&](const char* pattern) -> Status {
     SODA_ASSIGN_OR_RETURN(std::vector<MatchBinding> matches,
                           matcher.MatchAll(pattern, /*max_matches=*/100000));
@@ -105,7 +120,8 @@ Status JoinGraph::Build(const PatternMatcher& matcher) {
       auto right = seen_edges.find(UnorderedKey(JoinEdge{*from2, *to2}));
       TableId table = catalog_.Find(*bridge_name);
       if (left == seen_edges.end() || right == seen_edges.end() ||
-          table == kInvalidTableId) {
+          table == kInvalidTableId || edges_[left->second].ignored ||
+          edges_[right->second].ignored) {
         continue;
       }
       BridgeInfo bridge{table, left->second, right->second};

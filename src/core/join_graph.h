@@ -78,6 +78,12 @@ class JoinGraph {
   /// shortest-path closure DirectPath reads.
   Status Build(const PatternMatcher& matcher);
 
+  /// Binds the catalog to the database statements run on and sets every
+  /// edge's column ids (TableCatalog::Bind, then one column lookup per
+  /// edge end), so Step 5 emits join conditions the executor reads by
+  /// ordinal. O(tables + edges), once per Soda.
+  void Bind(const Database& db);
+
   /// The edges touching `table`, in insertion order (a self join twice).
   const std::vector<EdgeId>& EdgesOf(TableId table) const {
     return adjacency_[table];

@@ -158,37 +158,20 @@ Result<LookupOutput> LookupStep::Run(const InputQuery& query,
   }
   if (overflowed) out.complexity = 1000000;
 
-  // Enumerate the product, capped. Terms with zero candidates contribute
-  // no choice (their keyword is effectively unmatchable — kept so the
-  // caller can report it, skipped in interpretations).
-  std::vector<size_t> sizes;
+  // Ranking enumerates the product of the terms' candidate counts, a
+  // term without candidates counting as one choice; the cap, not the
+  // product, ends it when the product is larger.
+  size_t product = 1;
   for (const LookupTerm& term : out.terms) {
-    sizes.push_back(term.candidates.size());
-  }
-  std::vector<size_t> cursor(out.terms.size(), 0);
-  for (;;) {
-    if (out.interpretations.size() == config_->max_interpretations) {
-      // The cap, not the product, ended the enumeration.
-      if (metrics != nullptr) {
-        metrics->IncrementCounter("lookup.interpretations_capped", 1);
-      }
+    size_t n = std::max<size_t>(term.candidates.size(), 1);
+    if (product > config_->max_interpretations / n) {
+      product = config_->max_interpretations + 1;
       break;
     }
-    Interpretation interpretation;
-    interpretation.choice = cursor;
-    out.interpretations.push_back(std::move(interpretation));
-    // Advance the mixed-radix counter.
-    size_t k = 0;
-    while (k < cursor.size()) {
-      if (sizes[k] <= 1) {
-        ++k;
-        continue;
-      }
-      if (++cursor[k] < sizes[k]) break;
-      cursor[k] = 0;
-      ++k;
-    }
-    if (k == cursor.size()) break;  // wrapped around: done
+    product *= n;
+  }
+  if (product > config_->max_interpretations && metrics != nullptr) {
+    metrics->IncrementCounter("lookup.interpretations_capped", 1);
   }
   return out;
 }
@@ -223,27 +206,64 @@ double LayerWeight(MetadataLayer layer) {
   return 0.1;
 }
 
-std::vector<Interpretation> RankAndTopN(const LookupOutput& lookup,
-                                        const SodaConfig& config) {
-  std::vector<Interpretation> ranked = lookup.interpretations;
-  for (Interpretation& interpretation : ranked) {
+std::vector<Interpretation> RankAndTopN(
+    const LookupOutput& lookup, const SodaConfig& config,
+    const std::vector<std::vector<bool>>* allowed) {
+  const std::vector<LookupTerm>& terms = lookup.terms;
+  std::vector<Interpretation> kept;
+  if (config.top_n == 0) return kept;
+  // Terms with zero candidates contribute no choice (their keyword is
+  // effectively unmatchable — kept so the caller can report it, skipped
+  // in interpretations).
+  std::vector<size_t> cursor(terms.size(), 0);
+  for (size_t enumerated = 0; enumerated < config.max_interpretations;
+       ++enumerated) {
+    bool admitted = true;
     double total = 0.0;
     size_t counted = 0;
-    for (size_t t = 0; t < lookup.terms.size(); ++t) {
-      const LookupTerm& term = lookup.terms[t];
-      if (term.candidates.empty()) continue;
-      const EntryPoint& ep = term.candidates[interpretation.choice[t]];
-      total += LayerWeight(ep.layer);
+    for (size_t t = 0; t < terms.size() && admitted; ++t) {
+      if (terms[t].candidates.empty()) continue;
+      if (allowed != nullptr && !(*allowed)[t].empty()) {
+        admitted = (*allowed)[t][cursor[t]];
+      }
+      total += LayerWeight(terms[t].candidates[cursor[t]].layer);
       ++counted;
     }
-    interpretation.score = counted == 0 ? 0.0 : total / counted;
+    if (admitted) {
+      const double score = counted == 0 ? 0.0 : total / counted;
+      // After every kept interpretation scoring at least as high: a
+      // stable sort of the enumeration by descending score.
+      auto pos = std::find_if(kept.begin(), kept.end(),
+                              [score](const Interpretation& k) {
+                                return k.score < score;
+                              });
+      const size_t at = static_cast<size_t>(pos - kept.begin());
+      if (at < config.top_n) {
+        Interpretation interpretation;
+        if (kept.size() == config.top_n) {
+          interpretation = std::move(kept.back());  // reuse its buffer
+          kept.pop_back();
+        }
+        interpretation.choice.assign(cursor.begin(), cursor.end());
+        interpretation.score = score;
+        kept.insert(kept.begin() + static_cast<long>(at),
+                    std::move(interpretation));
+      }
+    }
+    // Advance the mixed-radix counter.
+    size_t k = 0;
+    while (k < cursor.size()) {
+      if (terms[k].candidates.size() <= 1) {
+        ++k;
+        continue;
+      }
+      if (++cursor[k] < terms[k].candidates.size()) break;
+      cursor[k] = 0;
+      ++k;
+    }
+    if (k == cursor.size()) break;  // wrapped around: done
   }
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const Interpretation& a, const Interpretation& b) {
-                     return a.score > b.score;
-                   });
-  if (ranked.size() > config.top_n) ranked.resize(config.top_n);
-  return ranked;
+  return kept;
 }
 
 }  // namespace soda

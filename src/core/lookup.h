@@ -2,12 +2,13 @@
 //
 // The lookup step segments every keyword run with the longest-word-
 // combination algorithm, which hands back all entry points per accepted
-// phrase (one classification lookup per word combination tried), binds
-// comparison / between operators to their neighboring phrases, and forms
-// the combinatorial product of entry-point choices ("the output of the
-// lookup step is a combinatorial product of all lookup terms", Figure 5).
-// Ranking scores each interpretation by the metadata location of its entry
-// points and keeps the top N.
+// phrase (one classification lookup per word combination tried), and
+// binds comparison / between operators to their neighboring phrases. Its
+// output owns the query's candidates; "the output of the lookup step is a
+// combinatorial product of all lookup terms" (Figure 5), which ranking
+// enumerates without materializing it: each choice vector is scored as
+// the enumeration reaches it (by the metadata location of its entry
+// points) and only the top N are kept.
 
 #ifndef SODA_CORE_LOOKUP_H_
 #define SODA_CORE_LOOKUP_H_
@@ -47,7 +48,6 @@ struct LookupOutput {
   /// Untruncated combinatorial product — the paper's query complexity
   /// measure (Table 4).
   size_t complexity = 1;
-  std::vector<Interpretation> interpretations;
 };
 
 class LookupStep {
@@ -59,7 +59,7 @@ class LookupStep {
   /// elements pass through untouched (the SQL generator handles them);
   /// their phrases are only counted, for the complexity measure.
   /// When the product of candidate choices exceeds max_interpretations,
-  /// only the first max_interpretations are enumerated and, when
+  /// ranking enumerates only the first max_interpretations and, when
   /// `metrics` is set, lookup.interpretations_capped is booked once.
   Result<LookupOutput> Run(const InputQuery& query,
                            MetricsSink* metrics = nullptr) const;
@@ -69,10 +69,17 @@ class LookupStep {
   const SodaConfig* config_;
 };
 
-/// Step 2: scores every interpretation and keeps the best `top_n`,
-/// stably ordered by descending score. Returns the kept interpretations.
-std::vector<Interpretation> RankAndTopN(const LookupOutput& lookup,
-                                        const SodaConfig& config);
+/// Step 2: enumerates the product of `lookup`'s candidate choices in
+/// mixed-radix order (the first term turns fastest; a term with fewer
+/// than two candidates stays at 0), at most config.max_interpretations
+/// of them, and keeps the best config.top_n, ordered by descending score
+/// with ties in enumeration order. Only kept choice vectors are
+/// materialized. `allowed`, when set, holds one candidate mask per term
+/// (an empty mask allows every candidate); a choice outside a mask still
+/// counts against the cap but is not ranked.
+std::vector<Interpretation> RankAndTopN(
+    const LookupOutput& lookup, const SodaConfig& config,
+    const std::vector<std::vector<bool>>* allowed = nullptr);
 
 /// The ranking weight of one entry point (by metadata layer).
 double LayerWeight(MetadataLayer layer);

@@ -12,10 +12,11 @@ namespace soda {
 
 std::string EntryPointKey(const EntryPoint& ep) {
   if (ep.kind == EntryPoint::Kind::kBaseData) {
-    return FoldForMatch(ep.table) + "." + FoldForMatch(ep.column) + "=" +
-           ep.value;
+    return FoldForMatch(ep.table_name()) + "." +
+           FoldForMatch(ep.column_name()) + "=" + ep.value();
   }
-  return ep.label + "@" + std::string(MetadataLayerName(ep.layer)) + "#" +
+  return std::string(ep.label) + "@" +
+         std::string(MetadataLayerName(ep.layer)) + "#" +
          std::to_string(ep.node);
 }
 
@@ -23,8 +24,9 @@ std::string Explanation::Render() const {
   std::string out;
   for (const ExplanationTerm& term : terms) {
     if (!out.empty()) out += "; ";
-    out += term.phrase + " @ " +
-           std::string(MetadataLayerName(term.entry.layer));
+    out += term.phrase;
+    out += " @ ";
+    out += MetadataLayerName(term.entry.layer);
   }
   return out;
 }
@@ -140,6 +142,9 @@ Status PipelineStage::RunOne(const QueryContext&, InterpretationState*) const {
 // LookupStage
 // ---------------------------------------------------------------------------
 
+// The base-data value vocabulary an answer depends on: every folded
+// token Step 1 probed (matched phrases, ignored words, aggregation and
+// group-by arguments, string comparison operands), sorted and unique.
 // An appended value whose tokens intersect the probed vocabulary can
 // change the query's lookup (a new entry point, a previously ignored word
 // that now matches, a shifted candidate count), so the freshness layer
@@ -182,7 +187,6 @@ std::vector<std::string> CollectFreshnessTerms(const QueryContext& ctx) {
 Status LookupStage::Run(QueryContext* ctx) const {
   SODA_ASSIGN_OR_RETURN(ctx->parsed, ParseInputQuery(ctx->raw_query));
   SODA_ASSIGN_OR_RETURN(ctx->lookup, step_->Run(ctx->parsed, ctx->metrics));
-  ctx->freshness_terms = CollectFreshnessTerms(*ctx);
   return Status::OK();
 }
 
@@ -195,14 +199,13 @@ Status LookupStage::Run(QueryContext* ctx) const {
 void MaterializeInterpretation(const LookupOutput& lookup,
                                InterpretationState* state) {
   std::vector<size_t> remap(lookup.terms.size(), SIZE_MAX);
+  state->entries.reserve(lookup.terms.size());
   for (size_t t = 0; t < lookup.terms.size(); ++t) {
     const LookupTerm& term = lookup.terms[t];
     if (term.candidates.empty()) continue;
     remap[t] = state->entries.size();
-    const EntryPoint& ep = term.candidates[state->interpretation.choice[t]];
-    state->entries.push_back(ep);
-    state->explanation.terms.push_back(
-        ExplanationTerm{term.phrase, ep, EntryPointKey(ep)});
+    state->entries.push_back(
+        term.candidates[state->interpretation.choice[t]]);
   }
   for (OperatorBinding binding : lookup.operators) {
     if (binding.term_index < remap.size() &&
@@ -215,64 +218,55 @@ void MaterializeInterpretation(const LookupOutput& lookup,
 
 namespace {
 
-// Applies term bindings to the enumerated product: an interpretation
-// survives only if its choice for every bound term is the candidate
+// Term bindings as candidate masks for ranking: an interpretation is
+// ranked only if its choice for every bound term is the candidate
 // carrying the bound entry-point key. Bindings naming an absent term (or
 // a term that matched no candidates) are inert — they cannot constrain
 // what was never enumerated.
-void FilterInterpretationsByBindings(LookupOutput* lookup,
-                                     const SessionConstraints& constraints) {
+std::vector<std::vector<bool>> BindingMasks(
+    const LookupOutput& lookup, const SessionConstraints& constraints) {
+  std::vector<std::vector<bool>> masks(lookup.terms.size());
   for (const SessionConstraints::TermBinding& binding : constraints.bindings) {
     size_t term_index = SIZE_MAX;
-    for (size_t t = 0; t < lookup->terms.size(); ++t) {
-      if (EqualsFolded(lookup->terms[t].phrase, binding.term)) {
+    for (size_t t = 0; t < lookup.terms.size(); ++t) {
+      if (EqualsFolded(lookup.terms[t].phrase, binding.term)) {
         term_index = t;
         break;
       }
     }
     if (term_index == SIZE_MAX) continue;
-    const LookupTerm& term = lookup->terms[term_index];
-    if (term.candidates.empty()) continue;
-    std::vector<bool> allowed(term.candidates.size());
+    const LookupTerm& term = lookup.terms[term_index];
+    std::vector<bool>& mask = masks[term_index];
+    if (mask.empty()) mask.assign(term.candidates.size(), true);
     for (size_t c = 0; c < term.candidates.size(); ++c) {
-      allowed[c] = EntryPointKey(term.candidates[c]) == binding.entry_key;
+      mask[c] = mask[c] &&
+                EntryPointKey(term.candidates[c]) == binding.entry_key;
     }
-    auto rejected = [&](const Interpretation& interpretation) {
-      return !allowed[interpretation.choice[term_index]];
-    };
-    lookup->interpretations.erase(
-        std::remove_if(lookup->interpretations.begin(),
-                       lookup->interpretations.end(), rejected),
-        lookup->interpretations.end());
   }
+  return masks;
 }
 
 }  // namespace
 
 Status RankStage::Run(QueryContext* ctx) const {
-  std::vector<Interpretation> ranked;
+  // Bindings narrow the product BEFORE the top-N cut, so binding a term
+  // to a low-ranked entry point surfaces interpretations the
+  // unconstrained ranking would have dropped.
+  std::vector<std::vector<bool>> masks;
   if (ctx->constraints != nullptr && !ctx->constraints->bindings.empty()) {
-    // Bindings narrow the product BEFORE the top-N cut, so binding a term
-    // to a low-ranked entry point surfaces interpretations the
-    // unconstrained ranking would have dropped. Only the interpretation
-    // list is filtered — terms and candidate lists stay untouched, so the
-    // surviving choices keep indexing the original candidates.
-    LookupOutput constrained = ctx->lookup;
-    FilterInterpretationsByBindings(&constrained, *ctx->constraints);
-    ranked = RankAndTopN(constrained, *ctx->config);
-  } else {
-    ranked = RankAndTopN(ctx->lookup, *ctx->config);
+    masks = BindingMasks(ctx->lookup, *ctx->constraints);
   }
+  std::vector<Interpretation> ranked =
+      RankAndTopN(ctx->lookup, *ctx->config, masks.empty() ? nullptr : &masks);
   ctx->states.clear();
   ctx->states.reserve(ranked.size());
   for (Interpretation& interpretation : ranked) {
-    InterpretationState state;
+    InterpretationState& state = ctx->states.emplace_back();
     state.interpretation = std::move(interpretation);
     MaterializeInterpretation(ctx->lookup, &state);
     if (state.entries.empty() && !ctx->parsed.HasAggregation()) {
       state.dropped = true;
     }
-    ctx->states.push_back(std::move(state));
   }
   return Status::OK();
 }
@@ -336,7 +330,7 @@ Status SqlStage::RunOne(const QueryContext& ctx,
 
   Result<SelectStatement> stmt =
       generator_->Generate(ctx.parsed, *state->tables, state->filters,
-                           &state->key, &state->explanation.joins, ctx.metrics);
+                           &state->key, &state->joins, ctx.metrics);
   if (!stmt.ok()) {
     state->dropped = true;
     return Status::OK();
@@ -353,13 +347,6 @@ Status SqlStage::RunOne(const QueryContext& ctx,
     return Status::OK();
   }
   state->fully_connected = state->tables->fully_connected;
-  // Complete the provenance record with what was actually emitted (the
-  // FROM list and joins, which Generate set, reflect the pruning above).
-  state->explanation.tables.clear();
-  for (const TableRef& ref : stmt->from) {
-    state->explanation.tables.push_back(ref.table);
-  }
-  state->explanation.filters = state->filters;
   state->statement = std::move(*stmt);
   return Status::OK();
 }
@@ -440,12 +427,32 @@ SearchOutput FinalizeOutput(QueryContext&& ctx) {
     if (duplicate) continue;
     kept.push_back(&state.key);
 
+    // The provenance record, named for the kept results only: each
+    // non-empty term's phrase and chosen entry point, then what was
+    // actually emitted (the FROM list and joins reflect Step 5's
+    // sibling pruning).
     SodaResult result;
+    Explanation& explanation = result.provenance;
+    for (size_t t = 0; t < ctx.lookup.terms.size(); ++t) {
+      const LookupTerm& term = ctx.lookup.terms[t];
+      if (term.candidates.empty()) continue;
+      const EntryPoint& ep = term.candidates[state.interpretation.choice[t]];
+      explanation.terms.push_back(
+          ExplanationTerm{term.phrase, ep, EntryPointKey(ep)});
+    }
+    explanation.tables.reserve(state.statement->from.size());
+    for (const TableRef& ref : state.statement->from) {
+      explanation.tables.push_back(ref.table);
+    }
+    explanation.joins.reserve(state.joins.size());
+    for (const JoinEdge* join : state.joins) {
+      explanation.joins.push_back(*join);
+    }
+    explanation.filters = std::move(state.filters);
     result.statement = std::move(*state.statement);
     result.sql = result.statement.ToSql();
     result.score = state.interpretation.score;
-    result.explanation = state.explanation.Render();
-    result.provenance = std::move(state.explanation);
+    result.explanation = explanation.Render();
     result.fully_connected = state.fully_connected;
     output.results.push_back(std::move(result));
   }

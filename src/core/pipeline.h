@@ -5,8 +5,9 @@
 //
 //   LookupStage   (query level)      parse + Step 1 - lookup; one index
 //                                    lookup per word combination tried
-//   RankStage     (query level)      Step 2 - rank and top N; materializes
-//                                    one InterpretationState per survivor
+//   RankStage     (query level)      Step 2 - rank and top N while
+//                                    enumerating the product; one
+//                                    InterpretationState per survivor
 //   TablesStage   (per interpretation)  Step 3 - tables and joins
 //   FiltersStage  (per interpretation)  Step 4 - filters
 //   SqlStage      (per interpretation)  Step 5 - SQL generation
@@ -19,6 +20,11 @@
 // Both time every stage run through one StageScope.
 // Results are merged deterministically in ranked order and deduplicated
 // with SameStatement, so the outcome is byte-identical at any thread count.
+//
+// The Step-1 LookupOutput owns a query's candidates; an interpretation
+// keeps its choice vector and a few id-only entry points. Names are
+// rendered only into the emitted statement (SqlStage) and, for the kept
+// results alone, the Explanation (FinalizeOutput).
 
 #ifndef SODA_CORE_PIPELINE_H_
 #define SODA_CORE_PIPELINE_H_
@@ -67,8 +73,9 @@ struct ExplanationTerm {
 };
 
 /// Typed provenance of one ranked answer: matched terms → chosen entry
-/// points (RankStage) → final FROM tables, join path edges and generated
-/// filters as actually emitted (SqlStage, after sibling pruning). The
+/// points (named by FinalizeOutput for the kept results only) → final
+/// FROM tables, join path edges and generated filters as actually
+/// emitted (SqlStage, after sibling pruning). The
 /// legacy one-line explanation string is rendered from this record, so
 /// the two can never drift apart.
 struct Explanation {
@@ -236,19 +243,21 @@ struct SearchOutput {
 struct InterpretationState {
   Interpretation interpretation;
 
-  /// Materialized by RankStage: the chosen entry point per non-empty term,
-  /// the operator bindings remapped to the compacted entry indexes, and
-  /// the typed provenance record (terms filled by RankStage; tables,
-  /// joins and filters filled by SqlStage from the emitted statement).
+  /// Materialized by RankStage: the chosen entry point per non-empty term
+  /// (ids, copied from the lookup output) and the operator bindings
+  /// remapped to the compacted entry indexes.
   std::vector<EntryPoint> entries;
   std::vector<OperatorBinding> operators;
-  Explanation explanation;
 
   /// Stage outputs.
   std::optional<TablesOutput> tables;
   std::vector<GeneratedFilter> filters;
   std::optional<SelectStatement> statement;
   StatementKey key;  // the statement's ids, which result dedup compares
+  /// The join conditions Generate emitted, in WHERE order (the join
+  /// graph's edges). FinalizeOutput names them, with the rest of the
+  /// Explanation, for the kept results only.
+  std::vector<const JoinEdge*> joins;
   bool fully_connected = true;
 
   /// Set by any stage to retire the interpretation (no entry points, no
@@ -298,16 +307,6 @@ struct QueryContext {
   LookupOutput lookup;
   std::vector<InterpretationState> states;
   StepTimings timings;
-
-  /// The base-data value vocabulary the answer depends on: every folded
-  /// token Step 1 probed against the classification/inverted indexes
-  /// (matched phrases, ignored words, aggregation and group-by
-  /// arguments, string comparison operands), sorted and deduplicated.
-  /// Recorded cheaply by LookupStage; the engine keeps it in the
-  /// answer's result-cache entry (CachedAnswer), where the
-  /// FreshnessManager matches it against appended values' tokens
-  /// (core/freshness.h).
-  std::vector<std::string> freshness_terms;
 };
 
 /// One step of the pipeline. Implementations must be stateless with
@@ -402,16 +401,21 @@ class SqlStage : public PipelineStage {
   const SqlGenerator* generator_;
 };
 
-/// RankStage's per-state work: fills the chosen entry points, the
-/// operator bindings and the explanation terms of `state` from its
-/// interpretation's choice vector over `lookup`. A resumed session plan
-/// re-derives them this way instead of storing them.
+/// RankStage's per-state work: fills the chosen entry points and the
+/// operator bindings of `state` from its interpretation's choice vector
+/// over `lookup`. A resumed session plan re-derives them this way
+/// instead of storing them.
 void MaterializeInterpretation(const LookupOutput& lookup,
                                InterpretationState* state);
 
-/// LookupStage's record of ctx->freshness_terms, from ctx->parsed and
-/// ctx->lookup. A resumed session plan, whose lookup was not re-run,
-/// re-derives the terms this way when its answer is cached.
+/// The base-data value vocabulary the answer depends on: every folded
+/// token Step 1 probed against the classification/inverted indexes
+/// (matched phrases, ignored words, aggregation and group-by arguments,
+/// string comparison operands), sorted and deduplicated, from
+/// ctx->parsed and ctx->lookup. The engine computes it only for an
+/// answer it caches, and keeps it in the result-cache entry
+/// (CachedAnswer), where the FreshnessManager matches it against
+/// appended values' tokens (core/freshness.h).
 std::vector<std::string> CollectFreshnessTerms(const QueryContext& ctx);
 
 /// Runs the query-level prefix of `stages` (lookup, rank) once, in
@@ -438,7 +442,8 @@ Status RunPipeline(std::span<const PipelineStage* const> stages,
 
 /// Merges the finished context into a SearchOutput: copies query-level
 /// fields, folds per-state timings into the totals, and walks the states
-/// in ranked order deduplicating statements by SameStatement. Ranked-order
+/// in ranked order deduplicating statements by SameStatement; each kept
+/// result gets its explanation terms and rendered SQL. Ranked-order
 /// merging makes the result list independent of execution schedule.
 SearchOutput FinalizeOutput(QueryContext&& ctx);
 

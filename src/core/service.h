@@ -102,7 +102,11 @@ class SnippetStream {
 };
 
 /// SearchAllAsync's answer: the translated outputs, in input order, and
-/// the snippet work still to run.
+/// the snippet work still to run. Unless its answer is cached, a query's
+/// stream runs over the results of its last occurrence in `outputs`,
+/// filling their snippets in place: keep `outputs` (or the vector or
+/// output it was moved to) alive and its results unmodified until Run()
+/// returns.
 struct AsyncSearch {
   std::vector<Result<SearchOutput>> outputs;
   SnippetStream snippets;

@@ -22,9 +22,10 @@ Soda::Soda(const Database* db, const MetadataGraph* graph,
     : db_(db), graph_(graph), patterns_(std::move(patterns)),
       config_(config), closure_(graph_->num_nodes()) {
   inverted_index_.Build(*db_);
-  classification_.Build(*graph_, &inverted_index_);
   matcher_ = std::make_unique<PatternMatcher>(graph_, &patterns_);
   init_status_ = join_graph_.Build(*matcher_);
+  join_graph_.Bind(*db_);
+  classification_.Build(*graph_, &inverted_index_, &join_graph_.catalog());
   lookup_step_ = std::make_unique<LookupStep>(&classification_, &config_);
   tables_step_ = std::make_unique<TablesStep>(matcher_.get(), &join_graph_,
                                               &config_, &closure_);
@@ -43,13 +44,10 @@ Soda::Soda(const Database* db, const MetadataGraph* graph,
 }
 
 void Soda::ExecuteSnippet(SodaResult* result, MetricsSink* metrics) const {
-  SelectStatement limited = result->statement;
-  if (!limited.limit.has_value() ||
-      *limited.limit > static_cast<int64_t>(config_.snippet_rows)) {
-    limited.limit = static_cast<int64_t>(config_.snippet_rows);
-  }
   ExecStats stats;
-  Result<ResultSet> rs = executor_->Execute(limited, &stats);
+  Result<ResultSet> rs =
+      executor_->Execute(result->statement, &stats,
+                         static_cast<int64_t>(config_.snippet_rows));
   result->executed = rs.ok();
   result->execution_status = rs.status();
   if (rs.ok()) result->snippet = std::move(*rs);

@@ -63,6 +63,7 @@ Result<SqlGenerator::ResolvedArgument> SqlGenerator::ResolveArgument(
     if (candidate.kind != EntryPoint::Kind::kMetadataNode) continue;
     auto column = ResolvePhysicalColumn(graph, candidate.node);
     if (column.has_value()) {
+      join_graph_->catalog().Resolve(&*column);
       ResolvedArgument out;
       out.column = column;
       return out;
@@ -160,18 +161,21 @@ void SqlGenerator::PruneUnconstrainedSiblings(
 Result<SelectStatement> SqlGenerator::Generate(
     const InputQuery& query, const TablesOutput& tables,
     const std::vector<GeneratedFilter>& filters, StatementKey* key,
-    std::vector<JoinEdge>* emitted_joins, MetricsSink* metrics) const {
+    std::vector<const JoinEdge*>* emitted_joins, MetricsSink* metrics) const {
   SelectStatement stmt;
   uint64_t path_lookups = 0;
 
   const TableCatalog& catalog = join_graph_->catalog();
   std::vector<TableId> from_tables = tables.tables;
   std::vector<EdgeId> joins = tables.joins;
-  // Adds the table an argument, aggregation or filter column names.
-  auto ensure = [&](const std::string& table) -> Status {
-    TableId id = catalog.Find(table);
+  // Adds the table an argument, aggregation or filter column reads (by
+  // its id when Step 3 or the argument resolution already set it).
+  auto ensure = [&](const PhysicalColumnRef& column) -> Status {
+    TableId id = column.table_id != kInvalidTableId
+                     ? column.table_id
+                     : catalog.Find(column.table);
     if (id == kInvalidTableId) {
-      return Status::NotFound("table '" + table +
+      return Status::NotFound("table '" + column.table +
                               "' is no physical table of the metadata");
     }
     EnsureTable(id, &from_tables, &joins, &path_lookups);
@@ -198,12 +202,14 @@ Result<SelectStatement> SqlGenerator::Generate(
                             ResolveArgument(element.agg_argument));
       if (arg.column.has_value()) {
         planned.column = arg.column;
-        SODA_RETURN_NOT_OK(ensure(arg.column->table));
+        SODA_RETURN_NOT_OK(ensure(*arg.column));
       } else if (arg.table.has_value()) {
         // count(<entity>) — count the entity's key column (the paper's
         // Query 4 emits count(fi_transactions.id)).
-        SODA_RETURN_NOT_OK(ensure(*arg.table));
-        planned.column = PhysicalColumnRef{*arg.table, "id"};
+        PhysicalColumnRef key{*arg.table, "id"};
+        catalog.Resolve(&key);
+        SODA_RETURN_NOT_OK(ensure(key));
+        planned.column = std::move(key);
         planned.over_entity = true;
       }
     }
@@ -215,7 +221,7 @@ Result<SelectStatement> SqlGenerator::Generate(
     PlannedAggregate planned;
     planned.func = discovered.func;
     planned.column = discovered.column;
-    SODA_RETURN_NOT_OK(ensure(discovered.column.table));
+    SODA_RETURN_NOT_OK(ensure(discovered.column));
     aggregates.push_back(std::move(planned));
   }
 
@@ -230,7 +236,7 @@ Result<SelectStatement> SqlGenerator::Generate(
                                        "' does not resolve to a column");
       }
       group_columns.push_back(*arg.column);
-      SODA_RETURN_NOT_OK(ensure(arg.column->table));
+      SODA_RETURN_NOT_OK(ensure(*arg.column));
     }
   }
 
@@ -249,27 +255,42 @@ Result<SelectStatement> SqlGenerator::Generate(
   // SQL; pull those tables in (connected via join paths when possible)
   // before assembling the statement.
   for (const GeneratedFilter& filter : filters) {
-    SODA_RETURN_NOT_OK(ensure(filter.column.table));
+    SODA_RETURN_NOT_OK(ensure(filter.column));
   }
 
   // ---- assemble -----------------------------------------------------------
+  // Every reference carries the ids the executor reads: a table's
+  // database ordinal, a column's FROM entry and ordinal. A reference
+  // whose ids are unknown stays unresolved, and the executor then
+  // resolves the statement by name.
   stmt.from.reserve(from_tables.size());
   for (TableId table : from_tables) {
-    stmt.from.push_back(TableRef{catalog.name(table), ""});
+    stmt.from.push_back(
+        TableRef{catalog.name(table), "", catalog.ordinal(table)});
   }
+  auto column_ref = [&](const PhysicalColumnRef& column) {
+    ColumnRef ref{column.table, column.column};
+    auto it = std::find(from_tables.begin(), from_tables.end(),
+                        column.table_id);
+    if (it != from_tables.end() && column.index >= 0 &&
+        stmt.from[it - from_tables.begin()].ordinal >= 0) {
+      ref.from = static_cast<int32_t>(it - from_tables.begin());
+      ref.index = column.index;
+    }
+    return ref;
+  };
   // Joins first, then filters: SameStatement reads WHERE in this layout.
   emitted_joins->clear();
   for (EdgeId edge : joins) {
     const JoinEdge& join = join_graph_->edge(edge);
-    emitted_joins->push_back(join);
-    Predicate p;
-    p.lhs = Expr::MakeColumn(join.from.table, join.from.column);
-    p.op = CompareOp::kEq;
-    p.rhs = Expr::MakeColumn(join.to.table, join.to.column);
-    stmt.where.push_back(std::move(p));
+    emitted_joins->push_back(&join);
+    stmt.where.push_back(Predicate{Expr::MakeColumn(column_ref(join.from)),
+                                   CompareOp::kEq,
+                                   Expr::MakeColumn(column_ref(join.to))});
   }
   for (const GeneratedFilter& filter : filters) {
-    stmt.where.push_back(filter.ToPredicate());
+    stmt.where.push_back(Predicate{Expr::MakeColumn(column_ref(filter.column)),
+                                   filter.op, Expr::MakeLiteral(filter.value)});
   }
 
   if (!aggregates.empty()) {
@@ -277,8 +298,7 @@ Result<SelectStatement> SqlGenerator::Generate(
     for (const PlannedAggregate& agg : aggregates) {
       Expr e;
       if (agg.column.has_value()) {
-        e = Expr::MakeAggregate(
-            agg.func, ColumnRef{agg.column->table, agg.column->column});
+        e = Expr::MakeAggregate(agg.func, column_ref(*agg.column));
       } else {
         e = Expr::MakeCountStar();
       }
@@ -288,9 +308,9 @@ Result<SelectStatement> SqlGenerator::Generate(
       }
     }
     for (const PhysicalColumnRef& column : group_columns) {
-      stmt.items.push_back(SelectItem{
-          Expr::MakeColumn(column.table, column.column), ""});
-      stmt.group_by.push_back(ColumnRef{column.table, column.column});
+      stmt.items.push_back(
+          SelectItem{Expr::MakeColumn(column_ref(column)), ""});
+      stmt.group_by.push_back(column_ref(column));
     }
     // Ranking semantics: top-N requests and entity counts order by the
     // first aggregate, descending (paper Query 4 adds ORDER BY count()

@@ -69,7 +69,7 @@ class SqlGenerator {
                                    const TablesOutput& tables,
                                    const std::vector<GeneratedFilter>& filters,
                                    StatementKey* key,
-                                   std::vector<JoinEdge>* joins,
+                                   std::vector<const JoinEdge*>* joins,
                                    MetricsSink* metrics = nullptr) const;
 
   const JoinGraph& join_graph() const { return *join_graph_; }

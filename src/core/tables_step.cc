@@ -51,6 +51,7 @@ void TablesStep::Traverse(NodeId start, TraverseClosure* out) const {
   const TableCatalog& catalog = join_graph_->catalog();
   std::vector<TableId>* tables = &out->tables;
   out->column = ResolvePhysicalColumn(graph, start);
+  if (out->column.has_value()) catalog.Resolve(&*out->column);
   // Every physical table is interned at Build, so a name the catalog
   // lacks belongs to no table node.
   auto add_table = [&](const std::string& name) {
@@ -98,6 +99,7 @@ void TablesStep::Traverse(NodeId start, TraverseClosure* out) const {
           if (!column.has_value()) continue;
           DiscoveredFilter filter;
           filter.column = *column;
+          catalog.Resolve(&filter.column);
           filter.op = m.text("op");
           filter.value = m.text("v");
           out->filters.push_back(std::move(filter));
@@ -114,6 +116,7 @@ void TablesStep::Traverse(NodeId start, TraverseClosure* out) const {
       if (column.has_value() && func_text.has_value()) {
         DiscoveredAggregation aggregation;
         aggregation.column = *column;
+        catalog.Resolve(&aggregation.column);
         if (*func_text == "sum") aggregation.func = AggFunc::kSum;
         if (*func_text == "count") aggregation.func = AggFunc::kCount;
         if (*func_text == "avg") aggregation.func = AggFunc::kAvg;
@@ -151,7 +154,14 @@ const TraverseClosure* TablesStep::ClosureFor(NodeId start, bool* hit) const {
 
 Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
                                      MetricsSink* metrics) const {
+  // Step-3 lists hold a handful of ids: one allocation each up front
+  // instead of one per doubling.
+  constexpr size_t kIdsReserved = 16;
   TablesOutput out;
+  out.tables_per_entry.reserve(entries.size());
+  out.entry_columns.reserve(entries.size());
+  out.tables.reserve(kIdsReserved);
+  out.joins.reserve(kIdsReserved);
   uint64_t traverse_hits = 0;
   uint64_t traverse_misses = 0;
   uint64_t path_lookups = 0;
@@ -161,9 +171,9 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
     std::vector<TableId> tables;
     std::optional<PhysicalColumnRef> column;
     if (entry.kind == EntryPoint::Kind::kBaseData) {
-      TableId table = join_graph_->catalog().Find(entry.table);
+      const TableId table = entry.table;
       if (table == kInvalidTableId) {
-        return Status::NotFound("base-data table '" + entry.table +
+        return Status::NotFound("base-data table '" + entry.table_name() +
                                 "' is no physical table of the metadata");
       }
       // Base-data hits on inheritance children still need the parent.
@@ -171,7 +181,8 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
       for (TableId parent : join_graph_->parents(table)) {
         AppendUnique(&tables, parent);
       }
-      column = PhysicalColumnRef{entry.table, entry.column};
+      column = PhysicalColumnRef{entry.table_name(), entry.column_name(), table,
+                                 static_cast<int32_t>(entry.column)};
     } else {
       bool hit = false;
       if (const TraverseClosure* cached = ClosureFor(entry.node, &hit)) {
@@ -197,6 +208,8 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
 
   std::vector<EdgeId> path;
   std::vector<TableId> path_tables;
+  path.reserve(kIdsReserved);
+  path_tables.reserve(kIdsReserved);
   // Adds one direct path between two table sets; false when none exists.
   auto connect = [&](std::span<const TableId> from_set,
                      std::span<const TableId> to_set) {
@@ -250,7 +263,8 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
   }
 
   // ---- Part 3: bridge tables between entry points ------------------------
-  std::vector<TableId> entry_tables;
+  std::vector<TableId>& entry_tables = path_tables;  // reused as scratch
+  entry_tables.clear();
   for (const auto& group : out.tables_per_entry) {
     for (TableId table : group) AppendUnique(&entry_tables, table);
   }

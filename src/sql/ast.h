@@ -6,10 +6,16 @@
 // implicit snippet LIMIT. The AST mirrors exactly that shape: it is a value
 // type (copyable) so ranked query candidates can be freely duplicated and
 // mutated by the generator.
+//
+// References also carry their ids in the database, which is all the
+// executor reads: set by the SQL generator from Step 5's ids, or by
+// ResolveStatement (sql/executor.h) from the names. Names alone decide
+// equality and rendering.
 
 #ifndef SODA_SQL_AST_H_
 #define SODA_SQL_AST_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,11 +33,15 @@ const char* AggFuncName(AggFunc f);
 struct ColumnRef {
   std::string table;   // empty = unqualified
   std::string column;
+  int32_t from = -1;   // resolved FROM entry, -1 while unresolved
+  int32_t index = -1;  // resolved column ordinal in that entry's table
 
   std::string ToString() const {
     return table.empty() ? column : table + "." + column;
   }
-  bool operator==(const ColumnRef&) const = default;
+  bool operator==(const ColumnRef& other) const {
+    return table == other.table && column == other.column;
+  }
 };
 
 /// Scalar or aggregate expression. A closed sum type kept flat (no
@@ -119,6 +129,7 @@ struct Predicate {
 struct TableRef {
   std::string table;
   std::string alias;  // empty = table name used as qualifier
+  int32_t ordinal = -1;  // resolved Database::table ordinal, or -1
 
   const std::string& qualifier() const {
     return alias.empty() ? table : alias;
@@ -126,7 +137,9 @@ struct TableRef {
   std::string ToString() const {
     return alias.empty() ? table : table + " " + alias;
   }
-  bool operator==(const TableRef&) const = default;
+  bool operator==(const TableRef& other) const {
+    return table == other.table && alias == other.alias;
+  }
 };
 
 /// Projected item.

@@ -15,19 +15,18 @@ namespace soda {
 
 namespace {
 
+// Result rows reserved up front for a limit up to this (snippets: 20).
+constexpr size_t kReservedRows = 64;
+
 // A tuple in flight: one row index per FROM entry (kUnset = not bound yet).
 // Values are read in place from the base tables, so wide tuples stay cheap.
 using TupleIds = std::vector<size_t>;
 constexpr size_t kUnset = static_cast<size_t>(-1);
 
-// Resolved FROM entry.
+// FROM entry: its reference (for the qualifier) and its table.
 struct FromEntry {
-  std::string qualifier;  // alias or table name (original case)
+  const TableRef* ref = nullptr;
   const Table* table = nullptr;
-  // FoldForMatch of the qualifier and of the table name, folded once so
-  // resolving a column reference compares without folding again.
-  std::string folded_qualifier;
-  std::string folded_table;
 };
 
 // Resolved column: which FROM entry, which column index.
@@ -35,6 +34,56 @@ struct ResolvedColumn {
   size_t from_index = 0;
   size_t column_index = 0;
 };
+
+// Calls `fn` on every column reference the evaluation reads: WHERE
+// operands, GROUP BY keys, and the columns and aggregate arguments of
+// select items and ORDER BY keys. An aggregate in WHERE is an error.
+template <typename Stmt, typename Fn>
+Status ForEachColumnRef(Stmt& stmt, const Fn& fn) {
+  auto expr = [&fn](auto& e) {
+    bool reads = e.kind == Expr::Kind::kColumn ||
+                 (e.kind == Expr::Kind::kAggregate && !e.agg_star);
+    return reads ? fn(e.column) : Status::OK();
+  };
+  for (auto& pred : stmt.where) {
+    if (pred.lhs.is_aggregate() || pred.rhs.is_aggregate()) {
+      return Status::InvalidArgument("aggregates not allowed in WHERE");
+    }
+    SODA_RETURN_NOT_OK(expr(pred.lhs));
+    SODA_RETURN_NOT_OK(expr(pred.rhs));
+  }
+  for (auto& item : stmt.items) SODA_RETURN_NOT_OK(expr(item.expr));
+  for (auto& column : stmt.group_by) SODA_RETURN_NOT_OK(fn(column));
+  for (auto& order : stmt.order_by) SODA_RETURN_NOT_OK(expr(order.expr));
+  return Status::OK();
+}
+
+}  // namespace
+
+bool IsResolved(const Database& db, const SelectStatement& stmt) {
+  if (stmt.from.empty()) return false;
+  for (const TableRef& ref : stmt.from) {
+    if (ref.ordinal < 0 || size_t(ref.ordinal) >= db.num_tables() ||
+        db.table(ref.ordinal).name() != ref.table) {
+      return false;
+    }
+  }
+  return ForEachColumnRef(stmt, [&](const ColumnRef& ref) {
+           if (ref.from < 0 || size_t(ref.from) >= stmt.from.size() ||
+               ref.index < 0) {
+             return Status::NotFound("");
+           }
+           const TableRef& entry = stmt.from[ref.from];
+           const auto& columns = db.table(entry.ordinal).columns();
+           bool ok = (ref.table.empty() || ref.table == entry.qualifier()) &&
+                     size_t(ref.index) < columns.size() &&
+                     columns[ref.index].name == ref.column;
+           return ok ? Status::OK() : Status::NotFound("");
+         })
+      .ok();
+}
+
+namespace {
 
 size_t HashCombine(size_t h, size_t v) {
   return h ^ (v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2));
@@ -61,14 +110,20 @@ struct RowEq {
   }
 };
 
+// Evaluates a resolved statement (IsResolved): it compares no names.
 class Evaluation {
  public:
-  Evaluation(const Database* db, const SelectStatement& stmt)
-      : db_(db), stmt_(stmt) {}
+  Evaluation(const Database* db, const SelectStatement& stmt,
+             std::optional<int64_t> max_rows)
+      : db_(db), stmt_(stmt), limit_(stmt.limit) {
+    if (max_rows.has_value() && (!limit_ || *limit_ > *max_rows)) {
+      limit_ = max_rows;
+    }
+  }
 
   Result<ResultSet> Run() {
-    SODA_RETURN_NOT_OK(ResolveFrom());
-    SODA_RETURN_NOT_OK(PartitionPredicates());
+    ResolveFrom();
+    PartitionPredicates();
     PlanJoins();
     if (!stmt_.group_by.empty() || stmt_.HasAggregates()) {
       return ProduceAggregated();
@@ -83,62 +138,16 @@ class Evaluation {
  private:
   // ---- resolution -------------------------------------------------------
 
-  Status ResolveFrom() {
-    if (stmt_.from.empty()) {
-      return Status::InvalidArgument("FROM list is empty");
+  void ResolveFrom() {
+    for (const TableRef& ref : stmt_.from) {
+      from_.push_back(
+          FromEntry{&ref, &db_->table(static_cast<size_t>(ref.ordinal))});
     }
-    for (const auto& ref : stmt_.from) {
-      const Table* t = db_->FindTable(ref.table);
-      if (t == nullptr) {
-        return Status::NotFound("unknown table '" + ref.table + "'");
-      }
-      std::string qualifier = ref.qualifier();
-      std::string folded = FoldForMatch(qualifier);
-      for (const auto& existing : from_) {
-        if (existing.folded_qualifier == folded) {
-          return Status::InvalidArgument("duplicate table qualifier '" +
-                                         qualifier + "'");
-        }
-      }
-      from_.push_back(FromEntry{std::move(qualifier), t, std::move(folded),
-                                FoldForMatch(t->name())});
-    }
-    return Status::OK();
   }
 
-  Result<ResolvedColumn> ResolveColumn(const ColumnRef& ref) const {
-    if (!ref.table.empty()) {
-      const std::string folded = FoldForMatch(ref.table);
-      for (size_t i = 0; i < from_.size(); ++i) {
-        if (from_[i].folded_qualifier == folded ||
-            from_[i].folded_table == folded) {
-          int col = from_[i].table->ColumnIndex(ref.column);
-          if (col < 0) {
-            return Status::NotFound("table '" + ref.table +
-                                    "' has no column '" + ref.column + "'");
-          }
-          return ResolvedColumn{i, static_cast<size_t>(col)};
-        }
-      }
-      return Status::NotFound("unknown table qualifier '" + ref.table + "'");
-    }
-    // Unqualified: must resolve to exactly one table in scope.
-    ResolvedColumn found;
-    int hits = 0;
-    for (size_t i = 0; i < from_.size(); ++i) {
-      int col = from_[i].table->ColumnIndex(ref.column);
-      if (col >= 0) {
-        found = ResolvedColumn{i, static_cast<size_t>(col)};
-        ++hits;
-      }
-    }
-    if (hits == 0) {
-      return Status::NotFound("unknown column '" + ref.column + "'");
-    }
-    if (hits > 1) {
-      return Status::InvalidArgument("ambiguous column '" + ref.column + "'");
-    }
-    return found;
+  static ResolvedColumn ResolveColumn(const ColumnRef& ref) {
+    return ResolvedColumn{static_cast<size_t>(ref.from),
+                          static_cast<size_t>(ref.index)};
   }
 
   // The cell `rc` names in `tuple`; NULL when its table is not bound.
@@ -177,13 +186,13 @@ class Evaluation {
     return LiteralEq{f.rhs_col->column_index, &f.pred->lhs.literal};
   }
 
-  Status PartitionPredicates() {
+  void PartitionPredicates() {
     for (const auto& pred : stmt_.where) {
       bool both_columns = pred.lhs.kind == Expr::Kind::kColumn &&
                           pred.rhs.kind == Expr::Kind::kColumn;
       if (both_columns && pred.op == CompareOp::kEq) {
-        SODA_ASSIGN_OR_RETURN(ResolvedColumn l, ResolveColumn(pred.lhs.column));
-        SODA_ASSIGN_OR_RETURN(ResolvedColumn r, ResolveColumn(pred.rhs.column));
+        ResolvedColumn l = ResolveColumn(pred.lhs.column);
+        ResolvedColumn r = ResolveColumn(pred.rhs.column);
         if (l.from_index != r.from_index) {
           joins_.push_back(JoinCondition{l, r});
           continue;
@@ -192,20 +201,13 @@ class Evaluation {
       Filter f;
       f.pred = &pred;
       if (pred.lhs.kind == Expr::Kind::kColumn) {
-        SODA_ASSIGN_OR_RETURN(ResolvedColumn rc, ResolveColumn(pred.lhs.column));
-        f.lhs_col = rc;
-      } else if (pred.lhs.kind == Expr::Kind::kAggregate) {
-        return Status::InvalidArgument("aggregates not allowed in WHERE");
+        f.lhs_col = ResolveColumn(pred.lhs.column);
       }
       if (pred.rhs.kind == Expr::Kind::kColumn) {
-        SODA_ASSIGN_OR_RETURN(ResolvedColumn rc, ResolveColumn(pred.rhs.column));
-        f.rhs_col = rc;
-      } else if (pred.rhs.kind == Expr::Kind::kAggregate) {
-        return Status::InvalidArgument("aggregates not allowed in WHERE");
+        f.rhs_col = ResolveColumn(pred.rhs.column);
       }
       filters_.push_back(std::move(f));
     }
-    return Status::OK();
   }
 
   // ---- planning ----------------------------------------------------------
@@ -567,11 +569,19 @@ class Evaluation {
   Result<OutputSpec> BuildFlatOutput() {
     OutputSpec spec;
     if (stmt_.select_star()) {
+      size_t width = 0;
+      for (const FromEntry& entry : from_) width += entry.table->num_columns();
+      spec.names.reserve(width);
+      spec.resolved.reserve(width);
       for (size_t i = 0; i < from_.size(); ++i) {
         const Table* t = from_[i].table;
+        const std::string& qualifier = from_[i].ref->qualifier();
         for (size_t c = 0; c < t->num_columns(); ++c) {
-          spec.names.push_back(from_[i].qualifier + "." +
-                               t->columns()[c].name);
+          std::string& name = spec.names.emplace_back();
+          name.reserve(qualifier.size() + 1 + t->columns()[c].name.size());
+          name += qualifier;
+          name += '.';
+          name += t->columns()[c].name;
           spec.resolved.push_back(ResolvedColumn{i, c});
         }
       }
@@ -584,9 +594,7 @@ class Evaluation {
       spec.names.push_back(item.alias.empty() ? item.expr.ToString()
                                               : item.alias);
       if (item.expr.kind == Expr::Kind::kColumn) {
-        SODA_ASSIGN_OR_RETURN(ResolvedColumn rc,
-                              ResolveColumn(item.expr.column));
-        spec.resolved.push_back(rc);
+        spec.resolved.push_back(ResolveColumn(item.expr.column));
       } else {
         spec.resolved.push_back(std::nullopt);
       }
@@ -601,8 +609,7 @@ class Evaluation {
     std::vector<std::optional<ResolvedColumn>> order_cols;
     for (const auto& o : stmt_.order_by) {
       if (o.expr.kind == Expr::Kind::kColumn) {
-        SODA_ASSIGN_OR_RETURN(ResolvedColumn rc, ResolveColumn(o.expr.column));
-        order_cols.push_back(rc);
+        order_cols.push_back(ResolveColumn(o.expr.column));
       } else if (o.expr.kind == Expr::Kind::kLiteral) {
         order_cols.push_back(std::nullopt);
       } else {
@@ -624,12 +631,13 @@ class Evaluation {
     };
     // Without DISTINCT the first LIMIT rows are final.
     size_t limit = kUnset;
-    if (stmt_.limit && !stmt_.distinct) {
-      limit = static_cast<size_t>(*stmt_.limit);
+    if (limit_ && !stmt_.distinct) {
+      limit = static_cast<size_t>(*limit_);
     }
 
     if (stmt_.order_by.empty()) {
       // Rows stream out in enumeration order and stop at the limit.
+      if (limit <= kReservedRows) rs.rows.reserve(limit);
       if (limit > 0) {
         Enumerate([&](const TupleIds& tuple) {
           rs.rows.push_back(project(tuple));
@@ -678,8 +686,7 @@ class Evaluation {
     // Resolve group-by keys.
     std::vector<ResolvedColumn> group_cols;
     for (const auto& g : stmt_.group_by) {
-      SODA_ASSIGN_OR_RETURN(ResolvedColumn rc, ResolveColumn(g));
-      group_cols.push_back(rc);
+      group_cols.push_back(ResolveColumn(g));
     }
 
     // Collect every aggregate expression mentioned in SELECT or ORDER BY.
@@ -710,8 +717,7 @@ class Evaluation {
         oc.is_agg = true;
         oc.agg_index = intern_agg(item.expr);
       } else if (item.expr.kind == Expr::Kind::kColumn) {
-        SODA_ASSIGN_OR_RETURN(ResolvedColumn rc,
-                              ResolveColumn(item.expr.column));
+        ResolvedColumn rc = ResolveColumn(item.expr.column);
         bool grouped = false;
         for (const auto& gc : group_cols) {
           if (gc.from_index == rc.from_index &&
@@ -748,9 +754,8 @@ class Evaluation {
         k.is_agg = true;
         k.agg_index = intern_agg(o.expr);
       } else if (o.expr.kind == Expr::Kind::kColumn) {
-        SODA_ASSIGN_OR_RETURN(ResolvedColumn rc, ResolveColumn(o.expr.column));
         k.is_agg = false;
-        k.group_col = rc;
+        k.group_col = ResolveColumn(o.expr.column);
       } else {
         return Status::InvalidArgument("unsupported ORDER BY expression");
       }
@@ -760,11 +765,7 @@ class Evaluation {
     // Resolve aggregate arguments.
     std::vector<std::optional<ResolvedColumn>> agg_args(aggs.size());
     for (size_t i = 0; i < aggs.size(); ++i) {
-      if (!aggs[i].agg_star) {
-        SODA_ASSIGN_OR_RETURN(ResolvedColumn rc,
-                              ResolveColumn(aggs[i].column));
-        agg_args[i] = rc;
-      }
+      if (!aggs[i].agg_star) agg_args[i] = ResolveColumn(aggs[i].column);
     }
 
     // Group, folding each tuple in as the pipeline produces it. Groups
@@ -928,14 +929,14 @@ class Evaluation {
       }
       rs->rows.resize(kept);
     }
-    if (stmt_.limit.has_value() &&
-        rs->rows.size() > static_cast<size_t>(*stmt_.limit)) {
-      rs->rows.resize(static_cast<size_t>(*stmt_.limit));
+    if (limit_.has_value() && rs->rows.size() > static_cast<size_t>(*limit_)) {
+      rs->rows.resize(static_cast<size_t>(*limit_));
     }
   }
 
   const Database* db_;
   const SelectStatement& stmt_;
+  std::optional<int64_t> limit_;  // min(LIMIT, the caller's row cap)
   std::vector<FromEntry> from_;
   std::vector<JoinCondition> joins_;
   std::vector<Filter> filters_;
@@ -975,9 +976,83 @@ bool SqlLikeMatch(const std::string& text, const std::string& pattern) {
   return p == pattern.size();
 }
 
+Status ResolveStatement(const Database& db, SelectStatement* stmt) {
+  if (stmt->from.empty()) {
+    return Status::InvalidArgument("FROM list is empty");
+  }
+  struct Scope {
+    const Table* table;
+    std::string folded_qualifier;
+    std::string folded_table;
+  };
+  std::vector<Scope> scopes;
+  for (TableRef& ref : stmt->from) {
+    const Table* t = db.FindTable(ref.table);
+    if (t == nullptr) {
+      return Status::NotFound("unknown table '" + ref.table + "'");
+    }
+    std::string folded = FoldForMatch(ref.qualifier());
+    for (const Scope& existing : scopes) {
+      if (existing.folded_qualifier == folded) {
+        return Status::InvalidArgument("duplicate table qualifier '" +
+                                       ref.qualifier() + "'");
+      }
+    }
+    for (size_t i = 0; i < db.num_tables(); ++i) {
+      if (&db.table(i) == t) ref.ordinal = static_cast<int32_t>(i);
+    }
+    scopes.push_back(Scope{t, std::move(folded), FoldForMatch(t->name())});
+  }
+  return ForEachColumnRef(*stmt, [&scopes](ColumnRef& ref) -> Status {
+    if (!ref.table.empty()) {
+      const std::string folded = FoldForMatch(ref.table);
+      for (size_t i = 0; i < scopes.size(); ++i) {
+        if (scopes[i].folded_qualifier != folded &&
+            scopes[i].folded_table != folded) {
+          continue;
+        }
+        int col = scopes[i].table->ColumnIndex(ref.column);
+        if (col < 0) {
+          return Status::NotFound("table '" + ref.table +
+                                  "' has no column '" + ref.column + "'");
+        }
+        ref.from = static_cast<int32_t>(i);
+        ref.index = col;
+        return Status::OK();
+      }
+      return Status::NotFound("unknown table qualifier '" + ref.table + "'");
+    }
+    // Unqualified: must resolve to exactly one table in scope.
+    int hits = 0;
+    for (size_t i = 0; i < scopes.size(); ++i) {
+      int col = scopes[i].table->ColumnIndex(ref.column);
+      if (col >= 0) {
+        ref.from = static_cast<int32_t>(i);
+        ref.index = col;
+        ++hits;
+      }
+    }
+    if (hits == 0) {
+      return Status::NotFound("unknown column '" + ref.column + "'");
+    }
+    if (hits > 1) {
+      return Status::InvalidArgument("ambiguous column '" + ref.column + "'");
+    }
+    return Status::OK();
+  });
+}
+
 Result<ResultSet> Executor::Execute(const SelectStatement& stmt,
-                                    ExecStats* stats) const {
-  Evaluation eval(db_, stmt);
+                                    ExecStats* stats,
+                                    std::optional<int64_t> max_rows) const {
+  if (!IsResolved(*db_, stmt)) {
+    // Statements built by hand or edited after generation: one resolve
+    // pass over a copy, then the same evaluation.
+    SelectStatement resolved = stmt;
+    SODA_RETURN_NOT_OK(ResolveStatement(*db_, &resolved));
+    return Execute(resolved, stats, max_rows);
+  }
+  Evaluation eval(db_, stmt, max_rows);
   Result<ResultSet> rs = eval.Run();
   if (stats != nullptr && rs.ok()) {
     stats->rows_output = rs->rows.size();
@@ -991,6 +1066,7 @@ Result<ResultSet> Executor::Execute(const SelectStatement& stmt,
 
 Result<ResultSet> Executor::ExecuteSql(std::string_view sql) const {
   SODA_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSql(sql));
+  SODA_RETURN_NOT_OK(ResolveStatement(*db_, &stmt));
   return Execute(stmt);
 }
 

@@ -1,7 +1,10 @@
 // Execution of the SODA SQL subset against the in-memory catalog.
 //
-// The executor is a pipelined relational evaluator:
-//   1. FROM resolution (tables + aliases);
+// The executor is a pipelined relational evaluator over resolved
+// statements (sql/ast.h): a generated statement carries the ids Step 5
+// holds, and parsed SQL gets them from one resolve pass
+// (ResolveStatement), so evaluation never looks up a name:
+//   1. FROM entries (tables by ordinal);
 //   2. a static left-deep join plan over the WHERE conjuncts: the first
 //      FROM table seeds it, then each step adds the next table in FROM
 //      order that an equi-join edge connects to the tables already placed
@@ -49,6 +52,9 @@
 #ifndef SODA_SQL_EXECUTOR_H_
 #define SODA_SQL_EXECUTOR_H_
 
+#include <cstdint>
+#include <optional>
+
 #include "common/status.h"
 #include "sql/ast.h"
 #include "sql/result_set.h"
@@ -86,17 +92,30 @@ class Executor {
  public:
   explicit Executor(const Database* db) : db_(db) {}
 
-  /// Runs `stmt` and returns its result (at most LIMIT rows). `stats`
-  /// (optional) receives execution statistics on success.
+  /// Runs `stmt` and returns its result (at most LIMIT rows, and at most
+  /// `max_rows`). `stats` (optional) receives execution statistics on
+  /// success. A statement that is not IsResolved is resolved on a copy
+  /// first.
   Result<ResultSet> Execute(const SelectStatement& stmt,
-                            ExecStats* stats = nullptr) const;
+                            ExecStats* stats = nullptr,
+                            std::optional<int64_t> max_rows = {}) const;
 
-  /// Convenience: parse + execute.
+  /// Convenience: parse + resolve + execute.
   Result<ResultSet> ExecuteSql(std::string_view sql) const;
 
  private:
   const Database* db_;
 };
+
+/// True when every table and column reference of `stmt` carries ids for
+/// `db` that name what its names spell (exactly, so checking costs no
+/// fold): such a statement runs without resolving a name.
+bool IsResolved(const Database& db, const SelectStatement& stmt);
+
+/// The resolve pass: sets every reference's ids from its names, as SQL
+/// resolves identifiers (case-insensitive; an unqualified column must
+/// name exactly one FROM table).
+Status ResolveStatement(const Database& db, SelectStatement* stmt);
 
 /// SQL LIKE pattern matching ('%' multi-char wildcard, '_' single char).
 /// Exposed for tests.

@@ -69,6 +69,7 @@ void ChangeLog::PublishLocked(const Table& table, size_t row_begin,
   // the dictionary with the inverted index is race-free.
   ChangeEvent event;
   event.table = table.name();
+  event.source = &table;
   event.row_begin = row_begin;
   event.row_end = row_end;
   event.sequence = sequence_;

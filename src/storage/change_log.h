@@ -77,6 +77,8 @@ struct ColumnDelta {
 /// it to detect that data moved underneath a deferred write.
 struct ChangeEvent {
   std::string table;
+  /// The table appended to; its new rows are already in place.
+  const Table* source = nullptr;
   size_t row_begin = 0;
   size_t row_end = 0;
   uint64_t sequence = 0;

@@ -174,6 +174,10 @@ class Database {
 
   size_t num_tables() const { return tables_.size(); }
 
+  /// The table at `ordinal` in creation order (< num_tables()): the id an
+  /// executable statement names its tables by.
+  const Table& table(size_t ordinal) const { return *tables_[ordinal]; }
+
   /// Sum of rows over all tables (used by dataset sanity checks).
   size_t TotalRows() const;
 

@@ -37,13 +37,17 @@ size_t InvertedIndex::ValueKeyHash::operator()(const ValueKeyView& key) const {
 
 size_t InvertedIndex::ValueKeyHash::operator()(uint32_t index) const {
   const StoredValue& sv = (*values)[index];
-  return static_cast<size_t>(HashTriple(sv.table, sv.column, sv.value));
+  return static_cast<size_t>(HashTriple(sv.table->name(),
+                                        sv.table->columns()[sv.column].name,
+                                        sv.cell->AsString()));
 }
 
 bool InvertedIndex::ValueKeyEq::operator()(const ValueKeyView& a,
                                            uint32_t b) const {
   const StoredValue& sv = (*values)[b];
-  return a.table == sv.table && a.column == sv.column && a.value == sv.value;
+  return a.table == sv.table->name() &&
+         a.column == sv.table->columns()[sv.column].name &&
+         a.value == sv.cell->AsString();
 }
 
 bool InvertedIndex::ValueKeyEq::operator()(uint32_t a,
@@ -68,11 +72,8 @@ void InvertedIndex::IndexTable(const Table& table) {
     if (table.columns()[c].type != ValueType::kString) continue;
     for (size_t r = 0; r < table.num_rows(); ++r) {
       const Value& v = table.row(r)[c];
-      if (v.is_null()) continue;
-      const std::string& text = v.AsString();
-      if (text.empty()) continue;
-      AddOccurrence(table_ord, static_cast<uint32_t>(c), r, table.name(),
-                    table.columns()[c].name, text);
+      if (v.is_null() || v.AsString().empty()) continue;
+      AddOccurrence(table_ord, static_cast<uint32_t>(c), r, table, v);
     }
   }
 }
@@ -84,9 +85,10 @@ size_t InvertedIndex::ApplyDelta(const ChangeEvent& event) {
     for (size_t i = 0; i < delta.values.size(); ++i) {
       // Events carry each value pre-tokenized as ids interned against
       // the database's dictionary, which Build adopted: they are ours.
-      inserted += AddOccurrence(table_ord, delta.column_index, delta.rows[i],
-                                event.table, delta.column, delta.values[i],
-                                &delta.token_ids[i]);
+      inserted += AddOccurrence(
+          table_ord, delta.column_index, delta.rows[i], *event.source,
+          event.source->row(delta.rows[i])[delta.column_index],
+          &delta.token_ids[i]);
     }
   }
   return inserted;
@@ -100,13 +102,13 @@ uint32_t InvertedIndex::TableOrdinal(const std::string& table) {
 }
 
 size_t InvertedIndex::AddOccurrence(uint32_t table_ord, uint32_t column_index,
-                                    size_t row_index, const std::string& table,
-                                    const std::string& column,
-                                    const std::string& text,
+                                    size_t row_index, const Table& table,
+                                    const Value& cell,
                                     const std::vector<TokenId>* token_ids) {
   ++num_records_;
 
-  ValueKeyView key{table, column, text};
+  const std::string& text = cell.AsString();
+  ValueKeyView key{table.name(), table.columns()[column_index].name, text};
   auto it = value_keys_.find(key);
   if (it != value_keys_.end()) {
     ++values_[*it].row_count;
@@ -121,9 +123,9 @@ size_t InvertedIndex::AddOccurrence(uint32_t table_ord, uint32_t column_index,
   }
   if (ids->empty()) return 0;
   StoredValue sv;
-  sv.table = table;
-  sv.column = column;
-  sv.value = text;
+  sv.table = &table;
+  sv.column = column_index;
+  sv.cell = &cell;
   sv.token_begin = static_cast<uint32_t>(token_arena_.size());
   sv.token_count = static_cast<uint32_t>(ids->size());
   sv.row_count = 1;
@@ -247,8 +249,19 @@ std::vector<ValuePosting> InvertedIndex::LookupPhrase(
   std::vector<ValuePosting> result;
   ForEachPhraseMatch(phrase, [&](uint32_t index) {
     const StoredValue& sv = values_[index];
-    result.push_back(ValuePosting{sv.table, sv.column, sv.value,
-                                  sv.row_count});
+    result.push_back(ValuePosting{sv.table->name(),
+                                  sv.table->columns()[sv.column].name,
+                                  sv.cell->AsString(), sv.row_count});
+  });
+  return result;
+}
+
+std::vector<ValueRef> InvertedIndex::LookupPhraseRefs(
+    const std::string& phrase) const {
+  std::vector<ValueRef> result;
+  ForEachPhraseMatch(phrase, [&](uint32_t index) {
+    const StoredValue& sv = values_[index];
+    result.push_back(ValueRef{sv.table, sv.column, sv.cell, sv.row_count});
   });
   return result;
 }
@@ -267,9 +280,6 @@ bool InvertedIndex::ContainsToken(const std::string& token) const {
 
 size_t InvertedIndex::ApproxMemoryBytes() const {
   size_t bytes = sizeof(*this);
-  for (const StoredValue& sv : values_) {
-    bytes += sv.table.capacity() + sv.column.capacity() + sv.value.capacity();
-  }
   bytes += values_.capacity() * sizeof(StoredValue);
   bytes += token_arena_.capacity() * sizeof(TokenId);
   bytes += postings_.capacity() * sizeof(std::vector<uint32_t>);

@@ -49,6 +49,17 @@ struct ValuePosting {
   int64_t row_count = 0;  // number of base rows carrying this value
 };
 
+/// The same occurrence by reference: the table, the column's ordinal in
+/// it and the first stored cell with the value. Rows are never modified
+/// and a row's buffer stays put when its table grows, so the pointers
+/// stay valid for the table's lifetime.
+struct ValueRef {
+  const Table* table = nullptr;
+  uint32_t column = 0;
+  const Value* cell = nullptr;
+  int64_t row_count = 0;
+};
+
 class InvertedIndex {
  public:
   InvertedIndex() = default;
@@ -77,7 +88,8 @@ class InvertedIndex {
   /// matches the paper's historization model, so no rebuild is ever
   /// needed. REQUIRES an index built (Build) over the event's database:
   /// the event's TokenIds are interned against that database's
-  /// dictionary, which this index then shares, and apply verbatim. Postings
+  /// dictionary, which this index then shares, and apply verbatim; the
+  /// event's source table holds the cells the postings point at. Postings
   /// are kept ordered by the value's first-occurrence scan position
   /// (table creation order, column, row), so every probe (LookupPhrase /
   /// CountPhrase / ContainsToken) returns results
@@ -92,6 +104,10 @@ class InvertedIndex {
   /// space-separated token phrase) as a consecutive subsequence.
   /// An empty result means the phrase does not occur in the base data.
   std::vector<ValuePosting> LookupPhrase(const std::string& phrase) const;
+
+  /// LookupPhrase by reference: the same occurrences in the same order,
+  /// naming no table, column or value.
+  std::vector<ValueRef> LookupPhraseRefs(const std::string& phrase) const;
 
   /// LookupPhrase(phrase).size() without materializing the postings —
   /// the probe the lookup step's complexity accounting wants.
@@ -111,10 +127,12 @@ class InvertedIndex {
   size_t ApproxMemoryBytes() const;
 
  private:
+  /// Names are read through the table: its name, the column's name and
+  /// the cell's string.
   struct StoredValue {
-    std::string table;
-    std::string column;
-    std::string value;
+    const Table* table = nullptr;
+    uint32_t column = 0;
+    const Value* cell = nullptr;  // the first occurrence's cell
     /// The value's normalized token sequence, as a slice of the shared
     /// token arena (ids into *dict_).
     uint32_t token_begin = 0;
@@ -158,15 +176,15 @@ class InvertedIndex {
   void ForEachPhraseMatch(const std::string& phrase, Fn&& fn) const;
 
   /// Shared indexing core of Build/IndexTable and ApplyDelta: registers
-  /// one non-empty string occurrence at scan position (table_ord,
-  /// column_index, row_index). `token_ids`, when non-null, is the
+  /// the non-empty string occurrence `cell` of `table` at scan position
+  /// (table_ord, column_index, row_index). `token_ids`, when non-null, is the
   /// value's pre-interned token sequence AGAINST THIS INDEX'S dictionary
   /// (ChangeEvents from the database's log ship it); null means tokenize
   /// and intern here. Returns the number of posting entries inserted (0 for
   /// an already-known value).
   size_t AddOccurrence(uint32_t table_ord, uint32_t column_index,
-                       size_t row_index, const std::string& table,
-                       const std::string& column, const std::string& text,
+                       size_t row_index, const Table& table,
+                       const Value& cell,
                        const std::vector<TokenId>* token_ids = nullptr);
 
   /// The table's position in from-scratch scan order, assigned on first

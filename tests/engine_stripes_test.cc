@@ -31,6 +31,7 @@
 #include "core/soda.h"
 #include "datasets/minibank.h"
 #include "pattern/library.h"
+#include "minibank_queries.h"
 
 namespace soda {
 namespace {
@@ -53,17 +54,6 @@ std::string Fingerprint(const SearchOutput& output) {
     if (result.executed) fp += result.snippet.ToAsciiTable() + "\n";
   }
   return fp;
-}
-
-std::vector<std::string> MiniBankQueries() {
-  return {
-      "customers Zürich financial instruments",
-      "trading volume transaction date between date(2010-01-01) "
-      "date(2011-12-31)",
-      "addresses Sara Guttinger",
-      "sum(investments) group by (currency)",
-      "private customers family name",
-  };
 }
 
 class EngineStripesTest : public ::testing::Test {

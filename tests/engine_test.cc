@@ -23,6 +23,7 @@
 #include "datasets/minibank.h"
 #include "eval/workload.h"
 #include "pattern/library.h"
+#include "minibank_queries.h"
 
 namespace soda {
 namespace {
@@ -43,17 +44,6 @@ std::string Fingerprint(const SearchOutput& output) {
     if (result.executed) fp += result.snippet.ToAsciiTable() + "\n";
   }
   return fp;
-}
-
-std::vector<std::string> MiniBankQueries() {
-  return {
-      "customers Zürich financial instruments",
-      "trading volume transaction date between date(2010-01-01) "
-      "date(2011-12-31)",
-      "addresses Sara Guttinger",
-      "sum(investments) group by (currency)",
-      "private customers family name",
-  };
 }
 
 class EngineMiniBankTest : public ::testing::Test {

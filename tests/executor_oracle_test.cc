@@ -533,6 +533,22 @@ TEST(ExecutorOracleTest, MatchesNaiveReferenceOnRandomSchemas) {
       if (stats.seed_reduced) ++reduced;
       ExpectMatchesReference(rc->db, *stmt, rs, *got);
 
+      // The resolve pass gives the ids a generated statement carries; run
+      // that way, and with a row cap instead of a lowered LIMIT, the
+      // statement answers the same.
+      SelectStatement resolved = *stmt;
+      ASSERT_TRUE(ResolveStatement(rc->db, &resolved).ok()) << rs.sql;
+      auto by_ids = executor.Execute(resolved);
+      ASSERT_TRUE(by_ids.ok()) << rs.sql;
+      EXPECT_EQ(by_ids->column_names, got->column_names) << rs.sql;
+      EXPECT_EQ(by_ids->rows, got->rows) << rs.sql;
+      SelectStatement lowered = resolved;
+      if (!lowered.limit || *lowered.limit > 2) lowered.limit = 2;
+      auto capped = executor.Execute(resolved, nullptr, 2);
+      auto want_capped = executor.Execute(lowered);
+      ASSERT_TRUE(capped.ok() && want_capped.ok()) << rs.sql;
+      EXPECT_EQ(capped->rows, want_capped->rows) << rs.sql;
+
       // Prefix property: the limited result is the head of the unlimited.
       SelectStatement unlimited = *stmt;
       unlimited.limit.reset();

@@ -31,6 +31,7 @@
 #include "pattern/library.h"
 #include "storage/change_log.h"
 #include "sql/value.h"
+#include "minibank_queries.h"
 
 namespace soda {
 namespace {
@@ -51,17 +52,6 @@ std::string Fingerprint(const SearchOutput& output) {
     if (result.executed) fp += result.snippet.ToAsciiTable() + "\n";
   }
   return fp;
-}
-
-std::vector<std::string> MiniBankQueries() {
-  return {
-      "customers Zürich financial instruments",
-      "trading volume transaction date between date(2010-01-01) "
-      "date(2011-12-31)",
-      "addresses Sara Guttinger",
-      "sum(investments) group by (currency)",
-      "private customers family name",
-  };
 }
 
 class FaultInjectionTest : public ::testing::Test {

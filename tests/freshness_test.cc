@@ -24,6 +24,7 @@
 #include "pattern/library.h"
 #include "storage/change_log.h"
 #include "text/inverted_index.h"
+#include "minibank_queries.h"
 
 namespace soda {
 namespace {
@@ -45,15 +46,6 @@ std::string Fingerprint(const SearchOutput& output) {
     if (result.executed) fp += result.snippet.ToAsciiTable() + "\n";
   }
   return fp;
-}
-
-std::vector<std::string> Dashboard() {
-  return {
-      "customers Zürich financial instruments",
-      "addresses Sara Guttinger",
-      "sum(investments) group by (currency)",
-      "private customers family name",
-  };
 }
 
 // Captures every published event.
@@ -317,8 +309,8 @@ TEST_F(FreshnessEngineTest, AutoInvalidationMatchesColdEngineAndIsKeyed) {
 
   // Warm the cache: every dashboard query plus one the mutation must not
   // touch.
-  const std::vector<std::string> queries = Dashboard();
-  const std::string unaffected = "sum(investments) group by (currency)";
+  const std::vector<std::string> queries = MiniBankQueries();
+  const std::string unaffected = "sum(amount) group by (currency)";
   for (const std::string& query : queries) {
     ASSERT_TRUE(engine->Search(query).ok());
   }
@@ -405,7 +397,7 @@ TEST_F(FreshnessEngineTest, StripedSweepMatchesColdEngine) {
       FreshnessManager freshness(&bank->db.change_log());
       freshness.Track(engine.get());
 
-      const std::vector<std::string> queries = Dashboard();
+      const std::vector<std::string> queries = MiniBankQueries();
       for (const auto& output : engine->SearchAll(queries)) {
         ASSERT_TRUE(output.ok());
       }
@@ -455,7 +447,7 @@ TEST_F(FreshnessEngineTest, ConcurrentAppendDuringSearchAllIsConsistent) {
     FreshnessManager freshness(&bank->db.change_log());
     freshness.Track(service.get());
 
-    const std::vector<std::string> queries = Dashboard();
+    const std::vector<std::string> queries = MiniBankQueries();
     std::atomic<bool> stop{false};
     std::atomic<size_t> batches{0};
 
@@ -538,7 +530,7 @@ TEST_F(FreshnessEngineTest, ClearCacheEvictsAndBooksEveryEntry) {
                      .value();
   for (SodaService* service : {engine.get(), striped.get()}) {
     SCOPED_TRACE(service == engine.get() ? "one stripe" : "four stripes");
-    for (const auto& output : service->SearchAll(Dashboard())) {
+    for (const auto& output : service->SearchAll(MiniBankQueries())) {
       ASSERT_TRUE(output.ok()) << output.status();
     }
     const size_t cached = service->cache_stats().size;
@@ -622,6 +614,7 @@ TEST_F(FreshnessEngineTest, ScriptedAppendsInvalidateTheRecordedKeys) {
   const std::string zurich = "customers Zürich financial instruments";
   const std::string sara = "addresses Sara Guttinger";
   const std::string family = "private customers family name";
+  const std::string amounts = "sum(amount) group by (currency)";
   const std::string quux = "addresses Quuxville";
   const std::string corporate = "corporate customers";
   const std::string money = "money transactions CHF";
@@ -629,7 +622,7 @@ TEST_F(FreshnessEngineTest, ScriptedAppendsInvalidateTheRecordedKeys) {
       "trading volume transaction date between date(2010-01-01) "
       "date(2011-12-31)";
   const std::vector<std::string> queries = {
-      zurich,       sara,    "sum(investments) group by (currency)",
+      zurich,       sara,    amounts,
       family,       trading, quux,
       corporate,    money,   "securities",
       "Geneva",     "fund",  "wealthy customers",
@@ -664,7 +657,7 @@ TEST_F(FreshnessEngineTest, ScriptedAppendsInvalidateTheRecordedKeys) {
       {"money_transactions",
        {Value::Int(9003), Value::Real(12.5), Value::Str("CHF"),
         Value::DateV(day)},
-       {money, trading}},
+       {money, trading, amounts}},
       {"securities",
        {Value::Int(9004), Value::Str("Guttinger Bond"),
         Value::Str("CH0000000001")},
@@ -680,7 +673,7 @@ TEST_F(FreshnessEngineTest, ScriptedAppendsInvalidateTheRecordedKeys) {
        {sara, zurich, family}},
       {"transactions",
        {Value::Int(9007), Value::Int(1), Value::Int(2)},
-       {sara, zurich, money, family, trading}},
+       {sara, zurich, money, family, trading, amounts}},
   };
   for (const Append& append : script) {
     SCOPED_TRACE(append.table);

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 #include <utility>
 
 #include "common/metrics.h"
@@ -84,7 +86,7 @@ TEST_F(LookupRankTest, ClassificationFindsAllMetadataKinds) {
   auto zurich = index.Lookup("Zurich");
   ASSERT_EQ(zurich.size(), 1u);
   EXPECT_EQ(zurich[0].kind, EntryPoint::Kind::kBaseData);
-  EXPECT_EQ(zurich[0].value, "Zürich");
+  EXPECT_EQ(zurich[0].value(), "Zürich");
 }
 
 TEST_F(LookupRankTest, MetadataBeforeBaseData) {
@@ -212,7 +214,7 @@ TEST_F(LookupRankTest, CombinatorialProduct) {
   LookupOutput out = Lookup("customers Zürich financial instruments");
   ASSERT_EQ(out.terms.size(), 3u);
   EXPECT_EQ(out.complexity, 2u);  // 1 x 1 x 2 (paper Figure 5)
-  EXPECT_EQ(out.interpretations.size(), 2u);
+  EXPECT_EQ(RankAndTopN(out, SodaConfig{}).size(), 2u);
 }
 
 TEST_F(LookupRankTest, OperatorBindsToPrecedingTerm) {
@@ -312,6 +314,97 @@ TEST_F(LookupRankTest, TopNCapsInterpretations) {
   EXPECT_EQ(ranked.size(), 1u);
 }
 
+// The reference ranking: materialize the first max_interpretations
+// choice vectors of the product (first term fastest), drop those a mask
+// rejects, stable-sort by descending score and cut at top_n.
+std::vector<Interpretation> RankByFullSort(
+    const LookupOutput& lookup, const SodaConfig& config,
+    const std::vector<std::vector<bool>>* masks) {
+  std::vector<Interpretation> all;
+  std::vector<size_t> cursor(lookup.terms.size(), 0);
+  for (size_t n = 0; n < config.max_interpretations; ++n) {
+    Interpretation interpretation;
+    interpretation.choice = cursor;
+    double total = 0.0;
+    size_t counted = 0;
+    bool admitted = true;
+    for (size_t t = 0; t < lookup.terms.size(); ++t) {
+      if (lookup.terms[t].candidates.empty()) continue;
+      if (masks != nullptr && !(*masks)[t].empty() &&
+          !(*masks)[t][cursor[t]]) {
+        admitted = false;
+      }
+      total += LayerWeight(lookup.terms[t].candidates[cursor[t]].layer);
+      ++counted;
+    }
+    interpretation.score = counted == 0 ? 0.0 : total / counted;
+    if (admitted) all.push_back(interpretation);
+    size_t k = 0;
+    for (; k < cursor.size(); ++k) {
+      if (lookup.terms[k].candidates.size() <= 1) continue;
+      if (++cursor[k] < lookup.terms[k].candidates.size()) break;
+      cursor[k] = 0;
+    }
+    if (k == cursor.size()) break;
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const Interpretation& a, const Interpretation& b) {
+                     return a.score > b.score;
+                   });
+  if (all.size() > config.top_n) all.resize(config.top_n);
+  return all;
+}
+
+// Ranking keeps the top N while it enumerates; the kept choices, scores
+// and order equal the full sort's, at every cut and cap, with and
+// without a candidate mask (a session binding).
+TEST_F(LookupRankTest, TopNDuringEnumerationMatchesFullSort) {
+  std::vector<std::string> queries = {
+      "Sara", "private customers family name", "Sara Guttinger customers",
+      "customers Zürich financial instruments", "names addresses Sara"};
+  for (const BenchmarkQuery& query : EnterpriseWorkload()) {
+    queries.push_back(query.keywords);
+  }
+  size_t products_over_one = 0;
+  for (const std::string& query : queries) {
+    auto parsed = ParseInputQuery(query);
+    if (!parsed.ok()) continue;
+    SodaConfig lookup_config;
+    LookupStep step(&soda_->classification(), &lookup_config);
+    auto out = step.Run(*parsed);
+    if (!out.ok()) continue;
+    // Mask: the first term with several candidates allows every other one.
+    std::vector<std::vector<bool>> masks(out->terms.size());
+    for (size_t t = 0; t < out->terms.size(); ++t) {
+      if (out->terms[t].candidates.size() < 2) continue;
+      for (size_t c = 0; c < out->terms[t].candidates.size(); ++c) {
+        masks[t].push_back(c % 2 == 0);
+      }
+      ++products_over_one;
+      break;
+    }
+    for (size_t top_n : {size_t{0}, size_t{1}, size_t{3}, size_t{10},
+                         size_t{1000}}) {
+      for (size_t cap : {size_t{1}, size_t{5}, size_t{1000}}) {
+        SodaConfig config;
+        config.top_n = top_n;
+        config.max_interpretations = cap;
+        for (const auto* mask : {static_cast<decltype(&masks)>(nullptr),
+                                 &masks}) {
+          std::vector<Interpretation> got = RankAndTopN(*out, config, mask);
+          std::vector<Interpretation> want = RankByFullSort(*out, config, mask);
+          ASSERT_EQ(got.size(), want.size()) << query;
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].choice, want[i].choice) << query << " #" << i;
+            EXPECT_EQ(got[i].score, want[i].score) << query << " #" << i;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(products_over_one, 0u);
+}
+
 // The max_interpretations bound: a product larger than the cap stops at
 // exactly the cap and books lookup.interpretations_capped once; a product
 // under the cap books nothing. Complexity still reports the full product.
@@ -325,13 +418,13 @@ TEST_F(LookupRankTest, InterpretationCapStopsTheProductAndIsCounted) {
   auto capped = step.Run(*ParseInputQuery(capped_query), &sink);
   ASSERT_TRUE(capped.ok()) << capped.status();
   ASSERT_GT(capped->complexity, 2u);
-  EXPECT_EQ(capped->interpretations.size(), 2u);
+  EXPECT_EQ(RankAndTopN(*capped, config).size(), 2u);
   EXPECT_EQ(sink.Snapshot().counter("lookup.interpretations_capped"), 1u);
 
   InMemoryMetricsSink uncapped_sink;
   auto uncapped = step.Run(*ParseInputQuery("customers"), &uncapped_sink);
   ASSERT_TRUE(uncapped.ok()) << uncapped.status();
-  EXPECT_EQ(uncapped->interpretations.size(), 1u);
+  EXPECT_EQ(RankAndTopN(*uncapped, config).size(), 1u);
   EXPECT_EQ(uncapped_sink.Snapshot().counter("lookup.interpretations_capped"),
             0u);
 

@@ -21,6 +21,7 @@
 #include "text/inverted_index.h"
 #include "text/token_dict.h"
 #include "text/tokenizer.h"
+#include "minibank_queries.h"
 
 namespace soda {
 namespace {
@@ -267,12 +268,7 @@ std::string Fingerprint(const SearchOutput& output) {
 }
 
 TEST(SharedDictStripeSweepTest, IndexSharesOneDictionaryByteIdentically) {
-  const std::vector<std::string> queries = {
-      "customers Zürich financial instruments",
-      "addresses Sara Guttinger",
-      "sum(investments) group by (currency)",
-      "private customers family name",
-  };
+  const std::vector<std::string>& queries = MiniBankQueries();
 
   // Baseline: serial 1×1.
   std::vector<std::string> baseline;

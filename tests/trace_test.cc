@@ -39,6 +39,7 @@
 #include "datasets/minibank.h"
 #include "net/search_json.h"
 #include "pattern/library.h"
+#include "minibank_queries.h"
 
 namespace soda {
 namespace {
@@ -334,12 +335,7 @@ TEST_F(TraceEngineTest, AsyncSnippetSpansParentUnderTheBatchSpan) {
 }
 
 TEST_F(TraceEngineTest, RankedOutputIsByteIdenticalWithTracingOnOrOff) {
-  const std::vector<std::string> queries = {
-      "customers Zürich financial instruments",
-      "addresses Sara Guttinger",
-      "sum(investments) group by (currency)",
-      "private customers family name",
-  };
+  const std::vector<std::string>& queries = MiniBankQueries();
   for (size_t stripes : {1u, 4u}) {
     for (size_t threads : {1u, 4u}) {
       std::string untraced;
