@@ -68,19 +68,19 @@ bool IsResolved(const Database& db, const SelectStatement& stmt) {
       return false;
     }
   }
-  return ForEachColumnRef(stmt, [&](const ColumnRef& ref) {
-           if (ref.from < 0 || size_t(ref.from) >= stmt.from.size() ||
-               ref.index < 0) {
-             return Status::NotFound("");
-           }
-           const TableRef& entry = stmt.from[ref.from];
-           const auto& columns = db.table(entry.ordinal).columns();
-           bool ok = (ref.table.empty() || ref.table == entry.qualifier()) &&
-                     size_t(ref.index) < columns.size() &&
-                     columns[ref.index].name == ref.column;
-           return ok ? Status::OK() : Status::NotFound("");
-         })
-      .ok();
+  Status names_match = ForEachColumnRef(stmt, [&](const ColumnRef& ref) {
+    if (ref.from < 0 || size_t(ref.from) >= stmt.from.size() ||
+        ref.index < 0) {
+      return Status::NotFound("");
+    }
+    const TableRef& entry = stmt.from[ref.from];
+    const auto& columns = db.table(entry.ordinal).columns();
+    bool ok = (ref.table.empty() || ref.table == entry.qualifier()) &&
+              size_t(ref.index) < columns.size() &&
+              columns[ref.index].name == ref.column;
+    return ok ? Status::OK() : Status::NotFound("");
+  });
+  return names_match.ok();
 }
 
 namespace {
