@@ -104,7 +104,10 @@ int main() {
         }
         auto answer = system->Translate(workload[q].keywords);
         if (!answer.ok() || !answer->answered) continue;
-        for (const auto& stmt : answer->statements) {
+        for (soda::SelectStatement stmt : answer->statements) {
+          if (!soda::ResolveStatement(fixture->warehouse->db, &stmt).ok()) {
+            continue;
+          }
           auto rs = executor.Execute(stmt);
           if (!rs.ok()) continue;
           auto tuples = soda::ExtractTuples(*rs, workload[q].extractors);

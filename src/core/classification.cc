@@ -13,11 +13,9 @@ std::string ClassificationIndex::PhraseKey(const std::string& text) {
 }
 
 void ClassificationIndex::Build(const MetadataGraph& graph,
-                                const InvertedIndex* base_data,
-                                const TableCatalog* catalog) {
+                                const InvertedIndex* base_data) {
   metadata_.clear();
   base_data_ = base_data;
-  catalog_ = catalog;
 
   // Index every text label attached to a node under the label predicates
   // business users may type.
@@ -78,9 +76,7 @@ std::vector<EntryPoint> ClassificationIndex::Lookup(
       EntryPoint ep;
       ep.kind = EntryPoint::Kind::kBaseData;
       ep.layer = MetadataLayer::kBaseData;
-      ep.table = catalog_ != nullptr ? catalog_->IdOf(ref.table)
-                                     : kInvalidTableId;
-      ep.source = ref.table;
+      ep.table = ref.table;
       ep.column = ref.column;
       ep.cell = ref.cell;
       ep.row_count = ref.row_count;

@@ -41,11 +41,8 @@ class ClassificationIndex {
  public:
   /// Builds the index over every labeled node of `graph`. `base_data` may
   /// be nullptr when no inverted index is available (metadata-only mode,
-  /// used by the Keymantic baseline comparison). `catalog`, when set and
-  /// bound to the base data's database, gives base-data entry points
-  /// their TableId.
-  void Build(const MetadataGraph& graph, const InvertedIndex* base_data,
-             const TableCatalog* catalog = nullptr);
+  /// used by the Keymantic baseline comparison).
+  void Build(const MetadataGraph& graph, const InvertedIndex* base_data);
 
   /// Returns all entry points matching the phrase exactly (folded tokens).
   /// Metadata matches come first, base-data matches after.
@@ -75,7 +72,6 @@ class ClassificationIndex {
   // folded phrase -> metadata entry points
   std::unordered_map<std::string, std::vector<EntryPoint>> metadata_;
   const InvertedIndex* base_data_ = nullptr;
-  const TableCatalog* catalog_ = nullptr;
 };
 
 }  // namespace soda

@@ -44,6 +44,12 @@ constexpr const char* kEngineCounterSeries[] = {
 constexpr size_t kRankStage = 1;  // bindings changed: re-rank
 constexpr size_t kSqlStage = 4;   // pins/bans only: Step 5 alone
 
+void ClearSnippet(SodaResult* result) {
+  result->snippet = ResultSet();
+  result->executed = false;
+  result->execution_status = Status::OK();
+}
+
 void PreRegisterEngineCounters(MetricsSink* sink) {
   for (const char* name : kEngineCounterSeries) {
     sink->IncrementCounter(name, 0);
@@ -727,6 +733,9 @@ SnippetStream::Summary SodaEngine::RunStream(StreamState& stream,
       }
       sink_->IncrementCounter("snippet.streamed", 1);
     }
+    // Delivered: an uncached stream runs over the returned outputs, which
+    // never keep snippet payloads.
+    if (!stream.cache_insert) ClearSnippet(&result);
   }
   if (!stream.cache_insert) return summary;
   // Cache the materialized answer — unless base data moved since
@@ -790,11 +799,7 @@ AsyncSearch SodaEngine::SearchAllAsync(std::span<const std::string> queries,
     // renders exactly like a miss; its stream keeps the materialized copy
     // for its events.
     if (item.from_cache) {
-      for (SodaResult& result : item.output->results) {
-        result.snippet = ResultSet();
-        result.executed = false;
-        result.execution_status = Status::OK();
-      }
+      for (SodaResult& result : item.output->results) ClearSnippet(&result);
     }
     search.snippets.runs_.push_back(
         [this, stream = std::move(stream), stream_trace]() mutable {

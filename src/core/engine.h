@@ -146,7 +146,9 @@ class SodaEngine : public SodaService {
 
   /// Async batched search: SearchAll's dedup and cross-query fan-out
   /// for the translation phase, then returns at once. The outputs carry
-  /// executed=false and empty snippets, cache-served answers included;
+  /// executed=false and empty snippets, cache-served answers included,
+  /// also after Run() (which must not overlap a read of them, see
+  /// AsyncSearch);
   /// the stream holds one run per unique query with results, in
   /// first-occurrence order. Its Run() executes each query's
   /// snippets in result order on the calling thread, delivering each

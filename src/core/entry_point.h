@@ -1,10 +1,16 @@
 // Entry points: where a keyword was found (paper Step 1 - Lookup).
 //
 // An entry point holds ids and references only, so later steps copy a few
-// words per chosen entry. A base-data hit names its table (catalog id and
-// database table), its column by ordinal and its value by the first
-// stored cell carrying it; rows are never modified and a row's buffer
-// stays put when its table grows, so the cell outlives every append.
+// words per chosen entry. A base-data hit names its database table, its
+// column by ordinal and its value by the first stored cell carrying it;
+// rows are never modified and a row's buffer stays put when its table
+// grows, so the cell outlives every append. A metadata hit's label views
+// the graph's label text.
+//
+// Entry points therefore borrow from the Database and the MetadataGraph
+// a Soda was built over, and so does everything holding them (plans,
+// results' explanations): neither may be destroyed, nor the graph
+// modified, while those are in use.
 
 #ifndef SODA_CORE_ENTRY_POINT_H_
 #define SODA_CORE_ENTRY_POINT_H_
@@ -13,7 +19,6 @@
 #include <string>
 #include <string_view>
 
-#include "core/graph_utils.h"
 #include "graph/metadata_graph.h"
 #include "storage/table.h"
 
@@ -34,10 +39,9 @@ struct EntryPoint {
   NodeId node = kInvalidNode;
 
   // kBaseData (layer is kBaseData then):
-  TableId table = kInvalidTableId;  // kInvalidTableId: no metadata table
-  const Table* source = nullptr;    // the database table holding the cell
-  uint32_t column = 0;              // the column's ordinal in `source`
-  const Value* cell = nullptr;      // the first stored cell with the value
+  const Table* table = nullptr;  // the database table holding the cell
+  uint32_t column = 0;           // the column's ordinal in `table`
+  const Value* cell = nullptr;   // the first stored cell with the value
   int64_t row_count = 0;
 
   /// The label that matched: the graph's label text of a metadata node
@@ -45,9 +49,9 @@ struct EntryPoint {
   std::string_view label;
 
   /// Base-data names, read through the ids.
-  const std::string& table_name() const { return source->name(); }
+  const std::string& table_name() const { return table->name(); }
   const std::string& column_name() const {
-    return source->columns()[column].name;
+    return table->columns()[column].name;
   }
   const std::string& value() const { return cell->AsString(); }
 

@@ -65,10 +65,11 @@ Result<std::vector<GeneratedFilter>> FiltersStep::Run(
     const EntryPoint& entry = entries[i];
     if (entry.kind != EntryPoint::Kind::kBaseData) continue;
     if (has_operator[i]) continue;  // the operator binding covers it
+    if (i >= tables.entry_columns.size() || !tables.entry_columns[i]) {
+      continue;  // Step 3 maps every base-data entry to its column
+    }
     GeneratedFilter filter;
-    filter.column = PhysicalColumnRef{entry.table_name(), entry.column_name(),
-                                      entry.table,
-                                      static_cast<int32_t>(entry.column)};
+    filter.column = *tables.entry_columns[i];
     filter.op = CompareOp::kEq;
     filter.value = *entry.cell;
     filters.push_back(std::move(filter));

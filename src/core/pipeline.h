@@ -91,6 +91,8 @@ struct Explanation {
 };
 
 /// One ranked candidate: an executable SQL statement with provenance.
+/// The provenance's entry points borrow from the Database and the
+/// MetadataGraph the Soda was built over, which must outlive the result.
 struct SodaResult {
   SelectStatement statement;
   std::string sql;          // rendered statement

@@ -102,11 +102,12 @@ class SnippetStream {
 };
 
 /// SearchAllAsync's answer: the translated outputs, in input order, and
-/// the snippet work still to run. Unless its answer is cached, a query's
-/// stream runs over the results of its last occurrence in `outputs`,
-/// filling their snippets in place: keep `outputs` (or the vector or
-/// output it was moved to) alive and its results unmodified until Run()
-/// returns.
+/// the snippet work still to run. The outputs carry no snippet payloads,
+/// before Run() and after it. Unless its answer is cached, a query's
+/// stream executes each snippet into the results of its last occurrence
+/// in `outputs` and clears it again once delivered, so while Run()
+/// executes, `outputs` must not be read, modified or destroyed (moving
+/// the vector or an output keeps the results in place).
 struct AsyncSearch {
   std::vector<Result<SearchOutput>> outputs;
   SnippetStream snippets;
@@ -154,7 +155,7 @@ struct TranslationPlan {
 /// capture none.
 struct CachedAnswer {
   SearchOutput output;
-  /// Every folded token Step 1 probed (QueryContext::freshness_terms).
+  /// Every folded token Step 1 probed (CollectFreshnessTerms).
   std::vector<std::string> freshness_terms;
   /// FoldForMatch of every table the answer's statements read, sorted
   /// and unique, so an append's table is one binary search.

@@ -25,7 +25,7 @@ Soda::Soda(const Database* db, const MetadataGraph* graph,
   matcher_ = std::make_unique<PatternMatcher>(graph_, &patterns_);
   init_status_ = join_graph_.Build(*matcher_);
   join_graph_.Bind(*db_);
-  classification_.Build(*graph_, &inverted_index_, &join_graph_.catalog());
+  classification_.Build(*graph_, &inverted_index_);
   lookup_step_ = std::make_unique<LookupStep>(&classification_, &config_);
   tables_step_ = std::make_unique<TablesStep>(matcher_.get(), &join_graph_,
                                               &config_, &closure_);

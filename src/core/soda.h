@@ -82,7 +82,10 @@ class Soda {
   /// Builds the search engine over an existing catalog + metadata graph,
   /// propagating any index-construction failure (e.g. a malformed join
   /// pattern) instead of deferring it. `db` (required: a null one is
-  /// InvalidArgument) and `graph` must outlive the returned instance.
+  /// InvalidArgument) and `graph` must outlive the returned instance and
+  /// every result or plan it hands out (their entry points borrow from
+  /// both, core/entry_point.h), and `graph` must not be modified while
+  /// the instance lives: rebuild it after a metadata edit.
   /// This is the only way to construct a Soda — a
   /// returned instance is always fully initialized, so Search never has
   /// to report a construction-time failure after the fact.

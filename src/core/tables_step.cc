@@ -171,7 +171,7 @@ Result<TablesOutput> TablesStep::Run(const std::vector<EntryPoint>& entries,
     std::vector<TableId> tables;
     std::optional<PhysicalColumnRef> column;
     if (entry.kind == EntryPoint::Kind::kBaseData) {
-      const TableId table = entry.table;
+      const TableId table = join_graph_->catalog().IdOf(entry.table);
       if (table == kInvalidTableId) {
         return Status::NotFound("base-data table '" + entry.table_name() +
                                 "' is no physical table of the metadata");

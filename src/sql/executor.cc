@@ -64,7 +64,7 @@ bool IsResolved(const Database& db, const SelectStatement& stmt) {
   if (stmt.from.empty()) return false;
   for (const TableRef& ref : stmt.from) {
     if (ref.ordinal < 0 || size_t(ref.ordinal) >= db.num_tables() ||
-        db.table(ref.ordinal).name() != ref.table) {
+        !EqualsFolded(db.table(ref.ordinal).name(), ref.table)) {
       return false;
     }
   }
@@ -75,9 +75,11 @@ bool IsResolved(const Database& db, const SelectStatement& stmt) {
     }
     const TableRef& entry = stmt.from[ref.from];
     const auto& columns = db.table(entry.ordinal).columns();
-    bool ok = (ref.table.empty() || ref.table == entry.qualifier()) &&
+    bool ok = (ref.table.empty() ||
+               EqualsFolded(ref.table, entry.qualifier()) ||
+               EqualsFolded(ref.table, entry.table)) &&
               size_t(ref.index) < columns.size() &&
-              columns[ref.index].name == ref.column;
+              EqualsFolded(columns[ref.index].name, ref.column);
     return ok ? Status::OK() : Status::NotFound("");
   });
   return names_match.ok();
@@ -1046,11 +1048,9 @@ Result<ResultSet> Executor::Execute(const SelectStatement& stmt,
                                     ExecStats* stats,
                                     std::optional<int64_t> max_rows) const {
   if (!IsResolved(*db_, stmt)) {
-    // Statements built by hand or edited after generation: one resolve
-    // pass over a copy, then the same evaluation.
-    SelectStatement resolved = stmt;
-    SODA_RETURN_NOT_OK(ResolveStatement(*db_, &resolved));
-    return Execute(resolved, stats, max_rows);
+    return Status::InvalidArgument(
+        "statement is not resolved against this database "
+        "(ResolveStatement): " + stmt.ToSql());
   }
   Evaluation eval(db_, stmt, max_rows);
   Result<ResultSet> rs = eval.Run();

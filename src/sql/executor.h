@@ -94,8 +94,9 @@ class Executor {
 
   /// Runs `stmt` and returns its result (at most LIMIT rows, and at most
   /// `max_rows`). `stats` (optional) receives execution statistics on
-  /// success. A statement that is not IsResolved is resolved on a copy
-  /// first.
+  /// success. `stmt` must be IsResolved (generated statements are;
+  /// parsed or hand-built ones go through ResolveStatement once), else
+  /// InvalidArgument.
   Result<ResultSet> Execute(const SelectStatement& stmt,
                             ExecStats* stats = nullptr,
                             std::optional<int64_t> max_rows = {}) const;
@@ -108,8 +109,9 @@ class Executor {
 };
 
 /// True when every table and column reference of `stmt` carries ids for
-/// `db` that name what its names spell (exactly, so checking costs no
-/// fold): such a statement runs without resolving a name.
+/// `db` that name what its names spell, matched as ResolveStatement
+/// matches them (EqualsFolded; a qualifier is the entry's alias or table
+/// name): such a statement runs without resolving a name.
 bool IsResolved(const Database& db, const SelectStatement& stmt);
 
 /// The resolve pass: sets every reference's ids from its names, as SQL

@@ -247,12 +247,11 @@ void InvertedIndex::ForEachPhraseMatch(const std::string& phrase,
 std::vector<ValuePosting> InvertedIndex::LookupPhrase(
     const std::string& phrase) const {
   std::vector<ValuePosting> result;
-  ForEachPhraseMatch(phrase, [&](uint32_t index) {
-    const StoredValue& sv = values_[index];
-    result.push_back(ValuePosting{sv.table->name(),
-                                  sv.table->columns()[sv.column].name,
-                                  sv.cell->AsString(), sv.row_count});
-  });
+  for (const ValueRef& ref : LookupPhraseRefs(phrase)) {
+    result.push_back(ValuePosting{ref.table->name(),
+                                  ref.table->columns()[ref.column].name,
+                                  ref.cell->AsString(), ref.row_count});
+  }
   return result;
 }
 

@@ -311,6 +311,38 @@ TEST_F(BatchAsyncTest, AsyncReturnsTranslationImmediatelyAndExecutesLater) {
   EXPECT_EQ(executed_callbacks.load(), output.results.size());
 }
 
+// The outputs carry no snippet payloads after Run() either, with the
+// cache on or off and for every occurrence of a repeated query (an
+// uncached stream executes into the last occurrence's results in place),
+// while the callbacks saw every snippet executed.
+TEST_F(BatchAsyncTest, OutputsCarryNoSnippetsAfterRun) {
+  const std::vector<std::string> queries = {
+      "addresses Sara Guttinger", "Sara", "addresses Sara Guttinger"};
+  for (size_t cache_capacity : {size_t{0}, size_t{16}}) {
+    auto engine = MakeEngine(/*threads=*/1, cache_capacity);
+    for (int pass = 0; pass < 2; ++pass) {  // the second is cache-served
+      size_t executed = 0, delivered = 0;
+      AsyncSearch search = engine->SearchAllAsync(
+          queries, [&](size_t, size_t, const SodaResult& result) {
+            ++delivered;
+            if (result.executed) ++executed;
+          });
+      search.snippets.Run();
+      EXPECT_GT(delivered, 0u);
+      EXPECT_EQ(executed, delivered)
+          << "cache_capacity=" << cache_capacity << " pass=" << pass;
+      for (size_t q = 0; q < queries.size(); ++q) {
+        ASSERT_TRUE(search.outputs[q].ok()) << queries[q];
+        for (const SodaResult& result : search.outputs[q]->results) {
+          EXPECT_FALSE(result.executed) << queries[q];
+          EXPECT_EQ(result.snippet.num_rows(), 0u) << queries[q];
+          EXPECT_TRUE(result.snippet.column_names.empty()) << queries[q];
+        }
+      }
+    }
+  }
+}
+
 // Snippets run inside Run(): until then every returned result is
 // unexecuted, and every callback fires on the thread that runs the
 // stream — at any pool width, and on an engine whose batch spans two

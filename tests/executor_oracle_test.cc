@@ -524,27 +524,25 @@ TEST(ExecutorOracleTest, MatchesNaiveReferenceOnRandomSchemas) {
     Executor executor(&rc->db);
     for (int q = 0; q < 12; ++q) {
       RandomStatement rs = RandomSql(&rng, *rc);
+      // The resolve pass gives the ids a generated statement carries.
       auto stmt = ParseSql(rs.sql);
       ASSERT_TRUE(stmt.ok()) << rs.sql << " -> " << stmt.status();
+      ASSERT_TRUE(ResolveStatement(rc->db, &*stmt).ok()) << rs.sql;
       ExecStats stats;
       auto got = executor.Execute(*stmt, &stats);
       ASSERT_TRUE(got.ok()) << rs.sql << " -> " << got.status();
       EXPECT_EQ(stats.rows_output, got->rows.size()) << rs.sql;
       if (stats.seed_reduced) ++reduced;
       ExpectMatchesReference(rc->db, *stmt, rs, *got);
+      auto by_sql = executor.ExecuteSql(rs.sql);
+      ASSERT_TRUE(by_sql.ok()) << rs.sql;
+      EXPECT_EQ(by_sql->column_names, got->column_names) << rs.sql;
+      EXPECT_EQ(by_sql->rows, got->rows) << rs.sql;
 
-      // The resolve pass gives the ids a generated statement carries; run
-      // that way, and with a row cap instead of a lowered LIMIT, the
-      // statement answers the same.
-      SelectStatement resolved = *stmt;
-      ASSERT_TRUE(ResolveStatement(rc->db, &resolved).ok()) << rs.sql;
-      auto by_ids = executor.Execute(resolved);
-      ASSERT_TRUE(by_ids.ok()) << rs.sql;
-      EXPECT_EQ(by_ids->column_names, got->column_names) << rs.sql;
-      EXPECT_EQ(by_ids->rows, got->rows) << rs.sql;
-      SelectStatement lowered = resolved;
+      // A row cap answers as a lowered LIMIT does.
+      SelectStatement lowered = *stmt;
       if (!lowered.limit || *lowered.limit > 2) lowered.limit = 2;
-      auto capped = executor.Execute(resolved, nullptr, 2);
+      auto capped = executor.Execute(*stmt, nullptr, 2);
       auto want_capped = executor.Execute(lowered);
       ASSERT_TRUE(capped.ok() && want_capped.ok()) << rs.sql;
       EXPECT_EQ(capped->rows, want_capped->rows) << rs.sql;
@@ -608,6 +606,7 @@ TEST(ExecutorOracleTest, ProbesTheMostSelectiveJoinKey) {
              tail;
     auto stmt = ParseSql(rs.sql);
     ASSERT_TRUE(stmt.ok()) << rs.sql << " -> " << stmt.status();
+    ASSERT_TRUE(ResolveStatement(db, &*stmt).ok()) << rs.sql;
     auto got = executor.Execute(*stmt);
     ASSERT_TRUE(got.ok()) << rs.sql << " -> " << got.status();
     EXPECT_FALSE(got->rows.empty()) << rs.sql;
@@ -657,6 +656,7 @@ TEST(ExecutorOracleTest, AppendMaintainedIndexesMatchRebuild) {
       sqls.push_back(RandomSql(&rng, *rc));
       auto stmt = ParseSql(sqls.back().sql);
       ASSERT_TRUE(stmt.ok()) << sqls.back().sql << " -> " << stmt.status();
+      ASSERT_TRUE(ResolveStatement(rc->db, &*stmt).ok()) << sqls.back().sql;
       stmts.push_back(*stmt);
       ExecStats stats;
       ASSERT_TRUE(executor.Execute(stmts.back(), &stats).ok());

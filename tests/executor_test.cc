@@ -73,6 +73,13 @@ class ExecutorTest : public ::testing::Test {
     return rs.ok() ? *rs : ResultSet{};
   }
 
+  // Parse + resolve, as ExecuteSql does, for tests that read ExecStats.
+  Result<SelectStatement> ParseResolved(const std::string& sql) {
+    SODA_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSql(sql));
+    SODA_RETURN_NOT_OK(ResolveStatement(db_, &stmt));
+    return stmt;
+  }
+
   Database db_;
   std::unique_ptr<Executor> executor_;
 };
@@ -218,6 +225,39 @@ TEST_F(ExecutorTest, DuplicateQualifierFails) {
   EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument);
 }
 
+// Names resolve case-insensitively, and a column may be qualified by the
+// table name under an alias; the resolved statement runs as is.
+TEST_F(ExecutorTest, MixedCaseNamesAndTableQualifierUnderAlias) {
+  EXPECT_EQ(Run("SELECT ID FROM ORDERS").num_rows(), 5u);
+  EXPECT_EQ(Run("SELECT Orders.Amount FROM orders "
+                "WHERE ORDERS.Currency = 'CHF'").num_rows(), 2u);
+  ResultSet rs = Run("SELECT o.id FROM Orders o, individuals i "
+                     "WHERE orders.party = I.ID AND individuals.name = 'Sara'");
+  EXPECT_EQ(rs.num_rows(), 2u);
+  for (const char* sql : {"SELECT ID FROM ORDERS",
+                          "SELECT o.id FROM orders o WHERE orders.id = 10"}) {
+    auto stmt = ParseResolved(sql);
+    ASSERT_TRUE(stmt.ok()) << sql << " -> " << stmt.status();
+    EXPECT_TRUE(IsResolved(db_, *stmt)) << sql;
+  }
+}
+
+// Execute evaluates resolved statements only: a parsed statement without
+// ids is refused, not resolved behind the caller's back.
+TEST_F(ExecutorTest, UnresolvedStatementIsRefused) {
+  auto stmt = ParseSql("SELECT id FROM orders");
+  ASSERT_TRUE(stmt.ok());
+  EXPECT_FALSE(IsResolved(db_, *stmt));
+  EXPECT_EQ(executor_->Execute(*stmt).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(ResolveStatement(db_, &*stmt).ok());
+  // Ids that no longer name what the names spell are refused too.
+  stmt->from[0].table = "parties";
+  EXPECT_FALSE(IsResolved(db_, *stmt));
+  EXPECT_EQ(executor_->Execute(*stmt).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST_F(ExecutorTest, NullNeverJoins) {
   Table* t = *db_.CreateTable("with_nulls", {{"ref", ValueType::kInt64}});
   t->AppendUnchecked({Value::Null()});
@@ -229,7 +269,7 @@ TEST_F(ExecutorTest, NullNeverJoins) {
 }
 
 TEST_F(ExecutorTest, FlatLimitStopsEnumerating) {
-  auto stmt = ParseSql("SELECT * FROM parties, orders LIMIT 2");
+  auto stmt = ParseResolved("SELECT * FROM parties, orders LIMIT 2");
   ASSERT_TRUE(stmt.ok()) << stmt.status();
   ExecStats stats;
   auto rs = executor_->Execute(*stmt, &stats);
@@ -241,7 +281,7 @@ TEST_F(ExecutorTest, FlatLimitStopsEnumerating) {
 }
 
 TEST_F(ExecutorTest, PushdownEmptiesPrefixBeforeJoining) {
-  auto stmt = ParseSql(
+  auto stmt = ParseResolved(
       "SELECT * FROM individuals, orders "
       "WHERE orders.party = individuals.id AND individuals.salary > 5000");
   ASSERT_TRUE(stmt.ok()) << stmt.status();
@@ -256,7 +296,7 @@ TEST_F(ExecutorTest, PushdownEmptiesPrefixBeforeJoining) {
 // and 12) is smaller than its three rows, so only Sara and Bruno are
 // visited.
 TEST_F(ExecutorTest, SeedReductionSkipsRowsWithoutExtension) {
-  auto stmt = ParseSql(
+  auto stmt = ParseResolved(
       "SELECT individuals.name, orders.id FROM individuals, orders "
       "WHERE orders.party = individuals.id AND orders.currency = 'CHF'");
   ASSERT_TRUE(stmt.ok()) << stmt.status();
@@ -276,7 +316,7 @@ TEST_F(ExecutorTest, SeedReductionSkipsRowsWithoutExtension) {
 // The reduction follows a join path of two hops: orders -> individuals ->
 // parties. A group as large as the seed's candidates is not used.
 TEST_F(ExecutorTest, SeedReductionFollowsAJoinPath) {
-  auto stmt = ParseSql(
+  auto stmt = ParseResolved(
       "SELECT parties.id FROM parties, individuals, orders "
       "WHERE individuals.id = parties.id AND orders.party = individuals.id "
       "AND orders.amount = 300.0");
@@ -289,7 +329,7 @@ TEST_F(ExecutorTest, SeedReductionFollowsAJoinPath) {
   EXPECT_TRUE(stats.seed_reduced);
   EXPECT_EQ(stats.tuples_enumerated, 3u);
 
-  stmt = ParseSql(
+  stmt = ParseResolved(
       "SELECT * FROM individuals, orders "
       "WHERE orders.party = individuals.id AND orders.currency = 'YEN'");
   ASSERT_TRUE(stmt.ok()) << stmt.status();
@@ -304,7 +344,7 @@ TEST_F(ExecutorTest, SeedReductionFollowsAJoinPath) {
 TEST_F(ExecutorTest, SeedReductionGivesUpWhenAHopOutgrowsTheSeed) {
   Table* fan = *db_.CreateTable("fan", {{"party", ValueType::kInt64}});
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(fan->Append({Value::Int(1)}).ok());
-  auto stmt = ParseSql(
+  auto stmt = ParseResolved(
       "SELECT individuals.name FROM individuals, fan, orders "
       "WHERE fan.party = individuals.id AND orders.party = fan.party "
       "AND orders.id = 10");

@@ -57,7 +57,7 @@ class SodaPropertyTest : public ::testing::TestWithParam<const char*> {
       auto reparsed = ParseSql(result.sql);
       ASSERT_TRUE(reparsed.ok())
           << query << " produced unparseable SQL:\n" << result.sql;
-      auto rs = executor.Execute(*reparsed);
+      auto rs = executor.ExecuteSql(result.sql);
       EXPECT_TRUE(rs.ok()) << query << " produced non-executable SQL:\n"
                            << result.sql << "\n" << rs.status();
       // 3. Snippet bound.

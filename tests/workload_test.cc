@@ -38,7 +38,7 @@ TEST_F(WorkloadTest, GoldStatementsParseAndExecute) {
       auto stmt = ParseSql(sql);
       ASSERT_TRUE(stmt.ok()) << "Q" << query.id << ": " << stmt.status()
                              << "\n" << sql;
-      auto rs = executor.Execute(*stmt);
+      auto rs = executor.ExecuteSql(sql);
       ASSERT_TRUE(rs.ok()) << "Q" << query.id << ": " << rs.status();
       EXPECT_GT(rs->num_rows(), 0u) << "Q" << query.id
                                     << " gold result is empty:\n" << sql;
